@@ -16,12 +16,7 @@ from importlib import resources
 from pathlib import Path
 
 from .classical import gonality_bounds
-from .k3 import (
-    FilterConfig,
-    destab_box,
-    enumerate_assignments,
-    min_series_degree,
-)
+from .k3 import FilterConfig, destab_box, enumerate_assignments
 from .lattice import LatticeBasis, delta
 from .loci import (
     BNLocus,
@@ -48,6 +43,9 @@ EXIT_OK = 0
 EXIT_DOMAIN = 1
 EXIT_CONTRADICTION = 2
 EXIT_IO = 3
+
+# genera with a packaged facts file and fixture under bnloci/data
+PACKAGED_GENERA = range(7, 13)
 
 _RECORD_KEYS = {"genus", "lhs", "rhs", "relation", "source"}
 _POINT_KEYS = {"r", "d"}
@@ -169,6 +167,14 @@ def cmd_invariants(args) -> int:
 
 
 def cmd_k3(args) -> int:
+    # the series of proper loci of genus g have 1 <= s <= (g-1)/2; s sets
+    # 2^s - 1 filtration types, so nothing larger may start a search
+    top = (args.g - 1) // 2
+    if not 1 <= args.series <= top:
+        raise ValueError(
+            f"--series {args.series} is outside 1..{top}, the ranks of proper "
+            f"Brill-Noether loci of genus {args.g}"
+        )
     basis = LatticeBasis(args.g, args.r, args.d)
     if basis.discriminant >= 0:
         print(
@@ -178,7 +184,7 @@ def cmd_k3(args) -> int:
         return EXIT_DOMAIN
     config = FilterConfig(True, True) if args.filters == "on" else FilterConfig()
     assignments = enumerate_assignments(basis, args.series, config)
-    minimum = min_series_degree(basis, args.series, config)
+    minimum = min((a.c2_bound for a in assignments), default=None)
     if args.json:
         payload = {
             "lattice": {"g": args.g, "r": args.r, "d": args.d},
@@ -308,14 +314,24 @@ def cmd_poset(args) -> int:
 
 
 def parse_genus_range(spec: str) -> list[int]:
+    """'9' or '7..12' as a list of genera; an empty range is a ValueError."""
     if ".." in spec:
         lo, hi = spec.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        genera = list(range(int(lo), int(hi) + 1))
+        if not genera:
+            raise ValueError(f"empty genus range {spec}")
+        return genera
     return [int(spec)]
 
 
 def cmd_verify(args) -> int:
     genera = parse_genus_range(args.range)
+    outside = [g for g in genera if g not in PACKAGED_GENERA]
+    if outside:
+        raise ValueError(
+            f"no packaged facts or fixture for genus {outside[0]}; packaged "
+            f"genera are {PACKAGED_GENERA[0]}..{PACKAGED_GENERA[-1]}"
+        )
     failed = False
     for g in genera:
         facts = packaged_facts(g)
@@ -359,7 +375,8 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("r", type=int)
     pk.add_argument("d", type=int)
     pk.add_argument("--series", type=int, required=True, metavar="S",
-                    help="dimension s of the series g^s_e being tested")
+                    help="dimension s of the series g^s_e being tested, "
+                    "in 1..(g-1)/2")
     pk.add_argument("--filters", choices=("on", "off"), default="off")
     pk.add_argument("--json", action="store_true")
     pk.set_defaults(func=cmd_k3)

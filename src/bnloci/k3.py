@@ -10,15 +10,47 @@ This module enumerates all candidate first-Chern-class data for such
 filtrations ("assignments"), computes the exact rational lower bound each
 one imposes on c_2(E) = e, and turns "every assignment needs c_2 > e"
 into certified non-existence of a g^s_e on C.
+
+One depth-first search, :func:`_walk`, serves both the listing path
+(:func:`enumerate_assignments`) and the minimum-only path
+(:func:`min_series_degree`).
+
+Interval cuts.  For a filtration type r_1 < ... < r_n = s+1, put
+P_i = (r_i, h_i) with h_i = H.c1(E_i), P_0 = (0, 0) and P_n = (s+1, H^2).
+The all-triples Gelfand-Tsetlin conditions mu(i,j) >= mu(i,k) >= mu(j,k)
+say exactly that P_0, ..., P_n is a concave chain: the slope of P_{i-1}P_i
+never increases with i.  A subchain of a concave chain is concave, so once
+P_1..P_{m-1} are chosen with P_0..P_{m-1}, P_n concave, a choice of h_m is
+admissible iff P_0..P_m, P_n is concave, which adds two inequalities:
+
+    slope(P_{m-1}, P_m) <= slope(P_{m-2}, P_{m-1})   (upper end; m >= 2)
+    slope(P_m, P_n)     <= slope(P_{m-1}, P_m)       (lower end)
+
+So the admissible H-degrees at level m form one integer interval, found by
+bisection in the candidates sorted by H-degree, and at the last level the
+two inequalities close the whole chain.  The quotient conditions
+(H-c)^2 >= 0 and H.(H-c) > 0 hold for every candidate by construction, and
+mu(E_i) >= mu(E) is the triple (0, i, n).
+
+Scaled integers.  The c_2 bound is a sum of one term per filtration step
+whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
+it as an integer times D = 2 lcm(1..s+1) and builds a Fraction only for a
+listed assignment or the final minimum.
+
+Every leaf, on both paths, is re-checked in integers against all GT triples
+and the quotient conditions; a failure raises RuntimeError, which, unlike
+an assert, survives python -O.
 """
 
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ThreadPoolExecutor
+from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .lattice import H, ZERO, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair, self_int
 from .loci import BNLocus, RelKind, Relation, rho
@@ -261,74 +293,130 @@ def _filter_flags(
     return tuple(flags)
 
 
-def _assignments_for_type(
+def _dropped(config: FilterConfig, flags: tuple[str, ...]) -> bool:
+    return (config.dm_filter and "dm" in flags) or (
+        config.elliptic_filter and "elliptic" in flags
+    )
+
+
+def _scale(s: int) -> int:
+    """D = 2 lcm(1..s+1): every c_2 term times D is an integer, since each
+    factor rank rho <= s+1 divides lcm(1..s+1)."""
+    return 2 * lcm(*range(1, s + 2))
+
+
+def _candidate_rows(basis: LatticeBasis) -> list[tuple]:
+    """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c), sorted
+    by (H-degree, class).  With u = H.c = a H^2 + b d and v = a d + b L^2,
+    c.x = x.a u + x.b v for any class x, so a step needs two products."""
+    h2, d, l2 = basis.h_square, basis.d, basis.l_square
+    rows = []
+    for c in candidate_subsheaf_classes(basis):
+        u, v = c.a * h2 + c.b * d, c.a * d + c.b * l2
+        cc = c.a * u + c.b * v
+        rows.append((u, c.a, c.b, cc, v, h2 - 2 * u + cc, c))
+    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+    return rows
+
+
+def _recheck(htot: int, rk: tuple[int, ...], path: list[tuple]) -> None:
+    """Integer re-check of one leaf, independent of the interval cuts: the
+    GT inequalities mu(i,j) >= mu(i,k) >= mu(j,k) on every triple of
+    P_0..P_n, and the quotient conditions (H-c)^2 >= 0, H.(H-c) > 0 and
+    mu(E_i) >= mu(E) on every intermediate step."""
+    hd = (0,) + tuple(row[0] for row in path) + (htot,)
+    n = len(hd) - 1
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            h_ij, r_ij = hd[j] - hd[i], rk[j] - rk[i]
+            for k in range(j + 1, n + 1):
+                h_ik, r_ik = hd[k] - hd[i], rk[k] - rk[i]
+                h_jk, r_jk = hd[k] - hd[j], rk[k] - rk[j]
+                if h_ij * r_ik < h_ik * r_ij or h_ik * r_jk < h_jk * r_ik:
+                    raise RuntimeError(f"DFS leaf {hd} over ranks {rk} violates GT")
+    for i, row in enumerate(path, 1):
+        if row[5] < 0 or htot - row[0] <= 0 or row[0] * rk[n] < htot * rk[i]:
+            raise RuntimeError(f"DFS leaf {hd} over ranks {rk} violates a quotient check")
+
+
+def _walk(
     basis: LatticeBasis,
     s: int,
-    ranks: tuple[int, ...],
-    cands: list[tuple[LatticeClass, int]],
-) -> list[Assignment]:
-    n = len(ranks)
-    rk = (0,) + ranks
+    leaf: Callable[[tuple[int, ...], list[tuple], int], None],
+) -> None:
+    """The one filtration DFS.  For every filtration type and every admissible
+    tuple of :func:`_candidate_rows`, call ``leaf(ranks, path, scaled_c2)``, where
+    ``path`` is the live list of chosen rows (copy it to keep it) and
+    ``scaled_c2`` is the c_2 lower bound times :func:`_scale`.
+
+    Level m picks h_m = H.c1(E_m) from the integer interval cut out by
+    slope(P_m, P_n) <= slope(P_{m-1}, P_m) (lower end) and, for m >= 2,
+    slope(P_{m-1}, P_m) <= slope(P_{m-2}, P_{m-1}) (upper end); see the
+    module docstring for why these two suffice.
+    """
     htot = basis.h_square
-    out = []
+    big = _scale(s)
+    rows = _candidate_rows(basis)
+    hs = [row[0] for row in rows]
+    origin = (0, 0, 0, 0, 0, htot, ZERO)  # E_0 = 0, so c.p = p.p = 0
+    path: list[tuple] = []
 
-    # hdeg[i] = H.c1(E_i); level n is E itself.  Slope comparisons are done
-    # by integer cross-multiplication (all rank differences are positive).
-    hdeg = [0] * (n + 1)
-    hdeg[n] = htot
-    chosen: list[LatticeClass] = []
-
-    def admissible_step(m: int) -> bool:
-        # all slope triples whose indices lie in {0..m} u {n}
-        rm, hm = rk[m], hdeg[m]
-        for i in range(m - 1):
-            ri, hi = rk[i], hdeg[i]
-            for j in range(i + 1, m):
-                rj, hj = rk[j], hdeg[j]
-                if (hj - hi) * (rm - ri) < (hm - hi) * (rj - ri):
-                    return False
-                if (hm - hi) * (rm - rj) < (hm - hj) * (rm - ri):
-                    return False
+    for ranks in enumerate_filtration_types(s):
+        rk = (0,) + ranks
+        n = len(ranks)
         rn = rk[n]
-        for i in range(m):
-            ri, hi = rk[i], hdeg[i]
-            if (hm - hi) * (rn - ri) < (htot - hi) * (rm - ri):
-                return False
-            if (htot - hi) * (rn - rm) < (htot - hm) * (rn - ri):
-                return False
-        return True
+        # step i adds T = half*(f.f) + D*(f.p) + const with f = c_i - c_{i-1},
+        # p = c_{i-1}: the stable-factor bound plus the recursion term, times D
+        half = [0] * (n + 1)
+        const = [0] * (n + 1)
+        for i in range(1, n + 1):
+            rho_i = rk[i] - rk[i - 1]
+            half[i] = (rho_i - 1) * (big // (2 * rho_i))
+            const[i] = rho_i * big - big // rho_i
 
-    def dfs(level: int) -> None:
-        if level == n:
-            chern = tuple(chosen) + (H,)
-            a = Assignment(
-                ranks=ranks,
-                chern=chern,
-                c2_bound=_c2_bound(basis, rk, chern),
-                filtered_by=_filter_flags(basis, s, ranks, chern),
-            )
-            # redundant cross-check via the triangle form of the conditions
-            assert gt_check(basis, a) and quotient_checks(basis, a)
-            out.append(a)
-            return
-        rl, rn = rk[level], rk[n]
-        prev_h, prev_r = hdeg[level - 1], rk[level - 1]
-        for cls, hc in cands:
-            # mu(E_level) >= mu(E) is necessary (triple (0, level, n))
-            if hc * rn < htot * rl:
-                continue
-            # slopes of the E_i decrease along the filtration; candidates are
-            # sorted by H-degree, so the first failure ends the loop
-            if level >= 2 and hc * prev_r > prev_h * rl:
-                break
-            hdeg[level] = hc
-            chosen.append(cls)
-            if admissible_step(level):
-                dfs(level + 1)
-            chosen.pop()
+        def dfs(m: int, p: tuple, hpp: int, acc: int) -> None:
+            hp = p[0]
+            a, b = rk[m] - rk[m - 1], rn - rk[m]
+            lo = -(-(htot * a + hp * b) // (a + b))
+            start = bisect_left(hs, lo)
+            if m == 1:
+                stop = len(rows)
+            else:
+                hi = hp + (hp - hpp) * a // (rk[m - 1] - rk[m - 2])
+                stop = bisect_right(hs, hi, start)
+            hm, cm = half[m], const[m]
+            pp, pv = p[3], p[4]
+            last = m == n - 1
+            if last:
+                hn, cn = half[n], const[n]
+            for idx in range(start, stop):
+                c = rows[idx]
+                cp = c[1] * hp + c[2] * pv
+                total = acc + hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
+                path.append(c)
+                if last:
+                    # final step to E_n with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
+                    total += hn * c[5] + big * (c[0] - c[3]) + cn
+                    _recheck(htot, rk, path)
+                    leaf(ranks, path, total)
+                else:
+                    dfs(m + 1, c, hp, total)
+                path.pop()
 
-    dfs(1)
-    return out
+        dfs(1, origin, 0, 0)
+
+
+# enumerate_assignments refuses more workers than this; it runs serially anyway
+MAX_WORKERS = 64
+
+
+def _check_search_args(basis: LatticeBasis, s: int) -> None:
+    if basis.discriminant >= 0:
+        raise ValueError(
+            f"Delta({basis.g},{basis.r},{basis.d}) >= 0: no such K3 surface"
+        )
+    if s < 1:
+        raise ValueError("need s >= 1")
 
 
 def enumerate_assignments(
@@ -341,52 +429,47 @@ def enumerate_assignments(
     the given lattice, with config filters applied, sorted canonically
     (type length, type, then chern classes lexicographically).
 
-    ``workers`` > 1 partitions the filtration types across a thread pool;
-    the canonical final sort makes the output independent of scheduling.
+    This is the listing path of the shared DFS core: one :class:`Assignment`
+    per leaf, its bound ``Fraction(scaled_c2, D)`` and its filter tags.
+    ``workers`` must be an int in 1..MAX_WORKERS (else ValueError) and is
+    otherwise ignored: the search is serial, because a thread pool over the
+    filtration types ran slower under the GIL.
     """
+    if isinstance(workers, bool) or not isinstance(workers, int):
+        raise ValueError(f"workers must be an int, got {workers!r}")
+    if not 1 <= workers <= MAX_WORKERS:
+        raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
     config = config or FilterConfig()
-    if basis.discriminant >= 0:
-        raise ValueError(
-            f"Delta({basis.g},{basis.r},{basis.d}) >= 0: no such K3 surface"
-        )
-    if s < 1:
-        raise ValueError("need s >= 1")
-    cand_cls = candidate_subsheaf_classes(basis)
-    cands = sorted(
-        ((c, pair(basis, H, c)) for c in cand_cls), key=lambda t: (t[1], t[0].key())
-    )
-    types = enumerate_filtration_types(s)
+    _check_search_args(basis, s)
+    big = _scale(s)
+    results = []
 
-    if workers > 1:
-        parts: list[list[tuple[int, ...]]] = [[] for _ in range(workers)]
-        for i, t in enumerate(types):
-            parts[i % workers].append(t)
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            chunks = pool.map(
-                lambda ts: [
-                    a for t in ts for a in _assignments_for_type(basis, s, t, cands)
-                ],
-                parts,
-            )
-            results = [a for chunk in chunks for a in chunk]
-    else:
-        results = [a for t in types for a in _assignments_for_type(basis, s, t, cands)]
+    def leaf(ranks, path, total):
+        chern = tuple(row[6] for row in path) + (H,)
+        flags = _filter_flags(basis, s, ranks, chern)
+        if not _dropped(config, flags):
+            results.append(Assignment(ranks, chern, Fraction(total, big), flags))
 
-    if config.dm_filter:
-        results = [a for a in results if "dm" not in a.filtered_by]
-    if config.elliptic_filter:
-        results = [a for a in results if "elliptic" not in a.filtered_by]
+    _walk(basis, s, leaf)
     results.sort(key=Assignment.sort_key)
     return results
 
 
 @lru_cache(maxsize=4096)
 def _min_bound_cached(basis: LatticeBasis, s: int, config: FilterConfig) -> Fraction | None:
+    _check_search_args(basis, s)
     best = None
-    for a in enumerate_assignments(basis, s, config):
-        if best is None or a.c2_bound < best:
-            best = a.c2_bound
-    return best
+
+    def leaf(ranks, path, total):
+        nonlocal best
+        # filters are looked at only for a leaf that would lower the minimum
+        if best is None or total < best:
+            chern = tuple(row[6] for row in path) + (H,)
+            if not _dropped(config, _filter_flags(basis, s, ranks, chern)):
+                best = total
+
+    _walk(basis, s, leaf)
+    return None if best is None else Fraction(best, _scale(s))
 
 
 def min_series_degree(
@@ -394,7 +477,13 @@ def min_series_degree(
 ) -> Fraction | None:
     """Minimum c_2 lower bound over all (filtered) assignments, or None when
     no assignment exists.  A smooth curve in |H| admits no g^s_e for any
-    integer e strictly below this value (and none at all when None)."""
+    integer e strictly below this value (and none at all when None).
+
+    This is the minimum-only path of the shared DFS core: it keeps the
+    smallest scaled integer bound among the leaves that pass the config's
+    filters, builds no Assignment and no Fraction per leaf, and returns
+    ``Fraction(best, D)`` once, cached per (lattice, s, config).
+    """
     return _min_bound_cached(basis, s, config or FilterConfig())
 
 

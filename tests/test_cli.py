@@ -232,3 +232,64 @@ def test_packaged_facts_all_cite_sources():
     for g in range(7, 13):
         for fact in packaged_facts(g):
             assert fact.source
+
+
+@pytest.mark.parametrize("g,r,d", [(10, 3, 9), (11, 2, 7)])
+@pytest.mark.parametrize("filters", ["on", "off"])
+def test_k3_json_minimum_equals_min_series_degree(capsys, g, r, d, filters):
+    from bnloci import FilterConfig, LatticeBasis, min_series_degree
+
+    config = FilterConfig(True, True) if filters == "on" else FilterConfig()
+    for s in (1, 2, 3):
+        code, out, _ = run(
+            capsys, "k3", str(g), str(r), str(d), "--series", str(s),
+            "--filters", filters, "--json",
+        )
+        assert code == EXIT_OK
+        want = min_series_degree(LatticeBasis(g, r, d), s, config)
+        assert json.loads(out)["min_c2_bound"] == str(want)
+
+
+def _refuse_work(monkeypatch, name):
+    import bnloci.cli as cli
+
+    def refuse(*args, **kwargs):
+        raise AssertionError(f"{name} started")
+
+    monkeypatch.setattr(cli, name, refuse)
+
+
+@pytest.mark.parametrize("series", ["0", "-1", "5", "1000000"])
+def test_k3_series_outside_proper_ranks_is_rejected(capsys, monkeypatch, series):
+    _refuse_work(monkeypatch, "enumerate_assignments")
+    code, _, err = run(capsys, "k3", "10", "3", "9", "--series", series)
+    assert code == EXIT_DOMAIN
+    assert "1..4" in err
+
+
+def test_verify_empty_range_is_rejected(capsys, monkeypatch):
+    _refuse_work(monkeypatch, "assemble")
+    code, out, err = run(capsys, "verify", "12..7")
+    assert code == EXIT_DOMAIN
+    assert "empty genus range 12..7" in err and out == ""
+    with pytest.raises(ValueError, match="empty"):
+        parse_genus_range("12..7")
+
+
+@pytest.mark.parametrize("spec", ["13", "6", "11..13"])
+def test_verify_outside_packaged_genera_is_a_domain_error(capsys, monkeypatch, spec):
+    _refuse_work(monkeypatch, "assemble")
+    code, out, err = run(capsys, "verify", spec)
+    assert code == EXIT_DOMAIN
+    assert "packaged genera are 7..12" in err and out == ""
+
+
+def test_packaged_genera_have_their_data_files():
+    from importlib import resources
+
+    from bnloci.cli import PACKAGED_GENERA
+
+    data = resources.files("bnloci.data")
+    for g in PACKAGED_GENERA:
+        for name in (f"genus{g}.json", f"fixture_genus{g}.json"):
+            assert data.joinpath(name).is_file()

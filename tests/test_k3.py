@@ -1,5 +1,11 @@
+import itertools
+import os
 import random
+import subprocess
+import sys
+from dataclasses import replace
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -25,7 +31,7 @@ from bnloci import (
     quotient_checks,
     self_int,
 )
-from bnloci.k3 import BOTH_FILTERS, _c2_bound
+from bnloci.k3 import BOTH_FILTERS, MAX_WORKERS, _c2_bound
 
 
 def mk(basis, ranks, chern_heads):
@@ -300,3 +306,133 @@ def test_partitioned_enumeration_is_deterministic():
         ).encode()
 
     assert blob(1) == blob(2) == blob(8)
+
+
+# ------------------------------------------------ completeness and differential
+
+ORACLE_JOBS = [
+    (9, 2, 6, (1, 2, 3)),
+    (10, 3, 9, (1, 2, 3)),
+    (11, 2, 7, (1, 2, 3)),
+    (16, 1, 2, (1, 2, 3)),  # the r = 1 branch of the candidate box
+    (16, 3, 11, (1,)),
+]
+ALL_CONFIGS = [
+    FilterConfig(),
+    FilterConfig(dm_filter=True),
+    FilterConfig(elliptic_filter=True),
+    BOTH_FILTERS,
+]
+
+
+def brute_force_assignments(basis, s):
+    # every tuple of candidate classes for every type, kept iff it passes
+    # the stated conditions; no pruning, no shared code with the DFS
+    cands = candidate_subsheaf_classes(basis)
+    out = []
+    for ranks in enumerate_filtration_types(s):
+        for heads in itertools.product(cands, repeat=len(ranks) - 1):
+            a = Assignment(ranks, tuple(heads) + (H,), Fraction(0))
+            if quotient_checks(basis, a) and gt_check(basis, a):
+                out.append(replace(a, c2_bound=c2_lower_bound(basis, a)))
+    return out
+
+
+def filtered_out(basis, s, a, config):
+    # the filter definitions of FilterConfig, written out afresh
+    if config.dm_filter and a.ranks == (1, s + 1) and a.chern[0] == H - L and s > basis.r:
+        return True
+    top_rank = a.ranks[-1] - a.ranks[-2]
+    top = H - a.chern[-2]
+    return config.elliptic_filter and top_rank >= 2 and self_int(basis, top) == 0
+
+
+@pytest.mark.parametrize("g,r,d,series", ORACLE_JOBS)
+def test_enumeration_is_complete_against_brute_force(g, r, d, series):
+    basis = LatticeBasis(g, r, d)
+    for s in series:
+        oracle = brute_force_assignments(basis, s)
+        listed = enumerate_assignments(basis, s)
+        key = lambda a: (a.ranks, tuple(c.key() for c in a.chern), a.c2_bound)
+        assert sorted(map(key, listed)) == sorted(map(key, oracle)), (g, r, d, s)
+        for cfg in ALL_CONFIGS:
+            kept = [a.c2_bound for a in oracle if not filtered_out(basis, s, a, cfg)]
+            assert min_series_degree(basis, s, cfg) == min(kept, default=None), (s, cfg)
+
+
+def assemble_jobs(genera):
+    from bnloci import delta, enumerate_loci
+
+    jobs = set()
+    for g in genera:
+        loci = enumerate_loci(g)
+        for x in loci:
+            if delta(g, x.r, x.d) < 0:
+                jobs.update((g, x.r, x.d, y.r) for y in loci if y != x)
+    return sorted(jobs)
+
+
+def test_minimum_path_matches_listing_path_on_assemble_jobs():
+    jobs = assemble_jobs(range(7, 13))
+    assert len(jobs) > 100
+    for g, r, d, s in jobs:
+        basis = LatticeBasis(g, r, d)
+        for cfg in (FilterConfig(), BOTH_FILTERS):
+            listed = enumerate_assignments(basis, s, cfg)
+            want = min((a.c2_bound for a in listed), default=None)
+            assert min_series_degree(basis, s, cfg) == want, (g, r, d, s, cfg)
+            for a in listed:
+                assert a.c2_bound == c2_lower_bound(basis, a)
+
+
+# ------------------------------------------------------------ re-check and caps
+
+
+def test_recheck_rejects_a_bad_leaf():
+    from bnloci.k3 import _candidate_rows, _recheck
+
+    basis = LatticeBasis(9, 2, 6)
+    rows = _candidate_rows(basis)
+    # the lowest H-degree first: mu(E_1) < mu(E), so triple (0, 1, 2) fails
+    with pytest.raises(RuntimeError, match="violates GT"):
+        _recheck(basis.h_square, (0, 1, 2), [rows[0]])
+    _recheck(basis.h_square, (0, 1, 2), [rows[-1]])
+
+
+@pytest.mark.parametrize("call", ["enumerate_assignments(b, 2)", "min_series_degree(b, 2)"])
+def test_recheck_fires_under_python_O(call):
+    # drop the lower interval cut so the DFS emits inadmissible leaves; the
+    # leaf re-check must stop it even with asserts stripped
+    code = (
+        "import bnloci.k3 as k\n"
+        "k.bisect_left = lambda a, x, *rest: 0\n"
+        "b = k.LatticeBasis(9, 2, 6)\n"
+        "try:\n"
+        f"    k.{call}\n"
+        "except RuntimeError as exc:\n"
+        "    print('raised', exc)\n"
+    )
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    out = subprocess.run(
+        [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
+    ).stdout
+    assert out.startswith("raised") and "violates" in out
+
+
+@pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1, 10**9, 1.5, "2", True, None])
+def test_workers_out_of_range_is_rejected_before_any_work(workers, monkeypatch):
+    import bnloci.k3 as k3
+
+    def no_walk(*args):
+        raise AssertionError("search started")
+
+    monkeypatch.setattr(k3, "_walk", no_walk)
+    with pytest.raises(ValueError, match="workers"):
+        enumerate_assignments(LatticeBasis(9, 2, 6), 1, workers=workers)
+
+
+def test_workers_within_cap_give_the_serial_result():
+    basis = LatticeBasis(11, 2, 7)
+    serial = enumerate_assignments(basis, 3)
+    assert enumerate_assignments(basis, 3, workers=MAX_WORKERS) == serial
