@@ -1,6 +1,17 @@
 """Assemble rule outputs and external facts into a closed relation matrix
 over the proper loci of one genus, detect contradictions, and extract the
 non-trivial cover diagram.
+
+The closure works on bit rows.  With the loci indexed 0..n-1 in key order,
+``up[i]`` is a Python int whose bit j says locus i <= locus j.  One pass of
+Warshall's algorithm closes <=, and the equality classes are the mutual
+bits.  Once <= is closed, the non-containments close in one pass too: each
+propagation rule only moves the left end of a !<= up along <= or its right
+end down, so the closure of the seeded !<= cells is exactly
+{(B, D) : A <= B, D <= C, (A, C) seeded}, and that set is already closed
+under both rules.  A contradiction at such a derived (B, D) would mean
+B <= D, so A <= B <= D <= C contradicts the seed (A, C) itself: checking
+the seeded !<= cells against <= finds every contradiction.
 """
 
 from __future__ import annotations
@@ -137,6 +148,14 @@ class RelationMatrix:
         return out
 
 
+def _bits(row: int):
+    """Indices of the set bits of ``row``, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 def closure_relations(
     genus: int, loci: Iterable[BNLocus], relations: Iterable[Relation]
 ) -> RelationMatrix:
@@ -146,107 +165,79 @@ def closure_relations(
         A <= B and A !<= C   gives   B !<= C
         B <= C and A !<= C   gives   A !<= B
 
+    An eq seed sets <= both ways; Warshall's pass closes <= on the bit rows
+    (see the module docstring), each class is represented by its member of
+    smallest key, and one pass over the seeded !<= cells ORs ``down[C]``
+    into the row of every B in ``up[A]``.  A seeded cell keeps its rule's
+    provenance (the most compact one when several seeds hit it); a derived
+    cell records its first derivation as ``closure(p1,p2)`` of its premises.
+
     Raises :class:`ContradictionError` when a pair ends up both ways.
     """
     loci = tuple(sorted(set(loci), key=lambda l: l.key))
-    lset = set(loci)
-    parent: dict[BNLocus, BNLocus] = {x: x for x in loci}
+    index = {x: i for i, x in enumerate(loci)}
+    n = len(loci)
+    le: dict[tuple[int, int], str] = {}
+    nle: dict[tuple[int, int], str] = {}
 
-    def find(x: BNLocus) -> BNLocus:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
+    def put(table, key, prov):
+        table[key] = _merge_prov(table[key], prov) if key in table else prov
 
-    def union(x: BNLocus, y: BNLocus) -> None:
-        rx, ry = find(x), find(y)
-        if rx == ry:
-            return
-        lo, hi = sorted((rx, ry), key=lambda l: l.key)
-        parent[hi] = lo
-
-    raw_le: list[tuple[BNLocus, BNLocus, str]] = []
-    raw_nle: list[tuple[BNLocus, BNLocus, str]] = []
     for rel in relations:
         if rel.lhs.g != genus or rel.rhs.g != genus:
             raise ValueError(f"relation {rel} is not at genus {genus}")
-        if rel.lhs not in lset or rel.rhs not in lset:
+        if rel.lhs not in index or rel.rhs not in index:
             raise ValueError(f"relation {rel} references a locus outside the poset")
-        if rel.kind is RelKind.EQ:
-            union(rel.lhs, rel.rhs)
-        elif rel.kind is RelKind.LE:
-            raw_le.append((rel.lhs, rel.rhs, rel.provenance))
+        a, b = index[rel.lhs], index[rel.rhs]
+        if rel.kind is RelKind.NLE:
+            put(nle, (a, b), rel.provenance)
         else:
-            raw_nle.append((rel.lhs, rel.rhs, rel.provenance))
+            put(le, (a, b), rel.provenance)
+            if rel.kind is RelKind.EQ:
+                put(le, (b, a), rel.provenance)
 
-    le: dict[tuple[BNLocus, BNLocus], str] = {}
-    nle: dict[tuple[BNLocus, BNLocus], str] = {}
+    up = [1 << i for i in range(n)]
+    for a, b in le:
+        up[a] |= 1 << b
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                new = up[k] & ~up[i]
+                up[i] |= new
+                for j in _bits(new):
+                    le[(i, j)] = f"closure({le[(i, k)]},{le[(k, j)]})"
 
-    def put(table, a, b, prov):
-        key = (a, b)
-        if key in table:
-            table[key] = _merge_prov(table[key], prov)
-            return False
-        table[key] = prov
-        return True
+    seeds = sorted(nle.items())
+    for (a, c), p_seed in seeds:
+        if up[a] >> c & 1:
+            raise ContradictionError(
+                loci[a], loci[c], le.get((a, c), "reflexivity"), p_seed
+            )
 
-    for a, b, p in raw_le:
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            put(le, ra, rb, p)
-    for a, b, p in raw_nle:
-        put(nle, find(a), find(b), p)
+    down = [0] * n
+    for i in range(n):
+        for j in _bits(up[i]):
+            down[j] |= 1 << i
+    nle_rows = [0] * n
+    for a, c in nle:
+        nle_rows[a] |= 1 << c
+    for (a, c), p_seed in seeds:
+        for b in _bits(up[a]):
+            p_b = p_seed if b == a else f"closure({le[(a, b)]},{p_seed})"
+            new = down[c] & ~nle_rows[b]
+            nle_rows[b] |= new
+            for d in _bits(new):
+                nle[(b, d)] = p_b if d == c else f"closure({le[(d, c)]},{p_b})"
 
-    while True:
-        # re-canonicalize after any merges
-        new_le: dict[tuple[BNLocus, BNLocus], str] = {}
-        new_nle: dict[tuple[BNLocus, BNLocus], str] = {}
-        for (a, b), p in sorted(le.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key)):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                continue
-            put(new_le, ra, rb, p)
-        for (a, b), p in sorted(nle.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key)):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                raise ContradictionError(a, b, "equality chain", p)
-            put(new_nle, ra, rb, p)
-        le, nle = new_le, new_nle
-
-        for key in sorted(le.keys() & nle.keys(), key=lambda k: (k[0].key, k[1].key)):
-            raise ContradictionError(key[0], key[1], le[key], nle[key])
-
-        merged = False
-        for (a, b) in sorted(le, key=lambda k: (k[0].key, k[1].key)):
-            if (b, a) in le:
-                union(a, b)
-                merged = True
-        if merged:
-            continue
-
-        changed = False
-        items = sorted(le.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key))
-        for (a, b), p1 in items:
-            for (b2, c), p2 in items:
-                if b2 == b and c != a and (a, c) not in le:
-                    changed |= put(le, a, c, f"closure({p1},{p2})")
-        nle_items = sorted(nle.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key))
-        le_items = sorted(le.items(), key=lambda kv: (kv[0][0].key, kv[0][1].key))
-        for (a, c), pn in nle_items:
-            for (x, y), pl in le_items:
-                # A <= B, A !<= C  =>  B !<= C
-                if x == a and y != c and (y, c) not in nle:
-                    changed |= put(nle, y, c, f"closure({pl},{pn})")
-                # B <= C, A !<= C  =>  A !<= B
-                if y == c and x != a and (a, x) not in nle:
-                    changed |= put(nle, a, x, f"closure({pl},{pn})")
-        if not changed:
-            break
-
-    for x in loci:
-        find(x)
-    rep = {x: find(x) for x in loci}
-    return RelationMatrix(genus, loci, rep, le, nle)
+    rep = [next(_bits(up[i] & down[i])) for i in range(n)]
+    reps = [i for i in range(n) if rep[i] == i]
+    return RelationMatrix(
+        genus,
+        loci,
+        {x: loci[rep[i]] for i, x in enumerate(loci)},
+        {(loci[i], loci[j]): le[(i, j)] for i in reps for j in reps if i != j and up[i] >> j & 1},
+        {(loci[i], loci[j]): nle[(i, j)] for i in reps for j in reps if nle_rows[i] >> j & 1},
+    )
 
 
 def closure(matrix: RelationMatrix) -> RelationMatrix:

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 from pathlib import Path
 
@@ -15,7 +16,8 @@ from bnloci.cli import (
     parse_genus_range,
 )
 
-DATA = Path(__file__).resolve().parent.parent / "data"
+ROOT = Path(__file__).resolve().parent.parent
+DATA = ROOT / "src" / "bnloci" / "data"
 
 
 def run(capsys, *argv):
@@ -219,13 +221,19 @@ def test_poset_rejects_mismatched_facts_genus(capsys):
     assert "genus" in err
 
 
-def test_repo_data_matches_packaged_data():
-    from importlib import resources
-
+def test_make_data_reproduces_packaged_data():
+    # tools/make_data.py is independent of the package; its output must be
+    # the packaged files byte for byte
+    spec = importlib.util.spec_from_file_location("make_data", ROOT / "tools" / "make_data.py")
+    make_data = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_data)
     for g in range(7, 13):
-        for name in (f"genus{g}.json", f"fixture_genus{g}.json"):
-            packaged = resources.files("bnloci.data").joinpath(name).read_text()
-            assert (DATA / name).read_text() == packaged
+        for name, records in (
+            (f"genus{g}.json", make_data.FACTS[g]),
+            (f"fixture_genus{g}.json", make_data.build_fixture(g)),
+        ):
+            text = json.dumps(make_data.to_json_records(g, records), indent=1) + "\n"
+            assert text == (DATA / name).read_text(encoding="utf-8")
 
 
 def test_packaged_facts_all_cite_sources():

@@ -1,6 +1,11 @@
+import importlib.util
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bnloci.poset
 from bnloci import (
     BNLocus,
     ContradictionError,
@@ -18,8 +23,77 @@ from bnloci import (
 from bnloci.cli import packaged_facts
 
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
 def rel(g, a, b, kind, prov="test"):
     return Relation(BNLocus(g, *a), BNLocus(g, *b), kind, prov)
+
+
+def naive_closure(loci, rels):
+    """Reference closure over explicit sets of pairs, independent of the
+    engine: returns (classes, {(x, y): kind}), or None on a contradiction."""
+    le = {(x, x) for x in loci}
+    nle = set()
+    for r in rels:
+        if r.kind is RelKind.NLE:
+            nle.add((r.lhs, r.rhs))
+        else:
+            le.add((r.lhs, r.rhs))
+            if r.kind is RelKind.EQ:
+                le.add((r.rhs, r.lhs))
+    while True:
+        above = {x: {y for (u, y) in le if u == x} for x in loci}
+        below = {x: {u for (u, y) in le if y == x} for x in loci}
+        grown_le = le | {(a, c) for (a, b) in le for c in above[b]}
+        grown_nle = (
+            nle
+            | {(b, c) for (a, c) in nle for b in above[a]}  # A<=B, A!<=C: B!<=C
+            | {(a, b) for (a, c) in nle for b in below[c]}  # B<=C, A!<=C: A!<=B
+        )
+        if (grown_le, grown_nle) == (le, nle):
+            break
+        le, nle = grown_le, grown_nle
+    if le & nle:
+        return None
+    classes = {tuple(sorted(above[x] & below[x], key=lambda l: l.key)) for x in loci}
+    cells = {}
+    for x in loci:
+        for y in loci:
+            if x != y:
+                if (x, y) in le:
+                    cells[(x, y)] = "eq" if (y, x) in le else "subset"
+                else:
+                    cells[(x, y)] = "not_subset" if (x, y) in nle else "unknown"
+    return sorted(classes, key=lambda c: c[0].key), cells
+
+
+def assert_matches_naive_closure(g, loci, rels):
+    want = naive_closure(loci, rels)
+    try:
+        m = closure_relations(g, loci, rels)
+    except ContradictionError:
+        assert want is None
+        return
+    assert want is not None
+    classes, cells = want
+    assert list(m.classes) == classes
+    assert {(x, y): m.relation(x, y)[0] for (x, y) in cells} == cells
+
+
+def assemble_seeds(g, monkeypatch):
+    """The seed list that assemble(g) hands to closure_relations."""
+    seen = []
+    real = bnloci.poset.closure_relations
+
+    def spy(genus, loci, relations):
+        seen.append((list(loci), list(relations)))
+        return real(genus, loci, relations)
+
+    monkeypatch.setattr(bnloci.poset, "closure_relations", spy)
+    bnloci.poset.assemble(g)
+    (loci, relations), = seen
+    return loci, relations
 
 
 def test_closure_equality_then_transitivity():
@@ -147,7 +221,7 @@ def test_assemble_low_genus_has_no_contradictions():
 
 def test_assemble_beyond_fixtures_stays_consistent():
     # no fixtures exist past genus 12; the rule families must still agree
-    for g in (13, 14):
+    for g in range(13, 17):
         m = assemble(g)
         reps = m.representatives()
         decided = sum(
@@ -175,6 +249,50 @@ def test_injected_false_fact_names_kappa():
         assemble(9, facts)
     msg = str(err.value)
     assert "kappa" in msg and "injected falsehood" in msg
+
+
+def test_equality_contradiction_names_both_loci_and_citation():
+    facts = list(packaged_facts(9))
+    facts.append(
+        Fact(BNLocus(9, 1, 4), BNLocus(9, 2, 6), RelKind.EQ, "injected equality")
+    )
+    with pytest.raises(ContradictionError) as err:
+        assemble(9, facts)
+    msg = str(err.value)
+    assert str(BNLocus(9, 1, 4)) in msg and str(BNLocus(9, 2, 6)) in msg
+    assert "kappa" in msg and "fact:injected equality" in msg
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_closure_matches_naive_closure_on_genus_9(data):
+    g = 9
+    loci = enumerate_loci(g)
+    pairs = [(a, b) for a in loci for b in loci]
+    n = data.draw(st.integers(0, 24))
+    rels = []
+    for i in range(n):
+        a, b = data.draw(st.sampled_from(pairs))
+        kind = data.draw(st.sampled_from([RelKind.EQ, RelKind.LE, RelKind.NLE]))
+        rels.append(Relation(a, b, kind, f"seed{i}"))
+    assert_matches_naive_closure(g, loci, rels)
+
+
+@pytest.mark.parametrize("g", range(13, 17))
+def test_closure_matches_naive_closure_on_assemble_seeds(g, monkeypatch):
+    loci, rels = assemble_seeds(g, monkeypatch)
+    assert_matches_naive_closure(g, loci, rels)
+
+
+def test_assemble_matches_behaviour_lock():
+    # perfbench/refs.json is a regression lock on the engine's verdicts
+    # (kinds, classes, covers; no provenance), not a mathematical truth
+    spec = importlib.util.spec_from_file_location("perfbench_bench", PERFBENCH / "bench.py")
+    bench = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench)
+    refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))
+    for g in range(13, 17):
+        assert bench.matrix_digest(assemble(g)) == refs["matrix"][str(g)]["digest"]
 
 
 def test_cross_genus_relations_rejected():

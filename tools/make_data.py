@@ -20,7 +20,7 @@ import json
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
-TARGETS = [ROOT / "src" / "bnloci" / "data", ROOT / "data"]
+TARGET = ROOT / "src" / "bnloci" / "data"
 
 
 def rho(g, r, d):
@@ -429,9 +429,8 @@ def main():
             g, [(a, kind, b, src) for (a, kind, b, src) in FACTS[g]]
         )
         fixture_payload = to_json_records(g, build_fixture(g))
-        for target in TARGETS:
-            dump(target / f"genus{g}.json", facts_payload)
-            dump(target / f"fixture_genus{g}.json", fixture_payload)
+        dump(TARGET / f"genus{g}.json", facts_payload)
+        dump(TARGET / f"fixture_genus{g}.json", fixture_payload)
     print("wrote facts and fixtures for genus 7..12")
 
 
