@@ -40,6 +40,17 @@ listed assignment or the final minimum.
 Every leaf, on both paths, is re-checked in integers against all GT triples
 and the quotient conditions; a failure raises RuntimeError, which, unlike
 an assert, survives python -O.
+
+The Clifford floor.  A certificate M^r_{g,d} !<= M^s_{g,e} needs every
+kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
+e >= 2s (Clifford's theorem; :func:`k3_noncontainment` rejects loci with
+d < 2r).  So once one kept leaf has bound <= 2s, no query at that
+(lattice, s) can certify and the exact minimum does not matter.  The
+minimum-only path takes a ``floor`` and stops at the first kept leaf whose
+bound is <= floor: its answer is exact whenever it is > floor, and <= floor
+otherwise, which decides "minimum > e" for every e >= floor alike.  The
+candidate rows depend on the lattice alone, so they are built once per
+lattice and shared by every s.
 """
 
 from __future__ import annotations
@@ -305,10 +316,12 @@ def _scale(s: int) -> int:
     return 2 * lcm(*range(1, s + 2))
 
 
-def _candidate_rows(basis: LatticeBasis) -> list[tuple]:
+@lru_cache(maxsize=512)
+def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
     """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c), sorted
-    by (H-degree, class).  With u = H.c = a H^2 + b d and v = a d + b L^2,
-    c.x = x.a u + x.b v for any class x, so a step needs two products."""
+    by (H-degree, class), cached per lattice.  With u = H.c = a H^2 + b d and
+    v = a d + b L^2, c.x = x.a u + x.b v for any class x, so a step needs two
+    products."""
     h2, d, l2 = basis.h_square, basis.d, basis.l_square
     rows = []
     for c in candidate_subsheaf_classes(basis):
@@ -316,7 +329,7 @@ def _candidate_rows(basis: LatticeBasis) -> list[tuple]:
         cc = c.a * u + c.b * v
         rows.append((u, c.a, c.b, cc, v, h2 - 2 * u + cc, c))
     rows.sort(key=lambda row: (row[0], row[1], row[2]))
-    return rows
+    return tuple(rows)
 
 
 def _recheck(htot: int, rk: tuple[int, ...], path: list[tuple]) -> None:
@@ -455,9 +468,17 @@ def enumerate_assignments(
     return results
 
 
+class _FloorReached(Exception):
+    """Ends a floored minimum-only walk at its first kept leaf <= the floor."""
+
+
 @lru_cache(maxsize=4096)
-def _min_bound_cached(basis: LatticeBasis, s: int, config: FilterConfig) -> Fraction | None:
+def _min_bound_cached(
+    basis: LatticeBasis, s: int, config: FilterConfig, floor: int | None
+) -> Fraction | None:
     _check_search_args(basis, s)
+    big = _scale(s)
+    limit = None if floor is None else floor * big
     best = None
 
     def leaf(ranks, path, total):
@@ -467,13 +488,22 @@ def _min_bound_cached(basis: LatticeBasis, s: int, config: FilterConfig) -> Frac
             chern = tuple(row[6] for row in path) + (H,)
             if not _dropped(config, _filter_flags(basis, s, ranks, chern)):
                 best = total
+                if limit is not None and total <= limit:
+                    raise _FloorReached
 
-    _walk(basis, s, leaf)
-    return None if best is None else Fraction(best, _scale(s))
+    try:
+        _walk(basis, s, leaf)
+    except _FloorReached:
+        pass
+    return None if best is None else Fraction(best, big)
 
 
 def min_series_degree(
-    basis: LatticeBasis, s: int, config: FilterConfig | None = None
+    basis: LatticeBasis,
+    s: int,
+    config: FilterConfig | None = None,
+    *,
+    floor: int | None = None,
 ) -> Fraction | None:
     """Minimum c_2 lower bound over all (filtered) assignments, or None when
     no assignment exists.  A smooth curve in |H| admits no g^s_e for any
@@ -482,9 +512,24 @@ def min_series_degree(
     This is the minimum-only path of the shared DFS core: it keeps the
     smallest scaled integer bound among the leaves that pass the config's
     filters, builds no Assignment and no Fraction per leaf, and returns
-    ``Fraction(best, D)`` once, cached per (lattice, s, config).
+    ``Fraction(best, D)`` once, cached per (lattice, s, config, floor).
+
+    With ``floor`` set, the search stops at the first kept leaf whose bound
+    is <= floor and returns that bound: the result is the exact minimum
+    whenever it is > floor, and otherwise some bound <= floor.  That decides
+    "minimum > e" exactly for every e >= floor; :func:`k3_noncontainment`
+    passes the Clifford floor 2s (see the module docstring).
     """
-    return _min_bound_cached(basis, s, config or FilterConfig())
+    return _min_bound_cached(basis, s, config or FilterConfig(), floor)
+
+
+def _check_proper_locus(g: int, r: int, d: int) -> None:
+    # the loci of enumerate_loci; d >= 2r is what makes the Clifford floor
+    # 2s a sound early stop for the target locus
+    if rho(g, r, d) >= 0 or d > g - 1 or d < 2 * r:
+        raise ValueError(
+            f"expected a normalized proper locus (rho < 0, 2r <= d <= g-1), got ({g},{r},{d})"
+        )
 
 
 def k3_noncontainment(
@@ -496,20 +541,23 @@ def k3_noncontainment(
 
     Filters default to off so the certificate never relies on them; when a
     filter-enabled config is decisive, the provenance records it.
+
+    Both loci must be normalized proper loci (rho < 0, 2r <= d <= g-1), else
+    ValueError.  Since e >= 2s, both searches stop at the Clifford floor 2s:
+    a kept assignment with bound <= 2s already rules out a certificate.
     """
     for (rr, dd) in ((r, d), (s, e)):
-        if rho(g, rr, dd) >= 0 or dd > g - 1:
-            raise ValueError(f"expected a normalized proper locus, got ({g},{rr},{dd})")
+        _check_proper_locus(g, rr, dd)
     basis = LatticeBasis(g, r, d)
     if basis.discriminant >= 0:
         return None
     cfg = config or FilterConfig()
-    m = min_series_degree(basis, s, cfg)
+    m = min_series_degree(basis, s, cfg, floor=2 * s)
     if not (m is None or m > e):
         return None
     provenance = "k3"
     if cfg.dm_filter or cfg.elliptic_filter:
-        m0 = min_series_degree(basis, s, FilterConfig())
+        m0 = min_series_degree(basis, s, FilterConfig(), floor=2 * s)
         if not (m0 is None or m0 > e):
             used = [
                 name
@@ -540,10 +588,10 @@ def k3_expected(
 ) -> K3Expectation | None:
     """Flag M^r_{g,d} <= M^s_{g,e} as K3-expected when a filtered assignment
     with c_2 bound <= e survives; filters default to on here, matching how
-    expectations are read off in practice.  Never emits a Relation."""
+    expectations are read off in practice.  Never emits a Relation.  Both
+    loci must be normalized proper loci, as for :func:`k3_noncontainment`."""
     for (rr, dd) in ((r, d), (s, e)):
-        if rho(g, rr, dd) >= 0 or dd > g - 1:
-            raise ValueError(f"expected a normalized proper locus, got ({g},{rr},{dd})")
+        _check_proper_locus(g, rr, dd)
     basis = LatticeBasis(g, r, d)
     if basis.discriminant >= 0:
         return None

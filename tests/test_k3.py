@@ -385,6 +385,75 @@ def test_minimum_path_matches_listing_path_on_assemble_jobs():
                 assert a.c2_bound == c2_lower_bound(basis, a)
 
 
+def test_floored_minimum_decides_every_query_like_the_exact_minimum():
+    from bnloci import rho
+    from bnloci.k3 import _min_bound_cached
+
+    # every exact query below comes after the floored one at the same key
+    _min_bound_cached.cache_clear()
+    plain = FilterConfig()
+    jobs = assemble_jobs(range(7, 15))
+    assert len(jobs) > 300
+    for g, r, d, s in jobs:
+        basis = LatticeBasis(g, r, d)
+        listed = enumerate_assignments(basis, s, plain)
+        # BOTH_FILTERS keeps exactly the untagged assignments
+        kept = {plain: [a.c2_bound for a in listed]}
+        kept[BOTH_FILTERS] = [a.c2_bound for a in listed if not a.filtered_by]
+        exact = {cfg: min(bounds, default=None) for cfg, bounds in kept.items()}
+        for cfg, bounds in kept.items():
+            floored = min_series_degree(basis, s, cfg, floor=2 * s)
+            if exact[cfg] is None or exact[cfg] > 2 * s:
+                assert floored == exact[cfg], (g, r, d, s, cfg)
+            else:
+                assert floored <= 2 * s and floored in bounds, (g, r, d, s, cfg)
+        for e in range(2 * s, g):
+            if rho(g, s, e) >= 0:
+                continue
+            for cfg in kept:
+                m = exact[cfg]
+                want = None
+                if m is None or m > e:
+                    m0 = exact[plain]
+                    want = "k3" if m0 is None or m0 > e else "k3[dm,elliptic]"
+                rel = k3_noncontainment(g, r, d, s, e, cfg)
+                assert (rel and rel.provenance) == want, (g, r, d, s, e, cfg)
+        for cfg in kept:
+            assert min_series_degree(basis, s, cfg) == exact[cfg], (g, r, d, s, cfg)
+
+
+def test_floored_search_stops_early(monkeypatch):
+    import bnloci.k3 as k3
+
+    checked = []
+    real = k3._recheck
+
+    def spy(htot, rk, path):
+        checked.append(rk)
+        real(htot, rk, path)
+
+    monkeypatch.setattr(k3, "_recheck", spy)
+    basis = LatticeBasis(15, 4, 13)
+    assert len(enumerate_assignments(basis, 7)) == len(checked) == 14263
+    checked.clear()
+    k3._min_bound_cached.cache_clear()
+    assert min_series_degree(basis, 7, floor=14) <= 14
+    assert 0 < len(checked) < 14263 // 100
+
+
+@pytest.mark.parametrize("fn", [k3_noncontainment, k3_expected])
+@pytest.mark.parametrize(
+    "args",
+    [
+        (12, 2, 8, 3, 5),  # target e = 5 < 2s: M^3_{12,5} is empty by Clifford
+        (12, 2, 3, 1, 4),  # source d = 3 < 2r
+    ],
+)
+def test_loci_below_clifford_are_rejected(fn, args):
+    with pytest.raises(ValueError, match="proper locus"):
+        fn(*args)
+
+
 # ------------------------------------------------------------ re-check and caps
 
 
