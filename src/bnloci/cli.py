@@ -185,35 +185,47 @@ def cmd_k3(args) -> int:
     config = FilterConfig(True, True) if args.filters == "on" else FilterConfig()
     assignments = enumerate_assignments(basis, args.series, config)
     minimum = min((a.c2_bound for a in assignments), default=None)
+    box = destab_box(basis)
+    # a few hundred distinct classes recur across thousands of assignments
+    shown = {}
+
+    def show(c):
+        text = shown.get(c)
+        if text is None:
+            text = shown[c] = (str(c), list(c.xy), str(c.xy))
+        return text
+
+    def entry(a):
+        texts = [show(c) for c in a.chern]
+        return {
+            "type": a.type_str,
+            "chern": [t[0] for t in texts],
+            "chern_xy": [t[1] for t in texts],
+            "c2_bound": _frac_str(a.c2_bound),
+            "filters": list(a.filtered_by),
+        }
+
     if args.json:
         payload = {
             "lattice": {"g": args.g, "r": args.r, "d": args.d},
             "series_dim": args.series,
             "filters": args.filters,
-            "box": list(destab_box(basis)),
-            "assignments": [
-                {
-                    "type": a.type_str,
-                    "chern": [str(c) for c in a.chern],
-                    "chern_xy": [list(c.xy) for c in a.chern],
-                    "c2_bound": _frac_str(a.c2_bound),
-                    "filters": list(a.filtered_by),
-                }
-                for a in assignments
-            ],
+            "box": list(box),
+            "assignments": [entry(a) for a in assignments],
             "min_c2_bound": None if minimum is None else _frac_str(minimum),
         }
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         return EXIT_OK
     print(f"lattice {basis}  series dimension s = {args.series}  filters {args.filters}")
-    print(f"destabilizing box |x| <= {destab_box(basis)[0]}, |y| <= {destab_box(basis)[1]}")
+    print(f"destabilizing box |x| <= {box[0]}, |y| <= {box[1]}")
     if not assignments:
         print("no admissible assignments: no such series on any smooth curve in |H|")
         return EXIT_OK
     print(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
     for a in assignments:
-        chern = ", ".join(str(c) for c in a.chern[:-1]) or "-"
-        xy = ", ".join(str(c.xy) for c in a.chern[:-1]) or "-"
+        texts = [show(c) for c in a.chern[:-1]]
+        chern = ", ".join(t[0] for t in texts) or "-"
+        xy = ", ".join(t[2] for t in texts) or "-"
         bound = _frac_str(a.c2_bound)
         if a.c2_bound.denominator != 1:
             bound += f" ({float(a.c2_bound):.2f})"

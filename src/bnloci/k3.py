@@ -35,11 +35,16 @@ mu(E_i) >= mu(E) is the triple (0, i, n).
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
 it as an integer times D = 2 lcm(1..s+1) and builds a Fraction only for a
-listed assignment or the final minimum.
+listed assignment or the final minimum.  Each candidate class is one row of
+integers built once per lattice, and a leaf is read off its rows alone: the
+filter tags from the row's (a, b) and (H-c)^2, and the listing's sort key
+from the ranks and each row's (a, b).
 
 Every leaf, on both paths, is re-checked in integers against all GT triples
 and the quotient conditions; a failure raises RuntimeError, which, unlike
-an assert, survives python -O.
+an assert, survives python -O.  The triples of a filtration type, with
+their rank differences, form a table built once per type, so a leaf pays
+only for its H-degree differences.
 
 The Clifford floor.  A certificate M^r_{g,d} !<= M^s_{g,e} needs every
 kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
@@ -62,6 +67,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from operator import itemgetter
 
 from .lattice import H, ZERO, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair, self_int
 from .loci import BNLocus, RelKind, Relation, rho
@@ -291,17 +297,18 @@ def _c2_bound(
     return total
 
 
-def _filter_flags(
-    basis: LatticeBasis, s: int, ranks: tuple[int, ...], chern: tuple[LatticeClass, ...]
-) -> tuple[str, ...]:
-    flags = []
-    if ranks == (1, s + 1) and chern[0] == H - LatticeClass(0, 1) and s > basis.r:
-        flags.append("dm")
-    top = H - chern[-2] if len(chern) >= 2 else H
-    top_rank = ranks[-1] - (ranks[-2] if len(ranks) >= 2 else 0)
-    if len(chern) >= 2 and top_rank >= 2 and self_int(basis, top) == 0:
-        flags.append("elliptic")
-    return tuple(flags)
+def _tags(s: int, r: int, ranks: tuple[int, ...], path: list[tuple]) -> tuple[str, ...]:
+    """The filter tags of a leaf, read off its candidate rows: ``dm`` for
+    type 1 < s+1 with c1(E_1) = H - L, i.e. (a, b) = (1, -1), when s > r;
+    ``elliptic`` when the top quotient has rank >= 2 and (H - c1(E_{n-1}))^2,
+    the row's entry 5, is zero."""
+    last = path[-1]
+    tags = ()
+    if s > r and ranks == (1, s + 1) and last[1] == 1 and last[2] == -1:
+        tags = ("dm",)
+    if ranks[-1] - ranks[-2] >= 2 and last[5] == 0:
+        tags += ("elliptic",)
+    return tags
 
 
 def _dropped(config: FilterConfig, flags: tuple[str, ...]) -> bool:
@@ -332,23 +339,30 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
     return tuple(rows)
 
 
+@lru_cache(maxsize=4096)
+def _triples(rk: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """Every triple i < j < k of 0..n for the ranks rk = (0, r_1, ..., r_n),
+    as (i, j, k, r_j - r_i, r_k - r_i, r_k - r_j); built once per type."""
+    return tuple(
+        (i, j, k, rk[j] - rk[i], rk[k] - rk[i], rk[k] - rk[j])
+        for i, j, k in itertools.combinations(range(len(rk)), 3)
+    )
+
+
 def _recheck(htot: int, rk: tuple[int, ...], path: list[tuple]) -> None:
     """Integer re-check of one leaf, independent of the interval cuts: the
     GT inequalities mu(i,j) >= mu(i,k) >= mu(j,k) on every triple of
-    P_0..P_n, and the quotient conditions (H-c)^2 >= 0, H.(H-c) > 0 and
-    mu(E_i) >= mu(E) on every intermediate step."""
+    P_0..P_n, read from :func:`_triples`, and the quotient conditions
+    (H-c)^2 >= 0, H.(H-c) > 0 and mu(E_i) >= mu(E) on every intermediate
+    step."""
     hd = (0,) + tuple(row[0] for row in path) + (htot,)
-    n = len(hd) - 1
-    for i in range(n - 1):
-        for j in range(i + 1, n):
-            h_ij, r_ij = hd[j] - hd[i], rk[j] - rk[i]
-            for k in range(j + 1, n + 1):
-                h_ik, r_ik = hd[k] - hd[i], rk[k] - rk[i]
-                h_jk, r_jk = hd[k] - hd[j], rk[k] - rk[j]
-                if h_ij * r_ik < h_ik * r_ij or h_ik * r_jk < h_jk * r_ik:
-                    raise RuntimeError(f"DFS leaf {hd} over ranks {rk} violates GT")
+    for i, j, k, r_ij, r_ik, r_jk in _triples(rk):
+        h_ik = hd[k] - hd[i]
+        if (hd[j] - hd[i]) * r_ik < h_ik * r_ij or h_ik * r_jk < (hd[k] - hd[j]) * r_ik:
+            raise RuntimeError(f"DFS leaf {hd} over ranks {rk} violates GT")
+    rn = rk[-1]
     for i, row in enumerate(path, 1):
-        if row[5] < 0 or htot - row[0] <= 0 or row[0] * rk[n] < htot * rk[i]:
+        if row[5] < 0 or htot - row[0] <= 0 or row[0] * rn < htot * rk[i]:
             raise RuntimeError(f"DFS leaf {hd} over ranks {rk} violates a quotient check")
 
 
@@ -443,7 +457,10 @@ def enumerate_assignments(
     (type length, type, then chern classes lexicographically).
 
     This is the listing path of the shared DFS core: one :class:`Assignment`
-    per leaf, its bound ``Fraction(scaled_c2, D)`` and its filter tags.
+    per kept leaf, with its bound ``Fraction(scaled_c2, D)`` and its filter
+    tags read off the leaf's candidate rows.  The sort key
+    (:meth:`Assignment.sort_key` without the common last class H) is also
+    built from the rows, and the list is sorted once on it.
     ``workers`` must be an int in 1..MAX_WORKERS (else ValueError) and is
     otherwise ignored: the search is serial, because a thread pool over the
     filtration types ran slower under the GIL.
@@ -455,17 +472,20 @@ def enumerate_assignments(
     config = config or FilterConfig()
     _check_search_args(basis, s)
     big = _scale(s)
-    results = []
+    keyed = []
 
     def leaf(ranks, path, total):
-        chern = tuple(row[6] for row in path) + (H,)
-        flags = _filter_flags(basis, s, ranks, chern)
+        flags = _tags(s, basis.r, ranks, path)
         if not _dropped(config, flags):
-            results.append(Assignment(ranks, chern, Fraction(total, big), flags))
+            # Assignment.sort_key from the rows; H, the same last class on
+            # every assignment, is left out
+            key = (len(ranks), ranks, tuple([row[1:3] for row in path]))
+            chern = tuple([row[6] for row in path]) + (H,)
+            keyed.append((key, Assignment(ranks, chern, Fraction(total, big), flags)))
 
     _walk(basis, s, leaf)
-    results.sort(key=Assignment.sort_key)
-    return results
+    keyed.sort(key=itemgetter(0))
+    return [a for _, a in keyed]
 
 
 class _FloorReached(Exception):
@@ -485,8 +505,7 @@ def _min_bound_cached(
         nonlocal best
         # filters are looked at only for a leaf that would lower the minimum
         if best is None or total < best:
-            chern = tuple(row[6] for row in path) + (H,)
-            if not _dropped(config, _filter_flags(basis, s, ranks, chern)):
+            if not _dropped(config, _tags(s, basis.r, ranks, path)):
                 best = total
                 if limit is not None and total <= limit:
                     raise _FloorReached
@@ -599,5 +618,4 @@ def k3_expected(
     witnesses = [a for a in enumerate_assignments(basis, s, cfg) if a.c2_bound <= e]
     if not witnesses:
         return None
-    witnesses.sort(key=lambda a: (a.c2_bound, a.sort_key()))
-    return K3Expectation(g, r, d, s, e, witnesses[0])
+    return K3Expectation(g, r, d, s, e, min(witnesses, key=lambda a: (a.c2_bound, a.sort_key())))

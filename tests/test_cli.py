@@ -1,3 +1,4 @@
+import hashlib
 import importlib.util
 import json
 from pathlib import Path
@@ -74,6 +75,24 @@ def test_k3_json_roundtrip(capsys):
     assert json.dumps(payload, sort_keys=True, separators=(",", ":")) == out.strip()
     assert payload["min_c2_bound"] == "15/2"
     assert len(payload["assignments"]) == 4
+
+
+def test_k3_json_matches_benchmark_lock(capsys):
+    # perfbench/refs.json is a regression lock on `bn k3 --json` output for
+    # the five hottest listing jobs, not a mathematical truth
+    refs = json.loads((ROOT / "perfbench" / "refs.json").read_text(encoding="utf-8"))["k3"]
+    assert len(refs) == 5
+    for job, want in refs.items():
+        g, r, d, s, filters = job.split(",")
+        code, out, _ = run(capsys, "k3", g, r, d, "--series", s, "--filters", filters, "--json")
+        assert code == EXIT_OK
+        payload = json.loads(out)
+        got = {
+            "assignments": len(payload["assignments"]),
+            "min_c2_bound": payload["min_c2_bound"],
+            "sha256": hashlib.sha256(out.encode()).hexdigest(),
+        }
+        assert got == want, job
 
 
 def test_poset_dot_deterministic(capsys):

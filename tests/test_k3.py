@@ -338,26 +338,47 @@ def brute_force_assignments(basis, s):
     return out
 
 
-def filtered_out(basis, s, a, config):
+def expected_tags(basis, s, a):
     # the filter definitions of FilterConfig, written out afresh
-    if config.dm_filter and a.ranks == (1, s + 1) and a.chern[0] == H - L and s > basis.r:
-        return True
+    tags = ()
+    if a.ranks == (1, s + 1) and a.chern[0] == H - L and s > basis.r:
+        tags += ("dm",)
     top_rank = a.ranks[-1] - a.ranks[-2]
-    top = H - a.chern[-2]
-    return config.elliptic_filter and top_rank >= 2 and self_int(basis, top) == 0
+    if top_rank >= 2 and self_int(basis, H - a.chern[-2]) == 0:
+        tags += ("elliptic",)
+    return tags
+
+
+def filtered_out(basis, s, a, config):
+    tags = expected_tags(basis, s, a)
+    return (config.dm_filter and "dm" in tags) or (config.elliptic_filter and "elliptic" in tags)
 
 
 @pytest.mark.parametrize("g,r,d,series", ORACLE_JOBS)
 def test_enumeration_is_complete_against_brute_force(g, r, d, series):
     basis = LatticeBasis(g, r, d)
     for s in series:
-        oracle = brute_force_assignments(basis, s)
-        listed = enumerate_assignments(basis, s)
-        key = lambda a: (a.ranks, tuple(c.key() for c in a.chern), a.c2_bound)
-        assert sorted(map(key, listed)) == sorted(map(key, oracle)), (g, r, d, s)
+        oracle = sorted(brute_force_assignments(basis, s), key=Assignment.sort_key)
+        oracle = [replace(a, filtered_by=expected_tags(basis, s, a)) for a in oracle]
         for cfg in ALL_CONFIGS:
-            kept = [a.c2_bound for a in oracle if not filtered_out(basis, s, a, cfg)]
+            want = [a for a in oracle if not filtered_out(basis, s, a, cfg)]
+            listed = enumerate_assignments(basis, s, cfg)
+            # same assignments, bounds and tags, in the canonical order
+            assert listed == want, (g, r, d, s, cfg)
+            kept = [a.c2_bound for a in want]
             assert min_series_degree(basis, s, cfg) == min(kept, default=None), (s, cfg)
+
+
+def test_triples_are_every_triple_of_the_type():
+    from bnloci.k3 import _triples
+
+    for s in range(1, 6):
+        for ranks in enumerate_filtration_types(s):
+            rk = (0,) + ranks
+            got = [t[:3] for t in _triples(rk)]
+            assert got == list(itertools.combinations(range(len(ranks) + 1), 3)), rk
+            for i, j, k, r_ij, r_ik, r_jk in _triples(rk):
+                assert (r_ij, r_ik, r_jk) == (rk[j] - rk[i], rk[k] - rk[i], rk[k] - rk[j])
 
 
 def assemble_jobs(genera):
