@@ -166,14 +166,23 @@ def cmd_invariants(args) -> int:
 # ------------------------------------------------------------------------ k3
 
 
+# the largest --series that `bn k3` lists: s sets 2^s - 1 filtration types,
+# and s = 14 is the largest that assemble reaches up to genus 30
+MAX_K3_SERIES = 14
+
+
 def cmd_k3(args) -> int:
-    # the series of proper loci of genus g have 1 <= s <= (g-1)/2; s sets
-    # 2^s - 1 filtration types, so nothing larger may start a search
+    # the series of proper loci of genus g have 1 <= s <= (g-1)/2
     top = (args.g - 1) // 2
     if not 1 <= args.series <= top:
         raise ValueError(
             f"--series {args.series} is outside 1..{top}, the ranks of proper "
             f"Brill-Noether loci of genus {args.g}"
+        )
+    if args.series > MAX_K3_SERIES:
+        raise ValueError(
+            f"--series {args.series} is above {MAX_K3_SERIES}, the largest series "
+            f"bn k3 lists: s sets 2^s - 1 filtration types"
         )
     basis = LatticeBasis(args.g, args.r, args.d)
     if basis.discriminant >= 0:
@@ -186,8 +195,10 @@ def cmd_k3(args) -> int:
     assignments = enumerate_assignments(basis, args.series, config)
     minimum = min((a.c2_bound for a in assignments), default=None)
     box = destab_box(basis)
-    # a few hundred distinct classes recur across thousands of assignments
+    # a few hundred distinct classes and at most 2^s - 1 filtration types
+    # recur across thousands of assignments: render each once
     shown = {}
+    types = {}
 
     def show(c):
         text = shown.get(c)
@@ -195,10 +206,16 @@ def cmd_k3(args) -> int:
             text = shown[c] = (str(c), list(c.xy), str(c.xy))
         return text
 
+    def type_of(a):
+        text = types.get(a.ranks)
+        if text is None:
+            text = types[a.ranks] = a.type_str
+        return text
+
     def entry(a):
         texts = [show(c) for c in a.chern]
         return {
-            "type": a.type_str,
+            "type": type_of(a),
             "chern": [t[0] for t in texts],
             "chern_xy": [t[1] for t in texts],
             "c2_bound": _frac_str(a.c2_bound),
@@ -230,7 +247,7 @@ def cmd_k3(args) -> int:
         if a.c2_bound.denominator != 1:
             bound += f" ({float(a.c2_bound):.2f})"
         flags = ",".join(a.filtered_by) or "-"
-        print(f"{a.type_str:<10} {chern:<28} {xy:<22} {bound:<12} {flags}")
+        print(f"{type_of(a):<10} {chern:<28} {xy:<22} {bound:<12} {flags}")
     print(f"minimum c2 bound: {_frac_str(minimum)}")
     return EXIT_OK
 
@@ -388,7 +405,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.add_argument("d", type=int)
     pk.add_argument("--series", type=int, required=True, metavar="S",
                     help="dimension s of the series g^s_e being tested, "
-                    "in 1..(g-1)/2")
+                    f"in 1..(g-1)/2 and at most {MAX_K3_SERIES}")
     pk.add_argument("--filters", choices=("on", "off"), default="off")
     pk.add_argument("--json", action="store_true")
     pk.set_defaults(func=cmd_k3)

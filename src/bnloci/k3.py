@@ -40,11 +40,15 @@ integers built once per lattice, and a leaf is read off its rows alone: the
 filter tags from the row's (a, b) and (H-c)^2, and the listing's sort key
 from the ranks and each row's (a, b).
 
-Every leaf, on both paths, is re-checked in integers against all GT triples
-and the quotient conditions; a failure raises RuntimeError, which, unlike
-an assert, survives python -O.  The triples of a filtration type, with
-their rank differences, form a table built once per type, so a leaf pays
-only for its H-degree differences.
+Every leaf, on both paths, is re-checked in integers, with no bisection or
+rounding shared with the cuts: the n - 1 adjacent slope pairs of P_0..P_n
+by cross-multiplication, then the quotient conditions; a failure raises
+RuntimeError, which, unlike an assert, survives python -O.  The pairs
+stand for all C(n+1, 3) triples by the three-chord lemma: as r_0 < ... < r_n,
+slope(P_i, P_k) is a weighted mean of the step slopes from i to k, so
+non-increasing steps give every triple, and the triples (i-1, i, i+1) are
+the pairs.  The tests keep the all-triples form as their oracle, so that
+the lemma is checked, not trusted.
 
 The Clifford floor.  A certificate M^r_{g,d} !<= M^s_{g,e} needs every
 kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
@@ -325,45 +329,42 @@ def _scale(s: int) -> int:
 
 @lru_cache(maxsize=512)
 def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
-    """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c), sorted
-    by (H-degree, class), cached per lattice.  With u = H.c = a H^2 + b d and
-    v = a d + b L^2, c.x = x.a u + x.b v for any class x, so a step needs two
-    products."""
+    """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c, (a, b)),
+    sorted by (H-degree, class), cached per lattice.  With u = H.c = a H^2 + b d
+    and v = a d + b L^2, c.x = x.a u + x.b v for any class x, so a step needs
+    two products; the trailing (a, b) is the class's sort key, built here once
+    so that a listed leaf's key only collects it."""
     h2, d, l2 = basis.h_square, basis.d, basis.l_square
     rows = []
     for c in candidate_subsheaf_classes(basis):
         u, v = c.a * h2 + c.b * d, c.a * d + c.b * l2
         cc = c.a * u + c.b * v
-        rows.append((u, c.a, c.b, cc, v, h2 - 2 * u + cc, c))
-    rows.sort(key=lambda row: (row[0], row[1], row[2]))
+        rows.append((u, c.a, c.b, cc, v, h2 - 2 * u + cc, c, c.key()))
+    rows.sort(key=lambda row: (row[0], row[7]))
     return tuple(rows)
 
 
-@lru_cache(maxsize=4096)
-def _triples(rk: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
-    """Every triple i < j < k of 0..n for the ranks rk = (0, r_1, ..., r_n),
-    as (i, j, k, r_j - r_i, r_k - r_i, r_k - r_j); built once per type."""
-    return tuple(
-        (i, j, k, rk[j] - rk[i], rk[k] - rk[i], rk[k] - rk[j])
-        for i, j, k in itertools.combinations(range(len(rk)), 3)
-    )
+def _leaf_error(htot: int, rk: tuple[int, ...], path: list[tuple], what: str) -> RuntimeError:
+    hd = (0, *[row[0] for row in path], htot)
+    return RuntimeError(f"DFS leaf {hd} over ranks {rk} violates {what}")
 
 
 def _recheck(htot: int, rk: tuple[int, ...], path: list[tuple]) -> None:
-    """Integer re-check of one leaf, independent of the interval cuts: the
-    GT inequalities mu(i,j) >= mu(i,k) >= mu(j,k) on every triple of
-    P_0..P_n, read from :func:`_triples`, and the quotient conditions
-    (H-c)^2 >= 0, H.(H-c) > 0 and mu(E_i) >= mu(E) on every intermediate
-    step."""
-    hd = (0,) + tuple(row[0] for row in path) + (htot,)
-    for i, j, k, r_ij, r_ik, r_jk in _triples(rk):
-        h_ik = hd[k] - hd[i]
-        if (hd[j] - hd[i]) * r_ik < h_ik * r_ij or h_ik * r_jk < (hd[k] - hd[j]) * r_ik:
-            raise RuntimeError(f"DFS leaf {hd} over ranks {rk} violates GT")
-    rn = rk[-1]
+    """Integer re-check of one leaf, independent of the interval cuts:
+    slope(P_{i-2}, P_{i-1}) >= slope(P_{i-1}, P_i) for 1 < i <= n, which is
+    every GT triple by the three-chord lemma (module docstring), then the
+    quotient conditions (H-c)^2 >= 0, H.(H-c) > 0 and mu(E_i) >= mu(E) on
+    every intermediate step."""
+    hp = rp = 0  # P_{i-1}, and P_n after the loop
+    dh = dr = None  # P_{i-1} - P_{i-2}
+    for i, row in enumerate([*path, (htot,)], 1):
+        eh, er = row[0] - hp, rk[i] - rp
+        if dh is not None and dh * er < eh * dr:
+            raise _leaf_error(htot, rk, path, "GT")
+        dh, dr, hp, rp = eh, er, row[0], rk[i]
     for i, row in enumerate(path, 1):
-        if row[5] < 0 or htot - row[0] <= 0 or row[0] * rn < htot * rk[i]:
-            raise RuntimeError(f"DFS leaf {hd} over ranks {rk} violates a quotient check")
+        if row[5] < 0 or htot - row[0] <= 0 or row[0] * rp < htot * rk[i]:
+            raise _leaf_error(htot, rk, path, "a quotient check")
 
 
 def _walk(
@@ -459,8 +460,8 @@ def enumerate_assignments(
     This is the listing path of the shared DFS core: one :class:`Assignment`
     per kept leaf, with its bound ``Fraction(scaled_c2, D)`` and its filter
     tags read off the leaf's candidate rows.  The sort key
-    (:meth:`Assignment.sort_key` without the common last class H) is also
-    built from the rows, and the list is sorted once on it.
+    (:meth:`Assignment.sort_key` without the common last class H) collects
+    the rows' prebuilt (a, b) keys, and the list is sorted once on it.
     ``workers`` must be an int in 1..MAX_WORKERS (else ValueError) and is
     otherwise ignored: the search is serial, because a thread pool over the
     filtration types ran slower under the GIL.
@@ -477,9 +478,7 @@ def enumerate_assignments(
     def leaf(ranks, path, total):
         flags = _tags(s, basis.r, ranks, path)
         if not _dropped(config, flags):
-            # Assignment.sort_key from the rows; H, the same last class on
-            # every assignment, is left out
-            key = (len(ranks), ranks, tuple([row[1:3] for row in path]))
+            key = (len(ranks), ranks, tuple([row[7] for row in path]))
             chern = tuple([row[6] for row in path]) + (H,)
             keyed.append((key, Assignment(ranks, chern, Fraction(total, big), flags)))
 

@@ -95,6 +95,28 @@ def test_k3_json_matches_benchmark_lock(capsys):
         assert got == want, job
 
 
+# sha256 of the text table of `bn k3` for the jobs of the JSON lock above,
+# taken from the engine before the listing leaf was made O(n); a regression
+# lock like perfbench/refs.json, not a mathematical truth
+K3_TEXT_SHA256 = {
+    "13,2,7,6,off": "e3f71b4ea64ad9712a6f0461519f3abbc3d3b7c39429dd5ceead15d51874ecca",
+    "15,4,13,7,off": "b9c87b42a02b6841ecbee5cd10c6630976ef35d6cde977daab01a8a62cdad9ab",
+    "16,1,2,7,on": "3f18936c8ece145e8f13105e9cec829b3f13021b5076dfeb10add3a998b5ffb2",
+    "16,3,11,7,off": "c88c85ba484647519d48c1d4693ef8f750384acee7587afa19c2861e80956f99",
+    "17,4,14,8,on": "dfc821163f3de37f7586db001004670140f352511ae292de26f2caa364631b00",
+}
+
+
+def test_k3_text_matches_lock(capsys):
+    refs = json.loads((ROOT / "perfbench" / "refs.json").read_text(encoding="utf-8"))["k3"]
+    assert sorted(refs) == sorted(K3_TEXT_SHA256)
+    for job in refs:
+        g, r, d, s, filters = job.split(",")
+        code, out, _ = run(capsys, "k3", g, r, d, "--series", s, "--filters", filters)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == K3_TEXT_SHA256[job], job
+
+
 def test_poset_dot_deterministic(capsys):
     code, out1, _ = run(capsys, "poset", "7", "--format", "dot")
     assert code == EXIT_OK
@@ -286,12 +308,22 @@ def _refuse_work(monkeypatch, name):
     monkeypatch.setattr(cli, name, refuse)
 
 
-@pytest.mark.parametrize("series", ["0", "-1", "5", "1000000"])
-def test_k3_series_outside_proper_ranks_is_rejected(capsys, monkeypatch, series):
+@pytest.mark.parametrize(
+    "job, message",
+    [
+        pytest.param(("10", "3", "9", s), "outside 1..4", id=s)
+        for s in ("0", "-1", "5", "1000000")
+    ]
+    # s = 49 is a proper rank at g = 100 but would list 2^49 - 1 types
+    + [pytest.param(("100", "9", "57", "49"), "above 14", id="100-9-57-49")],
+)
+def test_k3_series_outside_proper_ranks_is_rejected(capsys, monkeypatch, job, message):
     _refuse_work(monkeypatch, "enumerate_assignments")
-    code, _, err = run(capsys, "k3", "10", "3", "9", "--series", series)
+    _refuse_work(monkeypatch, "LatticeBasis")
+    g, r, d, s = job
+    code, out, err = run(capsys, "k3", g, r, d, "--series", s)
     assert code == EXIT_DOMAIN
-    assert "1..4" in err
+    assert message in err and out == ""
 
 
 def test_verify_empty_range_is_rejected(capsys, monkeypatch):

@@ -8,6 +8,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bnloci import (
     Assignment,
@@ -42,21 +43,20 @@ def mk(basis, ranks, chern_heads):
     )
 
 
-def gt_all_triples(basis, assignment):
-    # oracle: check mu(E_j/E_i) >= mu(E_k/E_i) >= mu(E_k/E_j) on every triple
-    rk = (0,) + assignment.ranks
-    hdeg = [0] + [pair(basis, H, c) for c in assignment.chern]
-    n = len(assignment.ranks)
-
+def chain_all_triples(rk, hdeg):
+    # oracle: mu(i,j) >= mu(i,k) >= mu(j,k) on every triple of the chain
+    # P_i = (rk[i], hdeg[i]), with mu(i,j) the slope of P_i P_j
     def mu(i, j):
         return Fraction(hdeg[j] - hdeg[i], rk[j] - rk[i])
 
-    for i in range(n + 1):
-        for j in range(i + 1, n + 1):
-            for k in range(j + 1, n + 1):
-                if not (mu(i, j) >= mu(i, k) >= mu(j, k)):
-                    return False
-    return True
+    triples = itertools.combinations(range(len(rk)), 3)
+    return all(mu(i, j) >= mu(i, k) >= mu(j, k) for i, j, k in triples)
+
+
+def gt_all_triples(basis, assignment):
+    # the oracle on mu(E_j/E_i) >= mu(E_k/E_i) >= mu(E_k/E_j)
+    rk = (0,) + assignment.ranks
+    return chain_all_triples(rk, [0] + [pair(basis, H, c) for c in assignment.chern])
 
 
 def test_lm_invariants_examples():
@@ -369,16 +369,40 @@ def test_enumeration_is_complete_against_brute_force(g, r, d, series):
             assert min_series_degree(basis, s, cfg) == min(kept, default=None), (s, cfg)
 
 
-def test_triples_are_every_triple_of_the_type():
-    from bnloci.k3 import _triples
+@st.composite
+def integer_chains(draw):
+    """(rk, hd): 0 = rk[0] < rk[1] < ... < rk[n] with 1 <= n <= 9 and hd[0] = 0.
+    Half are concave chains with integer step slopes, each H-degree then
+    nudged by at most 1 (ties and near misses); half have free H-degrees."""
+    ranks = sorted(draw(st.sets(st.integers(1, 20), min_size=1, max_size=9)))
+    rk = (0, *ranks)
+    n = len(ranks)
+    if draw(st.booleans()):
+        slopes = sorted(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), reverse=True)
+        hd = [0]
+        for i, m in enumerate(slopes, 1):
+            hd.append(hd[-1] + m * (rk[i] - rk[i - 1]))
+        nudges = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1)), min_size=n, max_size=n))
+        hd = [0] + [h + e for h, e in zip(hd[1:], nudges)]
+    else:
+        hd = [0] + draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
+    return rk, hd
 
-    for s in range(1, 6):
-        for ranks in enumerate_filtration_types(s):
-            rk = (0,) + ranks
-            got = [t[:3] for t in _triples(rk)]
-            assert got == list(itertools.combinations(range(len(ranks) + 1), 3)), rk
-            for i, j, k, r_ij, r_ik, r_jk in _triples(rk):
-                assert (r_ij, r_ik, r_jk) == (rk[j] - rk[i], rk[k] - rk[i], rk[k] - rk[j])
+
+@settings(max_examples=500, deadline=None)
+@given(integer_chains())
+def test_adjacent_slope_recheck_equals_all_triples(chain):
+    from bnloci.k3 import _recheck
+
+    rk, hd = chain
+    # rows carry what the re-check reads: the H-degree, and (H-c)^2 = 0
+    path = [(h, 0, 0, 0, 0, 0) for h in hd[1:-1]]
+    try:
+        _recheck(hd[-1], rk, path)
+        gt_holds = True
+    except RuntimeError as exc:
+        gt_holds = "violates GT" not in str(exc)
+    assert gt_holds == chain_all_triples(rk, hd)
 
 
 def assemble_jobs(genera):
