@@ -195,7 +195,7 @@ def cmd_k3(args) -> int:
     assignments = enumerate_assignments(basis, args.series, config)
     minimum = min((a.c2_bound for a in assignments), default=None)
     box = destab_box(basis)
-    # a few hundred distinct classes and at most 2^s - 1 filtration types
+    # a few dozen distinct classes and at most 2^s - 1 filtration types
     # recur across thousands of assignments: render each once
     shown = {}
     types = {}

@@ -357,7 +357,7 @@ def _recheck(htot: int, rk: tuple[int, ...], path: list[tuple]) -> None:
     every intermediate step."""
     hp = rp = 0  # P_{i-1}, and P_n after the loop
     dh = dr = None  # P_{i-1} - P_{i-2}
-    for i, row in enumerate([*path, (htot,)], 1):
+    for i, row in enumerate([*path, (htot,)], 1):  # (htot,) stands for P_n
         eh, er = row[0] - hp, rk[i] - rp
         if dh is not None and dh * er < eh * dr:
             raise _leaf_error(htot, rk, path, "GT")

@@ -95,9 +95,8 @@ def test_k3_json_matches_benchmark_lock(capsys):
         assert got == want, job
 
 
-# sha256 of the text table of `bn k3` for the jobs of the JSON lock above,
-# taken from the engine before the listing leaf was made O(n); a regression
-# lock like perfbench/refs.json, not a mathematical truth
+# sha256 of the `bn k3` text table for the jobs of the JSON lock above: a
+# regression lock on the text rendering, not a mathematical truth
 K3_TEXT_SHA256 = {
     "13,2,7,6,off": "e3f71b4ea64ad9712a6f0461519f3abbc3d3b7c39429dd5ceead15d51874ecca",
     "15,4,13,7,off": "b9c87b42a02b6841ecbee5cd10c6630976ef35d6cde977daab01a8a62cdad9ab",
