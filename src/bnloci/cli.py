@@ -11,7 +11,6 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
@@ -123,10 +122,6 @@ def packaged_fixture_matrix(genus: int) -> RelationMatrix:
     )
 
 
-def _frac_str(x: Fraction) -> str:
-    return str(x.numerator) if x.denominator == 1 else f"{x.numerator}/{x.denominator}"
-
-
 # ---------------------------------------------------------------- invariants
 
 
@@ -218,7 +213,7 @@ def cmd_k3(args) -> int:
             "type": type_of(a),
             "chern": [t[0] for t in texts],
             "chern_xy": [t[1] for t in texts],
-            "c2_bound": _frac_str(a.c2_bound),
+            "c2_bound": str(a.c2_bound),
             "filters": list(a.filtered_by),
         }
 
@@ -229,7 +224,7 @@ def cmd_k3(args) -> int:
             "filters": args.filters,
             "box": list(box),
             "assignments": [entry(a) for a in assignments],
-            "min_c2_bound": None if minimum is None else _frac_str(minimum),
+            "min_c2_bound": None if minimum is None else str(minimum),
         }
         print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
         return EXIT_OK
@@ -243,12 +238,12 @@ def cmd_k3(args) -> int:
         texts = [show(c) for c in a.chern[:-1]]
         chern = ", ".join(t[0] for t in texts) or "-"
         xy = ", ".join(t[2] for t in texts) or "-"
-        bound = _frac_str(a.c2_bound)
+        bound = str(a.c2_bound)
         if a.c2_bound.denominator != 1:
             bound += f" ({float(a.c2_bound):.2f})"
         flags = ",".join(a.filtered_by) or "-"
         print(f"{type_of(a):<10} {chern:<28} {xy:<22} {bound:<12} {flags}")
-    print(f"minimum c2 bound: {_frac_str(minimum)}")
+    print(f"minimum c2 bound: {minimum}")
     return EXIT_OK
 
 
@@ -260,23 +255,16 @@ def _locus_json(x: BNLocus) -> list[int]:
 
 
 def matrix_to_json(matrix: RelationMatrix) -> str:
-    reps = matrix.representatives()
-    relations = []
-    for x in reps:
-        for y in reps:
-            if x == y:
-                continue
-            kind, prov = matrix.relation(x, y)
-            if kind == "unknown" or kind == RelKind.EQ.value:
-                continue
-            relations.append(
-                {
-                    "lhs": _locus_json(x),
-                    "rhs": _locus_json(y),
-                    "relation": kind,
-                    "provenance": prov,
-                }
-            )
+    relations = [
+        {
+            "lhs": _locus_json(r.lhs),
+            "rhs": _locus_json(r.rhs),
+            "relation": r.kind.value,
+            "provenance": r.provenance,
+        }
+        for r in matrix.all_relations()
+        if r.kind is not RelKind.EQ
+    ]
     payload = {
         "genus": matrix.genus,
         "classes": [[_locus_json(m) for m in cls] for cls in matrix.classes],
@@ -301,25 +289,19 @@ def matrix_to_dot(matrix: RelationMatrix) -> str:
     r (horizontal) and Clifford index (vertical rank constraints)."""
     g = matrix.genus
     lines = [f"digraph brill_noether_genus_{g} {{", '  rankdir="BT";', '  node [shape=box];']
-    reps = matrix.representatives()
-    members = {cls[0]: cls for cls in matrix.classes}
-    for rep in reps:
-        label = " = ".join(str(m) for m in members[rep])
-        lines.append(f'  {_node_id(rep)} [label="{label}"];')
-    levels = sorted({clifford_index(rep) for rep in reps})
-    for lev in levels:
-        row = [
-            _node_id(rep)
-            for rep in sorted(reps, key=lambda x: x.key)
-            if clifford_index(rep) == lev
-        ]
+    # the classes come in key order of their representatives, so each
+    # Clifford level's row is already sorted
+    levels: dict[int, list[str]] = {}
+    for cls in matrix.classes:
+        node = _node_id(cls[0])
+        label = " = ".join(str(m) for m in cls)
+        lines.append(f'  {node} [label="{label}"];')
+        levels.setdefault(clifford_index(cls[0]), []).append(node)
+    rows = [levels[lev] for lev in sorted(levels)]
+    for row in rows:
         lines.append("  { rank=same; " + "; ".join(row) + "; }")
-    firsts = []
-    for lev in levels:
-        row = [rep for rep in reps if clifford_index(rep) == lev]
-        firsts.append(_node_id(sorted(row, key=lambda x: x.key)[0]))
-    for lower, upper in zip(firsts, firsts[1:]):
-        lines.append(f"  {lower} -> {upper} [style=invis];")
+    for lower, upper in zip(rows, rows[1:]):
+        lines.append(f"  {lower[0]} -> {upper[0]} [style=invis];")
     for cov in covers(matrix):
         lines.append(
             f"  {_node_id(cov.lhs)} -> {_node_id(cov.rhs)} [style=solid];"

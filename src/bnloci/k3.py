@@ -237,34 +237,26 @@ def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
     """Candidate values of c1(E_i) for intermediate filtration steps: the
     classes H - Q where Q = xH - yL runs over the destabilizing-lemma box
     (two sign branches, exact integer bounds) and already satisfies
-    Q^2 >= 0, H.Q > 0.  Sorted by (a, b) of the subsheaf class."""
-    disc = basis.discriminant
-    if disc >= 0:
-        raise ValueError("need Delta < 0")
+    Q^2 >= 0, H.Q > 0.  Sorted by (a, b) of the subsheaf class.
+
+    Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
+    """
+    xmax, ymax = destab_box(basis)
     quots = []
     if basis.r == 1:
         # x = 0 branch: Q = mL with 0 < m*d < 2(g-1); x = 1: Q = H - yL, y*d < g-1
-        m = 1
-        while m * basis.d < 2 * (basis.g - 1):
-            quots.append(LatticeClass(0, m))
-            m += 1
+        quots += [LatticeClass(0, m) for m in range(1, ymax + 1)]
         y = 1
         while y * basis.d < basis.g - 1:
             quots.append(LatticeClass(1, -y))
             y += 1
     else:
-        s = -disc
-        d2 = basis.d * basis.d
-        ymax = floor_sqrt_ratio(basis.h_square * basis.h_square, s)
-        xmax = 1 + floor_sqrt_ratio(d2, s)
+        # branch x > 0, y > 0, with (x-1)^2 |Delta| <= d^2 ...
         for x in range(1, xmax + 1):
-            # branch x > 0, y > 0, with (x-1)^2 |Delta| <= d^2
-            if (x - 1) * (x - 1) * s > d2:
-                continue
             for y in range(1, ymax + 1):
                 quots.append(LatticeClass(x, -y))
-        xmin = 1 - floor_sqrt_ratio(d2, s)  # x >= 1 - d/sqrt|Delta|
-        for x in range(xmin, 1):
+        # ... and branch x <= 0, y < 0, with x >= 1 - d/sqrt|Delta|
+        for x in range(2 - xmax, 1):
             for y in range(-ymax, 0):
                 quots.append(LatticeClass(x, -y))
     cands = []

@@ -12,6 +12,12 @@ end down, so the closure of the seeded !<= cells is exactly
 under both rules.  A contradiction at such a derived (B, D) would mean
 B <= D, so A <= B <= D <= C contradicts the seed (A, C) itself: checking
 the seeded !<= cells against <= finds every contradiction.
+
+The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
+closed !<= rows and each locus's class representative, with provenance in
+tables keyed by index pairs, and every query is a row operation on them.
+The cover diagram is the transitive reduction of ``up`` restricted to the
+class representatives.
 """
 
 from __future__ import annotations
@@ -20,7 +26,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .classical import coppens_noncontainment, plane_projection_rule, secant_containment
-from .k3 import FilterConfig, k3_noncontainment
+from .k3 import k3_noncontainment
 from .lattice import delta
 from .loci import (
     BNLocus,
@@ -78,11 +84,25 @@ def _merge_prov(p1: str, p2: str) -> str:
     return min((p1, p2), key=lambda p: (len(p), p))
 
 
+def _bits(row: int):
+    """Indices of the set bits of ``row``, lowest first."""
+    while row:
+        low = row & -row
+        yield low.bit_length() - 1
+        row ^= low
+
+
 class RelationMatrix:
     """Closed matrix of pairwise claims at a fixed genus.
 
-    Loci are grouped into equivalence classes (equal loci); cells live on
-    ordered pairs of class representatives.  Instances are immutable once
+    The matrix holds the closure's own rows over the loci 0..n-1 in key
+    order: ``up[i]`` (bit j: locus i <= locus j), ``nle_rows[i]`` (bit j:
+    locus i !<= locus j) and ``rep[i]``, the index of the smallest-key
+    member of i's equality class; provenance lives in index-keyed tables.
+    Both row sets are closed over every locus, and equal loci have equal
+    rows and equal columns (x <= x' <= x carries every <= and !<= across),
+    so the kind of any cell is read off its own bits, while its provenance
+    is that of the representatives' cell.  Instances are immutable once
     built and safe to share.
     """
 
@@ -90,70 +110,66 @@ class RelationMatrix:
         self,
         genus: int,
         loci: tuple[BNLocus, ...],
-        parent: dict[BNLocus, BNLocus],
-        le: dict[tuple[BNLocus, BNLocus], str],
-        nle: dict[tuple[BNLocus, BNLocus], str],
+        index: dict[BNLocus, int],
+        up: list[int],
+        nle_rows: list[int],
+        rep: list[int],
+        le: dict[tuple[int, int], str],
+        nle: dict[tuple[int, int], str],
     ):
         self.genus = genus
         self.loci = loci
-        self._parent = parent
-        self._le = dict(le)
-        self._nle = dict(nle)
-        classes: dict[BNLocus, list[BNLocus]] = {}
-        for x in loci:
-            classes.setdefault(parent[x], []).append(x)
-        self.classes = tuple(
-            tuple(sorted(v, key=lambda l: l.key))
-            for _, v in sorted(classes.items(), key=lambda kv: kv[0].key)
-        )
+        self._index = index
+        self._up, self._nle_rows, self._rep = up, nle_rows, rep
+        self._le, self._nle = le, nle
+        members: dict[int, int] = {}
+        for i, r in enumerate(rep):
+            members[r] = members.get(r, 0) | 1 << i
+        # bit j of _same[i]: loci i and j are equal
+        self._same = [members[r] for r in rep]
+        self._rep_mask = sum(1 << r for r in members)
+        self.classes = tuple(tuple(loci[i] for i in _bits(m)) for m in members.values())
 
     def class_of(self, x: BNLocus) -> BNLocus:
-        return self._parent[x]
+        return self.loci[self._rep[self._index[x]]]
 
     def representatives(self) -> list[BNLocus]:
         return [c[0] for c in self.classes]
 
     def relation(self, x: BNLocus, y: BNLocus) -> tuple[str, str | None]:
         """(kind, provenance) with kind one of eq/subset/not_subset/unknown."""
-        rx, ry = self._parent[x], self._parent[y]
-        if rx == ry:
+        i, j = self._index[x], self._index[y]
+        if self._same[i] >> j & 1:
             return (RelKind.EQ.value, "class")
-        if (rx, ry) in self._le:
-            return (RelKind.LE.value, self._le[(rx, ry)])
-        if (rx, ry) in self._nle:
-            return (RelKind.NLE.value, self._nle[(rx, ry)])
+        cell = (self._rep[i], self._rep[j])
+        if self._up[i] >> j & 1:
+            return (RelKind.LE.value, self._le[cell])
+        if self._nle_rows[i] >> j & 1:
+            return (RelKind.NLE.value, self._nle[cell])
         return ("unknown", None)
 
     def unknown_pairs(self) -> list[tuple[BNLocus, BNLocus]]:
-        reps = self.representatives()
-        out = []
-        for x in reps:
-            for y in reps:
-                if x != y and self.relation(x, y)[0] == "unknown":
-                    out.append((x, y))
-        return out
+        loci, mask = self.loci, self._rep_mask
+        return [
+            (loci[i], loci[j])
+            for i in _bits(mask)
+            for j in _bits(mask & ~self._up[i] & ~self._nle_rows[i])
+        ]
 
     def all_relations(self) -> list[Relation]:
-        """Every known class-level cell as a Relation, sorted."""
-        out = []
-        for cls in self.classes:
-            rep = cls[0]
-            for member in cls[1:]:
-                out.append(Relation(member, rep, RelKind.EQ, "class"))
-        for (a, b), p in self._le.items():
-            out.append(Relation(a, b, RelKind.LE, p))
-        for (a, b), p in self._nle.items():
-            out.append(Relation(a, b, RelKind.NLE, p))
-        out.sort(key=lambda r: (r.lhs.key, r.rhs.key, r.kind.value))
+        """Every known class-level cell as a Relation, sorted by (lhs, rhs):
+        a non-representative's one eq row to its representative, and a
+        representative's known cells to the other representatives."""
+        loci, out = self.loci, []
+        for i, r in enumerate(self._rep):
+            if r != i:
+                out.append(Relation(loci[i], loci[r], RelKind.EQ, "class"))
+                continue
+            le, nle = self._up[i], self._nle_rows[i]
+            for j in _bits((le | nle) & self._rep_mask & ~(1 << i)):
+                kind, table = (RelKind.LE, self._le) if le >> j & 1 else (RelKind.NLE, self._nle)
+                out.append(Relation(loci[i], loci[j], kind, table[(i, j)]))
         return out
-
-
-def _bits(row: int):
-    """Indices of the set bits of ``row``, lowest first."""
-    while row:
-        low = row & -row
-        yield low.bit_length() - 1
-        row ^= low
 
 
 def closure_relations(
@@ -230,14 +246,7 @@ def closure_relations(
                 nle[(b, d)] = p_b if d == c else f"closure({le[(d, c)]},{p_b})"
 
     rep = [next(_bits(up[i] & down[i])) for i in range(n)]
-    reps = [i for i in range(n) if rep[i] == i]
-    return RelationMatrix(
-        genus,
-        loci,
-        {x: loci[rep[i]] for i, x in enumerate(loci)},
-        {(loci[i], loci[j]): le[(i, j)] for i in reps for j in reps if i != j and up[i] >> j & 1},
-        {(loci[i], loci[j]): nle[(i, j)] for i in reps for j in reps if nle_rows[i] >> j & 1},
-    )
+    return RelationMatrix(genus, loci, index, up, nle_rows, rep, le, nle)
 
 
 def closure(matrix: RelationMatrix) -> RelationMatrix:
@@ -245,11 +254,7 @@ def closure(matrix: RelationMatrix) -> RelationMatrix:
     return closure_relations(matrix.genus, matrix.loci, matrix.all_relations())
 
 
-def assemble(
-    genus: int,
-    facts: Iterable[Fact] = (),
-    k3_config: FilterConfig | None = None,
-) -> RelationMatrix:
+def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
     """Seed the matrix with every rule family plus the supplied facts, then
     close.  Rule families: trivial containments, Clifford collapses, the
     gonality theorem (both directions), the kappa comparison, plane
@@ -302,7 +307,7 @@ def assemble(
         for y in loci:
             if x == y:
                 continue
-            rel = k3_noncontainment(genus, x.r, x.d, y.r, y.d, k3_config)
+            rel = k3_noncontainment(genus, x.r, x.d, y.r, y.d)
             if rel is not None:
                 rels.append(rel)
 
@@ -319,22 +324,25 @@ def assemble(
 def covers(matrix: RelationMatrix) -> list[Relation]:
     """Strict-containment cover relations between equivalence classes, with
     covers implied by trivial containments alone removed; sorted by the
-    (r, d) of source then target."""
-    reps = matrix.representatives()
-    le = {
-        (a, b)
-        for a in reps
-        for b in reps
-        if a != b and matrix.relation(a, b)[0] == RelKind.LE.value
-    }
-    members = {cls[0]: cls for cls in matrix.classes}
+    (r, d) of source then target.
+
+    On the rows this is the transitive reduction (Aho, Garey and Ullman,
+    1972): a representative's strict row is its <= row over the other
+    representatives, and its covers are the bits of that row that no bit
+    of the row reaches in turn.
+    """
+    loci, up, mask = matrix.loci, matrix._up, matrix._rep_mask
+    strict = {i: up[i] & mask & ~(1 << i) for i in _bits(mask)}
+    members = dict(zip(strict, matrix.classes))
     out = []
-    for (a, b) in sorted(le, key=lambda k: (k[0].key, k[1].key)):
-        if any((a, c) in le and (c, b) in le for c in reps):
-            continue
-        if any(trivially_implied(x, y) for x in members[a] for y in members[b]):
-            continue
-        out.append(Relation(a, b, RelKind.LE, matrix.relation(a, b)[1] or ""))
+    for i, row in strict.items():
+        above = 0
+        for k in _bits(row):
+            above |= strict[k]
+        for j in _bits(row & ~above):
+            if any(trivially_implied(x, y) for x in members[i] for y in members[j]):
+                continue
+            out.append(Relation(loci[i], loci[j], RelKind.LE, matrix._le[(i, j)]))
     return out
 
 
@@ -356,13 +364,16 @@ def compare(matrix: RelationMatrix, expected: RelationMatrix) -> list[DiffCell]:
         raise ValueError("matrices are at different genera")
     if matrix.loci != expected.loci:
         raise ValueError("matrices are over different loci sets")
-    diffs = []
-    for x in matrix.loci:
-        for y in matrix.loci:
-            if x == y:
-                continue
-            got = matrix.relation(x, y)[0]
-            want = expected.relation(x, y)[0]
-            if got != want:
-                diffs.append(DiffCell(x, y, got, want))
+    loci, diffs = matrix.loci, []
+    for i in range(len(loci)):
+        # a cell's kind is fixed by its class, <= and !<= bits, and any
+        # change in one of them changes the kind
+        differ = (
+            (matrix._same[i] ^ expected._same[i])
+            | (matrix._up[i] ^ expected._up[i])
+            | (matrix._nle_rows[i] ^ expected._nle_rows[i])
+        )
+        for j in _bits(differ):
+            x, y = loci[i], loci[j]
+            diffs.append(DiffCell(x, y, matrix.relation(x, y)[0], expected.relation(x, y)[0]))
     return diffs

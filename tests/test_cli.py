@@ -116,6 +116,45 @@ def test_k3_text_matches_lock(capsys):
         assert hashlib.sha256(out.encode()).hexdigest() == K3_TEXT_SHA256[job], job
 
 
+# sha256 of `bn poset G --format F` (with the packaged facts for G = 7..12,
+# without facts for G = 13..16) and of `bn verify 7..12`: a regression lock
+# on the poset and verify renderings, not a mathematical truth
+POSET_SHA256 = {
+    (7, "json"): "11876541e31fe4ad39c55850477011cb56546c24570d73d61d52b535df3b649f",
+    (7, "dot"): "893494d2da47760a90f95e704bdbad6a32582a49fdd369c088565315f01b5f4e",
+    (8, "json"): "965b0343d4ec4907fe0697dce820ad0cc4fc82ddefbbb341466fbcffc68ee1cc",
+    (8, "dot"): "e7389b3e6be912b7a244241c7d4f3fe6b4f73655909d247c7e53d9d251728c6d",
+    (9, "json"): "9e16e25ad8a2eba1323e55a6df0fab70671908c9e0e1d6fabe85ce4db8acef90",
+    (9, "dot"): "36e54bfb794fd480ee49d762ae6b902fd617f58796152aa6d9426d3a73cc15dd",
+    (10, "json"): "8d16cce32cf63985e0e3f3582d83ad769a3a4805762ca058a05a84828709c920",
+    (10, "dot"): "1adb4457d2973178b445aef41a7125283d9ea71afbd04ac4469af52b797c7ca7",
+    (11, "json"): "8202d3dca9bab90b3db48447e69270567723fe7cd067db2893d226c2f641b52a",
+    (11, "dot"): "1d58bf521454ab97c3e5e2f27b4a72578c1bd03352beda06c11f9ce1de1c83f3",
+    (12, "json"): "6c24b02fa1e498c084897aca005a0262e9cd2df83581fe71f3646a3e5ec2149d",
+    (12, "dot"): "5a23585846f71e9594e925d77dd307a7b2cd69aa4841d208f7c1e198a29b3ccd",
+    (13, "json"): "9bc3bebaa0fa2f906d2014257d202a8d074fef25fab62c9fb73278f31de4e4bb",
+    (13, "dot"): "78866b75bbc199c0dc1320279f55e82f0d8a161d39b9443d46af8702bfe2a29a",
+    (14, "json"): "74e2740e264fcb0578c82222e88f98a8151514c2487c810a6f22ecc63cad1f50",
+    (14, "dot"): "68d678763eebceac2e4ee9472926cfee4333ef6bb3b8f63c42cf158fe7339c76",
+    (15, "json"): "23336479fd943b86ce4d65e6e962a2830694d4ec89c6ed652187db2c645a6a8e",
+    (15, "dot"): "3ac3d554b05e23c3bf72f497f2f5d2e3c4dd353a7c028ac1090a6f48a913abdc",
+    (16, "json"): "7fd91cf0f9255a5349c95aedd61150247013d00eee209097dfcbefe4b462a063",
+    (16, "dot"): "41ee518209e22b593f3a0018c9125c34deea93a2c33494f48ecda1658068dfb5",
+}
+VERIFY_SHA256 = "d24264e99f4e623298a4412edbc6864e266d6647cab565887d65aa02bcb4ab60"
+
+
+def test_poset_and_verify_match_lock(capsys):
+    for (g, fmt), want in POSET_SHA256.items():
+        facts = ["--facts", str(DATA / f"genus{g}.json")] if g <= 12 else []
+        code, out, _ = run(capsys, "poset", str(g), *facts, "--format", fmt)
+        assert code == EXIT_OK
+        assert hashlib.sha256(out.encode()).hexdigest() == want, (g, fmt)
+    code, out, _ = run(capsys, "verify", "7..12")
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SHA256
+
+
 def test_poset_dot_deterministic(capsys):
     code, out1, _ = run(capsys, "poset", "7", "--format", "dot")
     assert code == EXIT_OK

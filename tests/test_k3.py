@@ -146,6 +146,16 @@ def test_candidates_respect_box_and_signs():
             assert self_int(basis, q) >= 0 and pair(basis, H, q) > 0
 
 
+def test_candidates_reject_r0_lattices_like_the_box():
+    # Delta = -4(g-1) - d^2 < 0 for every r = 0 lattice, but the lemma that
+    # bounds the box does not hold there
+    basis = LatticeBasis(9, 0, 3)
+    assert basis.discriminant < 0
+    for fn in (destab_box, candidate_subsheaf_classes):
+        with pytest.raises(ValueError, match="r = 0"):
+            fn(basis)
+
+
 def test_c2_lower_bound_pinned_values():
     b = LatticeBasis(100, 9, 57)
     assert c2_lower_bound(b, mk(b, (1, 5), [H - L])) == Fraction(203, 4)

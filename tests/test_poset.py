@@ -77,6 +77,60 @@ def naive_closure(loci, rels):
     return sorted(classes, key=lambda c: c[0].key), cells
 
 
+def naive_covers(matrix):
+    """Reference covers, one relation() lookup per cell: the strict rep-level
+    pairs with no rep strictly between them, minus the trivially implied."""
+    reps = matrix.representatives()
+    le = {
+        (a, b)
+        for a in reps
+        for b in reps
+        if a != b and matrix.relation(a, b)[0] == RelKind.LE.value
+    }
+    members = {cls[0]: cls for cls in matrix.classes}
+    out = []
+    for (a, b) in sorted(le, key=lambda k: (k[0].key, k[1].key)):
+        if any((a, c) in le and (c, b) in le for c in reps):
+            continue
+        if any(trivially_implied(x, y) for x in members[a] for y in members[b]):
+            continue
+        out.append(Relation(a, b, RelKind.LE, matrix.relation(a, b)[1] or ""))
+    return out
+
+
+def naive_unknown_pairs(matrix):
+    reps = matrix.representatives()
+    return [
+        (x, y)
+        for x in reps
+        for y in reps
+        if x != y and matrix.relation(x, y)[0] == "unknown"
+    ]
+
+
+def naive_all_relations(matrix):
+    """Reference all_relations: the eq rows of each class, then every known
+    cell between representatives, read through relation()."""
+    out = [Relation(m, cls[0], RelKind.EQ, "class") for cls in matrix.classes for m in cls[1:]]
+    reps = matrix.representatives()
+    for x in reps:
+        for y in reps:
+            kind, prov = matrix.relation(x, y)
+            if x != y and kind != "unknown":
+                out.append(Relation(x, y, RelKind(kind), prov))
+    out.sort(key=lambda r: (r.lhs.key, r.rhs.key, r.kind.value))
+    return out
+
+
+def naive_compare(matrix, expected):
+    return [
+        (x, y, matrix.relation(x, y)[0], expected.relation(x, y)[0])
+        for x in matrix.loci
+        for y in matrix.loci
+        if x != y and matrix.relation(x, y)[0] != expected.relation(x, y)[0]
+    ]
+
+
 def assert_matches_naive_closure(g, loci, rels):
     want = naive_closure(loci, rels)
     try:
@@ -88,6 +142,19 @@ def assert_matches_naive_closure(g, loci, rels):
     classes, cells = want
     assert list(m.classes) == classes
     assert {(x, y): m.relation(x, y)[0] for (x, y) in cells} == cells
+    # a cell and its provenance are those of its representatives' cell
+    for x in m.loci:
+        for y in m.loci:
+            if m.class_of(x) != m.class_of(y):
+                assert m.relation(x, y) == m.relation(m.class_of(x), m.class_of(y))
+    assert covers(m) == naive_covers(m)
+    assert m.unknown_pairs() == naive_unknown_pairs(m)
+    assert m.all_relations() == naive_all_relations(m)
+    # the first half of the seeds closes to a weaker matrix
+    weaker = closure_relations(g, loci, rels[: len(rels) // 2])
+    for a, b in ((m, weaker), (weaker, m), (m, m)):
+        got = [(d.lhs, d.rhs, d.got, d.want) for d in compare(a, b)]
+        assert got == naive_compare(a, b)
 
 
 def assemble_seeds(g, monkeypatch):
