@@ -3,6 +3,7 @@ import os
 import random
 import subprocess
 import sys
+from bisect import bisect_left, bisect_right
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -494,6 +495,99 @@ def test_floored_search_stops_early(monkeypatch):
     k3._min_bound_cached.cache_clear()
     assert min_series_degree(basis, 7, floor=14) <= 14
     assert 0 < len(checked) < 14263 // 100
+
+
+def per_type_walk(basis, s, leaf):
+    # oracle: the filtration DFS as one search per filtration type, which
+    # walks a prefix again for every type that shares it
+    from bnloci.k3 import _candidate_rows, _scale
+
+    htot = basis.h_square
+    big = _scale(s)
+    rows = _candidate_rows(basis)
+    hs = [row[0] for row in rows]
+    origin = (0, 0, 0, 0, 0, htot)  # E_0 = 0, so c.p = p.p = 0
+    path = []
+
+    for ranks in enumerate_filtration_types(s):
+        rk = (0,) + ranks
+        n = len(ranks)
+        half = [0] * (n + 1)
+        const = [0] * (n + 1)
+        for i in range(1, n + 1):
+            rho_i = rk[i] - rk[i - 1]
+            half[i] = (rho_i - 1) * (big // (2 * rho_i))
+            const[i] = rho_i * big - big // rho_i
+
+        def dfs(m, p, hpp, acc):
+            hp = p[0]
+            a, b = rk[m] - rk[m - 1], rk[n] - rk[m]
+            start = bisect_left(hs, -(-(htot * a + hp * b) // (a + b)))
+            if m == 1:
+                stop = len(rows)
+            else:
+                stop = bisect_right(hs, hp + (hp - hpp) * a // (rk[m - 1] - rk[m - 2]), start)
+            for idx in range(start, stop):
+                c = rows[idx]
+                cp = c[1] * hp + c[2] * p[4]
+                total = acc + half[m] * (c[3] - 2 * cp + p[3]) + big * (cp - p[3]) + const[m]
+                path.append(c)
+                if m == n - 1:
+                    leaf(ranks, path, total + half[n] * c[5] + big * (c[0] - c[3]) + const[n])
+                else:
+                    dfs(m + 1, c, hp, total)
+                path.pop()
+
+        dfs(1, origin, 0, 0)
+
+
+def walk_leaves(walk, basis, s):
+    # a leaf as (ranks, the rows' (a, b) keys, scaled bound), sorted
+    out = []
+    walk(basis, s, lambda ranks, path, total: out.append(
+        (ranks, tuple(row[7] for row in path), total)
+    ))
+    return sorted(out)
+
+
+# the five k3_list jobs of perfbench, as (g, r, d, s)
+K3_LIST_JOBS = [(13, 2, 7, 6), (16, 1, 2, 7), (16, 3, 11, 7), (15, 4, 13, 7), (17, 4, 14, 8)]
+
+
+def test_prefix_walk_matches_per_type_walk():
+    from bnloci.k3 import _walk
+
+    jobs = assemble_jobs(range(7, 15)) + K3_LIST_JOBS
+    assert len(jobs) > 300 and max(s for *_, s in jobs) == 8
+    emitted = 0
+    for g, r, d, s in jobs:
+        basis = LatticeBasis(g, r, d)
+        leaves = walk_leaves(_walk, basis, s)
+        assert leaves == walk_leaves(per_type_walk, basis, s), (g, r, d, s)
+        emitted += len(leaves)
+    assert emitted > 30000
+
+
+def test_floored_walk_emits_short_types_first(monkeypatch):
+    # the prefix walk emits a node's leaves before it descends, so the
+    # floored minimum re-checks no more leaves than the per-type search did
+    # (7,895 over these genera); a plain depth-first order re-checks 85,944
+    import bnloci.k3 as k3
+    from bnloci.poset import assemble
+
+    checked = 0
+    real = k3._recheck
+
+    def spy(htot, rk, path):
+        nonlocal checked
+        checked += 1
+        real(htot, rk, path)
+
+    monkeypatch.setattr(k3, "_recheck", spy)
+    k3._min_bound_cached.cache_clear()
+    for g in range(13, 18):
+        assemble(g)
+    assert 0 < checked <= 7895
 
 
 @pytest.mark.parametrize("fn", [k3_noncontainment, k3_expected])

@@ -28,10 +28,21 @@ PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 # Regression lock, not mathematical truth: matrix_digest of assemble(g) and
 # its unknown-pair count for the genera past perfbench/refs.json (g = 13..18),
 # taken from the engine as it stood before the K3 search stopped at the
-# Clifford floor.
+# Clifford floor (g = 19, 20) and before the K3 search shared rank prefixes
+# across filtration types (g = 21..30).
 LOCK_PAST_REFS = {
     19: ("57bfb9482fbc4ac3543dc3a6dbdaf3b3f6661db8a9e98e8c446f083569e1055a", 657),
     20: ("0f7620b6a1593d45f010194ceee92a94fe31d259969a93e9acdc8817ab1ca422", 832),
+    21: ("5d0f624e8e14ec45e2f1b1e20b32be5de3e78cd2df49e307b716270159d84967", 1118),
+    22: ("9e1415446bda254be6641958ed5cace898b9e14291c07ea95493e4b49b2b573a", 1372),
+    23: ("141aaa92de64acb68477419bc01c164641ab296af64b904f44a3864272e7ec7a", 1782),
+    24: ("b8a4675e15ecac08bdb69076600872778aafe1b8f1a00886825da37098079fc7", 2160),
+    25: ("826f9973f4a4789727ad7a46b144077e74c242e87c09635b20f57d6da0786209", 2710),
+    26: ("af3ca36d476e5588f5fa613da7c1c436237ceb0d45123f350024713e8d529faf", 3197),
+    27: ("7838a535e5f39578a67f2d2d4c555a5fbc2cb938e3d31fd03f16ff966bcd2263", 3943),
+    28: ("e60494bf51fba7ca8e069d687bd8ca821742541295f3300f803a34e7fc42439c", 4649),
+    29: ("93b4a08711f7d8d359776af4442d15c270a0e75df9a1f624bcde26aa20a8a0f3", 5621),
+    30: ("61c70934825c2e4cb224f9e8e4c7eaf0e262f39091071d2205f4c99f62e15e75", 6446),
 }
 
 
@@ -369,7 +380,7 @@ def test_assemble_matches_behaviour_lock():
     refs = json.loads((PERFBENCH / "refs.json").read_text(encoding="utf-8"))
     lock = {g: (v["digest"], v["unknown_pairs"]) for g, v in refs["matrix"].items()}
     lock = {int(g): v for g, v in lock.items()} | LOCK_PAST_REFS
-    assert sorted(lock) == list(range(13, 21))
+    assert sorted(lock) == list(range(13, 31))
     for g, want in lock.items():
         m = assemble(g)
         assert (bench.matrix_digest(m), len(m.unknown_pairs())) == want, g
