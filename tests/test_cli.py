@@ -117,7 +117,7 @@ def test_k3_text_matches_lock(capsys):
 
 
 # sha256 of `bn poset G --format F` (with the packaged facts for G = 7..12,
-# without facts for G = 13..16) and of `bn verify 7..12`: a regression lock
+# without facts for G = 13..20) and of `bn verify 7..12`: a regression lock
 # on the poset and verify renderings, not a mathematical truth
 POSET_SHA256 = {
     (7, "json"): "11876541e31fe4ad39c55850477011cb56546c24570d73d61d52b535df3b649f",
@@ -140,6 +140,12 @@ POSET_SHA256 = {
     (15, "dot"): "3ac3d554b05e23c3bf72f497f2f5d2e3c4dd353a7c028ac1090a6f48a913abdc",
     (16, "json"): "7fd91cf0f9255a5349c95aedd61150247013d00eee209097dfcbefe4b462a063",
     (16, "dot"): "41ee518209e22b593f3a0018c9125c34deea93a2c33494f48ecda1658068dfb5",
+    # g = 17..20 (JSON only) pin every premise string of the closure,
+    # including the assemble_warm benchmark genus 18: a regression lock too
+    (17, "json"): "c4d6e6eb892eac68448919f7c0b04d7664c9ec85f5fe78d0174ab1e4485c90fb",
+    (18, "json"): "ea1124e0fb4edd8d852ced1d737789b67fa4fc300e2ca8b2f8358c79012e5a56",
+    (19, "json"): "4f5090a5a56f14367db090eee009ea765431da74fc4249978a0bc0a962ca0cf9",
+    (20, "json"): "71531bdf7f7c31cb33c61300d358a92685ed8aac880814554aceaaf735e6ff37",
 }
 VERIFY_SHA256 = "d24264e99f4e623298a4412edbc6864e266d6647cab565887d65aa02bcb4ab60"
 
