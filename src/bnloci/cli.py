@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from importlib import resources
 from pathlib import Path
@@ -162,7 +163,7 @@ def cmd_invariants(args) -> int:
 
 
 # the largest --series that `bn k3` lists: s sets 2^s - 1 filtration types,
-# and s = 14 is the largest that assemble reaches up to genus 30
+# and s = 14 is the largest that assemble reaches up to MAX_POSET_GENUS = 30
 MAX_K3_SERIES = 14
 
 
@@ -312,7 +313,17 @@ def matrix_to_dot(matrix: RelationMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
+# the largest genus `bn poset` assembles: the top of the tests' behaviour
+# lock, where a cold assemble takes about a second; the cost grows fast above
+MAX_POSET_GENUS = 30
+
+
 def cmd_poset(args) -> int:
+    if args.g > MAX_POSET_GENUS:
+        raise ValueError(
+            f"genus {args.g} is above {MAX_POSET_GENUS}, the largest genus "
+            f"bn poset assembles"
+        )
     facts = load_facts(args.facts, args.g) if args.facts else []
     matrix = assemble(args.g, facts)
     text = matrix_to_dot(matrix) if args.format == "dot" else matrix_to_json(matrix) + "\n"
@@ -327,14 +338,18 @@ def cmd_poset(args) -> int:
 
 
 def parse_genus_range(spec: str) -> list[int]:
-    """'9' or '7..12' as a list of genera; an empty range is a ValueError."""
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        genera = list(range(int(lo), int(hi) + 1))
-        if not genera:
-            raise ValueError(f"empty genus range {spec}")
-        return genera
-    return [int(spec)]
+    """'9' or '7..12' as a list of genera; a malformed spec or an empty
+    range is a ValueError that names the spec."""
+    match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", spec)
+    if match is None:
+        raise ValueError(
+            f"invalid genus range {spec!r}: expected a genus (9) or a range (7..12)"
+        )
+    lo, hi = match.groups()
+    genera = list(range(int(lo), int(hi or lo) + 1))
+    if not genera:
+        raise ValueError(f"empty genus range {spec}")
+    return genera
 
 
 def cmd_verify(args) -> int:
@@ -395,7 +410,7 @@ def build_parser() -> argparse.ArgumentParser:
     pk.set_defaults(func=cmd_k3)
 
     pp = sub.add_parser("poset", help="relation matrix and cover diagram")
-    pp.add_argument("g", type=int)
+    pp.add_argument("g", type=int, help=f"the genus, at most {MAX_POSET_GENUS}")
     pp.add_argument("--facts", metavar="PATH")
     pp.add_argument("--format", choices=("dot", "json"), default="dot")
     pp.add_argument("--output", metavar="PATH")

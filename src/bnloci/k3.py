@@ -92,7 +92,7 @@ from functools import lru_cache
 from math import lcm
 from operator import itemgetter
 
-from .lattice import H, ZERO, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair, self_int
+from .lattice import H, ZERO, LatticeBasis, LatticeClass, delta, floor_sqrt_ratio, pair, self_int
 from .loci import BNLocus, RelKind, Relation, rho
 
 
@@ -507,8 +507,14 @@ class _FloorReached(Exception):
 
 @lru_cache(maxsize=4096)
 def _min_bound_cached(
-    basis: LatticeBasis, s: int, config: FilterConfig, floor: int | None
+    g: int, r: int, d: int, s: int, dm: bool, elliptic: bool, floor: int | None
 ) -> Fraction | None:
+    """The one cache of minimum-only searches, keyed on plain values: the
+    lattice (g, r, d), the series s, the two filter switches and the floor.
+    A hit hashes only these; the basis and the config are built on a miss.
+    :func:`min_series_degree` and :func:`k3_noncontainment` both read it."""
+    basis = LatticeBasis(g, r, d)
+    config = FilterConfig(dm, elliptic)
     _check_search_args(basis, s)
     big = _scale(s)
     limit = None if floor is None else floor * big
@@ -544,7 +550,7 @@ def min_series_degree(
     This is the minimum-only path of the shared DFS core: it keeps the
     smallest scaled integer bound among the leaves that pass the config's
     filters, builds no Assignment and no Fraction per leaf, and returns
-    ``Fraction(best, D)`` once, cached per (lattice, s, config, floor).
+    ``Fraction(best, D)`` once, cached per (lattice, s, filters, floor).
 
     With ``floor`` set, the search stops at the first kept leaf whose bound
     is <= floor and returns that bound: the result is the exact minimum
@@ -552,7 +558,8 @@ def min_series_degree(
     "minimum > e" exactly for every e >= floor; :func:`k3_noncontainment`
     passes the Clifford floor 2s (see the module docstring).
     """
-    return _min_bound_cached(basis, s, config or FilterConfig(), floor)
+    dm, elliptic = (config.dm_filter, config.elliptic_filter) if config else (False, False)
+    return _min_bound_cached(basis.g, basis.r, basis.d, s, dm, elliptic, floor)
 
 
 def _check_proper_locus(g: int, r: int, d: int) -> None:
@@ -577,25 +584,24 @@ def k3_noncontainment(
     Both loci must be normalized proper loci (rho < 0, 2r <= d <= g-1), else
     ValueError.  Since e >= 2s, both searches stop at the Clifford floor 2s:
     a kept assignment with bound <= 2s already rules out a certificate.
+
+    The minima come from the cache of :func:`min_series_degree`, read
+    directly on its plain-int key: assemble asks this for every pair of loci,
+    and a cache hit then builds no basis and no config.
     """
-    for (rr, dd) in ((r, d), (s, e)):
-        _check_proper_locus(g, rr, dd)
-    basis = LatticeBasis(g, r, d)
-    if basis.discriminant >= 0:
+    _check_proper_locus(g, r, d)
+    _check_proper_locus(g, s, e)
+    if delta(g, r, d) >= 0:
         return None
-    cfg = config or FilterConfig()
-    m = min_series_degree(basis, s, cfg, floor=2 * s)
+    dm, elliptic = (config.dm_filter, config.elliptic_filter) if config else (False, False)
+    m = _min_bound_cached(g, r, d, s, dm, elliptic, 2 * s)
     if not (m is None or m > e):
         return None
     provenance = "k3"
-    if cfg.dm_filter or cfg.elliptic_filter:
-        m0 = min_series_degree(basis, s, FilterConfig(), floor=2 * s)
+    if dm or elliptic:
+        m0 = _min_bound_cached(g, r, d, s, False, False, 2 * s)
         if not (m0 is None or m0 > e):
-            used = [
-                name
-                for name, on in (("dm", cfg.dm_filter), ("elliptic", cfg.elliptic_filter))
-                if on
-            ]
+            used = [name for name, on in (("dm", dm), ("elliptic", elliptic)) if on]
             provenance = "k3[" + ",".join(used) + "]"
     return Relation(BNLocus(g, r, d), BNLocus(g, s, e), RelKind.NLE, provenance)
 

@@ -80,8 +80,9 @@ def trivially_implied(x: BNLocus, y: BNLocus) -> bool:
 
 
 def _merge_prov(p1: str, p2: str) -> str:
-    # keeps the most compact provenance for a cell that several rules hit
-    return min((p1, p2), key=lambda p: (len(p), p))
+    # keeps the most compact provenance for a cell that several rules hit,
+    # the first one on a tie
+    return p2 if (len(p2), p2) < (len(p1), p1) else p1
 
 
 def _bits(row: int):
@@ -187,6 +188,9 @@ def closure_relations(
     into the row of every B in ``up[A]``.  A seeded cell keeps its rule's
     provenance (the most compact one when several seeds hit it); a derived
     cell records its first derivation as ``closure(p1,p2)`` of its premises.
+    Almost every !<= cell is a seed, so a B whose row gains no cell from
+    ``down[C]`` is skipped before its premise string for A !<= C via A <= B
+    is built: strings are made only for the cells they label.
 
     Raises :class:`ContradictionError` when a pair ends up both ways.
     """
@@ -197,14 +201,16 @@ def closure_relations(
     nle: dict[tuple[int, int], str] = {}
 
     def put(table, key, prov):
-        table[key] = _merge_prov(table[key], prov) if key in table else prov
+        old = table.get(key)
+        table[key] = prov if old is None else _merge_prov(old, prov)
 
+    get = index.get
     for rel in relations:
         if rel.lhs.g != genus or rel.rhs.g != genus:
             raise ValueError(f"relation {rel} is not at genus {genus}")
-        if rel.lhs not in index or rel.rhs not in index:
+        a, b = get(rel.lhs), get(rel.rhs)
+        if a is None or b is None:
             raise ValueError(f"relation {rel} references a locus outside the poset")
-        a, b = index[rel.lhs], index[rel.rhs]
         if rel.kind is RelKind.NLE:
             put(nle, (a, b), rel.provenance)
         else:
@@ -239,9 +245,11 @@ def closure_relations(
         nle_rows[a] |= 1 << c
     for (a, c), p_seed in seeds:
         for b in _bits(up[a]):
-            p_b = p_seed if b == a else f"closure({le[(a, b)]},{p_seed})"
             new = down[c] & ~nle_rows[b]
+            if not new:
+                continue
             nle_rows[b] |= new
+            p_b = p_seed if b == a else f"closure({le[(a, b)]},{p_seed})"
             for d in _bits(new):
                 nle[(b, d)] = p_b if d == c else f"closure({le[(d, c)]},{p_b})"
 
@@ -267,22 +275,25 @@ def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
     rels += trivial_relations(genus)
     rels += clifford_collapse(genus)
 
+    # the pair loops compare indices, not BNLocus dataclasses, whose
+    # generated __eq__ and __hash__ run in Python
+
     # refined Brill-Noether for fixed gonality: exact criterion both ways
-    for src in loci:
+    for i, src in enumerate(loci):
         if src.r != 1:
             continue
-        for tgt in loci:
-            if tgt == src:
+        for j, tgt in enumerate(loci):
+            if i == j:
                 continue
             if rho_k(genus, src.d, tgt.r, tgt.d) >= 0:
                 rels.append(Relation(src, tgt, RelKind.LE, "gonality"))
             else:
                 rels.append(Relation(src, tgt, RelKind.NLE, "gonality"))
 
-    kap = {x: kappa(genus, x.r, x.d) for x in loci}
-    for x in loci:
-        for y in loci:
-            if x != y and kap[x] > kap[y]:
+    kap = [kappa(genus, x.r, x.d) for x in loci]
+    for x, kx in zip(loci, kap):
+        for y, ky in zip(loci, kap):
+            if kx > ky:  # never x itself
                 rels.append(Relation(x, y, RelKind.NLE, "kappa"))
 
     for x in loci:
@@ -301,11 +312,11 @@ def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
                 if rel is not None:
                     rels.append(rel)
 
-    for x in loci:
+    for i, x in enumerate(loci):
         if delta(genus, x.r, x.d) >= 0:
             continue
-        for y in loci:
-            if x == y:
+        for j, y in enumerate(loci):
+            if i == j:
                 continue
             rel = k3_noncontainment(genus, x.r, x.d, y.r, y.d)
             if rel is not None:

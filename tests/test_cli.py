@@ -379,6 +379,30 @@ def test_verify_empty_range_is_rejected(capsys, monkeypatch):
         parse_genus_range("12..7")
 
 
+@pytest.mark.parametrize("spec", ["7..", "abc", "7..x", "..12", "", "-3", "7...12"])
+def test_verify_malformed_range_names_the_spec_and_the_forms(capsys, monkeypatch, spec):
+    _refuse_work(monkeypatch, "assemble")
+    code, out, err = run(capsys, "verify", spec)
+    assert code == EXIT_DOMAIN and out == ""
+    assert f"invalid genus range {spec!r}" in err
+    assert "a genus (9) or a range (7..12)" in err
+    with pytest.raises(ValueError, match="invalid genus range"):
+        parse_genus_range(spec)
+
+
+def test_poset_above_the_genus_cap_is_rejected(capsys, monkeypatch):
+    from bnloci.cli import MAX_POSET_GENUS
+
+    assert MAX_POSET_GENUS == 30
+    _refuse_work(monkeypatch, "assemble")
+    code, out, err = run(capsys, "poset", "31", "--format", "json")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "genus 31 is above 30" in err
+    # the cap itself is assembled: the refusal shows that it got that far
+    with pytest.raises(AssertionError, match="assemble started"):
+        main(["poset", "30"])
+
+
 @pytest.mark.parametrize("spec", ["13", "6", "11..13"])
 def test_verify_outside_packaged_genera_is_a_domain_error(capsys, monkeypatch, spec):
     _refuse_work(monkeypatch, "assemble")

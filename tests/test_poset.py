@@ -365,7 +365,7 @@ def test_closure_matches_naive_closure_on_genus_9(data):
     assert_matches_naive_closure(g, loci, rels)
 
 
-@pytest.mark.parametrize("g", range(13, 17))
+@pytest.mark.parametrize("g", range(13, 19))
 def test_closure_matches_naive_closure_on_assemble_seeds(g, monkeypatch):
     loci, rels = assemble_seeds(g, monkeypatch)
     assert_matches_naive_closure(g, loci, rels)
