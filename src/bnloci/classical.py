@@ -9,17 +9,14 @@ proper loci.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 
 from .loci import BNLocus, RelKind, Relation, rho, kappa
 
 
-@dataclass(frozen=True)
-class CastelnuovoData:
-    m: int
-    epsilon: int
-    bound: int
+class CastelnuovoData(namedtuple("CastelnuovoData", "m epsilon bound")):
+    __slots__ = ()
 
 
 def castelnuovo_bound(r: int, d: int) -> CastelnuovoData:
@@ -133,14 +130,13 @@ def four_secant_count(g: int, d: int) -> int:
     return int(val)
 
 
-@dataclass(frozen=True)
-class ConjectureThresholds:
+class ConjectureThresholds(namedtuple("ConjectureThresholds", "threshold_a threshold_b")):
     """Informational degree thresholds above which containments into larger-
-    dimension series (threshold_a, for r < s) or into nets (threshold_b, for
-    s = 2 <= r-1) are conjectured.  Never used to emit relations."""
+    dimension series (threshold_a, a Fraction, for r < s) or into nets
+    (threshold_b, an int, for s = 2 <= r-1) are conjectured; each is None
+    where it does not apply.  Never used to emit relations."""
 
-    threshold_a: Fraction | None
-    threshold_b: int | None
+    __slots__ = ()
 
 
 def conjecture_thresholds(g: int, r: int, d: int, s: int) -> ConjectureThresholds:

@@ -192,16 +192,14 @@ def cmd_k3(args) -> int:
     minimum = min((a.c2_bound for a in assignments), default=None)
     box = destab_box(basis)
     # a few dozen distinct classes and at most 2^s - 1 filtration types
-    # recur across thousands of assignments: render each once, keyed on the
-    # class's (a, b), which hashes in C unlike the dataclass itself
+    # recur across thousands of assignments: render each once
     shown = {}
     types = {}
 
     def show(c):
-        key = (c.a, c.b)
-        text = shown.get(key)
+        text = shown.get(c)
         if text is None:
-            text = shown[key] = (str(c), list(c.xy), str(c.xy))
+            text = shown[c] = (str(c), list(c.xy), str(c.xy))
         return text
 
     def type_of(a):

@@ -54,10 +54,11 @@ assemble(13..17).
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
 it as an integer times D = 2 lcm(1..s+1) and builds a Fraction only for a
-listed assignment or the final minimum.  Each candidate class is one row of
-integers built once per lattice, and a leaf is read off its rows alone: the
-filter tags from the row's (a, b) and (H-c)^2, and the listing's sort key
-from the ranks and each row's (a, b).
+listed assignment or a minimum that min_series_degree returns; the minimum
+cache and k3_noncontainment stay in integers.  Each candidate class is one
+row of integers built once per lattice, and a leaf is read off its rows
+alone: the filter tags from the row's (a, b) and (H-c)^2, and the listing's
+sort key from the ranks and each row's class, which orders as (a, b).
 
 Every leaf, on both paths, is re-checked in integers, with no bisection or
 rounding shared with the cuts: the n - 1 adjacent slope pairs of P_0..P_n
@@ -85,8 +86,8 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
+from collections import namedtuple
 from collections.abc import Callable
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -96,8 +97,9 @@ from .lattice import H, ZERO, LatticeBasis, LatticeClass, delta, floor_sqrt_rati
 from .loci import BNLocus, RelKind, Relation, rho
 
 
-@dataclass(frozen=True)
-class FilterConfig:
+class FilterConfig(
+    namedtuple("FilterConfig", "dm_filter elliptic_filter", defaults=(False, False))
+):
     """Optional exclusion rules for assignments that provably never arise
     from genuine terminal filtrations.
 
@@ -109,24 +111,21 @@ class FilterConfig:
     of an elliptic-pencil line bundle, hence not stable.
 
     Filters only ever remove assignments, so the unfiltered minimum is the
-    safe bound for non-containment certificates.
+    safe bound for non-containment certificates.  Both switches default
+    to False.
     """
 
-    dm_filter: bool = False
-    elliptic_filter: bool = False
+    __slots__ = ()
 
 
 BOTH_FILTERS = FilterConfig(dm_filter=True, elliptic_filter=True)
 
 
-@dataclass(frozen=True)
-class LMInvariants:
+class LMInvariants(namedtuple("LMInvariants", "rank c2 chi")):
     """Numerical invariants of the Lazarsfeld-Mukai bundle of a g^s_e on a
     smooth genus-g curve in |H|; c1 is always H."""
 
-    rank: int
-    c2: int
-    chi: int
+    __slots__ = ()
 
 
 def lm_invariants(g: int, s: int, e: int) -> LMInvariants:
@@ -147,34 +146,35 @@ def enumerate_filtration_types(s: int) -> list[tuple[int, ...]]:
     return types
 
 
-@dataclass(frozen=True)
-class Assignment:
+class Assignment(
+    namedtuple("Assignment", "ranks chern c2_bound filtered_by", defaults=((),))
+):
     """Candidate filtration datum: ranks r_1 < ... < r_n = s+1 and the first
     Chern classes c1(E_1), ..., c1(E_n) = H, with its exact rational lower
     bound on c_2(E).
 
-    ``filtered_by`` records which optional filters would discard it; the
-    tags are annotations, the discarding is done by the active config.
+    ``ranks`` is a tuple of ints, ``chern`` a tuple of
+    :class:`~bnloci.lattice.LatticeClass`, ``c2_bound`` a Fraction.
+    ``filtered_by`` (default ``()``) records which optional filters would
+    discard it; the tags are annotations, the discarding is done by the
+    active config.
     """
 
-    ranks: tuple[int, ...]
-    chern: tuple[LatticeClass, ...]
-    c2_bound: Fraction
-    filtered_by: tuple[str, ...] = field(default=())
+    __slots__ = ()
 
     @property
     def type_str(self) -> str:
         return "<".join(str(r) for r in self.ranks)
 
     def sort_key(self):
-        return (len(self.ranks), self.ranks, tuple(c.key() for c in self.chern))
+        return (len(self.ranks), self.ranks, self.chern)
 
 
-@dataclass(frozen=True)
-class GTPattern:
-    """Triangular array x_{i,j} (1 <= j <= i <= n) of exact rationals."""
+class GTPattern(namedtuple("GTPattern", "entries")):
+    """Triangular array x_{i,j} (1 <= j <= i <= n) of exact rationals,
+    as a tuple of rows of Fractions."""
 
-    entries: tuple[tuple[Fraction, ...], ...]
+    __slots__ = ()
 
     def is_valid(self) -> bool:
         """The interlacing conditions x_{i,j} >= x_{i+1,j+1} >= x_{i+1,j}."""
@@ -283,7 +283,7 @@ def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
         if self_int(basis, q) < 0 or pair(basis, H, q) <= 0:
             continue
         cands.append(H - q)
-    cands.sort(key=lambda c: c.key())
+    cands.sort()
     return cands
 
 
@@ -332,6 +332,7 @@ def _dropped(config: FilterConfig, flags: tuple[str, ...]) -> bool:
     )
 
 
+@lru_cache(maxsize=None)
 def _scale(s: int) -> int:
     """D = 2 lcm(1..s+1): every c_2 term times D is an integer, since each
     factor rank rho <= s+1 divides lcm(1..s+1)."""
@@ -340,18 +341,18 @@ def _scale(s: int) -> int:
 
 @lru_cache(maxsize=512)
 def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
-    """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c, (a, b)),
+    """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c),
     sorted by (H-degree, class), cached per lattice.  With u = H.c = a H^2 + b d
     and v = a d + b L^2, c.x = x.a u + x.b v for any class x, so a step needs
-    two products; the trailing (a, b) is the class's sort key, built here once
-    so that a listed leaf's key only collects it."""
+    two products.  The class c is a tuple that orders as (a, b), so it is
+    also its own sort key."""
     h2, d, l2 = basis.h_square, basis.d, basis.l_square
     rows = []
     for c in candidate_subsheaf_classes(basis):
         u, v = c.a * h2 + c.b * d, c.a * d + c.b * l2
         cc = c.a * u + c.b * v
-        rows.append((u, c.a, c.b, cc, v, h2 - 2 * u + cc, c, c.key()))
-    rows.sort(key=lambda row: (row[0], row[7]))
+        rows.append((u, c.a, c.b, cc, v, h2 - 2 * u + cc, c))
+    rows.sort(key=lambda row: (row[0], row[6]))
     return tuple(rows)
 
 
@@ -471,7 +472,8 @@ def enumerate_assignments(
     distinct scaled bound and shared by the leaves that reach it) and its filter
     tags read off the leaf's candidate rows.  The sort key
     (:meth:`Assignment.sort_key` without the common last class H) collects
-    the rows' prebuilt (a, b) keys, and the list is sorted once on it.
+    the rows' classes, which order as (a, b), and the list is sorted once
+    on it.
     ``workers`` must be an int in 1..MAX_WORKERS (else ValueError) and is
     otherwise ignored: the search is serial, because a thread pool over the
     filtration types ran slower under the GIL.
@@ -489,8 +491,9 @@ def enumerate_assignments(
     def leaf(ranks, path, total):
         flags = _tags(s, basis.r, ranks, path)
         if not _dropped(config, flags):
-            key = (len(ranks), ranks, tuple([row[7] for row in path]))
-            chern = tuple([row[6] for row in path]) + (H,)
+            heads = tuple([row[6] for row in path])
+            key = (len(ranks), ranks, heads)
+            chern = heads + (H,)
             bound = bounds.get(total)
             if bound is None:
                 bound = bounds[total] = Fraction(total, big)
@@ -508,11 +511,14 @@ class _FloorReached(Exception):
 @lru_cache(maxsize=4096)
 def _min_bound_cached(
     g: int, r: int, d: int, s: int, dm: bool, elliptic: bool, floor: int | None
-) -> Fraction | None:
+) -> int | None:
     """The one cache of minimum-only searches, keyed on plain values: the
     lattice (g, r, d), the series s, the two filter switches and the floor.
     A hit hashes only these; the basis and the config are built on a miss.
-    :func:`min_series_degree` and :func:`k3_noncontainment` both read it."""
+    It holds the minimum as the scaled integer bound (times D =
+    :func:`_scale`), or None when no assignment is kept, and builds no
+    Fraction: :func:`k3_noncontainment` compares it with e * D in integers,
+    and :func:`min_series_degree` divides by D on return."""
     basis = LatticeBasis(g, r, d)
     config = FilterConfig(dm, elliptic)
     _check_search_args(basis, s)
@@ -533,7 +539,7 @@ def _min_bound_cached(
         _walk(basis, s, leaf)
     except _FloorReached:
         pass
-    return None if best is None else Fraction(best, big)
+    return best
 
 
 def min_series_degree(
@@ -549,8 +555,8 @@ def min_series_degree(
 
     This is the minimum-only path of the shared DFS core: it keeps the
     smallest scaled integer bound among the leaves that pass the config's
-    filters, builds no Assignment and no Fraction per leaf, and returns
-    ``Fraction(best, D)`` once, cached per (lattice, s, filters, floor).
+    filters, builds no Assignment and no Fraction per leaf, caches that
+    integer per (lattice, s, filters, floor), and returns ``Fraction(best, D)``.
 
     With ``floor`` set, the search stops at the first kept leaf whose bound
     is <= floor and returns that bound: the result is the exact minimum
@@ -559,7 +565,8 @@ def min_series_degree(
     passes the Clifford floor 2s (see the module docstring).
     """
     dm, elliptic = (config.dm_filter, config.elliptic_filter) if config else (False, False)
-    return _min_bound_cached(basis.g, basis.r, basis.d, s, dm, elliptic, floor)
+    best = _min_bound_cached(basis.g, basis.r, basis.d, s, dm, elliptic, floor)
+    return None if best is None else Fraction(best, _scale(s))
 
 
 def _check_proper_locus(g: int, r: int, d: int) -> None:
@@ -587,38 +594,36 @@ def k3_noncontainment(
 
     The minima come from the cache of :func:`min_series_degree`, read
     directly on its plain-int key: assemble asks this for every pair of loci,
-    and a cache hit then builds no basis and no config.
+    and a cache hit then builds no basis, no config and no Fraction.  The
+    cache holds the minimum times D > 0, so "minimum > e" is tested exactly
+    as "scaled minimum > e * D" in integers.
     """
     _check_proper_locus(g, r, d)
     _check_proper_locus(g, s, e)
     if delta(g, r, d) >= 0:
         return None
     dm, elliptic = (config.dm_filter, config.elliptic_filter) if config else (False, False)
+    bound = e * _scale(s)
     m = _min_bound_cached(g, r, d, s, dm, elliptic, 2 * s)
-    if not (m is None or m > e):
+    if not (m is None or m > bound):
         return None
     provenance = "k3"
     if dm or elliptic:
         m0 = _min_bound_cached(g, r, d, s, False, False, 2 * s)
-        if not (m0 is None or m0 > e):
+        if not (m0 is None or m0 > bound):
             used = [name for name, on in (("dm", dm), ("elliptic", elliptic)) if on]
             provenance = "k3[" + ",".join(used) + "]"
     return Relation(BNLocus(g, r, d), BNLocus(g, s, e), RelKind.NLE, provenance)
 
 
-@dataclass(frozen=True)
-class K3Expectation:
+class K3Expectation(namedtuple("K3Expectation", "g r d s e witness")):
     """A potential containment M^r_{g,d} <= M^s_{g,e} that holds for smooth
     hyperplane sections of general K3s with Picard lattice Lambda^r_{g,d},
     witnessed by an assignment with c_2 bound <= e.  An expectation, not a
-    proof: witnesses need not come from genuine filtrations."""
+    proof: witnesses need not come from genuine filtrations.  ``witness``
+    is the :class:`Assignment`."""
 
-    g: int
-    r: int
-    d: int
-    s: int
-    e: int
-    witness: Assignment
+    __slots__ = ()
 
 
 def k3_expected(

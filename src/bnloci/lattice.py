@@ -7,16 +7,15 @@ integer arithmetic, so pairings stay exact at any size.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 
-@dataclass(frozen=True)
-class LatticeClass:
-    """An integer class a*H + b*L."""
+class LatticeClass(namedtuple("LatticeClass", "a b")):
+    """An integer class a*H + b*L.  As a tuple it orders as (a, b); the
+    arithmetic operators below replace tuple concatenation and repetition."""
 
-    a: int
-    b: int
+    __slots__ = ()
 
     def __add__(self, other: "LatticeClass") -> "LatticeClass":
         return LatticeClass(self.a + other.a, self.b + other.b)
@@ -57,17 +56,20 @@ L = LatticeClass(0, 1)
 ZERO = LatticeClass(0, 0)
 
 
-@dataclass(frozen=True)
-class LatticeBasis:
+class LatticeBasis(namedtuple("LatticeBasis", "g r d")):
     """The lattice Z[H] + Z[L] with H^2 = 2g-2, H.L = d, L^2 = 2r-2."""
 
-    g: int
-    r: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 2 or self.r < 0 or self.d < 0:
-            raise ValueError(f"invalid lattice basis ({self.g}, {self.r}, {self.d})")
+    def __new__(cls, g: int, r: int, d: int):
+        if g < 2 or r < 0 or d < 0:
+            raise ValueError(f"invalid lattice basis ({g}, {r}, {d})")
+        return tuple.__new__(cls, (g, r, d))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: keep it validating
+        return cls(*iterable)
 
     @property
     def h_square(self) -> int:

@@ -8,7 +8,7 @@ subvarieties (rho < 0), normalized by Serre duality so that d <= g-1.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from collections import namedtuple
 from math import isqrt
 
 
@@ -21,17 +21,20 @@ class RelKind(str, enum.Enum):
         return self.value
 
 
-@dataclass(frozen=True)
-class BNLocus:
+class BNLocus(namedtuple("BNLocus", "g r d")):
     """The Brill-Noether locus M^r_{g,d}."""
 
-    g: int
-    r: int
-    d: int
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.g < 3 or self.r < 1 or self.d < 2:
-            raise ValueError(f"invalid locus (g={self.g}, r={self.r}, d={self.d})")
+    def __new__(cls, g: int, r: int, d: int):
+        if g < 3 or r < 1 or d < 2:
+            raise ValueError(f"invalid locus (g={g}, r={r}, d={d})")
+        return tuple.__new__(cls, (g, r, d))
+
+    @classmethod
+    def _make(cls, iterable):
+        # _replace builds through _make: keep it validating
+        return cls(*iterable)
 
     @property
     def key(self) -> tuple[int, int]:
@@ -41,18 +44,19 @@ class BNLocus:
         return f"M^{self.r}_{{{self.g},{self.d}}}"
 
 
-@dataclass(frozen=True)
-class Relation:
+class Relation(namedtuple("Relation", "lhs rhs kind provenance")):
     """A typed claim between two loci of the same genus, with provenance."""
 
-    lhs: BNLocus
-    rhs: BNLocus
-    kind: RelKind
-    provenance: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.lhs.g != self.rhs.g:
+    def __new__(cls, lhs: BNLocus, rhs: BNLocus, kind: RelKind, provenance: str):
+        if lhs.g != rhs.g:
             raise ValueError("relations must stay within one genus")
+        return tuple.__new__(cls, (lhs, rhs, kind, provenance))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def __str__(self) -> str:
         sym = {RelKind.EQ: "=", RelKind.LE: "<=", RelKind.NLE: "!<="}[self.kind]

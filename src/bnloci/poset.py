@@ -14,15 +14,19 @@ B <= D, so A <= B <= D <= C contradicts the seed (A, C) itself: checking
 the seeded !<= cells against <= finds every contradiction.
 
 The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
-closed !<= rows and each locus's class representative, with provenance in
-tables keyed by index pairs, and every query is a row operation on them.
-The cover diagram is the transitive reduction of ``up`` restricted to the
-class representatives.
+closed !<= rows and each locus's class representative, and every query is
+a row operation on them.  Provenance is kept as derivation records, not
+strings: a seeded cell keeps its rule's string, a <= cell derived in
+Warshall's round k records k, and a derived !<= cell is credited on read to
+the lexicographically first seed that reaches it.  The matrix renders a
+cell's provenance string only when it is read, and keeps it.  The cover
+diagram is the transitive reduction of ``up`` restricted to the class
+representatives.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from typing import Iterable
 
 from .classical import coppens_noncontainment, plane_projection_rule, secant_containment
@@ -52,21 +56,22 @@ class ContradictionError(RuntimeError):
         )
 
 
-@dataclass(frozen=True)
-class Fact:
+class Fact(namedtuple("Fact", "lhs rhs kind source")):
     """An externally supplied relation (a result proved by construction),
     ingested from a data file with a non-empty citation string."""
 
-    lhs: BNLocus
-    rhs: BNLocus
-    kind: RelKind
-    source: str
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.source:
+    def __new__(cls, lhs: BNLocus, rhs: BNLocus, kind: RelKind, source: str):
+        if not source:
             raise ValueError("facts must carry a citation string")
-        if self.lhs.g != self.rhs.g:
+        if lhs.g != rhs.g:
             raise ValueError("facts must stay within one genus")
+        return tuple.__new__(cls, (lhs, rhs, kind, source))
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     def to_relation(self) -> Relation:
         return Relation(self.lhs, self.rhs, self.kind, f"fact:{self.source}")
@@ -93,18 +98,56 @@ def _bits(row: int):
         row ^= low
 
 
+def _low(row: int) -> int:
+    """Index of the lowest set bit of a nonzero ``row``."""
+    return (row & -row).bit_length() - 1
+
+
+def _render_le(texts: dict, via: dict, i: int, j: int) -> str:
+    """Provenance of the <= cell (i, j): its text if ``texts`` has it (a
+    seed or an earlier rendering), else ``closure(p(i,k),p(k,j))`` for its
+    Warshall round k = ``via[(i, j)]``, rendered and stored in ``texts``.
+    Both premises were set before round k, so the walk ends; it keeps its
+    own stack rather than recursing."""
+    stack = [(i, j)]
+    while stack:
+        a, b = cell = stack[-1]
+        if cell in texts:
+            stack.pop()
+            continue
+        k = via[cell]
+        left, right = texts.get((a, k)), texts.get((k, b))
+        if left is None:
+            stack.append((a, k))
+        elif right is None:
+            stack.append((k, b))
+        else:
+            texts[cell] = f"closure({left},{right})"
+            stack.pop()
+    return texts[(i, j)]
+
+
 class RelationMatrix:
     """Closed matrix of pairwise claims at a fixed genus.
 
     The matrix holds the closure's own rows over the loci 0..n-1 in key
     order: ``up[i]`` (bit j: locus i <= locus j), ``nle_rows[i]`` (bit j:
     locus i !<= locus j) and ``rep[i]``, the index of the smallest-key
-    member of i's equality class; provenance lives in index-keyed tables.
-    Both row sets are closed over every locus, and equal loci have equal
-    rows and equal columns (x <= x' <= x carries every <= and !<= across),
-    so the kind of any cell is read off its own bits, while its provenance
-    is that of the representatives' cell.  Instances are immutable once
-    built and safe to share.
+    member of i's equality class.  Both row sets are closed over every
+    locus, and equal loci have equal rows and equal columns (x <= x' <= x
+    carries every <= and !<= across), so the kind of any cell is read off
+    its own bits, while its provenance is that of the representatives' cell.
+
+    Provenance is held as derivation records, keyed by index pairs: the
+    seeded cells' strings, the Warshall round of each derived <= cell, and
+    the seeded !<= rows, from which a derived !<= cell finds the seed it is
+    credited to.  :meth:`relation`, :meth:`all_relations`, :func:`covers`
+    and a :class:`ContradictionError` render a provenance string only when
+    they read it, and the matrix memoizes each rendered string, so the
+    strings are the same as if they had been built during the closure.
+    Rendering only adds to those memo tables and is a function of the
+    records, so instances are immutable in effect once built and safe to
+    share.
     """
 
     def __init__(
@@ -113,16 +156,22 @@ class RelationMatrix:
         loci: tuple[BNLocus, ...],
         index: dict[BNLocus, int],
         up: list[int],
+        down: list[int],
         nle_rows: list[int],
+        seed_rows: list[int],
         rep: list[int],
         le: dict[tuple[int, int], str],
+        via: dict[tuple[int, int], int],
         nle: dict[tuple[int, int], str],
     ):
         self.genus = genus
         self.loci = loci
         self._index = index
-        self._up, self._nle_rows, self._rep = up, nle_rows, rep
-        self._le, self._nle = le, nle
+        self._up, self._down, self._nle_rows, self._rep = up, down, nle_rows, rep
+        # seed_rows[a] bit c: (a, c) is a seeded !<= cell
+        self._seed_rows = seed_rows
+        # le and nle start as the seeds' strings and memoize the rest
+        self._le, self._via, self._nle = le, via, nle
         members: dict[int, int] = {}
         for i, r in enumerate(rep):
             members[r] = members.get(r, 0) | 1 << i
@@ -130,6 +179,30 @@ class RelationMatrix:
         self._same = [members[r] for r in rep]
         self._rep_mask = sum(1 << r for r in members)
         self.classes = tuple(tuple(loci[i] for i in _bits(m)) for m in members.values())
+
+    def _le_prov(self, i: int, j: int) -> str:
+        return _render_le(self._le, self._via, i, j)
+
+    def _nle_prov(self, b: int, d: int) -> str:
+        """Provenance of the !<= cell (b, d).  A derived cell is credited to
+        the lexicographically first seed (a, c) with a <= b and d <= c and
+        reads ``closure(p(d,c),closure(p(a,b),p(a,c)))``, dropping the outer
+        or inner step when d = c or a = b."""
+        text = self._nle.get((b, d))
+        if text is None:
+            up, seed_rows = self._up, self._seed_rows
+            for a in _bits(self._down[b]):
+                hit = seed_rows[a] & up[d]
+                if hit:
+                    break
+            c = _low(hit)
+            text = self._nle[(a, c)]
+            if a != b:
+                text = f"closure({self._le_prov(a, b)},{text})"
+            if c != d:
+                text = f"closure({self._le_prov(d, c)},{text})"
+            self._nle[(b, d)] = text
+        return text
 
     def class_of(self, x: BNLocus) -> BNLocus:
         return self.loci[self._rep[self._index[x]]]
@@ -142,11 +215,10 @@ class RelationMatrix:
         i, j = self._index[x], self._index[y]
         if self._same[i] >> j & 1:
             return (RelKind.EQ.value, "class")
-        cell = (self._rep[i], self._rep[j])
         if self._up[i] >> j & 1:
-            return (RelKind.LE.value, self._le[cell])
+            return (RelKind.LE.value, self._le_prov(self._rep[i], self._rep[j]))
         if self._nle_rows[i] >> j & 1:
-            return (RelKind.NLE.value, self._nle[cell])
+            return (RelKind.NLE.value, self._nle_prov(self._rep[i], self._rep[j]))
         return ("unknown", None)
 
     def unknown_pairs(self) -> list[tuple[BNLocus, BNLocus]]:
@@ -168,8 +240,10 @@ class RelationMatrix:
                 continue
             le, nle = self._up[i], self._nle_rows[i]
             for j in _bits((le | nle) & self._rep_mask & ~(1 << i)):
-                kind, table = (RelKind.LE, self._le) if le >> j & 1 else (RelKind.NLE, self._nle)
-                out.append(Relation(loci[i], loci[j], kind, table[(i, j)]))
+                if le >> j & 1:
+                    out.append(Relation(loci[i], loci[j], RelKind.LE, self._le_prov(i, j)))
+                else:
+                    out.append(Relation(loci[i], loci[j], RelKind.NLE, self._nle_prov(i, j)))
         return out
 
 
@@ -183,16 +257,20 @@ def closure_relations(
         B <= C and A !<= C   gives   A !<= B
 
     An eq seed sets <= both ways; Warshall's pass closes <= on the bit rows
-    (see the module docstring), each class is represented by its member of
-    smallest key, and one pass over the seeded !<= cells ORs ``down[C]``
-    into the row of every B in ``up[A]``.  A seeded cell keeps its rule's
-    provenance (the most compact one when several seeds hit it); a derived
-    cell records its first derivation as ``closure(p1,p2)`` of its premises.
-    Almost every !<= cell is a seed, so a B whose row gains no cell from
-    ``down[C]`` is skipped before its premise string for A !<= C via A <= B
-    is built: strings are made only for the cells they label.
+    (see the module docstring), and each class is represented by its member
+    of smallest key.  The !<= rows come from one grouped OR: ``reach[A]`` is
+    the OR of ``down[C]`` over the seeds (A, C), and the row of B is the OR
+    of ``reach[A]`` over A <= B.
 
-    Raises :class:`ContradictionError` when a pair ends up both ways.
+    A seeded cell keeps its rule's provenance (the most compact one when
+    several seeds hit it).  A derived cell keeps only a derivation record,
+    and :class:`RelationMatrix` renders it as ``closure(p1,p2)`` of its
+    premises when it is read: a <= cell from its Warshall round k as
+    (i <= k, k <= j), a !<= cell (B, D) from the lexicographically first
+    seed (A, C) with A <= B and D <= C as A <= B and A !<= C, then D <= C.
+
+    Raises :class:`ContradictionError` when a pair ends up both ways; it
+    names the lexicographically first seeded !<= cell that <= contradicts.
     """
     loci = tuple(sorted(set(loci), key=lambda l: l.key))
     index = {x: i for i, x in enumerate(loci)}
@@ -200,61 +278,68 @@ def closure_relations(
     le: dict[tuple[int, int], str] = {}
     nle: dict[tuple[int, int], str] = {}
 
-    def put(table, key, prov):
-        old = table.get(key)
-        table[key] = prov if old is None else _merge_prov(old, prov)
-
     get = index.get
+    NLE, EQ = RelKind.NLE, RelKind.EQ
     for rel in relations:
-        if rel.lhs.g != genus or rel.rhs.g != genus:
+        lhs, rhs, kind, prov = rel
+        if lhs.g != genus or rhs.g != genus:
             raise ValueError(f"relation {rel} is not at genus {genus}")
-        a, b = get(rel.lhs), get(rel.rhs)
+        a, b = get(lhs), get(rhs)
         if a is None or b is None:
             raise ValueError(f"relation {rel} references a locus outside the poset")
-        if rel.kind is RelKind.NLE:
-            put(nle, (a, b), rel.provenance)
-        else:
-            put(le, (a, b), rel.provenance)
-            if rel.kind is RelKind.EQ:
-                put(le, (b, a), rel.provenance)
+        # setdefault stores a cell's first seed; any later one at the same
+        # cell goes through _merge_prov
+        table = nle if kind is NLE else le
+        old = table.setdefault((a, b), prov)
+        if old is not prov:
+            table[(a, b)] = _merge_prov(old, prov)
+        if kind is EQ:
+            old = le.setdefault((b, a), prov)
+            if old is not prov:
+                le[(b, a)] = _merge_prov(old, prov)
 
     up = [1 << i for i in range(n)]
     for a, b in le:
         up[a] |= 1 << b
+    via: dict[tuple[int, int], int] = {}
     for k in range(n):
+        bit, row_k = 1 << k, up[k]
         for i in range(n):
-            if up[i] >> k & 1:
-                new = up[k] & ~up[i]
-                up[i] |= new
-                for j in _bits(new):
-                    le[(i, j)] = f"closure({le[(i, k)]},{le[(k, j)]})"
+            if up[i] & bit:
+                new = row_k & ~up[i]
+                if new:
+                    up[i] |= new
+                    while new:
+                        low = new & -new
+                        via[(i, low.bit_length() - 1)] = k
+                        new ^= low
 
-    seeds = sorted(nle.items())
-    for (a, c), p_seed in seeds:
-        if up[a] >> c & 1:
-            raise ContradictionError(
-                loci[a], loci[c], le.get((a, c), "reflexivity"), p_seed
-            )
+    seed_rows = [0] * n
+    for a, c in nle:
+        seed_rows[a] |= 1 << c
+    for a in range(n):
+        if seed_rows[a] & up[a]:
+            c = _low(seed_rows[a] & up[a])
+            prov_le = _render_le(le, via, a, c) if a != c or (a, c) in le else "reflexivity"
+            raise ContradictionError(loci[a], loci[c], prov_le, nle[(a, c)])
 
     down = [0] * n
     for i in range(n):
         for j in _bits(up[i]):
             down[j] |= 1 << i
     nle_rows = [0] * n
-    for a, c in nle:
-        nle_rows[a] |= 1 << c
-    for (a, c), p_seed in seeds:
-        for b in _bits(up[a]):
-            new = down[c] & ~nle_rows[b]
-            if not new:
-                continue
-            nle_rows[b] |= new
-            p_b = p_seed if b == a else f"closure({le[(a, b)]},{p_seed})"
-            for d in _bits(new):
-                nle[(b, d)] = p_b if d == c else f"closure({le[(d, c)]},{p_b})"
+    for a in range(n):
+        if seed_rows[a]:
+            reach = 0
+            for c in _bits(seed_rows[a]):
+                reach |= down[c]
+            for b in _bits(up[a]):
+                nle_rows[b] |= reach
 
-    rep = [next(_bits(up[i] & down[i])) for i in range(n)]
-    return RelationMatrix(genus, loci, index, up, nle_rows, rep, le, nle)
+    rep = [_low(up[i] & down[i]) for i in range(n)]
+    return RelationMatrix(
+        genus, loci, index, up, down, nle_rows, seed_rows, rep, le, via, nle
+    )
 
 
 def closure(matrix: RelationMatrix) -> RelationMatrix:
@@ -274,9 +359,6 @@ def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
     rels: list[Relation] = []
     rels += trivial_relations(genus)
     rels += clifford_collapse(genus)
-
-    # the pair loops compare indices, not BNLocus dataclasses, whose
-    # generated __eq__ and __hash__ run in Python
 
     # refined Brill-Noether for fixed gonality: exact criterion both ways
     for i, src in enumerate(loci):
@@ -353,16 +435,12 @@ def covers(matrix: RelationMatrix) -> list[Relation]:
         for j in _bits(row & ~above):
             if any(trivially_implied(x, y) for x in members[i] for y in members[j]):
                 continue
-            out.append(Relation(loci[i], loci[j], RelKind.LE, matrix._le[(i, j)]))
+            out.append(Relation(loci[i], loci[j], RelKind.LE, matrix._le_prov(i, j)))
     return out
 
 
-@dataclass(frozen=True)
-class DiffCell:
-    lhs: BNLocus
-    rhs: BNLocus
-    got: str
-    want: str
+class DiffCell(namedtuple("DiffCell", "lhs rhs got want")):
+    __slots__ = ()
 
     def __str__(self) -> str:
         return f"{self.lhs} vs {self.rhs}: computed {self.got}, expected {self.want}"

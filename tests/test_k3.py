@@ -4,7 +4,6 @@ import random
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -345,7 +344,7 @@ def brute_force_assignments(basis, s):
         for heads in itertools.product(cands, repeat=len(ranks) - 1):
             a = Assignment(ranks, tuple(heads) + (H,), Fraction(0))
             if quotient_checks(basis, a) and gt_check(basis, a):
-                out.append(replace(a, c2_bound=c2_lower_bound(basis, a)))
+                out.append(a._replace(c2_bound=c2_lower_bound(basis, a)))
     return out
 
 
@@ -370,7 +369,7 @@ def test_enumeration_is_complete_against_brute_force(g, r, d, series):
     basis = LatticeBasis(g, r, d)
     for s in series:
         oracle = sorted(brute_force_assignments(basis, s), key=Assignment.sort_key)
-        oracle = [replace(a, filtered_by=expected_tags(basis, s, a)) for a in oracle]
+        oracle = [a._replace(filtered_by=expected_tags(basis, s, a)) for a in oracle]
         for cfg in ALL_CONFIGS:
             want = [a for a in oracle if not filtered_out(basis, s, a, cfg)]
             listed = enumerate_assignments(basis, s, cfg)
@@ -542,10 +541,10 @@ def per_type_walk(basis, s, leaf):
 
 
 def walk_leaves(walk, basis, s):
-    # a leaf as (ranks, the rows' (a, b) keys, scaled bound), sorted
+    # a leaf as (ranks, the rows' classes, scaled bound), sorted
     out = []
     walk(basis, s, lambda ranks, path, total: out.append(
-        (ranks, tuple(row[7] for row in path), total)
+        (ranks, tuple(row[6] for row in path), total)
     ))
     return sorted(out)
 

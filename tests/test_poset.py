@@ -142,6 +142,121 @@ def naive_compare(matrix, expected):
     ]
 
 
+def eager_closure(genus, loci, relations):
+    """Oracle: the closure as it stood when every provenance string was built
+    during the closure, not rendered from derivation records on read.
+    Returns ``(cells, relations)``: ``cells`` maps every ordered pair of
+    loci to ``relation()``'s (kind, provenance), and ``relations`` is
+    ``all_relations()``.  Raises the same ContradictionError."""
+
+    def bits(row):
+        while row:
+            low = row & -row
+            yield low.bit_length() - 1
+            row ^= low
+
+    def merge(p1, p2):
+        return p2 if (len(p2), p2) < (len(p1), p1) else p1
+
+    loci = tuple(sorted(set(loci), key=lambda l: l.key))
+    index = {x: i for i, x in enumerate(loci)}
+    n = len(loci)
+    le, nle = {}, {}
+
+    def put(table, key, prov):
+        old = table.get(key)
+        table[key] = prov if old is None else merge(old, prov)
+
+    for r in relations:
+        if r.lhs.g != genus or r.rhs.g != genus:
+            raise ValueError(f"relation {r} is not at genus {genus}")
+        a, b = index.get(r.lhs), index.get(r.rhs)
+        if a is None or b is None:
+            raise ValueError(f"relation {r} references a locus outside the poset")
+        if r.kind is RelKind.NLE:
+            put(nle, (a, b), r.provenance)
+        else:
+            put(le, (a, b), r.provenance)
+            if r.kind is RelKind.EQ:
+                put(le, (b, a), r.provenance)
+
+    up = [1 << i for i in range(n)]
+    for a, b in le:
+        up[a] |= 1 << b
+    for k in range(n):
+        for i in range(n):
+            if up[i] >> k & 1:
+                new = up[k] & ~up[i]
+                up[i] |= new
+                for j in bits(new):
+                    le[(i, j)] = f"closure({le[(i, k)]},{le[(k, j)]})"
+
+    seeds = sorted(nle.items())
+    for (a, c), p_seed in seeds:
+        if up[a] >> c & 1:
+            raise ContradictionError(loci[a], loci[c], le.get((a, c), "reflexivity"), p_seed)
+
+    down = [0] * n
+    for i in range(n):
+        for j in bits(up[i]):
+            down[j] |= 1 << i
+    nle_rows = [0] * n
+    for a, c in nle:
+        nle_rows[a] |= 1 << c
+    for (a, c), p_seed in seeds:
+        for b in bits(up[a]):
+            new = down[c] & ~nle_rows[b]
+            nle_rows[b] |= new
+            p_b = p_seed if b == a else f"closure({le[(a, b)]},{p_seed})"
+            for d in bits(new):
+                nle[(b, d)] = p_b if d == c else f"closure({le[(d, c)]},{p_b})"
+
+    rep = [next(bits(up[i] & down[i])) for i in range(n)]
+    cells = {}
+    for i, x in enumerate(loci):
+        for j, y in enumerate(loci):
+            cell = (rep[i], rep[j])
+            if rep[i] == rep[j]:
+                cells[(x, y)] = ("eq", "class")
+            elif up[i] >> j & 1:
+                cells[(x, y)] = ("subset", le[cell])
+            elif nle_rows[i] >> j & 1:
+                cells[(x, y)] = ("not_subset", nle[cell])
+            else:
+                cells[(x, y)] = ("unknown", None)
+    out = []
+    for i, r in enumerate(rep):
+        if r != i:
+            out.append(Relation(loci[i], loci[r], RelKind.EQ, "class"))
+            continue
+        for j in range(n):
+            if rep[j] == j != i and cells[(loci[i], loci[j])][0] != "unknown":
+                kind, prov = cells[(loci[i], loci[j])]
+                out.append(Relation(loci[i], loci[j], RelKind(kind), prov))
+    return cells, out
+
+
+def assert_matches_eager_closure(g, loci, rels):
+    """Every cell's (kind, provenance), all_relations() and any
+    ContradictionError message agree with the eager oracle.  A fresh matrix
+    renders all_relations() first, so neither reading order hides a record
+    that renders differently."""
+    try:
+        cells, want = eager_closure(g, loci, rels)
+    except ContradictionError as exc:
+        with pytest.raises(ContradictionError) as err:
+            closure_relations(g, loci, rels)
+        assert str(err.value) == str(exc)
+        assert (err.value.prov_le, err.value.prov_nle) == (exc.prov_le, exc.prov_nle)
+        return
+    m = closure_relations(g, loci, rels)
+    assert m.all_relations() == want
+    assert {(x, y): m.relation(x, y) for x in m.loci for y in m.loci} == cells
+    m = closure_relations(g, loci, rels)
+    assert {(x, y): m.relation(x, y) for x in m.loci for y in m.loci} == cells
+    assert m.all_relations() == want
+
+
 def assert_matches_naive_closure(g, loci, rels):
     want = naive_closure(loci, rels)
     try:
@@ -168,17 +283,17 @@ def assert_matches_naive_closure(g, loci, rels):
         assert got == naive_compare(a, b)
 
 
-def assemble_seeds(g, monkeypatch):
-    """The seed list that assemble(g) hands to closure_relations."""
+def assemble_seeds(g, monkeypatch, facts=()):
+    """The seed list that assemble(g, facts) hands to closure_relations;
+    the closure itself is not run."""
     seen = []
-    real = bnloci.poset.closure_relations
 
     def spy(genus, loci, relations):
         seen.append((list(loci), list(relations)))
-        return real(genus, loci, relations)
 
-    monkeypatch.setattr(bnloci.poset, "closure_relations", spy)
-    bnloci.poset.assemble(g)
+    with monkeypatch.context() as patch:
+        patch.setattr(bnloci.poset, "closure_relations", spy)
+        bnloci.poset.assemble(g, facts)
     (loci, relations), = seen
     return loci, relations
 
@@ -259,6 +374,7 @@ def test_closure_random_small_matrices(data):
         a, b = data.draw(st.sampled_from(pairs))
         kind = data.draw(st.sampled_from([RelKind.EQ, RelKind.LE, RelKind.NLE]))
         rels.append(Relation(a, b, kind, f"seed{i}"))
+    assert_matches_eager_closure(g, loci, rels)
     try:
         m = closure_relations(g, loci, rels)
     except ContradictionError:
@@ -282,15 +398,32 @@ def test_closure_random_small_matrices(data):
 
 def test_contradiction_detection_direct():
     g = 9
+    rels = [
+        rel(g, (2, 6), (1, 4), RelKind.LE),
+        rel(g, (2, 6), (1, 4), RelKind.NLE),
+    ]
     with pytest.raises(ContradictionError):
-        closure_relations(
-            g,
-            enumerate_loci(g),
-            [
-                rel(g, (2, 6), (1, 4), RelKind.LE),
-                rel(g, (2, 6), (1, 4), RelKind.NLE),
-            ],
-        )
+        closure_relations(g, enumerate_loci(g), rels)
+    assert_matches_eager_closure(g, enumerate_loci(g), rels)
+
+
+@pytest.mark.parametrize("length", [0, 1, 2, 5])
+def test_generated_contradiction_message_matches_eager_closure(length):
+    # a chain x_0 <= ... <= x_length and a seed x_0 !<= x_length: the <= side
+    # of the message is rendered from nested Warshall records (a self-loop,
+    # "reflexivity", when the chain is empty)
+    g = 11
+    loci = enumerate_loci(g)
+    chain = loci[: length + 1]
+    rels = [
+        Relation(a, b, RelKind.LE, f"step{i}") for i, (a, b) in enumerate(zip(chain, chain[1:]))
+    ]
+    rels.append(Relation(chain[0], chain[-1], RelKind.NLE, "refuted"))
+    with pytest.raises(ContradictionError) as err:
+        closure_relations(g, loci, rels)
+    assert err.value.prov_nle == "refuted"
+    assert err.value.prov_le.count("closure(") == max(length - 1, 0)
+    assert_matches_eager_closure(g, loci, rels)
 
 
 def test_assemble_matches_figures_without_unknowns():
@@ -327,7 +460,7 @@ def test_genus_10_equality_classes():
     assert {(1, 2), (2, 5), (3, 7), (4, 9)} <= keys
 
 
-def test_injected_false_fact_names_kappa():
+def test_injected_false_fact_names_kappa(monkeypatch):
     facts = list(packaged_facts(9))
     facts.append(
         Fact(BNLocus(9, 1, 4), BNLocus(9, 2, 6), RelKind.LE, "injected falsehood")
@@ -336,9 +469,10 @@ def test_injected_false_fact_names_kappa():
         assemble(9, facts)
     msg = str(err.value)
     assert "kappa" in msg and "injected falsehood" in msg
+    assert_matches_eager_closure(9, *assemble_seeds(9, monkeypatch, facts))
 
 
-def test_equality_contradiction_names_both_loci_and_citation():
+def test_equality_contradiction_names_both_loci_and_citation(monkeypatch):
     facts = list(packaged_facts(9))
     facts.append(
         Fact(BNLocus(9, 1, 4), BNLocus(9, 2, 6), RelKind.EQ, "injected equality")
@@ -348,6 +482,7 @@ def test_equality_contradiction_names_both_loci_and_citation():
     msg = str(err.value)
     assert str(BNLocus(9, 1, 4)) in msg and str(BNLocus(9, 2, 6)) in msg
     assert "kappa" in msg and "fact:injected equality" in msg
+    assert_matches_eager_closure(9, *assemble_seeds(9, monkeypatch, facts))
 
 
 @settings(max_examples=300, deadline=None)
@@ -363,12 +498,22 @@ def test_closure_matches_naive_closure_on_genus_9(data):
         kind = data.draw(st.sampled_from([RelKind.EQ, RelKind.LE, RelKind.NLE]))
         rels.append(Relation(a, b, kind, f"seed{i}"))
     assert_matches_naive_closure(g, loci, rels)
+    assert_matches_eager_closure(g, loci, rels)
 
 
 @pytest.mark.parametrize("g", range(13, 19))
 def test_closure_matches_naive_closure_on_assemble_seeds(g, monkeypatch):
     loci, rels = assemble_seeds(g, monkeypatch)
     assert_matches_naive_closure(g, loci, rels)
+
+
+@pytest.mark.parametrize("g", range(7, 21))
+def test_provenance_matches_eager_closure_on_assemble_seeds(g, monkeypatch):
+    # with the packaged facts where there are any, so fact: provenance and
+    # closures over it are rendered too
+    facts = packaged_facts(g) if g <= 12 else ()
+    loci, rels = assemble_seeds(g, monkeypatch, facts)
+    assert_matches_eager_closure(g, loci, rels)
 
 
 def test_assemble_matches_behaviour_lock():
