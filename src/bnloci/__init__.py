@@ -75,6 +75,7 @@ from .poset import (
     closure_relations,
     compare,
     covers,
+    rule_sources,
     trivially_implied,
 )
 

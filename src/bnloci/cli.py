@@ -168,6 +168,9 @@ MAX_K3_SERIES = 14
 
 
 def cmd_k3(args) -> int:
+    if args.g < 3:
+        # the message enumerate_loci gives, and so bn poset
+        raise ValueError("need g >= 3")
     # the series of proper loci of genus g have 1 <= s <= (g-1)/2
     top = (args.g - 1) // 2
     if not 1 <= args.series <= top:

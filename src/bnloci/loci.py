@@ -111,12 +111,15 @@ def enumerate_loci(g: int) -> list[BNLocus]:
 
 def rho_k(g: int, k: int, r: int, d: int) -> int:
     """Gonality-refined Brill-Noether number: the general k-gonal curve
-    of genus g carries a g^r_d iff this is >= 0."""
-    rp = min(r, g - d + r - 1)
-    rp = max(rp, 0)
+    of genus g carries a g^r_d iff this is >= 0.
+
+    The correction is the maximum of the concave c*l - l^2 over
+    0 <= l <= r', taken at the integer nearest its vertex c/2 (c//2 when c
+    is odd ties with c//2 + 1), clamped to the range."""
+    rp = max(min(r, g - d + r - 1), 0)
     coeff = g - k - d + 2 * r + 1
-    best = max(coeff * l - l * l for l in range(rp + 1))
-    return rho(g, r, d) + best
+    l = min(max(coeff // 2, 0), rp)
+    return rho(g, r, d) + coeff * l - l * l
 
 
 def _floor_neg_two_sqrt(n: int) -> int:

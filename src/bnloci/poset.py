@@ -13,35 +13,34 @@ under both rules.  A contradiction at such a derived (B, D) would mean
 B <= D, so A <= B <= D <= C contradicts the seed (A, C) itself: checking
 the seeded !<= cells against <= finds every contradiction.
 
+The seeds are bit rows too.  Each rule family, and each fact, is one
+source: a provenance string and its seeded <= and !<= rows, filled row by
+row, and the closure starts from their OR.  A cell seeded by several
+sources keeps the least string by (length, string), so the sources are
+sorted once in that order and a seeded cell's string is that of the first
+source whose rows hold it.
+
 The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
 closed !<= rows and each locus's class representative, and every query is
 a row operation on them.  Provenance is kept as derivation records, not
-strings: a seeded cell keeps its rule's string, a <= cell derived in
-Warshall's round k records k, and a derived !<= cell is credited on read to
-the lexicographically first seed that reaches it.  The matrix renders a
-cell's provenance string only when it is read, and keeps it.  The cover
-diagram is the transitive reduction of ``up`` restricted to the class
-representatives.
+strings: the seed strings are resolved from the sources when a cell is
+first read, a <= cell derived in Warshall's round k records k, and a
+derived !<= cell is credited on read to the lexicographically first seed
+that reaches it.  The matrix renders a cell's provenance string only when
+it is read, and keeps it.  The cover diagram is the transitive reduction
+of ``up`` restricted to the class representatives.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import namedtuple
 from typing import Iterable
 
-from .classical import coppens_noncontainment, plane_projection_rule, secant_containment
+from .classical import coppens_noncontainment, plane_projection_rule, secant_expected_dim
 from .k3 import k3_noncontainment
 from .lattice import delta
-from .loci import (
-    BNLocus,
-    RelKind,
-    Relation,
-    clifford_collapse,
-    enumerate_loci,
-    kappa,
-    rho_k,
-    trivial_relations,
-)
+from .loci import BNLocus, RelKind, Relation, enumerate_loci, kappa, rho_k
 
 
 class ContradictionError(RuntimeError):
@@ -84,10 +83,15 @@ def trivially_implied(x: BNLocus, y: BNLocus) -> bool:
     return y.r <= x.r and x.d - y.d <= x.r - y.r
 
 
-def _merge_prov(p1: str, p2: str) -> str:
-    # keeps the most compact provenance for a cell that several rules hit,
-    # the first one on a tie
-    return p2 if (len(p2), p2) < (len(p1), p1) else p1
+def _seed(source: tuple, a: int, b: int, kind: RelKind) -> None:
+    """Seed the cell (a, b) of ``kind`` in ``source`` = (provenance, <= rows,
+    !<= rows), each rows a dict from a locus index to its bit row; an eq
+    seed sets <= both ways."""
+    _, le_rows, nle_rows = source
+    rows = nle_rows if kind is RelKind.NLE else le_rows
+    rows[a] = rows.get(a, 0) | 1 << b
+    if kind is RelKind.EQ:
+        le_rows[b] = le_rows.get(b, 0) | 1 << a
 
 
 def _bits(row: int):
@@ -103,30 +107,6 @@ def _low(row: int) -> int:
     return (row & -row).bit_length() - 1
 
 
-def _render_le(texts: dict, via: dict, i: int, j: int) -> str:
-    """Provenance of the <= cell (i, j): its text if ``texts`` has it (a
-    seed or an earlier rendering), else ``closure(p(i,k),p(k,j))`` for its
-    Warshall round k = ``via[(i, j)]``, rendered and stored in ``texts``.
-    Both premises were set before round k, so the walk ends; it keeps its
-    own stack rather than recursing."""
-    stack = [(i, j)]
-    while stack:
-        a, b = cell = stack[-1]
-        if cell in texts:
-            stack.pop()
-            continue
-        k = via[cell]
-        left, right = texts.get((a, k)), texts.get((k, b))
-        if left is None:
-            stack.append((a, k))
-        elif right is None:
-            stack.append((k, b))
-        else:
-            texts[cell] = f"closure({left},{right})"
-            stack.pop()
-    return texts[(i, j)]
-
-
 class RelationMatrix:
     """Closed matrix of pairwise claims at a fixed genus.
 
@@ -138,31 +118,17 @@ class RelationMatrix:
     carries every <= and !<= across), so the kind of any cell is read off
     its own bits, while its provenance is that of the representatives' cell.
 
-    Provenance is held as derivation records, keyed by index pairs: the
-    seeded cells' strings, the Warshall round of each derived <= cell, and
-    the seeded !<= rows, from which a derived !<= cell finds the seed it is
-    credited to.  :meth:`relation`, :meth:`all_relations`, :func:`covers`
-    and a :class:`ContradictionError` render a provenance string only when
-    they read it, and the matrix memoizes each rendered string, so the
-    strings are the same as if they had been built during the closure.
-    Rendering only adds to those memo tables and is a function of the
-    records, so instances are immutable in effect once built and safe to
-    share.
+    Provenance is held as derivation records: the seed sources, the
+    Warshall round of each derived <= cell, and the seeded !<= rows, which
+    credit each derived !<= cell to a seed.  Reads render and memoize the
+    strings (see :meth:`_seeded`), the same as if built during the closure,
+    so instances are immutable in effect and safe to share.
     """
 
     def __init__(
-        self,
-        genus: int,
-        loci: tuple[BNLocus, ...],
-        index: dict[BNLocus, int],
-        up: list[int],
-        down: list[int],
-        nle_rows: list[int],
-        seed_rows: list[int],
-        rep: list[int],
-        le: dict[tuple[int, int], str],
-        via: dict[tuple[int, int], int],
-        nle: dict[tuple[int, int], str],
+        self, genus: int, loci: tuple[BNLocus, ...], index: dict[BNLocus, int],
+        up: list[int], down: list[int], nle_rows: list[int], seed_rows: list[int],
+        rep: list[int], sources: list[tuple], via: dict[tuple[int, int], int],
     ):
         self.genus = genus
         self.loci = loci
@@ -170,8 +136,9 @@ class RelationMatrix:
         self._up, self._down, self._nle_rows, self._rep = up, down, nle_rows, rep
         # seed_rows[a] bit c: (a, c) is a seeded !<= cell
         self._seed_rows = seed_rows
-        # le and nle start as the seeds' strings and memoize the rest
-        self._le, self._via, self._nle = le, via, nle
+        self._sources, self._via = sources, via
+        # (le, nle): see _seeded; then the memo of every rendered string
+        self._tables: tuple[dict, dict] | None = None
         members: dict[int, int] = {}
         for i, r in enumerate(rep):
             members[r] = members.get(r, 0) | 1 << i
@@ -180,15 +147,52 @@ class RelationMatrix:
         self._rep_mask = sum(1 << r for r in members)
         self.classes = tuple(tuple(loci[i] for i in _bits(m)) for m in members.values())
 
+    def _seeded(self) -> tuple[dict, dict]:
+        """The (le, nle) tables, filled on the first call with the seeded
+        cells' strings in one pass over the sources from last to first, so
+        each cell ends with the string of the first source that holds it."""
+        if self._tables is None:
+            le: dict[tuple[int, int], str] = {}
+            nle: dict[tuple[int, int], str] = {}
+            for prov, le_rows, nle_rows in reversed(self._sources):
+                for table, rows in ((le, le_rows), (nle, nle_rows)):
+                    for i, row in rows.items():
+                        for j in _bits(row):
+                            table[(i, j)] = prov
+            self._tables = (le, nle)
+        return self._tables
+
     def _le_prov(self, i: int, j: int) -> str:
-        return _render_le(self._le, self._via, i, j)
+        """Provenance of the <= cell (i, j): its text if the le table has it
+        (a seed or an earlier rendering), else ``closure(p(i,k),p(k,j))``
+        for its Warshall round k = ``via[(i, j)]``, rendered and stored.
+        Both premises were set before round k, so the walk ends; it keeps
+        its own stack rather than recursing."""
+        texts, via = self._seeded()[0], self._via
+        stack = [(i, j)]
+        while stack:
+            a, b = cell = stack[-1]
+            if cell in texts:
+                stack.pop()
+                continue
+            k = via[cell]
+            left, right = texts.get((a, k)), texts.get((k, b))
+            if left is None:
+                stack.append((a, k))
+            elif right is None:
+                stack.append((k, b))
+            else:
+                texts[cell] = f"closure({left},{right})"
+                stack.pop()
+        return texts[(i, j)]
 
     def _nle_prov(self, b: int, d: int) -> str:
         """Provenance of the !<= cell (b, d).  A derived cell is credited to
         the lexicographically first seed (a, c) with a <= b and d <= c and
         reads ``closure(p(d,c),closure(p(a,b),p(a,c)))``, dropping the outer
         or inner step when d = c or a = b."""
-        text = self._nle.get((b, d))
+        nle = self._seeded()[1]
+        text = nle.get((b, d))
         if text is None:
             up, seed_rows = self._up, self._seed_rows
             for a in _bits(self._down[b]):
@@ -196,12 +200,12 @@ class RelationMatrix:
                 if hit:
                     break
             c = _low(hit)
-            text = self._nle[(a, c)]
+            text = nle[(a, c)]
             if a != b:
                 text = f"closure({self._le_prov(a, b)},{text})"
             if c != d:
                 text = f"closure({self._le_prov(d, c)},{text})"
-            self._nle[(b, d)] = text
+            nle[(b, d)] = text
         return text
 
     def class_of(self, x: BNLocus) -> BNLocus:
@@ -256,30 +260,14 @@ def closure_relations(
         A <= B and A !<= C   gives   B !<= C
         B <= C and A !<= C   gives   A !<= B
 
-    An eq seed sets <= both ways; Warshall's pass closes <= on the bit rows
-    (see the module docstring), and each class is represented by its member
-    of smallest key.  The !<= rows come from one grouped OR: ``reach[A]`` is
-    the OR of ``down[C]`` over the seeds (A, C), and the row of B is the OR
-    of ``reach[A]`` over A <= B.
-
-    A seeded cell keeps its rule's provenance (the most compact one when
-    several seeds hit it).  A derived cell keeps only a derivation record,
-    and :class:`RelationMatrix` renders it as ``closure(p1,p2)`` of its
-    premises when it is read: a <= cell from its Warshall round k as
-    (i <= k, k <= j), a !<= cell (B, D) from the lexicographically first
-    seed (A, C) with A <= B and D <= C as A <= B and A !<= C, then D <= C.
-
-    Raises :class:`ContradictionError` when a pair ends up both ways; it
-    names the lexicographically first seeded !<= cell that <= contradicts.
+    The relations become one seed source per provenance string, in one
+    pass, closed by :func:`_close`.  Raises ValueError for a relation off
+    the genus or outside ``loci``.
     """
     loci = tuple(sorted(set(loci), key=lambda l: l.key))
     index = {x: i for i, x in enumerate(loci)}
-    n = len(loci)
-    le: dict[tuple[int, int], str] = {}
-    nle: dict[tuple[int, int], str] = {}
-
+    sources: dict[str, tuple] = {}
     get = index.get
-    NLE, EQ = RelKind.NLE, RelKind.EQ
     for rel in relations:
         lhs, rhs, kind, prov = rel
         if lhs.g != genus or rhs.g != genus:
@@ -287,20 +275,29 @@ def closure_relations(
         a, b = get(lhs), get(rhs)
         if a is None or b is None:
             raise ValueError(f"relation {rel} references a locus outside the poset")
-        # setdefault stores a cell's first seed; any later one at the same
-        # cell goes through _merge_prov
-        table = nle if kind is NLE else le
-        old = table.setdefault((a, b), prov)
-        if old is not prov:
-            table[(a, b)] = _merge_prov(old, prov)
-        if kind is EQ:
-            old = le.setdefault((b, a), prov)
-            if old is not prov:
-                le[(b, a)] = _merge_prov(old, prov)
+        _seed(sources.get(prov) or sources.setdefault(prov, (prov, {}, {})), a, b, kind)
+    return _close(genus, loci, index, list(sources.values()))
 
+
+def _close(
+    genus: int, loci: tuple[BNLocus, ...], index: dict[BNLocus, int], sources: list[tuple]
+) -> RelationMatrix:
+    """Close the seed ``sources`` over ``loci`` (in key order), as the
+    module docstring says: Warshall's pass closes <= and records each
+    derived cell's round, and the !<= rows of each B are the OR of
+    ``reach[A]`` over A <= B, ``reach[A]`` being the OR of ``down[C]`` over
+    the seeds (A, C).  Raises :class:`ContradictionError` when a pair ends
+    up both ways, naming the first seeded !<= cell that <= contradicts."""
+    sources = sorted(sources, key=lambda source: (len(source[0]), source[0]))
+    n = len(loci)
     up = [1 << i for i in range(n)]
-    for a, b in le:
-        up[a] |= 1 << b
+    seed_rows = [0] * n
+    for _, le_rows, nle_rows in sources:
+        for i, row in le_rows.items():
+            up[i] |= row
+        for i, row in nle_rows.items():
+            seed_rows[i] |= row
+
     via: dict[tuple[int, int], int] = {}
     for k in range(n):
         bit, row_k = 1 << k, up[k]
@@ -313,15 +310,6 @@ def closure_relations(
                         low = new & -new
                         via[(i, low.bit_length() - 1)] = k
                         new ^= low
-
-    seed_rows = [0] * n
-    for a, c in nle:
-        seed_rows[a] |= 1 << c
-    for a in range(n):
-        if seed_rows[a] & up[a]:
-            c = _low(seed_rows[a] & up[a])
-            prov_le = _render_le(le, via, a, c) if a != c or (a, c) in le else "reflexivity"
-            raise ContradictionError(loci[a], loci[c], prov_le, nle[(a, c)])
 
     down = [0] * n
     for i in range(n):
@@ -337,9 +325,14 @@ def closure_relations(
                 nle_rows[b] |= reach
 
     rep = [_low(up[i] & down[i]) for i in range(n)]
-    return RelationMatrix(
-        genus, loci, index, up, down, nle_rows, seed_rows, rep, le, via, nle
-    )
+    matrix = RelationMatrix(genus, loci, index, up, down, nle_rows, seed_rows, rep, sources, via)
+    for a in range(n):
+        if seed_rows[a] & up[a]:
+            c = _low(seed_rows[a] & up[a])
+            le, nle = matrix._seeded()
+            prov_le = matrix._le_prov(a, c) if a != c or (a, c) in le else "reflexivity"
+            raise ContradictionError(loci[a], loci[c], prov_le, nle[(a, c)])
+    return matrix
 
 
 def closure(matrix: RelationMatrix) -> RelationMatrix:
@@ -347,71 +340,78 @@ def closure(matrix: RelationMatrix) -> RelationMatrix:
     return closure_relations(matrix.genus, matrix.loci, matrix.all_relations())
 
 
+def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
+    """Every rule family's seeds over ``loci`` (:func:`enumerate_loci` of
+    ``genus``) as one source each (see :func:`_seed`), filled row by row.
+    Gonality and secant test :func:`rho_k` and :func:`secant_expected_dim`
+    on each pair, a kappa row is the loci of smaller :func:`kappa`, and the
+    trivial, Clifford, plane-projection and Coppens rules set their few
+    bits.  A K3 row is bisected: :func:`k3_noncontainment` certifies
+    x !<= (s, e) iff x's cached minimum for s is None or above e * D, so the
+    certified targets of rank s are a prefix in ascending e.
+    """
+    at = {x.key: i for i, x in enumerate(loci)}
+    # key order puts rank s in the index run runs[s] = [start, count], after all lower ranks
+    runs: dict[int, list[int]] = {}
+    for i, x in enumerate(loci):
+        runs.setdefault(x.r, [i, 0])[1] += 1
+    trivial, clifford, gonality, kap_src, plane, coppens, secant, k3 = sources = [
+        (name, {}, {}) for name in ("trivial", "clifford", "gonality", "kappa",
+                                    "plane-projection", "coppens", "secant", "k3")
+    ]
+    kap = [kappa(genus, r, d) for _, r, d in loci]
+    seen, below = 0, {}  # below[k]: the loci of kappa < k, a prefix in kappa order
+    for i in sorted(range(len(loci)), key=kap.__getitem__):
+        kap_src[2][i] = below.setdefault(kap[i], seen)
+        seen |= 1 << i
+
+    full, hyper = (1 << len(loci)) - 1, at[(1, 2)]
+    for i, (g, r, d) in enumerate(loci):
+        # add a base point (Serre-normalized at d + 1 = g), remove a point
+        moves = ((r, d + 1) if d + 1 < g else (r - 1, g - 2), (r - 1, d - 1))
+        for j in {at.get(key) for key in moves} - {None, i}:
+            _seed(trivial, i, j, RelKind.LE)
+        if r >= 2 and (d == 2 * r or (d == 2 * r + 1 and g >= 7)):
+            _seed(clifford, i, hyper, RelKind.EQ)
+        if r == 1:
+            row = sum(1 << j for j, (_, s, e) in enumerate(loci) if rho_k(g, d, s, e) >= 0)
+            gonality[1][i], gonality[2][i] = row & ~(1 << i), full & ~row & ~(1 << i)
+        if r == 2:
+            for rel in (plane_projection_rule(g, d), coppens_noncontainment(g, d)):
+                if rel is not None and rel.rhs.key in at:
+                    source = plane if rel.kind is RelKind.LE else coppens
+                    _seed(source, i, at[rel.rhs.key], rel.kind)
+        secant[1][i] = sum(
+            1 << j for j, (_, s, e) in enumerate(loci[: runs[r][0]])
+            if e < d and secant_expected_dim(r, d, s, e) > 0
+        )
+        if delta(g, r, d) < 0:  # per rank s: the targets before the first uncertified one
+            k3[2][i] = ~(1 << i) & sum(
+                ((1 << bisect_left(range(count), True, key=lambda m: k3_noncontainment(
+                    g, r, d, s, loci[start + m].d) is None)) - 1) << start
+                for s, (start, count) in runs.items()
+            )
+    return sources
+
+
 def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
-    """Seed the matrix with every rule family plus the supplied facts, then
+    """Seed the matrix with every rule family (:func:`rule_sources`) and
+    each fact as a source of its own, provenance ``fact:<citation>``, then
     close.  Rule families: trivial containments, Clifford collapses, the
     gonality theorem (both directions), the kappa comparison, plane
     projection, Coppens' gonality theorem, positive-dimensional secant
-    cycles, and K3 filtration non-containments.
-    """
-    loci = enumerate_loci(genus)
-    lset = set(loci)
-    rels: list[Relation] = []
-    rels += trivial_relations(genus)
-    rels += clifford_collapse(genus)
-
-    # refined Brill-Noether for fixed gonality: exact criterion both ways
-    for i, src in enumerate(loci):
-        if src.r != 1:
-            continue
-        for j, tgt in enumerate(loci):
-            if i == j:
-                continue
-            if rho_k(genus, src.d, tgt.r, tgt.d) >= 0:
-                rels.append(Relation(src, tgt, RelKind.LE, "gonality"))
-            else:
-                rels.append(Relation(src, tgt, RelKind.NLE, "gonality"))
-
-    kap = [kappa(genus, x.r, x.d) for x in loci]
-    for x, kx in zip(loci, kap):
-        for y, ky in zip(loci, kap):
-            if kx > ky:  # never x itself
-                rels.append(Relation(x, y, RelKind.NLE, "kappa"))
-
-    for x in loci:
-        if x.r == 2:
-            rel = plane_projection_rule(genus, x.d)
-            if rel is not None and rel.rhs in lset:
-                rels.append(rel)
-            rel = coppens_noncontainment(genus, x.d)
-            if rel is not None and rel.rhs in lset:
-                rels.append(rel)
-
-    for x in loci:
-        for y in loci:
-            if x.r >= y.r + 1 >= 2 and y.d < x.d:
-                rel = secant_containment(genus, x.r, x.d, y.r, y.d)
-                if rel is not None:
-                    rels.append(rel)
-
-    for i, x in enumerate(loci):
-        if delta(genus, x.r, x.d) >= 0:
-            continue
-        for j, y in enumerate(loci):
-            if i == j:
-                continue
-            rel = k3_noncontainment(genus, x.r, x.d, y.r, y.d)
-            if rel is not None:
-                rels.append(rel)
-
+    cycles, and K3 filtration non-containments."""
+    loci = tuple(enumerate_loci(genus))
+    index = {x: i for i, x in enumerate(loci)}
+    sources = rule_sources(genus, loci)
     for fact in facts:
         if fact.lhs.g != genus:
             raise ValueError(f"fact {fact} is not at genus {genus}")
-        if fact.lhs not in lset or fact.rhs not in lset:
+        if fact.lhs not in index or fact.rhs not in index:
             raise ValueError(f"fact {fact} references a locus outside the poset")
-        rels.append(fact.to_relation())
-
-    return closure_relations(genus, loci, rels)
+        sources.append((f"fact:{fact.source}", {}, {}))
+        _seed(sources[-1], index[fact.lhs], index[fact.rhs], fact.kind)
+    return _close(genus, loci, index, sources)
 
 
 def covers(matrix: RelationMatrix) -> list[Relation]:

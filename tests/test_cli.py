@@ -370,6 +370,16 @@ def test_k3_series_outside_proper_ranks_is_rejected(capsys, monkeypatch, job, me
     assert message in err and out == ""
 
 
+@pytest.mark.parametrize("g", ["2", "-5"])
+def test_k3_genus_below_3_is_rejected_as_poset_rejects_it(capsys, monkeypatch, g):
+    _refuse_work(monkeypatch, "enumerate_assignments")
+    _refuse_work(monkeypatch, "LatticeBasis")
+    code, out, err = run(capsys, "k3", g, "1", "2", "--series", "1")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "need g >= 3" in err and "--series" not in err
+    assert run(capsys, "poset", g) == (code, out, err)
+
+
 def test_verify_empty_range_is_rejected(capsys, monkeypatch):
     _refuse_work(monkeypatch, "assemble")
     code, out, err = run(capsys, "verify", "12..7")

@@ -95,6 +95,42 @@ def test_rho_k_examples():
         assert rho_k(g, k + 3, r, d) == rho(g, r, d)
 
 
+def rho_k_scan(g, k, r, d):
+    """Oracle: rho_k with its correction max(c*l - l^2) scanned over every
+    0 <= l <= r', as the definition reads."""
+    rp = max(min(r, g - d + r - 1), 0)
+    coeff = g - k - d + 2 * r + 1
+    return rho(g, r, d) + max(coeff * l - l * l for l in range(rp + 1))
+
+
+def test_rho_k_vertex_matches_the_scan_on_a_grid():
+    # on this grid r' <= 44 and -86 <= coeff <= 127: scan each (r', coeff)
+    # once, the correction at coeff being scans[r'][coeff + 100]
+    scans = [[max(c * l - l * l for l in range(rp + 1)) for c in range(-100, 140)] for rp in range(45)]
+    for g in range(3, 45):
+        for r in range(1, g):
+            for d in range(2, 2 * g):
+                base, row = rho(g, r, d), scans[max(min(r, g - d + r - 1), 0)]
+                got = [rho_k(g, k, r, d) for k in range(2, g + 3)]
+                want = [base + row[g - k - d + 2 * r + 101] for k in range(2, g + 3)]
+                assert got == want, (g, r, d)
+
+
+@given(
+    g=st.integers(3, 400),
+    k=st.integers(-5, 410),
+    r=st.integers(1, 400),
+    d=st.integers(-5, 800),
+)
+def test_rho_k_vertex_matches_the_scan(g, k, r, d):
+    assert rho_k(g, k, r, d) == rho_k_scan(g, k, r, d)
+
+
+def test_kappa_bruteforce_is_linear_in_g():
+    # one O(1) rho_k per k: a genus in the hundred thousands is instant
+    assert kappa_bruteforce(200001, 5000, 100000) == kappa(200001, 5000, 100000)
+
+
 def test_rho_k_nonincreasing_in_k():
     for g, r, d in [(9, 2, 7), (12, 4, 11), (16, 3, 12), (20, 2, 13)]:
         vals = [rho_k(g, k, r, d) for k in range(2, (g + 3) // 2 + 1)]

@@ -5,7 +5,6 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-import bnloci.poset
 from bnloci import (
     BNLocus,
     ContradictionError,
@@ -13,11 +12,21 @@ from bnloci import (
     RelKind,
     Relation,
     assemble,
+    clifford_collapse,
     closure,
     closure_relations,
     compare,
+    coppens_noncontainment,
     covers,
+    delta,
     enumerate_loci,
+    k3_noncontainment,
+    kappa,
+    plane_projection_rule,
+    rho_k,
+    rule_sources,
+    secant_containment,
+    trivial_relations,
     trivially_implied,
 )
 from bnloci.cli import packaged_facts
@@ -236,23 +245,25 @@ def eager_closure(genus, loci, relations):
     return cells, out
 
 
-def assert_matches_eager_closure(g, loci, rels):
+def assert_matches_eager_closure(g, loci, rels, build=None):
     """Every cell's (kind, provenance), all_relations() and any
-    ContradictionError message agree with the eager oracle.  A fresh matrix
-    renders all_relations() first, so neither reading order hides a record
-    that renders differently."""
+    ContradictionError message of the matrix that ``build()`` makes (by
+    default closure_relations(g, loci, rels)) agree with the eager oracle.
+    A fresh matrix renders all_relations() first, so neither reading order
+    hides a record that renders differently."""
+    build = build or (lambda: closure_relations(g, loci, rels))
     try:
         cells, want = eager_closure(g, loci, rels)
     except ContradictionError as exc:
         with pytest.raises(ContradictionError) as err:
-            closure_relations(g, loci, rels)
+            build()
         assert str(err.value) == str(exc)
         assert (err.value.prov_le, err.value.prov_nle) == (exc.prov_le, exc.prov_nle)
         return
-    m = closure_relations(g, loci, rels)
+    m = build()
     assert m.all_relations() == want
     assert {(x, y): m.relation(x, y) for x in m.loci for y in m.loci} == cells
-    m = closure_relations(g, loci, rels)
+    m = build()
     assert {(x, y): m.relation(x, y) for x in m.loci for y in m.loci} == cells
     assert m.all_relations() == want
 
@@ -283,19 +294,75 @@ def assert_matches_naive_closure(g, loci, rels):
         assert got == naive_compare(a, b)
 
 
-def assemble_seeds(g, monkeypatch, facts=()):
-    """The seed list that assemble(g, facts) hands to closure_relations;
-    the closure itself is not run."""
-    seen = []
+def reference_seeds(genus, facts=()):
+    """Oracle: assemble's seeds as Relations, built pair by pair from the
+    per-pair rule functions, as assemble built them before it seeded the
+    rule families as bit rows.  Returns (loci, relations)."""
+    loci = enumerate_loci(genus)
+    lset = set(loci)
+    rels: list[Relation] = []
+    rels += trivial_relations(genus)
+    rels += clifford_collapse(genus)
 
-    def spy(genus, loci, relations):
-        seen.append((list(loci), list(relations)))
+    # refined Brill-Noether for fixed gonality: exact criterion both ways
+    for i, src in enumerate(loci):
+        if src.r != 1:
+            continue
+        for j, tgt in enumerate(loci):
+            if i == j:
+                continue
+            if rho_k(genus, src.d, tgt.r, tgt.d) >= 0:
+                rels.append(Relation(src, tgt, RelKind.LE, "gonality"))
+            else:
+                rels.append(Relation(src, tgt, RelKind.NLE, "gonality"))
 
-    with monkeypatch.context() as patch:
-        patch.setattr(bnloci.poset, "closure_relations", spy)
-        bnloci.poset.assemble(g, facts)
-    (loci, relations), = seen
-    return loci, relations
+    kap = [kappa(genus, x.r, x.d) for x in loci]
+    for x, kx in zip(loci, kap):
+        for y, ky in zip(loci, kap):
+            if kx > ky:  # never x itself
+                rels.append(Relation(x, y, RelKind.NLE, "kappa"))
+
+    for x in loci:
+        if x.r == 2:
+            rel = plane_projection_rule(genus, x.d)
+            if rel is not None and rel.rhs in lset:
+                rels.append(rel)
+            rel = coppens_noncontainment(genus, x.d)
+            if rel is not None and rel.rhs in lset:
+                rels.append(rel)
+
+    for x in loci:
+        for y in loci:
+            if x.r >= y.r + 1 >= 2 and y.d < x.d:
+                rel = secant_containment(genus, x.r, x.d, y.r, y.d)
+                if rel is not None:
+                    rels.append(rel)
+
+    for i, x in enumerate(loci):
+        if delta(genus, x.r, x.d) >= 0:
+            continue
+        for j, y in enumerate(loci):
+            if i == j:
+                continue
+            rel = k3_noncontainment(genus, x.r, x.d, y.r, y.d)
+            if rel is not None:
+                rels.append(rel)
+
+    for fact in facts:
+        if fact.lhs.g != genus:
+            raise ValueError(f"fact {fact} is not at genus {genus}")
+        if fact.lhs not in lset or fact.rhs not in lset:
+            raise ValueError(f"fact {fact} references a locus outside the poset")
+        rels.append(fact.to_relation())
+
+    return loci, rels
+
+
+def assert_assemble_matches_eager_closure(g, facts=()):
+    """assemble(g, facts) itself against the eager closure of its
+    pair-by-pair seeds: every cell, all_relations() and any contradiction."""
+    loci, rels = reference_seeds(g, facts)
+    assert_matches_eager_closure(g, loci, rels, build=lambda: assemble(g, facts))
 
 
 def test_closure_equality_then_transitivity():
@@ -460,7 +527,7 @@ def test_genus_10_equality_classes():
     assert {(1, 2), (2, 5), (3, 7), (4, 9)} <= keys
 
 
-def test_injected_false_fact_names_kappa(monkeypatch):
+def test_injected_false_fact_names_kappa():
     facts = list(packaged_facts(9))
     facts.append(
         Fact(BNLocus(9, 1, 4), BNLocus(9, 2, 6), RelKind.LE, "injected falsehood")
@@ -469,10 +536,10 @@ def test_injected_false_fact_names_kappa(monkeypatch):
         assemble(9, facts)
     msg = str(err.value)
     assert "kappa" in msg and "injected falsehood" in msg
-    assert_matches_eager_closure(9, *assemble_seeds(9, monkeypatch, facts))
+    assert_assemble_matches_eager_closure(9, facts)
 
 
-def test_equality_contradiction_names_both_loci_and_citation(monkeypatch):
+def test_equality_contradiction_names_both_loci_and_citation():
     facts = list(packaged_facts(9))
     facts.append(
         Fact(BNLocus(9, 1, 4), BNLocus(9, 2, 6), RelKind.EQ, "injected equality")
@@ -482,7 +549,23 @@ def test_equality_contradiction_names_both_loci_and_citation(monkeypatch):
     msg = str(err.value)
     assert str(BNLocus(9, 1, 4)) in msg and str(BNLocus(9, 2, 6)) in msg
     assert "kappa" in msg and "fact:injected equality" in msg
-    assert_matches_eager_closure(9, *assemble_seeds(9, monkeypatch, facts))
+    assert_assemble_matches_eager_closure(9, facts)
+
+
+@pytest.mark.parametrize("lhs, rhs, family", [
+    ((1, 3), (1, 4), "trivial"),
+    ((3, 8), (2, 7), "secant"),
+])
+def test_not_subset_fact_against_a_containment_names_citation_and_family(lhs, rhs, family):
+    # a not_subset fact leaves <= alone, so the contradiction it makes is
+    # met at its own cell, whose <= side is the family's seed
+    facts = list(packaged_facts(9))
+    facts.append(Fact(BNLocus(9, *lhs), BNLocus(9, *rhs), RelKind.NLE, "injected refutation"))
+    with pytest.raises(ContradictionError) as err:
+        assemble(9, facts)
+    assert (err.value.prov_le, err.value.prov_nle) == (family, "fact:injected refutation")
+    assert (err.value.lhs.key, err.value.rhs.key) == (lhs, rhs)
+    assert_assemble_matches_eager_closure(9, facts)
 
 
 @settings(max_examples=300, deadline=None)
@@ -502,18 +585,46 @@ def test_closure_matches_naive_closure_on_genus_9(data):
 
 
 @pytest.mark.parametrize("g", range(13, 19))
-def test_closure_matches_naive_closure_on_assemble_seeds(g, monkeypatch):
-    loci, rels = assemble_seeds(g, monkeypatch)
+def test_closure_matches_naive_closure_on_assemble_seeds(g):
+    loci, rels = reference_seeds(g)
     assert_matches_naive_closure(g, loci, rels)
 
 
-@pytest.mark.parametrize("g", range(7, 21))
-def test_provenance_matches_eager_closure_on_assemble_seeds(g, monkeypatch):
-    # with the packaged facts where there are any, so fact: provenance and
-    # closures over it are rendered too
-    facts = packaged_facts(g) if g <= 12 else ()
-    loci, rels = assemble_seeds(g, monkeypatch, facts)
-    assert_matches_eager_closure(g, loci, rels)
+@pytest.mark.parametrize("g", range(7, 31))
+def test_provenance_matches_eager_closure_on_assemble_seeds(g):
+    # assemble itself, with the packaged facts where there are any, so fact:
+    # provenance and closures over it are rendered too
+    assert_assemble_matches_eager_closure(g, packaged_facts(g) if g <= 12 else ())
+
+
+@pytest.mark.parametrize("g", range(7, 31))
+def test_rule_rows_equal_the_per_pair_rules(g):
+    # each family's rows hold exactly the (lhs, rhs, kind) cells of its
+    # per-pair rule function, an eq seed as <= both ways
+    loci, rels = reference_seeds(g)
+    want = {}
+    for r in rels:
+        cells = want.setdefault(r.provenance, set())
+        if r.kind is RelKind.EQ:
+            cells |= {(r.lhs, r.rhs, RelKind.LE), (r.rhs, r.lhs, RelKind.LE)}
+        else:
+            cells.add((r.lhs, r.rhs, r.kind))
+    got = {}
+    for prov, le_rows, nle_rows in rule_sources(g, tuple(loci)):
+        cells = got.setdefault(prov, set())
+        for kind, rows in ((RelKind.LE, le_rows), (RelKind.NLE, nle_rows)):
+            for i, row in rows.items():
+                cells |= {(loci[i], y, kind) for j, y in enumerate(loci) if row >> j & 1}
+    assert {p for p in got if not got[p]} <= {"plane-projection", "coppens", "secant"}
+    assert {p: c for p, c in got.items() if c} == want
+
+    # the bisection's premise: per lattice and rank s, the certified targets
+    # are a prefix in ascending e
+    for x in loci:
+        if delta(g, x.r, x.d) < 0:
+            for s in sorted({y.r for y in loci}):
+                hit = [k3_noncontainment(g, x.r, x.d, s, y.d) is not None for y in loci if y.r == s]
+                assert hit == sorted(hit, reverse=True), (x, s)
 
 
 def test_assemble_matches_behaviour_lock():
