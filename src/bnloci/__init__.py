@@ -52,6 +52,7 @@ from .k3 import (
     GTPattern,
     K3Expectation,
     LMInvariants,
+    box_class_count,
     c2_lower_bound,
     candidate_subsheaf_classes,
     destab_box,

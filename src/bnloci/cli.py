@@ -8,6 +8,7 @@ error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import re
@@ -16,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .classical import gonality_bounds
-from .k3 import FilterConfig, destab_box, enumerate_assignments
+from .k3 import FilterConfig, box_class_count, destab_box, enumerate_assignments
 from .lattice import LatticeBasis, delta
 from .loci import (
     BNLocus,
@@ -166,6 +167,29 @@ def cmd_invariants(args) -> int:
 # and s = 14 is the largest that assemble reaches up to MAX_POSET_GENUS = 30
 MAX_K3_SERIES = 14
 
+# the most quotient classes `bn k3` scans in the destabilizing box: the box
+# grows with g (about 2 * 10^9 classes on Lambda^2_(10^6,2000)); the largest
+# box that assemble reaches up to genus 30 has 2,652 (Lambda^7_(27,25))
+MAX_K3_BOX_CLASSES = 10_000
+
+
+class _Memo(dict):
+    """A dict that renders each missing key once, by ``render(key)``."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
+        return value
+
+
+def _type_text(ranks: tuple[int, ...]) -> str:
+    return "<".join(map(str, ranks))
+
 
 def cmd_k3(args) -> int:
     if args.g < 3:
@@ -190,47 +214,51 @@ def cmd_k3(args) -> int:
             f"{basis.discriminant} >= 0, no K3 surface with this Picard lattice"
         )
         return EXIT_DOMAIN
+    box = destab_box(basis)
+    size = box_class_count(basis)
+    if size > MAX_K3_BOX_CLASSES:
+        raise ValueError(
+            f"the destabilizing box |x| <= {box[0]}, |y| <= {box[1]} of {basis} "
+            f"holds {size} quotient classes, above {MAX_K3_BOX_CLASSES}, the most "
+            f"bn k3 scans"
+        )
     config = FilterConfig(True, True) if args.filters == "on" else FilterConfig()
     assignments = enumerate_assignments(basis, args.series, config)
-    minimum = min((a.c2_bound for a in assignments), default=None)
-    box = destab_box(basis)
-    # a few dozen distinct classes and at most 2^s - 1 filtration types
-    # recur across thousands of assignments: render each once
-    shown = {}
-    types = {}
-
-    def show(c):
-        text = shown.get(c)
-        if text is None:
-            text = shown[c] = (str(c), list(c.xy), str(c.xy))
-        return text
-
-    def type_of(a):
-        text = types.get(a.ranks)
-        if text is None:
-            text = types[a.ranks] = a.type_str
-        return text
-
-    def entry(a):
-        texts = [show(c) for c in a.chern]
-        return {
-            "type": type_of(a),
-            "chern": [t[0] for t in texts],
-            "chern_xy": [t[1] for t in texts],
-            "c2_bound": str(a.c2_bound),
-            "filters": list(a.filtered_by),
-        }
-
+    # the listing shares one Fraction per distinct bound, so a few dozen
+    # bounds, keyed by identity, stand for thousands of assignments: the
+    # minimum is taken over them and each is rendered once.  So is each
+    # distinct class, filtration type and tag tuple; the entries are
+    # written out one at a time.
+    bounds = {id(b): b for _, _, b, _ in assignments}
+    minimum = min(bounds.values(), default=None)
+    write = sys.stdout.write
     if args.json:
-        payload = {
+        # the bytes of json.dumps(payload, sort_keys=True, separators=(",", ":")):
+        # "assignments" is the first key, each entry's keys are written in
+        # sorted order, and every fragment comes from json.dumps
+        dumps = functools.partial(json.dumps, separators=(",", ":"))
+        bound = {key: dumps(str(b)) for key, b in bounds.items()}
+        chern = _Memo(lambda c: dumps(str(c))).__getitem__
+        chern_xy = _Memo(lambda c: dumps(list(c.xy))).__getitem__
+        flags = _Memo(lambda tags: dumps(list(tags)))
+        types = _Memo(lambda ranks: dumps(_type_text(ranks)))
+        write('{"assignments":[')
+        sep = ""
+        for ranks, classes, b, tags in assignments:
+            write(
+                f'{sep}{{"c2_bound":{bound[id(b)]},"chern":[{",".join(map(chern, classes))}],'
+                f'"chern_xy":[{",".join(map(chern_xy, classes))}],'
+                f'"filters":{flags[tags]},"type":{types[ranks]}}}'
+            )
+            sep = ","
+        rest = {
             "lattice": {"g": args.g, "r": args.r, "d": args.d},
             "series_dim": args.series,
             "filters": args.filters,
             "box": list(box),
-            "assignments": [entry(a) for a in assignments],
             "min_c2_bound": None if minimum is None else str(minimum),
         }
-        print(json.dumps(payload, sort_keys=True, separators=(",", ":")))
+        write("]," + dumps(rest, sort_keys=True)[1:] + "\n")
         return EXIT_OK
     print(f"lattice {basis}  series dimension s = {args.series}  filters {args.filters}")
     print(f"destabilizing box |x| <= {box[0]}, |y| <= {box[1]}")
@@ -238,15 +266,19 @@ def cmd_k3(args) -> int:
         print("no admissible assignments: no such series on any smooth curve in |H|")
         return EXIT_OK
     print(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
-    for a in assignments:
-        texts = [show(c) for c in a.chern[:-1]]
-        chern = ", ".join(t[0] for t in texts) or "-"
-        xy = ", ".join(t[2] for t in texts) or "-"
-        bound = str(a.c2_bound)
-        if a.c2_bound.denominator != 1:
-            bound += f" ({float(a.c2_bound):.2f})"
-        flags = ",".join(a.filtered_by) or "-"
-        print(f"{type_of(a):<10} {chern:<28} {xy:<22} {bound:<12} {flags}")
+    bound = {
+        key: str(b) if b.denominator == 1 else f"{b} ({float(b):.2f})"
+        for key, b in bounds.items()
+    }
+    chern = _Memo(str).__getitem__
+    chern_xy = _Memo(lambda c: str(c.xy)).__getitem__
+    flags = _Memo(lambda tags: ",".join(tags) or "-")
+    types = _Memo(_type_text)
+    for ranks, classes, b, tags in assignments:
+        steps = classes[:-1]
+        text = ", ".join(map(chern, steps)) or "-"
+        xy = ", ".join(map(chern_xy, steps)) or "-"
+        write(f"{types[ranks]:<10} {text:<28} {xy:<22} {bound[id(b)]:<12} {flags[tags]}\n")
     print(f"minimum c2 bound: {minimum}")
     return EXIT_OK
 

@@ -53,9 +53,10 @@ assemble(13..17).
 
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
-it as an integer times D = 2 lcm(1..s+1) and builds a Fraction only for a
-listed assignment or a minimum that min_series_degree returns; the minimum
-cache and k3_noncontainment stay in integers.  Each candidate class is one
+it as an integer times D = 2 lcm(1..s+1) and builds a Fraction only once
+per distinct bound of a listing, shared by the assignments that reach it,
+or for a minimum that min_series_degree returns; the minimum cache and
+k3_noncontainment stay in integers.  Each candidate class is one
 row of integers built once per lattice, and a leaf is read off its rows
 alone: the filter tags from the row's (a, b) and (H-c)^2, and the listing's
 sort key from the ranks and each row's class, which orders as (a, b).
@@ -252,6 +253,31 @@ def destab_box(basis: LatticeBasis) -> tuple[int, int]:
     )
 
 
+def _box_blocks(basis: LatticeBasis) -> tuple[tuple[range, range], ...]:
+    """The quotient classes Q = xH - yL that :func:`candidate_subsheaf_classes`
+    scans, as (x range, y range) blocks of the destabilizing box.
+
+    Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
+    """
+    xmax, ymax = destab_box(basis)
+    if basis.r == 1:
+        # x = 0 branch: Q = mL with 0 < m*d < 2(g-1); x = 1: Q = H - yL, y*d < g-1
+        ymax_h = (basis.g - 2) // basis.d
+        return (range(0, 1), range(-ymax, 0)), (range(1, 2), range(1, ymax_h + 1))
+    # branch x > 0, y > 0, with (x-1)^2 |Delta| <= d^2, and branch x <= 0,
+    # y < 0, with x >= 1 - d/sqrt|Delta|
+    return (range(1, xmax + 1), range(1, ymax + 1)), (range(2 - xmax, 1), range(-ymax, 0))
+
+
+def box_class_count(basis: LatticeBasis) -> int:
+    """How many quotient classes :func:`candidate_subsheaf_classes` scans:
+    the size of the destabilizing box, known before any class is built.
+
+    Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
+    """
+    return sum(len(xs) * len(ys) for xs, ys in _box_blocks(basis))
+
+
 def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
     """Candidate values of c1(E_i) for intermediate filtration steps: the
     classes H - Q where Q = xH - yL runs over the destabilizing-lemma box
@@ -260,29 +286,13 @@ def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
 
     Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
     """
-    xmax, ymax = destab_box(basis)
-    quots = []
-    if basis.r == 1:
-        # x = 0 branch: Q = mL with 0 < m*d < 2(g-1); x = 1: Q = H - yL, y*d < g-1
-        quots += [LatticeClass(0, m) for m in range(1, ymax + 1)]
-        y = 1
-        while y * basis.d < basis.g - 1:
-            quots.append(LatticeClass(1, -y))
-            y += 1
-    else:
-        # branch x > 0, y > 0, with (x-1)^2 |Delta| <= d^2 ...
-        for x in range(1, xmax + 1):
-            for y in range(1, ymax + 1):
-                quots.append(LatticeClass(x, -y))
-        # ... and branch x <= 0, y < 0, with x >= 1 - d/sqrt|Delta|
-        for x in range(2 - xmax, 1):
-            for y in range(-ymax, 0):
-                quots.append(LatticeClass(x, -y))
     cands = []
-    for q in quots:
-        if self_int(basis, q) < 0 or pair(basis, H, q) <= 0:
-            continue
-        cands.append(H - q)
+    for xs, ys in _box_blocks(basis):
+        for x in xs:
+            for y in ys:
+                q = LatticeClass(x, -y)
+                if self_int(basis, q) >= 0 and pair(basis, H, q) > 0:
+                    cands.append(H - q)
     cands.sort()
     return cands
 
@@ -326,10 +336,9 @@ def _tags(s: int, r: int, ranks: tuple[int, ...], path: list[tuple]) -> tuple[st
     return tags
 
 
-def _dropped(config: FilterConfig, flags: tuple[str, ...]) -> bool:
-    return (config.dm_filter and "dm" in flags) or (
-        config.elliptic_filter and "elliptic" in flags
-    )
+def _dropped(dm: bool, elliptic: bool, flags: tuple[str, ...]) -> bool:
+    """Whether the filter switches dm and elliptic drop a leaf with ``flags``."""
+    return (dm and "dm" in flags) or (elliptic and "elliptic" in flags)
 
 
 @lru_cache(maxsize=None)
@@ -468,12 +477,17 @@ def enumerate_assignments(
     (type length, type, then chern classes lexicographically).
 
     This is the listing path of the shared DFS core: one :class:`Assignment`
-    per kept leaf, with its bound ``Fraction(scaled_c2, D)`` (built once per
-    distinct scaled bound and shared by the leaves that reach it) and its filter
-    tags read off the leaf's candidate rows.  The sort key
-    (:meth:`Assignment.sort_key` without the common last class H) collects
-    the rows' classes, which order as (a, b), and the list is sorted once
-    on it.
+    per kept leaf, with its bound ``Fraction(scaled_c2, D)`` and its filter
+    tags read off the leaf's candidate rows.  The bound is built once per
+    distinct scaled bound, and every leaf that reaches it shares that one
+    object, so a caller can key per-bound work (a minimum, a rendering) by
+    identity over a few dozen values.  The leaf reads the lattice's r and
+    the filter switches once per call, tests the switches only for a leaf
+    with tags, and builds the Assignment with ``tuple.__new__``, which is
+    what the namedtuple's own constructor does, minus a Python-level call.
+    The sort key (:meth:`Assignment.sort_key` without the common last class
+    H) collects the rows' classes, which order as (a, b), and the list is
+    sorted once on it.
     ``workers`` must be an int in 1..MAX_WORKERS (else ValueError) and is
     otherwise ignored: the search is serial, because a thread pool over the
     filtration types ran slower under the GIL.
@@ -482,26 +496,26 @@ def enumerate_assignments(
         raise ValueError(f"workers must be an int, got {workers!r}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
-    config = config or FilterConfig()
+    dm, elliptic = config or FilterConfig()
     _check_search_args(basis, s)
-    big = _scale(s)
+    big, r, new, head = _scale(s), basis.r, tuple.__new__, itemgetter(6)
     keyed = []
     bounds: dict[int, Fraction] = {}  # one Fraction per distinct scaled bound
 
     def leaf(ranks, path, total):
-        flags = _tags(s, basis.r, ranks, path)
-        if not _dropped(config, flags):
-            heads = tuple([row[6] for row in path])
-            key = (len(ranks), ranks, heads)
-            chern = heads + (H,)
-            bound = bounds.get(total)
-            if bound is None:
-                bound = bounds[total] = Fraction(total, big)
-            keyed.append((key, Assignment(ranks, chern, bound, flags)))
+        flags = _tags(s, r, ranks, path)
+        if flags and _dropped(dm, elliptic, flags):
+            return
+        heads = tuple(map(head, path))
+        bound = bounds.get(total)
+        if bound is None:
+            bound = bounds[total] = Fraction(total, big)
+        assignment = new(Assignment, (ranks, heads + (H,), bound, flags))
+        keyed.append(((len(ranks), ranks, heads), assignment))
 
     _walk(basis, s, leaf)
     keyed.sort(key=itemgetter(0))
-    return [a for _, a in keyed]
+    return list(map(itemgetter(1), keyed))
 
 
 class _FloorReached(Exception):
@@ -520,7 +534,6 @@ def _min_bound_cached(
     Fraction: :func:`k3_noncontainment` compares it with e * D in integers,
     and :func:`min_series_degree` divides by D on return."""
     basis = LatticeBasis(g, r, d)
-    config = FilterConfig(dm, elliptic)
     _check_search_args(basis, s)
     big = _scale(s)
     limit = None if floor is None else floor * big
@@ -530,7 +543,7 @@ def _min_bound_cached(
         nonlocal best
         # filters are looked at only for a leaf that would lower the minimum
         if best is None or total < best:
-            if not _dropped(config, _tags(s, basis.r, ranks, path)):
+            if not _dropped(dm, elliptic, _tags(s, r, ranks, path)):
                 best = total
                 if limit is not None and total <= limit:
                     raise _FloorReached

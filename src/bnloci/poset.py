@@ -13,12 +13,15 @@ under both rules.  A contradiction at such a derived (B, D) would mean
 B <= D, so A <= B <= D <= C contradicts the seed (A, C) itself: checking
 the seeded !<= cells against <= finds every contradiction.
 
-The seeds are bit rows too.  Each rule family, and each fact, is one
-source: a provenance string and its seeded <= and !<= rows, filled row by
-row, and the closure starts from their OR.  A cell seeded by several
-sources keeps the least string by (length, string), so the sources are
-sorted once in that order and a seeded cell's string is that of the first
-source whose rows hold it.
+The seeds are bit rows too.  In :func:`assemble` each rule family, and
+each fact, is one source: a provenance string and its seeded <= and !<=
+rows, filled row by row, and the closure starts from their OR.  A cell
+seeded by several sources keeps the least string by (length, string), so
+the sources are sorted once in that order and a seeded cell's string is
+that of the first source whose rows hold it.  :func:`closure_relations`
+takes one relation at a time, each often with its own string, so it keeps
+each seeded cell's least string as it goes instead of building a source
+per string.
 
 The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
 closed !<= rows and each locus's class representative, and every query is
@@ -35,7 +38,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from typing import Iterable
+from collections.abc import Callable, Iterable
 
 from .classical import coppens_noncontainment, plane_projection_rule, secant_expected_dim
 from .k3 import k3_noncontainment
@@ -118,17 +121,20 @@ class RelationMatrix:
     carries every <= and !<= across), so the kind of any cell is read off
     its own bits, while its provenance is that of the representatives' cell.
 
-    Provenance is held as derivation records: the seed sources, the
-    Warshall round of each derived <= cell, and the seeded !<= rows, which
-    credit each derived !<= cell to a seed.  Reads render and memoize the
-    strings (see :meth:`_seeded`), the same as if built during the closure,
-    so instances are immutable in effect and safe to share.
+    Provenance is held as derivation records: the seeded cells' strings
+    (resolved on the first read by ``seeded``, a function returning the
+    (le, nle) tables keyed by index pairs), the Warshall round of each
+    derived <= cell, and the seeded !<= rows, which credit each derived !<=
+    cell to a seed.  Reads render and memoize the strings (see
+    :meth:`_seeded`), the same as if built during the closure, so instances
+    are immutable in effect and safe to share.
     """
 
     def __init__(
         self, genus: int, loci: tuple[BNLocus, ...], index: dict[BNLocus, int],
         up: list[int], down: list[int], nle_rows: list[int], seed_rows: list[int],
-        rep: list[int], sources: list[tuple], via: dict[tuple[int, int], int],
+        rep: list[int], seeded: Callable[[], tuple[dict, dict]],
+        via: dict[tuple[int, int], int],
     ):
         self.genus = genus
         self.loci = loci
@@ -136,7 +142,7 @@ class RelationMatrix:
         self._up, self._down, self._nle_rows, self._rep = up, down, nle_rows, rep
         # seed_rows[a] bit c: (a, c) is a seeded !<= cell
         self._seed_rows = seed_rows
-        self._sources, self._via = sources, via
+        self._resolve, self._via = seeded, via
         # (le, nle): see _seeded; then the memo of every rendered string
         self._tables: tuple[dict, dict] | None = None
         members: dict[int, int] = {}
@@ -148,18 +154,10 @@ class RelationMatrix:
         self.classes = tuple(tuple(loci[i] for i in _bits(m)) for m in members.values())
 
     def _seeded(self) -> tuple[dict, dict]:
-        """The (le, nle) tables, filled on the first call with the seeded
-        cells' strings in one pass over the sources from last to first, so
-        each cell ends with the string of the first source that holds it."""
+        """The (le, nle) tables, which start as the seeded cells' strings
+        and then memoize every rendered one."""
         if self._tables is None:
-            le: dict[tuple[int, int], str] = {}
-            nle: dict[tuple[int, int], str] = {}
-            for prov, le_rows, nle_rows in reversed(self._sources):
-                for table, rows in ((le, le_rows), (nle, nle_rows)):
-                    for i, row in rows.items():
-                        for j in _bits(row):
-                            table[(i, j)] = prov
-            self._tables = (le, nle)
+            self._tables, self._resolve = self._resolve(), None
         return self._tables
 
     def _le_prov(self, i: int, j: int) -> str:
@@ -168,7 +166,7 @@ class RelationMatrix:
         for its Warshall round k = ``via[(i, j)]``, rendered and stored.
         Both premises were set before round k, so the walk ends; it keeps
         its own stack rather than recursing."""
-        texts, via = self._seeded()[0], self._via
+        texts, via = (self._tables or self._seeded())[0], self._via
         stack = [(i, j)]
         while stack:
             a, b = cell = stack[-1]
@@ -191,7 +189,7 @@ class RelationMatrix:
         the lexicographically first seed (a, c) with a <= b and d <= c and
         reads ``closure(p(d,c),closure(p(a,b),p(a,c)))``, dropping the outer
         or inner step when d = c or a = b."""
-        nle = self._seeded()[1]
+        nle = (self._tables or self._seeded())[1]
         text = nle.get((b, d))
         if text is None:
             up, seed_rows = self._up, self._seed_rows
@@ -260,14 +258,18 @@ def closure_relations(
         A <= B and A !<= C   gives   B !<= C
         B <= C and A !<= C   gives   A !<= B
 
-    The relations become one seed source per provenance string, in one
-    pass, closed by :func:`_close`.  Raises ValueError for a relation off
-    the genus or outside ``loci``.
+    The relations are seeded in one pass straight into the rows, and each
+    seeded cell keeps its least provenance string by (length, string), the
+    first on a tie; :func:`_close` closes them.  Raises ValueError for a
+    relation off the genus or outside ``loci``.
     """
     loci = tuple(sorted(set(loci), key=lambda l: l.key))
     index = {x: i for i, x in enumerate(loci)}
-    sources: dict[str, tuple] = {}
-    get = index.get
+    up = [1 << i for i in range(len(loci))]
+    seed_rows = [0] * len(loci)
+    le: dict[tuple[int, int], str] = {}
+    nle: dict[tuple[int, int], str] = {}
+    get, NLE, EQ = index.get, RelKind.NLE, RelKind.EQ
     for rel in relations:
         lhs, rhs, kind, prov = rel
         if lhs.g != genus or rhs.g != genus:
@@ -275,29 +277,56 @@ def closure_relations(
         a, b = get(lhs), get(rhs)
         if a is None or b is None:
             raise ValueError(f"relation {rel} references a locus outside the poset")
-        _seed(sources.get(prov) or sources.setdefault(prov, (prov, {}, {})), a, b, kind)
-    return _close(genus, loci, index, list(sources.values()))
+        if kind is NLE:
+            seed_rows[a] |= 1 << b
+            _keep_least(nle, (a, b), prov)
+        else:
+            up[a] |= 1 << b
+            _keep_least(le, (a, b), prov)
+            if kind is EQ:
+                up[b] |= 1 << a
+                _keep_least(le, (b, a), prov)
+    return _close(genus, loci, index, up, seed_rows, lambda: (le, nle))
+
+
+def _keep_least(table: dict, cell: tuple[int, int], prov: str) -> None:
+    """Seed ``cell`` of ``table`` with ``prov`` unless it already holds a
+    string that is less by (length, string)."""
+    old = table.setdefault(cell, prov)
+    if old is not prov and (len(prov), prov) < (len(old), old):
+        table[cell] = prov
+
+
+def _source_tables(sources: list[tuple]) -> tuple[dict, dict]:
+    """The (le, nle) tables of the seeded cells' strings, in one pass over
+    the ``sources`` (sorted) from last to first, so each cell ends with the
+    string of the first source that holds it."""
+    le: dict[tuple[int, int], str] = {}
+    nle: dict[tuple[int, int], str] = {}
+    for prov, le_rows, nle_rows in reversed(sources):
+        for table, rows in ((le, le_rows), (nle, nle_rows)):
+            for i, row in rows.items():
+                while row:
+                    low = row & -row
+                    table[(i, low.bit_length() - 1)] = prov
+                    row ^= low
+    return le, nle
 
 
 def _close(
-    genus: int, loci: tuple[BNLocus, ...], index: dict[BNLocus, int], sources: list[tuple]
+    genus: int, loci: tuple[BNLocus, ...], index: dict[BNLocus, int],
+    up: list[int], seed_rows: list[int], seeded: Callable[[], tuple[dict, dict]],
 ) -> RelationMatrix:
-    """Close the seed ``sources`` over ``loci`` (in key order), as the
-    module docstring says: Warshall's pass closes <= and records each
-    derived cell's round, and the !<= rows of each B are the OR of
-    ``reach[A]`` over A <= B, ``reach[A]`` being the OR of ``down[C]`` over
-    the seeds (A, C).  Raises :class:`ContradictionError` when a pair ends
-    up both ways, naming the first seeded !<= cell that <= contradicts."""
-    sources = sorted(sources, key=lambda source: (len(source[0]), source[0]))
+    """Close the seeded rows over ``loci`` (in key order): ``up[i]`` holds
+    bit i and the seeded <= cells of row i, ``seed_rows[i]`` the seeded !<=
+    cells, and ``seeded`` resolves their strings (see
+    :class:`RelationMatrix`).  As the module docstring says, Warshall's
+    pass closes <= in place and records each derived cell's round, and the
+    !<= rows of each B are the OR of ``reach[A]`` over A <= B, ``reach[A]``
+    being the OR of ``down[C]`` over the seeds (A, C).  Raises
+    :class:`ContradictionError` when a pair ends up both ways, naming the
+    first seeded !<= cell that <= contradicts."""
     n = len(loci)
-    up = [1 << i for i in range(n)]
-    seed_rows = [0] * n
-    for _, le_rows, nle_rows in sources:
-        for i, row in le_rows.items():
-            up[i] |= row
-        for i, row in nle_rows.items():
-            seed_rows[i] |= row
-
     via: dict[tuple[int, int], int] = {}
     for k in range(n):
         bit, row_k = 1 << k, up[k]
@@ -325,7 +354,7 @@ def _close(
                 nle_rows[b] |= reach
 
     rep = [_low(up[i] & down[i]) for i in range(n)]
-    matrix = RelationMatrix(genus, loci, index, up, down, nle_rows, seed_rows, rep, sources, via)
+    matrix = RelationMatrix(genus, loci, index, up, down, nle_rows, seed_rows, rep, seeded, via)
     for a in range(n):
         if seed_rows[a] & up[a]:
             c = _low(seed_rows[a] & up[a])
@@ -411,7 +440,15 @@ def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
             raise ValueError(f"fact {fact} references a locus outside the poset")
         sources.append((f"fact:{fact.source}", {}, {}))
         _seed(sources[-1], index[fact.lhs], index[fact.rhs], fact.kind)
-    return _close(genus, loci, index, sources)
+    sources.sort(key=lambda source: (len(source[0]), source[0]))
+    up = [1 << i for i in range(len(loci))]
+    seed_rows = [0] * len(loci)
+    for _, le_rows, nle_rows in sources:
+        for i, row in le_rows.items():
+            up[i] |= row
+        for i, row in nle_rows.items():
+            seed_rows[i] |= row
+    return _close(genus, loci, index, up, seed_rows, lambda: _source_tables(sources))
 
 
 def covers(matrix: RelationMatrix) -> list[Relation]:

@@ -1,6 +1,9 @@
 import hashlib
 import importlib.util
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -114,6 +117,105 @@ def test_k3_text_matches_lock(capsys):
         code, out, _ = run(capsys, "k3", g, r, d, "--series", s, "--filters", filters)
         assert code == EXIT_OK
         assert hashlib.sha256(out.encode()).hexdigest() == K3_TEXT_SHA256[job], job
+
+
+def _k3_oracle(g, r, d, s, filters):
+    """`bn k3` output as the dict-payload renderer wrote it: one dict per
+    assignment and one json.dumps over the payload (JSON), or the table
+    built entry by entry (text)."""
+    from bnloci import FilterConfig, LatticeBasis, destab_box, enumerate_assignments
+
+    basis = LatticeBasis(g, r, d)
+    config = FilterConfig(True, True) if filters == "on" else FilterConfig()
+    assignments = enumerate_assignments(basis, s, config)
+    minimum = min((a.c2_bound for a in assignments), default=None)
+    box = destab_box(basis)
+    payload = {
+        "lattice": {"g": g, "r": r, "d": d},
+        "series_dim": s,
+        "filters": filters,
+        "box": list(box),
+        "assignments": [
+            {
+                "type": a.type_str,
+                "chern": [str(c) for c in a.chern],
+                "chern_xy": [list(c.xy) for c in a.chern],
+                "c2_bound": str(a.c2_bound),
+                "filters": list(a.filtered_by),
+            }
+            for a in assignments
+        ],
+        "min_c2_bound": None if minimum is None else str(minimum),
+    }
+    text = [
+        f"lattice {basis}  series dimension s = {s}  filters {filters}",
+        f"destabilizing box |x| <= {box[0]}, |y| <= {box[1]}",
+    ]
+    if not assignments:
+        text.append("no admissible assignments: no such series on any smooth curve in |H|")
+    else:
+        text.append(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
+        for a in assignments:
+            chern = ", ".join(str(c) for c in a.chern[:-1]) or "-"
+            xy = ", ".join(str(c.xy) for c in a.chern[:-1]) or "-"
+            bound = str(a.c2_bound)
+            if a.c2_bound.denominator != 1:
+                bound += f" ({float(a.c2_bound):.2f})"
+            flags = ",".join(a.filtered_by) or "-"
+            text.append(f"{a.type_str:<10} {chern:<28} {xy:<22} {bound:<12} {flags}")
+        text.append(f"minimum c2 bound: {minimum}")
+    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", "\n".join(text) + "\n"
+
+
+def _k3_jobs(genera):
+    from bnloci import delta, enumerate_loci
+
+    for g in genera:
+        loci = enumerate_loci(g)
+        for x in loci:
+            if delta(g, x.r, x.d) < 0:
+                for s in sorted({y.r for y in loci}):
+                    yield g, x.r, x.d, s
+
+
+@pytest.mark.parametrize("filters", ["on", "off"])
+def test_k3_output_equals_the_dict_payload_renderer(capsys, filters):
+    jobs = list(_k3_jobs(range(7, 13)))
+    assert len(jobs) == 182
+    for job in jobs + [(3, 1, 3, 1)]:
+        want_json, want_text = _k3_oracle(*job, filters)
+        argv = ["k3", *map(str, job[:3]), "--series", str(job[3]), "--filters", filters]
+        assert run(capsys, *argv, "--json") == (EXIT_OK, want_json, ""), job
+        assert run(capsys, *argv) == (EXIT_OK, want_text, ""), job
+
+
+def test_k3_empty_listing_and_inapplicable_lattice_in_json(capsys):
+    code, out, _ = run(capsys, "k3", "3", "1", "3", "--series", "1", "--json")
+    assert code == EXIT_OK
+    assert '"assignments":[]' in out and '"min_c2_bound":null' in out
+    code, out, _ = run(capsys, "k3", "100", "2", "19", "--series", "1", "--json")
+    assert code == EXIT_DOMAIN and out.startswith("inapplicable")
+    with pytest.raises(json.JSONDecodeError):
+        json.loads(out)
+
+
+def test_k3_json_under_python_O_matches_benchmark_lock():
+    # python -O strips asserts: the listing's leaf re-check and the renderer
+    # must give the locked output without them
+    want = json.loads((ROOT / "perfbench" / "refs.json").read_text(encoding="utf-8"))["k3"][
+        "13,2,7,6,off"
+    ]
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    out = subprocess.run(
+        [sys.executable, "-O", "-m", "bnloci.cli", "k3", "13", "2", "7", "--series", "6", "--json"],
+        capture_output=True, text=True, env=env, check=True,
+    ).stdout
+    payload = json.loads(out)
+    assert {
+        "assignments": len(payload["assignments"]),
+        "min_c2_bound": payload["min_c2_bound"],
+        "sha256": hashlib.sha256(out.encode()).hexdigest(),
+    } == want
 
 
 # sha256 of `bn poset G --format F` (with the packaged facts for G = 7..12,
@@ -430,3 +532,41 @@ def test_packaged_genera_have_their_data_files():
     for g in PACKAGED_GENERA:
         for name in (f"genus{g}.json", f"fixture_genus{g}.json"):
             assert data.joinpath(name).is_file()
+
+
+@pytest.mark.parametrize(
+    "job, box, size",
+    [
+        (("1000000", "2", "2000"), "|x| <= 1001, |y| <= 999999", 2000997999),
+        (("1000000", "1", "1"), "|x| <= 1, |y| <= 1999997", 2999995),
+    ],
+)
+def test_k3_box_above_the_cap_is_rejected_before_any_class(capsys, monkeypatch, job, box, size):
+    import bnloci.k3 as k3
+    from bnloci.cli import MAX_K3_BOX_CLASSES
+
+    _refuse_work(monkeypatch, "enumerate_assignments")
+    monkeypatch.setattr(k3, "LatticeClass", None)  # building a class would raise
+    code, out, err = run(capsys, "k3", *job, "--series", "1")
+    assert code == EXIT_DOMAIN and out == ""
+    assert f"box {box}" in err and f"holds {size} quotient classes" in err
+    assert f"above {MAX_K3_BOX_CLASSES}" in err
+
+
+def test_k3_box_cap_admits_every_assemble_box_and_the_readme_jobs(monkeypatch):
+    from bnloci import LatticeBasis, box_class_count, delta, enumerate_loci
+    from bnloci.cli import MAX_K3_BOX_CLASSES
+
+    sizes = {
+        (g, x.r, x.d): box_class_count(LatticeBasis(g, x.r, x.d))
+        for g in range(3, 31)
+        for x in enumerate_loci(g)
+        if delta(g, x.r, x.d) < 0
+    }
+    assert max(sizes.values()) == sizes[(27, 7, 25)] == 2652
+    assert box_class_count(LatticeBasis(100, 9, 57)) == 286
+    assert max(sizes.values()) < MAX_K3_BOX_CLASSES
+    # a job at the cap gets past it, to the search
+    _refuse_work(monkeypatch, "enumerate_assignments")
+    with pytest.raises(AssertionError, match="enumerate_assignments started"):
+        main(["k3", "27", "7", "25", "--series", "1"])

@@ -17,6 +17,7 @@ from bnloci import (
     L,
     LatticeBasis,
     LatticeClass,
+    box_class_count,
     c2_lower_bound,
     candidate_subsheaf_classes,
     destab_box,
@@ -146,12 +147,37 @@ def test_candidates_respect_box_and_signs():
             assert self_int(basis, q) >= 0 and pair(basis, H, q) > 0
 
 
+def test_box_class_count_is_the_box_that_the_candidates_scan():
+    # the lemma's box scanned pair by pair: for r = 1, x = 0 with 0 < -y*d
+    # < 2(g-1) and x = 1 with 0 < y*d < g-1; else one sign branch of
+    # |x| <= X, |y| <= Y, with x >= 2 - X on the branch x <= 0
+    lattices = [(9, 2, 6), (10, 3, 9), (14, 3, 13), (100, 9, 57), (27, 7, 25)]
+    lattices += [(16, 1, 2), (13, 1, 3)]
+    for g, r, d in lattices:
+        basis = LatticeBasis(g, r, d)
+        xmax, ymax = destab_box(basis)
+        if r == 1:
+            quots = [(0, y) for y in range(-ymax, 0)]
+            quots += [(1, y) for y in range(1, g) if y * d < g - 1]
+        else:
+            quots = [
+                (x, y)
+                for x in range(-xmax, xmax + 1)
+                for y in range(-ymax, ymax + 1)
+                if (x > 0 and y > 0) or (2 - xmax <= x <= 0 and y < 0)
+            ]
+        assert box_class_count(basis) == len(quots)
+        kept = [LatticeClass(x, -y) for x, y in quots]
+        kept = [q for q in kept if self_int(basis, q) >= 0 and pair(basis, H, q) > 0]
+        assert candidate_subsheaf_classes(basis) == sorted(H - q for q in kept)
+
+
 def test_candidates_reject_r0_lattices_like_the_box():
     # Delta = -4(g-1) - d^2 < 0 for every r = 0 lattice, but the lemma that
     # bounds the box does not hold there
     basis = LatticeBasis(9, 0, 3)
     assert basis.discriminant < 0
-    for fn in (destab_box, candidate_subsheaf_classes):
+    for fn in (destab_box, box_class_count, candidate_subsheaf_classes):
         with pytest.raises(ValueError, match="r = 0"):
             fn(basis)
 
