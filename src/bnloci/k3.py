@@ -456,6 +456,10 @@ def _walk(
 # enumerate_assignments refuses more workers than this; it runs serially anyway
 MAX_WORKERS = 64
 
+# enumerate_assignments stops, with ValueError, once its kept listing passes
+# this many assignments: the listing grows about 5-7x per step in s
+MAX_ASSIGNMENTS = 100_000
+
 
 def _check_search_args(basis: LatticeBasis, s: int) -> None:
     if basis.discriminant >= 0:
@@ -488,9 +492,11 @@ def enumerate_assignments(
     The sort key (:meth:`Assignment.sort_key` without the common last class
     H) collects the rows' classes, which order as (a, b), and the list is
     sorted once on it.
-    ``workers`` must be an int in 1..MAX_WORKERS (else ValueError) and is
-    otherwise ignored: the search is serial, because a thread pool over the
-    filtration types ran slower under the GIL.
+    A listing that passes :data:`MAX_ASSIGNMENTS` kept assignments raises
+    ValueError at that leaf, so neither its memory nor its work is
+    unbounded.  ``workers`` must be an int in 1..MAX_WORKERS (else
+    ValueError) and is otherwise ignored: the search is serial, because a
+    thread pool over the filtration types ran slower under the GIL.
     """
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise ValueError(f"workers must be an int, got {workers!r}")
@@ -499,7 +505,7 @@ def enumerate_assignments(
     dm, elliptic = config or FilterConfig()
     _check_search_args(basis, s)
     big, r, new, head = _scale(s), basis.r, tuple.__new__, itemgetter(6)
-    keyed = []
+    keyed, cap = [], MAX_ASSIGNMENTS
     bounds: dict[int, Fraction] = {}  # one Fraction per distinct scaled bound
 
     def leaf(ranks, path, total):
@@ -512,6 +518,11 @@ def enumerate_assignments(
             bound = bounds[total] = Fraction(total, big)
         assignment = new(Assignment, (ranks, heads + (H,), bound, flags))
         keyed.append(((len(ranks), ranks, heads), assignment))
+        if len(keyed) > cap:
+            raise ValueError(
+                f"the listing of {basis} at s = {s} passes {cap} assignments, "
+                f"the most enumerate_assignments keeps"
+            )
 
     _walk(basis, s, leaf)
     keyed.sort(key=itemgetter(0))

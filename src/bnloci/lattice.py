@@ -80,10 +80,6 @@ class LatticeBasis(namedtuple("LatticeBasis", "g r d")):
         return 2 * self.r - 2
 
     @property
-    def hl(self) -> int:
-        return self.d
-
-    @property
     def discriminant(self) -> int:
         return delta(self.g, self.r, self.d)
 

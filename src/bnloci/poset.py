@@ -13,15 +13,17 @@ under both rules.  A contradiction at such a derived (B, D) would mean
 B <= D, so A <= B <= D <= C contradicts the seed (A, C) itself: checking
 the seeded !<= cells against <= finds every contradiction.
 
-The seeds are bit rows too.  In :func:`assemble` each rule family, and
-each fact, is one source: a provenance string and its seeded <= and !<=
-rows, filled row by row, and the closure starts from their OR.  A cell
-seeded by several sources keeps the least string by (length, string), so
-the sources are sorted once in that order and a seeded cell's string is
-that of the first source whose rows hold it.  :func:`closure_relations`
-takes one relation at a time, each often with its own string, so it keeps
-each seeded cell's least string as it goes instead of building a source
-per string.
+The seeds are bit rows too, and every matrix is built one way: from a
+list of sources, each a provenance string with its seeded <= and !<= rows,
+filled row by row.  :func:`assemble` takes one source per rule family
+(:func:`rule_sources`) and one per fact citation; :func:`closure_relations`
+groups its relations into one source per provenance string.  Its callers
+send few strings: a fixture carries 3, and the re-closed ``all_relations()``
+of ``assemble`` 38 over 17,760 relations at genus 30.  The closure starts
+from the OR of the sources' rows.  A cell seeded by several sources keeps
+the least string by (length, string), so the sources are sorted once in
+that order and a seeded cell's string is that of the first source whose
+rows hold it.
 
 The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
 closed !<= rows and each locus's class representative, and every query is
@@ -38,7 +40,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 
 from .classical import coppens_noncontainment, plane_projection_rule, secant_expected_dim
 from .k3 import k3_noncontainment
@@ -111,7 +113,17 @@ def _low(row: int) -> int:
 
 
 class RelationMatrix:
-    """Closed matrix of pairwise claims at a fixed genus.
+    """Closed matrix of pairwise claims at a fixed genus, built from its
+    seed sources.
+
+    A source is ``(provenance, <= rows, !<= rows)``, each rows a dict from a
+    locus index to its bit row; an eq seed is <= both ways.  The sources
+    are sorted by (length, provenance) and their rows ORed; Warshall's pass
+    closes <= in place and records each derived cell's round; the !<= rows
+    of each B are the OR of ``reach[A]`` over A <= B, ``reach[A]`` being the
+    OR of ``down[C]`` over the seeds (A, C).  Raises
+    :class:`ContradictionError` when a pair ends up both ways, naming the
+    first seeded !<= cell that <= contradicts.
 
     The matrix holds the closure's own rows over the loci 0..n-1 in key
     order: ``up[i]`` (bit j: locus i <= locus j), ``nle_rows[i]`` (bit j:
@@ -121,28 +133,57 @@ class RelationMatrix:
     carries every <= and !<= across), so the kind of any cell is read off
     its own bits, while its provenance is that of the representatives' cell.
 
-    Provenance is held as derivation records: the seeded cells' strings
-    (resolved on the first read by ``seeded``, a function returning the
-    (le, nle) tables keyed by index pairs), the Warshall round of each
-    derived <= cell, and the seeded !<= rows, which credit each derived !<=
-    cell to a seed.  Reads render and memoize the strings (see
-    :meth:`_seeded`), the same as if built during the closure, so instances
-    are immutable in effect and safe to share.
+    Provenance is held as derivation records: the sorted sources, which
+    give a seeded cell the string of the first source holding it, the
+    Warshall round of each derived <= cell, and the seeded !<= rows, which
+    credit each derived !<= cell to a seed.  Reads render and memoize the
+    strings (see :meth:`_seeded`), the same as if built during the closure,
+    so instances are immutable in effect and safe to share.
     """
 
     def __init__(
         self, genus: int, loci: tuple[BNLocus, ...], index: dict[BNLocus, int],
-        up: list[int], down: list[int], nle_rows: list[int], seed_rows: list[int],
-        rep: list[int], seeded: Callable[[], tuple[dict, dict]],
-        via: dict[tuple[int, int], int],
+        sources: Iterable[tuple],
     ):
-        self.genus = genus
-        self.loci = loci
-        self._index = index
-        self._up, self._down, self._nle_rows, self._rep = up, down, nle_rows, rep
+        self.genus, self.loci, self._index = genus, loci, index
+        self._sources = sources = sorted(sources, key=lambda source: (len(source[0]), source[0]))
+        n = len(loci)
+        up = [1 << i for i in range(n)]
         # seed_rows[a] bit c: (a, c) is a seeded !<= cell
-        self._seed_rows = seed_rows
-        self._resolve, self._via = seeded, via
+        seed_rows = [0] * n
+        for _, le_rows, nle_rows in sources:
+            for i, row in le_rows.items():
+                up[i] |= row
+            for i, row in nle_rows.items():
+                seed_rows[i] |= row
+        self._via = via = {}
+        for k in range(n):
+            bit, row_k = 1 << k, up[k]
+            for i in range(n):
+                if up[i] & bit:
+                    new = row_k & ~up[i]
+                    if new:
+                        up[i] |= new
+                        while new:
+                            low = new & -new
+                            via[(i, low.bit_length() - 1)] = k
+                            new ^= low
+
+        down = [0] * n
+        for i in range(n):
+            for j in _bits(up[i]):
+                down[j] |= 1 << i
+        nle_rows = [0] * n
+        for a in range(n):
+            if seed_rows[a]:
+                reach = 0
+                for c in _bits(seed_rows[a]):
+                    reach |= down[c]
+                for b in _bits(up[a]):
+                    nle_rows[b] |= reach
+
+        self._up, self._down, self._nle_rows, self._seed_rows = up, down, nle_rows, seed_rows
+        self._rep = rep = [_low(up[i] & down[i]) for i in range(n)]
         # (le, nle): see _seeded; then the memo of every rendered string
         self._tables: tuple[dict, dict] | None = None
         members: dict[int, int] = {}
@@ -152,12 +193,27 @@ class RelationMatrix:
         self._same = [members[r] for r in rep]
         self._rep_mask = sum(1 << r for r in members)
         self.classes = tuple(tuple(loci[i] for i in _bits(m)) for m in members.values())
+        for a in range(n):
+            if seed_rows[a] & up[a]:
+                c = _low(seed_rows[a] & up[a])
+                le, nle = self._seeded()
+                prov_le = self._le_prov(a, c) if a != c or (a, c) in le else "reflexivity"
+                raise ContradictionError(loci[a], loci[c], prov_le, nle[(a, c)])
 
     def _seeded(self) -> tuple[dict, dict]:
         """The (le, nle) tables, which start as the seeded cells' strings
-        and then memoize every rendered one."""
+        and then memoize every rendered one.  They are filled on the first
+        read in one pass over the sorted sources from last to first, so each
+        seeded cell ends with the string of the first source that holds it."""
         if self._tables is None:
-            self._tables, self._resolve = self._resolve(), None
+            self._tables = le, nle = {}, {}
+            for prov, le_rows, nle_rows in reversed(self._sources):
+                for table, rows in ((le, le_rows), (nle, nle_rows)):
+                    for i, row in rows.items():
+                        while row:
+                            low = row & -row
+                            table[(i, low.bit_length() - 1)] = prov
+                            row ^= low
         return self._tables
 
     def _le_prov(self, i: int, j: int) -> str:
@@ -167,6 +223,9 @@ class RelationMatrix:
         Both premises were set before round k, so the walk ends; it keeps
         its own stack rather than recursing."""
         texts, via = (self._tables or self._seeded())[0], self._via
+        text = texts.get((i, j))
+        if text is not None:
+            return text
         stack = [(i, j)]
         while stack:
             a, b = cell = stack[-1]
@@ -258,17 +317,20 @@ def closure_relations(
         A <= B and A !<= C   gives   B !<= C
         B <= C and A !<= C   gives   A !<= B
 
-    The relations are seeded in one pass straight into the rows, and each
-    seeded cell keeps its least provenance string by (length, string), the
-    first on a tie; :func:`_close` closes them.  Raises ValueError for a
-    relation off the genus or outside ``loci``.
+    The relations are grouped into one source per provenance string
+    (:func:`_group`), and :class:`RelationMatrix` closes the sources.
+    Raises ValueError for a relation off the genus or outside ``loci``.
     """
     loci = tuple(sorted(set(loci), key=lambda l: l.key))
     index = {x: i for i, x in enumerate(loci)}
-    up = [1 << i for i in range(len(loci))]
-    seed_rows = [0] * len(loci)
-    le: dict[tuple[int, int], str] = {}
-    nle: dict[tuple[int, int], str] = {}
+    return RelationMatrix(genus, loci, index, _group(genus, index, relations))
+
+
+def _group(genus: int, index: dict[BNLocus, int], relations: Iterable[Relation]) -> list[tuple]:
+    """The ``relations`` as sources (see :func:`_seed`), one per provenance
+    string, each cell seeded inline.  Raises ValueError for a relation off
+    the genus or with a locus not in ``index``."""
+    sources: dict[str, tuple] = {}
     get, NLE, EQ = index.get, RelKind.NLE, RelKind.EQ
     for rel in relations:
         lhs, rhs, kind, prov = rel
@@ -277,91 +339,15 @@ def closure_relations(
         a, b = get(lhs), get(rhs)
         if a is None or b is None:
             raise ValueError(f"relation {rel} references a locus outside the poset")
+        source = sources.get(prov) or sources.setdefault(prov, (prov, {}, {}))
         if kind is NLE:
-            seed_rows[a] |= 1 << b
-            _keep_least(nle, (a, b), prov)
+            rows = source[2]
         else:
-            up[a] |= 1 << b
-            _keep_least(le, (a, b), prov)
+            rows = source[1]
             if kind is EQ:
-                up[b] |= 1 << a
-                _keep_least(le, (b, a), prov)
-    return _close(genus, loci, index, up, seed_rows, lambda: (le, nle))
-
-
-def _keep_least(table: dict, cell: tuple[int, int], prov: str) -> None:
-    """Seed ``cell`` of ``table`` with ``prov`` unless it already holds a
-    string that is less by (length, string)."""
-    old = table.setdefault(cell, prov)
-    if old is not prov and (len(prov), prov) < (len(old), old):
-        table[cell] = prov
-
-
-def _source_tables(sources: list[tuple]) -> tuple[dict, dict]:
-    """The (le, nle) tables of the seeded cells' strings, in one pass over
-    the ``sources`` (sorted) from last to first, so each cell ends with the
-    string of the first source that holds it."""
-    le: dict[tuple[int, int], str] = {}
-    nle: dict[tuple[int, int], str] = {}
-    for prov, le_rows, nle_rows in reversed(sources):
-        for table, rows in ((le, le_rows), (nle, nle_rows)):
-            for i, row in rows.items():
-                while row:
-                    low = row & -row
-                    table[(i, low.bit_length() - 1)] = prov
-                    row ^= low
-    return le, nle
-
-
-def _close(
-    genus: int, loci: tuple[BNLocus, ...], index: dict[BNLocus, int],
-    up: list[int], seed_rows: list[int], seeded: Callable[[], tuple[dict, dict]],
-) -> RelationMatrix:
-    """Close the seeded rows over ``loci`` (in key order): ``up[i]`` holds
-    bit i and the seeded <= cells of row i, ``seed_rows[i]`` the seeded !<=
-    cells, and ``seeded`` resolves their strings (see
-    :class:`RelationMatrix`).  As the module docstring says, Warshall's
-    pass closes <= in place and records each derived cell's round, and the
-    !<= rows of each B are the OR of ``reach[A]`` over A <= B, ``reach[A]``
-    being the OR of ``down[C]`` over the seeds (A, C).  Raises
-    :class:`ContradictionError` when a pair ends up both ways, naming the
-    first seeded !<= cell that <= contradicts."""
-    n = len(loci)
-    via: dict[tuple[int, int], int] = {}
-    for k in range(n):
-        bit, row_k = 1 << k, up[k]
-        for i in range(n):
-            if up[i] & bit:
-                new = row_k & ~up[i]
-                if new:
-                    up[i] |= new
-                    while new:
-                        low = new & -new
-                        via[(i, low.bit_length() - 1)] = k
-                        new ^= low
-
-    down = [0] * n
-    for i in range(n):
-        for j in _bits(up[i]):
-            down[j] |= 1 << i
-    nle_rows = [0] * n
-    for a in range(n):
-        if seed_rows[a]:
-            reach = 0
-            for c in _bits(seed_rows[a]):
-                reach |= down[c]
-            for b in _bits(up[a]):
-                nle_rows[b] |= reach
-
-    rep = [_low(up[i] & down[i]) for i in range(n)]
-    matrix = RelationMatrix(genus, loci, index, up, down, nle_rows, seed_rows, rep, seeded, via)
-    for a in range(n):
-        if seed_rows[a] & up[a]:
-            c = _low(seed_rows[a] & up[a])
-            le, nle = matrix._seeded()
-            prov_le = matrix._le_prov(a, c) if a != c or (a, c) in le else "reflexivity"
-            raise ContradictionError(loci[a], loci[c], prov_le, nle[(a, c)])
-    return matrix
+                rows[b] = rows.get(b, 0) | 1 << a
+        rows[a] = rows.get(a, 0) | 1 << b
+    return list(sources.values())
 
 
 def closure(matrix: RelationMatrix) -> RelationMatrix:
@@ -425,30 +411,17 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
 
 def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
     """Seed the matrix with every rule family (:func:`rule_sources`) and
-    each fact as a source of its own, provenance ``fact:<citation>``, then
-    close.  Rule families: trivial containments, Clifford collapses, the
-    gonality theorem (both directions), the kappa comparison, plane
-    projection, Coppens' gonality theorem, positive-dimensional secant
-    cycles, and K3 filtration non-containments."""
+    the facts, grouped by citation into sources of provenance
+    ``fact:<citation>`` (:func:`_group`, so a fact off the genus or outside
+    the poset raises ValueError before any rule family runs), then close.
+    Rule families: trivial containments, Clifford collapses, the gonality
+    theorem (both directions), the kappa comparison, plane projection,
+    Coppens' gonality theorem, positive-dimensional secant cycles, and K3
+    filtration non-containments."""
     loci = tuple(enumerate_loci(genus))
     index = {x: i for i, x in enumerate(loci)}
-    sources = rule_sources(genus, loci)
-    for fact in facts:
-        if fact.lhs.g != genus:
-            raise ValueError(f"fact {fact} is not at genus {genus}")
-        if fact.lhs not in index or fact.rhs not in index:
-            raise ValueError(f"fact {fact} references a locus outside the poset")
-        sources.append((f"fact:{fact.source}", {}, {}))
-        _seed(sources[-1], index[fact.lhs], index[fact.rhs], fact.kind)
-    sources.sort(key=lambda source: (len(source[0]), source[0]))
-    up = [1 << i for i in range(len(loci))]
-    seed_rows = [0] * len(loci)
-    for _, le_rows, nle_rows in sources:
-        for i, row in le_rows.items():
-            up[i] |= row
-        for i, row in nle_rows.items():
-            seed_rows[i] |= row
-    return _close(genus, loci, index, up, seed_rows, lambda: _source_tables(sources))
+    facts = _group(genus, index, map(Fact.to_relation, facts))
+    return RelationMatrix(genus, loci, index, rule_sources(genus, loci) + facts)
 
 
 def covers(matrix: RelationMatrix) -> list[Relation]:

@@ -2,6 +2,7 @@ import hashlib
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -551,6 +552,34 @@ def test_k3_box_above_the_cap_is_rejected_before_any_class(capsys, monkeypatch, 
     assert code == EXIT_DOMAIN and out == ""
     assert f"box {box}" in err and f"holds {size} quotient classes" in err
     assert f"above {MAX_K3_BOX_CLASSES}" in err
+
+
+def test_k3_listing_above_the_cap_is_rejected_at_that_leaf(capsys, monkeypatch):
+    import bnloci.k3 as k3
+    from bnloci import LatticeBasis, enumerate_assignments
+
+    refs = json.loads((ROOT / "perfbench" / "refs.json").read_text(encoding="utf-8"))["k3"]
+    assert max(v["assignments"] for v in refs.values()) == 14263 < k3.MAX_ASSIGNMENTS
+    basis = LatticeBasis(11, 2, 7)
+    full = len(enumerate_assignments(basis, 3))
+    monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", full)  # a listing at the cap is kept
+    assert len(enumerate_assignments(basis, 3)) == full
+
+    cap, leaves, tags = full // 2, [], k3._tags
+
+    def counted_tags(*args):  # called once per leaf; no filter drops one here
+        leaves.append(args)
+        return tags(*args)
+
+    monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", cap)
+    monkeypatch.setattr(k3, "_tags", counted_tags)
+    message = f"listing of Lambda^2_(11,7) at s = 3 passes {cap} assignments"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        enumerate_assignments(basis, 3)
+    assert len(leaves) == cap + 1  # the walk stops at the first leaf past the cap
+    code, out, err = run(capsys, "k3", "11", "2", "7", "--series", "3", "--json")
+    assert code == EXIT_DOMAIN and out == ""
+    assert message in err
 
 
 def test_k3_box_cap_admits_every_assemble_box_and_the_readme_jobs(monkeypatch):
