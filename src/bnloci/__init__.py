@@ -60,6 +60,7 @@ from .k3 import (
     enumerate_filtration_types,
     gt_check,
     gt_pattern,
+    k3_certified_below,
     k3_expected,
     k3_noncontainment,
     lm_invariants,

@@ -370,27 +370,34 @@ def cmd_poset(args) -> int:
 # -------------------------------------------------------------------- verify
 
 
-def parse_genus_range(spec: str) -> list[int]:
-    """'9' or '7..12' as a list of genera; a malformed spec or an empty
-    range is a ValueError that names the spec."""
+def genus_range(spec: str) -> range:
+    """'9' or '7..12' as a range of genera, built without listing them; a
+    malformed spec or an empty range is a ValueError that names the spec."""
     match = re.fullmatch(r"([0-9]+)(?:\.\.([0-9]+))?", spec)
     if match is None:
         raise ValueError(
             f"invalid genus range {spec!r}: expected a genus (9) or a range (7..12)"
         )
     lo, hi = match.groups()
-    genera = list(range(int(lo), int(hi or lo) + 1))
+    genera = range(int(lo), int(hi or lo) + 1)
     if not genera:
         raise ValueError(f"empty genus range {spec}")
     return genera
 
 
+def parse_genus_range(spec: str) -> list[int]:
+    """The genera of :func:`genus_range` as a list."""
+    return list(genus_range(spec))
+
+
 def cmd_verify(args) -> int:
-    genera = parse_genus_range(args.range)
-    outside = [g for g in genera if g not in PACKAGED_GENERA]
-    if outside:
+    genera = genus_range(args.range)
+    # the first genus outside is at most one past the packaged ones, so this
+    # stops after a few steps however far the range reaches
+    outside = next((g for g in genera if g not in PACKAGED_GENERA), None)
+    if outside is not None:
         raise ValueError(
-            f"no packaged facts or fixture for genus {outside[0]}; packaged "
+            f"no packaged facts or fixture for genus {outside}; packaged "
             f"genera are {PACKAGED_GENERA[0]}..{PACKAGED_GENERA[-1]}"
         )
     failed = False

@@ -48,7 +48,7 @@ visits each prefix once, emits it as a leaf, and extends it by every rank in
 it descends into any child.  That keeps the shortest types ahead of their
 extensions, and the Clifford-floor stop below relies on it: the types of
 length 2 come first, in the order of the per-type search, and a plain
-depth-first order re-checked 85,944 leaves instead of 7,895 over cold
+depth-first order checked 85,944 leaves instead of 7,895 over cold
 assemble(13..17).
 
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
@@ -61,15 +61,26 @@ row of integers built once per lattice, and a leaf is read off its rows
 alone: the filter tags from the row's (a, b) and (H-c)^2, and the listing's
 sort key from the ranks and each row's class, which orders as (a, b).
 
-Every leaf, on both paths, is re-checked in integers, with no bisection or
-rounding shared with the cuts: the n - 1 adjacent slope pairs of P_0..P_n
-by cross-multiplication, then the quotient conditions; a failure raises
-RuntimeError, which, unlike an assert, survives python -O.  The pairs
-stand for all C(n+1, 3) triples by the three-chord lemma: as r_0 < ... < r_n,
-slope(P_i, P_k) is a weighted mean of the step slopes from i to k, so
-non-increasing steps give every triple, and the triples (i-1, i, i+1) are
-the pairs.  The tests keep the all-triples form as their oracle, so that
-the lemma is checked, not trusted.
+Every leaf, on both paths, is checked in integers, with no bisection or
+rounding shared with the cuts, and a failure raises RuntimeError, which,
+unlike an assert, survives python -O.  The check is step-wise
+(:func:`_check_step`): a leaf pays for the conditions that its last step
+adds, not for its whole chain.  The walk descends into a prefix only after
+that prefix's own leaf (r_1..r_m, s+1) has passed its check, so when a child
+P = (r, H.c) of it is emitted, the child's chain P_0..P_m, P, P_top differs
+from the checked parent chain P_0..P_m, P_top in exactly two adjacent slope
+pairs, (P_{m-1}, P_m, P) for m >= 1 and (P_m, P, P_top), and in the quotient
+conditions (H-c)^2 >= 0, H.(H-c) > 0 and mu(E_i) >= mu(E) on the new row.
+The step check tests those, by cross-multiplication.  By induction on m,
+from the root's children, whose chain P_0, P, P_top has the one pair
+(P_0, P, P_top), every leaf that reaches a caller has had every adjacent
+slope pair of its chain and the quotient conditions of every intermediate
+step checked.  The pairs stand for all C(n+1, 3) triples by the three-chord
+lemma: as r_0 < ... < r_n, slope(P_i, P_k) is a weighted mean of the step
+slopes from i to k, so non-increasing steps give every triple, and the
+triples (i-1, i, i+1) are the pairs.  The tests keep the all-triples form
+of every prefix leaf as their oracle, so that the lemma and the induction
+are checked, not trusted.
 
 The Clifford floor.  A certificate M^r_{g,d} !<= M^s_{g,e} needs every
 kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
@@ -80,7 +91,10 @@ minimum-only path takes a ``floor`` and stops at the first kept leaf whose
 bound is <= floor: its answer is exact whenever it is > floor, and <= floor
 otherwise, which decides "minimum > e" for every e >= floor alike.  The
 candidate rows depend on the lattice alone, so they are built once per
-lattice and shared by every s.
+lattice and shared by every s.  The floored minimum m of a (lattice, s)
+gives one integer, ceil(m / D) (:func:`k3_certified_below`), and a proper
+target M^s_{g,e} is certified iff e is below it, so every query at that
+(lattice, s) is one comparison.
 """
 
 from __future__ import annotations
@@ -284,17 +298,10 @@ def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
     (two sign branches, exact integer bounds) and already satisfies
     Q^2 >= 0, H.Q > 0.  Sorted by (a, b) of the subsheaf class.
 
+    These are the classes of :func:`_candidate_rows`, from its one box scan.
     Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
     """
-    cands = []
-    for xs, ys in _box_blocks(basis):
-        for x in xs:
-            for y in ys:
-                q = LatticeClass(x, -y)
-                if self_int(basis, q) >= 0 and pair(basis, H, q) > 0:
-                    cands.append(H - q)
-    cands.sort()
-    return cands
+    return sorted(row[6] for row in _candidate_rows(basis))
 
 
 def c2_lower_bound(basis: LatticeBasis, assignment: Assignment) -> Fraction:
@@ -354,14 +361,27 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
     sorted by (H-degree, class), cached per lattice.  With u = H.c = a H^2 + b d
     and v = a d + b L^2, c.x = x.a u + x.b v for any class x, so a step needs
     two products.  The class c is a tuple that orders as (a, b), so it is
-    also its own sort key."""
+    also its own sort key, and the rows sort as tuples on (u, a, b).
+
+    The rows come from one scan of :func:`_box_blocks` in integers: for
+    Q = xH - yL the class is c = H - Q = (1 - x, y), and it is kept iff
+    (H-c)^2 = H^2 - 2u + c.c >= 0 and H^2 > u, which are Q^2 >= 0 and
+    H.Q = H^2 - u > 0.  A LatticeClass is built only for a kept row.
+    """
     h2, d, l2 = basis.h_square, basis.d, basis.l_square
     rows = []
-    for c in candidate_subsheaf_classes(basis):
-        u, v = c.a * h2 + c.b * d, c.a * d + c.b * l2
-        cc = c.a * u + c.b * v
-        rows.append((u, c.a, c.b, cc, v, h2 - 2 * u + cc, c))
-    rows.sort(key=lambda row: (row[0], row[6]))
+    for xs, ys in _box_blocks(basis):
+        for x in xs:
+            a = 1 - x
+            for b in ys:
+                u = a * h2 + b * d
+                if u < h2:
+                    v = a * d + b * l2
+                    cc = a * u + b * v
+                    qq = h2 - 2 * u + cc
+                    if qq >= 0:
+                        rows.append((u, a, b, cc, v, qq, LatticeClass(a, b)))
+    rows.sort()
     return tuple(rows)
 
 
@@ -370,22 +390,24 @@ def _leaf_error(htot: int, rk: tuple[int, ...], path: list[tuple], what: str) ->
     return RuntimeError(f"DFS leaf {hd} over ranks {rk} violates {what}")
 
 
-def _recheck(htot: int, rk: tuple[int, ...], path: list[tuple]) -> None:
-    """Integer re-check of one leaf, independent of the interval cuts:
-    slope(P_{i-2}, P_{i-1}) >= slope(P_{i-1}, P_i) for 1 < i <= n, which is
-    every GT triple by the three-chord lemma (module docstring), then the
-    quotient conditions (H-c)^2 >= 0, H.(H-c) > 0 and mu(E_i) >= mu(E) on
-    every intermediate step."""
-    hp = rp = 0  # P_{i-1}, and P_n after the loop
-    dh = dr = None  # P_{i-1} - P_{i-2}
-    for i, row in enumerate([*path, (htot,)], 1):  # (htot,) stands for P_n
-        eh, er = row[0] - hp, rk[i] - rp
-        if dh is not None and dh * er < eh * dr:
-            raise _leaf_error(htot, rk, path, "GT")
-        dh, dr, hp, rp = eh, er, row[0], rk[i]
-    for i, row in enumerate(path, 1):
-        if row[5] < 0 or htot - row[0] <= 0 or row[0] * rp < htot * rk[i]:
-            raise _leaf_error(htot, rk, path, "a quotient check")
+def _check_step(
+    htot: int, top: int, rm: int, hp: int, dr: int, hpp: int, r: int, row: tuple
+) -> str | None:
+    """The conditions that the step to P = (r, H.c), c the class of ``row``,
+    adds to the checked leaf (r_1..r_m, s+1) of its parent (module
+    docstring): the adjacent slope pairs (P_{m-1}, P_m, P) and
+    (P_m, P, P_top) by integer cross-multiplication, then the quotient
+    conditions (H-c)^2 >= 0, H.(H-c) > 0 and mu(E_i) >= mu(E) on the new
+    row.  P_m = (rm, hp), P_top = (top, htot), and P_{m-1} = (rm - dr, hpp);
+    dr = 0 stands for the root, which has no P_{m-1}, and makes the first
+    pair read 0 > 0.  Returns what the leaf violates, or None."""
+    h = row[0]
+    a = r - rm
+    if (h - hp) * dr > (hp - hpp) * a or (htot - h) * a > (h - hp) * (top - r):
+        return "GT"
+    if row[5] < 0 or h >= htot or h * top < htot * r:
+        return "a quotient check"
+    return None
 
 
 def _walk(
@@ -432,14 +454,15 @@ def _walk(
             stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if ranks else len(rows)
             kid = ranks + (r,)
             leaf_ranks = kid + (top,)
-            rk = (0,) + leaf_ranks
             hm, cm, hn, cn = half[a], const[a], half[top - r], const[top - r]
             for idx in range(start, stop):
                 c = rows[idx]
                 cp = c[1] * hp + c[2] * pv
                 total = acc + hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
                 path.append(c)
-                _recheck(htot, rk, path)
+                what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
+                if what:
+                    raise _leaf_error(htot, (0,) + leaf_ranks, path, what)
                 # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
                 leaf(leaf_ranks, path, total + hn * c[5] + big * (c[0] - c[3]) + cn)
                 path.pop()
@@ -450,7 +473,7 @@ def _walk(
             node(kid, c, hp, a, total)
             path.pop()
 
-    node((), (0, 0, 0, 0, 0, htot, ZERO), 0, 1, 0)  # E_0 = 0, so c.p = p.p = 0
+    node((), (0, 0, 0, 0, 0, htot, ZERO), 0, 0, 0)  # E_0 = 0, so c.p = p.p = 0
 
 
 # enumerate_assignments refuses more workers than this; it runs serially anyway
@@ -542,8 +565,8 @@ def _min_bound_cached(
     A hit hashes only these; the basis and the config are built on a miss.
     It holds the minimum as the scaled integer bound (times D =
     :func:`_scale`), or None when no assignment is kept, and builds no
-    Fraction: :func:`k3_noncontainment` compares it with e * D in integers,
-    and :func:`min_series_degree` divides by D on return."""
+    Fraction: :func:`k3_certified_below` turns it into a degree bound in
+    integers, and :func:`min_series_degree` divides by D on return."""
     basis = LatticeBasis(g, r, d)
     _check_search_args(basis, s)
     big = _scale(s)
@@ -602,6 +625,28 @@ def _check_proper_locus(g: int, r: int, d: int) -> None:
         )
 
 
+def k3_certified_below(
+    g: int, r: int, d: int, s: int, config: FilterConfig | None = None
+) -> int | None:
+    """The degree below which Lambda^r_{g,d} certifies every rank-s target:
+    for a proper locus M^s_{g,e}, every kept assignment forces c_2 > e iff
+    e < the returned bound, and None means that no assignment is kept, so
+    every e is certified.  Needs Delta(g, r, d) < 0.
+
+    The bound is ceil(m / D) for the cached floored minimum m (times D =
+    :func:`_scale`) of the Clifford floor 2s: m > e * D iff e < ceil(m / D)
+    for an integer e.  When m <= 2s * D the floored search stopped early,
+    and the bound is <= 2s <= e for every proper target, so none is
+    certified, exactly as with the exact minimum.  It is one integer per
+    (lattice, s, filters): :func:`k3_noncontainment` decides through it,
+    and :func:`~bnloci.poset.rule_sources` cuts a K3 row with one bisection
+    of the target degrees of rank s.
+    """
+    dm, elliptic = (config.dm_filter, config.elliptic_filter) if config else (False, False)
+    m = _min_bound_cached(g, r, d, s, dm, elliptic, 2 * s)
+    return None if m is None else -(-m // _scale(s))
+
+
 def k3_noncontainment(
     g: int, r: int, d: int, s: int, e: int, config: FilterConfig | None = None
 ) -> Relation | None:
@@ -615,27 +660,21 @@ def k3_noncontainment(
     Both loci must be normalized proper loci (rho < 0, 2r <= d <= g-1), else
     ValueError.  Since e >= 2s, both searches stop at the Clifford floor 2s:
     a kept assignment with bound <= 2s already rules out a certificate.
-
-    The minima come from the cache of :func:`min_series_degree`, read
-    directly on its plain-int key: assemble asks this for every pair of loci,
-    and a cache hit then builds no basis, no config and no Fraction.  The
-    cache holds the minimum times D > 0, so "minimum > e" is tested exactly
-    as "scaled minimum > e * D" in integers.
+    The decision is "e < :func:`k3_certified_below`", in integers, and a
+    cached query builds no basis, no config and no Fraction.
     """
     _check_proper_locus(g, r, d)
     _check_proper_locus(g, s, e)
     if delta(g, r, d) >= 0:
         return None
-    dm, elliptic = (config.dm_filter, config.elliptic_filter) if config else (False, False)
-    bound = e * _scale(s)
-    m = _min_bound_cached(g, r, d, s, dm, elliptic, 2 * s)
-    if not (m is None or m > bound):
+    below = k3_certified_below(g, r, d, s, config)
+    if below is not None and e >= below:
         return None
     provenance = "k3"
-    if dm or elliptic:
-        m0 = _min_bound_cached(g, r, d, s, False, False, 2 * s)
-        if not (m0 is None or m0 > bound):
-            used = [name for name, on in (("dm", dm), ("elliptic", elliptic)) if on]
+    if config and (config.dm_filter or config.elliptic_filter):
+        below = k3_certified_below(g, r, d, s)
+        if below is not None and e >= below:
+            used = [name for name, on in zip(("dm", "elliptic"), config) if on]
             provenance = "k3[" + ",".join(used) + "]"
     return Relation(BNLocus(g, r, d), BNLocus(g, s, e), RelKind.NLE, provenance)
 
@@ -656,14 +695,35 @@ def k3_expected(
     """Flag M^r_{g,d} <= M^s_{g,e} as K3-expected when a filtered assignment
     with c_2 bound <= e survives; filters default to on here, matching how
     expectations are read off in practice.  Never emits a Relation.  Both
-    loci must be normalized proper loci, as for :func:`k3_noncontainment`."""
+    loci must be normalized proper loci, as for :func:`k3_noncontainment`.
+
+    The witness is the least such assignment by (bound,
+    :meth:`Assignment.sort_key`), found in one walk that keeps only the
+    least (scaled bound, sort key) among the kept leaves with bound <= e:
+    no listing is built, so :data:`MAX_ASSIGNMENTS` does not apply."""
     for (rr, dd) in ((r, d), (s, e)):
         _check_proper_locus(g, rr, dd)
     basis = LatticeBasis(g, r, d)
     if basis.discriminant >= 0:
         return None
-    cfg = config if config is not None else BOTH_FILTERS
-    witnesses = [a for a in enumerate_assignments(basis, s, cfg) if a.c2_bound <= e]
-    if not witnesses:
+    dm, elliptic = config if config is not None else BOTH_FILTERS
+    _check_search_args(basis, s)
+    big, head = _scale(s), itemgetter(6)
+    limit = e * big
+    best = None  # ((scaled bound, len(ranks), ranks, classes), ranks, tags)
+
+    def leaf(ranks, path, total):
+        nonlocal best
+        if total <= limit and (best is None or total <= best[0][0]):
+            flags = _tags(s, r, ranks, path)
+            if not _dropped(dm, elliptic, flags):
+                key = (total, len(ranks), ranks, tuple(map(head, path)))
+                if best is None or key < best[0]:
+                    best = (key, ranks, flags)
+
+    _walk(basis, s, leaf)
+    if best is None:
         return None
-    return K3Expectation(g, r, d, s, e, min(witnesses, key=lambda a: (a.c2_bound, a.sort_key())))
+    (total, _, _, heads), ranks, flags = best
+    witness = Assignment(ranks, heads + (H,), Fraction(total, big), flags)
+    return K3Expectation(g, r, d, s, e, witness)

@@ -43,7 +43,7 @@ from collections import namedtuple
 from collections.abc import Iterable
 
 from .classical import coppens_noncontainment, plane_projection_rule, secant_expected_dim
-from .k3 import k3_noncontainment
+from .k3 import k3_certified_below, k3_noncontainment
 from .lattice import delta
 from .loci import BNLocus, RelKind, Relation, enumerate_loci, kappa, rho_k
 
@@ -361,15 +361,20 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
     Gonality and secant test :func:`rho_k` and :func:`secant_expected_dim`
     on each pair, a kappa row is the loci of smaller :func:`kappa`, and the
     trivial, Clifford, plane-projection and Coppens rules set their few
-    bits.  A K3 row is bisected: :func:`k3_noncontainment` certifies
-    x !<= (s, e) iff x's cached minimum for s is None or above e * D, so the
-    certified targets of rank s are a prefix in ascending e.
+    bits.  A K3 row is one bisection per rank s: x !<= (s, e) is certified
+    iff e is below :func:`k3_certified_below` of x and s (or that is None),
+    so the certified targets of rank s are a prefix in ascending e, cut by
+    one bisection of their degrees.  The last target of each cut is handed
+    to :func:`k3_noncontainment`, and a row it does not certify raises
+    RuntimeError.
     """
     at = {x.key: i for i, x in enumerate(loci)}
     # key order puts rank s in the index run runs[s] = [start, count], after all lower ranks
     runs: dict[int, list[int]] = {}
+    degrees: dict[int, list[int]] = {}  # degrees[s]: the e of the run, ascending
     for i, x in enumerate(loci):
         runs.setdefault(x.r, [i, 0])[1] += 1
+        degrees.setdefault(x.r, []).append(x.d)
     trivial, clifford, gonality, kap_src, plane, coppens, secant, k3 = sources = [
         (name, {}, {}) for name in ("trivial", "clifford", "gonality", "kappa",
                                     "plane-projection", "coppens", "secant", "k3")
@@ -400,12 +405,17 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
             1 << j for j, (_, s, e) in enumerate(loci[: runs[r][0]])
             if e < d and secant_expected_dim(r, d, s, e) > 0
         )
-        if delta(g, r, d) < 0:  # per rank s: the targets before the first uncertified one
-            k3[2][i] = ~(1 << i) & sum(
-                ((1 << bisect_left(range(count), True, key=lambda m: k3_noncontainment(
-                    g, r, d, s, loci[start + m].d) is None)) - 1) << start
-                for s, (start, count) in runs.items()
-            )
+        if delta(g, r, d) < 0:  # per rank s: the targets of degree below the bound
+            certified = 0
+            for s, (start, count) in runs.items():
+                bound = k3_certified_below(g, r, d, s)
+                cut = count if bound is None else bisect_left(degrees[s], bound)
+                # the per-pair certificate, which also validates both loci,
+                # must hold at the row's edge: one call per row, not per probe
+                if cut and k3_noncontainment(g, r, d, s, degrees[s][cut - 1]) is None:
+                    raise RuntimeError(f"K3 row of {loci[i]} at rank {s} passes its bound")
+                certified |= ((1 << cut) - 1) << start
+            k3[2][i] = certified & ~(1 << i)
     return sources
 
 

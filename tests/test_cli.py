@@ -524,6 +524,15 @@ def test_verify_outside_packaged_genera_is_a_domain_error(capsys, monkeypatch, s
     assert "packaged genera are 7..12" in err and out == ""
 
 
+def test_verify_range_past_a_machine_int_is_a_domain_error(capsys, monkeypatch):
+    # a 20-digit bound is checked against the packaged genera before any
+    # list of genera is built; it once died in an OverflowError traceback
+    _refuse_work(monkeypatch, "assemble")
+    code, out, err = run(capsys, "verify", "7..99999999999999999999")
+    assert (code, out) == (EXIT_DOMAIN, "")
+    assert "no packaged facts or fixture for genus 13" in err
+
+
 def test_packaged_genera_have_their_data_files():
     from importlib import resources
 

@@ -1,6 +1,9 @@
+import ast
 import itertools
+import math
 import os
 import random
+import re
 import subprocess
 import sys
 from bisect import bisect_left, bisect_right
@@ -25,6 +28,7 @@ from bnloci import (
     enumerate_filtration_types,
     gt_check,
     gt_pattern,
+    k3_certified_below,
     k3_expected,
     k3_noncontainment,
     lm_invariants,
@@ -33,7 +37,7 @@ from bnloci import (
     quotient_checks,
     self_int,
 )
-from bnloci.k3 import BOTH_FILTERS, MAX_WORKERS, _c2_bound
+from bnloci.k3 import BOTH_FILTERS, MAX_WORKERS, K3Expectation, _c2_bound
 
 
 def mk(basis, ranks, chern_heads):
@@ -182,6 +186,29 @@ def test_candidates_reject_r0_lattices_like_the_box():
             fn(basis)
 
 
+def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
+    # each row's integers, computed from the box without a LatticeClass, are
+    # the pairings of its class, on every lattice that assemble reaches
+    from bnloci import delta, enumerate_loci
+    from bnloci.k3 import _candidate_rows
+
+    lattices = {
+        (g, x.r, x.d) for g in range(7, 31) for x in enumerate_loci(g) if delta(g, x.r, x.d) < 0
+    }
+    assert len(lattices) > 600
+    for lattice in sorted(lattices):
+        basis = LatticeBasis(*lattice)
+        rows = _candidate_rows(basis)
+        for u, a, b, cc, v, qq, c in rows:
+            assert (a, b) == c
+            assert (u, v, cc, qq) == (
+                pair(basis, H, c), pair(basis, L, c), self_int(basis, c), self_int(basis, H - c)
+            ), (lattice, c)
+        assert [row[6] for row in rows] == sorted(
+            candidate_subsheaf_classes(basis), key=lambda c: (pair(basis, H, c), c)
+        )
+
+
 def test_c2_lower_bound_pinned_values():
     b = LatticeBasis(100, 9, 57)
     assert c2_lower_bound(b, mk(b, (1, 5), [H - L])) == Fraction(203, 4)
@@ -313,6 +340,42 @@ def test_conjectured_threshold_vs_filtered_enumerator():
     assert e.witness.chern[0] == H - L
 
 
+def listing_expectation(g, r, d, s, e, cfg):
+    # oracle: the least listed assignment by (bound, sort key) with bound <= e
+    witnesses = [a for a in enumerate_assignments(LatticeBasis(g, r, d), s, cfg) if a.c2_bound <= e]
+    if not witnesses:
+        return None
+    return K3Expectation(g, r, d, s, e, min(witnesses, key=lambda a: (a.c2_bound, a.sort_key())))
+
+
+def test_k3_expected_equals_the_listing_answer_on_assemble_jobs():
+    from bnloci import rho
+
+    jobs = assemble_jobs(range(7, 13))
+    assert len(jobs) > 100
+    flagged = 0
+    for g, r, d, s in jobs:
+        for e in range(2 * s, g):
+            if rho(g, s, e) >= 0:
+                continue
+            for cfg in (FilterConfig(), BOTH_FILTERS):
+                got = k3_expected(g, r, d, s, e, cfg)
+                assert got == listing_expectation(g, r, d, s, e, cfg), (g, r, d, s, e, cfg)
+                flagged += got is not None
+    assert flagged > 100
+
+
+def test_k3_expected_needs_no_listing(monkeypatch):
+    import bnloci.k3 as k3
+
+    want = {cfg: listing_expectation(11, 2, 7, 3, 10, cfg) for cfg in (FilterConfig(), BOTH_FILTERS)}
+    monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", 1)
+    with pytest.raises(ValueError, match="passes 1 assignments"):
+        enumerate_assignments(LatticeBasis(11, 2, 7), 3, BOTH_FILTERS)
+    for cfg, witness in want.items():
+        assert witness is not None and k3_expected(11, 2, 7, 3, 10, cfg) == witness
+
+
 def test_enumerated_assignments_pass_all_checks_and_box():
     for g, r, d, s in [(9, 2, 6, 1), (9, 2, 7, 2), (10, 3, 9, 3), (11, 2, 7, 3)]:
         basis = LatticeBasis(g, r, d)
@@ -428,17 +491,27 @@ def integer_chains(draw):
 @settings(max_examples=500, deadline=None)
 @given(integer_chains())
 def test_adjacent_slope_recheck_equals_all_triples(chain):
-    from bnloci.k3 import _recheck
+    # the step checks along the chain's successive prefixes: step k adds P_k
+    # to the checked leaf P_0..P_{k-1}, P_top, and must first fail at the
+    # first k whose prefix leaf P_0..P_k, P_top fails the all-triples oracle
+    from bnloci.k3 import _check_step
 
     rk, hd = chain
-    # rows carry what the re-check reads: the H-degree, and (H-c)^2 = 0
-    path = [(h, 0, 0, 0, 0, 0) for h in hd[1:-1]]
-    try:
-        _recheck(hd[-1], rk, path)
-        gt_holds = True
-    except RuntimeError as exc:
-        gt_holds = "violates GT" not in str(exc)
-    assert gt_holds == chain_all_triples(rk, hd)
+    top, htot = rk[-1], hd[-1]
+    first_step = first_leaf = None
+    for k in range(1, len(rk) - 1):
+        dr, hpp = (rk[k - 1] - rk[k - 2], hd[k - 2]) if k >= 2 else (0, 0)
+        # rows carry what the check reads: the H-degree, and (H-c)^2 = 0;
+        # a quotient failure means that the step's two slope pairs held
+        row = (hd[k], 0, 0, 0, 0, 0)
+        if first_step is None and _check_step(htot, top, rk[k - 1], hd[k - 1], dr, hpp, rk[k], row) == "GT":
+            first_step = k
+        if first_leaf is None and not chain_all_triples(rk[: k + 1] + (top,), hd[: k + 1] + [htot]):
+            first_leaf = k
+    assert first_step == first_leaf
+    # a leaf is a subchain of the whole chain, so the oracle on the whole
+    # chain is the oracle on every prefix leaf (the last one is the chain)
+    assert (first_leaf is None) == chain_all_triples(rk, hd)
 
 
 def assemble_jobs(genera):
@@ -499,6 +572,15 @@ def test_floored_minimum_decides_every_query_like_the_exact_minimum():
                     want = "k3" if m0 is None or m0 > e else "k3[dm,elliptic]"
                 rel = k3_noncontainment(g, r, d, s, e, cfg)
                 assert (rel and rel.provenance) == want, (g, r, d, s, e, cfg)
+                below = k3_certified_below(g, r, d, s, cfg)
+                assert (below is None or e < below) == (m is None or m > e), (g, r, d, s, e, cfg)
+        for cfg in kept:
+            # the bound is ceil of the exact minimum whenever that is above 2s
+            below, m = k3_certified_below(g, r, d, s, cfg), exact[cfg]
+            if m is None or m > 2 * s:
+                assert below == (None if m is None else math.ceil(m)), (g, r, d, s, cfg)
+            else:
+                assert below <= 2 * s, (g, r, d, s, cfg)
         for cfg in kept:
             assert min_series_degree(basis, s, cfg) == exact[cfg], (g, r, d, s, cfg)
 
@@ -507,13 +589,13 @@ def test_floored_search_stops_early(monkeypatch):
     import bnloci.k3 as k3
 
     checked = []
-    real = k3._recheck
+    real = k3._check_step
 
-    def spy(htot, rk, path):
-        checked.append(rk)
-        real(htot, rk, path)
+    def spy(htot, top, rm, hp, dr, hpp, r, row):
+        checked.append(r)
+        return real(htot, top, rm, hp, dr, hpp, r, row)
 
-    monkeypatch.setattr(k3, "_recheck", spy)
+    monkeypatch.setattr(k3, "_check_step", spy)
     basis = LatticeBasis(15, 4, 13)
     assert len(enumerate_assignments(basis, 7)) == len(checked) == 14263
     checked.clear()
@@ -595,20 +677,20 @@ def test_prefix_walk_matches_per_type_walk():
 
 def test_floored_walk_emits_short_types_first(monkeypatch):
     # the prefix walk emits a node's leaves before it descends, so the
-    # floored minimum re-checks no more leaves than the per-type search did
-    # (7,895 over these genera); a plain depth-first order re-checks 85,944
+    # floored minimum checks no more leaves than the per-type search did
+    # (7,895 over these genera); a plain depth-first order checks 85,944
     import bnloci.k3 as k3
     from bnloci.poset import assemble
 
     checked = 0
-    real = k3._recheck
+    real = k3._check_step
 
-    def spy(htot, rk, path):
+    def spy(*args):
         nonlocal checked
         checked += 1
-        real(htot, rk, path)
+        return real(*args)
 
-    monkeypatch.setattr(k3, "_recheck", spy)
+    monkeypatch.setattr(k3, "_check_step", spy)
     k3._min_bound_cached.cache_clear()
     for g in range(13, 18):
         assemble(g)
@@ -632,23 +714,57 @@ def test_loci_below_clifford_are_rejected(fn, args):
 
 
 def test_recheck_rejects_a_bad_leaf():
-    from bnloci.k3 import _candidate_rows, _recheck
+    from bnloci.k3 import _candidate_rows, _check_step
 
     basis = LatticeBasis(9, 2, 6)
     rows = _candidate_rows(basis)
-    # the lowest H-degree first: mu(E_1) < mu(E), so triple (0, 1, 2) fails
-    with pytest.raises(RuntimeError, match="violates GT"):
-        _recheck(basis.h_square, (0, 1, 2), [rows[0]])
-    _recheck(basis.h_square, (0, 1, 2), [rows[-1]])
+    htot = basis.h_square
+    # a child of the root, ranks (0, 1, 2): the lowest H-degree first gives
+    # mu(E_1) < mu(E), so the pair (P_0, P_1, P_top) fails
+    assert _check_step(htot, 2, 0, 0, 0, 0, 1, rows[0]) == "GT"
+    assert _check_step(htot, 2, 0, 0, 0, 0, 1, rows[-1]) is None
+    # the same slopes with (H-c)^2 < 0 fail the quotient check
+    bad = (rows[-1][0], 0, 0, 0, 0, -1)
+    assert _check_step(htot, 2, 0, 0, 0, 0, 1, bad) == "a quotient check"
+    # after P_1 = (1, h), P_2 = (2, 2h + 1) bends up: it fails the pair
+    # (P_0, P_1, P_2), the one the root's children (dr = 0) never test, and
+    # passes the pair (P_1, P_2, P_top) and the quotient checks for
+    # P_top = (3, 3h + 1)
+    h = rows[-1][0]
+    assert h > 0
+    up = (2 * h + 1, 0, 0, 0, 0, 0)
+    assert _check_step(3 * h + 1, 3, 1, h, 1, 0, 2, up) == "GT"
+    assert _check_step(3 * h + 1, 3, 1, h, 0, 0, 2, up) is None
 
 
 @pytest.mark.parametrize("call", ["enumerate_assignments(b, 2)", "min_series_degree(b, 2)"])
 def test_recheck_fires_under_python_O(call):
     # drop the lower interval cut so the DFS emits inadmissible leaves; the
-    # leaf re-check must stop it even with asserts stripped
+    # leaf check must stop it even with asserts stripped
+    out = python_O_call("k.bisect_left = lambda a, x, *rest: 0", call)
+    assert out.startswith("raised") and "violates" in out
+
+
+@pytest.mark.parametrize("call", ["enumerate_assignments(b, 3)", "min_series_degree(b, 3)"])
+def test_step_check_fires_on_the_upper_pair_under_python_O(call):
+    # drop the upper interval cut: a child P of a node P_m past the root then
+    # bends up, and the pair (P_{m-1}, P_m, P) of the step check stops it
+    out = python_O_call("k.bisect_right = lambda a, x, *rest: len(a)", call)
+    assert out.startswith("raised") and "violates GT" in out
+    leaf = re.fullmatch(r"raised DFS leaf (\(.*?\)) over ranks (\(.*?\)) violates GT\n", out)
+    hd, rk = map(ast.literal_eval, leaf.groups())
+    assert len(rk) >= 4  # P_0, P_m, P, P_top: the child of a node past the root
+
+    def rises(i):  # slope(P_i, P_{i+1}) > slope(P_{i-1}, P_i)
+        return (hd[i + 1] - hd[i]) * (rk[i] - rk[i - 1]) > (hd[i] - hd[i - 1]) * (rk[i + 1] - rk[i])
+
+    assert rises(len(rk) - 3) and not rises(len(rk) - 2)
+
+
+def python_O_call(patch, call):
     code = (
         "import bnloci.k3 as k\n"
-        "k.bisect_left = lambda a, x, *rest: 0\n"
+        f"{patch}\n"
         "b = k.LatticeBasis(9, 2, 6)\n"
         "try:\n"
         f"    k.{call}\n"
@@ -657,10 +773,9 @@ def test_recheck_fires_under_python_O(call):
     )
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src))
-    out = subprocess.run(
+    return subprocess.run(
         [sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, check=True
     ).stdout
-    assert out.startswith("raised") and "violates" in out
 
 
 @pytest.mark.parametrize("workers", [0, -1, MAX_WORKERS + 1, 10**9, 1.5, "2", True, None])
