@@ -127,8 +127,18 @@ def packaged_fixture_matrix(genus: int) -> RelationMatrix:
 # ---------------------------------------------------------------- invariants
 
 
+# the largest genus `bn invariants` takes: kappa_bruteforce scans about g/2
+# values of k, about 0.8 s at this cap and 6 s at 10^7 (2-CPU x86_64 VM)
+MAX_INVARIANTS_GENUS = 10**6
+
+
 def cmd_invariants(args) -> int:
     g, r, d = args.g, args.r, args.d
+    if g > MAX_INVARIANTS_GENUS:
+        raise ValueError(
+            f"genus {g} is above {MAX_INVARIANTS_GENUS}, the largest genus "
+            f"bn invariants takes: its brute-force kappa check scans about g/2 values"
+        )
     locus = BNLocus(g, r, d)
     lines = []
     norm = normalize(locus)
@@ -433,7 +443,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = p.add_subparsers(dest="command", required=True)
 
     pi = sub.add_parser("invariants", help="numerical invariants of one locus")
-    pi.add_argument("g", type=int)
+    pi.add_argument("g", type=int, help=f"the genus, at most {MAX_INVARIANTS_GENUS}")
     pi.add_argument("r", type=int)
     pi.add_argument("d", type=int)
     pi.set_defaults(func=cmd_invariants)

@@ -51,6 +51,35 @@ length 2 come first, in the order of the per-type search, and a plain
 depth-first order checked 85,944 leaves instead of 7,895 over cold
 assemble(13..17).
 
+Pruning.  Most intervals are empty, and the walk skips them in two exact
+ways.  At a node P_m = (r_m, h_p), write h_max for the largest candidate
+H-degree.  The lower end for a child of rank r = r_m + a is
+
+    slope(P, P_top) <= slope(P_m, P)  iff  h >= h_p + a (H^2 - h_p) / (s+1 - r_m),
+
+so the least admissible h is h_p + ceil(a (H^2 - h_p) / (s+1 - r_m)).  It never
+decreases as r grows if h_p < H^2.  That holds at every node: the root has
+h_p = 0 < H^2 = 2g - 2, and every other node is a child whose row passed
+:func:`_check_step`, which rejects h >= H^2 (the quotient condition
+H.(H-c) > 0).  So once the lower end at some r passes h_max, it does so at
+every larger r, and the node's rank loop ends there; each bisection for the
+lower end also starts from the previous one.  The same bound decides before
+the descent whether a child can emit anything.  For a child P = (r, h) the
+lower end at rank r + 1 is h + ceil((H^2 - h) / (s + 1 - r)), and it is at
+most h_max iff, in integers,
+
+    h (s - r) + H^2 <= h_max (s + 1 - r).
+
+If that fails, the child has no row at rank r + 1 and, by the
+monotonicity, none at any later rank.  For r = s the test reads
+H^2 <= h_max, which never holds, as every candidate has H.c < H^2; so it
+also stands for "r < s".  A child that fails it would emit no leaf and have
+no child of its own, so it is never entered.
+The walk thus emits the same leaves in the same order and checks each one,
+while over cold assemble(13..17) it makes 6,563 lower-end bisections and
+2,637 node calls instead of 16,090 and 6,131.  A lattice with no candidate
+row has no admissible step at all, and the walk returns at once.
+
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
 it as an integer times D = 2 lcm(1..s+1) and builds a Fraction only once
@@ -428,13 +457,21 @@ def _walk(
     docstring for why these two suffice and why each child is exactly one
     leaf of type (r_1..r_m, r, s+1).  A node emits all its children's leaves
     before it descends into any child, so the leaves of the shortest types
-    come first.
+    come first.  A node's rank loop ends at the first r whose lower end
+    passes the largest candidate H-degree, and a child is entered only if
+    its interval at rank r + 1 starts inside the rows; both skip only empty
+    intervals, so the leaves and their order are those of the full loop
+    (module docstring, "Pruning").  A lattice without candidate rows emits
+    no leaf.
     """
+    rows = _candidate_rows(basis)
+    if not rows:
+        return  # no candidate class: no type has an admissible step
     htot = basis.h_square
     big = _scale(s)
     top = s + 1
-    rows = _candidate_rows(basis)
     hs = [row[0] for row in rows]
+    count, hmax = len(rows), hs[-1]
     # a step of rank rho adds T = half[rho]*(f.f) + D*(f.p) + const[rho] with
     # f = c_i - c_{i-1}, p = c_{i-1}: the stable-factor bound plus the
     # recursion term, times D
@@ -448,13 +485,23 @@ def _walk(
         rm = ranks[-1] if ranks else 0
         hp, pp, pv = p[0], p[3], p[4]
         children = []
+        start = 0
         for r in range(rm + 1, top):
             a = r - rm
-            start = bisect_left(hs, -(-(htot * a + hp * (top - r)) // (top - rm)))
-            stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if ranks else len(rows)
+            # the lower end never decreases in r, so no later r has a row
+            # either once it passes hmax (module docstring, "Pruning")
+            start = bisect_left(hs, -(-(htot * a + hp * (top - r)) // (top - rm)), start)
+            if start == count:
+                break
+            stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if ranks else count
+            if start == stop:
+                continue
             kid = ranks + (r,)
             leaf_ranks = kid + (top,)
             hm, cm, hn, cn = half[a], const[a], half[top - r], const[top - r]
+            # a child P = (r, h) has its lower end at rank r + 1 inside the
+            # rows iff h * (top - r - 1) + H^2 <= hmax * (top - r); never at r = s
+            wide, room = top - r - 1, hmax * (top - r) - htot
             for idx in range(start, stop):
                 c = rows[idx]
                 cp = c[1] * hp + c[2] * pv
@@ -466,7 +513,7 @@ def _walk(
                 # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
                 leaf(leaf_ranks, path, total + hn * c[5] + big * (c[0] - c[3]) + cn)
                 path.pop()
-                if r < s:
+                if c[0] * wide <= room:
                     children.append((kid, c, a, total))
         for kid, c, a, total in children:
             path.append(c)

@@ -516,6 +516,34 @@ def test_poset_above_the_genus_cap_is_rejected(capsys, monkeypatch):
         main(["poset", "30"])
 
 
+@pytest.mark.parametrize("g", ["1000001", str(10**8), "9" * 40])
+def test_invariants_above_the_genus_cap_is_refused_before_any_work(capsys, monkeypatch, g):
+    # kappa_bruteforce scans about g/2 values: 6 s at 10^7, far longer at 10^8
+    from bnloci.cli import MAX_INVARIANTS_GENUS
+
+    assert MAX_INVARIANTS_GENUS == 10**6
+    for name in ("BNLocus", "kappa_bruteforce"):
+        _refuse_work(monkeypatch, name)
+    code, out, err = run(capsys, "invariants", g, "1", "3")
+    assert code == EXIT_DOMAIN and out == ""
+    assert f"genus {g} is above 1000000" in err
+    # the cap itself gets past the check, to the work
+    with pytest.raises(AssertionError, match="BNLocus started"):
+        main(["invariants", "1000000", "1", "3"])
+
+
+def test_k3_on_a_lattice_without_candidates_lists_nothing(capsys):
+    # Lambda^1_(3,4) has an empty destabilizing box scan: the walk has no
+    # candidate row and emits no leaf
+    code, out, err = run(capsys, "k3", "3", "1", "4", "--series", "1")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "lattice Lambda^1_(3,4)  series dimension s = 1  filters off\n"
+        "destabilizing box |x| <= 1, |y| <= 0\n"
+        "no admissible assignments: no such series on any smooth curve in |H|\n"
+    )
+
+
 @pytest.mark.parametrize("spec", ["13", "6", "11..13"])
 def test_verify_outside_packaged_genera_is_a_domain_error(capsys, monkeypatch, spec):
     _refuse_work(monkeypatch, "assemble")

@@ -697,6 +697,102 @@ def test_floored_walk_emits_short_types_first(monkeypatch):
     assert 0 < checked <= 7895
 
 
+def count_lower_end_bisections(monkeypatch, work):
+    # the walk is the only user of bisect_left in k3: one call per (node, r)
+    # interval whose lower end it looks up
+    import bnloci.k3 as k3
+
+    calls = 0
+    real = k3.bisect_left
+
+    def spy(*args):
+        nonlocal calls
+        calls += 1
+        return real(*args)
+
+    monkeypatch.setattr(k3, "bisect_left", spy)
+    work()
+    return calls
+
+
+def test_walk_skips_empty_intervals_on_cold_assemble(monkeypatch):
+    # the rank loop ends at the first empty lower end and no childless
+    # prefix is entered: 16,090 bisections without either, 6,563 with both
+    import bnloci.k3 as k3
+    from bnloci.poset import assemble
+
+    def cold_assemble():
+        k3._min_bound_cached.cache_clear()
+        k3._candidate_rows.cache_clear()
+        for g in range(13, 18):
+            assemble(g)
+
+    assert 0 < count_lower_end_bisections(monkeypatch, cold_assemble) <= 6563
+
+
+def test_walk_skips_empty_intervals_on_the_listing_jobs(monkeypatch):
+    def listings():
+        for g, r, d, s in K3_LIST_JOBS:
+            enumerate_assignments(LatticeBasis(g, r, d), s)
+
+    # 57,560 bisections without the pruning
+    assert 0 < count_lower_end_bisections(monkeypatch, listings) <= 37911
+
+
+def test_walk_emits_the_leaves_in_a_locked_order():
+    # the sequence of leaves, not only their set, as the walk emitted it
+    # before the interval pruning: the floored minimum relies on the order
+    import hashlib
+
+    from bnloci.k3 import _walk
+
+    digest, emitted = hashlib.sha256(), 0
+    for g, r, d, s in assemble_jobs(range(7, 13)) + K3_LIST_JOBS[:1]:
+
+        def leaf(ranks, path, total):
+            nonlocal emitted
+            emitted += 1
+            digest.update(repr((ranks, [tuple(row[6]) for row in path], total)).encode())
+
+        _walk(LatticeBasis(g, r, d), s, leaf)
+    assert emitted == 7458
+    assert digest.hexdigest() == "6086f3aea1f5615713bb775877f4c5c4da2078a81db3cbf3b6fbf439d3a0ddf3"
+
+
+def lattices_outside_assemble(genera):
+    # every r >= 1 lattice with Delta < 0 and d <= 2g whose box bn k3 scans;
+    # d > g - 1 is past every proper locus, so assemble never walks these
+    from bnloci.cli import MAX_K3_BOX_CLASSES
+
+    for g in genera:
+        for r in range(1, 2 * g):
+            for d in range(2 * g + 1):
+                basis = LatticeBasis(g, r, d)
+                if basis.discriminant < 0 and box_class_count(basis) <= MAX_K3_BOX_CLASSES:
+                    yield basis
+
+
+def test_walk_on_lattices_without_candidates_matches_per_type_walk():
+    from bnloci.k3 import _candidate_rows, _walk
+
+    bases = list(lattices_outside_assemble(range(3, 13)))
+    empty = [b for b in bases if not _candidate_rows(b)]
+    assert len(empty) == 60 and LatticeBasis(3, 1, 4) in empty
+    # and every lattice past d = g - 1 that does have candidates
+    past = [b for b in bases if b.d > b.g - 1 and _candidate_rows(b)]
+    assert len(past) == 475
+    emitted = 0
+    for basis in empty + past:
+        for s in range(1, 4):
+            leaves = walk_leaves(_walk, basis, s)
+            assert leaves == walk_leaves(per_type_walk, basis, s), (basis, s)
+            if basis in empty:
+                assert leaves == [] and enumerate_assignments(basis, s) == []
+                assert min_series_degree(basis, s) is None
+            emitted += len(leaves)
+    assert emitted == 5958
+
+
 @pytest.mark.parametrize("fn", [k3_noncontainment, k3_expected])
 @pytest.mark.parametrize(
     "args",
