@@ -17,7 +17,7 @@ from importlib import resources
 from pathlib import Path
 
 from .classical import gonality_bounds
-from .k3 import FilterConfig, box_class_count, destab_box, enumerate_assignments
+from .k3 import FilterConfig, box_class_count, destab_box, enumerate_assignments, type_text
 from .lattice import LatticeBasis, delta
 from .loci import (
     BNLocus,
@@ -48,6 +48,10 @@ EXIT_IO = 3
 # genera with a packaged facts file and fixture under bnloci/data
 PACKAGED_GENERA = range(7, 13)
 
+# the largest genus `bn poset` assembles: the top of the tests' behaviour
+# lock, where a cold assemble takes about a second; the cost grows fast above
+MAX_POSET_GENUS = 30
+
 _RECORD_KEYS = {"genus", "lhs", "rhs", "relation", "source"}
 _POINT_KEYS = {"r", "d"}
 _RELATIONS = {k.value for k in RelKind}
@@ -57,12 +61,21 @@ class FactsError(ValueError):
     """Malformed facts or fixture file."""
 
 
+def _json_int(value, where: str, what: str) -> int:
+    # a JSON integer only, so no float, string or bool is coerced; the type
+    # is compared exactly because bool is a subclass of int
+    if type(value) is not int:
+        raise FactsError(f"{where}: {what} must be an integer, got {json.dumps(value)}")
+    return value
+
+
 def _parse_point(genus: int, obj, where: str) -> BNLocus:
     if not isinstance(obj, dict) or set(obj) != _POINT_KEYS:
         raise FactsError(f"{where}: locus must be an object with keys r, d")
+    r, d = _json_int(obj["r"], where, "r"), _json_int(obj["d"], where, "d")
     try:
-        return BNLocus(genus, int(obj["r"]), int(obj["d"]))
-    except (TypeError, ValueError) as exc:
+        return BNLocus(genus, r, d)
+    except ValueError as exc:
         raise FactsError(f"{where}: {exc}") from exc
 
 
@@ -84,10 +97,7 @@ def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
             raise FactsError(
                 f"{where}: expected exactly the keys genus, lhs, rhs, relation, source"
             )
-        try:
-            g = int(rec["genus"])
-        except (TypeError, ValueError) as exc:
-            raise FactsError(f"{where}: bad genus") from exc
+        g = _json_int(rec["genus"], where, "genus")
         if genus is not None and g != genus:
             raise FactsError(f"{where}: genus {g} does not match requested genus {genus}")
         if rec["relation"] not in _RELATIONS:
@@ -174,8 +184,9 @@ def cmd_invariants(args) -> int:
 
 
 # the largest --series that `bn k3` lists: s sets 2^s - 1 filtration types,
-# and s = 14 is the largest that assemble reaches up to MAX_POSET_GENUS = 30
-MAX_K3_SERIES = 14
+# and this is the largest s that assemble reaches up to MAX_POSET_GENUS, as
+# the proper loci of genus g have s <= (g-1)/2
+MAX_K3_SERIES = (MAX_POSET_GENUS - 1) // 2
 
 # the most quotient classes `bn k3` scans in the destabilizing box: the box
 # grows with g (about 2 * 10^9 classes on Lambda^2_(10^6,2000)); the largest
@@ -195,10 +206,6 @@ class _Memo(dict):
     def __missing__(self, key):
         value = self[key] = self.render(key)
         return value
-
-
-def _type_text(ranks: tuple[int, ...]) -> str:
-    return "<".join(map(str, ranks))
 
 
 def cmd_k3(args) -> int:
@@ -251,7 +258,7 @@ def cmd_k3(args) -> int:
         chern = _Memo(lambda c: dumps(str(c))).__getitem__
         chern_xy = _Memo(lambda c: dumps(list(c.xy))).__getitem__
         flags = _Memo(lambda tags: dumps(list(tags)))
-        types = _Memo(lambda ranks: dumps(_type_text(ranks)))
+        types = _Memo(lambda ranks: dumps(type_text(ranks)))
         write('{"assignments":[')
         sep = ""
         for ranks, classes, b, tags in assignments:
@@ -283,7 +290,7 @@ def cmd_k3(args) -> int:
     chern = _Memo(str).__getitem__
     chern_xy = _Memo(lambda c: str(c.xy)).__getitem__
     flags = _Memo(lambda tags: ",".join(tags) or "-")
-    types = _Memo(_type_text)
+    types = _Memo(type_text)
     for ranks, classes, b, tags in assignments:
         steps = classes[:-1]
         text = ", ".join(map(chern, steps)) or "-"
@@ -356,11 +363,6 @@ def matrix_to_dot(matrix: RelationMatrix) -> str:
     return "\n".join(lines) + "\n"
 
 
-# the largest genus `bn poset` assembles: the top of the tests' behaviour
-# lock, where a cold assemble takes about a second; the cost grows fast above
-MAX_POSET_GENUS = 30
-
-
 def cmd_poset(args) -> int:
     if args.g > MAX_POSET_GENUS:
         raise ValueError(
@@ -393,11 +395,6 @@ def genus_range(spec: str) -> range:
     if not genera:
         raise ValueError(f"empty genus range {spec}")
     return genera
-
-
-def parse_genus_range(spec: str) -> list[int]:
-    """The genera of :func:`genus_range` as a list."""
-    return list(genus_range(spec))
 
 
 def cmd_verify(args) -> int:

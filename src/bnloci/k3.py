@@ -47,9 +47,8 @@ visits each prefix once, emits it as a leaf, and extends it by every rank in
 2^(s-r_m) - 1 longer types.  A node emits all its children's leaves before
 it descends into any child.  That keeps the shortest types ahead of their
 extensions, and the Clifford-floor stop below relies on it: the types of
-length 2 come first, in the order of the per-type search, and a plain
-depth-first order checked 85,944 leaves instead of 7,895 over cold
-assemble(13..17).
+length 2 come first, in the order of the per-type search, and the floored
+search stops at its first kept leaf <= 2s, so the order sets how soon.
 
 Pruning.  Most intervals are empty, and the walk skips them in two exact
 ways.  At a node P_m = (r_m, h_p), write h_max for the largest candidate
@@ -75,10 +74,9 @@ monotonicity, none at any later rank.  For r = s the test reads
 H^2 <= h_max, which never holds, as every candidate has H.c < H^2; so it
 also stands for "r < s".  A child that fails it would emit no leaf and have
 no child of its own, so it is never entered.
-The walk thus emits the same leaves in the same order and checks each one,
-while over cold assemble(13..17) it makes 6,563 lower-end bisections and
-2,637 node calls instead of 16,090 and 6,131.  A lattice with no candidate
-row has no admissible step at all, and the walk returns at once.
+The walk thus emits the same leaves in the same order and checks each one.
+A lattice with no candidate row has no admissible step at all, and the
+walk returns at once.
 
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
@@ -116,9 +114,10 @@ kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
 e >= 2s (Clifford's theorem; :func:`k3_noncontainment` rejects loci with
 d < 2r).  So once one kept leaf has bound <= 2s, no query at that
 (lattice, s) can certify and the exact minimum does not matter.  The
-minimum-only path takes a ``floor`` and stops at the first kept leaf whose
-bound is <= floor: its answer is exact whenever it is > floor, and <= floor
-otherwise, which decides "minimum > e" for every e >= floor alike.  The
+floor 2s is read off s, so the certifying search derives it: it stops at
+the first kept leaf whose bound is <= 2s, and its answer is exact whenever
+it is > 2s, and <= 2s otherwise, which decides "minimum > e" for every
+e >= 2s alike.  :func:`min_series_degree` runs the exact search.  The
 candidate rows depend on the lattice alone, so they are built once per
 lattice and shared by every s.  The floored minimum m of a (lattice, s)
 gives one integer, ceil(m / D) (:func:`k3_certified_below`), and a proper
@@ -190,6 +189,11 @@ def enumerate_filtration_types(s: int) -> list[tuple[int, ...]]:
     return types
 
 
+def type_text(ranks: tuple[int, ...]) -> str:
+    """A filtration type as text, its ranks joined by '<' (``1<3<4``)."""
+    return "<".join(map(str, ranks))
+
+
 class Assignment(
     namedtuple("Assignment", "ranks chern c2_bound filtered_by", defaults=((),))
 ):
@@ -208,7 +212,7 @@ class Assignment(
 
     @property
     def type_str(self) -> str:
-        return "<".join(str(r) for r in self.ranks)
+        return type_text(self.ranks)
 
     def sort_key(self):
         return (len(self.ranks), self.ranks, self.chern)
@@ -600,24 +604,27 @@ def enumerate_assignments(
 
 
 class _FloorReached(Exception):
-    """Ends a floored minimum-only walk at its first kept leaf <= the floor."""
+    """Ends a floored minimum-only walk at its first kept leaf <= 2s."""
 
 
 @lru_cache(maxsize=4096)
 def _min_bound_cached(
-    g: int, r: int, d: int, s: int, dm: bool, elliptic: bool, floor: int | None
+    g: int, r: int, d: int, s: int, dm: bool, elliptic: bool, floored: bool
 ) -> int | None:
     """The one cache of minimum-only searches, keyed on plain values: the
-    lattice (g, r, d), the series s, the two filter switches and the floor.
-    A hit hashes only these; the basis and the config are built on a miss.
+    lattice (g, r, d), the series s, the two filter switches and whether
+    the search stops at the Clifford floor 2s (module docstring).  A hit
+    hashes only these; the basis and the config are built on a miss.
     It holds the minimum as the scaled integer bound (times D =
-    :func:`_scale`), or None when no assignment is kept, and builds no
-    Fraction: :func:`k3_certified_below` turns it into a degree bound in
-    integers, and :func:`min_series_degree` divides by D on return."""
+    :func:`_scale`), or None when no assignment is kept; a floored entry is
+    exact whenever it is > 2s * D, and <= 2s * D otherwise.  It builds no
+    Fraction: :func:`k3_certified_below` turns a floored entry into a degree
+    bound in integers, and :func:`min_series_degree` divides an exact one
+    by D on return."""
     basis = LatticeBasis(g, r, d)
     _check_search_args(basis, s)
     big = _scale(s)
-    limit = None if floor is None else floor * big
+    limit = 2 * s * big if floored else None
     best = None
 
     def leaf(ranks, path, total):
@@ -637,11 +644,7 @@ def _min_bound_cached(
 
 
 def min_series_degree(
-    basis: LatticeBasis,
-    s: int,
-    config: FilterConfig | None = None,
-    *,
-    floor: int | None = None,
+    basis: LatticeBasis, s: int, config: FilterConfig | None = None
 ) -> Fraction | None:
     """Minimum c_2 lower bound over all (filtered) assignments, or None when
     no assignment exists.  A smooth curve in |H| admits no g^s_e for any
@@ -650,16 +653,12 @@ def min_series_degree(
     This is the minimum-only path of the shared DFS core: it keeps the
     smallest scaled integer bound among the leaves that pass the config's
     filters, builds no Assignment and no Fraction per leaf, caches that
-    integer per (lattice, s, filters, floor), and returns ``Fraction(best, D)``.
-
-    With ``floor`` set, the search stops at the first kept leaf whose bound
-    is <= floor and returns that bound: the result is the exact minimum
-    whenever it is > floor, and otherwise some bound <= floor.  That decides
-    "minimum > e" exactly for every e >= floor; :func:`k3_noncontainment`
-    passes the Clifford floor 2s (see the module docstring).
+    integer per (lattice, s, filters), and returns ``Fraction(best, D)``.
+    The search is exact; the certificates stop at the Clifford floor
+    instead (:func:`k3_certified_below`).
     """
-    dm, elliptic = (config.dm_filter, config.elliptic_filter) if config else (False, False)
-    best = _min_bound_cached(basis.g, basis.r, basis.d, s, dm, elliptic, floor)
+    dm, elliptic = config or FilterConfig()
+    best = _min_bound_cached(basis.g, basis.r, basis.d, s, dm, elliptic, False)
     return None if best is None else Fraction(best, _scale(s))
 
 
@@ -680,17 +679,17 @@ def k3_certified_below(
     e < the returned bound, and None means that no assignment is kept, so
     every e is certified.  Needs Delta(g, r, d) < 0.
 
-    The bound is ceil(m / D) for the cached floored minimum m (times D =
-    :func:`_scale`) of the Clifford floor 2s: m > e * D iff e < ceil(m / D)
-    for an integer e.  When m <= 2s * D the floored search stopped early,
-    and the bound is <= 2s <= e for every proper target, so none is
-    certified, exactly as with the exact minimum.  It is one integer per
-    (lattice, s, filters): :func:`k3_noncontainment` decides through it,
+    The bound is ceil(m / D) for the cached minimum m (times D =
+    :func:`_scale`) of the search floored at 2s: m > e * D iff
+    e < ceil(m / D) for an integer e.  When m <= 2s * D the floored search
+    stopped early, and the bound is <= 2s <= e for every proper target, so
+    none is certified, exactly as with the exact minimum.  It is one integer
+    per (lattice, s, filters): :func:`k3_noncontainment` decides through it,
     and :func:`~bnloci.poset.rule_sources` cuts a K3 row with one bisection
     of the target degrees of rank s.
     """
-    dm, elliptic = (config.dm_filter, config.elliptic_filter) if config else (False, False)
-    m = _min_bound_cached(g, r, d, s, dm, elliptic, 2 * s)
+    dm, elliptic = config or FilterConfig()
+    m = _min_bound_cached(g, r, d, s, dm, elliptic, True)
     return None if m is None else -(-m // _scale(s))
 
 
@@ -708,17 +707,18 @@ def k3_noncontainment(
     ValueError.  Since e >= 2s, both searches stop at the Clifford floor 2s:
     a kept assignment with bound <= 2s already rules out a certificate.
     The decision is "e < :func:`k3_certified_below`", in integers, and a
-    cached query builds no basis, no config and no Fraction.
+    cached query builds no basis and no Fraction.
     """
     _check_proper_locus(g, r, d)
     _check_proper_locus(g, s, e)
     if delta(g, r, d) >= 0:
         return None
+    config = config or FilterConfig()
     below = k3_certified_below(g, r, d, s, config)
     if below is not None and e >= below:
         return None
     provenance = "k3"
-    if config and (config.dm_filter or config.elliptic_filter):
+    if any(config):
         below = k3_certified_below(g, r, d, s)
         if below is not None and e >= below:
             used = [name for name, on in zip(("dm", "elliptic"), config) if on]
@@ -754,7 +754,6 @@ def k3_expected(
     if basis.discriminant >= 0:
         return None
     dm, elliptic = config if config is not None else BOTH_FILTERS
-    _check_search_args(basis, s)
     big, head = _scale(s), itemgetter(6)
     limit = e * big
     best = None  # ((scaled bound, len(ranks), ranks, classes), ranks, tags)

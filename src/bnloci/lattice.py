@@ -134,13 +134,9 @@ def find_classes_with_square(
 def floor_sqrt_ratio(num: int, den: int) -> int:
     """Largest integer m >= 0 with m*m*den <= num (num >= 0, den >= 1).
 
-    Exact integer bracketing; no floating point anywhere.
+    As m*m is an integer, m*m*den <= num iff m*m <= num // den, so the
+    answer is isqrt(num // den), exactly; no floating point anywhere.
     """
     if num < 0:
         raise ValueError("num must be >= 0")
-    m = isqrt(num // den)
-    while (m + 1) * (m + 1) * den <= num:
-        m += 1
-    while m * m * den > num:
-        m -= 1
-    return m
+    return isqrt(num // den)

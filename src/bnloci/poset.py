@@ -183,16 +183,14 @@ class RelationMatrix:
                     nle_rows[b] |= reach
 
         self._up, self._down, self._nle_rows, self._seed_rows = up, down, nle_rows, seed_rows
-        self._rep = rep = [_low(up[i] & down[i]) for i in range(n)]
+        # bit j of _same[i]: loci i and j are equal
+        self._same = same = [up[i] & down[i] for i in range(n)]
+        self._rep = rep = [_low(row) for row in same]
+        reps = [i for i in range(n) if rep[i] == i]
+        self._rep_mask = sum(1 << i for i in reps)
+        self.classes = tuple(tuple(loci[j] for j in _bits(same[i])) for i in reps)
         # (le, nle): see _seeded; then the memo of every rendered string
         self._tables: tuple[dict, dict] | None = None
-        members: dict[int, int] = {}
-        for i, r in enumerate(rep):
-            members[r] = members.get(r, 0) | 1 << i
-        # bit j of _same[i]: loci i and j are equal
-        self._same = [members[r] for r in rep]
-        self._rep_mask = sum(1 << r for r in members)
-        self.classes = tuple(tuple(loci[i] for i in _bits(m)) for m in members.values())
         for a in range(n):
             if seed_rows[a] & up[a]:
                 c = _low(seed_rows[a] & up[a])
@@ -319,19 +317,23 @@ def closure_relations(
 
     The relations are grouped into one source per provenance string
     (:func:`_group`), and :class:`RelationMatrix` closes the sources.
-    Raises ValueError for a relation off the genus or outside ``loci``.
+    Raises ValueError for a locus or a relation off the genus, or for a
+    relation outside ``loci``.
     """
     loci = tuple(sorted(set(loci), key=lambda l: l.key))
+    for x in loci:
+        if x.g != genus:
+            raise ValueError(f"locus {x} is not at genus {genus}")
     index = {x: i for i, x in enumerate(loci)}
     return RelationMatrix(genus, loci, index, _group(genus, index, relations))
 
 
 def _group(genus: int, index: dict[BNLocus, int], relations: Iterable[Relation]) -> list[tuple]:
-    """The ``relations`` as sources (see :func:`_seed`), one per provenance
-    string, each cell seeded inline.  Raises ValueError for a relation off
-    the genus or with a locus not in ``index``."""
+    """The ``relations`` as sources, one per provenance string, each cell
+    seeded by :func:`_seed`.  Raises ValueError for a relation off the genus
+    or with a locus not in ``index``."""
     sources: dict[str, tuple] = {}
-    get, NLE, EQ = index.get, RelKind.NLE, RelKind.EQ
+    get = index.get
     for rel in relations:
         lhs, rhs, kind, prov = rel
         if lhs.g != genus or rhs.g != genus:
@@ -339,14 +341,7 @@ def _group(genus: int, index: dict[BNLocus, int], relations: Iterable[Relation])
         a, b = get(lhs), get(rhs)
         if a is None or b is None:
             raise ValueError(f"relation {rel} references a locus outside the poset")
-        source = sources.get(prov) or sources.setdefault(prov, (prov, {}, {}))
-        if kind is NLE:
-            rows = source[2]
-        else:
-            rows = source[1]
-            if kind is EQ:
-                rows[b] = rows.get(b, 0) | 1 << a
-        rows[a] = rows.get(a, 0) | 1 << b
+        _seed(sources.get(prov) or sources.setdefault(prov, (prov, {}, {})), a, b, kind)
     return list(sources.values())
 
 

@@ -15,10 +15,10 @@ from bnloci.cli import (
     EXIT_IO,
     EXIT_OK,
     FactsError,
+    genus_range,
     main,
     packaged_facts,
     parse_fact_records,
-    parse_genus_range,
 )
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -349,6 +349,22 @@ def test_facts_parse_errors(tmp_path, capsys):
                 ]
             )
         )
+    # genus, r and d take JSON integers only: no float, string or bool
+    good = {"genus": 9, "lhs": {"r": 1, "d": 4}, "rhs": {"r": 2, "d": 6},
+            "relation": "subset", "source": "x"}
+    assert len(parse_fact_records(json.dumps([good]))) == 1
+    for field, value in (("genus", 9.9), ("r", 1.7), ("d", "4"), ("r", True)):
+        rec = json.loads(json.dumps(good))
+        if field == "genus":
+            rec["genus"] = value
+        else:
+            rec["lhs"][field] = value
+        text = json.dumps([good, rec])
+        with pytest.raises(FactsError, match=f"record 1: {field} must be an integer"):
+            parse_fact_records(text)
+        path.write_text(text)
+        code, out, err = run(capsys, "poset", "9", "--facts", str(path))
+        assert code == EXIT_IO and out == "" and "record 1" in err, (field, value)
 
 
 def test_verify_single_genus(capsys):
@@ -391,8 +407,8 @@ def test_k3_filters_flag(capsys):
 
 
 def test_parse_genus_range():
-    assert parse_genus_range("7..12") == [7, 8, 9, 10, 11, 12]
-    assert parse_genus_range("9") == [9]
+    assert list(genus_range("7..12")) == [7, 8, 9, 10, 11, 12]
+    assert list(genus_range("9")) == [9]
 
 
 def test_poset_output_file(tmp_path, capsys):
@@ -489,7 +505,7 @@ def test_verify_empty_range_is_rejected(capsys, monkeypatch):
     assert code == EXIT_DOMAIN
     assert "empty genus range 12..7" in err and out == ""
     with pytest.raises(ValueError, match="empty"):
-        parse_genus_range("12..7")
+        list(genus_range("12..7"))
 
 
 @pytest.mark.parametrize("spec", ["7..", "abc", "7..x", "..12", "", "-3", "7...12"])
@@ -500,7 +516,7 @@ def test_verify_malformed_range_names_the_spec_and_the_forms(capsys, monkeypatch
     assert f"invalid genus range {spec!r}" in err
     assert "a genus (9) or a range (7..12)" in err
     with pytest.raises(ValueError, match="invalid genus range"):
-        parse_genus_range(spec)
+        list(genus_range(spec))
 
 
 def test_poset_above_the_genus_cap_is_rejected(capsys, monkeypatch):

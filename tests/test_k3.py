@@ -541,7 +541,7 @@ def test_minimum_path_matches_listing_path_on_assemble_jobs():
 
 def test_floored_minimum_decides_every_query_like_the_exact_minimum():
     from bnloci import rho
-    from bnloci.k3 import _min_bound_cached
+    from bnloci.k3 import _min_bound_cached, _scale
 
     # every exact query below comes after the floored one at the same key
     _min_bound_cached.cache_clear()
@@ -556,7 +556,8 @@ def test_floored_minimum_decides_every_query_like_the_exact_minimum():
         kept[BOTH_FILTERS] = [a.c2_bound for a in listed if not a.filtered_by]
         exact = {cfg: min(bounds, default=None) for cfg, bounds in kept.items()}
         for cfg, bounds in kept.items():
-            floored = min_series_degree(basis, s, cfg, floor=2 * s)
+            m = _min_bound_cached(g, r, d, s, *cfg, True)
+            floored = None if m is None else Fraction(m, _scale(s))
             if exact[cfg] is None or exact[cfg] > 2 * s:
                 assert floored == exact[cfg], (g, r, d, s, cfg)
             else:
@@ -600,7 +601,7 @@ def test_floored_search_stops_early(monkeypatch):
     assert len(enumerate_assignments(basis, 7)) == len(checked) == 14263
     checked.clear()
     k3._min_bound_cached.cache_clear()
-    assert min_series_degree(basis, 7, floor=14) <= 14
+    assert k3.k3_certified_below(15, 4, 13, 7) <= 14
     assert 0 < len(checked) < 14263 // 100
 
 

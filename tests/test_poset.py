@@ -667,6 +667,16 @@ def test_cross_genus_relations_rejected(monkeypatch):
             assemble(9, [fact])
 
 
+def test_closure_relations_rejects_loci_off_the_genus():
+    # without the check this gave a genus-9 matrix over genus-10 loci
+    with pytest.raises(ValueError, match=r"locus M\^1_\{10,2\} is not at genus 9"):
+        closure_relations(9, enumerate_loci(10), [])
+    stray = list(enumerate_loci(9)) + [BNLocus(10, 1, 2)]
+    with pytest.raises(ValueError, match="not at genus 9"):
+        closure_relations(9, stray, [])
+    assert closure_relations(9, enumerate_loci(9), []).genus == 9
+
+
 def test_covers_genus_7_exact():
     m = assemble(7, packaged_facts(7))
     got = [(c.lhs.key, c.rhs.key) for c in covers(m)]
