@@ -24,6 +24,7 @@ from .loci import (
     clifford_collapse,
     clifford_index,
     enumerate_loci,
+    is_proper_locus,
     kappa,
     kappa_bruteforce,
     normalize,

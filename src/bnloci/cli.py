@@ -13,17 +13,19 @@ import json
 import os
 import re
 import sys
+from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .classical import gonality_bounds
-from .k3 import FilterConfig, box_class_count, destab_box, enumerate_assignments, type_text
-from .lattice import LatticeBasis, delta
+from .k3 import FilterConfig, box_class_count, destab_box, listing_records, type_text
+from .lattice import H, LatticeBasis, delta
 from .loci import (
     BNLocus,
     RelKind,
     clifford_index,
     enumerate_loci,
+    is_proper_locus,
     kappa,
     kappa_bruteforce,
     normalize,
@@ -80,9 +82,9 @@ def _parse_point(genus: int, obj, where: str) -> BNLocus:
 
 
 def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
-    """Parse a JSON array of fact records, validating every record against
-    the enumerated loci of its genus.  Raises FactsError with the index of
-    the offending record."""
+    """Parse a JSON array of fact records, validating every record's loci
+    as enumerated proper loci of its genus (:func:`~bnloci.loci.is_proper_locus`,
+    no listing).  Raises FactsError with the index of the offending record."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -90,7 +92,6 @@ def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
     if not isinstance(data, list):
         raise FactsError("top level must be a JSON array of records")
     facts = []
-    valid_cache: dict[int, set[BNLocus]] = {}
     for i, rec in enumerate(data):
         where = f"record {i}"
         if not isinstance(rec, dict) or set(rec) != _RECORD_KEYS:
@@ -106,10 +107,8 @@ def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
             raise FactsError(f"{where}: source citation must be a non-empty string")
         lhs = _parse_point(g, rec["lhs"], where)
         rhs = _parse_point(g, rec["rhs"], where)
-        if g not in valid_cache:
-            valid_cache[g] = set(enumerate_loci(g))
         for pt in (lhs, rhs):
-            if pt not in valid_cache[g]:
+            if not is_proper_locus(*pt):
                 raise FactsError(f"{where}: {pt} is not an enumerated proper locus")
         facts.append(Fact(lhs, rhs, RelKind(rec["relation"]), rec["source"]))
     return facts
@@ -209,6 +208,10 @@ class _Memo(dict):
 
 
 def cmd_k3(args) -> int:
+    """`bn k3`, rendered from :func:`~bnloci.k3.listing_records` with no
+    Assignment: each distinct bound (one Fraction, keyed by its scaled
+    integer), class and tag tuple once, each type once per group; the
+    minimum is the least scaled bound."""
     if args.g < 3:
         # the message enumerate_loci gives, and so bn poset
         raise ValueError("need g >= 3")
@@ -240,63 +243,52 @@ def cmd_k3(args) -> int:
             f"bn k3 scans"
         )
     config = FilterConfig(True, True) if args.filters == "on" else FilterConfig()
-    assignments = enumerate_assignments(basis, args.series, config)
-    # the listing shares one Fraction per distinct bound, so a few dozen
-    # bounds, keyed by identity, stand for thousands of assignments: the
-    # minimum is taken over them and each is rendered once.  So is each
-    # distinct class, filtration type and tag tuple; the entries are
-    # written out one at a time.
-    bounds = {id(b): b for _, _, b, _ in assignments}
-    minimum = min(bounds.values(), default=None)
+    big, groups = listing_records(basis, args.series, config)
     write = sys.stdout.write
     if args.json:
         # the bytes of json.dumps(payload, sort_keys=True, separators=(",", ":")):
         # "assignments" is the first key, each entry's keys are written in
         # sorted order, and every fragment comes from json.dumps
         dumps = functools.partial(json.dumps, separators=(",", ":"))
-        bound = {key: dumps(str(b)) for key, b in bounds.items()}
+        bound = _Memo(lambda total: dumps(str(Fraction(total, big))))
         chern = _Memo(lambda c: dumps(str(c))).__getitem__
         chern_xy = _Memo(lambda c: dumps(list(c.xy))).__getitem__
         flags = _Memo(lambda tags: dumps(list(tags)))
-        types = _Memo(lambda ranks: dumps(type_text(ranks)))
+        top, top_xy = chern(H), chern_xy(H)
         write('{"assignments":[')
         sep = ""
-        for ranks, classes, b, tags in assignments:
-            write(
-                f'{sep}{{"c2_bound":{bound[id(b)]},"chern":[{",".join(map(chern, classes))}],'
-                f'"chern_xy":[{",".join(map(chern_xy, classes))}],'
-                f'"filters":{flags[tags]},"type":{types[ranks]}}}'
-            )
-            sep = ","
-        rest = {
-            "lattice": {"g": args.g, "r": args.r, "d": args.d},
-            "series_dim": args.series,
-            "filters": args.filters,
-            "box": list(box),
-            "min_c2_bound": None if minimum is None else str(minimum),
-        }
+        for ranks, records in groups:
+            kind = dumps(type_text(ranks))
+            for classes, total, tags in records:
+                write(
+                    f'{sep}{{"c2_bound":{bound[total]},"chern":[{",".join(map(chern, classes))},{top}],'
+                    f'"chern_xy":[{",".join(map(chern_xy, classes))},{top_xy}],'
+                    f'"filters":{flags[tags]},"type":{kind}}}'
+                )
+                sep = ","
+        minimum = min(bound, default=None)  # the memo is keyed by every scaled bound
+        rest = {"lattice": {"g": args.g, "r": args.r, "d": args.d}, "series_dim": args.series,
+                "filters": args.filters, "box": list(box),
+                "min_c2_bound": None if minimum is None else str(Fraction(minimum, big))}
         write("]," + dumps(rest, sort_keys=True)[1:] + "\n")
         return EXIT_OK
     print(f"lattice {basis}  series dimension s = {args.series}  filters {args.filters}")
     print(f"destabilizing box |x| <= {box[0]}, |y| <= {box[1]}")
-    if not assignments:
+    if not groups:
         print("no admissible assignments: no such series on any smooth curve in |H|")
         return EXIT_OK
     print(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
-    bound = {
-        key: str(b) if b.denominator == 1 else f"{b} ({float(b):.2f})"
-        for key, b in bounds.items()
-    }
+    # a fractional bound also as a decimal: int / int rounds as float(Fraction) does
+    bound = _Memo(lambda t: f"{Fraction(t, big)}" + (f" ({t / big:.2f})" if t % big else ""))
     chern = _Memo(str).__getitem__
     chern_xy = _Memo(lambda c: str(c.xy)).__getitem__
     flags = _Memo(lambda tags: ",".join(tags) or "-")
-    types = _Memo(type_text)
-    for ranks, classes, b, tags in assignments:
-        steps = classes[:-1]
-        text = ", ".join(map(chern, steps)) or "-"
-        xy = ", ".join(map(chern_xy, steps)) or "-"
-        write(f"{types[ranks]:<10} {text:<28} {xy:<22} {bound[id(b)]:<12} {flags[tags]}\n")
-    print(f"minimum c2 bound: {minimum}")
+    for ranks, records in groups:
+        kind = f"{type_text(ranks):<10}"
+        for classes, total, tags in records:
+            text, xy = ", ".join(map(chern, classes)), ", ".join(map(chern_xy, classes))
+            write(f"{kind} {text:<28} {xy:<22} {bound[total]:<12} {flags[tags]}\n")
+    print(f"minimum c2 bound: {Fraction(min(bound), big)}")
     return EXIT_OK
 
 

@@ -12,7 +12,7 @@ one imposes on c_2(E) = e, and turns "every assignment needs c_2 > e"
 into certified non-existence of a g^s_e on C.
 
 One depth-first search, :func:`_walk`, serves both the listing path
-(:func:`enumerate_assignments`) and the minimum-only path
+(:func:`listing_records`) and the minimum-only path
 (:func:`min_series_degree`).  It runs over rank prefixes, not over
 filtration types, so that a prefix shared by many types is visited once;
 :func:`enumerate_filtration_types` serves the public API and the tests'
@@ -80,13 +80,13 @@ walk returns at once.
 
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
-it as an integer times D = 2 lcm(1..s+1) and builds a Fraction only once
-per distinct bound of a listing, shared by the assignments that reach it,
-or for a minimum that min_series_degree returns; the minimum cache and
-k3_noncontainment stay in integers.  Each candidate class is one
-row of integers built once per lattice, and a leaf is read off its rows
-alone: the filter tags from the row's (a, b) and (H-c)^2, and the listing's
-sort key from the ranks and each row's class, which orders as (a, b).
+it as an integer times D = 2 lcm(1..s+1); the minimum cache,
+k3_noncontainment and the listing records stay in integers, and a Fraction
+is built once per distinct bound of a listing or minimum.  Each candidate
+class is one row of integers built once per lattice, and a leaf is read
+off its rows alone: the filter tags from the row's (a, b) and (H-c)^2.  The
+listing files each leaf under its type and sorts each type once on the
+rows' classes, which order as (a, b), with no key per leaf.
 
 Every leaf, on both paths, is checked in integers, with no bisection or
 rounding shared with the cuts, and a failure raises RuntimeError, which,
@@ -129,7 +129,7 @@ from __future__ import annotations
 
 import itertools
 from bisect import bisect_left, bisect_right
-from collections import namedtuple
+from collections import defaultdict, namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
@@ -137,7 +137,7 @@ from math import lcm
 from operator import itemgetter
 
 from .lattice import H, ZERO, LatticeBasis, LatticeClass, delta, floor_sqrt_ratio, pair, self_int
-from .loci import BNLocus, RelKind, Relation, rho
+from .loci import BNLocus, RelKind, Relation, is_proper_locus
 
 
 class FilterConfig(
@@ -544,6 +544,40 @@ def _check_search_args(basis: LatticeBasis, s: int) -> None:
         raise ValueError("need s >= 1")
 
 
+def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = None):
+    """The one listing core: ``(D, [(ranks, records), ...])``, D = :func:`_scale`,
+    one record ``(classes, scaled_c2, tags)`` per kept leaf, without the
+    common last class H.  Each type's records are sorted once on their
+    classes, unique within a type, and the types go by (length, ranks): the
+    order of :meth:`Assignment.sort_key`.  The leaf calls :func:`_tags` only
+    when a tag is possible (a type of length 2, or a last row with
+    (H-c)^2 = 0), and stops with ValueError at the first kept leaf past
+    :data:`MAX_ASSIGNMENTS`, so neither memory nor work is unbounded."""
+    dm, elliptic = config or FilterConfig()
+    _check_search_args(basis, s)
+    r, head, cap, drops = basis.r, itemgetter(6), MAX_ASSIGNMENTS, dm or elliptic
+    groups, kept = defaultdict(list), 0  # records by type, kept leaves
+
+    def leaf(ranks, path, total):
+        nonlocal kept
+        flags = ()
+        if len(ranks) == 2 or path[-1][5] == 0:
+            flags = _tags(s, r, ranks, path)
+            if drops and flags and _dropped(dm, elliptic, flags):
+                return
+        kept += 1
+        if kept > cap:
+            raise ValueError(
+                f"the listing of {basis} at s = {s} passes {cap} assignments, "
+                f"the most a K3 listing keeps"
+            )
+        groups[ranks].append((tuple(map(head, path)), total, flags))
+
+    _walk(basis, s, leaf)
+    order = sorted(groups, key=lambda ranks: (len(ranks), ranks))
+    return _scale(s), [(ranks, sorted(groups[ranks], key=itemgetter(0))) for ranks in order]
+
+
 def enumerate_assignments(
     basis: LatticeBasis,
     s: int,
@@ -554,53 +588,24 @@ def enumerate_assignments(
     the given lattice, with config filters applied, sorted canonically
     (type length, type, then chern classes lexicographically).
 
-    This is the listing path of the shared DFS core: one :class:`Assignment`
-    per kept leaf, with its bound ``Fraction(scaled_c2, D)`` and its filter
-    tags read off the leaf's candidate rows.  The bound is built once per
-    distinct scaled bound, and every leaf that reaches it shares that one
-    object, so a caller can key per-bound work (a minimum, a rendering) by
-    identity over a few dozen values.  The leaf reads the lattice's r and
-    the filter switches once per call, tests the switches only for a leaf
-    with tags, and builds the Assignment with ``tuple.__new__``, which is
-    what the namedtuple's own constructor does, minus a Python-level call.
-    The sort key (:meth:`Assignment.sort_key` without the common last class
-    H) collects the rows' classes, which order as (a, b), and the list is
-    sorted once on it.
-    A listing that passes :data:`MAX_ASSIGNMENTS` kept assignments raises
-    ValueError at that leaf, so neither its memory nor its work is
-    unbounded.  ``workers`` must be an int in 1..MAX_WORKERS (else
-    ValueError) and is otherwise ignored: the search is serial, because a
-    thread pool over the filtration types ran slower under the GIL.
+    One :class:`Assignment` per record of :func:`listing_records`, in its
+    order; the bound ``Fraction(scaled_c2, D)`` is built once per distinct
+    scaled bound and shared.  ``workers`` must be an int in 1..MAX_WORKERS
+    (else ValueError) and is otherwise ignored: the search is serial, because
+    a thread pool over the filtration types ran slower under the GIL.
     """
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise ValueError(f"workers must be an int, got {workers!r}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
-    dm, elliptic = config or FilterConfig()
-    _check_search_args(basis, s)
-    big, r, new, head = _scale(s), basis.r, tuple.__new__, itemgetter(6)
-    keyed, cap = [], MAX_ASSIGNMENTS
-    bounds: dict[int, Fraction] = {}  # one Fraction per distinct scaled bound
-
-    def leaf(ranks, path, total):
-        flags = _tags(s, r, ranks, path)
-        if flags and _dropped(dm, elliptic, flags):
-            return
-        heads = tuple(map(head, path))
-        bound = bounds.get(total)
-        if bound is None:
-            bound = bounds[total] = Fraction(total, big)
-        assignment = new(Assignment, (ranks, heads + (H,), bound, flags))
-        keyed.append(((len(ranks), ranks, heads), assignment))
-        if len(keyed) > cap:
-            raise ValueError(
-                f"the listing of {basis} at s = {s} passes {cap} assignments, "
-                f"the most enumerate_assignments keeps"
-            )
-
-    _walk(basis, s, leaf)
-    keyed.sort(key=itemgetter(0))
-    return list(map(itemgetter(1), keyed))
+    big, groups = listing_records(basis, s, config)
+    bounds = dict.fromkeys(total for _, records in groups for _, total, _ in records)
+    bounds = {total: Fraction(total, big) for total in bounds}
+    return [
+        tuple.__new__(Assignment, (ranks, classes + (H,), bounds[total], flags))
+        for ranks, records in groups
+        for classes, total, flags in records
+    ]
 
 
 class _FloorReached(Exception):
@@ -665,7 +670,7 @@ def min_series_degree(
 def _check_proper_locus(g: int, r: int, d: int) -> None:
     # the loci of enumerate_loci; d >= 2r is what makes the Clifford floor
     # 2s a sound early stop for the target locus
-    if rho(g, r, d) >= 0 or d > g - 1 or d < 2 * r:
+    if not is_proper_locus(g, r, d):
         raise ValueError(
             f"expected a normalized proper locus (rho < 0, 2r <= d <= g-1), got ({g},{r},{d})"
         )

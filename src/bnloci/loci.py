@@ -90,6 +90,12 @@ def normalize(locus: BNLocus) -> BNLocus:
     return serre_dual(locus)
 
 
+def is_proper_locus(g: int, r: int, d: int) -> bool:
+    """Whether M^r_{g,d} is one of :func:`enumerate_loci`'s loci, in closed
+    form: rho < 0 and 2r <= d <= g-1 with r >= 1 (so d >= 2 and g >= 3)."""
+    return 1 <= r and 2 * r <= d <= g - 1 and rho(g, r, d) < 0
+
+
 def enumerate_loci(g: int) -> list[BNLocus]:
     """All normalized proper loci at genus g: rho < 0, 2 <= d <= g-1,
     d >= 2 for r = 1 and d >= 2r for r >= 2, sorted by (r, d).

@@ -181,13 +181,45 @@ def _k3_jobs(genera):
 
 @pytest.mark.parametrize("filters", ["on", "off"])
 def test_k3_output_equals_the_dict_payload_renderer(capsys, filters):
-    jobs = list(_k3_jobs(range(7, 13)))
-    assert len(jobs) == 182
+    # the assemble jobs of g = 7..14, the five perfbench k3_list jobs and an
+    # empty listing; filters off, some entries carry both tags at once
+    jobs = list(_k3_jobs(range(7, 15)))
+    assert len(jobs) == 344
+    jobs += [tuple(map(int, job.split(",")[:4])) for job in sorted(K3_TEXT_SHA256)]
+    tags = set()
     for job in jobs + [(3, 1, 3, 1)]:
         want_json, want_text = _k3_oracle(*job, filters)
         argv = ["k3", *map(str, job[:3]), "--series", str(job[3]), "--filters", filters]
         assert run(capsys, *argv, "--json") == (EXIT_OK, want_json, ""), job
         assert run(capsys, *argv) == (EXIT_OK, want_text, ""), job
+        tags.update(tuple(a["filters"]) for a in json.loads(want_json)["assignments"])
+    assert tags == ({()} if filters == "on" else {(), ("dm",), ("elliptic",), ("dm", "elliptic")})
+
+
+def test_k3_json_renders_from_records_with_one_fraction_per_bound(capsys, monkeypatch):
+    # the listing keeps its shape: no Assignment per entry, and a Fraction
+    # only per distinct bound plus one for the minimum
+    from fractions import Fraction
+
+    import bnloci.cli as cli
+    import bnloci.k3 as k3
+
+    built = []
+
+    class CountedFraction(Fraction):
+        def __new__(cls, *args, **kwargs):
+            built.append(args)
+            return Fraction(*args, **kwargs)
+
+    monkeypatch.setattr(k3, "Assignment", None)  # building one would raise
+    monkeypatch.setattr(k3, "Fraction", CountedFraction)
+    monkeypatch.setattr(cli, "Fraction", CountedFraction)
+    code, out, _ = run(capsys, "k3", "15", "4", "13", "--series", "7", "--json")
+    assert code == EXIT_OK
+    entries = json.loads(out)["assignments"]
+    bounds = {a["c2_bound"] for a in entries}
+    assert len(entries) == 14263 and len(bounds) > 100
+    assert 0 < len(built) <= len(bounds) + 1
 
 
 def test_k3_empty_listing_and_inapplicable_lattice_in_json(capsys):
@@ -367,6 +399,25 @@ def test_facts_parse_errors(tmp_path, capsys):
         assert code == EXIT_IO and out == "" and "record 1" in err, (field, value)
 
 
+def test_facts_at_a_large_genus_parse_without_listing_the_loci(monkeypatch):
+    # membership is the closed form of is_proper_locus: no enumerate_loci(g)
+    import bnloci.cli as cli
+    import bnloci.loci as loci
+
+    def no_listing(g):
+        raise AssertionError("enumerate_loci called")
+
+    monkeypatch.setattr(cli, "enumerate_loci", no_listing)
+    monkeypatch.setattr(loci, "enumerate_loci", no_listing)
+    rec = {"genus": 4000, "lhs": {"r": 1, "d": 2}, "rhs": {"r": 2, "d": 2668},
+           "relation": "subset", "source": "x"}
+    (fact,) = parse_fact_records(json.dumps([rec]))
+    assert (fact.lhs.key, fact.rhs.key) == ((1, 2), (2, 2668))
+    rec["rhs"]["d"] = 2669  # rho(4000, 2, 2669) = 1
+    with pytest.raises(FactsError, match="record 0: M\\^2_\\{4000,2669\\} is not an enumerated proper locus"):
+        parse_fact_records(json.dumps([rec]))
+
+
 def test_verify_single_genus(capsys):
     code, out, _ = run(capsys, "verify", "9")
     assert code == EXIT_OK
@@ -481,7 +532,7 @@ def _refuse_work(monkeypatch, name):
     + [pytest.param(("100", "9", "57", "49"), "above 14", id="100-9-57-49")],
 )
 def test_k3_series_outside_proper_ranks_is_rejected(capsys, monkeypatch, job, message):
-    _refuse_work(monkeypatch, "enumerate_assignments")
+    _refuse_work(monkeypatch, "listing_records")
     _refuse_work(monkeypatch, "LatticeBasis")
     g, r, d, s = job
     code, out, err = run(capsys, "k3", g, r, d, "--series", s)
@@ -491,7 +542,7 @@ def test_k3_series_outside_proper_ranks_is_rejected(capsys, monkeypatch, job, me
 
 @pytest.mark.parametrize("g", ["2", "-5"])
 def test_k3_genus_below_3_is_rejected_as_poset_rejects_it(capsys, monkeypatch, g):
-    _refuse_work(monkeypatch, "enumerate_assignments")
+    _refuse_work(monkeypatch, "listing_records")
     _refuse_work(monkeypatch, "LatticeBasis")
     code, out, err = run(capsys, "k3", g, "1", "2", "--series", "1")
     assert (code, out) == (EXIT_DOMAIN, "")
@@ -599,7 +650,7 @@ def test_k3_box_above_the_cap_is_rejected_before_any_class(capsys, monkeypatch, 
     import bnloci.k3 as k3
     from bnloci.cli import MAX_K3_BOX_CLASSES
 
-    _refuse_work(monkeypatch, "enumerate_assignments")
+    _refuse_work(monkeypatch, "listing_records")
     monkeypatch.setattr(k3, "LatticeClass", None)  # building a class would raise
     code, out, err = run(capsys, "k3", *job, "--series", "1")
     assert code == EXIT_DOMAIN and out == ""
@@ -618,14 +669,14 @@ def test_k3_listing_above_the_cap_is_rejected_at_that_leaf(capsys, monkeypatch):
     monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", full)  # a listing at the cap is kept
     assert len(enumerate_assignments(basis, 3)) == full
 
-    cap, leaves, tags = full // 2, [], k3._tags
+    cap, leaves, check = full // 2, [], k3._check_step
 
-    def counted_tags(*args):  # called once per leaf; no filter drops one here
+    def counted_check(*args):  # called once per leaf; no filter drops one here
         leaves.append(args)
-        return tags(*args)
+        return check(*args)
 
     monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", cap)
-    monkeypatch.setattr(k3, "_tags", counted_tags)
+    monkeypatch.setattr(k3, "_check_step", counted_check)
     message = f"listing of Lambda^2_(11,7) at s = 3 passes {cap} assignments"
     with pytest.raises(ValueError, match=re.escape(message)):
         enumerate_assignments(basis, 3)
@@ -649,6 +700,6 @@ def test_k3_box_cap_admits_every_assemble_box_and_the_readme_jobs(monkeypatch):
     assert box_class_count(LatticeBasis(100, 9, 57)) == 286
     assert max(sizes.values()) < MAX_K3_BOX_CLASSES
     # a job at the cap gets past it, to the search
-    _refuse_work(monkeypatch, "enumerate_assignments")
-    with pytest.raises(AssertionError, match="enumerate_assignments started"):
+    _refuse_work(monkeypatch, "listing_records")
+    with pytest.raises(AssertionError, match="listing_records started"):
         main(["k3", "27", "7", "25", "--series", "1"])

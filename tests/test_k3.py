@@ -294,6 +294,23 @@ def test_min_series_degree_examples():
         assert m is not None and m > 77
 
 
+def test_donagi_morrison_citations_equal_the_filtered_minimum():
+    # the two packaged genus-12 facts that cite a K3 bound with the
+    # Donagi-Morrison filter: the engine must give the cited figure
+    from bnloci.cli import packaged_facts
+
+    cited = {}
+    for fact in packaged_facts(12):
+        found = re.search(r"force c2 >= (\d+/\d+)$", fact.source)
+        if fact.source.startswith("Donagi-Morrison") and found:
+            cited[(fact.lhs.key, fact.rhs.key)] = Fraction(found.group(1))
+    assert sorted(cited) == [((2, 8), (3, 11)), ((2, 9), (3, 11))]
+    for ((r, d), (s, _)), bound in cited.items():
+        basis = LatticeBasis(12, r, d)
+        assert min_series_degree(basis, s, FilterConfig(dm_filter=True)) == bound
+        assert min_series_degree(basis, s) < bound  # 28/3 and 31/3 unfiltered
+
+
 def test_k3_noncontainment_examples():
     rel = k3_noncontainment(7, 2, 6, 1, 3)
     assert rel is not None and rel.provenance == "k3"
@@ -662,7 +679,23 @@ def walk_leaves(walk, basis, s):
 K3_LIST_JOBS = [(13, 2, 7, 6), (16, 1, 2, 7), (16, 3, 11, 7), (15, 4, 13, 7), (17, 4, 14, 8)]
 
 
+def per_type_listing(basis, s, leaves, cfg):
+    # oracle: the listing of the per-type walk's leaves, tagged by the filter
+    # definitions and sorted by Assignment.sort_key
+    from bnloci.k3 import _scale
+
+    out = []
+    for ranks, heads, total in leaves:
+        a = Assignment(ranks, heads + (H,), Fraction(total, _scale(s)))
+        a = a._replace(filtered_by=expected_tags(basis, s, a))
+        if not filtered_out(basis, s, a, cfg):
+            out.append(a)
+    return sorted(out, key=Assignment.sort_key)
+
+
 def test_prefix_walk_matches_per_type_walk():
+    # and the listing of enumerate_assignments is the per-type oracle's, in
+    # its order, with one Fraction object per distinct bound
     from bnloci.k3 import _walk
 
     jobs = assemble_jobs(range(7, 15)) + K3_LIST_JOBS
@@ -671,8 +704,13 @@ def test_prefix_walk_matches_per_type_walk():
     for g, r, d, s in jobs:
         basis = LatticeBasis(g, r, d)
         leaves = walk_leaves(_walk, basis, s)
-        assert leaves == walk_leaves(per_type_walk, basis, s), (g, r, d, s)
+        oracle = walk_leaves(per_type_walk, basis, s)
+        assert leaves == oracle, (g, r, d, s)
         emitted += len(leaves)
+        for cfg in (FilterConfig(), BOTH_FILTERS):
+            listed = enumerate_assignments(basis, s, cfg)
+            assert listed == per_type_listing(basis, s, oracle, cfg), (g, r, d, s, cfg)
+            assert len({id(a.c2_bound) for a in listed}) == len({a.c2_bound for a in listed})
     assert emitted > 30000
 
 

@@ -7,6 +7,7 @@ from bnloci import (
     clifford_collapse,
     clifford_index,
     enumerate_loci,
+    is_proper_locus,
     kappa,
     kappa_bruteforce,
     normalize,
@@ -82,6 +83,16 @@ def test_enumerate_loci_are_proper_and_normalized():
             assert rho(g, x.r, x.d) < 0
             assert 2 <= x.d <= g - 1
             assert x.r == 1 or x.d >= 2 * x.r
+
+
+def test_is_proper_locus_is_membership_in_enumerate_loci():
+    # the closed form against the listing, over a box past every edge
+    for g in range(3, 41):
+        listed = {x.key for x in enumerate_loci(g)}
+        box = {(r, d) for r in range(-3, g + 2) for d in range(-3, 2 * g + 2)}
+        assert listed < box
+        assert {key for key in box if is_proper_locus(g, *key)} == listed, g
+    assert not any(is_proper_locus(g, r, d) for g in range(-2, 3) for r in range(-3, 5) for d in range(-3, 5))
 
 
 def test_rho_k_examples():
