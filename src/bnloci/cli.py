@@ -18,7 +18,7 @@ from importlib import resources
 from pathlib import Path
 
 from .classical import gonality_bounds
-from .k3 import FilterConfig, box_class_count, destab_box, listing_records, type_text
+from .k3 import BOTH_FILTERS, FilterConfig, box_class_count, destab_box, listing_records, type_text
 from .lattice import H, LatticeBasis, delta
 from .loci import (
     BNLocus,
@@ -242,7 +242,7 @@ def cmd_k3(args) -> int:
             f"holds {size} quotient classes, above {MAX_K3_BOX_CLASSES}, the most "
             f"bn k3 scans"
         )
-    config = FilterConfig(True, True) if args.filters == "on" else FilterConfig()
+    config = BOTH_FILTERS if args.filters == "on" else FilterConfig()
     big, groups = listing_records(basis, args.series, config)
     write = sys.stdout.write
     if args.json:

@@ -84,9 +84,13 @@ it as an integer times D = 2 lcm(1..s+1); the minimum cache,
 k3_noncontainment and the listing records stay in integers, and a Fraction
 is built once per distinct bound of a listing or minimum.  Each candidate
 class is one row of integers built once per lattice, and a leaf is read
-off its rows alone: the filter tags from the row's (a, b) and (H-c)^2.  The
-listing files each leaf under its type and sorts each type once on the
-rows' classes, which order as (a, b), with no key per leaf.
+off its rows alone.  The filters are decided once, in the walk: each row
+carries the tag bits its class could earn (``DM`` for (a, b) = (1, -1),
+``ELLIPTIC`` for (H-c)^2 = 0), each rank step masks them by what its
+filtration type allows, and a leaf with a tag that the config drops is
+checked but not emitted.  The listing files each leaf under its type and
+sorts each type once on the rows' classes, which order as (a, b), with no
+key per leaf.
 
 Every leaf, on both paths, is checked in integers, with no bisection or
 rounding shared with the cuts, and a failure raises RuntimeError, which,
@@ -117,7 +121,9 @@ d < 2r).  So once one kept leaf has bound <= 2s, no query at that
 floor 2s is read off s, so the certifying search derives it: it stops at
 the first kept leaf whose bound is <= 2s, and its answer is exact whenever
 it is > 2s, and <= 2s otherwise, which decides "minimum > e" for every
-e >= 2s alike.  :func:`min_series_degree` runs the exact search.  The
+e >= 2s alike.  The exact search keeps the least kept leaf by (bound,
+sort key), which gives :func:`min_series_degree` its bound and
+:func:`k3_expected` its witness for every e.  The
 candidate rows depend on the lattice alone, so they are built once per
 lattice and shared by every s.  The floored minimum m of a (lattice, s)
 gives one integer, ceil(m / D) (:func:`k3_certified_below`), and a proper
@@ -162,6 +168,19 @@ class FilterConfig(
 
 
 BOTH_FILTERS = FilterConfig(dm_filter=True, elliptic_filter=True)
+
+# the filter tags as bits of a candidate row, of a leaf and of a drop mask
+DM, ELLIPTIC = 1, 2
+
+# the names of each set of tag bits, for the listing records and
+# Assignment.filtered_by
+_TAG_NAMES = ((), ("dm",), ("elliptic",), ("dm", "elliptic"))
+
+
+def _drop_mask(config: FilterConfig | None) -> int:
+    """The tag bits whose leaves ``config`` drops; None drops none."""
+    dm, elliptic = config or (False, False)
+    return (DM if dm else 0) | (ELLIPTIC if elliptic else 0)
 
 
 class LMInvariants(namedtuple("LMInvariants", "rank c2 chi")):
@@ -362,25 +381,6 @@ def _c2_bound(
     return total
 
 
-def _tags(s: int, r: int, ranks: tuple[int, ...], path: list[tuple]) -> tuple[str, ...]:
-    """The filter tags of a leaf, read off its candidate rows: ``dm`` for
-    type 1 < s+1 with c1(E_1) = H - L, i.e. (a, b) = (1, -1), when s > r;
-    ``elliptic`` when the top quotient has rank >= 2 and (H - c1(E_{n-1}))^2,
-    the row's entry 5, is zero."""
-    last = path[-1]
-    tags = ()
-    if s > r and ranks == (1, s + 1) and last[1] == 1 and last[2] == -1:
-        tags = ("dm",)
-    if ranks[-1] - ranks[-2] >= 2 and last[5] == 0:
-        tags += ("elliptic",)
-    return tags
-
-
-def _dropped(dm: bool, elliptic: bool, flags: tuple[str, ...]) -> bool:
-    """Whether the filter switches dm and elliptic drop a leaf with ``flags``."""
-    return (dm and "dm" in flags) or (elliptic and "elliptic" in flags)
-
-
 @lru_cache(maxsize=None)
 def _scale(s: int) -> int:
     """D = 2 lcm(1..s+1): every c_2 term times D is an integer, since each
@@ -390,11 +390,14 @@ def _scale(s: int) -> int:
 
 @lru_cache(maxsize=512)
 def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
-    """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c),
+    """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c, tags),
     sorted by (H-degree, class), cached per lattice.  With u = H.c = a H^2 + b d
     and v = a d + b L^2, c.x = x.a u + x.b v for any class x, so a step needs
     two products.  The class c is a tuple that orders as (a, b), so it is
     also its own sort key, and the rows sort as tuples on (u, a, b).
+    ``tags`` holds the filter bits the class can earn: ``DM`` when
+    (a, b) = (1, -1), i.e. c = H - L, and ``ELLIPTIC`` when (H-c)^2 = 0;
+    :func:`_walk` masks them by the filtration type.
 
     The rows come from one scan of :func:`_box_blocks` in integers: for
     Q = xH - yL the class is c = H - Q = (1 - x, y), and it is kept iff
@@ -413,7 +416,8 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
                     cc = a * u + b * v
                     qq = h2 - 2 * u + cc
                     if qq >= 0:
-                        rows.append((u, a, b, cc, v, qq, LatticeClass(a, b)))
+                        tags = (DM if (a, b) == (1, -1) else 0) | (ELLIPTIC if qq == 0 else 0)
+                        rows.append((u, a, b, cc, v, qq, LatticeClass(a, b), tags))
     rows.sort()
     return tuple(rows)
 
@@ -446,12 +450,17 @@ def _check_step(
 def _walk(
     basis: LatticeBasis,
     s: int,
-    leaf: Callable[[tuple[int, ...], list[tuple], int], None],
+    drop: int,
+    leaf: Callable[[tuple[int, ...], list[tuple], int, int], None],
 ) -> None:
     """The one filtration DFS.  For every filtration type and every admissible
-    tuple of :func:`_candidate_rows`, call ``leaf(ranks, path, scaled_c2)``, where
-    ``path`` is the live list of chosen rows (copy it to keep it) and
-    ``scaled_c2`` is the c_2 lower bound times :func:`_scale`.
+    tuple of :func:`_candidate_rows`, call ``leaf(ranks, path, scaled_c2, tags)``,
+    where ``path`` is the live list of chosen rows (copy it to keep it),
+    ``scaled_c2`` is the c_2 lower bound times :func:`_scale` and ``tags`` the
+    leaf's filter bits: its last row's bits, masked by its type.  ``DM``
+    counts only for type 1 < s+1 with s > r, and ``ELLIPTIC`` only when the
+    top quotient has rank s+1 - r_m >= 2.  A leaf with a tag in ``drop`` is
+    checked like any other but not emitted, and its children are entered.
 
     The search runs over rank prefixes, not types.  Below a node
     (r_1..r_m; c_1..c_m), a child picks r in (r_m, s] and then h = H.c from
@@ -481,6 +490,8 @@ def _walk(
     # recursion term, times D
     half = [0] + [(rho - 1) * (big // (2 * rho)) for rho in range(1, top + 1)]
     const = [0] + [rho * big - big // rho for rho in range(1, top + 1)]
+    # the tags a leaf of type (..., r, s+1) can carry: rank 1 only at the root
+    masks = [(DM if r == 1 and s > basis.r else 0) | (ELLIPTIC if r < s else 0) for r in range(top)]
     path: list[tuple] = []
 
     def node(ranks: tuple[int, ...], p: tuple, hpp: int, dr: int, acc: int) -> None:
@@ -502,7 +513,7 @@ def _walk(
                 continue
             kid = ranks + (r,)
             leaf_ranks = kid + (top,)
-            hm, cm, hn, cn = half[a], const[a], half[top - r], const[top - r]
+            hm, cm, hn, cn, mask = half[a], const[a], half[top - r], const[top - r], masks[r]
             # a child P = (r, h) has its lower end at rank r + 1 inside the
             # rows iff h * (top - r - 1) + H^2 <= hmax * (top - r); never at r = s
             wide, room = top - r - 1, hmax * (top - r) - htot
@@ -514,8 +525,10 @@ def _walk(
                 what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
                 if what:
                     raise _leaf_error(htot, (0,) + leaf_ranks, path, what)
-                # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
-                leaf(leaf_ranks, path, total + hn * c[5] + big * (c[0] - c[3]) + cn)
+                tags = c[7] & mask
+                if not tags & drop:
+                    # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
+                    leaf(leaf_ranks, path, total + hn * c[5] + big * (c[0] - c[3]) + cn, tags)
                 path.pop()
                 if c[0] * wide <= room:
                     children.append((kid, c, a, total))
@@ -549,31 +562,25 @@ def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = N
     one record ``(classes, scaled_c2, tags)`` per kept leaf, without the
     common last class H.  Each type's records are sorted once on their
     classes, unique within a type, and the types go by (length, ranks): the
-    order of :meth:`Assignment.sort_key`.  The leaf calls :func:`_tags` only
-    when a tag is possible (a type of length 2, or a last row with
-    (H-c)^2 = 0), and stops with ValueError at the first kept leaf past
+    order of :meth:`Assignment.sort_key`.  The walk drops the leaves that the
+    config filters and hands over the tags of the rest, which the records
+    name; the leaf stops with ValueError at the first kept leaf past
     :data:`MAX_ASSIGNMENTS`, so neither memory nor work is unbounded."""
-    dm, elliptic = config or FilterConfig()
     _check_search_args(basis, s)
-    r, head, cap, drops = basis.r, itemgetter(6), MAX_ASSIGNMENTS, dm or elliptic
+    head, cap = itemgetter(6), MAX_ASSIGNMENTS
     groups, kept = defaultdict(list), 0  # records by type, kept leaves
 
-    def leaf(ranks, path, total):
+    def leaf(ranks, path, total, tags):
         nonlocal kept
-        flags = ()
-        if len(ranks) == 2 or path[-1][5] == 0:
-            flags = _tags(s, r, ranks, path)
-            if drops and flags and _dropped(dm, elliptic, flags):
-                return
         kept += 1
         if kept > cap:
             raise ValueError(
                 f"the listing of {basis} at s = {s} passes {cap} assignments, "
                 f"the most a K3 listing keeps"
             )
-        groups[ranks].append((tuple(map(head, path)), total, flags))
+        groups[ranks].append((tuple(map(head, path)), total, _TAG_NAMES[tags]))
 
-    _walk(basis, s, leaf)
+    _walk(basis, s, _drop_mask(config), leaf)
     order = sorted(groups, key=lambda ranks: (len(ranks), ranks))
     return _scale(s), [(ranks, sorted(groups[ranks], key=itemgetter(0))) for ranks in order]
 
@@ -613,36 +620,43 @@ class _FloorReached(Exception):
 
 
 @lru_cache(maxsize=4096)
-def _min_bound_cached(
-    g: int, r: int, d: int, s: int, dm: bool, elliptic: bool, floored: bool
-) -> int | None:
+def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     """The one cache of minimum-only searches, keyed on plain values: the
-    lattice (g, r, d), the series s, the two filter switches and whether
-    the search stops at the Clifford floor 2s (module docstring).  A hit
-    hashes only these; the basis and the config are built on a miss.
-    It holds the minimum as the scaled integer bound (times D =
-    :func:`_scale`), or None when no assignment is kept; a floored entry is
-    exact whenever it is > 2s * D, and <= 2s * D otherwise.  It builds no
-    Fraction: :func:`k3_certified_below` turns a floored entry into a degree
-    bound in integers, and :func:`min_series_degree` divides an exact one
-    by D on return."""
+    lattice (g, r, d), the series s, the drop mask of the filters
+    (:func:`_drop_mask`) and whether the search stops at the Clifford floor
+    2s (module docstring).  A hit hashes only these; the basis is built on
+    a miss.  Bounds are scaled integers (times D = :func:`_scale`), and an
+    entry is None when no assignment is kept.
+
+    A floored entry is the minimum bound, an int: exact whenever it is
+    > 2s * D, and <= 2s * D otherwise; :func:`k3_certified_below` turns it
+    into a degree bound in integers.  Its leaf compares one integer.  An
+    exact entry is the least kept leaf by (bound, :meth:`Assignment.sort_key`),
+    as ``(scaled_c2, len(ranks), ranks, classes, tags)`` with the classes
+    without the last H: :func:`min_series_degree` reads its bound and
+    :func:`k3_expected` its witness.  Its leaf builds that key only for a
+    leaf whose bound does not exceed the least so far."""
     basis = LatticeBasis(g, r, d)
     _check_search_args(basis, s)
-    big = _scale(s)
-    limit = 2 * s * big if floored else None
+    limit, head = 2 * s * _scale(s), itemgetter(6)
     best = None
 
-    def leaf(ranks, path, total):
+    def floored_leaf(ranks, path, total, tags):
         nonlocal best
-        # filters are looked at only for a leaf that would lower the minimum
         if best is None or total < best:
-            if not _dropped(dm, elliptic, _tags(s, r, ranks, path)):
-                best = total
-                if limit is not None and total <= limit:
-                    raise _FloorReached
+            best = total
+            if total <= limit:
+                raise _FloorReached
+
+    def exact_leaf(ranks, path, total, tags):
+        nonlocal best
+        if best is None or total <= best[0]:
+            found = (total, len(ranks), ranks, tuple(map(head, path)), tags)
+            if best is None or found < best:
+                best = found
 
     try:
-        _walk(basis, s, leaf)
+        _walk(basis, s, drop, floored_leaf if floored else exact_leaf)
     except _FloorReached:
         pass
     return best
@@ -655,16 +669,14 @@ def min_series_degree(
     no assignment exists.  A smooth curve in |H| admits no g^s_e for any
     integer e strictly below this value (and none at all when None).
 
-    This is the minimum-only path of the shared DFS core: it keeps the
-    smallest scaled integer bound among the leaves that pass the config's
-    filters, builds no Assignment and no Fraction per leaf, caches that
-    integer per (lattice, s, filters), and returns ``Fraction(best, D)``.
-    The search is exact; the certificates stop at the Clifford floor
+    This is the minimum-only path of the shared DFS core: it reads the bound
+    of the least kept leaf that the exact search caches per (lattice, s,
+    filters), with no Assignment and no Fraction per leaf, and returns
+    ``Fraction(bound, D)``.  The certificates stop at the Clifford floor
     instead (:func:`k3_certified_below`).
     """
-    dm, elliptic = config or FilterConfig()
-    best = _min_bound_cached(basis.g, basis.r, basis.d, s, dm, elliptic, False)
-    return None if best is None else Fraction(best, _scale(s))
+    least = _min_bound_cached(basis.g, basis.r, basis.d, s, _drop_mask(config), False)
+    return None if least is None else Fraction(least[0], _scale(s))
 
 
 def _check_proper_locus(g: int, r: int, d: int) -> None:
@@ -693,8 +705,7 @@ def k3_certified_below(
     and :func:`~bnloci.poset.rule_sources` cuts a K3 row with one bisection
     of the target degrees of rank s.
     """
-    dm, elliptic = config or FilterConfig()
-    m = _min_bound_cached(g, r, d, s, dm, elliptic, True)
+    m = _min_bound_cached(g, r, d, s, _drop_mask(config), True)
     return None if m is None else -(-m // _scale(s))
 
 
@@ -718,16 +729,15 @@ def k3_noncontainment(
     _check_proper_locus(g, s, e)
     if delta(g, r, d) >= 0:
         return None
-    config = config or FilterConfig()
     below = k3_certified_below(g, r, d, s, config)
     if below is not None and e >= below:
         return None
     provenance = "k3"
-    if any(config):
+    drop = _drop_mask(config)
+    if drop:
         below = k3_certified_below(g, r, d, s)
         if below is not None and e >= below:
-            used = [name for name, on in zip(("dm", "elliptic"), config) if on]
-            provenance = "k3[" + ",".join(used) + "]"
+            provenance = "k3[" + ",".join(_TAG_NAMES[drop]) + "]"
     return Relation(BNLocus(g, r, d), BNLocus(g, s, e), RelKind.NLE, provenance)
 
 
@@ -750,31 +760,20 @@ def k3_expected(
     loci must be normalized proper loci, as for :func:`k3_noncontainment`.
 
     The witness is the least such assignment by (bound,
-    :meth:`Assignment.sort_key`), found in one walk that keeps only the
-    least (scaled bound, sort key) among the kept leaves with bound <= e:
-    no listing is built, so :data:`MAX_ASSIGNMENTS` does not apply."""
-    for (rr, dd) in ((r, d), (s, e)):
-        _check_proper_locus(g, rr, dd)
-    basis = LatticeBasis(g, r, d)
-    if basis.discriminant >= 0:
+    :meth:`Assignment.sort_key`): the least kept leaf of the exact search
+    that :func:`min_series_degree` also reads, which is the witness iff its
+    bound is <= e.  So every e costs one cached walk per (lattice, s,
+    filters), and no listing is built, so :data:`MAX_ASSIGNMENTS` does not
+    apply."""
+    _check_proper_locus(g, r, d)
+    _check_proper_locus(g, s, e)
+    if delta(g, r, d) >= 0:
         return None
-    dm, elliptic = config if config is not None else BOTH_FILTERS
-    big, head = _scale(s), itemgetter(6)
-    limit = e * big
-    best = None  # ((scaled bound, len(ranks), ranks, classes), ranks, tags)
-
-    def leaf(ranks, path, total):
-        nonlocal best
-        if total <= limit and (best is None or total <= best[0][0]):
-            flags = _tags(s, r, ranks, path)
-            if not _dropped(dm, elliptic, flags):
-                key = (total, len(ranks), ranks, tuple(map(head, path)))
-                if best is None or key < best[0]:
-                    best = (key, ranks, flags)
-
-    _walk(basis, s, leaf)
-    if best is None:
+    drop = _drop_mask(config if config is not None else BOTH_FILTERS)
+    least = _min_bound_cached(g, r, d, s, drop, False)
+    big = _scale(s)
+    if least is None or least[0] > e * big:
         return None
-    (total, _, _, heads), ranks, flags = best
-    witness = Assignment(ranks, heads + (H,), Fraction(total, big), flags)
+    total, _, ranks, classes, tags = least
+    witness = Assignment(ranks, classes + (H,), Fraction(total, big), _TAG_NAMES[tags])
     return K3Expectation(g, r, d, s, e, witness)

@@ -45,13 +45,17 @@ class BNLocus(namedtuple("BNLocus", "g r d")):
 
 
 class Relation(namedtuple("Relation", "lhs rhs kind provenance")):
-    """A typed claim between two loci of the same genus, with provenance."""
+    """A typed claim between two loci of the same genus, with provenance.
+    ``kind`` may be given by its value (``"not_subset"``); an unknown kind
+    raises ValueError."""
 
     __slots__ = ()
 
     def __new__(cls, lhs: BNLocus, rhs: BNLocus, kind: RelKind, provenance: str):
         if lhs.g != rhs.g:
             raise ValueError("relations must stay within one genus")
+        if type(kind) is not RelKind:
+            kind = RelKind(kind)
         return tuple.__new__(cls, (lhs, rhs, kind, provenance))
 
     @classmethod

@@ -62,7 +62,8 @@ class ContradictionError(RuntimeError):
 
 class Fact(namedtuple("Fact", "lhs rhs kind source")):
     """An externally supplied relation (a result proved by construction),
-    ingested from a data file with a non-empty citation string."""
+    ingested from a data file with a non-empty citation string.  ``kind``
+    may be given by its value, as for :class:`~bnloci.loci.Relation`."""
 
     __slots__ = ()
 
@@ -71,6 +72,8 @@ class Fact(namedtuple("Fact", "lhs rhs kind source")):
             raise ValueError("facts must carry a citation string")
         if lhs.g != rhs.g:
             raise ValueError("facts must stay within one genus")
+        if type(kind) is not RelKind:
+            kind = RelKind(kind)
         return tuple.__new__(cls, (lhs, rhs, kind, source))
 
     @classmethod

@@ -37,7 +37,9 @@ from bnloci import (
     quotient_checks,
     self_int,
 )
-from bnloci.k3 import BOTH_FILTERS, MAX_WORKERS, K3Expectation, _c2_bound
+from bnloci.k3 import (
+    BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _c2_bound, _drop_mask, _TAG_NAMES,
+)
 
 
 def mk(basis, ranks, chern_heads):
@@ -188,7 +190,8 @@ def test_candidates_reject_r0_lattices_like_the_box():
 
 def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
     # each row's integers, computed from the box without a LatticeClass, are
-    # the pairings of its class, on every lattice that assemble reaches
+    # the pairings of its class, on every lattice that assemble reaches; its
+    # tag bits are the parts of expected_tags that read the class alone
     from bnloci import delta, enumerate_loci
     from bnloci.k3 import _candidate_rows
 
@@ -199,11 +202,14 @@ def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
     for lattice in sorted(lattices):
         basis = LatticeBasis(*lattice)
         rows = _candidate_rows(basis)
-        for u, a, b, cc, v, qq, c in rows:
+        for u, a, b, cc, v, qq, c, tags in rows:
             assert (a, b) == c
             assert (u, v, cc, qq) == (
                 pair(basis, H, c), pair(basis, L, c), self_int(basis, c), self_int(basis, H - c)
             ), (lattice, c)
+            dm = DM if c == H - L else 0
+            elliptic = ELLIPTIC if self_int(basis, H - c) == 0 else 0
+            assert tags == dm | elliptic, (lattice, c)
         assert [row[6] for row in rows] == sorted(
             candidate_subsheaf_classes(basis), key=lambda c: (pair(basis, H, c), c)
         )
@@ -393,6 +399,34 @@ def test_k3_expected_needs_no_listing(monkeypatch):
         assert witness is not None and k3_expected(11, 2, 7, 3, 10, cfg) == witness
 
 
+def test_k3_expected_walks_once_per_lattice_series_and_filters(monkeypatch):
+    # every proper target e of a job reads the same cached least leaf
+    import bnloci.k3 as k3
+    from bnloci import rho
+
+    g, r, d, s = 13, 2, 8, 3
+    targets = [e for e in range(2 * s, g) if rho(g, s, e) < 0]
+    assert len(targets) >= 5
+    configs = (None, FilterConfig(), FilterConfig(dm_filter=True), BOTH_FILTERS)
+    want = {
+        cfg: [listing_expectation(g, r, d, s, e, cfg or BOTH_FILTERS) for e in targets]
+        for cfg in configs
+    }
+    real, walks = k3._walk, []
+
+    def spy(*args):
+        walks.append(args[1:3])
+        return real(*args)
+
+    monkeypatch.setattr(k3, "_walk", spy)
+    for cfg in configs:
+        assert any(want[cfg]) and not all(want[cfg]), cfg
+        k3._min_bound_cached.cache_clear()
+        walks.clear()
+        assert [k3_expected(g, r, d, s, e, cfg) for e in targets] == want[cfg], cfg
+        assert len(walks) == 1, (cfg, walks)
+
+
 def test_enumerated_assignments_pass_all_checks_and_box():
     for g, r, d, s in [(9, 2, 6, 1), (9, 2, 7, 2), (10, 3, 9, 3), (11, 2, 7, 3)]:
         basis = LatticeBasis(g, r, d)
@@ -465,8 +499,7 @@ def expected_tags(basis, s, a):
     return tags
 
 
-def filtered_out(basis, s, a, config):
-    tags = expected_tags(basis, s, a)
+def filtered_out(tags, config):
     return (config.dm_filter and "dm" in tags) or (config.elliptic_filter and "elliptic" in tags)
 
 
@@ -477,7 +510,7 @@ def test_enumeration_is_complete_against_brute_force(g, r, d, series):
         oracle = sorted(brute_force_assignments(basis, s), key=Assignment.sort_key)
         oracle = [a._replace(filtered_by=expected_tags(basis, s, a)) for a in oracle]
         for cfg in ALL_CONFIGS:
-            want = [a for a in oracle if not filtered_out(basis, s, a, cfg)]
+            want = [a for a in oracle if not filtered_out(a.filtered_by, cfg)]
             listed = enumerate_assignments(basis, s, cfg)
             # same assignments, bounds and tags, in the canonical order
             assert listed == want, (g, r, d, s, cfg)
@@ -573,7 +606,7 @@ def test_floored_minimum_decides_every_query_like_the_exact_minimum():
         kept[BOTH_FILTERS] = [a.c2_bound for a in listed if not a.filtered_by]
         exact = {cfg: min(bounds, default=None) for cfg, bounds in kept.items()}
         for cfg, bounds in kept.items():
-            m = _min_bound_cached(g, r, d, s, *cfg, True)
+            m = _min_bound_cached(g, r, d, s, _drop_mask(cfg), True)
             floored = None if m is None else Fraction(m, _scale(s))
             if exact[cfg] is None or exact[cfg] > 2 * s:
                 assert floored == exact[cfg], (g, r, d, s, cfg)
@@ -666,52 +699,69 @@ def per_type_walk(basis, s, leaf):
         dfs(1, origin, 0, 0)
 
 
-def walk_leaves(walk, basis, s):
-    # a leaf as (ranks, the rows' classes, scaled bound), sorted
+def walk_leaves(basis, s, drop):
+    # the prefix walk's leaves as (ranks, the rows' classes, scaled bound,
+    # tag names), sorted
+    from bnloci.k3 import _walk
+
     out = []
-    walk(basis, s, lambda ranks, path, total: out.append(
-        (ranks, tuple(row[6] for row in path), total)
+    _walk(basis, s, drop, lambda ranks, path, total, tags: out.append(
+        (ranks, tuple(row[6] for row in path), total, _TAG_NAMES[tags])
     ))
     return sorted(out)
+
+
+def oracle_leaves(basis, s):
+    # the per-type walk's leaves as (ranks, the rows' classes, scaled bound,
+    # tag names by the filter definitions), sorted
+    out = []
+    per_type_walk(basis, s, lambda ranks, path, total: out.append(
+        (ranks, tuple(row[6] for row in path), total)
+    ))
+    return sorted(
+        (ranks, heads, total, expected_tags(basis, s, Assignment(ranks, heads + (H,), Fraction(0))))
+        for ranks, heads, total in out
+    )
 
 
 # the five k3_list jobs of perfbench, as (g, r, d, s)
 K3_LIST_JOBS = [(13, 2, 7, 6), (16, 1, 2, 7), (16, 3, 11, 7), (15, 4, 13, 7), (17, 4, 14, 8)]
 
 
-def per_type_listing(basis, s, leaves, cfg):
-    # oracle: the listing of the per-type walk's leaves, tagged by the filter
-    # definitions and sorted by Assignment.sort_key
+def per_type_listing(s, leaves, cfg):
+    # oracle: the listing of the leaves of oracle_leaves that cfg keeps,
+    # sorted by Assignment.sort_key
     from bnloci.k3 import _scale
 
     out = []
-    for ranks, heads, total in leaves:
-        a = Assignment(ranks, heads + (H,), Fraction(total, _scale(s)))
-        a = a._replace(filtered_by=expected_tags(basis, s, a))
-        if not filtered_out(basis, s, a, cfg):
+    for ranks, heads, total, tags in leaves:
+        a = Assignment(ranks, heads + (H,), Fraction(total, _scale(s)), tags)
+        if not filtered_out(tags, cfg):
             out.append(a)
     return sorted(out, key=Assignment.sort_key)
 
 
 def test_prefix_walk_matches_per_type_walk():
-    # and the listing of enumerate_assignments is the per-type oracle's, in
-    # its order, with one Fraction object per distinct bound
-    from bnloci.k3 import _walk
-
+    # the walk's leaves and their tags are the per-type oracle's under every
+    # config, which drops exactly the leaves that it filters; and the listing
+    # of enumerate_assignments is the oracle's, in its order, with one
+    # Fraction object per distinct bound
     jobs = assemble_jobs(range(7, 15)) + K3_LIST_JOBS
     assert len(jobs) > 300 and max(s for *_, s in jobs) == 8
-    emitted = 0
+    emitted, seen = 0, set()
     for g, r, d, s in jobs:
         basis = LatticeBasis(g, r, d)
-        leaves = walk_leaves(_walk, basis, s)
-        oracle = walk_leaves(per_type_walk, basis, s)
-        assert leaves == oracle, (g, r, d, s)
-        emitted += len(leaves)
-        for cfg in (FilterConfig(), BOTH_FILTERS):
+        oracle = oracle_leaves(basis, s)
+        emitted += len(oracle)
+        seen.update(tags for *_, tags in oracle)
+        for cfg in ALL_CONFIGS:
+            kept = [leaf for leaf in oracle if not filtered_out(leaf[3], cfg)]
+            assert walk_leaves(basis, s, _drop_mask(cfg)) == kept, (g, r, d, s, cfg)
             listed = enumerate_assignments(basis, s, cfg)
-            assert listed == per_type_listing(basis, s, oracle, cfg), (g, r, d, s, cfg)
+            assert listed == per_type_listing(s, oracle, cfg), (g, r, d, s, cfg)
             assert len({id(a.c2_bound) for a in listed}) == len({a.c2_bound for a in listed})
-    assert emitted > 30000
+    # every set of tags occurs
+    assert emitted > 30000 and seen == set(_TAG_NAMES)
 
 
 def test_floored_walk_emits_short_types_first(monkeypatch):
@@ -788,12 +838,12 @@ def test_walk_emits_the_leaves_in_a_locked_order():
     digest, emitted = hashlib.sha256(), 0
     for g, r, d, s in assemble_jobs(range(7, 13)) + K3_LIST_JOBS[:1]:
 
-        def leaf(ranks, path, total):
+        def leaf(ranks, path, total, tags):
             nonlocal emitted
             emitted += 1
             digest.update(repr((ranks, [tuple(row[6]) for row in path], total)).encode())
 
-        _walk(LatticeBasis(g, r, d), s, leaf)
+        _walk(LatticeBasis(g, r, d), s, 0, leaf)
     assert emitted == 7458
     assert digest.hexdigest() == "6086f3aea1f5615713bb775877f4c5c4da2078a81db3cbf3b6fbf439d3a0ddf3"
 
@@ -812,7 +862,7 @@ def lattices_outside_assemble(genera):
 
 
 def test_walk_on_lattices_without_candidates_matches_per_type_walk():
-    from bnloci.k3 import _candidate_rows, _walk
+    from bnloci.k3 import _candidate_rows
 
     bases = list(lattices_outside_assemble(range(3, 13)))
     empty = [b for b in bases if not _candidate_rows(b)]
@@ -823,8 +873,8 @@ def test_walk_on_lattices_without_candidates_matches_per_type_walk():
     emitted = 0
     for basis in empty + past:
         for s in range(1, 4):
-            leaves = walk_leaves(_walk, basis, s)
-            assert leaves == walk_leaves(per_type_walk, basis, s), (basis, s)
+            leaves = walk_leaves(basis, s, 0)
+            assert leaves == oracle_leaves(basis, s), (basis, s)
             if basis in empty:
                 assert leaves == [] and enumerate_assignments(basis, s) == []
                 assert min_series_degree(basis, s) is None

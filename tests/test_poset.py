@@ -731,3 +731,24 @@ def test_compare_detects_single_removed_arrow():
     assert len(diffs) == 1
     assert diffs[0].lhs.key == (2, 6) and diffs[0].rhs.key == (1, 4)
     assert diffs[0].got == "subset" and diffs[0].want == "unknown"
+
+
+def test_relation_kinds_given_by_value_seed_like_relkinds():
+    # the seeding tests the kind by identity, so a kind given as its string
+    # must reach it as the RelKind, not as <= (not_subset read as subset, eq
+    # as subset one way only)
+    g = 9
+    loci = enumerate_loci(g)
+    x, y = BNLocus(g, 1, 4), BNLocus(g, 2, 7)
+    for kind in RelKind:
+        by_value = closure_relations(g, loci, [Relation(x, y, kind.value, "r")])
+        by_kind = closure_relations(g, loci, [Relation(x, y, kind, "r")])
+        assert by_value.all_relations() == by_kind.all_relations(), kind
+    got = closure_relations(g, loci, [Relation(x, y, "eq", "r")])
+    assert got.relation(x, y) == got.relation(y, x) == ("eq", "class")
+    got = closure_relations(g, loci, [Relation(x, y, "not_subset", "r")])
+    assert got.relation(x, y) == ("not_subset", "r")
+    # the fact agrees with the kappa rule instead of contradicting it
+    facts = {kind: assemble(g, [Fact(x, y, kind, "cite")]) for kind in ("not_subset", RelKind.NLE)}
+    assert facts["not_subset"].all_relations() == facts[RelKind.NLE].all_relations()
+    assert facts["not_subset"].relation(x, y)[0] == "not_subset"

@@ -55,6 +55,18 @@ INVALID = [
         "Fact(BNLocus(9, 1, 3), BNLocus(9, 2, 6), RelKind.LE, '')",
         "facts must carry a citation string",
     ),
+    (
+        "Relation(BNLocus(9, 1, 3), BNLocus(9, 1, 4), 'bogus', 'x')",
+        "'bogus' is not a valid RelKind",
+    ),
+    (
+        "Relation(BNLocus(9, 1, 3), BNLocus(9, 1, 4), RelKind.LE, 'x')._replace(kind='<=')",
+        "'<=' is not a valid RelKind",
+    ),
+    (
+        "Fact(BNLocus(9, 1, 3), BNLocus(9, 2, 6), 'bogus', 'x')",
+        "'bogus' is not a valid RelKind",
+    ),
 ]
 
 
@@ -108,6 +120,15 @@ def instances():
         castelnuovo_bound(3, 6),
         conjecture_thresholds(12, 2, 8, 3),
     ]
+
+
+def test_relation_kinds_given_by_value_become_relkinds():
+    x, y = BNLocus(9, 1, 3), BNLocus(9, 2, 6)
+    for kind in RelKind:
+        for value in (kind, kind.value):
+            assert Relation(x, y, value, "t").kind is kind
+            assert Fact(x, y, value, "t").kind is kind
+            assert Fact(x, y, value, "t").to_relation().kind is kind
 
 
 @pytest.mark.parametrize("value", instances(), ids=lambda v: type(v).__name__)
