@@ -71,7 +71,7 @@ def coppens_noncontainment(g: int, d: int) -> Relation | None:
         return None
     if (d - 1) * (d - 2) // 2 - g < 0:
         return None
-    if d - 3 < 2 or rho(g, 1, d - 3) >= 0:
+    if rho(g, 1, d - 3) >= 0:
         return None
     return Relation(BNLocus(g, 2, d), BNLocus(g, 1, d - 3), RelKind.NLE, "coppens")
 

@@ -158,10 +158,8 @@ def cmd_invariants(args) -> int:
     rv = rho(locus.g, locus.r, locus.d)
     lines.append(f"rho: {rv}")
     lines.append(f"clifford index: {clifford_index(locus)}")
-    try:
-        lines.append(f"serre dual: {serre_dual(locus)}")
-    except ValueError:
-        lines.append("serre dual: (out of range)")
+    # d <= g-1 now, so the dual has r' = g-d+r-1 >= r and d' = 2g-2-d >= g-1 >= 2
+    lines.append(f"serre dual: {serre_dual(locus)}")
     lines.append(f"delta: {delta(locus.g, locus.r, locus.d)}")
     if rv >= 0:
         lines.append("rho >= 0: not Brill-Noether special; kappa and gonality "

@@ -476,7 +476,13 @@ def _walk(
     intervals, so the leaves and their order are those of the full loop
     (module docstring, "Pruning").  A lattice without candidate rows emits
     no leaf.
+
+    Raises ValueError for s < 1, where no type exists and an empty walk
+    would read as "every e certified", and for Delta >= 0 or r = 0 through
+    :func:`destab_box`, which :func:`_candidate_rows` reaches first.
     """
+    if s < 1:
+        raise ValueError("need s >= 1")
     rows = _candidate_rows(basis)
     if not rows:
         return  # no candidate class: no type has an admissible step
@@ -548,15 +554,6 @@ MAX_WORKERS = 64
 MAX_ASSIGNMENTS = 100_000
 
 
-def _check_search_args(basis: LatticeBasis, s: int) -> None:
-    if basis.discriminant >= 0:
-        raise ValueError(
-            f"Delta({basis.g},{basis.r},{basis.d}) >= 0: no such K3 surface"
-        )
-    if s < 1:
-        raise ValueError("need s >= 1")
-
-
 def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = None):
     """The one listing core: ``(D, [(ranks, records), ...])``, D = :func:`_scale`,
     one record ``(classes, scaled_c2, tags)`` per kept leaf, without the
@@ -565,8 +562,8 @@ def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = N
     order of :meth:`Assignment.sort_key`.  The walk drops the leaves that the
     config filters and hands over the tags of the rest, which the records
     name; the leaf stops with ValueError at the first kept leaf past
-    :data:`MAX_ASSIGNMENTS`, so neither memory nor work is unbounded."""
-    _check_search_args(basis, s)
+    :data:`MAX_ASSIGNMENTS`, so neither memory nor work is unbounded.
+    Raises the errors of :func:`_walk`: s < 1, Delta >= 0 or r = 0."""
     head, cap = itemgetter(6), MAX_ASSIGNMENTS
     groups, kept = defaultdict(list), 0  # records by type, kept leaves
 
@@ -637,7 +634,6 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     :func:`k3_expected` its witness.  Its leaf builds that key only for a
     leaf whose bound does not exceed the least so far."""
     basis = LatticeBasis(g, r, d)
-    _check_search_args(basis, s)
     limit, head = 2 * s * _scale(s), itemgetter(6)
     best = None
 
@@ -673,7 +669,8 @@ def min_series_degree(
     of the least kept leaf that the exact search caches per (lattice, s,
     filters), with no Assignment and no Fraction per leaf, and returns
     ``Fraction(bound, D)``.  The certificates stop at the Clifford floor
-    instead (:func:`k3_certified_below`).
+    instead (:func:`k3_certified_below`).  Raises the errors of
+    :func:`_walk`: s < 1, Delta >= 0 or r = 0.
     """
     least = _min_bound_cached(basis.g, basis.r, basis.d, s, _drop_mask(config), False)
     return None if least is None else Fraction(least[0], _scale(s))

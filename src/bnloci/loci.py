@@ -95,28 +95,29 @@ def normalize(locus: BNLocus) -> BNLocus:
 
 
 def is_proper_locus(g: int, r: int, d: int) -> bool:
-    """Whether M^r_{g,d} is one of :func:`enumerate_loci`'s loci, in closed
-    form: rho < 0 and 2r <= d <= g-1 with r >= 1 (so d >= 2 and g >= 3)."""
+    """Whether M^r_{g,d} is a normalized proper locus: rho < 0 and
+    2r <= d <= g-1 with r >= 1 (so d >= 2 and g >= 3).  The one definition
+    of the set: :func:`enumerate_loci` lists it, and :func:`kappa`, the
+    rules and the fact parser test membership here."""
     return 1 <= r and 2 * r <= d <= g - 1 and rho(g, r, d) < 0
 
 
 def enumerate_loci(g: int) -> list[BNLocus]:
-    """All normalized proper loci at genus g: rho < 0, 2 <= d <= g-1,
-    d >= 2 for r = 1 and d >= 2r for r >= 2, sorted by (r, d).
+    """All normalized proper loci at genus g, those of :func:`is_proper_locus`
+    (rho < 0, 2r <= d <= g-1), in (r, d) order, which is the order of the
+    loops.
 
     Loci with d = 2r are kept here; the poset engine merges them into
     M^1_{g,2} via the Clifford collapse.
     """
     if g < 3:
         raise ValueError("need g >= 3")
-    result = []
-    for r in range(1, (g - 1) // 2 + 1):
-        dmin = 2 if r == 1 else 2 * r
-        for d in range(dmin, g):
-            if rho(g, r, d) < 0:
-                result.append(BNLocus(g, r, d))
-    result.sort(key=lambda x: x.key)
-    return result
+    return [
+        BNLocus(g, r, d)
+        for r in range(1, (g - 1) // 2 + 1)
+        for d in range(2 * r, g)
+        if is_proper_locus(g, r, d)
+    ]
 
 
 def rho_k(g: int, k: int, r: int, d: int) -> int:
@@ -140,12 +141,11 @@ def _floor_neg_two_sqrt(n: int) -> int:
 
 
 def _check_kappa_domain(g: int, r: int, d: int) -> None:
-    if rho(g, r, d) >= 0:
-        raise ValueError(f"kappa undefined: rho({g},{r},{d}) >= 0")
-    if d > g - 1:
-        raise ValueError("kappa expects a normalized locus (d <= g-1)")
-    if r >= 2 and d < 2 * r:
-        raise ValueError("kappa undefined: d < 2r gives an empty locus (Clifford)")
+    if not is_proper_locus(g, r, d):
+        raise ValueError(
+            f"kappa is defined on the proper loci only (rho < 0, 2r <= d <= g-1), "
+            f"got ({g},{r},{d})"
+        )
 
 
 def kappa(g: int, r: int, d: int) -> int:
@@ -173,43 +173,26 @@ def kappa_bruteforce(g: int, r: int, d: int) -> int:
 def trivial_relations(g: int) -> list[Relation]:
     """Containments from adding a base point (d -> d+1) and removing a
     non-base point (r,d -> r-1,d-1), restricted to enumerated loci."""
-    loci = enumerate_loci(g)
-    lset = set(loci)
     out = []
-    for x in loci:
-        targets = []
-        # adding a base point; d+1 = g falls back to the Serre-normal form
-        if x.d + 1 <= g - 1:
-            targets.append((x.r, x.d + 1))
-        elif x.r >= 2:
-            targets.append((x.r - 1, g - 2))
-        if x.r >= 2:
-            targets.append((x.r - 1, x.d - 1))
-        seen = set()
-        for r2, d2 in targets:
-            if (r2, d2) in seen:
-                continue
-            seen.add((r2, d2))
-            try:
-                y = BNLocus(g, r2, d2)
-            except ValueError:
-                continue
-            if y in lset and y != x:
-                out.append(Relation(x, y, RelKind.LE, "trivial"))
+    for x in enumerate_loci(g):
+        # adding a base point; d+1 = g falls back to the Serre-normal form,
+        # which is then the removal's target too
+        add = (x.r, x.d + 1) if x.d + 1 <= g - 1 else (x.r - 1, g - 2)
+        remove = (x.r - 1, x.d - 1)
+        for r2, d2 in (add,) if add == remove else (add, remove):
+            if is_proper_locus(g, r2, d2):
+                out.append(Relation(x, BNLocus(g, r2, d2), RelKind.LE, "trivial"))
     return out
 
 
 def clifford_collapse(g: int) -> list[Relation]:
     """Equalities M^r_{g,2r} = M^1_{g,2} (all g), and M^r_{g,2r+1} = M^1_{g,2}
-    for g >= 7, over enumerated loci with r >= 2."""
+    for g >= 7, over enumerated loci with r >= 2.  M^1_{g,2} is itself a
+    locus at every g >= 3, as its rho is 2 - g."""
     loci = enumerate_loci(g)
-    lset = set(loci)
     hyper = BNLocus(g, 1, 2)
     out = []
     for x in loci:
-        if x.r < 2:
-            continue
-        if x.d == 2 * x.r or (x.d == 2 * x.r + 1 and g >= 7):
-            if hyper in lset:
-                out.append(Relation(x, hyper, RelKind.EQ, "clifford"))
+        if x.r >= 2 and (x.d == 2 * x.r or (x.d == 2 * x.r + 1 and g >= 7)):
+            out.append(Relation(x, hyper, RelKind.EQ, "clifford"))
     return out

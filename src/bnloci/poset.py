@@ -222,7 +222,10 @@ class RelationMatrix:
         (a seed or an earlier rendering), else ``closure(p(i,k),p(k,j))``
         for its Warshall round k = ``via[(i, j)]``, rendered and stored.
         Both premises were set before round k, so the walk ends; it keeps
-        its own stack rather than recursing."""
+        its own stack rather than recursing.  A cell is pushed only when its
+        text is missing, and the cells above it have smaller rounds, so it
+        is still missing whenever it is back on top, and none is pushed
+        twice."""
         texts, via = (self._tables or self._seeded())[0], self._via
         text = texts.get((i, j))
         if text is not None:
@@ -230,9 +233,6 @@ class RelationMatrix:
         stack = [(i, j)]
         while stack:
             a, b = cell = stack[-1]
-            if cell in texts:
-                stack.pop()
-                continue
             k = via[cell]
             left, right = texts.get((a, k)), texts.get((k, b))
             if left is None:
@@ -387,7 +387,7 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
     for i, (g, r, d) in enumerate(loci):
         # add a base point (Serre-normalized at d + 1 = g), remove a point
         moves = ((r, d + 1) if d + 1 < g else (r - 1, g - 2), (r - 1, d - 1))
-        for j in {at.get(key) for key in moves} - {None, i}:
+        for j in {at.get(key) for key in moves} - {None}:
             _seed(trivial, i, j, RelKind.LE)
         if r >= 2 and (d == 2 * r or (d == 2 * r + 1 and g >= 7)):
             _seed(clifford, i, hyper, RelKind.EQ)

@@ -222,6 +222,22 @@ def test_k3_json_renders_from_records_with_one_fraction_per_bound(capsys, monkey
     assert 0 < len(built) <= len(bounds) + 1
 
 
+def test_k3_into_a_reader_that_closes_early_exits_0_quietly():
+    # the listing runs far past a pipe buffer, so the write after the reader
+    # closes raises BrokenPipeError, which main turns into a quiet exit 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bnloci.cli", "k3", "15", "4", "13", "--series", "7"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"lattice ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == EXIT_OK
+    assert err == b""
+
+
 def test_k3_empty_listing_and_inapplicable_lattice_in_json(capsys):
     code, out, _ = run(capsys, "k3", "3", "1", "3", "--series", "1", "--json")
     assert code == EXIT_OK
@@ -397,6 +413,28 @@ def test_facts_parse_errors(tmp_path, capsys):
         path.write_text(text)
         code, out, err = run(capsys, "poset", "9", "--facts", str(path))
         assert code == EXIT_IO and out == "" and "record 1" in err, (field, value)
+    # the other malformed records: a locus that is not an {r, d} object or
+    # that BNLocus rejects, an unknown relation, an empty or non-string source
+    for field, value, message in (
+        ("lhs", [1, 4], "locus must be an object with keys r, d"),
+        ("lhs", {"r": 0, "d": 4}, "invalid locus"),
+        ("relation", "superset", "relation must be one of"),
+        ("source", "", "source citation must be a non-empty string"),
+        ("source", 7, "source citation must be a non-empty string"),
+    ):
+        text = json.dumps([good, dict(good, **{field: value})])
+        with pytest.raises(FactsError, match=f"record 1: {message}"):
+            parse_fact_records(text)
+        path.write_text(text)
+        code, out, err = run(capsys, "poset", "9", "--facts", str(path))
+        assert code == EXIT_IO and out == "" and f"record 1: {message}" in err, (field, value)
+    # a top level that is not an array of records
+    text = json.dumps(good)
+    with pytest.raises(FactsError, match="top level must be a JSON array"):
+        parse_fact_records(text)
+    path.write_text(text)
+    code, out, err = run(capsys, "poset", "9", "--facts", str(path))
+    assert code == EXIT_IO and out == "" and "top level must be a JSON array" in err
 
 
 def test_facts_at_a_large_genus_parse_without_listing_the_loci(monkeypatch):

@@ -39,6 +39,7 @@ from bnloci import (
 )
 from bnloci.k3 import (
     BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _c2_bound, _drop_mask, _TAG_NAMES,
+    listing_records,
 )
 
 
@@ -893,6 +894,37 @@ def test_walk_on_lattices_without_candidates_matches_per_type_walk():
 def test_loci_below_clifford_are_rejected(fn, args):
     with pytest.raises(ValueError, match="proper locus"):
         fn(*args)
+
+
+@pytest.mark.parametrize("s", [0, -1])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda s: min_series_degree(LatticeBasis(9, 2, 6), s),
+        lambda s: listing_records(LatticeBasis(9, 2, 6), s),
+        lambda s: k3_certified_below(9, 2, 6, s),
+    ],
+    ids=["min_series_degree", "listing_records", "k3_certified_below"],
+)
+def test_series_below_1_is_rejected_by_the_walk(call, s):
+    # no filtration type exists, and an empty walk would read as "every e
+    # certified"
+    with pytest.raises(ValueError, match="need s >= 1"):
+        call(s)
+
+
+@pytest.mark.parametrize("fn", [min_series_degree, listing_records, enumerate_assignments])
+def test_search_on_a_lattice_without_a_k3_is_rejected(fn):
+    # Delta(9, 3, 4) = 48 >= 0: the walk's candidate rows reach destab_box
+    assert LatticeBasis(9, 3, 4).discriminant == 48
+    with pytest.raises(ValueError, match="no such K3 surface"):
+        fn(LatticeBasis(9, 3, 4), 2)
+
+
+def test_k3_expected_is_none_without_a_k3():
+    # both loci are proper, but Delta(9, 3, 7) = 15 >= 0
+    assert LatticeBasis(9, 3, 7).discriminant == 15
+    assert k3_expected(9, 3, 7, 1, 3) is None
 
 
 # ------------------------------------------------------------ re-check and caps

@@ -172,6 +172,25 @@ def test_kappa_errors_outside_domain():
         kappa(30, 4, 6)  # d < 2r: empty locus
     with pytest.raises(ValueError):
         kappa(11, 2, 13)  # not normalized
+    # r = 0, and d < 2r at r = 1, are outside the domain for both functions
+    for fn in (kappa, kappa_bruteforce):
+        for g, r, d in ((9, 0, -1), (9, 1, 1)):
+            with pytest.raises(ValueError, match="proper loci"):
+                fn(g, r, d)
+
+
+def test_kappa_is_defined_exactly_on_the_proper_loci():
+    # a box past every edge of the domain: both functions agree on the
+    # proper loci and raise ValueError, never another exception, elsewhere
+    for g in range(-2, 21):
+        for r in range(-3, 13):
+            for d in range(-3, 2 * g + 4):
+                if is_proper_locus(g, r, d):
+                    assert kappa(g, r, d) == kappa_bruteforce(g, r, d), (g, r, d)
+                    continue
+                for fn in (kappa, kappa_bruteforce):
+                    with pytest.raises(ValueError):
+                        fn(g, r, d)
 
 
 def test_kappa_upper_bound():

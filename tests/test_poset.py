@@ -733,6 +733,14 @@ def test_compare_detects_single_removed_arrow():
     assert diffs[0].got == "subset" and diffs[0].want == "unknown"
 
 
+def test_compare_rejects_matrices_it_cannot_align():
+    nine = closure_relations(9, enumerate_loci(9), [])
+    with pytest.raises(ValueError, match="different genera"):
+        compare(nine, closure_relations(10, enumerate_loci(10), []))
+    with pytest.raises(ValueError, match="different loci"):
+        compare(nine, closure_relations(9, enumerate_loci(9)[1:], []))
+
+
 def test_relation_kinds_given_by_value_seed_like_relkinds():
     # the seeding tests the kind by identity, so a kind given as its string
     # must reach it as the RelKind, not as <= (not_subset read as subset, eq
