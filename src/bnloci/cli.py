@@ -414,7 +414,7 @@ def cmd_verify(args) -> int:
                 print(f"  unknown: {x} vs {y}")
         else:
             print(f"genus {g}: PASS ({len(computed.classes)} classes, "
-                  f"{len(computed.all_relations())} closed relations)")
+                  f"{computed.relation_count()} closed relations)")
     return EXIT_DOMAIN if failed else EXIT_OK
 
 

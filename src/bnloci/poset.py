@@ -42,10 +42,10 @@ from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable
 
-from .classical import coppens_noncontainment, plane_projection_rule, secant_expected_dim
+from .classical import coppens_noncontainment, plane_projection_rule
 from .k3 import k3_certified_below, k3_noncontainment
 from .lattice import delta
-from .loci import BNLocus, RelKind, Relation, enumerate_loci, kappa, rho_k
+from .loci import BNLocus, RelKind, Relation, enumerate_loci, kappa
 
 
 class ContradictionError(RuntimeError):
@@ -110,6 +110,16 @@ def _bits(row: int):
         row ^= low
 
 
+def _transpose(rows: list[int]) -> list[int]:
+    """The transpose of the square bit matrix ``rows``: bit i of the j-th
+    result row is bit j of ``rows[i]``.  Each row is written as n binary
+    digits, the last row first, so the digits of column j, read as one
+    binary number, carry bit j of row i at place i; the columns come out
+    highest j first."""
+    digits = [format(row, f"0{len(rows)}b") for row in reversed(rows)]
+    return [int("".join(column), 2) for column in zip(*digits)][::-1]
+
+
 def _low(row: int) -> int:
     """Index of the lowest set bit of a nonzero ``row``."""
     return (row & -row).bit_length() - 1
@@ -135,6 +145,10 @@ class RelationMatrix:
     locus, and equal loci have equal rows and equal columns (x <= x' <= x
     carries every <= and !<= across), so the kind of any cell is read off
     its own bits, while its provenance is that of the representatives' cell.
+
+    ``down``, the transpose of the closed ``up`` (bit i of ``down[j]``:
+    locus i <= locus j), is built in one pass over binary digit strings
+    (:func:`_transpose`), not one set bit at a time.
 
     Provenance is held as derivation records: the sorted sources, which
     give a seeded cell the string of the first source holding it, the
@@ -172,10 +186,7 @@ class RelationMatrix:
                             via[(i, low.bit_length() - 1)] = k
                             new ^= low
 
-        down = [0] * n
-        for i in range(n):
-            for j in _bits(up[i]):
-                down[j] |= 1 << i
+        down = _transpose(up)
         nle_rows = [0] * n
         for a in range(n):
             if seed_rows[a]:
@@ -308,6 +319,15 @@ class RelationMatrix:
                     out.append(Relation(loci[i], loci[j], RelKind.NLE, self._nle_prov(i, j)))
         return out
 
+    def relation_count(self) -> int:
+        """``len(self.all_relations())``, counted on the rows without
+        building a Relation or rendering a provenance string."""
+        up, nle, mask = self._up, self._nle_rows, self._rep_mask
+        return sum(
+            ((up[i] | nle[i]) & mask & ~(1 << i)).bit_count() if r == i else 1
+            for i, r in enumerate(self._rep)
+        )
+
 
 def closure_relations(
     genus: int, loci: Iterable[BNLocus], relations: Iterable[Relation]
@@ -355,16 +375,34 @@ def closure(matrix: RelationMatrix) -> RelationMatrix:
 
 def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
     """Every rule family's seeds over ``loci`` (:func:`enumerate_loci` of
-    ``genus``) as one source each (see :func:`_seed`), filled row by row.
-    Gonality and secant test :func:`rho_k` and :func:`secant_expected_dim`
-    on each pair, a kappa row is the loci of smaller :func:`kappa`, and the
-    trivial, Clifford, plane-projection and Coppens rules set their few
-    bits.  A K3 row is one bisection per rank s: x !<= (s, e) is certified
-    iff e is below :func:`k3_certified_below` of x and s (or that is None),
-    so the certified targets of rank s are a prefix in ascending e, cut by
-    one bisection of their degrees.  The last target of each cut is handed
-    to :func:`k3_noncontainment`, and a row it does not certify raises
+    ``genus``) as one source each (see :func:`_seed`), filled row by row,
+    with no rule call per pair.  The trivial, Clifford, plane-projection and
+    Coppens rules set their few bits; the other rows are masks and cuts.
+
+    A kappa row is the loci of smaller :func:`kappa`, ``below[k]``: a prefix
+    of the loci in kappa order.
+
+    A gonality row, that of M^1_{g,d}, is cut from the same masks.
+    :func:`rho_k` (g, k, s, e) never increases in k: its correction, the max
+    over 0 <= l <= r' of c*l - l^2 with c = g - k - e + 2s + 1, does not grow
+    as c falls, and r' does not depend on k.  So rho_k(g, d, s, e) >= 0 iff
+    d <= kappa(g, s, e), and as kappa(g, 1, d) = d the row is
+    ``full & ~below[d]`` for <= and ``below[d]`` for !<=, without i.
+
+    A secant row of (r, d) is one bit range per rank s < r.
+    :func:`secant_expected_dim` is r - s - (d - e - r + s)*s, so for
+    r > s >= 1 it is positive iff e >= d - r + s - (r - s - 1) // s; with
+    e < d the targets of rank s are a range in ascending e, cut by two
+    bisections of their degrees.
+
+    A K3 row is one bisection per rank s: x !<= (s, e) is certified iff e
+    is below :func:`k3_certified_below` of x and s (or that is None), so the
+    certified targets of rank s are a prefix in ascending e, cut by one
+    bisection of their degrees.  The last target of each cut is handed to
+    :func:`k3_noncontainment`, and a row it does not certify raises
     RuntimeError.
+
+    The per-pair functions stay the tests' oracle for every row.
     """
     at = {x.key: i for i, x in enumerate(loci)}
     # key order puts rank s in the index run runs[s] = [start, count], after all lower ranks
@@ -391,18 +429,20 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
             _seed(trivial, i, j, RelKind.LE)
         if r >= 2 and (d == 2 * r or (d == 2 * r + 1 and g >= 7)):
             _seed(clifford, i, hyper, RelKind.EQ)
-        if r == 1:
-            row = sum(1 << j for j, (_, s, e) in enumerate(loci) if rho_k(g, d, s, e) >= 0)
-            gonality[1][i], gonality[2][i] = row & ~(1 << i), full & ~row & ~(1 << i)
+        if r == 1:  # kappa(g, 1, d) = d: below[d] is set, and lacks i
+            gonality[1][i], gonality[2][i] = full & ~below[d] & ~(1 << i), below[d]
         if r == 2:
             for rel in (plane_projection_rule(g, d), coppens_noncontainment(g, d)):
                 if rel is not None and rel.rhs.key in at:
                     source = plane if rel.kind is RelKind.LE else coppens
                     _seed(source, i, at[rel.rhs.key], rel.kind)
-        secant[1][i] = sum(
-            1 << j for j, (_, s, e) in enumerate(loci[: runs[r][0]])
-            if e < d and secant_expected_dim(r, d, s, e) > 0
-        )
+        row = 0
+        for s, (start, _) in runs.items():  # per rank s < r: the e in [first, d)
+            if s >= r:
+                break
+            first = bisect_left(degrees[s], d - r + s - (r - s - 1) // s)
+            row |= ((1 << (bisect_left(degrees[s], d) - first)) - 1) << (start + first)
+        secant[1][i] = row
         if delta(g, r, d) < 0:  # per rank s: the targets of degree below the bound
             certified = 0
             for s, (start, count) in runs.items():

@@ -26,10 +26,12 @@ from bnloci import (
     rho_k,
     rule_sources,
     secant_containment,
+    secant_expected_dim,
     trivial_relations,
     trivially_implied,
 )
 from bnloci.cli import packaged_facts
+from bnloci.poset import _transpose
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -630,6 +632,59 @@ def test_rule_rows_equal_the_per_pair_rules(g):
             for s in sorted({y.r for y in loci}):
                 hit = [k3_noncontainment(g, x.r, x.d, s, y.d) is not None for y in loci if y.r == s]
                 assert hit == sorted(hit, reverse=True), (x, s)
+
+
+def test_gonality_row_premises():
+    # rho_k is non-increasing in k, so the gonality strata meeting a locus
+    # are those up to its kappa; M^1_{g,d} is its own kappa's locus
+    for g in range(3, 61):
+        for x in enumerate_loci(g):
+            kx = kappa(g, x.r, x.d)
+            for k in range(2, (g + 3) // 2 + 1):
+                assert (rho_k(g, k, x.r, x.d) >= 0) == (k <= kx), (g, k, x)
+            if x.r == 1:
+                assert kx == x.d, x
+
+
+def test_secant_row_premise():
+    # the secant cycle's expected dimension is positive exactly from one
+    # degree e on, for every r > s >= 1 and e < d
+    for r in range(2, 16):
+        for s in range(1, r):
+            for d in range(-4, 40):
+                for e in range(-8, d):
+                    want = e >= d - r + s - (r - s - 1) // s
+                    assert (secant_expected_dim(r, d, s, e) > 0) == want, (r, d, s, e)
+
+
+def naive_transpose(rows):
+    n = len(rows)
+    return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_transpose_matches_the_per_bit_transpose(data):
+    n = data.draw(st.sampled_from([0, 1, 2, 63, 64, 65, 200]) | st.integers(0, 80))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
+    if n and data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, n - 1))] = (1 << n) - 1
+    assert _transpose(rows) == naive_transpose(rows)
+    assert _transpose(_transpose(rows)) == rows
+
+
+@pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 200])
+def test_transpose_edges(n):
+    ones = (1 << n) - 1
+    for rows in ([0] * n, [ones] * n, [1 << i for i in range(n)], [ones] + [0] * (n - 1)):
+        rows = rows[:n]  # at n = 0 the last list has one row too many
+        assert _transpose(rows) == naive_transpose(rows), (n, rows)
+
+
+@pytest.mark.parametrize("g", range(7, 31))
+def test_relation_count_is_the_number_of_relations(g):
+    m = assemble(g, packaged_facts(g) if g <= 12 else ())
+    assert m.relation_count() == len(m.all_relations())
 
 
 def test_assemble_matches_behaviour_lock():
