@@ -115,7 +115,11 @@ def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
 
 
 def load_facts(path: str | Path, genus: int | None = None) -> list[Fact]:
-    return parse_fact_records(Path(path).read_text(encoding="utf-8"), genus)
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:  # a ValueError, so main would file it as a domain error
+        raise FactsError(f"not valid UTF-8: {exc}") from exc
+    return parse_fact_records(text, genus)
 
 
 def _packaged(name: str) -> str:

@@ -11,7 +11,11 @@ end down, so the closure of the seeded !<= cells is exactly
 {(B, D) : A <= B, D <= C, (A, C) seeded}, and that set is already closed
 under both rules.  A contradiction at such a derived (B, D) would mean
 B <= D, so A <= B <= D <= C contradicts the seed (A, C) itself: checking
-the seeded !<= cells against <= finds every contradiction.
+the seeded !<= cells against <= finds every contradiction.  That set is
+two boolean products of bit rows (:func:`_product`): ``reach``, the seeded
+!<= rows times ``down`` (the transpose of ``up``), gives each A the D
+below some seeded C, and ``down`` times ``reach`` gives each B the OR of
+``reach[A]`` over A <= B.
 
 The seeds are bit rows too, and every matrix is built one way: from a
 list of sources, each a provenance string with its seeded <= and !<= rows,
@@ -29,11 +33,13 @@ The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
 closed !<= rows and each locus's class representative, and every query is
 a row operation on them.  Provenance is kept as derivation records, not
 strings: the seed strings are resolved from the sources when a cell is
-first read, a <= cell derived in Warshall's round k records k, and a
-derived !<= cell is credited on read to the lexicographically first seed
-that reaches it.  The matrix renders a cell's provenance string only when
-it is read, and keeps it.  The cover diagram is the transitive reduction
-of ``up`` restricted to the class representatives.
+first read, Warshall's pass keeps one record (k, new) per row update, the
+bits that its round k added to the row, so a derived <= cell's round is
+that of the one record holding its bit, and a derived !<= cell is
+credited on read to the lexicographically first seed that reaches it.
+The matrix renders a cell's provenance string only when it is read, and
+keeps it.  The cover diagram is the transitive reduction of ``up``
+restricted to the class representatives.
 """
 
 from __future__ import annotations
@@ -120,6 +126,35 @@ def _transpose(rows: list[int]) -> list[int]:
     return [int("".join(column), 2) for column in zip(*digits)][::-1]
 
 
+# bits per block in the tables of _product: widths 5 to 7 ran closest to even at
+# genus 14..30, 8 was slower up to genus 18, and 6 does not slow genus 7..12
+_BLOCK = 6
+
+
+def _product(rows: list[int], cols: list[int]) -> list[int]:
+    """The boolean product of two bit matrices: row i of the result is the
+    OR of ``cols[c]`` over the set bits c of ``rows[i]``.  Each run of
+    :data:`_BLOCK` cols gets a table of the ORs of its every subset, and a
+    row is read one block of bits at a time through the tables (the "Four
+    Russians" method: Arlazarov, Dinic, Kronrod and Faradzev, 1970)."""
+    tables = []
+    for start in range(0, len(cols), _BLOCK):
+        table = [0]
+        for col in cols[start:start + _BLOCK]:
+            table += [t | col for t in table]
+        tables.append(table)
+    mask, out = (1 << _BLOCK) - 1, []
+    for row in rows:
+        acc = 0
+        for table in tables:
+            if not row:
+                break
+            acc |= table[row & mask]
+            row >>= _BLOCK
+        out.append(acc)
+    return out
+
+
 def _low(row: int) -> int:
     """Index of the lowest set bit of a nonzero ``row``."""
     return (row & -row).bit_length() - 1
@@ -132,11 +167,13 @@ class RelationMatrix:
     A source is ``(provenance, <= rows, !<= rows)``, each rows a dict from a
     locus index to its bit row; an eq seed is <= both ways.  The sources
     are sorted by (length, provenance) and their rows ORed; Warshall's pass
-    closes <= in place and records each derived cell's round; the !<= rows
-    of each B are the OR of ``reach[A]`` over A <= B, ``reach[A]`` being the
-    OR of ``down[C]`` over the seeds (A, C).  Raises
-    :class:`ContradictionError` when a pair ends up both ways, naming the
-    first seeded !<= cell that <= contradicts.
+    closes <= in place and records, per row update, the round and the bits
+    it added.  The !<= rows are two products (:func:`_product`):
+    ``reach``, the seeded !<= rows times ``down``, and then ``down`` times
+    ``reach``, so the !<= row of each B is the OR of ``reach[A]`` over
+    A <= B, ``reach[A]`` being the OR of ``down[C]`` over the seeds (A, C).
+    Raises :class:`ContradictionError` when a pair ends up both ways,
+    naming the first seeded !<= cell that <= contradicts.
 
     The matrix holds the closure's own rows over the loci 0..n-1 in key
     order: ``up[i]`` (bit j: locus i <= locus j), ``nle_rows[i]`` (bit j:
@@ -152,10 +189,11 @@ class RelationMatrix:
 
     Provenance is held as derivation records: the sorted sources, which
     give a seeded cell the string of the first source holding it, the
-    Warshall round of each derived <= cell, and the seeded !<= rows, which
-    credit each derived !<= cell to a seed.  Reads render and memoize the
-    strings (see :meth:`_seeded`), the same as if built during the closure,
-    so instances are immutable in effect and safe to share.
+    Warshall records of each row, which hold each derived <= cell's round,
+    and the seeded !<= rows, which credit each derived !<= cell to a seed.
+    Reads render and memoize the strings (see :meth:`_seeded`), the same
+    as if built during the closure, so instances are immutable in effect
+    and safe to share.
     """
 
     def __init__(
@@ -173,7 +211,8 @@ class RelationMatrix:
                 up[i] |= row
             for i, row in nle_rows.items():
                 seed_rows[i] |= row
-        self._via = via = {}
+        # rounds[i]: the (k, new) of each Warshall round k that added bits to row i
+        self._rounds = rounds = [[] for _ in range(n)]
         for k in range(n):
             bit, row_k = 1 << k, up[k]
             for i in range(n):
@@ -181,20 +220,11 @@ class RelationMatrix:
                     new = row_k & ~up[i]
                     if new:
                         up[i] |= new
-                        while new:
-                            low = new & -new
-                            via[(i, low.bit_length() - 1)] = k
-                            new ^= low
+                        rounds[i].append((k, new))
 
         down = _transpose(up)
-        nle_rows = [0] * n
-        for a in range(n):
-            if seed_rows[a]:
-                reach = 0
-                for c in _bits(seed_rows[a]):
-                    reach |= down[c]
-                for b in _bits(up[a]):
-                    nle_rows[b] |= reach
+        # reach[a] bit d: d <= c for a seed (a, c); the !<= row of b ORs reach[a] over a <= b
+        nle_rows = _product(down, _product(seed_rows, down))
 
         self._up, self._down, self._nle_rows, self._seed_rows = up, down, nle_rows, seed_rows
         # bit j of _same[i]: loci i and j are equal
@@ -231,20 +261,21 @@ class RelationMatrix:
     def _le_prov(self, i: int, j: int) -> str:
         """Provenance of the <= cell (i, j): its text if the le table has it
         (a seed or an earlier rendering), else ``closure(p(i,k),p(k,j))``
-        for its Warshall round k = ``via[(i, j)]``, rendered and stored.
-        Both premises were set before round k, so the walk ends; it keeps
-        its own stack rather than recursing.  A cell is pushed only when its
-        text is missing, and the cells above it have smaller rounds, so it
-        is still missing whenever it is back on top, and none is pushed
-        twice."""
-        texts, via = (self._tables or self._seeded())[0], self._via
+        for the Warshall round k that added bit j to row i, read as the
+        first record ``(k, new)`` in ``rounds[i]`` whose ``new`` has bit j
+        (a bit joins a row once), rendered and stored.  Both premises were
+        set before round k, so the walk ends; it keeps its own stack rather
+        than recursing.  A cell is pushed only when its text is missing, and
+        the cells above it have smaller rounds, so it is still missing
+        whenever it is back on top, and none is pushed twice."""
+        texts, rounds = (self._tables or self._seeded())[0], self._rounds
         text = texts.get((i, j))
         if text is not None:
             return text
         stack = [(i, j)]
         while stack:
             a, b = cell = stack[-1]
-            k = via[cell]
+            k = next(k for k, new in rounds[a] if new >> b & 1)
             left, right = texts.get((a, k)), texts.get((k, b))
             if left is None:
                 stack.append((a, k))
@@ -480,17 +511,15 @@ def covers(matrix: RelationMatrix) -> list[Relation]:
     On the rows this is the transitive reduction (Aho, Garey and Ullman,
     1972): a representative's strict row is its <= row over the other
     representatives, and its covers are the bits of that row that no bit
-    of the row reaches in turn.
+    of the row reaches in turn: the row less its product with the strict
+    rows (:func:`_product`).
     """
-    loci, up, mask = matrix.loci, matrix._up, matrix._rep_mask
-    strict = {i: up[i] & mask & ~(1 << i) for i in _bits(mask)}
-    members = dict(zip(strict, matrix.classes))
+    loci, mask = matrix.loci, matrix._rep_mask
+    strict = [row & mask & ~(1 << i) for i, row in enumerate(matrix._up)]
+    members = dict(zip(_bits(mask), matrix.classes))
     out = []
-    for i, row in strict.items():
-        above = 0
-        for k in _bits(row):
-            above |= strict[k]
-        for j in _bits(row & ~above):
+    for i, above in zip(members, _product([strict[i] for i in members], strict)):
+        for j in _bits(strict[i] & ~above):
             if any(trivially_implied(x, y) for x in members[i] for y in members[j]):
                 continue
             out.append(Relation(loci[i], loci[j], RelKind.LE, matrix._le_prov(i, j)))

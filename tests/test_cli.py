@@ -16,6 +16,7 @@ from bnloci.cli import (
     EXIT_OK,
     FactsError,
     genus_range,
+    load_facts,
     main,
     packaged_facts,
     parse_fact_records,
@@ -435,6 +436,16 @@ def test_facts_parse_errors(tmp_path, capsys):
     path.write_text(text)
     code, out, err = run(capsys, "poset", "9", "--facts", str(path))
     assert code == EXIT_IO and out == "" and "top level must be a JSON array" in err
+
+
+def test_facts_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
+    # UnicodeDecodeError is a ValueError: unmapped, it would exit as a domain error
+    path = tmp_path / "latin.json"
+    path.write_bytes(b"\xff\xfe[]")
+    with pytest.raises(FactsError, match="not valid UTF-8"):
+        load_facts(path)
+    code, out, err = run(capsys, "poset", "9", "--facts", str(path))
+    assert code == EXIT_IO and out == "" and err.startswith("error: not valid UTF-8")
 
 
 def test_facts_at_a_large_genus_parse_without_listing_the_loci(monkeypatch):

@@ -31,7 +31,7 @@ from bnloci import (
     trivially_implied,
 )
 from bnloci.cli import packaged_facts
-from bnloci.poset import _transpose
+from bnloci.poset import _BLOCK, RelationMatrix, _product, _transpose
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -679,6 +679,92 @@ def test_transpose_edges(n):
     for rows in ([0] * n, [ones] * n, [1 << i for i in range(n)], [ones] + [0] * (n - 1)):
         rows = rows[:n]  # at n = 0 the last list has one row too many
         assert _transpose(rows) == naive_transpose(rows), (n, rows)
+
+
+def naive_product(rows, cols):
+    out = []
+    for row in rows:
+        acc = 0
+        for c, col in enumerate(cols):
+            if row >> c & 1:
+                acc |= col
+        out.append(acc)
+    return out
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_product_matches_the_per_bit_product(data):
+    # rectangular: the number of rows, the n cols and the cols' width differ
+    n = data.draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200]) | st.integers(0, 80))
+    m, width = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 80))
+    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+    if m and data.draw(st.booleans()):
+        rows[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from([0, (1 << n) - 1]))
+    assert _product(rows, cols) == naive_product(rows, cols)
+
+
+@pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200])
+def test_product_edges(n):
+    ones = (1 << n) - 1
+    unit = [1 << i for i in range(n)]
+    staircase = [(1 << i + 1) - 1 for i in range(n)]
+    for rows in ([0] * n, [ones] * n, unit, [ones, 0, ones][:n], staircase):
+        for cols in ([0] * n, [ones] * n, unit, staircase):
+            assert _product(rows, cols) == naive_product(rows, cols), (n, rows, cols)
+        assert _product(rows, unit) == rows
+
+
+def per_cell_rounds(up):
+    """Oracle: Warshall's pass as it recorded one ``via[(i, j)] = k`` for
+    each <= cell (i, j) derived in round k.  Returns (closed rows, via)."""
+    up, via = list(up), {}
+    for k in range(len(up)):
+        for i in range(len(up)):
+            if up[i] >> k & 1:
+                new = up[k] & ~up[i]
+                up[i] |= new
+                via.update(((i, j), k) for j in range(len(up)) if new >> j & 1)
+    return up, via
+
+
+def assert_rounds_match_per_cell_rounds(m):
+    # each derived cell's bit sits in exactly one record of its row, so the
+    # first record holding it, which _le_prov reads, has the per-cell round
+    seeded = [1 << i for i in range(len(m.loci))]
+    for _, le_rows, _ in m._sources:
+        for i, row in le_rows.items():
+            seeded[i] |= row
+    closed, via = per_cell_rounds(seeded)
+    assert m._up == closed
+    got = {}
+    for i, records in enumerate(m._rounds):
+        for k, new in records:
+            for j in range(len(closed)):
+                if new >> j & 1:
+                    assert (i, j) not in got, (i, j)
+                    got[(i, j)] = k
+    assert got == via
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_rounds_match_the_per_cell_rounds_on_random_matrices(data):
+    g = data.draw(st.integers(7, 14))
+    loci = tuple(enumerate_loci(g))
+    n = len(loci)
+    le_rows = dict(enumerate(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))))
+    # rows of one bit make long chains, closed over many rounds
+    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
+        le_rows[i] = 1 << data.draw(st.integers(0, n - 1))
+    m = RelationMatrix(g, loci, {x: i for i, x in enumerate(loci)}, [("r", le_rows, {})])
+    assert_rounds_match_per_cell_rounds(m)
+
+
+@pytest.mark.parametrize("g", range(7, 21))
+def test_rounds_match_the_per_cell_rounds_on_assemble_seeds(g):
+    assert_rounds_match_per_cell_rounds(assemble(g, packaged_facts(g) if g <= 12 else ()))
 
 
 @pytest.mark.parametrize("g", range(7, 31))
