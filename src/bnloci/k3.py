@@ -115,7 +115,7 @@ are checked, not trusted.
 
 The Clifford floor.  A certificate M^r_{g,d} !<= M^s_{g,e} needs every
 kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
-e >= 2s (Clifford's theorem; :func:`k3_noncontainment` rejects loci with
+e >= 2s (Clifford's theorem; :func:`_has_lattice` rejects loci with
 d < 2r).  So once one kept leaf has bound <= 2s, no query at that
 (lattice, s) can certify and the exact minimum does not matter.  The
 floor 2s is read off s, so the certifying search derives it: it stops at
@@ -143,7 +143,7 @@ from math import lcm
 from operator import itemgetter
 
 from .lattice import H, ZERO, LatticeBasis, LatticeClass, delta, floor_sqrt_ratio, pair, self_int
-from .loci import BNLocus, RelKind, Relation, is_proper_locus
+from .loci import BNLocus, RelKind, Relation, _require_proper_locus
 
 
 class FilterConfig(
@@ -676,13 +676,15 @@ def min_series_degree(
     return None if least is None else Fraction(least[0], _scale(s))
 
 
-def _check_proper_locus(g: int, r: int, d: int) -> None:
-    # the loci of enumerate_loci; d >= 2r is what makes the Clifford floor
-    # 2s a sound early stop for the target locus
-    if not is_proper_locus(g, r, d):
-        raise ValueError(
-            f"expected a normalized proper locus (rho < 0, 2r <= d <= g-1), got ({g},{r},{d})"
-        )
+def _has_lattice(g: int, r: int, d: int, s: int, e: int) -> bool:
+    """The prelude of both K3 locus queries: raise ValueError unless
+    M^r_{g,d} and M^s_{g,e} are proper loci, then say whether Delta(g, r, d)
+    < 0, i.e. whether the lattice Lambda^r_{g,d} exists.  A proper target
+    has e >= 2s, which is what makes the Clifford floor 2s a sound early
+    stop; no K3 walk starts before both loci pass."""
+    _require_proper_locus(g, r, d)
+    _require_proper_locus(g, s, e)
+    return delta(g, r, d) < 0
 
 
 def k3_certified_below(
@@ -706,6 +708,13 @@ def k3_certified_below(
     return None if m is None else -(-m // _scale(s))
 
 
+def _certifies(g: int, r: int, d: int, s: int, e: int, config: FilterConfig | None) -> bool:
+    """Whether Lambda^r_{g,d} certifies M^r_{g,d} !<= M^s_{g,e} under
+    ``config``: :func:`k3_certified_below` is None, or e is below it."""
+    below = k3_certified_below(g, r, d, s, config)
+    return below is None or e < below
+
+
 def k3_noncontainment(
     g: int, r: int, d: int, s: int, e: int, config: FilterConfig | None = None
 ) -> Relation | None:
@@ -716,26 +725,26 @@ def k3_noncontainment(
     Filters default to off so the certificate never relies on them; when a
     filter-enabled config is decisive, the provenance records it.
 
-    Both loci must be normalized proper loci (rho < 0, 2r <= d <= g-1), else
-    ValueError.  Since e >= 2s, both searches stop at the Clifford floor 2s:
-    a kept assignment with bound <= 2s already rules out a certificate.
-    The decision is "e < :func:`k3_certified_below`", in integers, and a
-    cached query builds no basis and no Fraction.
+    Both loci must be proper loci, else ValueError from the prelude
+    :func:`_has_lattice` that :func:`k3_expected` shares.  Since e >= 2s,
+    both searches stop at the Clifford floor 2s: a kept assignment with
+    bound <= 2s already rules out a certificate.  One predicate, "e is
+    below :func:`k3_certified_below`, or that is None", decides the
+    certificate under ``config`` and, unfiltered, whether the provenance
+    names the filters; it is in integers, and a cached query builds no
+    basis and no Fraction.
     """
-    _check_proper_locus(g, r, d)
-    _check_proper_locus(g, s, e)
-    if delta(g, r, d) >= 0:
+    if not _has_lattice(g, r, d, s, e):
         return None
-    below = k3_certified_below(g, r, d, s, config)
-    if below is not None and e >= below:
+    if not _certifies(g, r, d, s, e, config):
         return None
     provenance = "k3"
     drop = _drop_mask(config)
-    if drop:
-        below = k3_certified_below(g, r, d, s)
-        if below is not None and e >= below:
-            provenance = "k3[" + ",".join(_TAG_NAMES[drop]) + "]"
-    return Relation(BNLocus(g, r, d), BNLocus(g, s, e), RelKind.NLE, provenance)
+    if drop and not _certifies(g, r, d, s, e, None):
+        provenance = "k3[" + ",".join(_TAG_NAMES[drop]) + "]"
+    # the prelude checked both loci, so they skip the weaker check of BNLocus
+    lhs, rhs = tuple.__new__(BNLocus, (g, r, d)), tuple.__new__(BNLocus, (g, s, e))
+    return Relation(lhs, rhs, RelKind.NLE, provenance)
 
 
 class K3Expectation(namedtuple("K3Expectation", "g r d s e witness")):
@@ -754,7 +763,8 @@ def k3_expected(
     """Flag M^r_{g,d} <= M^s_{g,e} as K3-expected when a filtered assignment
     with c_2 bound <= e survives; filters default to on here, matching how
     expectations are read off in practice.  Never emits a Relation.  Both
-    loci must be normalized proper loci, as for :func:`k3_noncontainment`.
+    loci must be proper loci, else ValueError from the prelude
+    :func:`_has_lattice` that :func:`k3_noncontainment` shares.
 
     The witness is the least such assignment by (bound,
     :meth:`Assignment.sort_key`): the least kept leaf of the exact search
@@ -762,9 +772,7 @@ def k3_expected(
     bound is <= e.  So every e costs one cached walk per (lattice, s,
     filters), and no listing is built, so :data:`MAX_ASSIGNMENTS` does not
     apply."""
-    _check_proper_locus(g, r, d)
-    _check_proper_locus(g, s, e)
-    if delta(g, r, d) >= 0:
+    if not _has_lattice(g, r, d, s, e):
         return None
     drop = _drop_mask(config if config is not None else BOTH_FILTERS)
     least = _min_bound_cached(g, r, d, s, drop, False)

@@ -97,8 +97,9 @@ def normalize(locus: BNLocus) -> BNLocus:
 def is_proper_locus(g: int, r: int, d: int) -> bool:
     """Whether M^r_{g,d} is a normalized proper locus: rho < 0 and
     2r <= d <= g-1 with r >= 1 (so d >= 2 and g >= 3).  The one definition
-    of the set: :func:`enumerate_loci` lists it, and :func:`kappa`, the
-    rules and the fact parser test membership here."""
+    of the set: :func:`enumerate_loci` lists it, the rules and the fact
+    parser test membership here, and :func:`kappa`, :func:`kappa_bruteforce`
+    and the K3 certificates raise ValueError off it, through one check."""
     return 1 <= r and 2 * r <= d <= g - 1 and rho(g, r, d) < 0
 
 
@@ -140,17 +141,20 @@ def _floor_neg_two_sqrt(n: int) -> int:
     return -s if s * s == m else -(s + 1)
 
 
-def _check_kappa_domain(g: int, r: int, d: int) -> None:
+def _require_proper_locus(g: int, r: int, d: int) -> None:
+    # the one check that raises off is_proper_locus; both kappa functions and
+    # the prelude of both K3 locus queries call it
     if not is_proper_locus(g, r, d):
         raise ValueError(
-            f"kappa is defined on the proper loci only (rho < 0, 2r <= d <= g-1), "
-            f"got ({g},{r},{d})"
+            f"kappa and the K3 certificates are defined on the proper loci only "
+            f"(rho < 0, 2r <= d <= g-1); ({g},{r},{d}) is not a proper locus"
         )
 
 
 def kappa(g: int, r: int, d: int) -> int:
-    """Largest k with M^1_{g,k} contained in M^r_{g,d}, by closed form."""
-    _check_kappa_domain(g, r, d)
+    """Largest k with M^1_{g,k} contained in M^r_{g,d}, by closed form.
+    Raises ValueError off the proper loci (:func:`is_proper_locus`)."""
+    _require_proper_locus(g, r, d)
     fl = d // r
     if g + 1 > fl + d:
         return fl
@@ -159,8 +163,9 @@ def kappa(g: int, r: int, d: int) -> int:
 
 def kappa_bruteforce(g: int, r: int, d: int) -> int:
     """Largest k >= 2 with rho_k(g,k,r,d) >= 0, by direct scan up to
-    floor((g+3)/2).  Independent oracle for :func:`kappa`."""
-    _check_kappa_domain(g, r, d)
+    floor((g+3)/2).  Independent oracle for :func:`kappa`, with the same
+    domain check."""
+    _require_proper_locus(g, r, d)
     best = None
     for k in range(2, (g + 3) // 2 + 1):
         if rho_k(g, k, r, d) >= 0:

@@ -1,3 +1,4 @@
+import re
 from fractions import Fraction
 
 import pytest
@@ -85,6 +86,53 @@ def test_ci_gonality_examples():
     assert ci_gonality([2, 2]) == 2
     with pytest.raises(ValueError):
         ci_gonality([4, 2])
+
+
+def cited(genera, pattern):
+    # the packaged facts of these genera whose citation matches the pattern
+    from bnloci.cli import packaged_facts
+
+    return [
+        (fact, found)
+        for g in genera
+        for fact in packaged_facts(g)
+        if (found := re.search(pattern, fact.source))
+    ]
+
+
+def test_ci_gonality_equals_the_cited_gonality():
+    # the two genus-10 facts that cite the gonality of a complete
+    # intersection: the helper must give the cited figure, which is above
+    # the degree of the pencil that the fact rules out
+    pattern = r"(?:plane sextics have|two cubics in P\^3, of) gonality (\d+)"
+    facts = {
+        (fact.lhs.key, fact.rhs.key): (fact, int(found.group(1)))
+        for fact, found in cited([10], pattern)
+    }
+    assert sorted(facts) == [((2, 6), (1, 4)), ((3, 9), (1, 5))]
+    sextic, gonality = facts[(2, 6), (1, 4)]
+    assert "smooth plane sextics" in sextic.source
+    assert ci_gonality([sextic.lhs.d]) == gonality == 5
+    cubics, gonality = facts[(3, 9), (1, 5)]
+    assert "complete intersection of two cubics" in cubics.source
+    assert ci_gonality([3, 3]) == gonality == 6
+    for fact, gonality in facts.values():
+        assert fact.kind is RelKind.NLE and gonality > fact.rhs.d
+
+
+def test_castelnuovo_severi_stays_below_the_cited_genus():
+    # the four genus-11 and -12 facts that cite Castelnuovo-Severi: a curve
+    # with a double cover of an elliptic curve and a g^1_3 has genus at most
+    # castelnuovo_severi(2, 1, 3, 0), below the genus the citation states
+    pattern = r"^Castelnuovo-Severi: bielliptic curves of genus >= (\d+) admit no g\^1_(\d+)$"
+    facts = cited([11, 12], pattern)
+    assert sorted((fact.lhs.g, fact.lhs.key) for fact, _ in facts) == [
+        (11, (2, 6)), (11, (3, 8)), (12, (2, 6)), (12, (3, 8))
+    ]
+    for fact, found in facts:
+        least_genus, degree = int(found.group(1)), int(found.group(2))
+        assert fact.kind is RelKind.NLE and fact.rhs.key == (1, degree) == (1, 3)
+        assert castelnuovo_severi(2, 1, fact.rhs.d, 0) == 4 < least_genus == 5 <= fact.lhs.g
 
 
 def test_secant_expected_dim_examples():

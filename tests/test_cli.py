@@ -473,6 +473,20 @@ def test_verify_single_genus(capsys):
     assert "genus 9: PASS" in out
 
 
+def test_verify_without_facts_prints_one_line_per_unknown_pair(capsys, monkeypatch):
+    import bnloci.cli as cli
+    from bnloci import assemble
+
+    unknown = assemble(9).unknown_pairs()
+    assert len(unknown) == 4
+    monkeypatch.setattr(cli, "packaged_facts", lambda genus: [])
+    code, out, _ = run(capsys, "verify", "9")
+    assert code == EXIT_DOMAIN == 1
+    assert re.search(r"^genus 9: FAIL \(\d+ differing cells, 4 unknown\)$", out, re.M)
+    lines = [line for line in out.splitlines() if line.lstrip().startswith("unknown:")]
+    assert lines == [f"  unknown: {x} vs {y}" for x, y in unknown]
+
+
 def test_verify_corrupted_fixture_fails_with_diff(capsys, monkeypatch):
     import bnloci.cli as cli
     from bnloci import RelKind, closure_relations

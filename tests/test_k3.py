@@ -896,6 +896,38 @@ def test_loci_below_clifford_are_rejected(fn, args):
         fn(*args)
 
 
+def test_k3_queries_are_defined_exactly_on_the_proper_loci(monkeypatch):
+    # the box of test_kappa_is_defined_exactly_on_the_proper_loci: both K3
+    # queries reject every triple off the proper loci, as source and as
+    # target, with ValueError alone, the message of kappa's one domain
+    # check, and before any K3 walk starts
+    from bnloci import is_proper_locus, kappa
+    import bnloci.k3 as k3
+
+    def no_walk(*args):
+        raise AssertionError(f"a K3 walk started for {args}")
+
+    monkeypatch.setattr(k3, "_min_bound_cached", no_walk)
+    monkeypatch.setattr(k3, "_walk", no_walk)
+    rejected = 0
+    for g in range(-2, 21):
+        for r in range(-3, 13):
+            for d in range(-3, 2 * g + 4):
+                if is_proper_locus(g, r, d):
+                    continue
+                rejected += 1
+                with pytest.raises(ValueError) as domain:
+                    kappa(g, r, d)
+                # pair it with the proper M^1_{g,2}, or below g = 3 with itself
+                other = (1, 2) if g >= 3 else (r, d)
+                for fn in (k3_noncontainment, k3_expected):
+                    for args in ((g, r, d, *other), (g, *other, r, d)):
+                        with pytest.raises(ValueError, match="proper locus") as err:
+                            fn(*args)
+                        assert str(err.value) == str(domain.value), args
+    assert rejected == 9200 - 498  # the box less the proper loci of g = 3..20
+
+
 @pytest.mark.parametrize("s", [0, -1])
 @pytest.mark.parametrize(
     "call",

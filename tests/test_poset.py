@@ -901,3 +901,13 @@ def test_relation_kinds_given_by_value_seed_like_relkinds():
     facts = {kind: assemble(g, [Fact(x, y, kind, "cite")]) for kind in ("not_subset", RelKind.NLE)}
     assert facts["not_subset"].all_relations() == facts[RelKind.NLE].all_relations()
     assert facts["not_subset"].relation(x, y)[0] == "not_subset"
+
+
+def test_a_k3_row_that_its_edge_call_refuses_stops_the_assembly(monkeypatch):
+    # rule_sources hands the last target of each cut K3 row to the per-pair
+    # certificate; a row that the certificate refuses raises, naming the row
+    import bnloci.poset as poset
+
+    monkeypatch.setattr(poset, "k3_noncontainment", lambda *args: None)
+    with pytest.raises(RuntimeError, match=r"^K3 row of M\^1_\{9,3\} at rank 1 passes its bound$"):
+        assemble(9)
