@@ -21,7 +21,6 @@ from .loci import (
     BNLocus,
     RelKind,
     Relation,
-    clifford_collapse,
     clifford_index,
     enumerate_loci,
     is_proper_locus,
@@ -31,7 +30,6 @@ from .loci import (
     rho,
     rho_k,
     serre_dual,
-    trivial_relations,
 )
 from .classical import (
     CastelnuovoData,
@@ -44,29 +42,33 @@ from .classical import (
     gonality_bounds,
     lange_bound,
     plane_projection_rule,
-    secant_containment,
     secant_expected_dim,
 )
 from .k3 import (
     Assignment,
     FilterConfig,
-    GTPattern,
     K3Expectation,
     LMInvariants,
     box_class_count,
-    c2_lower_bound,
     candidate_subsheaf_classes,
     destab_box,
     enumerate_assignments,
-    enumerate_filtration_types,
-    gt_check,
-    gt_pattern,
     k3_certified_below,
     k3_expected,
     k3_noncontainment,
     lm_invariants,
     min_series_degree,
+)
+from .oracles import (
+    GTPattern,
+    c2_lower_bound,
+    clifford_collapse,
+    enumerate_filtration_types,
+    gt_check,
+    gt_pattern,
     quotient_checks,
+    secant_containment,
+    trivial_relations,
 )
 from .poset import (
     ContradictionError,

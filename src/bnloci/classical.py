@@ -97,25 +97,6 @@ def secant_expected_dim(r: int, d: int, s: int, e: int) -> int:
     return r - s - (d - e - r + s) * s
 
 
-def secant_containment(g: int, r: int, d: int, s: int, e: int) -> Relation | None:
-    """Containment M^r_{g,d} <= M^s_{g,e} from secant divisors, emitted only
-    when the expected dimension of the secant cycle is strictly positive.
-
-    At expected dimension exactly zero nothing is emitted: the virtual count
-    can vanish, so existence is not guaranteed (for s = 2 and r odd the
-    threshold e >= d-2r+2+floor((r+3)/2) is the same as positivity).
-    """
-    if not (r >= s + 1 >= 2):
-        raise ValueError("need r >= s+1 >= 2")
-    if d > g - 1 or e > g - 1:
-        raise ValueError("expects normalized degrees (<= g-1)")
-    if e >= d:
-        return None
-    if secant_expected_dim(r, d, s, e) > 0:
-        return Relation(BNLocus(g, r, d), BNLocus(g, s, e), RelKind.LE, "secant")
-    return None
-
-
 def four_secant_count(g: int, d: int) -> int:
     """Cayley's virtual count of 4-secant lines to a degree-d genus-g space
     curve: (d-2)(d-3)^2(d-4)/12 - g(d^2-7d+13-g)/2.  Exact; raises if the

@@ -165,9 +165,11 @@ def cmd_invariants(args) -> int:
     # d <= g-1 now, so the dual has r' = g-d+r-1 >= r and d' = 2g-2-d >= g-1 >= 2
     lines.append(f"serre dual: {serre_dual(locus)}")
     lines.append(f"delta: {delta(locus.g, locus.r, locus.d)}")
-    if rv >= 0:
-        lines.append("rho >= 0: not Brill-Noether special; kappa and gonality "
-                     "bounds are undefined")
+    # d <= g-1 now, so a locus off the proper loci has rho >= 0 or d < 2r
+    if not is_proper_locus(*locus):
+        why = "rho >= 0: not Brill-Noether special" if rv >= 0 else (f"d < 2r: by Clifford's theorem "
+            f"no curve of genus {locus.g} carries a g^{locus.r}_{locus.d} (d <= g-1 after normalizing)")
+        lines.append(f"{why}; kappa and gonality bounds are undefined")
         print("\n".join(lines))
         return EXIT_DOMAIN
     k = kappa(locus.g, locus.r, locus.d)

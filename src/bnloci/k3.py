@@ -14,9 +14,7 @@ into certified non-existence of a g^s_e on C.
 One depth-first search, :func:`_walk`, serves both the listing path
 (:func:`listing_records`) and the minimum-only path
 (:func:`min_series_degree`).  It runs over rank prefixes, not over
-filtration types, so that a prefix shared by many types is visited once;
-:func:`enumerate_filtration_types` serves the public API and the tests'
-oracles, not the walk.
+filtration types, so that a prefix shared by many types is visited once.
 
 Interval cuts.  For a filtration type r_1 < ... < r_n = s+1, put
 P_i = (r_i, h_i) with h_i = H.c1(E_i), P_0 = (0, 0) and P_n = (s+1, H^2).
@@ -133,7 +131,6 @@ target M^s_{g,e} is certified iff e is below it, so every query at that
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
 from collections.abc import Callable
@@ -194,20 +191,6 @@ def lm_invariants(g: int, s: int, e: int) -> LMInvariants:
     return LMInvariants(rank=s + 1, c2=e, chi=g - e + 2 * s + 1)
 
 
-def enumerate_filtration_types(s: int) -> list[tuple[int, ...]]:
-    """All strictly increasing rank sequences r_1 < ... < r_n = s+1 with
-    n >= 2, i.e. nonempty subsets of {1..s} capped by s+1; 2^s - 1 of them,
-    sorted by length then lexicographically."""
-    if s < 1:
-        raise ValueError("need s >= 1")
-    types = []
-    for size in range(1, s + 1):
-        for combo in itertools.combinations(range(1, s + 1), size):
-            types.append(combo + (s + 1,))
-    types.sort(key=lambda t: (len(t), t))
-    return types
-
-
 def type_text(ranks: tuple[int, ...]) -> str:
     """A filtration type as text, its ranks joined by '<' (``1<3<4``)."""
     return "<".join(map(str, ranks))
@@ -235,62 +218,6 @@ class Assignment(
 
     def sort_key(self):
         return (len(self.ranks), self.ranks, self.chern)
-
-
-class GTPattern(namedtuple("GTPattern", "entries")):
-    """Triangular array x_{i,j} (1 <= j <= i <= n) of exact rationals,
-    as a tuple of rows of Fractions."""
-
-    __slots__ = ()
-
-    def is_valid(self) -> bool:
-        """The interlacing conditions x_{i,j} >= x_{i+1,j+1} >= x_{i+1,j}."""
-        n = len(self.entries)
-        for i in range(1, n):  # rows i and i+1, 1-based i = index+1
-            upper = self.entries[i - 1]
-            lower = self.entries[i]
-            for j in range(1, i + 1):
-                if not (upper[j - 1] >= lower[j] >= lower[j - 1]):
-                    return False
-        return True
-
-
-def gt_pattern(basis: LatticeBasis, assignment: Assignment) -> GTPattern:
-    """Slope pattern x_{i,j} = mu(E_i / E_{i-j}) of an assignment."""
-    rk = (0,) + assignment.ranks
-    hdeg = [0] + [pair(basis, H, c) for c in assignment.chern]
-    rows = []
-    for i in range(1, len(rk)):
-        row = tuple(
-            Fraction(hdeg[i] - hdeg[i - j], rk[i] - rk[i - j]) for j in range(1, i + 1)
-        )
-        rows.append(row)
-    return GTPattern(tuple(rows))
-
-
-def gt_check(basis: LatticeBasis, assignment: Assignment) -> bool:
-    """True iff the slope data of the assignment is a Gelfand-Tsetlin
-    pattern; equivalent to mu(E_j/E_i) >= mu(E_k/E_i) >= mu(E_k/E_j) for all
-    triples i < j < k (the all-triples form is the test oracle)."""
-    return gt_pattern(basis, assignment).is_valid()
-
-
-def quotient_checks(basis: LatticeBasis, assignment: Assignment) -> bool:
-    """Quotient non-negativity c1(E/E_i)^2 >= 0, quotient slope-positivity
-    H.c1(E/E_i) > 0, and the slope sandwich mu(E_i) >= mu(E), for 0 < i < n."""
-    rk = (0,) + assignment.ranks
-    n = len(assignment.ranks)
-    mu_total = Fraction(basis.h_square, rk[-1])
-    for i in range(1, n):
-        ci = assignment.chern[i - 1]
-        q = H - ci
-        if self_int(basis, q) < 0:
-            return False
-        if pair(basis, H, q) <= 0:
-            return False
-        if Fraction(pair(basis, H, ci), rk[i]) < mu_total:
-            return False
-    return True
 
 
 def destab_box(basis: LatticeBasis) -> tuple[int, int]:
@@ -356,17 +283,13 @@ def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
     return sorted(row[6] for row in _candidate_rows(basis))
 
 
-def c2_lower_bound(basis: LatticeBasis, assignment: Assignment) -> Fraction:
-    """Exact rational lower bound on c_2(E) for the assignment, from the
-    Chern-class recursion over the filtration steps plus the moduli-space
-    bound c_2(F) >= (rk-1) c1(F)^2 / (2 rk) + rk - 1/rk for each stable
-    factor F (zero for line-bundle factors)."""
-    return _c2_bound(basis, (0,) + assignment.ranks, assignment.chern)
-
-
 def _c2_bound(
     basis: LatticeBasis, rk: tuple[int, ...], chern: tuple[LatticeClass, ...]
 ) -> Fraction:
+    """The exact c_2 lower bound of the filtration with ranks ``rk`` (led by
+    0) and first Chern classes ``chern``, in the closed form that
+    :func:`~bnloci.oracles.c2_lower_bound` reads; the walk carries the same
+    sum in scaled integers and never calls it."""
     total = Fraction(0)
     prev = ZERO
     for i in range(1, len(rk)):

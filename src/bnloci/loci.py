@@ -174,30 +174,3 @@ def kappa_bruteforce(g: int, r: int, d: int) -> int:
         raise ValueError(f"no gonality stratum meets M^{r}_{{{g},{d}}}")
     return best
 
-
-def trivial_relations(g: int) -> list[Relation]:
-    """Containments from adding a base point (d -> d+1) and removing a
-    non-base point (r,d -> r-1,d-1), restricted to enumerated loci."""
-    out = []
-    for x in enumerate_loci(g):
-        # adding a base point; d+1 = g falls back to the Serre-normal form,
-        # which is then the removal's target too
-        add = (x.r, x.d + 1) if x.d + 1 <= g - 1 else (x.r - 1, g - 2)
-        remove = (x.r - 1, x.d - 1)
-        for r2, d2 in (add,) if add == remove else (add, remove):
-            if is_proper_locus(g, r2, d2):
-                out.append(Relation(x, BNLocus(g, r2, d2), RelKind.LE, "trivial"))
-    return out
-
-
-def clifford_collapse(g: int) -> list[Relation]:
-    """Equalities M^r_{g,2r} = M^1_{g,2} (all g), and M^r_{g,2r+1} = M^1_{g,2}
-    for g >= 7, over enumerated loci with r >= 2.  M^1_{g,2} is itself a
-    locus at every g >= 3, as its rho is 2 - g."""
-    loci = enumerate_loci(g)
-    hyper = BNLocus(g, 1, 2)
-    out = []
-    for x in loci:
-        if x.r >= 2 and (x.d == 2 * x.r or (x.d == 2 * x.r + 1 and g >= 7)):
-            out.append(Relation(x, hyper, RelKind.EQ, "clifford"))
-    return out

@@ -433,7 +433,8 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
     :func:`k3_noncontainment`, and a row it does not certify raises
     RuntimeError.
 
-    The per-pair functions stay the tests' oracle for every row.
+    The per-pair functions stay the tests' oracle for every row; those that
+    no engine path calls live in :mod:`bnloci.oracles`.
     """
     at = {x.key: i for i, x in enumerate(loci)}
     # key order puts rank s in the index run runs[s] = [start, count], after all lower ranks

@@ -135,6 +135,70 @@ def test_castelnuovo_severi_stays_below_the_cited_genus():
         assert castelnuovo_severi(2, 1, fact.rhs.d, 0) == 4 < least_genus == 5 <= fact.lhs.g
 
 
+def test_castelnuovo_bound_stays_below_the_cited_genus():
+    # the four genus-11 and -12 facts that cite Castelnuovo's bound for a
+    # g^{e-1}_{2e}: both loci of each have that form, and a birationally very
+    # ample g^{e-1}_{2e} lives on curves of genus at most
+    # castelnuovo_bound(e-1, 2e), below the genus the citation states
+    pattern = r"^Castelnuovo genus bound: for g >= (\d+) a g\^\{e-1\}_\{2e\} with e >= (\d+) "
+    facts = cited([11, 12], pattern)
+    assert sorted((fact.lhs.g, fact.lhs.key, fact.rhs.key) for fact, _ in facts) == [
+        (11, (3, 8), (2, 6)), (11, (3, 8), (4, 10)), (12, (3, 8), (2, 6)), (12, (3, 8), (4, 10))
+    ]
+    for fact, found in facts:
+        least_genus, least_e = int(found.group(1)), int(found.group(2))
+        assert least_genus <= fact.lhs.g and fact.lhs.d // 2 >= least_e
+        bounds = {}
+        for x in (fact.lhs, fact.rhs):
+            e = x.d // 2
+            assert x.key == (e - 1, 2 * e)
+            bounds[e] = castelnuovo_bound(e - 1, 2 * e).bound
+        assert all(bound < least_genus == 11 for bound in bounds.values())
+        assert {e: bound for e, bound in bounds.items() if e >= least_e} in ({4: 9}, {4: 9, 5: 9})
+
+
+def test_castelnuovo_bound_stays_below_the_genus_of_the_lange_fact():
+    # the genus-10 fact on M^3_{10,8}: its g^3_8 cannot be birationally very
+    # ample, as Castelnuovo's bound for it is below the cited genus
+    pattern = r"^Castelnuovo bound plus Lange's dimension count: a genus-(\d+) curve with a g\^(\d+)_(\d+) "
+    facts = cited([10], pattern)
+    assert len(facts) == 1
+    fact, found = facts[0]
+    g, r, d = map(int, found.groups())
+    assert (g, (r, d)) == (fact.lhs.g, fact.lhs.key) == (10, (3, 8))
+    assert castelnuovo_bound(r, d).bound == 9 < g
+
+
+def test_castelnuovo_curves_reach_the_bound_at_the_cited_genus():
+    # the six genus-12 facts on Castelnuovo curves, of degree 9 in P^3 or 11
+    # in P^4: a curve is one iff its genus is Castelnuovo's bound, 12
+    facts = cited([12], r"Castelnuovo curve")
+    assert sorted(fact.lhs.key for fact, _ in facts) == [(3, 9)] * 2 + [(4, 11)] * 4
+    stated = 0
+    for fact, _ in facts:
+        ambient = re.search(r"in P\^(\d+)", fact.source)
+        assert ambient or "space curves" in fact.source  # curves in P^3
+        assert (int(ambient.group(1)) if ambient else 3) == fact.lhs.r
+        degree = re.search(r"degree[- ](\d+)", fact.source)
+        if degree:
+            genus = re.search(r"genus[- ](\d+)", fact.source)
+            assert (int(degree.group(1)), int(genus.group(1))) == (fact.lhs.d, fact.lhs.g)
+            stated += 1
+        assert castelnuovo_bound(fact.lhs.r, fact.lhs.d).bound == 12 == fact.lhs.g
+    assert stated == 5  # the cubic-scroll citation names P^4 alone
+
+
+def test_four_secant_count_equals_the_cayley_citation():
+    # the genus-11 fact whose citation gives Cayley's count of 4-secant lines
+    pattern = r"^Cayley's formula gives (\d+) 4-secant lines to a smooth degree-(\d+) genus-(\d+) space curve"
+    facts = cited([11], pattern)
+    assert len(facts) == 1
+    fact, found = facts[0]
+    count, d, g = map(int, found.groups())
+    assert (g, (3, d)) == (fact.lhs.g, fact.lhs.key) == (11, (3, 10))
+    assert four_secant_count(g, d) == count == 20
+
+
 def test_secant_expected_dim_examples():
     assert secant_expected_dim(5, 13, 3, 10) == -1
     assert secant_expected_dim(3, 9, 2, 8) == 1

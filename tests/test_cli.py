@@ -51,6 +51,26 @@ def test_invariants_normalizes_and_flags_nonspecial(capsys):
     assert code == EXIT_DOMAIN  # the normalized (1,7) has rho >= 0
 
 
+@pytest.mark.parametrize(
+    "g, r, d, dual, delta",
+    [(30, 4, 6, "M^27_{30,52}", 312), (7, 2, 3, "M^5_{7,9}", 15)],
+)
+def test_invariants_below_cliffords_bound_prints_the_lines_and_a_note(capsys, g, r, d, dual, delta):
+    # rho < 0 but d < 2r with d <= g-1: no curve carries such a series, so
+    # the locus is not proper; its lines print, with a note in kappa's place
+    code, out, err = run(capsys, "invariants", str(g), str(r), str(d))
+    assert code == EXIT_DOMAIN and err == ""
+    assert out.splitlines() == [
+        f"locus: M^{r}_{{{g},{d}}}",
+        f"rho: {g - (r + 1) * (g - d + r)}",
+        f"clifford index: {d - 2 * r}",
+        f"serre dual: {dual}",
+        f"delta: {delta}",
+        f"d < 2r: by Clifford's theorem no curve of genus {g} carries a g^{r}_{d} "
+        f"(d <= g-1 after normalizing); kappa and gonality bounds are undefined",
+    ]
+
+
 def test_k3_command_table(capsys):
     code, out, _ = run(capsys, "k3", "9", "2", "6", "--series", "1")
     assert code == EXIT_OK

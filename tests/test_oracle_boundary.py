@@ -1,0 +1,124 @@
+"""The oracle boundary: ``bnloci.oracles`` holds the independent checks, no
+engine module imports it, and it reaches into ``k3`` only for the value
+types and the closed forms, never for the walk.  Imports are read with
+``ast``, so a lazy import inside a function counts as well."""
+
+import ast
+from pathlib import Path
+
+import pytest
+
+import bnloci
+import bnloci.classical
+import bnloci.k3
+import bnloci.loci
+import bnloci.oracles
+
+SRC = Path(__file__).resolve().parent.parent / "src" / "bnloci"
+
+MOVED = {
+    "enumerate_filtration_types", "GTPattern", "gt_pattern", "gt_check", "quotient_checks",
+    "c2_lower_bound", "trivial_relations", "clifford_collapse", "secant_containment",
+}
+
+# what the oracles may take from the engine's K3 module: the value types and
+# the closed forms of the destabilizing lemma and of the c_2 bound
+K3_OPEN = {"Assignment", "FilterConfig", "destab_box", "_c2_bound"}
+
+# the modules open to the oracles as a whole: value types and arithmetic
+OPEN = {"bnloci.lattice", "bnloci.loci", "bnloci.classical"}
+
+
+def imports(path):
+    """(module, name) for every import in the file, relative imports resolved
+    against the package; name is None for a plain ``import module``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path))):
+        if isinstance(node, ast.Import):
+            found += [(alias.name, None) for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            module = node.module or ""
+            if node.level:
+                module = "bnloci" + (f".{module}" if module else "")
+            found += [(module, alias.name) for alias in node.names]
+    return found
+
+
+def loads(module, name):
+    # the modules an import can load: `from bnloci import oracles` loads the
+    # submodule, `from bnloci.oracles import x` the module itself
+    return {module} | ({f"{module}.{name}"} if name else set())
+
+
+def engine_imports_of_oracles(src):
+    return [
+        f"{path.name}: {module}" + (f" import {name}" if name else "")
+        for path in sorted(src.glob("*.py"))
+        if path.name not in ("__init__.py", "oracles.py")
+        for module, name in imports(path)
+        if "bnloci.oracles" in loads(module, name)
+    ]
+
+
+def oracle_imports_of_the_engine(src):
+    bad = []
+    for module, name in imports(src / "oracles.py"):
+        if (module == "bnloci.k3" and name in K3_OPEN) or module in OPEN:
+            continue
+        if module == "bnloci" or module.startswith("bnloci."):
+            bad.append(module + (f" import {name}" if name else ""))
+    return bad
+
+
+def test_no_engine_module_imports_the_oracles():
+    assert engine_imports_of_oracles(SRC) == []
+
+
+def test_the_oracles_import_no_engine_path():
+    assert oracle_imports_of_the_engine(SRC) == []
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["from .oracles import gt_check", "from . import oracles", "import bnloci.oracles",
+     "from bnloci import oracles", "from bnloci.oracles import gt_check"],
+)
+def test_an_engine_import_of_the_oracles_is_found(tmp_path, line):
+    (tmp_path / "oracles.py").write_text("", encoding="utf-8")
+    (tmp_path / "k3.py").write_text(f"def f():\n    {line}\n", encoding="utf-8")
+    found = engine_imports_of_oracles(tmp_path)
+    assert len(found) == 1 and found[0].startswith("k3.py: bnloci")
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["from .k3 import _walk", "from .k3 import _candidate_rows", "from .poset import rule_sources",
+     "from . import poset", "import bnloci.k3", "from bnloci import assemble", "from .cli import main"],
+)
+def test_an_oracle_import_of_the_engine_is_found(tmp_path, line):
+    (tmp_path / "oracles.py").write_text(
+        f"from .k3 import Assignment, _c2_bound\nfrom .loci import BNLocus\n{line}\n",
+        encoding="utf-8",
+    )
+    assert len(oracle_imports_of_the_engine(tmp_path)) == 1
+
+
+@pytest.mark.parametrize("name", sorted(MOVED))
+def test_each_moved_name_lives_in_the_oracles_alone(name):
+    assert getattr(bnloci, name) is getattr(bnloci.oracles, name)
+    for module in (bnloci.k3, bnloci.loci, bnloci.classical):
+        assert not hasattr(module, name), f"{module.__name__} still defines {name}"
+
+
+def test_the_oracles_define_exactly_the_moved_names():
+    tree = ast.parse((SRC / "oracles.py").read_text(encoding="utf-8"))
+    defined = {
+        node.name for node in tree.body if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+    } | {
+        target.id
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        for target in node.targets
+        if isinstance(target, ast.Name)
+    }
+    assert {name for name in defined if not name.startswith("_")} == MOVED
