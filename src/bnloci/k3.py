@@ -80,9 +80,14 @@ Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
 it as an integer times D = 2 lcm(1..s+1); the minimum cache,
 k3_noncontainment and the listing records stay in integers, and a Fraction
-is built once per distinct bound of a listing or minimum.  Each candidate
-class is one row of integers built once per lattice, and a leaf is read
-off its rows alone.  The filters are decided once, in the walk: each row
+is built once per distinct bound of a listing or minimum.  The step table
+(D, each rank's two scaled step constants and the tag masks,
+:func:`_step_table`) depends on s and on whether s > r alone, so it is
+built once per series and shared by every walk at that key.  Each
+candidate class is one row of integers, built once per lattice together
+with the rows' H-degrees that the cuts bisect, and a leaf is read off its
+rows alone.  So a walk pays only for the work of its own nodes.  The
+filters are decided once, in the walk: each row
 carries the tag bits its class could earn (``DM`` for (a, b) = (1, -1),
 ``ELLIPTIC`` for (H-c)^2 = 0), each rank step masks them by what its
 filtration type allows, and a leaf with a tag that the config drops is
@@ -280,7 +285,7 @@ def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
     These are the classes of :func:`_candidate_rows`, from its one box scan.
     Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
     """
-    return sorted(row[6] for row in _candidate_rows(basis))
+    return sorted(row[6] for row in _candidate_rows(basis)[0])
 
 
 def _c2_bound(
@@ -311,21 +316,47 @@ def _scale(s: int) -> int:
     return 2 * lcm(*range(1, s + 2))
 
 
+@lru_cache(maxsize=None)
+def _step_table(s: int, dm: bool) -> tuple[int, tuple[int, ...], tuple[int, ...], tuple[int, ...]]:
+    """The walk's step table for series s, built once per (s, dm):
+    ``(D, half, const, masks)`` with D = :func:`_scale`.  A step of rank
+    rho adds half[rho] (f.f) + D (f.p) + const[rho] to the scaled c_2 bound,
+    with half[rho] = (rho - 1) D / (2 rho) and const[rho] = rho D - D / rho
+    (index 0 unused).  masks[r] holds the tags that a leaf of type
+    (..., r, s+1) can carry: ``DM`` only for r = 1 and only when ``dm``
+    (s > r of the lattice), ``ELLIPTIC`` only for r < s.  The entry and its
+    three tables are tuples, so no caller can change a shared entry."""
+    big, top = _scale(s), s + 1
+    half = (0, *[(rho - 1) * (big // (2 * rho)) for rho in range(1, top + 1)])
+    const = (0, *[rho * big - big // rho for rho in range(1, top + 1)])
+    masks = tuple(
+        (DM if r == 1 and dm else 0) | (ELLIPTIC if r < s else 0) for r in range(top)
+    )
+    return big, half, const, masks
+
+
 @lru_cache(maxsize=512)
-def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
-    """The candidate classes c as rows (H.c, a, b, c.c, v, (H-c)^2, c, tags),
-    sorted by (H-degree, class), cached per lattice.  With u = H.c = a H^2 + b d
-    and v = a d + b L^2, c.x = x.a u + x.b v for any class x, so a step needs
-    two products.  The class c is a tuple that orders as (a, b), so it is
-    also its own sort key, and the rows sort as tuples on (u, a, b).
-    ``tags`` holds the filter bits the class can earn: ``DM`` when
-    (a, b) = (1, -1), i.e. c = H - L, and ``ELLIPTIC`` when (H-c)^2 = 0;
-    :func:`_walk` masks them by the filtration type.
+def _candidate_rows(basis: LatticeBasis) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
+    """``(rows, hs)``, cached per lattice: the candidate classes c as rows
+    (H.c, a, b, c.c, v, (H-c)^2, c, tags), sorted by (H-degree, class), and
+    ``hs``, the rows' H-degrees in that order, which the walk bisects.
+    With u = H.c = a H^2 + b d and v = a d + b L^2, c.x = x.a u + x.b v for
+    any class x, so a step needs two products.  The class c is a tuple that
+    orders as (a, b), so it is also its own sort key, and the rows sort as
+    tuples on (u, a, b).  ``tags`` holds the filter bits the class can earn:
+    ``DM`` when (a, b) = (1, -1), i.e. c = H - L, and ``ELLIPTIC`` when
+    (H-c)^2 = 0; :func:`_walk` masks them by the filtration type.
 
     The rows come from one scan of :func:`_box_blocks` in integers: for
     Q = xH - yL the class is c = H - Q = (1 - x, y), and it is kept iff
     (H-c)^2 = H^2 - 2u + c.c >= 0 and H^2 > u, which are Q^2 >= 0 and
-    H.Q = H^2 - u > 0.  A LatticeClass is built only for a kept row.
+    H.Q = H^2 - u > 0.  A LatticeClass is built only for a kept row, by
+    ``tuple.__new__``, which skips the namedtuple's constructor.  Each
+    x column runs b = y upward, and u = a H^2 + b d grows with b, since
+    every lattice that reaches the scan has d >= 1: LatticeBasis rejects
+    d < 0, and d = 0 gives Delta = 4(g-1)(r-1) >= 0 for r >= 1, which
+    :func:`destab_box` rejects like r = 0.  So the first class of a column
+    with u >= H^2 ends it: no later class of the column is kept.
     """
     h2, d, l2 = basis.h_square, basis.d, basis.l_square
     rows = []
@@ -334,15 +365,16 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple, ...]:
             a = 1 - x
             for b in ys:
                 u = a * h2 + b * d
-                if u < h2:
-                    v = a * d + b * l2
-                    cc = a * u + b * v
-                    qq = h2 - 2 * u + cc
-                    if qq >= 0:
-                        tags = (DM if (a, b) == (1, -1) else 0) | (ELLIPTIC if qq == 0 else 0)
-                        rows.append((u, a, b, cc, v, qq, LatticeClass(a, b), tags))
+                if u >= h2:
+                    break  # u grows with b (d >= 1): the rest of the column fails too
+                v = a * d + b * l2
+                cc = a * u + b * v
+                qq = h2 - 2 * u + cc
+                if qq >= 0:
+                    tags = (DM if a == 1 and b == -1 else 0) | (ELLIPTIC if qq == 0 else 0)
+                    rows.append((u, a, b, cc, v, qq, tuple.__new__(LatticeClass, (a, b)), tags))
     rows.sort()
-    return tuple(rows)
+    return tuple(rows), tuple(row[0] for row in rows)
 
 
 def _leaf_error(htot: int, rk: tuple[int, ...], path: list[tuple], what: str) -> RuntimeError:
@@ -398,7 +430,11 @@ def _walk(
     its interval at rank r + 1 starts inside the rows; both skip only empty
     intervals, so the leaves and their order are those of the full loop
     (module docstring, "Pruning").  A lattice without candidate rows emits
-    no leaf.
+    no leaf.  The walk builds no table of its own: the step constants and
+    tag masks come from :func:`_step_table`, once per (s, s > r), and the
+    rows and their H-degrees from :func:`_candidate_rows`, once per
+    lattice.  A row is pushed onto ``path`` only to hand a leaf its chain,
+    to name a failed leaf, or to descend.
 
     Raises ValueError for s < 1, where no type exists and an empty walk
     would read as "every e certified", and for Delta >= 0 or r = 0 through
@@ -406,27 +442,21 @@ def _walk(
     """
     if s < 1:
         raise ValueError("need s >= 1")
-    rows = _candidate_rows(basis)
+    rows, hs = _candidate_rows(basis)
     if not rows:
         return  # no candidate class: no type has an admissible step
-    htot = basis.h_square
-    big = _scale(s)
-    top = s + 1
-    hs = [row[0] for row in rows]
-    count, hmax = len(rows), hs[-1]
     # a step of rank rho adds T = half[rho]*(f.f) + D*(f.p) + const[rho] with
     # f = c_i - c_{i-1}, p = c_{i-1}: the stable-factor bound plus the
-    # recursion term, times D
-    half = [0] + [(rho - 1) * (big // (2 * rho)) for rho in range(1, top + 1)]
-    const = [0] + [rho * big - big // rho for rho in range(1, top + 1)]
-    # the tags a leaf of type (..., r, s+1) can carry: rank 1 only at the root
-    masks = [(DM if r == 1 and s > basis.r else 0) | (ELLIPTIC if r < s else 0) for r in range(top)]
+    # recursion term, times D; masks[r] are the tags a leaf of type
+    # (..., r, s+1) can carry
+    big, half, const, masks = _step_table(s, s > basis.r)
+    htot, top = basis.h_square, s + 1
+    count, hmax = len(rows), hs[-1]
     path: list[tuple] = []
 
-    def node(ranks: tuple[int, ...], p: tuple, hpp: int, dr: int, acc: int) -> None:
-        # p is the row of c_m, hpp = H.c_{m-1}, dr = r_m - r_{m-1}, acc the
-        # scaled bound of steps 1..m
-        rm = ranks[-1] if ranks else 0
+    def node(ranks: tuple[int, ...], rm: int, p: tuple, hpp: int, dr: int, acc: int) -> None:
+        # p is the row of c_m, rm = r_m, hpp = H.c_{m-1}, dr = r_m - r_{m-1},
+        # acc the scaled bound of steps 1..m; path holds the rows of c_1..c_m
         hp, pp, pv = p[0], p[3], p[4]
         children = []
         start = 0
@@ -437,7 +467,7 @@ def _walk(
             start = bisect_left(hs, -(-(htot * a + hp * (top - r)) // (top - rm)), start)
             if start == count:
                 break
-            stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if ranks else count
+            stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if dr else count
             if start == stop:
                 continue
             kid = ranks + (r,)
@@ -446,27 +476,27 @@ def _walk(
             # a child P = (r, h) has its lower end at rank r + 1 inside the
             # rows iff h * (top - r - 1) + H^2 <= hmax * (top - r); never at r = s
             wide, room = top - r - 1, hmax * (top - r) - htot
-            for idx in range(start, stop):
-                c = rows[idx]
+            for c in rows[start:stop]:
                 cp = c[1] * hp + c[2] * pv
                 total = acc + hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
-                path.append(c)
                 what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
                 if what:
+                    path.append(c)
                     raise _leaf_error(htot, (0,) + leaf_ranks, path, what)
                 tags = c[7] & mask
                 if not tags & drop:
                     # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
+                    path.append(c)
                     leaf(leaf_ranks, path, total + hn * c[5] + big * (c[0] - c[3]) + cn, tags)
-                path.pop()
+                    path.pop()
                 if c[0] * wide <= room:
-                    children.append((kid, c, a, total))
-        for kid, c, a, total in children:
+                    children.append((kid, r, c, a, total))
+        for kid, r, c, a, total in children:
             path.append(c)
-            node(kid, c, hp, a, total)
+            node(kid, r, c, hp, a, total)
             path.pop()
 
-    node((), (0, 0, 0, 0, 0, htot, ZERO), 0, 0, 0)  # E_0 = 0, so c.p = p.p = 0
+    node((), 0, (0, 0, 0, 0, 0, htot, ZERO), 0, 0, 0)  # E_0 = 0, so c.p = p.p = 0
 
 
 # enumerate_assignments refuses more workers than this; it runs serially anyway
@@ -557,25 +587,29 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     :func:`k3_expected` its witness.  Its leaf builds that key only for a
     leaf whose bound does not exceed the least so far."""
     basis = LatticeBasis(g, r, d)
-    limit, head = 2 * s * _scale(s), itemgetter(6)
     best = None
+    if floored:
+        limit = 2 * s * _scale(s)
 
-    def floored_leaf(ranks, path, total, tags):
-        nonlocal best
-        if best is None or total < best:
-            best = total
-            if total <= limit:
-                raise _FloorReached
+        def leaf(ranks, path, total, tags):
+            nonlocal best
+            if best is None or total < best:
+                best = total
+                if total <= limit:
+                    raise _FloorReached
 
-    def exact_leaf(ranks, path, total, tags):
-        nonlocal best
-        if best is None or total <= best[0]:
-            found = (total, len(ranks), ranks, tuple(map(head, path)), tags)
-            if best is None or found < best:
-                best = found
+    else:
+        head = itemgetter(6)
+
+        def leaf(ranks, path, total, tags):
+            nonlocal best
+            if best is None or total <= best[0]:
+                found = (total, len(ranks), ranks, tuple(map(head, path)), tags)
+                if best is None or found < best:
+                    best = found
 
     try:
-        _walk(basis, s, drop, floored_leaf if floored else exact_leaf)
+        _walk(basis, s, drop, leaf)
     except _FloorReached:
         pass
     return best

@@ -154,12 +154,25 @@ def test_candidates_respect_box_and_signs():
             assert self_int(basis, q) >= 0 and pair(basis, H, q) > 0
 
 
+def assemble_lattices():
+    # every lattice that assemble reaches at g = 7..30, as (g, r, d)
+    from bnloci import delta, enumerate_loci
+
+    lattices = {
+        (g, x.r, x.d) for g in range(7, 31) for x in enumerate_loci(g) if delta(g, x.r, x.d) < 0
+    }
+    assert len(lattices) > 600
+    return sorted(lattices)
+
+
 def test_box_class_count_is_the_box_that_the_candidates_scan():
     # the lemma's box scanned pair by pair: for r = 1, x = 0 with 0 < -y*d
     # < 2(g-1) and x = 1 with 0 < y*d < g-1; else one sign branch of
-    # |x| <= X, |y| <= Y, with x >= 2 - X on the branch x <= 0
+    # |x| <= X, |y| <= Y, with x >= 2 - X on the branch x <= 0; on a few
+    # chosen lattices and on every lattice that assemble reaches
     lattices = [(9, 2, 6), (10, 3, 9), (14, 3, 13), (100, 9, 57), (27, 7, 25)]
     lattices += [(16, 1, 2), (13, 1, 3)]
+    lattices += assemble_lattices()
     for g, r, d in lattices:
         basis = LatticeBasis(g, r, d)
         xmax, ymax = destab_box(basis)
@@ -173,10 +186,10 @@ def test_box_class_count_is_the_box_that_the_candidates_scan():
                 for y in range(-ymax, ymax + 1)
                 if (x > 0 and y > 0) or (2 - xmax <= x <= 0 and y < 0)
             ]
-        assert box_class_count(basis) == len(quots)
+        assert box_class_count(basis) == len(quots), (g, r, d)
         kept = [LatticeClass(x, -y) for x, y in quots]
         kept = [q for q in kept if self_int(basis, q) >= 0 and pair(basis, H, q) > 0]
-        assert candidate_subsheaf_classes(basis) == sorted(H - q for q in kept)
+        assert candidate_subsheaf_classes(basis) == sorted(H - q for q in kept), (g, r, d)
 
 
 def test_candidates_reject_r0_lattices_like_the_box():
@@ -193,16 +206,12 @@ def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
     # each row's integers, computed from the box without a LatticeClass, are
     # the pairings of its class, on every lattice that assemble reaches; its
     # tag bits are the parts of expected_tags that read the class alone
-    from bnloci import delta, enumerate_loci
     from bnloci.k3 import _candidate_rows
 
-    lattices = {
-        (g, x.r, x.d) for g in range(7, 31) for x in enumerate_loci(g) if delta(g, x.r, x.d) < 0
-    }
-    assert len(lattices) > 600
-    for lattice in sorted(lattices):
+    for lattice in assemble_lattices():
         basis = LatticeBasis(*lattice)
-        rows = _candidate_rows(basis)
+        rows, hs = _candidate_rows(basis)
+        assert hs == tuple(row[0] for row in rows)
         for u, a, b, cc, v, qq, c, tags in rows:
             assert (a, b) == c
             assert (u, v, cc, qq) == (
@@ -663,7 +672,7 @@ def per_type_walk(basis, s, leaf):
 
     htot = basis.h_square
     big = _scale(s)
-    rows = _candidate_rows(basis)
+    rows, _ = _candidate_rows(basis)
     hs = [row[0] for row in rows]
     origin = (0, 0, 0, 0, 0, htot)  # E_0 = 0, so c.p = p.p = 0
     path = []
@@ -849,6 +858,58 @@ def test_walk_emits_the_leaves_in_a_locked_order():
     assert digest.hexdigest() == "6086f3aea1f5615713bb775877f4c5c4da2078a81db3cbf3b6fbf439d3a0ddf3"
 
 
+def test_step_table_is_the_formulas_written_out():
+    # D = 2 lcm(1..s+1), half[rho] = (rho-1) D / (2 rho), const[rho] =
+    # rho D - D / rho, and masks[r] the tags that _walk's docstring allows a
+    # leaf of type (..., r, s+1): DM only for type 1 < s+1 with s > r of the
+    # lattice, ELLIPTIC only when the top quotient has rank s+1 - r >= 2
+    from bnloci.k3 import _step_table
+
+    for s in range(1, 15):
+        big = 2 * math.lcm(*range(1, s + 2))
+        for dm in (False, True):
+            table = _step_table(s, dm)
+            assert type(table) is tuple and len(table) == 4
+            assert table[0] == big
+            half, const, masks = table[1:]
+            assert all(type(part) is tuple for part in (half, const, masks))
+            assert len(half) == len(const) == s + 2 and half[0] == const[0] == 0
+            for rho in range(1, s + 2):
+                assert half[rho] * 2 * rho == (rho - 1) * big, (s, rho)
+                assert const[rho] * rho == rho * rho * big - big, (s, rho)
+            assert masks == tuple(
+                (DM if r == 1 and dm else 0) | (ELLIPTIC if s + 1 - r >= 2 else 0)
+                for r in range(s + 1)
+            ), (s, dm)
+
+
+def test_walk_tables_are_built_once_per_series_and_lattice(monkeypatch):
+    # a cold assemble builds the step table once per (s, s > r) key that a
+    # walk with candidate rows reads, and the rows and heights once per
+    # lattice that it walks
+    import bnloci.k3 as k3
+    from bnloci.poset import assemble
+
+    walks = []
+    real = k3._walk
+
+    def spy(basis, s, drop, leaf):
+        walks.append((basis, s))
+        return real(basis, s, drop, leaf)
+
+    monkeypatch.setattr(k3, "_walk", spy)
+    for cached in (k3._min_bound_cached, k3._candidate_rows, k3._step_table):
+        cached.cache_clear()
+    assemble(17)
+    tables, rows = k3._step_table.cache_info(), k3._candidate_rows.cache_info()
+    lattices = {basis for basis, _ in walks}
+    stepped = [(basis, s) for basis, s in walks if k3._candidate_rows(basis)[0]]
+    keys = {(s, s > basis.r) for basis, s in stepped}
+    assert len(walks) > len(lattices) > 10 and len(stepped) > len(keys) > 1
+    assert (tables.misses, tables.hits) == (len(keys), len(stepped) - len(keys))
+    assert (rows.misses, rows.hits) == (len(lattices), len(walks) - len(lattices))
+
+
 def lattices_outside_assemble(genera):
     # every r >= 1 lattice with Delta < 0 and d <= 2g whose box bn k3 scans;
     # d > g - 1 is past every proper locus, so assemble never walks these
@@ -866,10 +927,10 @@ def test_walk_on_lattices_without_candidates_matches_per_type_walk():
     from bnloci.k3 import _candidate_rows
 
     bases = list(lattices_outside_assemble(range(3, 13)))
-    empty = [b for b in bases if not _candidate_rows(b)]
+    empty = [b for b in bases if not _candidate_rows(b)[0]]
     assert len(empty) == 60 and LatticeBasis(3, 1, 4) in empty
     # and every lattice past d = g - 1 that does have candidates
-    past = [b for b in bases if b.d > b.g - 1 and _candidate_rows(b)]
+    past = [b for b in bases if b.d > b.g - 1 and _candidate_rows(b)[0]]
     assert len(past) == 475
     emitted = 0
     for basis in empty + past:
@@ -966,7 +1027,7 @@ def test_recheck_rejects_a_bad_leaf():
     from bnloci.k3 import _candidate_rows, _check_step
 
     basis = LatticeBasis(9, 2, 6)
-    rows = _candidate_rows(basis)
+    rows, _ = _candidate_rows(basis)
     htot = basis.h_square
     # a child of the root, ranks (0, 1, 2): the lowest H-degree first gives
     # mu(E_1) < mu(E), so the pair (P_0, P_1, P_top) fails
