@@ -417,28 +417,18 @@ def _walk(
     top quotient has rank s+1 - r_m >= 2.  A leaf with a tag in ``drop`` is
     checked like any other but not emitted, and its children are entered.
 
-    The search runs over rank prefixes, not types.  Below a node
-    (r_1..r_m; c_1..c_m), a child picks r in (r_m, s] and then h = H.c from
-    the integer interval cut out by slope(P, P_top) <= slope(P_m, P) (lower
-    end, P = (r, h), P_top = (s+1, H^2)) and, for m >= 1,
-    slope(P_m, P) <= slope(P_{m-1}, P_m) (upper end); see the module
-    docstring for why these two suffice and why each child is exactly one
-    leaf of type (r_1..r_m, r, s+1).  A node emits all its children's leaves
-    before it descends into any child, so the leaves of the shortest types
-    come first.  A node's rank loop ends at the first r whose lower end
-    passes the largest candidate H-degree, and a child is entered only if
-    its interval at rank r + 1 starts inside the rows; both skip only empty
-    intervals, so the leaves and their order are those of the full loop
-    (module docstring, "Pruning").  A lattice without candidate rows emits
-    no leaf.  The walk builds no table of its own: the step constants and
-    tag masks come from :func:`_step_table`, once per (s, s > r), and the
-    rows and their H-degrees from :func:`_candidate_rows`, once per
-    lattice.  A row is pushed onto ``path`` only to hand a leaf its chain,
-    to name a failed leaf, or to descend.
+    A node emits all its children's leaves before it descends into any
+    child, so the leaves of the shortest types come first.  The module
+    docstring proves that the interval cuts, the prefix sharing and the
+    pruning emit exactly the leaves of the per-type search, in this order
+    ("Interval cuts", "Prefix sharing", "Pruning"), and where the step
+    table and the rows come from ("Scaled integers").  A lattice without
+    candidate rows emits no leaf.
 
     Raises ValueError for s < 1, where no type exists and an empty walk
     would read as "every e certified", and for Delta >= 0 or r = 0 through
-    :func:`destab_box`, which :func:`_candidate_rows` reaches first.
+    :func:`destab_box`, which :func:`_candidate_rows` reaches first; and
+    RuntimeError for a leaf that fails its step check (:func:`_check_step`).
     """
     if s < 1:
         raise ValueError("need s >= 1")

@@ -188,12 +188,12 @@ class RelationMatrix:
     (:func:`_transpose`), not one set bit at a time.
 
     Provenance is held as derivation records: the sorted sources, which
-    give a seeded cell the string of the first source holding it, the
-    Warshall records of each row, which hold each derived <= cell's round,
-    and the seeded !<= rows, which credit each derived !<= cell to a seed.
-    Reads render and memoize the strings (see :meth:`_seeded`), the same
-    as if built during the closure, so instances are immutable in effect
-    and safe to share.
+    give a seeded cell the string of the first source whose row holds it
+    (:meth:`_known`), the Warshall records of each row, which hold each
+    derived <= cell's round, and the seeded !<= rows, which credit each
+    derived !<= cell to a seed.  Reads render the strings and memoize
+    them, one dict per kind, the same as if built during the closure, so
+    instances are immutable in effect and safe to share.
     """
 
     def __init__(
@@ -206,11 +206,14 @@ class RelationMatrix:
         up = [1 << i for i in range(n)]
         # seed_rows[a] bit c: (a, c) is a seeded !<= cell
         seed_rows = [0] * n
-        for _, le_rows, nle_rows in sources:
-            for i, row in le_rows.items():
-                up[i] |= row
-            for i, row in nle_rows.items():
-                seed_rows[i] |= row
+        # held[kind][i]: the sources, in order, that have a row i of that kind
+        # (source[kind]: 1 for <=, 2 for !<=)
+        self._held = held = (None, [[] for _ in range(n)], [[] for _ in range(n)])
+        for source in sources:
+            for kind, rows in ((1, up), (2, seed_rows)):
+                for i, row in source[kind].items():
+                    rows[i] |= row
+                    held[kind][i].append(source)
         # rounds[i]: the (k, new) of each Warshall round k that added bits to row i
         self._rounds = rounds = [[] for _ in range(n)]
         for k in range(n):
@@ -233,50 +236,51 @@ class RelationMatrix:
         reps = [i for i in range(n) if rep[i] == i]
         self._rep_mask = sum(1 << i for i in reps)
         self.classes = tuple(tuple(loci[j] for j in _bits(same[i])) for i in reps)
-        # (le, nle): see _seeded; then the memo of every rendered string
-        self._tables: tuple[dict, dict] | None = None
+        # the memo of every rendered <= and !<= string, seeds included
+        self._le_texts, self._nle_texts = {}, {}
         for a in range(n):
             if seed_rows[a] & up[a]:
                 c = _low(seed_rows[a] & up[a])
-                le, nle = self._seeded()
-                prov_le = self._le_prov(a, c) if a != c or (a, c) in le else "reflexivity"
-                raise ContradictionError(loci[a], loci[c], prov_le, nle[(a, c)])
+                reflexive = a == c and self._known(self._le_texts, 1, a, c) is None
+                prov_le = "reflexivity" if reflexive else self._le_prov(a, c)
+                raise ContradictionError(loci[a], loci[c], prov_le, self._known(self._nle_texts, 2, a, c))
 
-    def _seeded(self) -> tuple[dict, dict]:
-        """The (le, nle) tables, which start as the seeded cells' strings
-        and then memoize every rendered one.  They are filled on the first
-        read in one pass over the sorted sources from last to first, so each
-        seeded cell ends with the string of the first source that holds it."""
-        if self._tables is None:
-            self._tables = le, nle = {}, {}
-            for prov, le_rows, nle_rows in reversed(self._sources):
-                for table, rows in ((le, le_rows), (nle, nle_rows)):
-                    for i, row in rows.items():
-                        while row:
-                            low = row & -row
-                            table[(i, low.bit_length() - 1)] = prov
-                            row ^= low
-        return self._tables
+    def _known(self, texts: dict, kind: int, a: int, b: int) -> str | None:
+        """The string of the cell (a, b) if ``texts``, the memo of its kind,
+        holds it, else that of the first sorted source whose row a of that
+        kind (1 for <=, 2 for !<=) holds bit b, stored in ``texts``; None for
+        a derived cell not rendered yet.  The loop runs only over the
+        sources that have a row a (``_held``)."""
+        text = texts.get((a, b))
+        if text is None:
+            for source in self._held[kind][a]:
+                if source[kind][a] >> b & 1:
+                    text = texts[(a, b)] = source[0]
+                    break
+        return text
 
     def _le_prov(self, i: int, j: int) -> str:
-        """Provenance of the <= cell (i, j): its text if the le table has it
-        (a seed or an earlier rendering), else ``closure(p(i,k),p(k,j))``
-        for the Warshall round k that added bit j to row i, read as the
-        first record ``(k, new)`` in ``rounds[i]`` whose ``new`` has bit j
-        (a bit joins a row once), rendered and stored.  Both premises were
-        set before round k, so the walk ends; it keeps its own stack rather
-        than recursing.  A cell is pushed only when its text is missing, and
+        """Provenance of the <= cell (i, j): its memoized text, else its
+        seed's string (:meth:`_known`), else ``closure(p(i,k),p(k,j))`` for
+        the Warshall round k that added bit j to row i, read as the first
+        record ``(k, new)`` in ``rounds[i]`` whose ``new`` has bit j (a bit
+        joins a row once), rendered and stored.  A derived cell is resolved
+        on an explicit stack, not by recursion, so that a long chain (any
+        loci set may reach :func:`closure_relations`) cannot overflow: the
+        top cell's premises are read the same way, memo then seed, and one
+        still missing is pushed.  Both premises were set before round k, so
+        the walk ends.  A cell is pushed only when its text is missing, and
         the cells above it have smaller rounds, so it is still missing
         whenever it is back on top, and none is pushed twice."""
-        texts, rounds = (self._tables or self._seeded())[0], self._rounds
-        text = texts.get((i, j))
+        texts, rounds = self._le_texts, self._rounds
+        text = self._known(texts, 1, i, j)
         if text is not None:
             return text
         stack = [(i, j)]
         while stack:
             a, b = cell = stack[-1]
             k = next(k for k, new in rounds[a] if new >> b & 1)
-            left, right = texts.get((a, k)), texts.get((k, b))
+            left, right = self._known(texts, 1, a, k), self._known(texts, 1, k, b)
             if left is None:
                 stack.append((a, k))
             elif right is None:
@@ -287,12 +291,13 @@ class RelationMatrix:
         return texts[(i, j)]
 
     def _nle_prov(self, b: int, d: int) -> str:
-        """Provenance of the !<= cell (b, d).  A derived cell is credited to
-        the lexicographically first seed (a, c) with a <= b and d <= c and
-        reads ``closure(p(d,c),closure(p(a,b),p(a,c)))``, dropping the outer
-        or inner step when d = c or a = b."""
-        nle = (self._tables or self._seeded())[1]
-        text = nle.get((b, d))
+        """Provenance of the !<= cell (b, d): its memoized text or its
+        seed's string (:meth:`_known`), else that of the lexicographically
+        first seed (a, c) with a <= b and d <= c, read as
+        ``closure(p(d,c),closure(p(a,b),p(a,c)))``, dropping the outer or
+        inner step when d = c or a = b."""
+        nle = self._nle_texts
+        text = self._known(nle, 2, b, d)
         if text is None:
             up, seed_rows = self._up, self._seed_rows
             for a in _bits(self._down[b]):
@@ -300,7 +305,7 @@ class RelationMatrix:
                 if hit:
                     break
             c = _low(hit)
-            text = nle[(a, c)]
+            text = self._known(nle, 2, a, c)
             if a != b:
                 text = f"closure({self._le_prov(a, b)},{text})"
             if c != d:

@@ -31,7 +31,7 @@ from bnloci import (
     trivially_implied,
 )
 from bnloci.cli import packaged_facts
-from bnloci.poset import _BLOCK, RelationMatrix, _product, _transpose
+from bnloci.poset import _BLOCK, RelationMatrix, _bits, _product, _transpose
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -251,8 +251,10 @@ def assert_matches_eager_closure(g, loci, rels, build=None):
     """Every cell's (kind, provenance), all_relations() and any
     ContradictionError message of the matrix that ``build()`` makes (by
     default closure_relations(g, loci, rels)) agree with the eager oracle.
-    A fresh matrix renders all_relations() first, so neither reading order
-    hides a record that renders differently."""
+    Three fresh matrices are read in three orders: all_relations() first,
+    every cell first, and sparse first (covers(), then every cell in
+    reverse order, then all_relations()), so no reading order hides a
+    record or a memoized string that renders differently."""
     build = build or (lambda: closure_relations(g, loci, rels))
     try:
         cells, want = eager_closure(g, loci, rels)
@@ -267,6 +269,12 @@ def assert_matches_eager_closure(g, loci, rels, build=None):
     assert {(x, y): m.relation(x, y) for x in m.loci for y in m.loci} == cells
     m = build()
     assert {(x, y): m.relation(x, y) for x in m.loci for y in m.loci} == cells
+    assert m.all_relations() == want
+    m = build()
+    for c in covers(m):
+        assert cells[(c.lhs, c.rhs)] == (c.kind.value, c.provenance)
+    backwards = m.loci[::-1]
+    assert {(x, y): m.relation(x, y) for x in backwards for y in backwards} == cells
     assert m.all_relations() == want
 
 
@@ -602,6 +610,25 @@ def test_provenance_matches_eager_closure_on_assemble_seeds(g):
     # assemble itself, with the packaged facts where there are any, so fact:
     # provenance and closures over it are rendered too
     assert_assemble_matches_eager_closure(g, packaged_facts(g) if g <= 12 else ())
+
+
+def test_sparse_reads_render_only_the_cells_they_read():
+    # covers() of assemble(30) renders the provenance of its 211 covers and
+    # their premises, not a table of every seeded cell (18,216 at this genus)
+    m = assemble(30)
+    covers(m)
+    memo = lambda: len(m._le_texts) + len(m._nle_texts)
+    assert memo() < 1000
+    # one unread seeded !<= cell between representatives adds one string
+    a, c = next(
+        (a, c)
+        for a in _bits(m._rep_mask)
+        for c in _bits(m._seed_rows[a] & m._rep_mask)
+        if (a, c) not in m._nle_texts
+    )
+    before = memo()
+    assert m.relation(m.loci[a], m.loci[c])[0] == "not_subset"
+    assert memo() - before <= 1
 
 
 @pytest.mark.parametrize("g", range(7, 31))
