@@ -40,7 +40,6 @@ from .classical import (
     coppens_noncontainment,
     four_secant_count,
     gonality_bounds,
-    lange_bound,
     plane_projection_rule,
     secant_expected_dim,
 )

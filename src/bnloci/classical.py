@@ -38,15 +38,6 @@ def castelnuovo_severi(d1: int, g1: int, d2: int, g2: int) -> int:
     return (d1 - 1) * (d2 - 1) + d1 * g1 + d2 * g2
 
 
-def lange_bound(g: int, r: int, d: int, k: int, gamma: int) -> bool:
-    """True iff a degree-k map to a genus-gamma curve is dimensionally
-    permitted for a general member of M^r_{g,d}:
-    3g-3+rho <= 2g-2-(2k-3)(gamma-1)."""
-    if k < 2 or gamma < 1:
-        raise ValueError("need k >= 2 and gamma >= 1")
-    return 3 * g - 3 + rho(g, r, d) <= 2 * g - 2 - (2 * k - 3) * (gamma - 1)
-
-
 def plane_projection_rule(g: int, d: int) -> Relation | None:
     """Projection from a singular point of a plane model: if
     g < (d-1)(d-2)/2 then M^2_{g,d} is contained in M^1_{g,d-2}."""

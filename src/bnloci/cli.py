@@ -104,7 +104,7 @@ def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
         g = _json_int(rec["genus"], where, "genus")
         if genus is not None and g != genus:
             raise FactsError(f"{where}: genus {g} does not match requested genus {genus}")
-        if rec["relation"] not in _RELATIONS:
+        if not isinstance(rec["relation"], str) or rec["relation"] not in _RELATIONS:
             raise FactsError(f"{where}: relation must be one of {sorted(_RELATIONS)}")
         if not isinstance(rec["source"], str) or not rec["source"]:
             raise FactsError(f"{where}: source citation must be a non-empty string")

@@ -26,20 +26,21 @@ send few strings: a fixture carries 3, and the re-closed ``all_relations()``
 of ``assemble`` 38 over 17,760 relations at genus 30.  The closure starts
 from the OR of the sources' rows.  A cell seeded by several sources keeps
 the least string by (length, string), so the sources are sorted once in
-that order and a seeded cell's string is that of the first source whose
-rows hold it.
+that order.
 
 The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
 closed !<= rows and each locus's class representative, and every query is
 a row operation on them.  Provenance is kept as derivation records, not
-strings: the seed strings are resolved from the sources when a cell is
-first read, Warshall's pass keeps one record (k, new) per row update, the
-bits that its round k added to the row, so a derived <= cell's round is
-that of the one record holding its bit, and a derived !<= cell is
-credited on read to the lexicographically first seed that reaches it.
-The matrix renders a cell's provenance string only when it is read, and
-keeps it.  The cover diagram is the transitive reduction of ``up``
-restricted to the class representatives.
+strings.  Each row of each kind keeps one list of (label, bits) records in
+derivation order: first each sorted source's row, labelled by its string,
+then, for <= only, one record (k, new) per Warshall round k that added
+bits to the row.  A cell's derivation is the first record of its row that
+holds its bit: a seeded cell's is its first source, and a derived <=
+cell's is the round k that added it, whose premises are (i, k) and (k, j).
+A derived !<= cell is credited on read to the lexicographically first
+seed that reaches it.  The matrix renders a cell's provenance string only
+when it is read, and keeps it.  The cover diagram is the transitive
+reduction of ``up`` restricted to the class representatives.
 """
 
 from __future__ import annotations
@@ -167,8 +168,7 @@ class RelationMatrix:
     A source is ``(provenance, <= rows, !<= rows)``, each rows a dict from a
     locus index to its bit row; an eq seed is <= both ways.  The sources
     are sorted by (length, provenance) and their rows ORed; Warshall's pass
-    closes <= in place and records, per row update, the round and the bits
-    it added.  The !<= rows are two products (:func:`_product`):
+    closes <= in place.  The !<= rows are two products (:func:`_product`):
     ``reach``, the seeded !<= rows times ``down``, and then ``down`` times
     ``reach``, so the !<= row of each B is the OR of ``reach[A]`` over
     A <= B, ``reach[A]`` being the OR of ``down[C]`` over the seeds (A, C).
@@ -187,13 +187,15 @@ class RelationMatrix:
     locus i <= locus j), is built in one pass over binary digit strings
     (:func:`_transpose`), not one set bit at a time.
 
-    Provenance is held as derivation records: the sorted sources, which
-    give a seeded cell the string of the first source whose row holds it
-    (:meth:`_known`), the Warshall records of each row, which hold each
-    derived <= cell's round, and the seeded !<= rows, which credit each
-    derived !<= cell to a seed.  Reads render the strings and memoize
-    them, one dict per kind, the same as if built during the closure, so
-    instances are immutable in effect and safe to share.
+    Provenance is held as derivation records: ``_records[kind][i]`` (kind
+    1 for <=, 2 for !<=, as in a source) lists the (label, bits) records
+    of row i, each sorted source's row labelled by its string, then each
+    Warshall round k that added bits, labelled by k.  A seeded bit is never
+    in a round's bits, so a cell's derivation is the first record holding
+    its bit (:meth:`_first`).  The seeded !<= rows credit each derived !<=
+    cell to a seed.  Reads render the strings and memoize them in one dict
+    (no cell is both <= and !<=), the same as if built during the closure,
+    so instances are immutable in effect and safe to share.
     """
 
     def __init__(
@@ -201,21 +203,19 @@ class RelationMatrix:
         sources: Iterable[tuple],
     ):
         self.genus, self.loci, self._index = genus, loci, index
-        self._sources = sources = sorted(sources, key=lambda source: (len(source[0]), source[0]))
+        sources = sorted(sources, key=lambda source: (len(source[0]), source[0]))
         n = len(loci)
         up = [1 << i for i in range(n)]
         # seed_rows[a] bit c: (a, c) is a seeded !<= cell
         seed_rows = [0] * n
-        # held[kind][i]: the sources, in order, that have a row i of that kind
-        # (source[kind]: 1 for <=, 2 for !<=)
-        self._held = held = (None, [[] for _ in range(n)], [[] for _ in range(n)])
+        # records[kind][i]: the (label, bits) records of row i, kind 1 for <=, 2 for !<=
+        self._records = records = (None, [[] for _ in range(n)], [[] for _ in range(n)])
         for source in sources:
             for kind, rows in ((1, up), (2, seed_rows)):
                 for i, row in source[kind].items():
                     rows[i] |= row
-                    held[kind][i].append(source)
-        # rounds[i]: the (k, new) of each Warshall round k that added bits to row i
-        self._rounds = rounds = [[] for _ in range(n)]
+                    records[kind][i].append((source[0], row))
+        rounds = records[1]
         for k in range(n):
             bit, row_k = 1 << k, up[k]
             for i in range(n):
@@ -237,80 +237,73 @@ class RelationMatrix:
         self._rep_mask = sum(1 << i for i in reps)
         self.classes = tuple(tuple(loci[j] for j in _bits(same[i])) for i in reps)
         # the memo of every rendered <= and !<= string, seeds included
-        self._le_texts, self._nle_texts = {}, {}
+        self._texts = {}
         for a in range(n):
             if seed_rows[a] & up[a]:
                 c = _low(seed_rows[a] & up[a])
-                reflexive = a == c and self._known(self._le_texts, 1, a, c) is None
-                prov_le = "reflexivity" if reflexive else self._le_prov(a, c)
-                raise ContradictionError(loci[a], loci[c], prov_le, self._known(self._nle_texts, 2, a, c))
+                prov_le = "reflexivity" if self._first(1, a, c) is None else self._le_prov(a, c)
+                raise ContradictionError(loci[a], loci[c], prov_le, self._first(2, a, c))
 
-    def _known(self, texts: dict, kind: int, a: int, b: int) -> str | None:
-        """The string of the cell (a, b) if ``texts``, the memo of its kind,
-        holds it, else that of the first sorted source whose row a of that
-        kind (1 for <=, 2 for !<=) holds bit b, stored in ``texts``; None for
-        a derived cell not rendered yet.  The loop runs only over the
-        sources that have a row a (``_held``)."""
-        text = texts.get((a, b))
-        if text is None:
-            for source in self._held[kind][a]:
-                if source[kind][a] >> b & 1:
-                    text = texts[(a, b)] = source[0]
-                    break
-        return text
+    def _first(self, kind: int, a: int, b: int) -> str | int | None:
+        """The label of the first record of row a of ``kind`` (1 for <=, 2
+        for !<=) that holds bit b: a seeding source's string or a Warshall
+        round; None when no record holds it (an unseeded self-loop)."""
+        for label, bits in self._records[kind][a]:
+            if bits >> b & 1:
+                return label
+        return None
 
     def _le_prov(self, i: int, j: int) -> str:
-        """Provenance of the <= cell (i, j): its memoized text, else its
-        seed's string (:meth:`_known`), else ``closure(p(i,k),p(k,j))`` for
-        the Warshall round k that added bit j to row i, read as the first
-        record ``(k, new)`` in ``rounds[i]`` whose ``new`` has bit j (a bit
-        joins a row once), rendered and stored.  A derived cell is resolved
-        on an explicit stack, not by recursion, so that a long chain (any
-        loci set may reach :func:`closure_relations`) cannot overflow: the
-        top cell's premises are read the same way, memo then seed, and one
-        still missing is pushed.  Both premises were set before round k, so
-        the walk ends.  A cell is pushed only when its text is missing, and
-        the cells above it have smaller rounds, so it is still missing
-        whenever it is back on top, and none is pushed twice."""
-        texts, rounds = self._le_texts, self._rounds
-        text = self._known(texts, 1, i, j)
-        if text is not None:
-            return text
+        """Provenance of the <= cell (i, j), from its derivation
+        (:meth:`_first`): a seed's string, or ``closure(p(i,k),p(k,j))``
+        for the Warshall round k that added bit j to row i, rendered and
+        stored.  A cell is resolved on an explicit stack, not by recursion,
+        so that a long chain (any loci set may reach
+        :func:`closure_relations`) cannot overflow: the top cell reads its
+        first record, a string is its text, and a round k pushes the first
+        of its premises (a, k), (k, b) that is not memoized yet.  Both
+        premises were set before round k, so the walk ends.  A cell is
+        pushed only when its text is missing, and the cells above it are
+        seeds or have smaller rounds, so it is still missing whenever it is
+        back on top, and none is pushed twice."""
+        texts = self._texts
         stack = [(i, j)]
-        while stack:
-            a, b = cell = stack[-1]
-            k = next(k for k, new in rounds[a] if new >> b & 1)
-            left, right = self._known(texts, 1, a, k), self._known(texts, 1, k, b)
-            if left is None:
+        while (i, j) not in texts:
+            a, b = stack[-1]
+            k = self._first(1, a, b)
+            if isinstance(k, str):
+                texts[stack.pop()] = k
+            elif (a, k) not in texts:
                 stack.append((a, k))
-            elif right is None:
+            elif (k, b) not in texts:
                 stack.append((k, b))
             else:
-                texts[cell] = f"closure({left},{right})"
-                stack.pop()
+                texts[stack.pop()] = f"closure({texts[(a, k)]},{texts[(k, b)]})"
         return texts[(i, j)]
 
     def _nle_prov(self, b: int, d: int) -> str:
         """Provenance of the !<= cell (b, d): its memoized text or its
-        seed's string (:meth:`_known`), else that of the lexicographically
+        seed's string (:meth:`_first`), else that of the lexicographically
         first seed (a, c) with a <= b and d <= c, read as
         ``closure(p(d,c),closure(p(a,b),p(a,c)))``, dropping the outer or
         inner step when d = c or a = b."""
-        nle = self._nle_texts
-        text = self._known(nle, 2, b, d)
+        texts = self._texts
+        text = texts.get((b, d))
         if text is None:
-            up, seed_rows = self._up, self._seed_rows
-            for a in _bits(self._down[b]):
-                hit = seed_rows[a] & up[d]
-                if hit:
-                    break
-            c = _low(hit)
-            text = self._known(nle, 2, a, c)
-            if a != b:
-                text = f"closure({self._le_prov(a, b)},{text})"
-            if c != d:
-                text = f"closure({self._le_prov(d, c)},{text})"
-            nle[(b, d)] = text
+            text = self._first(2, b, d)
+            if text is None:
+                up, seed_rows = self._up, self._seed_rows
+                for a in _bits(self._down[b]):
+                    hit = seed_rows[a] & up[d]
+                    if hit:
+                        break
+                c = _low(hit)
+                text = self._first(2, a, c)
+                if a != b:
+                    text = f"closure({self._le_prov(a, b)},{text})"
+                if c != d:
+                    text = f"closure({self._le_prov(d, c)},{text})"
+            texts[(b, d)] = text
         return text
 
     def class_of(self, x: BNLocus) -> BNLocus:

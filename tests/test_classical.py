@@ -12,7 +12,6 @@ from bnloci import (
     coppens_noncontainment,
     four_secant_count,
     gonality_bounds,
-    lange_bound,
     plane_projection_rule,
     secant_containment,
     secant_expected_dim,
@@ -38,17 +37,6 @@ def test_castelnuovo_severi_examples():
     assert castelnuovo_severi(2, 1, 3, 0) == 4
     assert castelnuovo_severi(2, 0, 2, 0) == 1
     assert castelnuovo_severi(2, 1, 4, 0) == 5
-
-
-def test_lange_bound_examples():
-    assert lange_bound(10, 3, 8, 2, 2) is True
-    assert lange_bound(10, 3, 8, 2, 3) is False
-    # gamma = 1 makes the right side 2g-2 independently of k
-    for k in (2, 5, 9):
-        assert lange_bound(10, 3, 8, k, 1) is True
-    # scan the largest feasible gamma for a genus-12 g^4_11
-    feasible = [gamma for gamma in range(1, 8) if lange_bound(12, 4, 11, 2, gamma)]
-    assert feasible and feasible == list(range(1, max(feasible) + 1))
 
 
 def test_plane_projection_examples():

@@ -389,6 +389,13 @@ def test_facts_parse_errors(tmp_path, capsys):
     code, _, err = run(capsys, "poset", "9", "--facts", str(path))
     assert code == EXIT_IO and "error" in err
 
+    # a relation that is not a string is a parse error, not an unhashable key
+    for relation in (["subset"], {"kind": "subset"}):
+        record = {"genus": 9, "lhs": {"r": 1, "d": 4}, "rhs": {"r": 2, "d": 6}, "source": "x"}
+        path.write_text(json.dumps([dict(record, relation=relation)]))
+        code, _, err = run(capsys, "poset", "9", "--facts", str(path))
+        assert code == EXIT_IO and "record 0" in err and "Traceback" not in err
+
     with pytest.raises(FactsError, match="record 0"):
         parse_fact_records(
             json.dumps(

@@ -440,8 +440,9 @@ def test_mutual_containment_promotes_to_equality():
 
 
 # seed strings with repeats and equal lengths, so that relations share a
-# source and seeds of one cell tie on length and are ordered by string
-PROVENANCE = st.sampled_from(["a", "b", "ab", "ba", "abc"])
+# source and seeds of one cell tie on length and are ordered by string, and
+# the empty string, which a label or a memo must not read as missing
+PROVENANCE = st.sampled_from(["", "a", "b", "ab", "ba", "abc"])
 
 
 @settings(max_examples=200, deadline=None)
@@ -489,22 +490,48 @@ def test_contradiction_detection_direct():
     assert_matches_eager_closure(g, enumerate_loci(g), rels)
 
 
-@pytest.mark.parametrize("length", [0, 1, 2, 5])
-def test_generated_contradiction_message_matches_eager_closure(length):
+@pytest.mark.parametrize(
+    "length, loop",
+    [pytest.param(n, None, id=str(n)) for n in (0, 1, 2, 5)]
+    + [pytest.param(0, "loop", id="0-loop"), pytest.param(0, "", id="0-empty-loop")],
+)
+def test_generated_contradiction_message_matches_eager_closure(length, loop):
     # a chain x_0 <= ... <= x_length and a seed x_0 !<= x_length: the <= side
     # of the message is rendered from nested Warshall records (a self-loop,
-    # "reflexivity", when the chain is empty)
+    # "reflexivity", when the chain is empty, unless a source seeds it)
     g = 11
     loci = enumerate_loci(g)
     chain = loci[: length + 1]
     rels = [
         Relation(a, b, RelKind.LE, f"step{i}") for i, (a, b) in enumerate(zip(chain, chain[1:]))
     ]
+    if loop is not None:
+        rels.append(Relation(chain[0], chain[0], RelKind.LE, loop))
     rels.append(Relation(chain[0], chain[-1], RelKind.NLE, "refuted"))
     with pytest.raises(ContradictionError) as err:
         closure_relations(g, loci, rels)
     assert err.value.prov_nle == "refuted"
     assert err.value.prov_le.count("closure(") == max(length - 1, 0)
+    if loop is not None:
+        assert err.value.prov_le == loop
+    assert_matches_eager_closure(g, loci, rels)
+
+
+def test_empty_provenance_names_its_seed():
+    # a cell seeded with "" keeps "", though a closure through other seeds
+    # also reaches it: the empty string is a label, not a missing text
+    g = 9
+    a, b, d = loci = enumerate_loci(g)[:3]
+    rels = [
+        Relation(a, b, RelKind.LE, "p"),
+        Relation(a, d, RelKind.NLE, "q"),
+        Relation(b, d, RelKind.NLE, ""),
+        Relation(d, a, RelKind.LE, ""),
+    ]
+    m = closure_relations(g, loci, rels)
+    assert m.relation(b, d) == ("not_subset", "")
+    assert m.relation(d, a) == ("subset", "")
+    assert m.relation(d, b) == ("subset", "closure(,p)")
     assert_matches_eager_closure(g, loci, rels)
 
 
@@ -617,18 +644,17 @@ def test_sparse_reads_render_only_the_cells_they_read():
     # their premises, not a table of every seeded cell (18,216 at this genus)
     m = assemble(30)
     covers(m)
-    memo = lambda: len(m._le_texts) + len(m._nle_texts)
-    assert memo() < 1000
+    assert len(m._texts) < 1000
     # one unread seeded !<= cell between representatives adds one string
     a, c = next(
         (a, c)
         for a in _bits(m._rep_mask)
         for c in _bits(m._seed_rows[a] & m._rep_mask)
-        if (a, c) not in m._nle_texts
+        if (a, c) not in m._texts
     )
-    before = memo()
+    before = len(m._texts)
     assert m.relation(m.loci[a], m.loci[c])[0] == "not_subset"
-    assert memo() - before <= 1
+    assert len(m._texts) - before <= 1
 
 
 @pytest.mark.parametrize("g", range(7, 31))
@@ -760,18 +786,28 @@ def assert_rounds_match_per_cell_rounds(m):
     # each derived cell's bit sits in exactly one record of its row, so the
     # first record holding it, which _le_prov reads, has the per-cell round
     seeded = [1 << i for i in range(len(m.loci))]
-    for _, le_rows, _ in m._sources:
-        for i, row in le_rows.items():
-            seeded[i] |= row
+    for i, records in enumerate(m._records[1]):
+        # every seed record (a source's string) precedes every round record
+        is_round = [not isinstance(label, str) for label, _ in records]
+        assert is_round == sorted(is_round), i
+        for label, row in records:
+            if isinstance(label, str):
+                seeded[i] |= row
     closed, via = per_cell_rounds(seeded)
     assert m._up == closed
     got = {}
-    for i, records in enumerate(m._rounds):
+    for i, records in enumerate(m._records[1]):
+        rounds = 0
         for k, new in records:
+            if isinstance(k, str):
+                continue
+            rounds |= new
             for j in range(len(closed)):
                 if new >> j & 1:
                     assert (i, j) not in got, (i, j)
                     got[(i, j)] = k
+        # every seeded bit lies in a seed record and in no round record
+        assert closed[i] & ~rounds == seeded[i] and not seeded[i] & rounds, i
     assert got == via
 
 
