@@ -36,10 +36,10 @@ from .classical import (
     castelnuovo_bound,
     castelnuovo_severi,
     ci_gonality,
-    conjecture_thresholds,
     coppens_noncontainment,
     four_secant_count,
     gonality_bounds,
+    net_threshold,
     plane_projection_rule,
     secant_expected_dim,
 )
@@ -67,6 +67,7 @@ from .oracles import (
     gt_pattern,
     quotient_checks,
     secant_containment,
+    slab_classes,
     trivial_relations,
 )
 from .poset import (

@@ -252,8 +252,8 @@ def destab_box(basis: LatticeBasis) -> tuple[int, int]:
 
 
 def _box_blocks(basis: LatticeBasis) -> tuple[tuple[range, range], ...]:
-    """The quotient classes Q = xH - yL that :func:`candidate_subsheaf_classes`
-    scans, as (x range, y range) blocks of the destabilizing box.
+    """The quotient classes Q = xH - yL that :func:`_candidate_rows` scans,
+    as (x range, y range) blocks of the destabilizing box.
 
     Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
     """

@@ -6,7 +6,10 @@ calls, kept so that each fast path can be held against a second encoding.
   (:func:`gt_pattern`, :func:`gt_check`), the quotient conditions
   (:func:`quotient_checks`) and the exact c_2 bound of an assignment
   (:func:`c2_lower_bound`), against the walk of :mod:`bnloci.k3`, which
-  checks each leaf step-wise in integers.
+  checks each leaf step-wise in integers.  The slab of classes that an
+  admissible step can use, read off its defining inequalities alone
+  (:func:`slab_classes`), against the destabilizing-lemma box that
+  :func:`~bnloci.k3.candidate_subsheaf_classes` scans.
 - Loci: the base-point moves and the Clifford collapse as Relations
   (:func:`trivial_relations`, :func:`clifford_collapse`), and the secant
   containment of one pair (:func:`secant_containment`), against the rows
@@ -29,7 +32,7 @@ from fractions import Fraction
 
 from .classical import secant_expected_dim
 from .k3 import Assignment, _c2_bound
-from .lattice import H, LatticeBasis, pair, self_int
+from .lattice import H, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair, self_int
 from .loci import BNLocus, RelKind, Relation, enumerate_loci, is_proper_locus
 
 
@@ -111,6 +114,31 @@ def c2_lower_bound(basis: LatticeBasis, assignment: Assignment) -> Fraction:
     return _c2_bound(basis, (0,) + assignment.ranks, assignment.chern)
 
 
+def slab_classes(basis: LatticeBasis) -> list[LatticeClass]:
+    """Every class c with 0 < H.c < H^2 and (H-c)^2 >= 0, the conditions
+    that an intermediate filtration step states, sorted by (a, b).  No
+    lemma is used: for Q = H - c = xH + yL and t = H.Q, the Hodge index
+    identity H^2 Q^2 = t^2 + y^2 Delta makes Q^2 >= 0 read y^2 |Delta| <= t^2,
+    so the scan runs over t in 1..H^2-1 and those y, and keeps each
+    integral x = (t - y d) / H^2.
+
+    Raises ValueError when Delta >= 0, where the set is not finite.
+    """
+    h2, d, disc = basis.h_square, basis.d, -basis.discriminant
+    if disc <= 0:
+        raise ValueError(
+            f"Delta({basis.g},{basis.r},{basis.d}) = {-disc} >= 0: the slab is not finite"
+        )
+    out = []
+    for t in range(1, h2):
+        ymax = floor_sqrt_ratio(t * t, disc)
+        for y in range(-ymax, ymax + 1):
+            x, rem = divmod(t - y * d, h2)
+            if not rem:
+                out.append(LatticeClass(1 - x, -y))
+    return sorted(out)
+
+
 def trivial_relations(g: int) -> list[Relation]:
     """Containments from adding a base point (d -> d+1) and removing a
     non-base point (r,d -> r-1,d-1), restricted to enumerated loci."""
@@ -145,7 +173,7 @@ def secant_containment(g: int, r: int, d: int, s: int, e: int) -> Relation | Non
 
     At expected dimension exactly zero nothing is emitted: the virtual count
     can vanish, so existence is not guaranteed (for s = 2 and r odd the
-    threshold e >= d-2r+2+floor((r+3)/2) is the same as positivity).
+    conjectured :func:`~bnloci.classical.net_threshold` is the same cut).
     """
     if not (r >= s + 1 >= 2):
         raise ValueError("need r >= s+1 >= 2")

@@ -1,17 +1,23 @@
 import re
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 
 from bnloci import (
+    BNLocus,
     RelKind,
+    assemble,
     castelnuovo_bound,
     castelnuovo_severi,
     ci_gonality,
-    conjecture_thresholds,
     coppens_noncontainment,
+    delta,
     four_secant_count,
     gonality_bounds,
+    k3_expected,
+    net_threshold,
     plane_projection_rule,
     secant_containment,
     secant_expected_dim,
@@ -238,12 +244,123 @@ def test_four_secant_count_exact_region():
             assert four_secant_count(g, d) == twelve_times // 12 - second // 2
 
 
-def test_conjecture_thresholds_examples():
-    t = conjecture_thresholds(100, 2, 51, 3)
-    assert t.threshold_a == Fraction(76)
-    t = conjecture_thresholds(20, 3, 12, 2)
-    assert t.threshold_b == 12 - 6 + 2 + 3
-    assert t.threshold_a is None
+def test_net_threshold_example():
+    assert net_threshold(3, 12) == 12 - 6 + 2 + 3 == 11
+    for r in (0, 1, 2):
+        with pytest.raises(ValueError, match="need r >= 3"):
+            net_threshold(r, 2 * r + 3)
+
+
+def test_net_threshold_is_the_least_degree_of_nonnegative_secant_dimension():
+    # odd r: the secant rule's own cut, dimension 1; even r: one below that
+    # cut, at dimension exactly 0
+    for r in range(3, 21):
+        for d in range(2 * r + 1, 4 * r + 8):
+            least = min(e for e in range(d) if secant_expected_dim(r, d, 2, e) >= 0)
+            assert net_threshold(r, d) == least, (r, d)
+            assert secant_expected_dim(r, d, 2, least) == r % 2, (r, d)
+
+
+@lru_cache(maxsize=None)
+def threshold_a(g, r, d, s):
+    # the conjectured degree from which M^r_{g,d} lies in M^s_{g,e} for
+    # r < s; the scoring below refutes it, and no hypothesis that the code
+    # can state removes every refuted cell, so the package dropped it
+    return (
+        Fraction(d - 2 * r + s)
+        + Fraction(g - d + r + 1, 2)
+        + Fraction((s - 2) * (r - 1) - 1, s - 1)
+    )
+
+
+VERDICT = {"eq": "agree", "subset": "agree", "not_subset": "disagree", "unknown": "unknown"}
+
+
+def threshold_cells():
+    # (threshold, g, source, target, kind) for every proper target at or
+    # above a threshold: the truth is the packaged fixture at g = 7..12 and
+    # fact-free assemble(g) at g = 13..30
+    from bnloci.cli import packaged_fixture_matrix
+
+    for g in range(7, 31):
+        matrix = packaged_fixture_matrix(g) if g <= 12 else assemble(g)
+        for x in matrix.loci:
+            for y in matrix.loci:
+                if 2 <= x.r < y.r:
+                    name, least = "threshold_a", threshold_a(g, x.r, x.d, y.r)
+                elif y.r == 2 < x.r:
+                    name, least = "net_threshold", net_threshold(x.r, x.d)
+                else:
+                    continue
+                if y.d >= least:
+                    yield name, g, x, y, matrix.relation(x, y)[0]
+
+
+def test_conjectured_thresholds_scored_where_the_truth_is_known():
+    cells = list(threshold_cells())
+    table = Counter(
+        (name, "fixtures" if g <= 12 else "rules", VERDICT[kind]) for name, g, _, _, kind in cells
+    )
+    assert table == {
+        ("threshold_a", "fixtures", "agree"): 42,
+        ("threshold_a", "fixtures", "disagree"): 7,
+        ("threshold_a", "rules", "agree"): 3390,
+        ("threshold_a", "rules", "disagree"): 1098,
+        ("threshold_a", "rules", "unknown"): 4411,
+        ("net_threshold", "fixtures", "agree"): 100,
+        ("net_threshold", "rules", "agree"): 8508,
+        ("net_threshold", "rules", "unknown"): 412,
+    }
+    # the fixture counterexamples to threshold_a, as (g; r, d -> s, e)
+    refuted = [
+        (g, x.r, x.d, y.r, y.d)
+        for name, g, x, y, kind in cells
+        if name == "threshold_a" and g <= 12 and kind == "not_subset"
+    ]
+    assert refuted == [
+        (9, 2, 6, 3, 8),
+        (10, 2, 6, 3, 9), (10, 2, 7, 3, 9),
+        (11, 2, 8, 3, 10),
+        (12, 2, 6, 4, 11), (12, 2, 8, 3, 11), (12, 2, 9, 3, 11),
+    ]
+    assert threshold_a(100, 2, 51, 3) == 76
+    # net_threshold goes beyond the secant rule only on the cells of
+    # expected dimension 0 (even r, e at the threshold), and every open cell
+    # is one of them
+    by_dimension = Counter(
+        (y.d < x.d and secant_expected_dim(x.r, x.d, 2, y.d) == 0, VERDICT[kind])
+        for name, _, x, y, kind in cells
+        if name == "net_threshold"
+    )
+    assert by_dimension == {(True, "agree"): 156, (True, "unknown"): 412, (False, "agree"): 8452}
+
+
+def test_filtered_k3_expected_scored_on_the_unknown_pairs():
+    # k3_expected (filters on) on every unknown ordered class pair of
+    # fact-free assemble(g), g = 9..12, against the packaged fixture
+    from bnloci.cli import packaged_facts, packaged_fixture_matrix
+
+    table, wrong = Counter(), []
+    for g in range(9, 13):
+        truth = packaged_fixture_matrix(g)
+        for x, y in assemble(g).unknown_pairs():
+            if delta(g, x.r, x.d) >= 0:
+                table["no lattice"] += 1
+                continue
+            predicted = "subset" if k3_expected(g, x.r, x.d, y.r, y.d) else "not_subset"
+            right = (truth.relation(x, y)[0] in ("eq", "subset")) == (predicted == "subset")
+            table[predicted, right] += 1
+            if not right:
+                wrong.append((g, x.key, y.key))
+    assert table == {
+        "no lattice": 57, ("subset", True): 8, ("subset", False): 3, ("not_subset", True): 5
+    }
+    assert wrong == [(10, (3, 9), (1, 5)), (11, (3, 9), (1, 3)), (12, (3, 10), (1, 6))]
+    # the packaged facts decide each against the expectation
+    for g, source, target in wrong:
+        x, y = (BNLocus(g, *key) for key in (source, target))
+        kind, provenance = assemble(g, packaged_facts(g)).relation(x, y)
+        assert kind == "not_subset" and provenance.startswith("fact:"), (g, source, target)
 
 
 def test_gonality_bounds_examples():

@@ -36,6 +36,7 @@ from bnloci import (
     pair,
     quotient_checks,
     self_int,
+    slab_classes,
 )
 from bnloci.k3 import (
     BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _c2_bound, _drop_mask, _TAG_NAMES,
@@ -202,6 +203,44 @@ def test_candidates_reject_r0_lattices_like_the_box():
             fn(basis)
 
 
+def test_slab_is_every_class_of_the_three_conditions():
+    # the slab against a plain scan of a square of classes aH + bL; the slab
+    # has |a| <= d + 2 and |b| < 2g - 2 by the Hodge index bound on y
+    for g, r, d in [(9, 2, 6), (10, 3, 9), (13, 1, 3), (16, 1, 2), (9, 0, 3), (12, 3, 11)]:
+        basis = LatticeBasis(g, r, d)
+        span = range(-3 * g, 3 * g + 1)
+        want = [
+            LatticeClass(a, b)
+            for a in span
+            for b in span
+            if 0 < pair(basis, H, LatticeClass(a, b)) < basis.h_square
+            and self_int(basis, H - LatticeClass(a, b)) >= 0
+        ]
+        assert slab_classes(basis) == want, (g, r, d)
+    with pytest.raises(ValueError, match="not finite"):
+        slab_classes(LatticeBasis(9, 3, 4))
+
+
+def test_slab_lies_in_the_candidate_box_but_for_one_r1_class():
+    # the lemma-free slab against the lemma's box, on every lattice that
+    # assemble reaches: only the r = 1 lattices with d | g-1 miss a class,
+    # c = ((g-1)/d) L with c^2 = (H-c)^2 = 0, which the strict bound
+    # y*d < g-1 of the r = 1 box leaves out
+    lattices = assemble_lattices()
+    missed = {}
+    for g, r, d in lattices:
+        basis = LatticeBasis(g, r, d)
+        box = set(candidate_subsheaf_classes(basis))
+        outside = [c for c in slab_classes(basis) if c not in box]
+        if outside:
+            missed[g, r, d] = outside
+    assert len(lattices) == 655
+    assert sorted(missed) == [(g, r, d) for g, r, d in lattices if r == 1 and (g - 1) % d == 0]
+    assert len(missed) == 45
+    for (g, r, d), outside in missed.items():
+        assert outside == [(g - 1) // d * L], (g, r, d)
+
+
 def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
     # each row's integers, computed from the box without a LatticeClass, are
     # the pairings of its class, on every lattice that assemble reaches; its
@@ -362,11 +401,9 @@ def test_k3_expected_examples():
 
 
 def test_conjectured_threshold_vs_filtered_enumerator():
-    # the degree threshold predicts containments at e >= 76 for (100,2,51)
-    # into 3-dimensional series; the filtered enumerator settles on 77
-    from bnloci import conjecture_thresholds
-
-    assert conjecture_thresholds(100, 2, 51, 3).threshold_a == 76
+    # a refuted degree threshold predicted containments at e >= 76 for
+    # (100,2,51) into 3-dimensional series (tests/test_classical.py scores
+    # it); the filtered enumerator settles on 77
     assert min_series_degree(LatticeBasis(100, 2, 51), 3, BOTH_FILTERS) == 77
     e = k3_expected(100, 2, 51, 3, 77)
     assert e is not None and e.witness.ranks == (2, 4)

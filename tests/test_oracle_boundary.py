@@ -16,9 +16,12 @@ import bnloci.oracles
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "bnloci"
 
+# the public names of the oracle module: those moved out of the engine, and
+# the slab scan, which was written as an oracle
 MOVED = {
     "enumerate_filtration_types", "GTPattern", "gt_pattern", "gt_check", "quotient_checks",
     "c2_lower_bound", "trivial_relations", "clifford_collapse", "secant_containment",
+    "slab_classes",
 }
 
 # what the oracles may take from the engine's K3 module: the value types and

@@ -25,7 +25,6 @@ from bnloci import (
     RelKind,
     Relation,
     castelnuovo_bound,
-    conjecture_thresholds,
     lm_invariants,
 )
 
@@ -118,7 +117,6 @@ def instances():
         GTPattern(((Fraction(1),),)),
         K3Expectation(9, 2, 6, 1, 4, witness),
         castelnuovo_bound(3, 6),
-        conjecture_thresholds(12, 2, 8, 3),
     ]
 
 
