@@ -1,8 +1,9 @@
 """Command-line surface: `bn invariants`, `bn k3`, `bn poset`, `bn verify`.
 
 Exit statuses: 0 success, 1 domain error (invalid locus, Delta >= 0 where a
-lattice is required, verification diff), 2 contradiction, 3 I/O or parse
-error.
+lattice is required, verification diff), 2 contradiction or usage error
+(argparse exits 2 with the usage on stderr, e.g. ``bn k3`` without
+``--series``), 3 I/O or parse error.
 """
 
 from __future__ import annotations
@@ -481,7 +482,7 @@ def main(argv: list[str] | None = None) -> int:
     except ContradictionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONTRADICTION
-    except (FactsError, OSError, json.JSONDecodeError) as exc:
+    except (FactsError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except ValueError as exc:

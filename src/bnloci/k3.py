@@ -31,7 +31,9 @@ So the admissible H-degrees at level m form one integer interval, found by
 bisection in the candidates sorted by H-degree, and at the last level the
 two inequalities close the whole chain.  The quotient conditions
 (H-c)^2 >= 0 and H.(H-c) > 0 hold for every candidate by construction, and
-mu(E_i) >= mu(E) is the triple (0, i, n).
+mu(E_i) >= mu(E) is the triple (0, i, n).  That triple puts every step's
+H-degree above 0, so the candidates hold only classes with H.c > 0, also by
+construction (:func:`_candidate_rows`): no cut could reach any other.
 
 Prefix sharing.  The level-m cuts read only r_{m-2}, r_{m-1}, r_m and
 r_n = s+1, never the ranks after r_m, and the bound of steps 1..m reads only
@@ -251,36 +253,27 @@ def destab_box(basis: LatticeBasis) -> tuple[int, int]:
     )
 
 
-def _box_blocks(basis: LatticeBasis) -> tuple[tuple[range, range], ...]:
-    """The quotient classes Q = xH - yL that :func:`_candidate_rows` scans,
-    as (x range, y range) blocks of the destabilizing box.
+def box_class_count(basis: LatticeBasis) -> int:
+    """The size of the destabilizing-lemma box, a closed form known before
+    any class is built: (2X - 1) Y classes for r >= 2, with X, Y of
+    :func:`destab_box` (x = 1..X with y = 1..Y, and x = 2-X..0 with
+    y = -Y..-1), and Y + floor((g-2)/d) for r = 1 (x = 0 with y = -Y..-1,
+    and x = 1 with 0 < y d < g-1).  It is no sum over columns, so ``bn k3``
+    can size the box of any (g, r, d) before its cap.
+    :func:`_candidate_rows` scans part of this box, and never more.
 
     Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
     """
     xmax, ymax = destab_box(basis)
     if basis.r == 1:
-        # x = 0 branch: Q = mL with 0 < m*d < 2(g-1); x = 1: Q = H - yL, y*d < g-1
-        ymax_h = (basis.g - 2) // basis.d
-        return (range(0, 1), range(-ymax, 0)), (range(1, 2), range(1, ymax_h + 1))
-    # branch x > 0, y > 0, with (x-1)^2 |Delta| <= d^2, and branch x <= 0,
-    # y < 0, with x >= 1 - d/sqrt|Delta|
-    return (range(1, xmax + 1), range(1, ymax + 1)), (range(2 - xmax, 1), range(-ymax, 0))
-
-
-def box_class_count(basis: LatticeBasis) -> int:
-    """How many quotient classes :func:`candidate_subsheaf_classes` scans:
-    the size of the destabilizing box, known before any class is built.
-
-    Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
-    """
-    return sum(len(xs) * len(ys) for xs, ys in _box_blocks(basis))
+        return ymax + (basis.g - 2) // basis.d
+    return (2 * xmax - 1) * ymax
 
 
 def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
     """Candidate values of c1(E_i) for intermediate filtration steps: the
-    classes H - Q where Q = xH - yL runs over the destabilizing-lemma box
-    (two sign branches, exact integer bounds) and already satisfies
-    Q^2 >= 0, H.Q > 0.  Sorted by (a, b) of the subsheaf class.
+    classes c = H - Q, Q = xH - yL in the destabilizing-lemma box, that a
+    step can use: 0 < H.c < H^2 and Q^2 >= 0.  Sorted by (a, b).
 
     These are the classes of :func:`_candidate_rows`, from its one box scan.
     Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
@@ -347,32 +340,40 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple[tuple, ...], tuple[int, 
     ``DM`` when (a, b) = (1, -1), i.e. c = H - L, and ``ELLIPTIC`` when
     (H-c)^2 = 0; :func:`_walk` masks them by the filtration type.
 
-    The rows come from one scan of :func:`_box_blocks` in integers: for
-    Q = xH - yL the class is c = H - Q = (1 - x, y), and it is kept iff
-    (H-c)^2 = H^2 - 2u + c.c >= 0 and H^2 > u, which are Q^2 >= 0 and
-    H.Q = H^2 - u > 0.  A LatticeClass is built only for a kept row, by
-    ``tuple.__new__``, which skips the namedtuple's constructor.  Each
-    x column runs b = y upward, and u = a H^2 + b d grows with b, since
-    every lattice that reaches the scan has d >= 1: LatticeBasis rejects
-    d < 0, and d = 0 gives Delta = 4(g-1)(r-1) >= 0 for r >= 1, which
-    :func:`destab_box` rejects like r = 0.  So the first class of a column
-    with u >= H^2 ends it: no later class of the column is kept.
+    The rows come from one scan of the lemma's box (:func:`destab_box`) in
+    integers, column by column: for Q = xH - yL the class is
+    c = H - Q = (1 - x, y) = (a, b), and the columns are a = 1-X..X-1 with
+    |b| <= Y for r >= 2, and for r = 1 the column a = 1 with |b| <= Y and
+    the column a = 0 with the strict bound b d < g-1.  Every lattice that
+    reaches the scan has d >= 1: LatticeBasis rejects d < 0, and d = 0
+    gives Delta = 4(g-1)(r-1) >= 0 for r >= 1, which :func:`destab_box`
+    rejects like r = 0.  So u = a H^2 + b d grows with b, and a column runs
+    b upward from its first class with u > 0, b = floor(-a H^2 / d) + 1,
+    and ends at its first class with u >= H^2, i.e. H.Q <= 0.  In between
+    a class is kept iff (H-c)^2 = H^2 - 2u + c.c >= 0, i.e. Q^2 >= 0.  No
+    walk reads a row with u <= 0, as mu(E_i) >= mu(E) puts every step's
+    H-degree above 0, so the rows are the box's classes that a step can
+    use.  Inside 0 < u < H^2 the sign of b is fixed, b > 0 for a <= 0 and
+    b < 0 for a >= 1, so the strip already holds the lemma's two sign
+    branches.  A LatticeClass is built only for a kept row, by
+    ``tuple.__new__``, which skips the namedtuple's constructor.
     """
     h2, d, l2 = basis.h_square, basis.d, basis.l_square
+    xmax, ymax = destab_box(basis)
     rows = []
-    for xs, ys in _box_blocks(basis):
-        for x in xs:
-            a = 1 - x
-            for b in ys:
-                u = a * h2 + b * d
-                if u >= h2:
-                    break  # u grows with b (d >= 1): the rest of the column fails too
-                v = a * d + b * l2
-                cc = a * u + b * v
-                qq = h2 - 2 * u + cc
-                if qq >= 0:
-                    tags = (DM if a == 1 and b == -1 else 0) | (ELLIPTIC if qq == 0 else 0)
-                    rows.append((u, a, b, cc, v, qq, tuple.__new__(LatticeClass, (a, b)), tags))
+    # a = 1 - x for x = 2-X..X, or x in {0, 1} = 1-X..X when r = 1 (X = 1)
+    for a in range(1 - xmax, xmax + (basis.r == 1)):
+        bmax = (basis.g - 2) // d if basis.r == 1 and a == 0 else ymax
+        for b in range(max(-a * h2 // d + 1, -bmax), bmax + 1):
+            u = a * h2 + b * d
+            if u >= h2:
+                break  # u grows with b (d >= 1): the rest of the column fails too
+            v = a * d + b * l2
+            cc = a * u + b * v
+            qq = h2 - 2 * u + cc
+            if qq >= 0:
+                tags = (DM if a == 1 and b == -1 else 0) | (ELLIPTIC if qq == 0 else 0)
+                rows.append((u, a, b, cc, v, qq, tuple.__new__(LatticeClass, (a, b)), tags))
     rows.sort()
     return tuple(rows), tuple(row[0] for row in rows)
 

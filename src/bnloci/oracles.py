@@ -8,8 +8,9 @@ calls, kept so that each fast path can be held against a second encoding.
   (:func:`c2_lower_bound`), against the walk of :mod:`bnloci.k3`, which
   checks each leaf step-wise in integers.  The slab of classes that an
   admissible step can use, read off its defining inequalities alone
-  (:func:`slab_classes`), against the destabilizing-lemma box that
-  :func:`~bnloci.k3.candidate_subsheaf_classes` scans.
+  (:func:`slab_classes`), against
+  :func:`~bnloci.k3.candidate_subsheaf_classes`, the classes of the
+  destabilizing-lemma box that a step can use.
 - Loci: the base-point moves and the Clifford collapse as Relations
   (:func:`trivial_relations`, :func:`clifford_collapse`), and the secant
   containment of one pair (:func:`secant_containment`), against the rows
@@ -18,10 +19,9 @@ calls, kept so that each fast path can be held against a second encoding.
 The boundary runs both ways, and ``tests/test_oracle_boundary.py`` holds
 it: no module of the package but ``__init__`` imports this one, and this
 one imports nothing from ``poset`` or ``cli`` and, from ``k3``, only
-``Assignment``, ``FilterConfig``, ``destab_box`` and ``_c2_bound``, the
-closed forms of the destabilizing lemma and of the c_2 bound.  ``lattice``,
-``loci`` and ``classical`` hold the value types and the arithmetic, and
-are open to it.
+``Assignment`` and ``_c2_bound``, the value type of an assignment and the
+closed form of the c_2 bound.  ``lattice``, ``loci`` and ``classical`` hold
+the value types and the arithmetic, and are open to it.
 """
 
 from __future__ import annotations

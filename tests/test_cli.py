@@ -734,6 +734,12 @@ def test_packaged_genera_have_their_data_files():
     [
         (("1000000", "2", "2000"), "|x| <= 1001, |y| <= 999999", 2000997999),
         (("1000000", "1", "1"), "|x| <= 1, |y| <= 1999997", 2999995),
+        # X = 2000000002 columns: the count is a closed form, not a column sum
+        (
+            ("1000000001", "1000000002", "2000000001"),
+            "|x| <= 2000000002, |y| <= 2000000000",
+            8000000006000000000,
+        ),
     ],
 )
 def test_k3_box_above_the_cap_is_rejected_before_any_class(capsys, monkeypatch, job, box, size):
@@ -746,6 +752,15 @@ def test_k3_box_above_the_cap_is_rejected_before_any_class(capsys, monkeypatch, 
     assert code == EXIT_DOMAIN and out == ""
     assert f"box {box}" in err and f"holds {size} quotient classes" in err
     assert f"above {MAX_K3_BOX_CLASSES}" in err
+
+
+def test_k3_without_series_is_a_usage_error(capsys):
+    # argparse exits 2, the status of a contradiction, with the usage on stderr
+    with pytest.raises(SystemExit) as exc:
+        main(["k3", "9", "2", "6"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("usage: ") and "--series" in err
 
 
 def test_k3_listing_above_the_cap_is_rejected_at_that_leaf(capsys, monkeypatch):

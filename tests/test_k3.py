@@ -170,7 +170,8 @@ def test_box_class_count_is_the_box_that_the_candidates_scan():
     # the lemma's box scanned pair by pair: for r = 1, x = 0 with 0 < -y*d
     # < 2(g-1) and x = 1 with 0 < y*d < g-1; else one sign branch of
     # |x| <= X, |y| <= Y, with x >= 2 - X on the branch x <= 0; on a few
-    # chosen lattices and on every lattice that assemble reaches
+    # chosen lattices and on every lattice that assemble reaches.  The
+    # candidates are the box's classes that a step can use, 0 < H.c < H^2
     lattices = [(9, 2, 6), (10, 3, 9), (14, 3, 13), (100, 9, 57), (27, 7, 25)]
     lattices += [(16, 1, 2), (13, 1, 3)]
     lattices += assemble_lattices()
@@ -189,7 +190,9 @@ def test_box_class_count_is_the_box_that_the_candidates_scan():
             ]
         assert box_class_count(basis) == len(quots), (g, r, d)
         kept = [LatticeClass(x, -y) for x, y in quots]
-        kept = [q for q in kept if self_int(basis, q) >= 0 and pair(basis, H, q) > 0]
+        kept = [
+            q for q in kept if self_int(basis, q) >= 0 and 0 < pair(basis, H, q) < basis.h_square
+        ]
         assert candidate_subsheaf_classes(basis) == sorted(H - q for q in kept), (g, r, d)
 
 
@@ -221,24 +224,30 @@ def test_slab_is_every_class_of_the_three_conditions():
         slab_classes(LatticeBasis(9, 3, 4))
 
 
-def test_slab_lies_in_the_candidate_box_but_for_one_r1_class():
-    # the lemma-free slab against the lemma's box, on every lattice that
-    # assemble reaches: only the r = 1 lattices with d | g-1 miss a class,
+def strict_r1_class(basis):
+    # the one slab class outside the lemma's box: for r = 1 and d | g-1,
     # c = ((g-1)/d) L with c^2 = (H-c)^2 = 0, which the strict bound
-    # y*d < g-1 of the r = 1 box leaves out
-    lattices = assemble_lattices()
-    missed = {}
-    for g, r, d in lattices:
-        basis = LatticeBasis(g, r, d)
-        box = set(candidate_subsheaf_classes(basis))
-        outside = [c for c in slab_classes(basis) if c not in box]
-        if outside:
-            missed[g, r, d] = outside
-    assert len(lattices) == 655
-    assert sorted(missed) == [(g, r, d) for g, r, d in lattices if r == 1 and (g - 1) % d == 0]
-    assert len(missed) == 45
-    for (g, r, d), outside in missed.items():
-        assert outside == [(g - 1) // d * L], (g, r, d)
+    # y*d < g-1 of the r = 1 box leaves out; None on every other lattice
+    g, r, d = basis
+    return (g - 1) // d * L if r == 1 and (g - 1) % d == 0 else None
+
+
+def box_slab(basis):
+    # the lemma-free slab less the strict r = 1 class
+    return [c for c in slab_classes(basis) if c != strict_r1_class(basis)]
+
+
+def test_candidates_are_the_slab_but_for_one_r1_class():
+    # the lemma's box scan against the lemma-free slab, on every lattice
+    # that assemble reaches and on the lattices past it that bn k3 scans
+    inside = [LatticeBasis(*lattice) for lattice in assemble_lattices()]
+    past = list(lattices_outside_assemble(range(3, 13)))
+    assert (len(inside), len(past)) == (655, 625)
+    for bases, misses in ((inside, 45), (past, 28)):
+        for basis in bases:
+            assert candidate_subsheaf_classes(basis) == box_slab(basis), basis
+        assert sum(len(slab_classes(basis)) - len(box_slab(basis)) for basis in bases) == misses
+    assert sum(len(candidate_subsheaf_classes(basis)) for basis in inside) == 5147
 
 
 def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
@@ -252,7 +261,7 @@ def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
         rows, hs = _candidate_rows(basis)
         assert hs == tuple(row[0] for row in rows)
         for u, a, b, cc, v, qq, c, tags in rows:
-            assert (a, b) == c
+            assert (a, b) == c and 0 < u < basis.h_square
             assert (u, v, cc, qq) == (
                 pair(basis, H, c), pair(basis, L, c), self_int(basis, c), self_int(basis, H - c)
             ), (lattice, c)
@@ -513,6 +522,7 @@ ORACLE_JOBS = [
     (11, 2, 7, (1, 2, 3)),
     (16, 1, 2, (1, 2, 3)),  # the r = 1 branch of the candidate box
     (16, 3, 11, (1,)),
+    (13, 1, 3, (1, 2, 3)),  # r = 1 with d | g-1: the box leaves out 4L
 ]
 ALL_CONFIGS = [
     FilterConfig(),
@@ -522,10 +532,11 @@ ALL_CONFIGS = [
 ]
 
 
-def brute_force_assignments(basis, s):
-    # every tuple of candidate classes for every type, kept iff it passes
-    # the stated conditions; no pruning, no shared code with the DFS
-    cands = candidate_subsheaf_classes(basis)
+def brute_force_assignments(basis, s, cands=None):
+    # every tuple of classes for every type, kept iff it passes the stated
+    # conditions; no pruning, no shared code with the DFS.  The classes
+    # default to the lemma-free slab less the strict r = 1 class
+    cands = box_slab(basis) if cands is None else cands
     out = []
     for ranks in enumerate_filtration_types(s):
         for heads in itertools.product(cands, repeat=len(ranks) - 1):
@@ -563,6 +574,19 @@ def test_enumeration_is_complete_against_brute_force(g, r, d, series):
             assert listed == want, (g, r, d, s, cfg)
             kept = [a.c2_bound for a in want]
             assert min_series_degree(basis, s, cfg) == min(kept, default=None), (s, cfg)
+
+
+def test_the_strict_r1_class_costs_assignments_but_no_minimum():
+    # (13, 1, 3): the strict r = 1 bound leaves out c = 4L; over the whole
+    # slab the brute force finds more assignments, with the same minima
+    basis = LatticeBasis(13, 1, 3)
+    assert strict_r1_class(basis) == 4 * L
+    for s, whole, listed, least in [
+        (1, 5, 4, Fraction(3)), (2, 17, 14, Fraction(9, 2)), (3, 53, 42, Fraction(17, 3))
+    ]:
+        every = brute_force_assignments(basis, s, slab_classes(basis))
+        assert (len(every), len(enumerate_assignments(basis, s))) == (whole, listed), s
+        assert min(a.c2_bound for a in every) == min_series_degree(basis, s) == least, s
 
 
 @st.composite
@@ -965,10 +989,10 @@ def test_walk_on_lattices_without_candidates_matches_per_type_walk():
 
     bases = list(lattices_outside_assemble(range(3, 13)))
     empty = [b for b in bases if not _candidate_rows(b)[0]]
-    assert len(empty) == 60 and LatticeBasis(3, 1, 4) in empty
+    assert len(empty) == 125 and LatticeBasis(3, 1, 4) in empty
     # and every lattice past d = g - 1 that does have candidates
     past = [b for b in bases if b.d > b.g - 1 and _candidate_rows(b)[0]]
-    assert len(past) == 475
+    assert len(past) == 410
     emitted = 0
     for basis in empty + past:
         for s in range(1, 4):

@@ -1,7 +1,8 @@
 """The oracle boundary: ``bnloci.oracles`` holds the independent checks, no
-engine module imports it, and it reaches into ``k3`` only for the value
-types and the closed forms, never for the walk.  Imports are read with
-``ast``, so a lazy import inside a function counts as well."""
+engine module imports it, and it reaches into ``k3`` only for the
+assignment type and the closed form of the c_2 bound, never for the walk.
+Imports are read with ``ast``, so a lazy import inside a function counts as
+well."""
 
 import ast
 from pathlib import Path
@@ -24,9 +25,9 @@ MOVED = {
     "slab_classes",
 }
 
-# what the oracles may take from the engine's K3 module: the value types and
-# the closed forms of the destabilizing lemma and of the c_2 bound
-K3_OPEN = {"Assignment", "FilterConfig", "destab_box", "_c2_bound"}
+# what the oracles may take from the engine's K3 module, and all they take:
+# the value type of an assignment and the closed form of the c_2 bound
+K3_OPEN = {"Assignment", "_c2_bound"}
 
 # the modules open to the oracles as a whole: value types and arithmetic
 OPEN = {"bnloci.lattice", "bnloci.loci", "bnloci.classical"}
