@@ -13,7 +13,6 @@ endpoints are not enumerated proper loci.
 from __future__ import annotations
 
 from collections import namedtuple
-from fractions import Fraction
 
 from .loci import BNLocus, RelKind, Relation, rho, kappa
 
@@ -93,16 +92,17 @@ def secant_expected_dim(r: int, d: int, s: int, e: int) -> int:
 
 def four_secant_count(g: int, d: int) -> int:
     """Cayley's virtual count of 4-secant lines to a degree-d genus-g space
-    curve: (d-2)(d-3)^2(d-4)/12 - g(d^2-7d+13-g)/2.  Exact; raises if the
-    rational value is not an integer (invalid pairing)."""
+    curve: (d-2)(d-3)^2(d-4)/12 - g(d^2-7d+13-g)/2, computed in integers.
+
+    Both divisions are exact for every g and d.  Of the three consecutive
+    integers d-4, d-3, d-2 one is a multiple of 3 and one is even, and a
+    second factor 2 comes from (d-3)^2 when d is odd, or from the two even
+    factors d-2, d-4 when d is even, so 12 divides the first numerator.
+    d^2-7d = d(d-7) is even, so d^2-7d+13 is odd: g and d^2-7d+13-g have
+    opposite parity, and their product is even."""
     if d < 5:
         raise ValueError("need d >= 5")
-    val = Fraction((d - 2) * (d - 3) ** 2 * (d - 4), 12) - Fraction(
-        g * (d * d - 7 * d + 13 - g), 2
-    )
-    if val.denominator != 1:
-        raise ValueError(f"virtual count is not an integer for (g,d)=({g},{d})")
-    return int(val)
+    return (d - 2) * (d - 3) ** 2 * (d - 4) // 12 - g * (d * d - 7 * d + 13 - g) // 2
 
 
 def net_threshold(r: int, d: int) -> int:

@@ -52,10 +52,12 @@ EXIT_IO = 3
 PACKAGED_GENERA = range(7, 13)
 
 # the largest genus `bn poset` assembles: the top of the tests' behaviour
-# lock, where a cold assemble takes about 0.19 s (median of 11 fresh
-# processes) and a fresh `bn poset 30 --format json` about 0.5 s (median of
-# 15, no bytecode cache), on a 2-CPU x86_64 VM with CPython 3.11.7; the
-# cost grows fast above
+# lock, where a cold assemble takes 0.11-0.19 s (medians of 11 fresh
+# processes, the call alone timed by perf_counter) and a fresh
+# `bn poset 30 --format json` 0.34-0.53 s (medians of 15 whole processes,
+# output to /dev/null, no bytecode cache), each range over six sets on a
+# 2-CPU x86_64 VM with CPython 3.11.7 whose speed drifts; the cost grows
+# fast above
 MAX_POSET_GENUS = 30
 
 _RECORD_KEYS = {"genus", "lhs", "rhs", "relation", "source"}
@@ -158,21 +160,29 @@ def cmd_invariants(args) -> int:
         )
     locus = BNLocus(g, r, d)
     lines = []
-    norm = normalize(locus)
-    if norm != locus:
+    try:
+        norm = normalize(locus)
+    except ValueError:  # d >= g, and the Serre dual has r' < 1 or d' < 2
+        norm = None
+    if norm not in (None, locus):
         lines.append(f"note: {locus} normalized to {norm} by Serre duality")
         locus = norm
-    lines.append(f"locus: {locus}")
     rv = rho(locus.g, locus.r, locus.d)
-    lines.append(f"rho: {rv}")
-    lines.append(f"clifford index: {clifford_index(locus)}")
-    # d <= g-1 now, so the dual has r' = g-d+r-1 >= r and d' = 2g-2-d >= g-1 >= 2
-    lines.append(f"serre dual: {serre_dual(locus)}")
+    lines += [f"locus: {locus}", f"rho: {rv}", f"clifford index: {clifford_index(locus)}"]
+    if norm:
+        # d <= g-1 now, so the dual has r' = g-d+r-1 >= r and d' = 2g-2-d >= g-1 >= 2
+        lines.append(f"serre dual: {serre_dual(locus)}")
     lines.append(f"delta: {delta(locus.g, locus.r, locus.d)}")
-    # d <= g-1 now, so a locus off the proper loci has rho >= 0 or d < 2r
-    if not is_proper_locus(*locus):
-        why = "rho >= 0: not Brill-Noether special" if rv >= 0 else (f"d < 2r: by Clifford's theorem "
-            f"no curve of genus {locus.g} carries a g^{locus.r}_{locus.d} (d <= g-1 after normalizing)")
+    # off the proper loci: rho >= 0, or d < 2r with d <= g-1, or no Serre dual
+    # (r' = h^1 - 1 < 1 or d' = 2g-2-d < 2), where rho = g - (r+1)h^1 < 0 needs
+    # h^1 >= 1 past degree 2g-2 or h^1 >= 2 past 2g-4
+    if not (norm and is_proper_locus(*locus)):
+        why = "rho >= 0: not Brill-Noether special" if rv >= 0 else (
+            f"d < 2r: by Clifford's theorem no curve of genus {g} carries a "
+            f"g^{locus.r}_{locus.d} (d <= g-1 after normalizing)" if norm else
+            f"by Riemann-Roch no curve of genus {g} carries a g^{r}_{d}: it would have "
+            f"h^1 = {g - d + r}, but h^1 >= 1 needs d <= 2g-2 = {2 * g - 2} and "
+            f"h^1 >= 2 needs d <= 2g-4 = {2 * g - 4}")
         lines.append(f"{why}; kappa and gonality bounds are undefined")
         print("\n".join(lines))
         return EXIT_DOMAIN

@@ -14,7 +14,9 @@ calls, kept so that each fast path can be held against a second encoding.
 - Loci: the base-point moves and the Clifford collapse as Relations
   (:func:`trivial_relations`, :func:`clifford_collapse`), and the secant
   containment of one pair (:func:`secant_containment`), against the rows
-  that :func:`~bnloci.poset.rule_sources` seeds.
+  that :func:`~bnloci.poset.rule_sources` seeds.  The base-point moves are
+  held against the trivial rows (a point added) and the secant rows (a
+  point removed, which the secant family seeds).
 
 The boundary runs both ways, and ``tests/test_oracle_boundary.py`` holds
 it: no module of the package but ``__init__`` imports this one, and this

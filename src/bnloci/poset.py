@@ -408,6 +408,15 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
     with no rule call per pair.  The trivial, Clifford, plane-projection and
     Coppens rules set their few bits; the other rows are masks and cuts.
 
+    A seeded cell is credited to the first source in the (length, string)
+    order that holds it, so a family leaves out the cells that an earlier
+    family always holds: those bits could never decide a kind or name a
+    provenance.  A trivial row is one bit, the base point added, (r, d) to
+    (r, d + 1), when that is a locus.  Removing a point, (r, d) to
+    (r - 1, d - 1), is a secant cell (expected dimension 1 at s = r - 1,
+    e = d - 1), and so is the Serre normal form of adding a point at
+    d + 1 = g, the same cell; "secant" sorts before "trivial".
+
     A kappa row is the loci of smaller :func:`kappa`, ``below[k]``: a prefix
     of the loci in kappa order.
 
@@ -415,8 +424,10 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
     :func:`rho_k` (g, k, s, e) never increases in k: its correction, the max
     over 0 <= l <= r' of c*l - l^2 with c = g - k - e + 2s + 1, does not grow
     as c falls, and r' does not depend on k.  So rho_k(g, d, s, e) >= 0 iff
-    d <= kappa(g, s, e), and as kappa(g, 1, d) = d the row is
-    ``full & ~below[d]`` for <= and ``below[d]`` for !<=, without i.
+    d <= kappa(g, s, e), and as kappa(g, 1, d) = d the <= row is
+    ``full & ~below[d]``, without i.  The theorem's !<= row would be
+    ``below[d]``, the kappa row of M^1_{g,d} itself, and "kappa" sorts
+    before "gonality", so the gonality family seeds no !<=.
 
     A secant row of (r, d) is one bit range per rank s < r.
     :func:`secant_expected_dim` is r - s - (d - e - r + s)*s, so for
@@ -453,14 +464,12 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
 
     full, hyper = (1 << len(loci)) - 1, at[(1, 2)]
     for i, (g, r, d) in enumerate(loci):
-        # add a base point (Serre-normalized at d + 1 = g), remove a point
-        moves = ((r, d + 1) if d + 1 < g else (r - 1, g - 2), (r - 1, d - 1))
-        for j in {at.get(key) for key in moves} - {None}:
-            _seed(trivial, i, j, RelKind.LE)
+        if (r, d + 1) in at:  # add a base point: not at d + 1 = g, nor where rho >= 0
+            _seed(trivial, i, at[(r, d + 1)], RelKind.LE)
         if r >= 2 and (d == 2 * r or (d == 2 * r + 1 and g >= 7)):
             _seed(clifford, i, hyper, RelKind.EQ)
         if r == 1:  # kappa(g, 1, d) = d: below[d] is set, and lacks i
-            gonality[1][i], gonality[2][i] = full & ~below[d] & ~(1 << i), below[d]
+            gonality[1][i] = full & ~below[d] & ~(1 << i)
         if r == 2:
             for rel in (plane_projection_rule(g, d), coppens_noncontainment(g, d)):
                 if rel is not None and rel.rhs.key in at:
@@ -492,10 +501,11 @@ def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
     the facts, grouped by citation into sources of provenance
     ``fact:<citation>`` (:func:`_group`, so a fact off the genus or outside
     the poset raises ValueError before any rule family runs), then close.
-    Rule families: trivial containments, Clifford collapses, the gonality
-    theorem (both directions), the kappa comparison, plane projection,
-    Coppens' gonality theorem, positive-dimensional secant cycles, and K3
-    filtration non-containments."""
+    Rule families: base-point additions, Clifford collapses, the gonality
+    theorem's containments, the kappa comparison (which holds the gonality
+    theorem's non-containments), plane projection, Coppens' gonality
+    theorem, positive-dimensional secant cycles (which hold the point
+    removals), and K3 filtration non-containments."""
     loci = tuple(enumerate_loci(genus))
     index = {x: i for i, x in enumerate(loci)}
     facts = _group(genus, index, map(Fact.to_relation, facts))

@@ -45,6 +45,21 @@ def test_castelnuovo_severi_examples():
     assert castelnuovo_severi(2, 1, 4, 0) == 5
 
 
+@pytest.mark.parametrize("call, args", [
+    (castelnuovo_bound, (1, 5)),
+    (castelnuovo_severi, (1, 0, 3, 0)),
+    (plane_projection_rule, (9, 3)),
+    (ci_gonality, ([1, 3],)),
+    (secant_expected_dim, (2, 7, 2, 5)),
+    (four_secant_count, (9, 4)),
+    (secant_containment, (12, 1, 5, 1, 3)),  # r = s
+    (secant_containment, (12, 3, 12, 2, 9)),  # d past g - 1
+], ids=lambda v: getattr(v, "__name__", None))
+def test_input_checks_raise(call, args):
+    with pytest.raises(ValueError):
+        call(*args)
+
+
 def test_plane_projection_examples():
     rel = plane_projection_rule(9, 7)
     assert rel.lhs.key == (2, 7) and rel.rhs.key == (1, 5)
@@ -215,6 +230,7 @@ def test_secant_containment_gate():
     for (g, r, d, s, e) in [(12, 3, 11, 2, 9), (10, 3, 9, 1, 5), (11, 3, 10, 1, 6)]:
         assert secant_expected_dim(r, d, s, e) <= 0
         assert secant_containment(g, r, d, s, e) is None
+    assert secant_containment(12, 3, 10, 2, 10) is None  # e = d
     rel = secant_containment(12, 3, 10, 2, 9)
     assert rel is not None and rel.kind is RelKind.LE and rel.provenance == "secant"
     # odd r, s = 2: the dedicated threshold agrees with positivity

@@ -71,6 +71,28 @@ def test_invariants_below_cliffords_bound_prints_the_lines_and_a_note(capsys, g,
     ]
 
 
+@pytest.mark.parametrize("g, r, d, note", [
+    (9, 2, 12, "rho >= 0: not Brill-Noether special"),
+    (9, 8, 16, "rho >= 0: not Brill-Noether special"),  # the canonical series
+    (9, 10, 18, "by Riemann-Roch no curve of genus 9 carries a g^10_18: it would have "
+                "h^1 = 1, but h^1 >= 1 needs d <= 2g-2 = 16 and h^1 >= 2 needs d <= 2g-4 = 14"),
+    (9, 8, 15, "by Riemann-Roch no curve of genus 9 carries a g^8_15: it would have "
+               "h^1 = 2, but h^1 >= 1 needs d <= 2g-2 = 16 and h^1 >= 2 needs d <= 2g-4 = 14"),
+])
+def test_invariants_without_a_serre_dual_prints_the_lines_and_a_note(capsys, g, r, d, note):
+    # d >= g and the Serre dual M^{g-d+r-1}_{g,2g-2-d} is not a locus: the
+    # lines that need no dual print, with a note in kappa's place
+    code, out, err = run(capsys, "invariants", str(g), str(r), str(d))
+    assert code == EXIT_DOMAIN and err == ""
+    assert out.splitlines() == [
+        f"locus: M^{r}_{{{g},{d}}}",
+        f"rho: {g - (r + 1) * (g - d + r)}",
+        f"clifford index: {d - 2 * r}",
+        f"delta: {4 * (g - 1) * (r - 1) - d * d}",
+        f"{note}; kappa and gonality bounds are undefined",
+    ]
+
+
 def test_k3_command_table(capsys):
     code, out, _ = run(capsys, "k3", "9", "2", "6", "--series", "1")
     assert code == EXIT_OK

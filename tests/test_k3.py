@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from bnloci import (
     Assignment,
     FilterConfig,
+    GTPattern,
     H,
     L,
     LatticeBasis,
@@ -83,6 +84,8 @@ def test_filtration_types():
     for t in [(1, 4), (2, 4), (1, 2, 4)]:
         assert t in types3
     assert len(enumerate_filtration_types(5)) == 31
+    with pytest.raises(ValueError):
+        enumerate_filtration_types(0)
 
 
 def test_gt_check_examples():
@@ -95,6 +98,8 @@ def test_gt_check_examples():
     b96 = LatticeBasis(9, 2, 6)
     assert gt_check(b96, mk(b96, (1, 2), [H - L]))
     assert not gt_check(b96, mk(b96, (1, 2), [L]))  # mu(E_1) = 6 < mu(E) = 8
+    # x_{1,1} = 1 >= x_{2,2} = 2 fails
+    assert GTPattern(((Fraction(1),), (Fraction(0), Fraction(2)))).is_valid() is False
 
 
 def test_gt_check_matches_all_triples_oracle():

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from bnloci import (
     H,
     L,
@@ -10,7 +12,7 @@ from bnloci import (
     pair,
     self_int,
 )
-from bnloci.lattice import floor_sqrt_ratio
+from bnloci.lattice import ZERO, floor_sqrt_ratio
 
 
 def gram_pair(basis, u, v):
@@ -109,7 +111,17 @@ def test_floor_sqrt_ratio_exact():
             assert m * m * den <= num < (m + 1) * (m + 1) * den
 
 
+@pytest.mark.parametrize("call", [
+    lambda: find_classes_with_square(LatticeBasis(9, 2, 6), 0, 0, 3),
+    lambda: floor_sqrt_ratio(-1, 2),
+], ids=["find_classes_with_square", "floor_sqrt_ratio"])
+def test_input_checks_raise(call):
+    with pytest.raises(ValueError):
+        call()
+
+
 def test_class_str_roundtrip_conventions():
+    assert str(ZERO) == "0"
     assert str(H - 3 * L) == "H-3L"
     assert str(-H + 4 * L) == "-H+4L"
     assert str(2 * L) == "2L"

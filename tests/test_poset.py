@@ -1,3 +1,4 @@
+import functools
 import importlib.util
 import json
 from pathlib import Path
@@ -307,7 +308,18 @@ def assert_matches_naive_closure(g, loci, rels):
 def reference_seeds(genus, facts=()):
     """Oracle: assemble's seeds as Relations, built pair by pair from the
     per-pair rule functions, as assemble built them before it seeded the
-    rule families as bit rows.  Returns (loci, relations)."""
+    rule families as bit rows.  Every family keeps every cell of its rule,
+    also those that an earlier-sorted family holds and that
+    :func:`rule_sources` no longer seeds twice (the point removals, which
+    are secant cells, and the gonality non-containments, which are kappa
+    cells), so the closures of these seeds hold that dropping them moves no
+    kind and no provenance.  Returns (loci, relations) as tuples, built
+    once per (genus, facts)."""
+    return _reference_seeds(genus, tuple(facts))
+
+
+@functools.lru_cache(maxsize=None)
+def _reference_seeds(genus, facts):
     loci = enumerate_loci(genus)
     lset = set(loci)
     rels: list[Relation] = []
@@ -365,7 +377,7 @@ def reference_seeds(genus, facts=()):
             raise ValueError(f"fact {fact} references a locus outside the poset")
         rels.append(fact.to_relation())
 
-    return loci, rels
+    return tuple(loci), tuple(rels)
 
 
 def assert_assemble_matches_eager_closure(g, facts=()):
@@ -660,10 +672,20 @@ def test_sparse_reads_render_only_the_cells_they_read():
 @pytest.mark.parametrize("g", range(7, 31))
 def test_rule_rows_equal_the_per_pair_rules(g):
     # each family's rows hold exactly the (lhs, rhs, kind) cells of its
-    # per-pair rule function, an eq seed as <= both ways
+    # per-pair rule function, an eq seed as <= both ways, except the cells
+    # that a family sorted before it holds: a point removal (r, d) ->
+    # (r-1, d-1) of trivial_relations, the Serre-normal base point at
+    # d + 1 = g included, must be a secant cell, and a gonality !<= a kappa
+    # cell
     loci, rels = reference_seeds(g)
-    want = {}
+    want, held = {}, {}
     for r in rels:
+        if r.provenance == "trivial" and r.rhs.r < r.lhs.r:
+            held.setdefault("secant", set()).add((r.lhs, r.rhs, r.kind))
+            continue
+        if r.provenance == "gonality" and r.kind is RelKind.NLE:
+            held.setdefault("kappa", set()).add((r.lhs, r.rhs, r.kind))
+            continue
         cells = want.setdefault(r.provenance, set())
         if r.kind is RelKind.EQ:
             cells |= {(r.lhs, r.rhs, RelKind.LE), (r.rhs, r.lhs, RelKind.LE)}
@@ -677,6 +699,9 @@ def test_rule_rows_equal_the_per_pair_rules(g):
                 cells |= {(loci[i], y, kind) for j, y in enumerate(loci) if row >> j & 1}
     assert {p for p in got if not got[p]} <= {"plane-projection", "coppens", "secant"}
     assert {p: c for p, c in got.items() if c} == want
+    assert set(held) == {"secant", "kappa"}
+    for prov, cells in held.items():
+        assert cells <= got[prov], prov
 
     # the bisection's premise: per lattice and rank s, the certified targets
     # are a prefix in ascending e
@@ -685,6 +710,20 @@ def test_rule_rows_equal_the_per_pair_rules(g):
             for s in sorted({y.r for y in loci}):
                 hit = [k3_noncontainment(g, x.r, x.d, s, y.d) is not None for y in loci if y.r == s]
                 assert hit == sorted(hit, reverse=True), (x, s)
+
+
+@pytest.mark.parametrize("g", range(7, 31))
+def test_gonality_seeds_no_nle_and_trivial_only_base_points(g):
+    # the gonality family seeds no !<= (its non-containments are the kappa
+    # rows), and the trivial family exactly the base points added,
+    # (r, d) -> (r, d + 1) with d + 1 <= g - 1
+    loci = tuple(enumerate_loci(g))
+    sources = {source[0]: source for source in rule_sources(g, loci)}
+    assert sources["gonality"][2] == {}
+    _, le_rows, nle_rows = sources["trivial"]
+    got = {(loci[i], loci[j]) for i, row in le_rows.items() for j in _bits(row)}
+    want = {(x, y) for x in loci for y in loci if y.key == (x.r, x.d + 1)}
+    assert nle_rows == {} and got == want
 
 
 def test_gonality_row_premises():

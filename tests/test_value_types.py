@@ -55,6 +55,10 @@ INVALID = [
         "facts must carry a citation string",
     ),
     (
+        "Fact(BNLocus(9, 1, 3), BNLocus(9, 2, 6), RelKind.LE, 'x')._replace(source='')",
+        "facts must carry a citation string",
+    ),
+    (
         "Relation(BNLocus(9, 1, 3), BNLocus(9, 1, 4), 'bogus', 'x')",
         "'bogus' is not a valid RelKind",
     ),
@@ -123,6 +127,7 @@ def instances():
 def test_relation_kinds_given_by_value_become_relkinds():
     x, y = BNLocus(9, 1, 3), BNLocus(9, 2, 6)
     for kind in RelKind:
+        assert str(kind) == kind.value
         for value in (kind, kind.value):
             assert Relation(x, y, value, "t").kind is kind
             assert Fact(x, y, value, "t").kind is kind
