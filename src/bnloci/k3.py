@@ -74,7 +74,8 @@ monotonicity, none at any later rank.  For r = s the test reads
 H^2 <= h_max, which never holds, as every candidate has H.c < H^2; so it
 also stands for "r < s".  A child that fails it would emit no leaf and have
 no child of its own, so it is never entered.
-The walk thus emits the same leaves in the same order and checks each one.
+The walk thus emits the same leaves in the same order and checks each one
+(the floored search skips more; see "Branch and bound").
 A lattice with no candidate row has no admissible step at all, and the
 walk returns at once.
 
@@ -134,6 +135,74 @@ lattice and shared by every s.  The floored minimum m of a (lattice, s)
 gives one integer, ceil(m / D) (:func:`k3_certified_below`), and a proper
 target M^s_{g,e} is certified iff e is below it, so every query at that
 (lattice, s) is one comparison.
+
+Branch and bound.  The floored search reads a kept leaf only when its
+bound is below every earlier kept bound, so it walks with a cut (the
+branch and bound of Land and Doig): it skips every subtree whose leaves
+all have bound at least ``best``, the least kept bound so far.  The lower
+bounds are exact algebra on the lattice.  Write a leaf's factors as rank
+rho_j and class f_j = c_j - c_{j-1}, so sum_j f_j = H.  As
+H^2 = sum_j f_j^2 + 2 sum_j f_j.c_{j-1}, the walk's step sum is
+
+    T = H^2/2 + sum_j (rho_j - 1/rho_j - f_j^2 / (2 rho_j)),
+
+and by the same identity for c_m, the scaled sum acc of steps 1..m at a
+node P_m is D times this form with c_m^2/2 in place of H^2/2.  So every
+leaf below the node has bound
+
+    acc/D - c_m^2/2 + H^2/2 + sum_{j>m} (rho_j - 1/rho_j - f_j^2 / (2 rho_j)),
+
+and three facts bound the remaining terms from below.
+
+- Hodge index.  For f = aH + bL, H^2 f^2 = (H.f)^2 + b^2 Delta with
+  Delta = H^2 L^2 - d^2 < 0.  Every factor has 0 < H.f_j < H^2: the step
+  slopes do not increase, the last is positive (H.(H-c) > 0), and there
+  are at least two steps, whose H-degrees sum to H^2.  So f_j is no
+  multiple of H and b_j != 0.  With k = |Delta| / (2 H^2) a term reads
+  rho - 1/rho + k b^2/rho - (H.f)^2 / (2 rho H^2), and as b^2 >= 1,
+  rho - 1/rho + k b^2/rho >= rho min(k, 1): for k >= 1 drop 1/rho
+  against k/rho, and for k < 1 use rho (1-k) >= (1-k)/rho.
+- Cauchy-Schwarz.  The remaining factors have total rank R = s+1 - r_m
+  and sum_{j>m} b_j = -b_m, b_m the L-coefficient of c_m, so, dropping
+  rho - 1/rho >= 0, their terms other than (H.f)^2 add up to at least
+  k sum_{j>m} b_j^2 / rho_j >= k b_m^2 / R.
+- Concavity.  The step slopes mu_j = H.f_j / rho_j do not increase, so for
+  j > m none exceeds mu, the slope of step m+1 or of any earlier step, and
+  sum_{j>m} (H.f_j)^2 / rho_j = sum_{j>m} mu_j H.f_j <= mu (H^2 - h_m).
+
+The walk holds t = best - 1, with best scaled, and skips only when a bound
+times D exceeds t.  It compares two bounds, in integers:
+
+- Descent.  Before the walk enters a child c of rank r = r_m + a and
+  H-degree h, every leaf strictly below c has bound at least
+  acc_c/D - c^2/2 + H^2/2 - mu (H^2 - h) / (2 H^2)
+  + max(R min(k, 1), k b_c^2 / R), with R = s+1 - r and mu = (h - h_m)/a,
+  the slope of the step to c.  Times 2 H^2 D a R, with
+  mn = min(|Delta|, 2 H^2), it exceeds t iff
+  a R H^2 (2 (acc_c - t) + D (H^2 - c^2)) + a D max(R^2 mn, |Delta| b_c^2)
+  > R D (h - h_m)(H^2 - h).
+- Interval.  At a node, every leaf through a row of H-degree h at rank
+  r_m + a has bound at least
+  acc/D - c_m^2/2 + H^2/2 - (h - h_m)(H^2 - h_m) / (2 a H^2) + R min(k, 1),
+  with R = s+1 - r_m and mu = (h - h_m)/a.  Times 2 a H^2, it exceeds t
+  iff a N > D (h - h_m)(H^2 - h_m), with
+  N = H^2 (2 (acc - t) + D (H^2 - c_m^2)) + R D mn.  It decreases in h, so
+  the rows kept are those with h >= h_m + ceil(a N / (D (H^2 - h_m))), and
+  the interval's lower end rises to the larger of this and the lower end
+  of "Interval cuts", in the one bisection.  The raised end matters only
+  when N > 0, where it grows with a, and t never rises, so the lower end
+  still never decreases in r, and the rank loop ends as in "Pruning".
+
+Why the answer is unchanged.  Scaled leaf bounds are integers, so a
+skipped leaf has bound > t, i.e. >= best at the time of the skip, and best
+never rises.  Such a leaf is no new minimum, so it could neither lower
+best nor be the first kept leaf <= 2s that ends the search.  The kept
+leaves that are new minima are thus the same, in the same order, with and
+without the cut, so the floored entry is the same int, bit for bit, and
+:func:`k3_certified_below` keeps its exact ceil(m / D) contract.  Every row
+that the walk visits is checked as before, so the step-wise check above
+holds for the leaves it emits.  The listing, which needs every leaf, and
+the exact search walk without the cut.
 """
 
 from __future__ import annotations
@@ -408,6 +477,7 @@ def _walk(
     s: int,
     drop: int,
     leaf: Callable[[tuple[int, ...], list[tuple], int, int], None],
+    cut: bool = False,
 ) -> None:
     """The one filtration DFS.  For every filtration type and every admissible
     tuple of :func:`_candidate_rows`, call ``leaf(ranks, path, scaled_c2, tags)``,
@@ -417,6 +487,11 @@ def _walk(
     counts only for type 1 < s+1 with s > r, and ``ELLIPTIC`` only when the
     top quotient has rank s+1 - r_m >= 2.  A leaf with a tag in ``drop`` is
     checked like any other but not emitted, and its children are entered.
+
+    With ``cut``, the caller reads a kept leaf only when its scaled_c2 is
+    below every earlier one, and the walk skips, unchecked, every subtree
+    and row whose leaves all have scaled_c2 at least the least kept one so
+    far (module docstring, "Branch and bound").
 
     A node emits all its children's leaves before it descends into any
     child, so the leaves of the shortest types come first.  The module
@@ -444,18 +519,33 @@ def _walk(
     htot, top = basis.h_square, s + 1
     count, hmax = len(rows), hs[-1]
     path: list[tuple] = []
+    # under cut, t is the least kept total so far less 1 (None before the
+    # first), and the walk skips what bounds above t (module docstring,
+    # "Branch and bound"); dl = |Delta| and mn = min(|Delta|, 2 H^2)
+    t = None
+    dl = -basis.discriminant
+    mn = min(dl, 2 * htot)
 
     def node(ranks: tuple[int, ...], rm: int, p: tuple, hpp: int, dr: int, acc: int) -> None:
         # p is the row of c_m, rm = r_m, hpp = H.c_{m-1}, dr = r_m - r_{m-1},
         # acc the scaled bound of steps 1..m; path holds the rows of c_1..c_m
+        nonlocal t
         hp, pp, pv = p[0], p[3], p[4]
         children = []
         start = 0
+        if cut:
+            # the interval bound skips a row (r_m + a, h) iff
+            # a (base - 2 H^2 t) > den (h - h_m)
+            base = htot * (2 * acc + big * (htot - pp)) + (top - rm) * big * mn
+            den = big * (htot - hp)
         for r in range(rm + 1, top):
             a = r - rm
             # the lower end never decreases in r, so no later r has a row
             # either once it passes hmax (module docstring, "Pruning")
-            start = bisect_left(hs, -(-(htot * a + hp * (top - r)) // (top - rm)), start)
+            lo = -(-(htot * a + hp * (top - r)) // (top - rm))
+            if t is not None:
+                lo = max(lo, hp - (-a * (base - 2 * htot * t) // den))
+            start = bisect_left(hs, lo, start)
             if start == count:
                 break
             stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if dr else count
@@ -477,12 +567,23 @@ def _walk(
                 tags = c[7] & mask
                 if not tags & drop:
                     # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
+                    end = total + hn * c[5] + big * (c[0] - c[3]) + cn
                     path.append(c)
-                    leaf(leaf_ranks, path, total + hn * c[5] + big * (c[0] - c[3]) + cn, tags)
+                    leaf(leaf_ranks, path, end, tags)
                     path.pop()
+                    if cut and (t is None or end <= t):
+                        t = end - 1
                 if c[0] * wide <= room:
                     children.append((kid, r, c, a, total))
         for kid, r, c, a, total in children:
+            if t is not None:
+                # the descent bound of the leaves strictly below c exceeds t,
+                # both times 2 H^2 D a R with R = s+1 - r
+                h, rest = c[0], top - r
+                if a * rest * htot * (2 * (total - t) + big * (htot - c[3])) + a * big * max(
+                    rest * rest * mn, dl * c[2] * c[2]
+                ) > rest * big * (h - hp) * (htot - h):
+                    continue
             path.append(c)
             node(kid, r, c, hp, a, total)
             path.pop()
@@ -571,7 +672,10 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
 
     A floored entry is the minimum bound, an int: exact whenever it is
     > 2s * D, and <= 2s * D otherwise; :func:`k3_certified_below` turns it
-    into a degree bound in integers.  Its leaf compares one integer.  An
+    into a degree bound in integers.  Its leaf compares one integer, and
+    its walk runs with the cut of branch and bound, which skips every
+    subtree that cannot hold a new minimum: the entry is the one that the
+    uncut walk gives, bit for bit (module docstring).  An
     exact entry is the least kept leaf by (bound, :meth:`Assignment.sort_key`),
     as ``(scaled_c2, len(ranks), ranks, classes, tags)`` with the classes
     without the last H: :func:`min_series_degree` reads its bound and
@@ -600,7 +704,7 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
                     best = found
 
     try:
-        _walk(basis, s, drop, leaf)
+        _walk(basis, s, drop, leaf, floored)
     except _FloorReached:
         pass
     return best

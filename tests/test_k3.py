@@ -842,23 +842,14 @@ def test_prefix_walk_matches_per_type_walk():
 
 def test_floored_walk_emits_short_types_first(monkeypatch):
     # the prefix walk emits a node's leaves before it descends, so the
-    # floored minimum checks no more leaves than the per-type search did
-    # (7,895 over these genera); a plain depth-first order checks 85,944
+    # floored minimum, without the cut of branch and bound, checks no more
+    # leaves than the per-type search did (7,895 over these genera); a
+    # plain depth-first order checks 85,944
     import bnloci.k3 as k3
-    from bnloci.poset import assemble
 
-    checked = 0
-    real = k3._check_step
-
-    def spy(*args):
-        nonlocal checked
-        checked += 1
-        return real(*args)
-
-    monkeypatch.setattr(k3, "_check_step", spy)
+    uncut_walk(monkeypatch)
+    checked = cold_assemble_rows(monkeypatch, range(13, 18))
     k3._min_bound_cached.cache_clear()
-    for g in range(13, 18):
-        assemble(g)
     assert 0 < checked <= 7895
 
 
@@ -959,9 +950,9 @@ def test_walk_tables_are_built_once_per_series_and_lattice(monkeypatch):
     walks = []
     real = k3._walk
 
-    def spy(basis, s, drop, leaf):
+    def spy(basis, s, drop, leaf, cut=False):
         walks.append((basis, s))
-        return real(basis, s, drop, leaf)
+        return real(basis, s, drop, leaf, cut)
 
     monkeypatch.setattr(k3, "_walk", spy)
     for cached in (k3._min_bound_cached, k3._candidate_rows, k3._step_table):
@@ -1086,6 +1077,169 @@ def test_k3_expected_is_none_without_a_k3():
     assert k3_expected(9, 3, 7, 1, 3) is None
 
 
+# ------------------------------------------------------------ branch and bound
+
+
+def chain_sums(basis, big, rk, classes):
+    # (the walk's step sum, the closed form) of the chain of classes c_1..c_m
+    # over the ranks rk (led by 0), times D: the step terms
+    # (rho-1)/(2 rho) f^2 + f.c_{j-1} + rho - 1/rho, and
+    # c_m^2/2 + sum_j (rho_j - 1/rho_j - f_j^2 / (2 rho_j)) with f_j = c_j - c_{j-1}
+    step = closed = 0
+    prev = LatticeClass(0, 0)
+    for i, c in enumerate(classes, 1):
+        rho, f = rk[i] - rk[i - 1], c - prev
+        ff, unit = self_int(basis, f), big // (2 * rho)
+        step += (rho - 1) * unit * ff + big * pair(basis, f, prev) + rho * big - big // rho
+        closed += rho * big - big // rho - unit * ff
+        prev = c
+    return step, closed + self_int(basis, prev) * big // 2
+
+
+def least_leaf_totals(basis, s, drop):
+    # the uncut walk, with every prefix (ranks, rows) of a leaf's path mapped
+    # to the least total of the leaves through its last row, and of the
+    # leaves strictly below it.  With nothing dropped, each leaf's step sum,
+    # closed form and total must agree
+    from bnloci.k3 import _scale, _walk
+
+    through, below, big = {}, {}, _scale(s)
+
+    def leaf(ranks, path, total, tags):
+        n = len(path)
+        for m in range(1, n + 1):
+            key = (ranks[:m], tuple(path[:m]))
+            if through.get(key, total) >= total:
+                through[key] = total
+            if m < n and below.get(key, total) >= total:
+                below[key] = total
+        if not drop:
+            classes = tuple(row[6] for row in path) + (H,)
+            assert chain_sums(basis, big, (0,) + ranks, classes) == (total, total), (ranks, path)
+
+    _walk(basis, s, drop, leaf)
+    return through, below
+
+
+def test_branch_and_bound_bounds_hold_on_every_uncut_leaf():
+    # the two lower bounds of the k3 docstring ("Branch and bound"), in
+    # Fractions: the descent bound of each child is at most every leaf
+    # strictly below it, and the interval bound of each row at most every
+    # leaf through it.  The closed form T that both start from equals the
+    # walk's sum on every leaf and prefix, and c2_lower_bound on every
+    # assignment listed with the filters off at g <= 10
+    from bnloci.k3 import _scale
+
+    rows = 0
+    for g, r, d, s in assemble_jobs(range(7, 15)):
+        basis = LatticeBasis(g, r, d)
+        h2, dl, big = basis.h_square, -basis.discriminant, _scale(s)
+        unit = min(Fraction(dl, 2 * h2), 1)
+        nodes = {}
+
+        def node_part(rk, path):
+            # acc/D - c_m^2/2 + H^2/2 at the node of the rows ``path``
+            key = (rk, tuple(path))
+            if key not in nodes:
+                step, closed = chain_sums(basis, big, rk, [row[6] for row in path])
+                assert step == closed, key
+                cm = path[-1][3] if path else 0
+                nodes[key] = Fraction(step, big) - Fraction(cm - h2, 2)
+            return nodes[key]
+
+        for listed in enumerate_assignments(basis, s) if g <= 10 else ():
+            step, closed = chain_sums(basis, big, (0,) + listed.ranks, listed.chern)
+            assert Fraction(closed, big) == c2_lower_bound(basis, listed), (g, r, d, s, listed)
+        for cfg in (FilterConfig(), BOTH_FILTERS):
+            through, below = least_leaf_totals(basis, s, _drop_mask(cfg))
+            rows += len(through)
+            for (ranks, path), least in through.items():
+                # the interval bound of the row path[m] at the node path[:m]
+                m, rk = len(path) - 1, (0,) + ranks
+                hm = path[m - 1][0] if m else 0
+                a, h = rk[m + 1] - rk[m], path[m][0]
+                bound = (
+                    node_part(rk[: m + 1], path[:m])
+                    - Fraction((h - hm) * (h2 - hm), 2 * a * h2)
+                    + (s + 1 - rk[m]) * unit
+                )
+                assert bound * big <= least, (g, r, d, s, ranks, path)
+            for (ranks, path), least in below.items():
+                # the descent bound of the child path[m-1] of the node path[:m-1]
+                m, rk = len(path), (0,) + ranks
+                h, hp = path[m - 1][0], path[m - 2][0] if m > 1 else 0
+                rest, b = s + 1 - rk[m], path[m - 1][2]
+                mu = Fraction(h - hp, rk[m] - rk[m - 1])
+                bound = (
+                    node_part(rk, path)
+                    - mu * (h2 - h) / (2 * h2)
+                    + max(rest * unit, Fraction(dl * b * b, 2 * rest * h2))
+                )
+                assert bound * big <= least, (g, r, d, s, ranks, path)
+    assert rows > 25_000
+
+
+def uncut_walk(monkeypatch):
+    # _walk with the cut turned off, for the callers that would pass it
+    import bnloci.k3 as k3
+
+    real = k3._walk
+    monkeypatch.setattr(k3, "_walk", lambda basis, s, drop, leaf, cut=False: real(basis, s, drop, leaf))
+
+
+def test_cut_floored_entry_equals_the_uncut_one(monkeypatch):
+    # the floored entry of every assemble job of g = 7..30 (and the oracle
+    # jobs) with filters off, and of g = 7..16 under BOTH_FILTERS, is the
+    # same int as that of the walk without the cut
+    import bnloci.k3 as k3
+
+    entry = k3._min_bound_cached.__wrapped__
+    jobs = [(job, 0) for job in assemble_jobs(range(7, 31))]
+    jobs += [((g, r, d, s), 0) for g, r, d, series in ORACLE_JOBS for s in series]
+    jobs += [(job, _drop_mask(BOTH_FILTERS)) for job in assemble_jobs(range(7, 17))]
+    assert len(assemble_jobs(range(7, 31))) == 6999 and len(jobs) > 7500
+    cut = [entry(*job, drop, True) for job, drop in jobs]
+    uncut_walk(monkeypatch)
+    assert [entry(*job, drop, True) for job, drop in jobs] == cut
+    assert len({m for m in cut if m is not None}) > 900
+
+
+def cold_assemble_rows(monkeypatch, genera):
+    # the _check_step calls of a cold assemble(g) over the genera
+    import bnloci.k3 as k3
+    from bnloci.poset import assemble
+
+    checked = 0
+    real = k3._check_step
+
+    def spy(*args):
+        nonlocal checked
+        checked += 1
+        return real(*args)
+
+    monkeypatch.setattr(k3, "_check_step", spy)
+    k3._min_bound_cached.cache_clear()
+    for g in genera:
+        assemble(g)
+    monkeypatch.setattr(k3, "_check_step", real)
+    return checked
+
+
+def test_cut_checks_at_most_half_the_rows_of_a_cold_assemble(monkeypatch):
+    # the cut must keep skipping at least half of the rows: a cold
+    # assemble(30) checks 6,749 rows with it and 46,077 without, and cold
+    # assemble(13..17) 3,519 and 7,895
+    import bnloci.k3 as k3
+
+    genera = ([30], range(13, 18))
+    cut = [cold_assemble_rows(monkeypatch, gs) for gs in genera]
+    uncut_walk(monkeypatch)
+    uncut = [cold_assemble_rows(monkeypatch, gs) for gs in genera]
+    k3._min_bound_cached.cache_clear()
+    assert cut == [6749, 3519] and uncut == [46077, 7895]
+    assert all(2 * rows <= full for rows, full in zip(cut, uncut))
+
+
 # ------------------------------------------------------------ re-check and caps
 
 
@@ -1113,18 +1267,27 @@ def test_recheck_rejects_a_bad_leaf():
     assert _check_step(3 * h + 1, 3, 1, h, 0, 0, 2, up) is None
 
 
-@pytest.mark.parametrize("call", ["enumerate_assignments(b, 2)", "min_series_degree(b, 2)"])
+@pytest.mark.parametrize(
+    "call",
+    ["enumerate_assignments(b, 2)", "min_series_degree(b, 2)", "k3_certified_below(9, 2, 6, 2)"],
+)
 def test_recheck_fires_under_python_O(call):
-    # drop the lower interval cut so the DFS emits inadmissible leaves; the
-    # leaf check must stop it even with asserts stripped
+    # drop the lower interval cut, and with it the interval bound of the
+    # floored walk's cut, so the DFS emits inadmissible leaves; the leaf
+    # check must stop it even with asserts stripped
     out = python_O_call("k.bisect_left = lambda a, x, *rest: 0", call)
     assert out.startswith("raised") and "violates" in out
 
 
-@pytest.mark.parametrize("call", ["enumerate_assignments(b, 3)", "min_series_degree(b, 3)"])
+@pytest.mark.parametrize(
+    "call",
+    ["enumerate_assignments(b, 3)", "min_series_degree(b, 3)", "k3_certified_below(11, 2, 7, 4)"],
+)
 def test_step_check_fires_on_the_upper_pair_under_python_O(call):
     # drop the upper interval cut: a child P of a node P_m past the root then
-    # bends up, and the pair (P_{m-1}, P_m, P) of the step check stops it
+    # bends up, and the pair (P_{m-1}, P_m, P) of the step check stops it.
+    # On the floored walk the root's leaves have set its cut by then, so a
+    # walk that skips subtrees still checks every row that it visits
     out = python_O_call("k.bisect_right = lambda a, x, *rest: len(a)", call)
     assert out.startswith("raised") and "violates GT" in out
     leaf = re.fullmatch(r"raised DFS leaf (\(.*?\)) over ranks (\(.*?\)) violates GT\n", out)
