@@ -19,7 +19,15 @@ from importlib import resources
 from pathlib import Path
 
 from .classical import gonality_bounds
-from .k3 import BOTH_FILTERS, FilterConfig, box_class_count, destab_box, listing_records, type_text
+from .k3 import (
+    BOTH_FILTERS,
+    FilterConfig,
+    KeyPrefixes,
+    box_class_count,
+    destab_box,
+    listing_records,
+    type_text,
+)
 from .lattice import H, LatticeBasis, delta
 from .loci import (
     BNLocus,
@@ -225,11 +233,31 @@ class _Memo(dict):
         return value
 
 
+def _class_columns(classes, name, name_xy, sep):
+    """The fragments that `bn k3` renders the keys of
+    :func:`~bnloci.k3.listing_records` from: ``(prefixes, names, names_xy)``.
+    ``names[digit]`` and ``names_xy[digit]`` name the class of a digit and
+    its (x,y), each once, and ``prefixes[key // len(classes)]`` is the pair
+    of the two columns of a key's prefix, each class followed by ``sep``
+    (:class:`~bnloci.k3.KeyPrefixes`), each built once, as siblings share all
+    classes but the last.  A key's columns are its prefix's followed by the
+    names of its last digit, ``key % len(classes)``."""
+    names = _Memo(lambda digit: name(classes[digit]))
+    names_xy = _Memo(lambda digit: name_xy(classes[digit]))
+    prefixes = KeyPrefixes(
+        len(classes),
+        lambda pre, digit: (pre[0] + names[digit] + sep, pre[1] + names_xy[digit] + sep),
+        ("", ""),
+    )
+    return prefixes, names, names_xy
+
+
 def cmd_k3(args) -> int:
     """`bn k3`, rendered from :func:`~bnloci.k3.listing_records` with no
-    Assignment: each distinct bound (one Fraction, keyed by its scaled
-    integer), class and tag tuple once, each type once per group; the
-    minimum is the least scaled bound."""
+    Assignment, record by record: each distinct bound (one Fraction, keyed
+    by its scaled integer), class, key prefix (:func:`_class_columns`) and
+    tag tuple once, each type once per group; the minimum is the least
+    scaled bound."""
     if args.g < 3:
         # the message enumerate_loci gives, and so bn poset
         raise ValueError("need g >= 3")
@@ -261,7 +289,8 @@ def cmd_k3(args) -> int:
             f"bn k3 scans"
         )
     config = BOTH_FILTERS if args.filters == "on" else FilterConfig()
-    big, groups = listing_records(basis, args.series, config)
+    big, classes, groups = listing_records(basis, args.series, config)
+    radix = len(classes)
     write = sys.stdout.write
     if args.json:
         # the bytes of json.dumps(payload, sort_keys=True, separators=(",", ":")):
@@ -269,18 +298,21 @@ def cmd_k3(args) -> int:
         # sorted order, and every fragment comes from json.dumps
         dumps = functools.partial(json.dumps, separators=(",", ":"))
         bound = _Memo(lambda total: dumps(str(Fraction(total, big))))
-        chern = _Memo(lambda c: dumps(str(c))).__getitem__
-        chern_xy = _Memo(lambda c: dumps(list(c.xy))).__getitem__
+        prefixes, chern, chern_xy = _class_columns(
+            classes, lambda c: dumps(str(c)), lambda c: dumps(list(c.xy)), ","
+        )
         flags = _Memo(lambda tags: dumps(list(tags)))
-        top, top_xy = chern(H), chern_xy(H)
+        top, top_xy = dumps(str(H)), dumps(list(H.xy))
         write('{"assignments":[')
         sep = ""
         for ranks, records in groups:
             kind = dumps(type_text(ranks))
-            for classes, total, tags in records:
+            for key, total, tags in records:
+                text, xy = prefixes[key // radix]
+                digit = key % radix
                 write(
-                    f'{sep}{{"c2_bound":{bound[total]},"chern":[{",".join(map(chern, classes))},{top}],'
-                    f'"chern_xy":[{",".join(map(chern_xy, classes))},{top_xy}],'
+                    f'{sep}{{"c2_bound":{bound[total]},"chern":[{text}{chern[digit]},{top}],'
+                    f'"chern_xy":[{xy}{chern_xy[digit]},{top_xy}],'
                     f'"filters":{flags[tags]},"type":{kind}}}'
                 )
                 sep = ","
@@ -298,13 +330,14 @@ def cmd_k3(args) -> int:
     print(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
     # a fractional bound also as a decimal: int / int rounds as float(Fraction) does
     bound = _Memo(lambda t: f"{Fraction(t, big)}" + (f" ({t / big:.2f})" if t % big else ""))
-    chern = _Memo(str).__getitem__
-    chern_xy = _Memo(lambda c: str(c.xy)).__getitem__
+    prefixes, chern, chern_xy = _class_columns(classes, str, lambda c: str(c.xy), ", ")
     flags = _Memo(lambda tags: ",".join(tags) or "-")
     for ranks, records in groups:
         kind = f"{type_text(ranks):<10}"
-        for classes, total, tags in records:
-            text, xy = ", ".join(map(chern, classes)), ", ".join(map(chern_xy, classes))
+        for key, total, tags in records:
+            text, xy = prefixes[key // radix]
+            digit = key % radix
+            text, xy = text + chern[digit], xy + chern_xy[digit]
             write(f"{kind} {text:<28} {xy:<22} {bound[total]:<12} {flags[tags]}\n")
     print(f"minimum c2 bound: {Fraction(min(bound), big)}")
     return EXIT_OK

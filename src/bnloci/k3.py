@@ -94,9 +94,10 @@ filters are decided once, in the walk: each row
 carries the tag bits its class could earn (``DM`` for (a, b) = (1, -1),
 ``ELLIPTIC`` for (H-c)^2 = 0), each rank step masks them by what its
 filtration type allows, and a leaf with a tag that the config drops is
-checked but not emitted.  The listing files each leaf under its type and
-sorts each type once on the rows' classes, which order as (a, b), with no
-key per leaf.
+checked but not emitted.  The listing files each leaf under its type as
+one int key, its rows' digits (each class's rank 1..n in (a, b) order) in
+radix n + 1, and sorts each type once on those ints, which order as the
+classes do; the renderers then build each shared key prefix once.
 
 Every leaf, on both paths, is checked in integers, with no bisection or
 rounding shared with the cuts, and a failure raises RuntimeError, which,
@@ -400,14 +401,16 @@ def _step_table(s: int, dm: bool) -> tuple[int, tuple[int, ...], tuple[int, ...]
 @lru_cache(maxsize=512)
 def _candidate_rows(basis: LatticeBasis) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
     """``(rows, hs)``, cached per lattice: the candidate classes c as rows
-    (H.c, a, b, c.c, v, (H-c)^2, c, tags), sorted by (H-degree, class), and
-    ``hs``, the rows' H-degrees in that order, which the walk bisects.
-    With u = H.c = a H^2 + b d and v = a d + b L^2, c.x = x.a u + x.b v for
-    any class x, so a step needs two products.  The class c is a tuple that
-    orders as (a, b), so it is also its own sort key, and the rows sort as
-    tuples on (u, a, b).  ``tags`` holds the filter bits the class can earn:
-    ``DM`` when (a, b) = (1, -1), i.e. c = H - L, and ``ELLIPTIC`` when
-    (H-c)^2 = 0; :func:`_walk` masks them by the filtration type.
+    (H.c, a, b, c.c, v, (H-c)^2, c, tags, digit), sorted by (H-degree,
+    class), and ``hs``, the rows' H-degrees in that order, which the walk
+    bisects.  With u = H.c = a H^2 + b d and v = a d + b L^2,
+    c.x = x.a u + x.b v for any class x, so a step needs two products.  The
+    class c is a tuple that orders as (a, b), so it is also its own sort key,
+    and the rows sort as tuples on (u, a, b).  ``tags`` holds the filter bits
+    the class can earn: ``DM`` when (a, b) = (1, -1), i.e. c = H - L, and
+    ``ELLIPTIC`` when (H-c)^2 = 0; :func:`_walk` masks them by the filtration
+    type.  ``digit`` is the class's rank 1..n in (a, b) order, n the number
+    of rows, which the listing keys of :func:`listing_records` spell.
 
     The rows come from one scan of the lemma's box (:func:`destab_box`) in
     integers, column by column: for Q = xH - yL the class is
@@ -425,7 +428,9 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple[tuple, ...], tuple[int, 
     use.  Inside 0 < u < H^2 the sign of b is fixed, b > 0 for a <= 0 and
     b < 0 for a >= 1, so the strip already holds the lemma's two sign
     branches.  A LatticeClass is built only for a kept row, by
-    ``tuple.__new__``, which skips the namedtuple's constructor.
+    ``tuple.__new__``, which skips the namedtuple's constructor.  The scan
+    runs a, then b, upward, so it meets the kept classes in (a, b) order,
+    and a row's digit is the count of rows kept so far, itself included.
     """
     h2, d, l2 = basis.h_square, basis.d, basis.l_square
     xmax, ymax = destab_box(basis)
@@ -442,7 +447,8 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple[tuple, ...], tuple[int, 
             qq = h2 - 2 * u + cc
             if qq >= 0:
                 tags = (DM if a == 1 and b == -1 else 0) | (ELLIPTIC if qq == 0 else 0)
-                rows.append((u, a, b, cc, v, qq, tuple.__new__(LatticeClass, (a, b)), tags))
+                c = tuple.__new__(LatticeClass, (a, b))
+                rows.append((u, a, b, cc, v, qq, c, tags, len(rows) + 1))
     rows.sort()
     return tuple(rows), tuple(row[0] for row in rows)
 
@@ -599,17 +605,48 @@ MAX_WORKERS = 64
 MAX_ASSIGNMENTS = 100_000
 
 
+class KeyPrefixes(dict):
+    """The prefixes of the keys of :func:`listing_records`, each built once:
+    ``self[p]`` is ``extend(self[p // radix], p % radix)``, from the prefix
+    one digit shorter and the last digit, and ``self[0]`` is ``empty``.  As
+    every digit is at least 1, p = 0 only for the empty prefix, and one int
+    spells one string of digits, whatever its type.  A listing keyed this
+    way decodes or renders only its distinct prefixes, where siblings share
+    all classes but the last."""
+
+    __slots__ = ("radix", "extend")
+
+    def __init__(self, radix: int, extend, empty):
+        super().__init__({0: empty})
+        self.radix, self.extend = radix, extend
+
+    def __missing__(self, p: int):
+        value = self[p] = self.extend(self[p // self.radix], p % self.radix)
+        return value
+
+
 def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = None):
-    """The one listing core: ``(D, [(ranks, records), ...])``, D = :func:`_scale`,
-    one record ``(classes, scaled_c2, tags)`` per kept leaf, without the
-    common last class H.  Each type's records are sorted once on their
-    classes, unique within a type, and the types go by (length, ranks): the
-    order of :meth:`Assignment.sort_key`.  The walk drops the leaves that the
-    config filters and hands over the tags of the rest, which the records
-    name; the leaf stops with ValueError at the first kept leaf past
+    """The one listing core: ``(D, classes, [(ranks, records), ...])``,
+    D = :func:`_scale`, one record ``(key, scaled_c2, tags)`` per kept leaf.
+    ``classes`` is (0, c_1, ..., c_n), the candidate classes in (a, b) order
+    after the zero class: the class of digit i of :func:`_candidate_rows` is
+    classes[i].  A record's key spells its leaf's classes, without the
+    common last class H, as digits in radix R = len(classes) = n + 1.  The
+    digits are at least 1, so no key loses its leading class, and every key
+    of a type has the same length, so the int order of the keys is the
+    (a, b) order of their classes.  Each type's records are sorted once on
+    their keys, which are unique within a type, and the types go by
+    (length, ranks): the order of :meth:`Assignment.sort_key`.
+    :class:`KeyPrefixes` decodes the keys.  The walk drops the leaves that
+    the config filters and hands over the tags of the rest, which the
+    records name; the leaf stops with ValueError at the first kept leaf past
     :data:`MAX_ASSIGNMENTS`, so neither memory nor work is unbounded.
     Raises the errors of :func:`_walk`: s < 1, Delta >= 0 or r = 0."""
-    head, cap = itemgetter(6), MAX_ASSIGNMENTS
+    rows, _ = _candidate_rows(basis)
+    classes = [ZERO] * (len(rows) + 1)
+    for row in rows:
+        classes[row[8]] = row[6]
+    radix, cap, first = len(classes), MAX_ASSIGNMENTS, itemgetter(0)
     groups, kept = defaultdict(list), 0  # records by type, kept leaves
 
     def leaf(ranks, path, total, tags):
@@ -620,11 +657,15 @@ def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = N
                 f"the listing of {basis} at s = {s} passes {cap} assignments, "
                 f"the most a K3 listing keeps"
             )
-        groups[ranks].append((tuple(map(head, path)), total, _TAG_NAMES[tags]))
+        key = 0
+        for row in path:
+            key = key * radix + row[8]
+        groups[ranks].append((key, total, _TAG_NAMES[tags]))
 
     _walk(basis, s, _drop_mask(config), leaf)
     order = sorted(groups, key=lambda ranks: (len(ranks), ranks))
-    return _scale(s), [(ranks, sorted(groups[ranks], key=itemgetter(0))) for ranks in order]
+    records = [(ranks, sorted(groups[ranks], key=first)) for ranks in order]
+    return _scale(s), tuple(classes), records
 
 
 def enumerate_assignments(
@@ -638,22 +679,30 @@ def enumerate_assignments(
     (type length, type, then chern classes lexicographically).
 
     One :class:`Assignment` per record of :func:`listing_records`, in its
-    order; the bound ``Fraction(scaled_c2, D)`` is built once per distinct
-    scaled bound and shared.  ``workers`` must be an int in 1..MAX_WORKERS
-    (else ValueError) and is otherwise ignored: the search is serial, because
-    a thread pool over the filtration types ran slower under the GIL.
+    order.  Its classes are the decoded key: the tuple of the key's prefix,
+    built once per distinct prefix (:class:`KeyPrefixes`), then the class of
+    the last digit and H.  The bound ``Fraction(scaled_c2, D)`` is built
+    once per distinct scaled bound and shared.  ``workers`` must be an int
+    in 1..MAX_WORKERS (else ValueError) and is otherwise ignored: the search
+    is serial, because a thread pool over the filtration types ran slower
+    under the GIL.
     """
     if isinstance(workers, bool) or not isinstance(workers, int):
         raise ValueError(f"workers must be an int, got {workers!r}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
-    big, groups = listing_records(basis, s, config)
+    big, classes, groups = listing_records(basis, s, config)
+    radix = len(classes)
+    prefixes = KeyPrefixes(radix, lambda pre, digit: pre + (classes[digit],), ())
+    lasts = [(c, H) for c in classes]
     bounds = dict.fromkeys(total for _, records in groups for _, total, _ in records)
     bounds = {total: Fraction(total, big) for total in bounds}
     return [
-        tuple.__new__(Assignment, (ranks, classes + (H,), bounds[total], flags))
+        tuple.__new__(
+            Assignment, (ranks, prefixes[key // radix] + lasts[key % radix], bounds[total], flags)
+        )
         for ranks, records in groups
-        for classes, total, flags in records
+        for key, total, flags in records
     ]
 
 

@@ -258,14 +258,15 @@ def test_candidates_are_the_slab_but_for_one_r1_class():
 def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
     # each row's integers, computed from the box without a LatticeClass, are
     # the pairings of its class, on every lattice that assemble reaches; its
-    # tag bits are the parts of expected_tags that read the class alone
+    # tag bits are the parts of expected_tags that read the class alone (the
+    # digits have their own test)
     from bnloci.k3 import _candidate_rows
 
     for lattice in assemble_lattices():
         basis = LatticeBasis(*lattice)
         rows, hs = _candidate_rows(basis)
         assert hs == tuple(row[0] for row in rows)
-        for u, a, b, cc, v, qq, c, tags in rows:
+        for u, a, b, cc, v, qq, c, tags, _ in rows:
             assert (a, b) == c and 0 < u < basis.h_square
             assert (u, v, cc, qq) == (
                 pair(basis, H, c), pair(basis, L, c), self_int(basis, c), self_int(basis, H - c)
@@ -838,6 +839,55 @@ def test_prefix_walk_matches_per_type_walk():
             assert len({id(a.c2_bound) for a in listed}) == len({a.c2_bound for a in listed})
     # every set of tags occurs
     assert emitted > 30000 and seen == set(_TAG_NAMES)
+
+
+def test_row_digits_are_the_ranks_of_the_classes_in_a_b_order():
+    # a listing key spells its classes as row digits in radix n + 1, and its
+    # int order is the class order only if the digits are injective and in
+    # (a, b) order; and they must be >= 1: with a digit 0, a key loses its
+    # leading class, as 0 d_2 ... d_n and d_2 ... d_n are one int, so it
+    # decodes to one class too few.  That trap is live: on Lambda^3_(16,11)
+    # at s = 7 and Lambda^4_(17,14) at s = 8 the least class leads keys
+    # whose other digits are a key of the next shorter type
+    from bnloci.k3 import _candidate_rows
+
+    lattices = {job[:3] for job in assemble_jobs(range(7, 17)) + K3_LIST_JOBS}
+    assert any(r == 1 for _, r, _ in lattices)
+    for lattice in sorted(lattices):
+        rows, _ = _candidate_rows(LatticeBasis(*lattice))
+        digits = [row[8] for row in sorted(rows, key=lambda row: row[6])]
+        assert digits == list(range(1, len(rows) + 1)), lattice
+    for g, r, d, s in K3_LIST_JOBS:
+        basis = LatticeBasis(g, r, d)
+        _, classes, groups = listing_records(basis, s)
+        radix = len(classes)
+        rows, _ = _candidate_rows(basis)
+        assert classes == (LatticeClass(0, 0), *sorted(row[6] for row in rows))
+        keys = {}  # by type length
+        for ranks, records in groups:
+            keys.setdefault(len(ranks), set()).update(key for key, _, _ in records)
+        led = [key for n, ks in keys.items() for key in ks
+               if key // radix ** (n - 2) == 1 and key % radix ** (n - 2) in keys.get(n - 1, ())]
+        assert bool(led) == ((g, r, d, s) in [(16, 3, 11, 7), (17, 4, 14, 8)]), (g, r, d, s)
+
+
+def test_enumerated_classes_are_the_classes_that_the_walk_hands_its_leaf():
+    # cmd_k3 and enumerate_assignments decode the same keys, so comparing the
+    # two cannot catch a bad decode; this reads the classes off the rows that
+    # the walk passes in ``path``, with no key, and checks the decoded listing
+    from bnloci.k3 import _scale
+
+    for g, r, d, s in K3_LIST_JOBS:
+        basis = LatticeBasis(g, r, d)
+        for cfg in (FilterConfig(), BOTH_FILTERS):
+            want = sorted(
+                (
+                    Assignment(ranks, heads + (H,), Fraction(total, _scale(s)), tags)
+                    for ranks, heads, total, tags in walk_leaves(basis, s, _drop_mask(cfg))
+                ),
+                key=Assignment.sort_key,
+            )
+            assert enumerate_assignments(basis, s, cfg) == want, (g, r, d, s, cfg)
 
 
 def test_floored_walk_emits_short_types_first(monkeypatch):
