@@ -22,9 +22,10 @@ from .classical import gonality_bounds
 from .k3 import (
     BOTH_FILTERS,
     FilterConfig,
-    KeyPrefixes,
+    Memo,
     box_class_count,
     destab_box,
+    key_prefixes,
     listing_records,
     type_text,
 )
@@ -219,32 +220,18 @@ MAX_K3_SERIES = (MAX_POSET_GENUS - 1) // 2
 MAX_K3_BOX_CLASSES = 10_000
 
 
-class _Memo(dict):
-    """A dict that renders each missing key once, by ``render(key)``."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        value = self[key] = self.render(key)
-        return value
-
-
 def _class_columns(classes, name, name_xy, sep):
     """The fragments that `bn k3` renders the keys of
     :func:`~bnloci.k3.listing_records` from: ``(prefixes, names, names_xy)``.
     ``names[digit]`` and ``names_xy[digit]`` name the class of a digit and
     its (x,y), each once, and ``prefixes[key // len(classes)]`` is the pair
     of the two columns of a key's prefix, each class followed by ``sep``
-    (:class:`~bnloci.k3.KeyPrefixes`), each built once, as siblings share all
+    (:func:`~bnloci.k3.key_prefixes`), each built once, as siblings share all
     classes but the last.  A key's columns are its prefix's followed by the
     names of its last digit, ``key % len(classes)``."""
-    names = _Memo(lambda digit: name(classes[digit]))
-    names_xy = _Memo(lambda digit: name_xy(classes[digit]))
-    prefixes = KeyPrefixes(
+    names = Memo(lambda digit: name(classes[digit]))
+    names_xy = Memo(lambda digit: name_xy(classes[digit]))
+    prefixes = key_prefixes(
         len(classes),
         lambda pre, digit: (pre[0] + names[digit] + sep, pre[1] + names_xy[digit] + sep),
         ("", ""),
@@ -297,11 +284,11 @@ def cmd_k3(args) -> int:
         # "assignments" is the first key, each entry's keys are written in
         # sorted order, and every fragment comes from json.dumps
         dumps = functools.partial(json.dumps, separators=(",", ":"))
-        bound = _Memo(lambda total: dumps(str(Fraction(total, big))))
+        bound = Memo(lambda total: dumps(str(Fraction(total, big))))
         prefixes, chern, chern_xy = _class_columns(
             classes, lambda c: dumps(str(c)), lambda c: dumps(list(c.xy)), ","
         )
-        flags = _Memo(lambda tags: dumps(list(tags)))
+        flags = Memo(lambda tags: dumps(list(tags)))
         top, top_xy = dumps(str(H)), dumps(list(H.xy))
         write('{"assignments":[')
         sep = ""
@@ -329,9 +316,9 @@ def cmd_k3(args) -> int:
         return EXIT_OK
     print(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
     # a fractional bound also as a decimal: int / int rounds as float(Fraction) does
-    bound = _Memo(lambda t: f"{Fraction(t, big)}" + (f" ({t / big:.2f})" if t % big else ""))
+    bound = Memo(lambda t: f"{Fraction(t, big)}" + (f" ({t / big:.2f})" if t % big else ""))
     prefixes, chern, chern_xy = _class_columns(classes, str, lambda c: str(c.xy), ", ")
-    flags = _Memo(lambda tags: ",".join(tags) or "-")
+    flags = Memo(lambda tags: ",".join(tags) or "-")
     for ranks, records in groups:
         kind = f"{type_text(ranks):<10}"
         for key, total, tags in records:
@@ -474,7 +461,11 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------- main
 
 
+@functools.lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The `bn` parser, built on the first call and shared by every later
+    one: parsing leaves it unchanged, and a process that only imports this
+    module builds none."""
     p = argparse.ArgumentParser(
         prog="bn",
         description="Relative positions of Brill-Noether loci: invariants, "
@@ -513,8 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

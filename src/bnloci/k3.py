@@ -88,16 +88,19 @@ is built once per distinct bound of a listing or minimum.  The step table
 :func:`_step_table`) depends on s and on whether s > r alone, so it is
 built once per series and shared by every walk at that key.  Each
 candidate class is one row of integers, built once per lattice together
-with the rows' H-degrees that the cuts bisect, and a leaf is read off its
-rows alone.  So a walk pays only for the work of its own nodes.  The
-filters are decided once, in the walk: each row
-carries the tag bits its class could earn (``DM`` for (a, b) = (1, -1),
-``ELLIPTIC`` for (H-c)^2 = 0), each rank step masks them by what its
-filtration type allows, and a leaf with a tag that the config drops is
-checked but not emitted.  The listing files each leaf under its type as
-one int key, its rows' digits (each class's rank 1..n in (a, b) order) in
-radix n + 1, and sorts each type once on those ints, which order as the
-classes do; the renderers then build each shared key prefix once.
+with the rows' H-degrees that the cuts bisect and the one tuple of the
+classes themselves, and a leaf is read off its rows alone.  So a walk pays
+only for the work of its own nodes.  The filters are decided once, in the
+walk: each row carries the tag bits its class could earn (``DM`` for
+(a, b) = (1, -1), ``ELLIPTIC`` for (H-c)^2 = 0), each rank step masks them
+by what its filtration type allows, and a leaf with a tag that the config
+drops is checked but not emitted.  A leaf's classes reach its caller as one
+int key: the rows' digits (each class's rank 1..n in (a, b) order) in
+radix n + 1, where a child's key is its node's key times n + 1 plus the
+child's digit, so the walk keeps no path of rows.  The listing sorts each
+type once on those ints, which order as the classes do, and every reader
+decodes a key through the one memo of its prefixes (:func:`key_prefixes`),
+which builds each shared prefix once.
 
 Every leaf, on both paths, is checked in integers, with no bisection or
 rounding shared with the cuts, and a failure raises RuntimeError, which,
@@ -345,10 +348,11 @@ def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
     classes c = H - Q, Q = xH - yL in the destabilizing-lemma box, that a
     step can use: 0 < H.c < H^2 and Q^2 >= 0.  Sorted by (a, b).
 
-    These are the classes of :func:`_candidate_rows`, from its one box scan.
+    These are the ``classes`` of :func:`_candidate_rows` after the zero
+    class, which its one box scan meets in (a, b) order.
     Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
     """
-    return sorted(row[6] for row in _candidate_rows(basis)[0])
+    return list(_candidate_rows(basis)[2][1:])
 
 
 def _c2_bound(
@@ -399,18 +403,21 @@ def _step_table(s: int, dm: bool) -> tuple[int, tuple[int, ...], tuple[int, ...]
 
 
 @lru_cache(maxsize=512)
-def _candidate_rows(basis: LatticeBasis) -> tuple[tuple[tuple, ...], tuple[int, ...]]:
-    """``(rows, hs)``, cached per lattice: the candidate classes c as rows
-    (H.c, a, b, c.c, v, (H-c)^2, c, tags, digit), sorted by (H-degree,
-    class), and ``hs``, the rows' H-degrees in that order, which the walk
-    bisects.  With u = H.c = a H^2 + b d and v = a d + b L^2,
-    c.x = x.a u + x.b v for any class x, so a step needs two products.  The
-    class c is a tuple that orders as (a, b), so it is also its own sort key,
-    and the rows sort as tuples on (u, a, b).  ``tags`` holds the filter bits
+def _candidate_rows(
+    basis: LatticeBasis,
+) -> tuple[tuple[tuple, ...], tuple[int, ...], tuple[LatticeClass, ...]]:
+    """``(rows, hs, classes)``, cached per lattice: the candidate classes
+    c = aH + bL as rows (H.c, a, b, c.c, v, (H-c)^2, tags, digit), sorted
+    by (H-degree, a, b); ``hs``, the rows' H-degrees in that order, which
+    the walk bisects; and ``classes``, (0, c_1, ..., c_n), the zero class
+    and then the n candidate classes in (a, b) order, the one store of the
+    classes themselves.  With u = H.c = a H^2 + b d and v = a d + b L^2,
+    c.x = x.a u + x.b v for any class x, so a step needs two products, and
+    the rows sort as tuples on (u, a, b).  ``tags`` holds the filter bits
     the class can earn: ``DM`` when (a, b) = (1, -1), i.e. c = H - L, and
     ``ELLIPTIC`` when (H-c)^2 = 0; :func:`_walk` masks them by the filtration
-    type.  ``digit`` is the class's rank 1..n in (a, b) order, n the number
-    of rows, which the listing keys of :func:`listing_records` spell.
+    type.  ``digit`` is the class's rank 1..n in (a, b) order, so
+    classes[digit] is the row's class; the walk's keys spell digits.
 
     The rows come from one scan of the lemma's box (:func:`destab_box`) in
     integers, column by column: for Q = xH - yL the class is
@@ -429,12 +436,13 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple[tuple, ...], tuple[int, 
     b < 0 for a >= 1, so the strip already holds the lemma's two sign
     branches.  A LatticeClass is built only for a kept row, by
     ``tuple.__new__``, which skips the namedtuple's constructor.  The scan
-    runs a, then b, upward, so it meets the kept classes in (a, b) order,
-    and a row's digit is the count of rows kept so far, itself included.
+    runs a, then b, upward, so it meets the kept classes in (a, b) order:
+    it appends each to ``classes``, and a row's digit is the class's index
+    there.
     """
     h2, d, l2 = basis.h_square, basis.d, basis.l_square
     xmax, ymax = destab_box(basis)
-    rows = []
+    rows, classes = [], [ZERO]
     # a = 1 - x for x = 2-X..X, or x in {0, 1} = 1-X..X when r = 1 (X = 1)
     for a in range(1 - xmax, xmax + (basis.r == 1)):
         bmax = (basis.g - 2) // d if basis.r == 1 and a == 0 else ymax
@@ -447,14 +455,17 @@ def _candidate_rows(basis: LatticeBasis) -> tuple[tuple[tuple, ...], tuple[int, 
             qq = h2 - 2 * u + cc
             if qq >= 0:
                 tags = (DM if a == 1 and b == -1 else 0) | (ELLIPTIC if qq == 0 else 0)
-                c = tuple.__new__(LatticeClass, (a, b))
-                rows.append((u, a, b, cc, v, qq, c, tags, len(rows) + 1))
+                rows.append((u, a, b, cc, v, qq, tags, len(classes)))
+                classes.append(tuple.__new__(LatticeClass, (a, b)))
     rows.sort()
-    return tuple(rows), tuple(row[0] for row in rows)
+    return tuple(rows), tuple(row[0] for row in rows), tuple(classes)
 
 
-def _leaf_error(htot: int, rk: tuple[int, ...], path: list[tuple], what: str) -> RuntimeError:
-    hd = (0, *[row[0] for row in path], htot)
+def _leaf_error(basis: LatticeBasis, rk: tuple[int, ...], key: int, what: str) -> RuntimeError:
+    """The error of a leaf of ranks ``rk`` (led by 0) and walk key ``key``
+    that fails its step check, naming the H-degrees of its chain."""
+    chern = _class_prefixes(_candidate_rows(basis)[2])[key]
+    hd = (0, *[pair(basis, H, c) for c in chern], basis.h_square)
     return RuntimeError(f"DFS leaf {hd} over ranks {rk} violates {what}")
 
 
@@ -482,12 +493,14 @@ def _walk(
     basis: LatticeBasis,
     s: int,
     drop: int,
-    leaf: Callable[[tuple[int, ...], list[tuple], int, int], None],
+    leaf: Callable[[tuple[int, ...], int, int, int], None],
     cut: bool = False,
 ) -> None:
     """The one filtration DFS.  For every filtration type and every admissible
-    tuple of :func:`_candidate_rows`, call ``leaf(ranks, path, scaled_c2, tags)``,
-    where ``path`` is the live list of chosen rows (copy it to keep it),
+    tuple of :func:`_candidate_rows`, call ``leaf(ranks, key, scaled_c2, tags)``,
+    where ``key`` spells the chosen rows' digits in radix n + 1, n the
+    number of rows, so ``classes`` of :func:`_candidate_rows` decodes it
+    (:func:`key_prefixes`), and every key of a type has the same length;
     ``scaled_c2`` is the c_2 lower bound times :func:`_scale` and ``tags`` the
     leaf's filter bits: its last row's bits, masked by its type.  ``DM``
     counts only for type 1 < s+1 with s > r, and ``ELLIPTIC`` only when the
@@ -514,7 +527,7 @@ def _walk(
     """
     if s < 1:
         raise ValueError("need s >= 1")
-    rows, hs = _candidate_rows(basis)
+    rows, hs, classes = _candidate_rows(basis)
     if not rows:
         return  # no candidate class: no type has an admissible step
     # a step of rank rho adds T = half[rho]*(f.f) + D*(f.p) + const[rho] with
@@ -523,8 +536,7 @@ def _walk(
     # (..., r, s+1) can carry
     big, half, const, masks = _step_table(s, s > basis.r)
     htot, top = basis.h_square, s + 1
-    count, hmax = len(rows), hs[-1]
-    path: list[tuple] = []
+    count, hmax, radix = len(rows), hs[-1], len(classes)
     # under cut, t is the least kept total so far less 1 (None before the
     # first), and the walk skips what bounds above t (module docstring,
     # "Branch and bound"); dl = |Delta| and mn = min(|Delta|, 2 H^2)
@@ -532,11 +544,14 @@ def _walk(
     dl = -basis.discriminant
     mn = min(dl, 2 * htot)
 
-    def node(ranks: tuple[int, ...], rm: int, p: tuple, hpp: int, dr: int, acc: int) -> None:
+    def node(
+        ranks: tuple[int, ...], rm: int, p: tuple, hpp: int, dr: int, acc: int, key: int
+    ) -> None:
         # p is the row of c_m, rm = r_m, hpp = H.c_{m-1}, dr = r_m - r_{m-1},
-        # acc the scaled bound of steps 1..m; path holds the rows of c_1..c_m
+        # acc the scaled bound of steps 1..m, key the digits of c_1..c_m
         nonlocal t
         hp, pp, pv = p[0], p[3], p[4]
+        key *= radix  # a child's key adds its row's digit
         children = []
         start = 0
         if cut:
@@ -568,15 +583,12 @@ def _walk(
                 total = acc + hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
                 what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
                 if what:
-                    path.append(c)
-                    raise _leaf_error(htot, (0,) + leaf_ranks, path, what)
-                tags = c[7] & mask
+                    raise _leaf_error(basis, (0,) + leaf_ranks, key + c[7], what)
+                tags = c[6] & mask
                 if not tags & drop:
                     # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
                     end = total + hn * c[5] + big * (c[0] - c[3]) + cn
-                    path.append(c)
-                    leaf(leaf_ranks, path, end, tags)
-                    path.pop()
+                    leaf(leaf_ranks, key + c[7], end, tags)
                     if cut and (t is None or end <= t):
                         t = end - 1
                 if c[0] * wide <= room:
@@ -590,11 +602,9 @@ def _walk(
                     rest * rest * mn, dl * c[2] * c[2]
                 ) > rest * big * (h - hp) * (htot - h):
                     continue
-            path.append(c)
-            node(kid, r, c, hp, a, total)
-            path.pop()
+            node(kid, r, c, hp, a, total, key + c[7])
 
-    node((), 0, (0, 0, 0, 0, 0, htot, ZERO), 0, 0, 0)  # E_0 = 0, so c.p = p.p = 0
+    node((), 0, (0, 0, 0, 0, 0, htot), 0, 0, 0, 0)  # E_0 = 0, so c.p = p.p = 0
 
 
 # enumerate_assignments refuses more workers than this; it runs serially anyway
@@ -605,51 +615,61 @@ MAX_WORKERS = 64
 MAX_ASSIGNMENTS = 100_000
 
 
-class KeyPrefixes(dict):
-    """The prefixes of the keys of :func:`listing_records`, each built once:
-    ``self[p]`` is ``extend(self[p // radix], p % radix)``, from the prefix
-    one digit shorter and the last digit, and ``self[0]`` is ``empty``.  As
-    every digit is at least 1, p = 0 only for the empty prefix, and one int
-    spells one string of digits, whatever its type.  A listing keyed this
-    way decodes or renders only its distinct prefixes, where siblings share
-    all classes but the last."""
+class Memo(dict):
+    """A dict that builds the value of each missing key once, by
+    ``render(key)``."""
 
-    __slots__ = ("radix", "extend")
+    __slots__ = ("render",)
 
-    def __init__(self, radix: int, extend, empty):
-        super().__init__({0: empty})
-        self.radix, self.extend = radix, extend
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
 
-    def __missing__(self, p: int):
-        value = self[p] = self.extend(self[p // self.radix], p % self.radix)
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
         return value
+
+
+def key_prefixes(radix: int, extend, empty) -> Memo:
+    """The one decoder of the walk's keys: a :class:`Memo` whose entry p is
+    ``extend(prefixes[p // radix], p % radix)``, from the prefix one digit
+    shorter and the last digit, and whose entry 0 is ``empty``.  As every
+    digit is at least 1, p = 0 only for the empty prefix, and one int spells
+    one string of digits, whatever its type.  A listing keyed this way
+    decodes or renders only its distinct prefixes, where siblings share all
+    classes but the last."""
+    prefixes = Memo(lambda p: extend(prefixes[p // radix], p % radix))
+    prefixes[0] = empty
+    return prefixes
+
+
+def _class_prefixes(classes: tuple[LatticeClass, ...]) -> Memo:
+    """The :func:`key_prefixes` of the tuples of classes that keys spell,
+    with ``classes`` of :func:`_candidate_rows`."""
+    return key_prefixes(len(classes), lambda pre, digit: pre + (classes[digit],), ())
 
 
 def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = None):
     """The one listing core: ``(D, classes, [(ranks, records), ...])``,
     D = :func:`_scale`, one record ``(key, scaled_c2, tags)`` per kept leaf.
-    ``classes`` is (0, c_1, ..., c_n), the candidate classes in (a, b) order
-    after the zero class: the class of digit i of :func:`_candidate_rows` is
-    classes[i].  A record's key spells its leaf's classes, without the
-    common last class H, as digits in radix R = len(classes) = n + 1.  The
-    digits are at least 1, so no key loses its leading class, and every key
-    of a type has the same length, so the int order of the keys is the
-    (a, b) order of their classes.  Each type's records are sorted once on
-    their keys, which are unique within a type, and the types go by
+    ``classes`` is that of :func:`_candidate_rows`, (0, c_1, ..., c_n), and
+    a record's key is its leaf's walk key: its classes, without the common
+    last class H, as digits in radix R = len(classes) = n + 1.  The digits
+    are at least 1, so no key loses its leading class, and every key of a
+    type has the same length, so the int order of the keys is the (a, b)
+    order of their classes.  Each type's records are sorted once on their
+    keys, which are unique within a type, and the types go by
     (length, ranks): the order of :meth:`Assignment.sort_key`.
-    :class:`KeyPrefixes` decodes the keys.  The walk drops the leaves that
+    :func:`key_prefixes` decodes the keys.  The walk drops the leaves that
     the config filters and hands over the tags of the rest, which the
     records name; the leaf stops with ValueError at the first kept leaf past
     :data:`MAX_ASSIGNMENTS`, so neither memory nor work is unbounded.
     Raises the errors of :func:`_walk`: s < 1, Delta >= 0 or r = 0."""
-    rows, _ = _candidate_rows(basis)
-    classes = [ZERO] * (len(rows) + 1)
-    for row in rows:
-        classes[row[8]] = row[6]
-    radix, cap, first = len(classes), MAX_ASSIGNMENTS, itemgetter(0)
+    classes = _candidate_rows(basis)[2]
+    cap, first = MAX_ASSIGNMENTS, itemgetter(0)
     groups, kept = defaultdict(list), 0  # records by type, kept leaves
 
-    def leaf(ranks, path, total, tags):
+    def leaf(ranks, key, total, tags):
         nonlocal kept
         kept += 1
         if kept > cap:
@@ -657,15 +677,12 @@ def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = N
                 f"the listing of {basis} at s = {s} passes {cap} assignments, "
                 f"the most a K3 listing keeps"
             )
-        key = 0
-        for row in path:
-            key = key * radix + row[8]
         groups[ranks].append((key, total, _TAG_NAMES[tags]))
 
     _walk(basis, s, _drop_mask(config), leaf)
     order = sorted(groups, key=lambda ranks: (len(ranks), ranks))
     records = [(ranks, sorted(groups[ranks], key=first)) for ranks in order]
-    return _scale(s), tuple(classes), records
+    return _scale(s), classes, records
 
 
 def enumerate_assignments(
@@ -680,7 +697,7 @@ def enumerate_assignments(
 
     One :class:`Assignment` per record of :func:`listing_records`, in its
     order.  Its classes are the decoded key: the tuple of the key's prefix,
-    built once per distinct prefix (:class:`KeyPrefixes`), then the class of
+    built once per distinct prefix (:func:`key_prefixes`), then the class of
     the last digit and H.  The bound ``Fraction(scaled_c2, D)`` is built
     once per distinct scaled bound and shared.  ``workers`` must be an int
     in 1..MAX_WORKERS (else ValueError) and is otherwise ignored: the search
@@ -692,8 +709,7 @@ def enumerate_assignments(
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
     big, classes, groups = listing_records(basis, s, config)
-    radix = len(classes)
-    prefixes = KeyPrefixes(radix, lambda pre, digit: pre + (classes[digit],), ())
+    radix, prefixes = len(classes), _class_prefixes(classes)
     lasts = [(c, H) for c in classes]
     bounds = dict.fromkeys(total for _, records in groups for _, total, _ in records)
     bounds = {total: Fraction(total, big) for total in bounds}
@@ -726,16 +742,17 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     subtree that cannot hold a new minimum: the entry is the one that the
     uncut walk gives, bit for bit (module docstring).  An
     exact entry is the least kept leaf by (bound, :meth:`Assignment.sort_key`),
-    as ``(scaled_c2, len(ranks), ranks, classes, tags)`` with the classes
-    without the last H: :func:`min_series_degree` reads its bound and
-    :func:`k3_expected` its witness.  Its leaf builds that key only for a
-    leaf whose bound does not exceed the least so far."""
+    as ``(scaled_c2, len(ranks), ranks, key, tags)`` with the leaf's walk
+    key, which spells its classes without the last H: every key of one type
+    has the same length, so within a type the keys order as the classes do.
+    :func:`min_series_degree` reads its bound and :func:`k3_expected`
+    decodes its witness."""
     basis = LatticeBasis(g, r, d)
     best = None
     if floored:
         limit = 2 * s * _scale(s)
 
-        def leaf(ranks, path, total, tags):
+        def leaf(ranks, key, total, tags):
             nonlocal best
             if best is None or total < best:
                 best = total
@@ -743,14 +760,12 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
                     raise _FloorReached
 
     else:
-        head = itemgetter(6)
 
-        def leaf(ranks, path, total, tags):
+        def leaf(ranks, key, total, tags):
             nonlocal best
-            if best is None or total <= best[0]:
-                found = (total, len(ranks), ranks, tuple(map(head, path)), tags)
-                if best is None or found < best:
-                    best = found
+            found = (total, len(ranks), ranks, key, tags)
+            if best is None or found < best:
+                best = found
 
     try:
         _walk(basis, s, drop, leaf, floored)
@@ -870,7 +885,7 @@ def k3_expected(
     The witness is the least such assignment by (bound,
     :meth:`Assignment.sort_key`): the least kept leaf of the exact search
     that :func:`min_series_degree` also reads, which is the witness iff its
-    bound is <= e.  So every e costs one cached walk per (lattice, s,
+    bound is <= e; its classes are its key, decoded.  So every e costs one cached walk per (lattice, s,
     filters), and no listing is built, so :data:`MAX_ASSIGNMENTS` does not
     apply."""
     if not _has_lattice(g, r, d, s, e):
@@ -880,6 +895,7 @@ def k3_expected(
     big = _scale(s)
     if least is None or least[0] > e * big:
         return None
-    total, _, ranks, classes, tags = least
-    witness = Assignment(ranks, classes + (H,), Fraction(total, big), _TAG_NAMES[tags])
+    total, _, ranks, key, tags = least
+    chern = _class_prefixes(_candidate_rows(LatticeBasis(g, r, d))[2])[key] + (H,)
+    witness = Assignment(ranks, chern, Fraction(total, big), _TAG_NAMES[tags])
     return K3Expectation(g, r, d, s, e, witness)

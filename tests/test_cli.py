@@ -574,6 +574,34 @@ def test_parse_genus_range():
     assert list(genus_range("9")) == [9]
 
 
+def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
+    # two main calls, the second a usage error, build the parser once: each
+    # build adds the one subcommand group of `bn`
+    import argparse
+
+    import bnloci.cli as cli
+
+    built = []
+    real = argparse.ArgumentParser.add_subparsers
+
+    def spy(self, **kwargs):
+        built.append(self.prog)
+        return real(self, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "add_subparsers", spy)
+    cli.build_parser.cache_clear()
+    assert run(capsys, "invariants", "9", "2", "7")[0] == EXIT_OK
+    with pytest.raises(SystemExit):
+        main(["k3", "9", "2", "7"])
+    assert built == ["bn"]
+    assert "--series" in capsys.readouterr().err
+    # and lazily: a process that only imports the module builds none
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = "import bnloci.cli as c; print(c.build_parser.cache_info().misses)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "0\n"
+
+
 def test_poset_output_file(tmp_path, capsys):
     target = tmp_path / "g7.dot"
     code, out, _ = run(capsys, "poset", "7", "--output", str(target))

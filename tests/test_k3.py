@@ -257,24 +257,28 @@ def test_candidates_are_the_slab_but_for_one_r1_class():
 
 def test_candidate_rows_equal_the_pairings_on_every_assemble_lattice():
     # each row's integers, computed from the box without a LatticeClass, are
-    # the pairings of its class, on every lattice that assemble reaches; its
+    # the pairings of its class (a, b), on every lattice that assemble
+    # reaches, and the class store holds that class at the row's digit; its
     # tag bits are the parts of expected_tags that read the class alone (the
     # digits have their own test)
     from bnloci.k3 import _candidate_rows
 
     for lattice in assemble_lattices():
         basis = LatticeBasis(*lattice)
-        rows, hs = _candidate_rows(basis)
+        rows, hs, classes = _candidate_rows(basis)
         assert hs == tuple(row[0] for row in rows)
-        for u, a, b, cc, v, qq, c, tags, _ in rows:
-            assert (a, b) == c and 0 < u < basis.h_square
+        assert len(classes) == len(rows) + 1 and classes[0] == LatticeClass(0, 0)
+        for u, a, b, cc, v, qq, tags, digit in rows:
+            c = LatticeClass(a, b)
+            assert classes[digit] == c and type(classes[digit]) is LatticeClass
+            assert 0 < u < basis.h_square
             assert (u, v, cc, qq) == (
                 pair(basis, H, c), pair(basis, L, c), self_int(basis, c), self_int(basis, H - c)
             ), (lattice, c)
             dm = DM if c == H - L else 0
             elliptic = ELLIPTIC if self_int(basis, H - c) == 0 else 0
             assert tags == dm | elliptic, (lattice, c)
-        assert [row[6] for row in rows] == sorted(
+        assert list(map(row_class, rows)) == sorted(
             candidate_subsheaf_classes(basis), key=lambda c: (pair(basis, H, c), c)
         )
 
@@ -739,10 +743,11 @@ def per_type_walk(basis, s, leaf):
 
     htot = basis.h_square
     big = _scale(s)
-    rows, _ = _candidate_rows(basis)
+    rows = _candidate_rows(basis)[0]
     hs = [row[0] for row in rows]
+    heads = [row_class(row) for row in rows]
     origin = (0, 0, 0, 0, 0, htot)  # E_0 = 0, so c.p = p.p = 0
-    path = []
+    path = []  # the classes of the chosen rows
 
     for ranks in enumerate_filtration_types(s):
         rk = (0,) + ranks
@@ -766,7 +771,7 @@ def per_type_walk(basis, s, leaf):
                 c = rows[idx]
                 cp = c[1] * hp + c[2] * p[4]
                 total = acc + half[m] * (c[3] - 2 * cp + p[3]) + big * (cp - p[3]) + const[m]
-                path.append(c)
+                path.append(heads[idx])
                 if m == n - 1:
                     leaf(ranks, path, total + half[n] * c[5] + big * (c[0] - c[3]) + const[n])
                 else:
@@ -776,14 +781,38 @@ def per_type_walk(basis, s, leaf):
         dfs(1, origin, 0, 0)
 
 
+def row_class(row):
+    # the class of a candidate row, from its own (a, b) fields
+    return LatticeClass(row[1], row[2])
+
+
+def key_rows(basis, of_row=None):
+    # the decoder of the walk's keys into tuples of of_row(row) (the rows
+    # themselves by default), by division and each row's own digit field,
+    # with no k3 decoder: a key is its prefix key // radix and its last
+    # digit, and the digits are at least 1, so the empty prefix is 0
+    from bnloci.k3 import _candidate_rows
+
+    rows = _candidate_rows(basis)[0]
+    by_digit = {row[7]: of_row(row) if of_row else row for row in rows}
+    radix, memo = len(rows) + 1, {0: ()}
+
+    def decode(key):
+        if key not in memo:
+            memo[key] = decode(key // radix) + (by_digit[key % radix],)
+        return memo[key]
+
+    return decode
+
+
 def walk_leaves(basis, s, drop):
-    # the prefix walk's leaves as (ranks, the rows' classes, scaled bound,
-    # tag names), sorted
+    # the prefix walk's leaves as (ranks, the classes its key spells, scaled
+    # bound, tag names), sorted
     from bnloci.k3 import _walk
 
-    out = []
-    _walk(basis, s, drop, lambda ranks, path, total, tags: out.append(
-        (ranks, tuple(row[6] for row in path), total, _TAG_NAMES[tags])
+    out, decode = [], key_rows(basis, row_class)
+    _walk(basis, s, drop, lambda ranks, key, total, tags: out.append(
+        (ranks, decode(key), total, _TAG_NAMES[tags])
     ))
     return sorted(out)
 
@@ -792,9 +821,7 @@ def oracle_leaves(basis, s):
     # the per-type walk's leaves as (ranks, the rows' classes, scaled bound,
     # tag names by the filter definitions), sorted
     out = []
-    per_type_walk(basis, s, lambda ranks, path, total: out.append(
-        (ranks, tuple(row[6] for row in path), total)
-    ))
+    per_type_walk(basis, s, lambda ranks, path, total: out.append((ranks, tuple(path), total)))
     return sorted(
         (ranks, heads, total, expected_tags(basis, s, Assignment(ranks, heads + (H,), Fraction(0))))
         for ranks, heads, total in out
@@ -819,10 +846,10 @@ def per_type_listing(s, leaves, cfg):
 
 
 def test_prefix_walk_matches_per_type_walk():
-    # the walk's leaves and their tags are the per-type oracle's under every
-    # config, which drops exactly the leaves that it filters; and the listing
-    # of enumerate_assignments is the oracle's, in its order, with one
-    # Fraction object per distinct bound
+    # the walk's leaves, their tags and the classes their keys spell are the
+    # per-type oracle's under every config, which drops exactly the leaves
+    # that it filters; and the listing of enumerate_assignments is the
+    # oracle's, in its order, with one Fraction object per distinct bound
     jobs = assemble_jobs(range(7, 15)) + K3_LIST_JOBS
     assert len(jobs) > 300 and max(s for *_, s in jobs) == 8
     emitted, seen = 0, set()
@@ -854,15 +881,15 @@ def test_row_digits_are_the_ranks_of_the_classes_in_a_b_order():
     lattices = {job[:3] for job in assemble_jobs(range(7, 17)) + K3_LIST_JOBS}
     assert any(r == 1 for _, r, _ in lattices)
     for lattice in sorted(lattices):
-        rows, _ = _candidate_rows(LatticeBasis(*lattice))
-        digits = [row[8] for row in sorted(rows, key=lambda row: row[6])]
+        rows = _candidate_rows(LatticeBasis(*lattice))[0]
+        digits = [row[7] for row in sorted(rows, key=row_class)]
         assert digits == list(range(1, len(rows) + 1)), lattice
     for g, r, d, s in K3_LIST_JOBS:
         basis = LatticeBasis(g, r, d)
         _, classes, groups = listing_records(basis, s)
         radix = len(classes)
-        rows, _ = _candidate_rows(basis)
-        assert classes == (LatticeClass(0, 0), *sorted(row[6] for row in rows))
+        rows = _candidate_rows(basis)[0]
+        assert classes == (LatticeClass(0, 0), *sorted(map(row_class, rows)))
         keys = {}  # by type length
         for ranks, records in groups:
             keys.setdefault(len(ranks), set()).update(key for key, _, _ in records)
@@ -872,9 +899,10 @@ def test_row_digits_are_the_ranks_of_the_classes_in_a_b_order():
 
 
 def test_enumerated_classes_are_the_classes_that_the_walk_hands_its_leaf():
-    # cmd_k3 and enumerate_assignments decode the same keys, so comparing the
-    # two cannot catch a bad decode; this reads the classes off the rows that
-    # the walk passes in ``path``, with no key, and checks the decoded listing
+    # cmd_k3 and enumerate_assignments decode the same keys with the same
+    # decoder, so comparing the two cannot catch a bad decode; this reads the
+    # classes off the walk's keys by division and the rows' own (a, b)
+    # fields (key_rows), and checks the decoded listing
     from bnloci.k3 import _scale
 
     for g, r, d, s in K3_LIST_JOBS:
@@ -954,13 +982,15 @@ def test_walk_emits_the_leaves_in_a_locked_order():
 
     digest, emitted = hashlib.sha256(), 0
     for g, r, d, s in assemble_jobs(range(7, 13)) + K3_LIST_JOBS[:1]:
+        basis = LatticeBasis(g, r, d)
+        decode = key_rows(basis)
 
-        def leaf(ranks, path, total, tags):
+        def leaf(ranks, key, total, tags):
             nonlocal emitted
             emitted += 1
-            digest.update(repr((ranks, [tuple(row[6]) for row in path], total)).encode())
+            digest.update(repr((ranks, [(row[1], row[2]) for row in decode(key)], total)).encode())
 
-        _walk(LatticeBasis(g, r, d), s, 0, leaf)
+        _walk(basis, s, 0, leaf)
     assert emitted == 7458
     assert digest.hexdigest() == "6086f3aea1f5615713bb775877f4c5c4da2078a81db3cbf3b6fbf439d3a0ddf3"
 
@@ -1147,24 +1177,26 @@ def chain_sums(basis, big, rk, classes):
 
 
 def least_leaf_totals(basis, s, drop):
-    # the uncut walk, with every prefix (ranks, rows) of a leaf's path mapped
-    # to the least total of the leaves through its last row, and of the
-    # leaves strictly below it.  With nothing dropped, each leaf's step sum,
-    # closed form and total must agree
+    # the uncut walk, with every prefix (ranks, rows) of the rows that a
+    # leaf's key spells mapped to the least total of the leaves through its
+    # last row, and of the leaves strictly below it.  With nothing dropped,
+    # each leaf's step sum, closed form and total must agree
     from bnloci.k3 import _scale, _walk
 
     through, below, big = {}, {}, _scale(s)
+    decode, heads = key_rows(basis), key_rows(basis, row_class)
 
-    def leaf(ranks, path, total, tags):
+    def leaf(ranks, key, total, tags):
+        path = decode(key)
         n = len(path)
         for m in range(1, n + 1):
-            key = (ranks[:m], tuple(path[:m]))
-            if through.get(key, total) >= total:
-                through[key] = total
-            if m < n and below.get(key, total) >= total:
-                below[key] = total
+            prefix = (ranks[:m], path[:m])
+            if through.get(prefix, total) >= total:
+                through[prefix] = total
+            if m < n and below.get(prefix, total) >= total:
+                below[prefix] = total
         if not drop:
-            classes = tuple(row[6] for row in path) + (H,)
+            classes = heads(key) + (H,)
             assert chain_sums(basis, big, (0,) + ranks, classes) == (total, total), (ranks, path)
 
     _walk(basis, s, drop, leaf)
@@ -1191,7 +1223,7 @@ def test_branch_and_bound_bounds_hold_on_every_uncut_leaf():
             # acc/D - c_m^2/2 + H^2/2 at the node of the rows ``path``
             key = (rk, tuple(path))
             if key not in nodes:
-                step, closed = chain_sums(basis, big, rk, [row[6] for row in path])
+                step, closed = chain_sums(basis, big, rk, list(map(row_class, path)))
                 assert step == closed, key
                 cm = path[-1][3] if path else 0
                 nodes[key] = Fraction(step, big) - Fraction(cm - h2, 2)
@@ -1297,7 +1329,7 @@ def test_recheck_rejects_a_bad_leaf():
     from bnloci.k3 import _candidate_rows, _check_step
 
     basis = LatticeBasis(9, 2, 6)
-    rows, _ = _candidate_rows(basis)
+    rows = _candidate_rows(basis)[0]
     htot = basis.h_square
     # a child of the root, ranks (0, 1, 2): the lowest H-degree first gives
     # mu(E_1) < mu(E), so the pair (P_0, P_1, P_top) fails
