@@ -74,10 +74,31 @@ monotonicity, none at any later rank.  For r = s the test reads
 H^2 <= h_max, which never holds, as every candidate has H.c < H^2; so it
 also stands for "r < s".  A child that fails it would emit no leaf and have
 no child of its own, so it is never entered.
-The walk thus emits the same leaves in the same order and checks each one
-(the floored search skips more; see "Branch and bound").
+The walk thus emits the same leaves in the same order, and every leaf it
+emits is checked (the floored search skips more; see "Branch and bound").
 A lattice with no candidate row has no admissible step at all, and the
 walk returns at once.
+
+Node states.  A node's rank loop reads only its state: r_m, the row of c_m
+(named by its digit), H.c_{m-1} and r_m - r_{m-1}.  The interval ends read
+r_m, H.c_m, H.c_{m-1} and the rank step; a row's step check, its step term,
+its closing term, its tags and whether it has a child read the same and the
+row.  The scaled bound acc of steps 1..m only adds to every total, the key
+only leads every child's digits, and the ranks r_1..r_m only lead every
+type.  So the uncut walk plans the loop of each state once, at its first
+visit, with acc = 0: per rank, the kept leaves as (digit, end, tags) and the
+children as (row, total, state).  Every visit, the first included, replays
+the plan: it adds acc to every bound and the node's key times n + 1 to every
+digit, builds the ranks tuple once per rank, emits the leaves in the plan's
+order and then enters the children in theirs, which is the order of a node
+that checks and emits row by row.
+The plans live in a dict local to one walk.  On the five listing jobs of
+the benchmark the walk enters 16,076 nodes but only 2,084 states, and checks
+10,412 (state, row) pairs where a check per leaf made 35,688.  The floored
+walk cannot store its loop: its interval and descent bounds read t, which
+falls as leaves arrive, within a node too, so the rows it reads at a state
+depend on the leaves before them.  It keeps the node that checks and emits
+row by row.
 
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
@@ -106,7 +127,11 @@ Every leaf, on both paths, is checked in integers, with no bisection or
 rounding shared with the cuts, and a failure raises RuntimeError, which,
 unlike an assert, survives python -O.  The check is step-wise
 (:func:`_check_step`): a leaf pays for the conditions that its last step
-adds, not for its whole chain.  The walk descends into a prefix only after
+adds, not for its whole chain.  Those read only the leaf's node state and
+its last row, so the uncut walk checks each (state, row) once, when it
+plans the state, and the check stands for every leaf that a replay emits
+through that row; a failing row raises while its state is planned, before
+the node emits any leaf.  The walk descends into a prefix only after
 that prefix's own leaf (r_1..r_m, s+1) has passed its check, so when a child
 P = (r, H.c) of it is emitted, the child's chain P_0..P_m, P, P_top differs
 from the checked parent chain P_0..P_m, P_top in exactly two adjacent slope
@@ -204,9 +229,10 @@ best nor be the first kept leaf <= 2s that ends the search.  The kept
 leaves that are new minima are thus the same, in the same order, with and
 without the cut, so the floored entry is the same int, bit for bit, and
 :func:`k3_certified_below` keeps its exact ceil(m / D) contract.  Every row
-that the walk visits is checked as before, so the step-wise check above
-holds for the leaves it emits.  The listing, which needs every leaf, and
-the exact search walk without the cut.
+that the walk visits is checked before its leaf is emitted, so the
+step-wise check above holds for the leaves it emits.  The listing, which
+needs every leaf, and the exact search walk without the cut, and so replay
+the node states' plans ("Node states").
 """
 
 from __future__ import annotations
@@ -507,23 +533,28 @@ def _walk(
     top quotient has rank s+1 - r_m >= 2.  A leaf with a tag in ``drop`` is
     checked like any other but not emitted, and its children are entered.
 
-    With ``cut``, the caller reads a kept leaf only when its scaled_c2 is
+    Without ``cut``, the walk plans the rank loop of each node state once
+    and replays the plan at every visit of that state (module docstring,
+    "Node states"); the plans live in a dict local to this call.  With
+    ``cut``, the caller reads a kept leaf only when its scaled_c2 is
     below every earlier one, and the walk skips, unchecked, every subtree
     and row whose leaves all have scaled_c2 at least the least kept one so
-    far (module docstring, "Branch and bound").
+    far (module docstring, "Branch and bound"); as what it skips depends on
+    the leaves before, each node checks and emits its rows one by one.
 
     A node emits all its children's leaves before it descends into any
     child, so the leaves of the shortest types come first.  The module
-    docstring proves that the interval cuts, the prefix sharing and the
-    pruning emit exactly the leaves of the per-type search, in this order
-    ("Interval cuts", "Prefix sharing", "Pruning"), and where the step
-    table and the rows come from ("Scaled integers").  A lattice without
-    candidate rows emits no leaf.
+    docstring proves that the interval cuts, the prefix sharing, the
+    pruning and the replayed plans emit exactly the leaves of the per-type
+    search, in this order ("Interval cuts", "Prefix sharing", "Pruning",
+    "Node states"), and where the step table and the rows come from
+    ("Scaled integers").  A lattice without candidate rows emits no leaf.
 
     Raises ValueError for s < 1, where no type exists and an empty walk
     would read as "every e certified", and for Delta >= 0 or r = 0 through
     :func:`destab_box`, which :func:`_candidate_rows` reaches first; and
-    RuntimeError for a leaf that fails its step check (:func:`_check_step`).
+    RuntimeError for a leaf that fails its step check (:func:`_check_step`),
+    which the uncut walk raises before the leaf's node emits any leaf.
     """
     if s < 1:
         raise ValueError("need s >= 1")
@@ -537,9 +568,74 @@ def _walk(
     big, half, const, masks = _step_table(s, s > basis.r)
     htot, top = basis.h_square, s + 1
     count, hmax, radix = len(rows), hs[-1], len(classes)
-    # under cut, t is the least kept total so far less 1 (None before the
-    # first), and the walk skips what bounds above t (module docstring,
-    # "Branch and bound"); dl = |Delta| and mn = min(|Delta|, 2 H^2)
+    # E_0 = 0, so c.p = p.p = 0; its digit 0 names classes[0], the zero class
+    root = (0, 0, 0, 0, 0, htot, 0, 0)
+    if not cut:
+        plans = {}  # the rank loop of each node state, for this walk only
+
+        def plan(ranks: tuple[int, ...], p: tuple, state: tuple, key: int) -> tuple:
+            # the rank loop of the node state (module docstring, "Node
+            # states") with acc = 0, as (emits, descents): emits holds
+            # (r, [(digit, end, tags), ...]) for the kept leaves, descents
+            # (r, [(row, total, child state), ...]) for the children; ranks
+            # and key name the first visit's leaf in a step-check error,
+            # which raises before that visit emits any leaf
+            rm, _, hpp, dr = state
+            hp, pp, pv = p[0], p[3], p[4]
+            emits, descents, start = [], [], 0
+            for r in range(rm + 1, top):
+                a = r - rm
+                lo = -(-(htot * a + hp * (top - r)) // (top - rm))
+                start = bisect_left(hs, lo, start)
+                if start == count:
+                    break
+                stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if dr else count
+                if start == stop:
+                    continue
+                hm, cm, hn, cn, mask = half[a], const[a], half[top - r], const[top - r], masks[r]
+                wide, room = top - r - 1, hmax * (top - r) - htot
+                leaves, kids = [], []
+                for c in rows[start:stop]:
+                    cp = c[1] * hp + c[2] * pv
+                    total = hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
+                    what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
+                    if what:
+                        raise _leaf_error(basis, (0, *ranks, r, top), key * radix + c[7], what)
+                    tags = c[6] & mask
+                    if not tags & drop:
+                        leaves.append((c[7], total + hn * c[5] + big * (c[0] - c[3]) + cn, tags))
+                    if c[0] * wide <= room:
+                        kids.append((c, total, (r, c[7], hp, a)))
+                if leaves:
+                    emits.append((r, leaves))
+                if kids:
+                    descents.append((r, kids))
+            return emits, descents
+
+        def replay(ranks: tuple[int, ...], p: tuple, state: tuple, acc: int, key: int) -> None:
+            # p is the row of c_m, state = (r_m, its digit, H.c_{m-1},
+            # r_m - r_{m-1}), acc the scaled bound of steps 1..m, key the
+            # digits of c_1..c_m
+            steps = plans.get(state)
+            if steps is None:
+                steps = plans[state] = plan(ranks, p, state, key)
+            key *= radix  # a child's key adds its row's digit
+            emits, descents = steps
+            for r, leaves in emits:
+                leaf_ranks = ranks + (r, top)
+                for digit, end, tags in leaves:
+                    leaf(leaf_ranks, key + digit, acc + end, tags)
+            for r, kids in descents:
+                kid = ranks + (r,)
+                for c, total, child in kids:
+                    replay(kid, c, child, acc + total, key + c[7])
+
+        replay((), root, (0, 0, 0, 0), 0, 0)
+        return
+
+    # t is the least kept total so far less 1 (None before the first), and
+    # the walk skips what bounds above t (module docstring, "Branch and
+    # bound"); dl = |Delta| and mn = min(|Delta|, 2 H^2)
     t = None
     dl = -basis.discriminant
     mn = min(dl, 2 * htot)
@@ -554,11 +650,10 @@ def _walk(
         key *= radix  # a child's key adds its row's digit
         children = []
         start = 0
-        if cut:
-            # the interval bound skips a row (r_m + a, h) iff
-            # a (base - 2 H^2 t) > den (h - h_m)
-            base = htot * (2 * acc + big * (htot - pp)) + (top - rm) * big * mn
-            den = big * (htot - hp)
+        # the interval bound skips a row (r_m + a, h) iff
+        # a (base - 2 H^2 t) > den (h - h_m)
+        base = htot * (2 * acc + big * (htot - pp)) + (top - rm) * big * mn
+        den = big * (htot - hp)
         for r in range(rm + 1, top):
             a = r - rm
             # the lower end never decreases in r, so no later r has a row
@@ -589,7 +684,7 @@ def _walk(
                     # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
                     end = total + hn * c[5] + big * (c[0] - c[3]) + cn
                     leaf(leaf_ranks, key + c[7], end, tags)
-                    if cut and (t is None or end <= t):
+                    if t is None or end <= t:
                         t = end - 1
                 if c[0] * wide <= room:
                     children.append((kid, r, c, a, total))
@@ -604,7 +699,7 @@ def _walk(
                     continue
             node(kid, r, c, hp, a, total, key + c[7])
 
-    node((), 0, (0, 0, 0, 0, 0, htot), 0, 0, 0, 0)  # E_0 = 0, so c.p = p.p = 0
+    node((), 0, root, 0, 0, 0, 0)
 
 
 # enumerate_assignments refuses more workers than this; it runs serially anyway

@@ -602,6 +602,20 @@ def test_main_builds_its_parser_once_per_process(capsys, monkeypatch):
     assert out.stdout == "0\n"
 
 
+def test_cli_import_leaves_the_oracles_unloaded():
+    # no engine path needs bnloci.oracles, so a fresh `import bnloci.cli`
+    # does not load it; the package loads it on the first read of one of its
+    # names, and that name is the oracle module's own object
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    code = (
+        "import sys, bnloci.cli; before = 'bnloci.oracles' in sys.modules; "
+        "import bnloci; check = bnloci.gt_check; "
+        "print(before, check is sys.modules['bnloci.oracles'].gt_check)"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == "False True\n"
+
+
 def test_poset_output_file(tmp_path, capsys):
     target = tmp_path / "g7.dot"
     code, out, _ = run(capsys, "poset", "7", "--output", str(target))
@@ -824,14 +838,17 @@ def test_k3_listing_above_the_cap_is_rejected_at_that_leaf(capsys, monkeypatch):
     monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", full)  # a listing at the cap is kept
     assert len(enumerate_assignments(basis, 3)) == full
 
-    cap, leaves, check = full // 2, [], k3._check_step
+    cap, leaves, walk = full // 2, [], k3._walk
 
-    def counted_check(*args):  # called once per leaf; no filter drops one here
-        leaves.append(args)
-        return check(*args)
+    def counted_walk(basis, s, drop, leaf, cut=False):  # counts every leaf the walk emits
+        def counted(*args):
+            leaves.append(args)
+            return leaf(*args)
+
+        return walk(basis, s, drop, counted, cut)
 
     monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", cap)
-    monkeypatch.setattr(k3, "_check_step", counted_check)
+    monkeypatch.setattr(k3, "_walk", counted_walk)
     message = f"listing of Lambda^2_(11,7) at s = 3 passes {cap} assignments"
     with pytest.raises(ValueError, match=re.escape(message)):
         enumerate_assignments(basis, 3)

@@ -729,7 +729,9 @@ def test_floored_search_stops_early(monkeypatch):
 
     monkeypatch.setattr(k3, "_check_step", spy)
     basis = LatticeBasis(15, 4, 13)
-    assert len(enumerate_assignments(basis, 7)) == len(checked) == 14263
+    # the listing checks each (node state, row) once: 3,465 checks for 14,263 leaves
+    assert len(enumerate_assignments(basis, 7)) == 14263
+    assert len(checked) == 3465
     checked.clear()
     k3._min_bound_cached.cache_clear()
     assert k3.k3_certified_below(15, 4, 13, 7) <= 14
@@ -920,15 +922,14 @@ def test_enumerated_classes_are_the_classes_that_the_walk_hands_its_leaf():
 
 def test_floored_walk_emits_short_types_first(monkeypatch):
     # the prefix walk emits a node's leaves before it descends, so the
-    # floored minimum, without the cut of branch and bound, checks no more
-    # leaves than the per-type search did (7,895 over these genera); a
+    # floored minimum, without the cut of branch and bound, emits no more
+    # leaves than the per-type search checked (7,895 over these genera); a
     # plain depth-first order checks 85,944
     import bnloci.k3 as k3
 
-    uncut_walk(monkeypatch)
-    checked = cold_assemble_rows(monkeypatch, range(13, 18))
+    emitted = cold_assemble_uncut_leaves(monkeypatch, range(13, 18))
     k3._min_bound_cached.cache_clear()
-    assert 0 < checked <= 7895
+    assert 0 < emitted <= 7895
 
 
 def count_lower_end_bisections(monkeypatch, work):
@@ -1307,16 +1308,74 @@ def cold_assemble_rows(monkeypatch, genera):
     return checked
 
 
+def test_listing_checks_each_node_state_row_once(monkeypatch):
+    # the uncut walk plans each node state's rank loop once and replays it,
+    # so the listing jobs check 10,412 (state, row) pairs where a check per
+    # leaf made 35,688; and every emitted leaf's last step is among the
+    # checked calls, rebuilt from its ranks and its key decoded by division
+    # (key_rows), not by the walk's own state
+    import bnloci.k3 as k3
+
+    checked = []
+    real = k3._check_step
+
+    def spy(*args):
+        checked.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(k3, "_check_step", spy)
+    emitted = []
+    for g, r, d, s in K3_LIST_JOBS:
+        basis = LatticeBasis(g, r, d)
+        decode, htot = key_rows(basis), basis.h_square
+        first, leaves = len(checked), []
+        k3._walk(basis, s, 0, lambda ranks, key, total, tags: leaves.append((ranks, key)))
+        calls = set(checked[first:])
+        for ranks, key in leaves:
+            path = decode(key)
+            rk, hd = (0, *ranks[:-1]), (0, *[row[0] for row in path])
+            m = len(path) - 1  # the parent P_m of the last step
+            dr, hpp = (rk[m] - rk[m - 1], hd[m - 1]) if m else (0, 0)
+            assert (htot, s + 1, rk[m], hd[m], dr, hpp, rk[-1], path[-1]) in calls, (g, r, d, s)
+        emitted += leaves
+    assert len(checked) == 10412 and len(emitted) == 35688
+
+
+def cold_assemble_uncut_leaves(monkeypatch, genera):
+    # the leaves that the walk without the cut emits in a cold assemble(g)
+    # over the genera; each is checked, and the per-type search checked
+    # exactly these
+    import bnloci.k3 as k3
+    from bnloci.poset import assemble
+
+    emitted = 0
+    real = k3._walk
+
+    def spy(basis, s, drop, leaf, cut=False):
+        def counted(*args):
+            nonlocal emitted
+            emitted += 1
+            return leaf(*args)
+
+        return real(basis, s, drop, counted)
+
+    monkeypatch.setattr(k3, "_walk", spy)
+    k3._min_bound_cached.cache_clear()
+    for g in genera:
+        assemble(g)
+    monkeypatch.setattr(k3, "_walk", real)
+    return emitted
+
+
 def test_cut_checks_at_most_half_the_rows_of_a_cold_assemble(monkeypatch):
     # the cut must keep skipping at least half of the rows: a cold
-    # assemble(30) checks 6,749 rows with it and 46,077 without, and cold
-    # assemble(13..17) 3,519 and 7,895
+    # assemble(30) checks 6,749 rows with it, where the walk without it
+    # emits 46,077 leaves, and cold assemble(13..17) 3,519 and 7,895
     import bnloci.k3 as k3
 
     genera = ([30], range(13, 18))
     cut = [cold_assemble_rows(monkeypatch, gs) for gs in genera]
-    uncut_walk(monkeypatch)
-    uncut = [cold_assemble_rows(monkeypatch, gs) for gs in genera]
+    uncut = [cold_assemble_uncut_leaves(monkeypatch, gs) for gs in genera]
     k3._min_bound_cached.cache_clear()
     assert cut == [6749, 3519] and uncut == [46077, 7895]
     assert all(2 * rows <= full for rows, full in zip(cut, uncut))
