@@ -14,15 +14,15 @@ import json
 import os
 import re
 import sys
-from fractions import Fraction
 from importlib import resources
 from pathlib import Path
 
 from .classical import gonality_bounds
 from .k3 import (
+    _TAG_NAMES,
     BOTH_FILTERS,
     FilterConfig,
-    Memo,
+    bound_text,
     box_class_count,
     destab_box,
     key_prefixes,
@@ -220,31 +220,43 @@ MAX_K3_SERIES = (MAX_POSET_GENUS - 1) // 2
 MAX_K3_BOX_CLASSES = 10_000
 
 
-def _class_columns(classes, name, name_xy, sep):
-    """The fragments that `bn k3` renders the keys of
-    :func:`~bnloci.k3.listing_records` from: ``(prefixes, names, names_xy)``.
-    ``names[digit]`` and ``names_xy[digit]`` name the class of a digit and
-    its (x,y), each once, and ``prefixes[key // len(classes)]`` is the pair
-    of the two columns of a key's prefix, each class followed by ``sep``
-    (:func:`~bnloci.k3.key_prefixes`), each built once, as siblings share all
-    classes but the last.  A key's columns are its prefix's followed by the
-    names of its last digit, ``key % len(classes)``."""
-    names = Memo(lambda digit: name(classes[digit]))
-    names_xy = Memo(lambda digit: name_xy(classes[digit]))
-    prefixes = key_prefixes(
-        len(classes),
-        lambda pre, digit: (pre[0] + names[digit] + sep, pre[1] + names_xy[digit] + sep),
-        ("", ""),
-    )
-    return prefixes, names, names_xy
+class Memo(dict):
+    """A dict that builds the value of each missing key once, by
+    ``render(key)``."""
+
+    __slots__ = ("render",)
+
+    def __init__(self, render):
+        super().__init__()
+        self.render = render
+
+    def __missing__(self, key):
+        value = self[key] = self.render(key)
+        return value
+
+
+def _class_columns(classes, name, sep, end):
+    """One column of the classes that `bn k3` renders the keys of
+    :func:`~bnloci.k3.listing_records` in: ``(prefixes, lasts)``, both
+    indexed by ints.  ``name`` names each class once; ``lasts[digit]`` is
+    the name of the class of a digit followed by ``end``, and
+    ``prefixes[key // len(classes)]`` the names of a key's prefix, each
+    followed by ``sep`` (:func:`~bnloci.k3.key_prefixes`), each prefix
+    built once, as siblings share all classes but the last.  A key's column
+    is its prefix's entry followed by ``lasts[key % len(classes)]``."""
+    names = [name(c) for c in classes]
+    return key_prefixes([n + sep for n in names], ""), [n + end for n in names]
 
 
 def cmd_k3(args) -> int:
     """`bn k3`, rendered from :func:`~bnloci.k3.listing_records` with no
-    Assignment, record by record: each distinct bound (one Fraction, keyed
-    by its scaled integer), class, key prefix (:func:`_class_columns`) and
-    tag tuple once, each type once per group; the minimum is the least
-    scaled bound."""
+    Assignment and no Fraction, in one write per type, each record from
+    per-listing tables:
+    each distinct bound's text once, in integers
+    (:func:`~bnloci.k3.bound_text`), keyed by its scaled integer; each
+    class's fragments once, indexed by digit, and each key prefix's once
+    (:func:`_class_columns`); the filter and type fragments once per type,
+    indexed by the int tags.  The minimum is the least scaled bound."""
     if args.g < 3:
         # the message enumerate_loci gives, and so bn poset
         raise ValueError("need g >= 3")
@@ -282,31 +294,29 @@ def cmd_k3(args) -> int:
     if args.json:
         # the bytes of json.dumps(payload, sort_keys=True, separators=(",", ":")):
         # "assignments" is the first key, each entry's keys are written in
-        # sorted order, and every fragment comes from json.dumps
+        # sorted order, and every fragment comes from json.dumps, but for the
+        # bound text, whose characters JSON does not escape
         dumps = functools.partial(json.dumps, separators=(",", ":"))
-        bound = Memo(lambda total: dumps(str(Fraction(total, big))))
-        prefixes, chern, chern_xy = _class_columns(
-            classes, lambda c: dumps(str(c)), lambda c: dumps(list(c.xy)), ","
-        )
-        flags = Memo(lambda tags: dumps(list(tags)))
+        bound = Memo(lambda total: f'"{bound_text(total, big)}"')
         top, top_xy = dumps(str(H)), dumps(list(H.xy))
+        text, chern = _class_columns(classes, lambda c: dumps(str(c)), ",", "," + top)
+        xy, chern_xy = _class_columns(classes, lambda c: dumps(list(c.xy)), ",", "," + top_xy)
+        flags = [dumps(list(names)) for names in _TAG_NAMES]
         write('{"assignments":[')
         sep = ""
-        for ranks, records in groups:
+        for ranks, records in groups:  # one write per type
             kind = dumps(type_text(ranks))
-            for key, total, tags in records:
-                text, xy = prefixes[key // radix]
-                digit = key % radix
-                write(
-                    f'{sep}{{"c2_bound":{bound[total]},"chern":[{text}{chern[digit]},{top}],'
-                    f'"chern_xy":[{xy}{chern_xy[digit]},{top_xy}],'
-                    f'"filters":{flags[tags]},"type":{kind}}}'
-                )
-                sep = ","
+            tails = [f'],"filters":{names},"type":{kind}}}' for names in flags]
+            write(sep + ",".join([
+                f'{{"c2_bound":{bound[total]},"chern":[{text[key // radix]}{chern[key % radix]}],'
+                f'"chern_xy":[{xy[key // radix]}{chern_xy[key % radix]}{tails[tags]}'
+                for key, total, tags in records
+            ]))
+            sep = ","
         minimum = min(bound, default=None)  # the memo is keyed by every scaled bound
         rest = {"lattice": {"g": args.g, "r": args.r, "d": args.d}, "series_dim": args.series,
                 "filters": args.filters, "box": list(box),
-                "min_c2_bound": None if minimum is None else str(Fraction(minimum, big))}
+                "min_c2_bound": None if minimum is None else bound_text(minimum, big)}
         write("]," + dumps(rest, sort_keys=True)[1:] + "\n")
         return EXIT_OK
     print(f"lattice {basis}  series dimension s = {args.series}  filters {args.filters}")
@@ -316,17 +326,18 @@ def cmd_k3(args) -> int:
         return EXIT_OK
     print(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
     # a fractional bound also as a decimal: int / int rounds as float(Fraction) does
-    bound = Memo(lambda t: f"{Fraction(t, big)}" + (f" ({t / big:.2f})" if t % big else ""))
-    prefixes, chern, chern_xy = _class_columns(classes, str, lambda c: str(c.xy), ", ")
-    flags = Memo(lambda tags: ",".join(tags) or "-")
-    for ranks, records in groups:
+    bound = Memo(lambda t: bound_text(t, big) + (f" ({t / big:.2f})" if t % big else ""))
+    text, chern = _class_columns(classes, str, ", ", "")
+    xy, chern_xy = _class_columns(classes, lambda c: str(c.xy), ", ", "")
+    flags = [",".join(names) or "-" for names in _TAG_NAMES]
+    for ranks, records in groups:  # one write per type
         kind = f"{type_text(ranks):<10}"
-        for key, total, tags in records:
-            text, xy = prefixes[key // radix]
-            digit = key % radix
-            text, xy = text + chern[digit], xy + chern_xy[digit]
-            write(f"{kind} {text:<28} {xy:<22} {bound[total]:<12} {flags[tags]}\n")
-    print(f"minimum c2 bound: {Fraction(min(bound), big)}")
+        write("".join([
+            f"{kind} {text[key // radix] + chern[key % radix]:<28} "
+            f"{xy[key // radix] + chern_xy[key % radix]:<22} {bound[total]:<12} {flags[tags]}\n"
+            for key, total, tags in records
+        ]))
+    print(f"minimum c2 bound: {bound_text(min(bound), big)}")
     return EXIT_OK
 
 

@@ -89,9 +89,11 @@ type.  So the uncut walk plans the loop of each state once, at its first
 visit, with acc = 0: per rank, the kept leaves as (digit, end, tags) and the
 children as (row, total, state).  Every visit, the first included, replays
 the plan: it adds acc to every bound and the node's key times n + 1 to every
-digit, builds the ranks tuple once per rank, emits the leaves in the plan's
-order and then enters the children in theirs, which is the order of a node
-that checks and emits row by row.
+digit, sets the bit of each planned rank in the node's rank bitmask once
+(``ranks | 1 << r``, the type of that rank's leaves and the ranks of its
+children alike), emits the leaves in the plan's order and then enters the
+children in theirs, which is the order of a node that checks and emits row
+by row.
 The plans live in a dict local to one walk.  On the five listing jobs of
 the benchmark the walk enters 16,076 nodes but only 2,084 states, and checks
 10,412 (state, row) pairs where a check per leaf made 35,688.  The floored
@@ -103,8 +105,14 @@ row by row.
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
 it as an integer times D = 2 lcm(1..s+1); the minimum cache,
-k3_noncontainment and the listing records stay in integers, and a Fraction
-is built once per distinct bound of a listing or minimum.  The step table
+k3_noncontainment, the listing records and ``bn k3``'s bound text stay in
+integers (:func:`bound_text`), and a Fraction is built only for an
+Assignment or a minimum that a caller reads, once per distinct bound.  A
+leaf's filtration type reaches its caller as one int too, a bitmask with
+bit r set for each rank r_i: every node carries the bits of r_1..r_m and
+of s+1, so a child or a leaf of rank r adds one bit, and the readers decode
+each distinct type once (:func:`type_ranks`), while the exact minimum
+decodes only the leaves that tie or beat its least bound.  The step table
 (D, each rank's two scaled step constants and the tag masks,
 :func:`_step_table`) depends on s and on whether s > r alone, so it is
 built once per series and shared by every walk at that key.  Each
@@ -121,7 +129,7 @@ radix n + 1, where a child's key is its node's key times n + 1 plus the
 child's digit, so the walk keeps no path of rows.  The listing sorts each
 type once on those ints, which order as the classes do, and every reader
 decodes a key through the one memo of its prefixes (:func:`key_prefixes`),
-which builds each shared prefix once.
+which builds each shared prefix once, in one frame.
 
 Every leaf, on both paths, is checked in integers, with no bisection or
 rounding shared with the cuts, and a failure raises RuntimeError, which,
@@ -242,8 +250,7 @@ from collections import defaultdict, namedtuple
 from collections.abc import Callable
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
-from operator import itemgetter
+from math import gcd, lcm
 
 from .lattice import H, ZERO, LatticeBasis, LatticeClass, delta, floor_sqrt_ratio, pair, self_int
 from .loci import BNLocus, RelKind, Relation, _require_proper_locus
@@ -300,6 +307,22 @@ def lm_invariants(g: int, s: int, e: int) -> LMInvariants:
 def type_text(ranks: tuple[int, ...]) -> str:
     """A filtration type as text, its ranks joined by '<' (``1<3<4``)."""
     return "<".join(map(str, ranks))
+
+
+def type_ranks(mask: int) -> tuple[int, ...]:
+    """The one decoder of the walk's filtration types: the ranks
+    r_1 < ... < r_n = s+1 of the type whose rank bitmask ``mask`` sets bit
+    r for each r_i, in increasing order.  Bit 0 is never set, and the
+    highest set bit is s+1, so the tuple ends in s+1."""
+    return tuple(r for r in range(1, mask.bit_length()) if mask >> r & 1)
+
+
+def bound_text(total: int, big: int) -> str:
+    """``str(Fraction(total, big))`` for big >= 1, in integers: the reduced
+    numerator, then ``/`` and the reduced denominator unless that is 1."""
+    div = gcd(total, big)
+    num, den = total // div, big // div
+    return f"{num}/{den}" if den != 1 else str(num)
 
 
 class Assignment(
@@ -487,12 +510,13 @@ def _candidate_rows(
     return tuple(rows), tuple(row[0] for row in rows), tuple(classes)
 
 
-def _leaf_error(basis: LatticeBasis, rk: tuple[int, ...], key: int, what: str) -> RuntimeError:
-    """The error of a leaf of ranks ``rk`` (led by 0) and walk key ``key``
-    that fails its step check, naming the H-degrees of its chain."""
+def _leaf_error(basis: LatticeBasis, ranks: int, key: int, what: str) -> RuntimeError:
+    """The error of a leaf of type bitmask ``ranks`` and walk key ``key``
+    that fails its step check, naming the H-degrees of its chain and its
+    ranks, led by 0."""
     chern = _class_prefixes(_candidate_rows(basis)[2])[key]
     hd = (0, *[pair(basis, H, c) for c in chern], basis.h_square)
-    return RuntimeError(f"DFS leaf {hd} over ranks {rk} violates {what}")
+    return RuntimeError(f"DFS leaf {hd} over ranks {(0, *type_ranks(ranks))} violates {what}")
 
 
 def _check_step(
@@ -519,23 +543,28 @@ def _walk(
     basis: LatticeBasis,
     s: int,
     drop: int,
-    leaf: Callable[[tuple[int, ...], int, int, int], None],
+    leaf: Callable[[int, int, int, int], None],
     cut: bool = False,
 ) -> None:
     """The one filtration DFS.  For every filtration type and every admissible
     tuple of :func:`_candidate_rows`, call ``leaf(ranks, key, scaled_c2, tags)``,
-    where ``key`` spells the chosen rows' digits in radix n + 1, n the
-    number of rows, so ``classes`` of :func:`_candidate_rows` decodes it
-    (:func:`key_prefixes`), and every key of a type has the same length;
+    where ``ranks`` is the type r_1 < ... < r_n = s+1 as an int with bit r
+    set for each r_i, which :func:`type_ranks` decodes; ``key`` spells the
+    chosen rows' digits in radix n + 1, n the number of rows, so ``classes``
+    of :func:`_candidate_rows` decodes it (:func:`key_prefixes`), and every
+    key of a type has the same length;
     ``scaled_c2`` is the c_2 lower bound times :func:`_scale` and ``tags`` the
     leaf's filter bits: its last row's bits, masked by its type.  ``DM``
     counts only for type 1 < s+1 with s > r, and ``ELLIPTIC`` only when the
     top quotient has rank s+1 - r_m >= 2.  A leaf with a tag in ``drop`` is
     checked like any other but not emitted, and its children are entered.
 
-    Without ``cut``, the walk plans the rank loop of each node state once
-    and replays the plan at every visit of that state (module docstring,
-    "Node states"); the plans live in a dict local to this call.  With
+    Both bodies carry a node's ranks r_1..r_m and s+1 as that bitmask, so
+    a rank r sets one bit for its leaves and children alike, and no tuple
+    is built per type.  Without ``cut``, the walk plans the rank loop of
+    each node state once and replays the plan at every visit of that state
+    (module docstring, "Node states"); the plans live in a dict local to
+    this call.  With
     ``cut``, the caller reads a kept leaf only when its scaled_c2 is
     below every earlier one, and the walk skips, unchecked, every subtree
     and row whose leaves all have scaled_c2 at least the least kept one so
@@ -573,13 +602,13 @@ def _walk(
     if not cut:
         plans = {}  # the rank loop of each node state, for this walk only
 
-        def plan(ranks: tuple[int, ...], p: tuple, state: tuple, key: int) -> tuple:
+        def plan(ranks: int, p: tuple, state: tuple, key: int) -> tuple:
             # the rank loop of the node state (module docstring, "Node
             # states") with acc = 0, as (emits, descents): emits holds
-            # (r, [(digit, end, tags), ...]) for the kept leaves, descents
-            # (r, [(row, total, child state), ...]) for the children; ranks
-            # and key name the first visit's leaf in a step-check error,
-            # which raises before that visit emits any leaf
+            # (1 << r, [(digit, end, tags), ...]) for the kept leaves,
+            # descents (1 << r, [(row, total, child state), ...]) for the
+            # children; ranks and key name the first visit's leaf in a
+            # step-check error, which raises before that visit emits any leaf
             rm, _, hpp, dr = state
             hp, pp, pv = p[0], p[3], p[4]
             emits, descents, start = [], [], 0
@@ -600,37 +629,37 @@ def _walk(
                     total = hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
                     what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
                     if what:
-                        raise _leaf_error(basis, (0, *ranks, r, top), key * radix + c[7], what)
+                        raise _leaf_error(basis, ranks | 1 << r, key * radix + c[7], what)
                     tags = c[6] & mask
                     if not tags & drop:
                         leaves.append((c[7], total + hn * c[5] + big * (c[0] - c[3]) + cn, tags))
                     if c[0] * wide <= room:
                         kids.append((c, total, (r, c[7], hp, a)))
                 if leaves:
-                    emits.append((r, leaves))
+                    emits.append((1 << r, leaves))
                 if kids:
-                    descents.append((r, kids))
+                    descents.append((1 << r, kids))
             return emits, descents
 
-        def replay(ranks: tuple[int, ...], p: tuple, state: tuple, acc: int, key: int) -> None:
-            # p is the row of c_m, state = (r_m, its digit, H.c_{m-1},
-            # r_m - r_{m-1}), acc the scaled bound of steps 1..m, key the
-            # digits of c_1..c_m
+        def replay(ranks: int, p: tuple, state: tuple, acc: int, key: int) -> None:
+            # ranks is the bitmask of r_1..r_m and s+1, p the row of c_m,
+            # state = (r_m, its digit, H.c_{m-1}, r_m - r_{m-1}), acc the
+            # scaled bound of steps 1..m, key the digits of c_1..c_m
             steps = plans.get(state)
             if steps is None:
                 steps = plans[state] = plan(ranks, p, state, key)
             key *= radix  # a child's key adds its row's digit
             emits, descents = steps
-            for r, leaves in emits:
-                leaf_ranks = ranks + (r, top)
+            for bit, leaves in emits:
+                kind = ranks | bit
                 for digit, end, tags in leaves:
-                    leaf(leaf_ranks, key + digit, acc + end, tags)
-            for r, kids in descents:
-                kid = ranks + (r,)
+                    leaf(kind, key + digit, acc + end, tags)
+            for bit, kids in descents:
+                kind = ranks | bit
                 for c, total, child in kids:
-                    replay(kid, c, child, acc + total, key + c[7])
+                    replay(kind, c, child, acc + total, key + c[7])
 
-        replay((), root, (0, 0, 0, 0), 0, 0)
+        replay(1 << top, root, (0, 0, 0, 0), 0, 0)
         return
 
     # t is the least kept total so far less 1 (None before the first), and
@@ -640,11 +669,10 @@ def _walk(
     dl = -basis.discriminant
     mn = min(dl, 2 * htot)
 
-    def node(
-        ranks: tuple[int, ...], rm: int, p: tuple, hpp: int, dr: int, acc: int, key: int
-    ) -> None:
-        # p is the row of c_m, rm = r_m, hpp = H.c_{m-1}, dr = r_m - r_{m-1},
-        # acc the scaled bound of steps 1..m, key the digits of c_1..c_m
+    def node(ranks: int, rm: int, p: tuple, hpp: int, dr: int, acc: int, key: int) -> None:
+        # ranks is the bitmask of r_1..r_m and s+1, p the row of c_m,
+        # rm = r_m, hpp = H.c_{m-1}, dr = r_m - r_{m-1}, acc the scaled
+        # bound of steps 1..m, key the digits of c_1..c_m
         nonlocal t
         hp, pp, pv = p[0], p[3], p[4]
         key *= radix  # a child's key adds its row's digit
@@ -667,8 +695,7 @@ def _walk(
             stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if dr else count
             if start == stop:
                 continue
-            kid = ranks + (r,)
-            leaf_ranks = kid + (top,)
+            kind = ranks | 1 << r  # the leaves' type and the children's ranks
             hm, cm, hn, cn, mask = half[a], const[a], half[top - r], const[top - r], masks[r]
             # a child P = (r, h) has its lower end at rank r + 1 inside the
             # rows iff h * (top - r - 1) + H^2 <= hmax * (top - r); never at r = s
@@ -678,17 +705,17 @@ def _walk(
                 total = acc + hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
                 what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
                 if what:
-                    raise _leaf_error(basis, (0,) + leaf_ranks, key + c[7], what)
+                    raise _leaf_error(basis, kind, key + c[7], what)
                 tags = c[6] & mask
                 if not tags & drop:
                     # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
                     end = total + hn * c[5] + big * (c[0] - c[3]) + cn
-                    leaf(leaf_ranks, key + c[7], end, tags)
+                    leaf(kind, key + c[7], end, tags)
                     if t is None or end <= t:
                         t = end - 1
                 if c[0] * wide <= room:
-                    children.append((kid, r, c, a, total))
-        for kid, r, c, a, total in children:
+                    children.append((kind, r, c, a, total))
+        for kind, r, c, a, total in children:
             if t is not None:
                 # the descent bound of the leaves strictly below c exceeds t,
                 # both times 2 H^2 D a R with R = s+1 - r
@@ -697,9 +724,9 @@ def _walk(
                     rest * rest * mn, dl * c[2] * c[2]
                 ) > rest * big * (h - hp) * (htot - h):
                     continue
-            node(kid, r, c, hp, a, total, key + c[7])
+            node(kind, r, c, hp, a, total, key + c[7])
 
-    node((), 0, root, 0, 0, 0, 0)
+    node(1 << top, 0, root, 0, 0, 0, 0)
 
 
 # enumerate_assignments refuses more workers than this; it runs serially anyway
@@ -710,59 +737,62 @@ MAX_WORKERS = 64
 MAX_ASSIGNMENTS = 100_000
 
 
-class Memo(dict):
-    """A dict that builds the value of each missing key once, by
-    ``render(key)``."""
+class _Prefixes(dict):
+    """The memo of :func:`key_prefixes`: a missing entry p is built in this
+    one frame, from the prefix one digit shorter and the tail of the last
+    digit."""
 
-    __slots__ = ("render",)
+    __slots__ = ("tails", "radix")
 
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        value = self[key] = self.render(key)
+    def __missing__(self, p):
+        value = self[p] = self[p // self.radix] + self.tails[p % self.radix]
         return value
 
 
-def key_prefixes(radix: int, extend, empty) -> Memo:
-    """The one decoder of the walk's keys: a :class:`Memo` whose entry p is
-    ``extend(prefixes[p // radix], p % radix)``, from the prefix one digit
-    shorter and the last digit, and whose entry 0 is ``empty``.  As every
-    digit is at least 1, p = 0 only for the empty prefix, and one int spells
-    one string of digits, whatever its type.  A listing keyed this way
-    decodes or renders only its distinct prefixes, where siblings share all
-    classes but the last."""
-    prefixes = Memo(lambda p: extend(prefixes[p // radix], p % radix))
+def key_prefixes(tails, empty) -> dict:
+    """The one decoder of the walk's keys, in radix R = ``len(tails)``: a
+    memo whose entry p is ``prefixes[p // R] + tails[p % R]``, the prefix
+    one digit shorter followed by the tail of the last digit, and whose
+    entry 0 is ``empty``.  As every digit is at least 1, p = 0 only for the
+    empty prefix, and one int spells one string of digits, whatever its
+    type.  A listing keyed this way decodes or renders only its distinct
+    prefixes, where siblings share all classes but the last, each in one
+    frame."""
+    prefixes = _Prefixes()
+    prefixes.tails, prefixes.radix = tails, len(tails)
     prefixes[0] = empty
     return prefixes
 
 
-def _class_prefixes(classes: tuple[LatticeClass, ...]) -> Memo:
+def _class_prefixes(classes: tuple[LatticeClass, ...]) -> dict:
     """The :func:`key_prefixes` of the tuples of classes that keys spell,
     with ``classes`` of :func:`_candidate_rows`."""
-    return key_prefixes(len(classes), lambda pre, digit: pre + (classes[digit],), ())
+    return key_prefixes([(c,) for c in classes], ())
 
 
 def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = None):
     """The one listing core: ``(D, classes, [(ranks, records), ...])``,
-    D = :func:`_scale`, one record ``(key, scaled_c2, tags)`` per kept leaf.
-    ``classes`` is that of :func:`_candidate_rows`, (0, c_1, ..., c_n), and
-    a record's key is its leaf's walk key: its classes, without the common
-    last class H, as digits in radix R = len(classes) = n + 1.  The digits
-    are at least 1, so no key loses its leading class, and every key of a
-    type has the same length, so the int order of the keys is the (a, b)
-    order of their classes.  Each type's records are sorted once on their
-    keys, which are unique within a type, and the types go by
-    (length, ranks): the order of :meth:`Assignment.sort_key`.
-    :func:`key_prefixes` decodes the keys.  The walk drops the leaves that
-    the config filters and hands over the tags of the rest, which the
-    records name; the leaf stops with ValueError at the first kept leaf past
+    D = :func:`_scale`, one record ``(key, scaled_c2, tags)`` of ints per
+    kept leaf.  ``classes`` is that of :func:`_candidate_rows`,
+    (0, c_1, ..., c_n), and a record's key is its leaf's walk key: its
+    classes, without the common last class H, as digits in radix
+    R = len(classes) = n + 1.  The digits are at least 1, so no key loses
+    its leading class, and every key of a type has the same length, so the
+    int order of the keys is the (a, b) order of their classes.  ``tags``
+    holds the leaf's filter bits, which ``_TAG_NAMES[tags]`` names.
+
+    The leaf files each record under its type's rank bitmask, an int, and
+    each group is sorted once, natively: the keys are unique within a type,
+    so the tuples order as their keys do.  Each distinct type is decoded
+    once, by :func:`type_ranks`, and the types go by (length, ranks): the
+    order of :meth:`Assignment.sort_key`.  :func:`key_prefixes` decodes the
+    keys.  The walk drops the leaves that the config filters, and the leaf
+    stops with ValueError at the first kept leaf past
     :data:`MAX_ASSIGNMENTS`, so neither memory nor work is unbounded.
     Raises the errors of :func:`_walk`: s < 1, Delta >= 0 or r = 0."""
     classes = _candidate_rows(basis)[2]
-    cap, first = MAX_ASSIGNMENTS, itemgetter(0)
-    groups, kept = defaultdict(list), 0  # records by type, kept leaves
+    cap = MAX_ASSIGNMENTS
+    groups, kept = defaultdict(list), 0  # records by type bitmask, kept leaves
 
     def leaf(ranks, key, total, tags):
         nonlocal kept
@@ -772,11 +802,15 @@ def listing_records(basis: LatticeBasis, s: int, config: FilterConfig | None = N
                 f"the listing of {basis} at s = {s} passes {cap} assignments, "
                 f"the most a K3 listing keeps"
             )
-        groups[ranks].append((key, total, _TAG_NAMES[tags]))
+        groups[ranks].append((key, total, tags))
 
     _walk(basis, s, _drop_mask(config), leaf)
-    order = sorted(groups, key=lambda ranks: (len(ranks), ranks))
-    records = [(ranks, sorted(groups[ranks], key=first)) for ranks in order]
+    types = {type_ranks(mask): mask for mask in groups}
+    records = []
+    for ranks in sorted(types, key=lambda ranks: (len(ranks), ranks)):
+        group = groups[types[ranks]]
+        group.sort()  # the keys are unique, so the tuples order as they do
+        records.append((ranks, group))
     return _scale(s), classes, records
 
 
@@ -794,7 +828,8 @@ def enumerate_assignments(
     order.  Its classes are the decoded key: the tuple of the key's prefix,
     built once per distinct prefix (:func:`key_prefixes`), then the class of
     the last digit and H.  The bound ``Fraction(scaled_c2, D)`` is built
-    once per distinct scaled bound and shared.  ``workers`` must be an int
+    once per distinct scaled bound and shared, and ``filtered_by`` names
+    the record's tag bits.  ``workers`` must be an int
     in 1..MAX_WORKERS (else ValueError) and is otherwise ignored: the search
     is serial, because a thread pool over the filtration types ran slower
     under the GIL.
@@ -810,10 +845,11 @@ def enumerate_assignments(
     bounds = {total: Fraction(total, big) for total in bounds}
     return [
         tuple.__new__(
-            Assignment, (ranks, prefixes[key // radix] + lasts[key % radix], bounds[total], flags)
+            Assignment,
+            (ranks, prefixes[key // radix] + lasts[key % radix], bounds[total], _TAG_NAMES[tags]),
         )
         for ranks, records in groups
-        for key, total, flags in records
+        for key, total, tags in records
     ]
 
 
@@ -837,9 +873,12 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     subtree that cannot hold a new minimum: the entry is the one that the
     uncut walk gives, bit for bit (module docstring).  An
     exact entry is the least kept leaf by (bound, :meth:`Assignment.sort_key`),
-    as ``(scaled_c2, len(ranks), ranks, key, tags)`` with the leaf's walk
-    key, which spells its classes without the last H: every key of one type
-    has the same length, so within a type the keys order as the classes do.
+    as ``(scaled_c2, len(ranks), ranks, key, tags)`` with the leaf's ranks
+    tuple and walk key, which spells its classes without the last H: every
+    key of one type has the same length, so within a type the keys order
+    as the classes do.  Its leaf decodes a type's bitmask
+    (:func:`type_ranks`) only for a leaf whose bound is at most the least
+    so far, as only those can tie or win.
     :func:`min_series_degree` reads its bound and :func:`k3_expected`
     decodes its witness."""
     basis = LatticeBasis(g, r, d)
@@ -858,9 +897,11 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
 
         def leaf(ranks, key, total, tags):
             nonlocal best
-            found = (total, len(ranks), ranks, key, tags)
-            if best is None or found < best:
-                best = found
+            if best is None or total <= best[0]:
+                ranks = type_ranks(ranks)
+                found = (total, len(ranks), ranks, key, tags)
+                if best is None or found < best:
+                    best = found
 
     try:
         _walk(basis, s, drop, leaf, floored)

@@ -239,30 +239,35 @@ def test_k3_output_equals_the_dict_payload_renderer(capsys, filters):
     assert tags == ({()} if filters == "on" else {(), ("dm",), ("elliptic",), ("dm", "elliptic")})
 
 
-def test_k3_json_renders_from_records_with_one_fraction_per_bound(capsys, monkeypatch):
-    # the listing keeps its shape: no Assignment per entry, and a Fraction
-    # only per distinct bound plus one for the minimum
+def test_k3_listings_render_from_records_with_no_fraction(capsys, monkeypatch):
+    # the listing keeps its shape: no Assignment per entry, and no Fraction
+    # at all, in JSON or in text, as every bound and the minimum are written
+    # in integers; any Fraction built anywhere goes through Fraction.__new__
     from fractions import Fraction
 
-    import bnloci.cli as cli
     import bnloci.k3 as k3
 
     built = []
+    new = Fraction.__new__
 
-    class CountedFraction(Fraction):
-        def __new__(cls, *args, **kwargs):
-            built.append(args)
-            return Fraction(*args, **kwargs)
+    def counted(cls, *args, **kwargs):
+        built.append(args)
+        return new(cls, *args, **kwargs)
 
     monkeypatch.setattr(k3, "Assignment", None)  # building one would raise
-    monkeypatch.setattr(k3, "Fraction", CountedFraction)
-    monkeypatch.setattr(cli, "Fraction", CountedFraction)
-    code, out, _ = run(capsys, "k3", "15", "4", "13", "--series", "7", "--json")
+    monkeypatch.setattr(Fraction, "__new__", counted)
+    argv = ("k3", "15", "4", "13", "--series", "7")
+    code, out, _ = run(capsys, *argv, "--json")
     assert code == EXIT_OK
     entries = json.loads(out)["assignments"]
     bounds = {a["c2_bound"] for a in entries}
     assert len(entries) == 14263 and len(bounds) > 100
-    assert 0 < len(built) <= len(bounds) + 1
+    code, out, _ = run(capsys, *argv)
+    # three header lines, one line per entry and the minimum
+    assert code == EXIT_OK and out.count("\n") == 14263 + 4
+    assert built == []
+    # the counter sees a Fraction when one is built
+    assert Fraction(3, 6) == Fraction(1, 2) and len(built) == 2
 
 
 def test_k3_into_a_reader_that_closes_early_exits_0_quietly():

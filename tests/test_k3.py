@@ -11,7 +11,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bnloci import (
     Assignment,
@@ -41,7 +41,7 @@ from bnloci import (
 )
 from bnloci.k3 import (
     BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _c2_bound, _drop_mask, _TAG_NAMES,
-    listing_records,
+    bound_text, listing_records, type_ranks,
 )
 
 
@@ -493,6 +493,25 @@ def test_k3_expected_walks_once_per_lattice_series_and_filters(monkeypatch):
         assert len(walks) == 1, (cfg, walks)
 
 
+def test_exact_minimum_breaks_ties_on_the_decoded_type(monkeypatch):
+    # the exact entry is the least leaf by (bound, len(ranks), ranks, key):
+    # among tied bounds the type 3<4 beats 1<2<4, though its bitmask is the
+    # larger int, and a later leaf of that type with a smaller key wins
+    import bnloci.k3 as k3
+
+    def mask(*ranks):
+        return sum(1 << r for r in ranks)
+
+    def fake_walk(basis, s, drop, leaf, cut=False):
+        leaf(mask(1, 2, 4), 5, 10, 0)
+        leaf(mask(3, 4), 9, 10, 2)
+        leaf(mask(1, 2, 4), 1, 11, 0)
+        leaf(mask(3, 4), 7, 10, 1)
+
+    monkeypatch.setattr(k3, "_walk", fake_walk)
+    assert k3._min_bound_cached.__wrapped__(9, 2, 6, 3, 0, False) == (10, 2, (3, 4), 7, 1)
+
+
 def test_enumerated_assignments_pass_all_checks_and_box():
     for g, r, d, s in [(9, 2, 6, 1), (9, 2, 7, 2), (10, 3, 9, 3), (11, 2, 7, 3)]:
         basis = LatticeBasis(g, r, d)
@@ -814,7 +833,7 @@ def walk_leaves(basis, s, drop):
 
     out, decode = [], key_rows(basis, row_class)
     _walk(basis, s, drop, lambda ranks, key, total, tags: out.append(
-        (ranks, decode(key), total, _TAG_NAMES[tags])
+        (type_ranks(ranks), decode(key), total, _TAG_NAMES[tags])
     ))
     return sorted(out)
 
@@ -898,6 +917,45 @@ def test_row_digits_are_the_ranks_of_the_classes_in_a_b_order():
         led = [key for n, ks in keys.items() for key in ks
                if key // radix ** (n - 2) == 1 and key % radix ** (n - 2) in keys.get(n - 1, ())]
         assert bool(led) == ((g, r, d, s) in [(16, 3, 11, 7), (17, 4, 14, 8)]), (g, r, d, s)
+
+
+def test_rank_bitmasks_decode_to_the_types_in_listing_order():
+    # every type bitmask of the walk, bits 1..s free and bit s+1 set,
+    # decodes to a strictly increasing tuple ending in s+1; the decodes are
+    # the filtration types, and sorting the masks by the decode gives the
+    # (len, ranks) order of the tuples
+    for s in range(1, 11):
+        top = s + 1
+        masks = [1 << top | free << 1 for free in range(1, 1 << s)]
+        for mask in masks:
+            ranks = type_ranks(mask)
+            assert ranks[0] >= 1 and ranks[-1] == top, (s, mask)
+            assert all(a < b for a, b in zip(ranks, ranks[1:])), (s, mask)
+            assert sum(1 << r for r in ranks) == mask, (s, mask)
+        order = sorted(masks, key=lambda mask: (len(type_ranks(mask)), type_ranks(mask)))
+        assert [type_ranks(mask) for mask in order] == enumerate_filtration_types(s), s
+
+
+@given(st.integers(), st.integers(min_value=1))
+@example(-7, 2)
+@example(0, 5)
+@example(12, 4)
+@example(-12, 4)
+@example(5, 1)
+def test_bound_text_is_the_fraction_text(total, big):
+    assert bound_text(total, big) == str(Fraction(total, big))
+
+
+def test_bound_text_of_every_listed_bound_is_the_fraction_text():
+    # every distinct bound of the listing jobs of the benchmark, unfiltered
+    distinct = 0
+    for g, r, d, s in K3_LIST_JOBS:
+        big, _, groups = listing_records(LatticeBasis(g, r, d), s)
+        totals = {total for _, records in groups for _, total, _ in records}
+        distinct += len(totals)
+        for total in totals:
+            assert bound_text(total, big) == str(Fraction(total, big)), (g, r, d, s, total)
+    assert distinct > 1000
 
 
 def test_enumerated_classes_are_the_classes_that_the_walk_hands_its_leaf():
@@ -989,7 +1047,9 @@ def test_walk_emits_the_leaves_in_a_locked_order():
         def leaf(ranks, key, total, tags):
             nonlocal emitted
             emitted += 1
-            digest.update(repr((ranks, [(row[1], row[2]) for row in decode(key)], total)).encode())
+            digest.update(
+                repr((type_ranks(ranks), [(row[1], row[2]) for row in decode(key)], total)).encode()
+            )
 
         _walk(basis, s, 0, leaf)
     assert emitted == 7458
@@ -1188,7 +1248,7 @@ def least_leaf_totals(basis, s, drop):
     decode, heads = key_rows(basis), key_rows(basis, row_class)
 
     def leaf(ranks, key, total, tags):
-        path = decode(key)
+        ranks, path = type_ranks(ranks), decode(key)
         n = len(path)
         for m in range(1, n + 1):
             prefix = (ranks[:m], path[:m])
@@ -1331,6 +1391,7 @@ def test_listing_checks_each_node_state_row_once(monkeypatch):
         first, leaves = len(checked), []
         k3._walk(basis, s, 0, lambda ranks, key, total, tags: leaves.append((ranks, key)))
         calls = set(checked[first:])
+        leaves = [(type_ranks(ranks), key) for ranks, key in leaves]
         for ranks, key in leaves:
             path = decode(key)
             rk, hd = (0, *ranks[:-1]), (0, *[row[0] for row in path])

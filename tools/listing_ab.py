@@ -1,0 +1,110 @@
+#!/usr/bin/env python3
+"""Time the `bn k3` listings of two source trees against each other.
+
+Usage: python tools/listing_ab.py A_ROOT B_ROOT [--pairs N]
+
+A_ROOT and B_ROOT are checkouts, each with a `src/bnloci` package.  Both
+packages are loaded into this one process under distinct names, so the
+two sides share the interpreter, its start-up and the host's state of the
+moment.  One set runs the `k3_list` jobs of the benchmark pool, read from
+`perfbench/bench.py` of the checkout that holds this script, each through
+`cli.main([... "--json"])` with stdout captured, after clearing the
+side's K3 caches and collecting garbage, as a benchmark run starts cold.
+A pair times one set of each side, A first in even pairs and B first in
+odd ones.  Prints the quartiles of each side's set times, the median
+change and how many pairs B won.
+
+It measures and prints; it decides nothing and claims nothing.  On a busy
+host single benchmark runs of unchanged code can differ by more than a
+listing change, and interleaved pairs in one process see the same drift.
+"""
+
+from __future__ import annotations
+
+import argparse
+import contextlib
+import gc
+import importlib
+import importlib.util
+import io
+import statistics
+import sys
+import time
+from pathlib import Path
+
+BENCH = Path(__file__).resolve().parent.parent / "perfbench" / "bench.py"
+
+
+def load_module(name: str, path: Path):
+    """Import the file or package ``path`` under the module name ``name``."""
+    package = path.name == "__init__.py"
+    spec = importlib.util.spec_from_file_location(
+        name, path, submodule_search_locations=[str(path.parent)] if package else None
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def load_side(name: str, root: Path):
+    """The ``cli`` and ``k3`` modules of ``root/src/bnloci``, as ``name``."""
+    init = root / "src" / "bnloci" / "__init__.py"
+    if not init.is_file():
+        raise SystemExit(f"no package at {init}")
+    load_module(name, init)
+    return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.k3")
+
+
+def run_set(side, jobs) -> float:
+    """The seconds that one cold pass over the jobs takes."""
+    cli, k3 = side
+    for value in vars(k3).values():
+        if hasattr(value, "cache_clear"):
+            value.cache_clear()
+    gc.collect()
+    sink = io.StringIO()
+    start = time.perf_counter()
+    with contextlib.redirect_stdout(sink):
+        for g, r, d, s, filters in jobs:
+            argv = ["k3", str(g), str(r), str(d), "--series", str(s), "--filters", filters, "--json"]
+            if cli.main(argv) != 0:
+                raise SystemExit(f"job {g, r, d, s, filters} failed")
+    return time.perf_counter() - start
+
+
+def quartiles(values: list[float]) -> tuple[float, float, float]:
+    q1, q2, q3 = statistics.quantiles(values, n=4)
+    return q1, q2, q3
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("a", type=Path, help="the first checkout (the baseline)")
+    parser.add_argument("b", type=Path, help="the second checkout")
+    parser.add_argument("--pairs", type=int, default=40, help="interleaved pairs, at least 40")
+    args = parser.parse_args(argv)
+    if args.pairs < 40:
+        parser.error("--pairs must be at least 40")
+    jobs = load_module("_listing_ab_bench", BENCH).POOLS["k3_list"]
+    sides = (load_side("bnloci_a", args.a.resolve()), load_side("bnloci_b", args.b.resolve()))
+    for side in sides:  # one untimed set each: compile and warm the interpreter
+        run_set(side, jobs)
+    times = ([], [])
+    for pair in range(args.pairs):
+        for which in (0, 1) if pair % 2 == 0 else (1, 0):
+            times[which].append(run_set(sides[which], jobs))
+    wins = sum(b < a for a, b in zip(*times))
+    for label, values in zip("AB", times):
+        q1, q2, q3 = quartiles(values)
+        print(f"{label}: quartiles {q1 * 1e3:.1f} {q2 * 1e3:.1f} {q3 * 1e3:.1f} ms")
+    med_a, med_b = statistics.median(times[0]), statistics.median(times[1])
+    print(
+        f"median {med_a * 1e3:.1f} -> {med_b * 1e3:.1f} ms "
+        f"({(med_b / med_a - 1) * 100:+.1f}%), B won {wins} of {args.pairs} pairs"
+    )
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
