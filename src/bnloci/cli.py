@@ -220,21 +220,6 @@ MAX_K3_SERIES = (MAX_POSET_GENUS - 1) // 2
 MAX_K3_BOX_CLASSES = 10_000
 
 
-class Memo(dict):
-    """A dict that builds the value of each missing key once, by
-    ``render(key)``."""
-
-    __slots__ = ("render",)
-
-    def __init__(self, render):
-        super().__init__()
-        self.render = render
-
-    def __missing__(self, key):
-        value = self[key] = self.render(key)
-        return value
-
-
 def _class_columns(classes, name, sep, end):
     """One column of the classes that `bn k3` renders the keys of
     :func:`~bnloci.k3.listing_records` in: ``(prefixes, lasts)``, both
@@ -253,7 +238,8 @@ def cmd_k3(args) -> int:
     Assignment and no Fraction, in one write per type, each record from
     per-listing tables:
     each distinct bound's text once, in integers
-    (:func:`~bnloci.k3.bound_text`), keyed by its scaled integer; each
+    (:func:`~bnloci.k3.bound_text`), keyed by its scaled integer, for every
+    scaled total of the listing before the first write; each
     class's fragments once, indexed by digit, and each key prefix's once
     (:func:`_class_columns`); the filter and type fragments once per type,
     indexed by the int tags.  The minimum is the least scaled bound."""
@@ -290,6 +276,7 @@ def cmd_k3(args) -> int:
     config = BOTH_FILTERS if args.filters == "on" else FilterConfig()
     big, classes, groups = listing_records(basis, args.series, config)
     radix = len(classes)
+    totals = {total for _, records in groups for _, total, _ in records}
     write = sys.stdout.write
     if args.json:
         # the bytes of json.dumps(payload, sort_keys=True, separators=(",", ":")):
@@ -297,7 +284,7 @@ def cmd_k3(args) -> int:
         # sorted order, and every fragment comes from json.dumps, but for the
         # bound text, whose characters JSON does not escape
         dumps = functools.partial(json.dumps, separators=(",", ":"))
-        bound = Memo(lambda total: f'"{bound_text(total, big)}"')
+        bound = {total: f'"{bound_text(total, big)}"' for total in totals}
         top, top_xy = dumps(str(H)), dumps(list(H.xy))
         text, chern = _class_columns(classes, lambda c: dumps(str(c)), ",", "," + top)
         xy, chern_xy = _class_columns(classes, lambda c: dumps(list(c.xy)), ",", "," + top_xy)
@@ -313,7 +300,7 @@ def cmd_k3(args) -> int:
                 for key, total, tags in records
             ]))
             sep = ","
-        minimum = min(bound, default=None)  # the memo is keyed by every scaled bound
+        minimum = min(bound, default=None)  # the table is keyed by every scaled bound
         rest = {"lattice": {"g": args.g, "r": args.r, "d": args.d}, "series_dim": args.series,
                 "filters": args.filters, "box": list(box),
                 "min_c2_bound": None if minimum is None else bound_text(minimum, big)}
@@ -326,7 +313,7 @@ def cmd_k3(args) -> int:
         return EXIT_OK
     print(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
     # a fractional bound also as a decimal: int / int rounds as float(Fraction) does
-    bound = Memo(lambda t: bound_text(t, big) + (f" ({t / big:.2f})" if t % big else ""))
+    bound = {t: bound_text(t, big) + (f" ({t / big:.2f})" if t % big else "") for t in totals}
     text, chern = _class_columns(classes, str, ", ", "")
     xy, chern_xy = _class_columns(classes, lambda c: str(c.xy), ", ", "")
     flags = [",".join(names) or "-" for names in _TAG_NAMES]

@@ -85,22 +85,23 @@ r_m, H.c_m, H.c_{m-1} and the rank step; a row's step check, its step term,
 its closing term, its tags and whether it has a child read the same and the
 row.  The scaled bound acc of steps 1..m only adds to every total, the key
 only leads every child's digits, and the ranks r_1..r_m only lead every
-type.  So the uncut walk plans the loop of each state once, at its first
-visit, with acc = 0: per rank, the kept leaves as (digit, end, tags) and the
-children as (row, total, state).  Every visit, the first included, replays
-the plan: it adds acc to every bound and the node's key times n + 1 to every
-digit, sets the bit of each planned rank in the node's rank bitmask once
-(``ranks | 1 << r``, the type of that rank's leaves and the ranks of its
-children alike), emits the leaves in the plan's order and then enters the
-children in theirs, which is the order of a node that checks and emits row
-by row.
+type.  So the uncut walk, the one with a leaf, plans the loop of each state
+once, at its first visit, with acc = 0: per rank, the kept leaves as (digit,
+end, tags) and the children as (row, total, state).  Every visit, the first
+included, replays the plan: it adds acc to every bound and the node's key
+times n + 1 to every digit, sets the bit of each planned rank in the node's
+rank bitmask once (``ranks | 1 << r``, the type of that rank's leaves and
+the ranks of its children alike), emits the leaves in the plan's order and
+then enters the children in theirs, which is the order of a node that checks
+and emits row by row.
 The plans live in a dict local to one walk.  On the five listing jobs of
 the benchmark the walk enters 16,076 nodes but only 2,084 states, and checks
 10,412 (state, row) pairs where a check per leaf made 35,688.  The floored
-walk cannot store its loop: its interval and descent bounds read t, which
-falls as leaves arrive, within a node too, so the rows it reads at a state
-depend on the leaves before them.  It keeps the node that checks and emits
-row by row.
+walk, the one with no leaf, cannot store its loop: its interval and
+descent bounds read t, its own least kept bound less 1, which falls as it
+keeps leaves, within a node too, so the rows it reads at a state depend on
+the leaves before them.  It keeps the node that checks its rows one by
+one, and it calls nothing per kept leaf.
 
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
@@ -161,24 +162,25 @@ kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
 e >= 2s (Clifford's theorem; :func:`_has_lattice` rejects loci with
 d < 2r).  So once one kept leaf has bound <= 2s, no query at that
 (lattice, s) can certify and the exact minimum does not matter.  The
-floor 2s is read off s, so the certifying search derives it: it stops at
-the first kept leaf whose bound is <= 2s, and its answer is exact whenever
-it is > 2s, and <= 2s otherwise, which decides "minimum > e" for every
-e >= 2s alike.  The exact search keeps the least kept leaf by (bound,
-sort key), which gives :func:`min_series_degree` its bound and
-:func:`k3_expected` its witness for every e.  The
-candidate rows depend on the lattice alone, so they are built once per
-lattice and shared by every s.  The floored minimum m of a (lattice, s)
-gives one integer, ceil(m / D) (:func:`k3_certified_below`), and a proper
-target M^s_{g,e} is certified iff e is below it, so every query at that
-(lattice, s) is one comparison.
+floor 2s is read off s, so the floored walk (:func:`_walk` with no leaf)
+derives it, as 2s D, from the s and the D that it holds: it stops at the
+first kept leaf whose bound is <= 2s and returns the least kept bound,
+which is exact whenever it is > 2s, and <= 2s otherwise, which decides
+"minimum > e" for every e >= 2s alike.  The exact search keeps the least
+kept leaf by (bound, sort key), which gives :func:`min_series_degree` its
+bound and :func:`k3_expected` its witness for every e.  The candidate rows
+depend on the lattice alone, so they are built once per lattice and shared
+by every s.  The floored minimum m of a (lattice, s) gives one integer,
+ceil(m / D) (:func:`k3_certified_below`), and a proper target M^s_{g,e} is
+certified iff e is below it, so every query at that (lattice, s) is one
+comparison.
 
-Branch and bound.  The floored search reads a kept leaf only when its
-bound is below every earlier kept bound, so it walks with a cut (the
-branch and bound of Land and Doig): it skips every subtree whose leaves
-all have bound at least ``best``, the least kept bound so far.  The lower
-bounds are exact algebra on the lattice.  Write a leaf's factors as rank
-rho_j and class f_j = c_j - c_{j-1}, so sum_j f_j = H.  As
+Branch and bound.  The floored walk keeps its own minimum, and a kept leaf
+changes it only when its bound is below every earlier kept bound, so it
+walks with a cut (the branch and bound of Land and Doig): it skips every
+subtree whose leaves all have bound at least ``best``, the least kept bound
+so far.  The lower bounds are exact algebra on the lattice.  Write a leaf's
+factors as rank rho_j and class f_j = c_j - c_{j-1}, so sum_j f_j = H.  As
 H^2 = sum_j f_j^2 + 2 sum_j f_j.c_{j-1}, the walk's step sum is
 
     T = H^2/2 + sum_j (rho_j - 1/rho_j - f_j^2 / (2 rho_j)),
@@ -207,8 +209,9 @@ and three facts bound the remaining terms from below.
   j > m none exceeds mu, the slope of step m+1 or of any earlier step, and
   sum_{j>m} (H.f_j)^2 / rho_j = sum_{j>m} mu_j H.f_j <= mu (H^2 - h_m).
 
-The walk holds t = best - 1, with best scaled, and skips only when a bound
-times D exceeds t.  It compares two bounds, in integers:
+The walk holds t = best - 1, with best scaled, as its only record of the
+minimum, and skips only when a bound times D exceeds t.  It compares two
+bounds, in integers:
 
 - Descent.  Before the walk enters a child c of rank r = r_m + a and
   H-degree h, every leaf strictly below c has bound at least
@@ -230,17 +233,21 @@ times D exceeds t.  It compares two bounds, in integers:
   when N > 0, where it grows with a, and t never rises, so the lower end
   still never decreases in r, and the rank loop ends as in "Pruning".
 
-Why the answer is unchanged.  Scaled leaf bounds are integers, so a
-skipped leaf has bound > t, i.e. >= best at the time of the skip, and best
-never rises.  Such a leaf is no new minimum, so it could neither lower
-best nor be the first kept leaf <= 2s that ends the search.  The kept
-leaves that are new minima are thus the same, in the same order, with and
-without the cut, so the floored entry is the same int, bit for bit, and
-:func:`k3_certified_below` keeps its exact ceil(m / D) contract.  Every row
-that the walk visits is checked before its leaf is emitted, so the
-step-wise check above holds for the leaves it emits.  The listing, which
-needs every leaf, and the exact search walk without the cut, and so replay
-the node states' plans ("Node states").
+Why the answer is unchanged.  Scaled leaf bounds are integers, so a skipped
+leaf has bound > t, i.e. >= best at the time of the skip, and best never
+rises.  Such a leaf is no new minimum, so it could neither lower best nor be
+the first kept leaf <= 2s that ends the search.  The kept leaves that are
+new minima are thus the same, in the same order, with and without the cut,
+and no other leaf moves t or stops the walk: t falls only at a new minimum,
+and the walk stops only at one.  So the floored entry, t + 1 when the walk
+stops or ends, is the least bound of the uncut walk's kept leaves up to the
+first one <= 2s, the same int, bit for bit, and :func:`k3_certified_below`
+keeps its exact ceil(m / D) contract.  Every row that the walk visits is
+checked before its leaf's bound is read, so the step-wise check above holds
+for every leaf that can move t.  The listing, which needs every leaf, and
+the exact search, which needs the ties for its sort key, hand the walk a
+leaf, so they walk without the cut and replay the node states' plans ("Node
+states").
 """
 
 from __future__ import annotations
@@ -539,15 +546,20 @@ def _check_step(
     return None
 
 
+class _FloorReached(Exception):
+    """Ends a floored walk (:func:`_walk` with no leaf) at its first kept
+    leaf <= 2s; the walk catches it itself."""
+
+
 def _walk(
     basis: LatticeBasis,
     s: int,
     drop: int,
-    leaf: Callable[[int, int, int, int], None],
-    cut: bool = False,
-) -> None:
-    """The one filtration DFS.  For every filtration type and every admissible
-    tuple of :func:`_candidate_rows`, call ``leaf(ranks, key, scaled_c2, tags)``,
+    leaf: Callable[[int, int, int, int], None] | None = None,
+) -> int | None:
+    """The one filtration DFS.  With a ``leaf``, for every filtration type
+    and every admissible tuple of :func:`_candidate_rows`, call
+    ``leaf(ranks, key, scaled_c2, tags)``,
     where ``ranks`` is the type r_1 < ... < r_n = s+1 as an int with bit r
     set for each r_i, which :func:`type_ranks` decodes; ``key`` spells the
     chosen rows' digits in radix n + 1, n the number of rows, so ``classes``
@@ -558,38 +570,42 @@ def _walk(
     counts only for type 1 < s+1 with s > r, and ``ELLIPTIC`` only when the
     top quotient has rank s+1 - r_m >= 2.  A leaf with a tag in ``drop`` is
     checked like any other but not emitted, and its children are entered.
+    This walk plans the rank loop of each node state once and replays the
+    plan at every visit of that state (module docstring, "Node states");
+    the plans live in a dict local to this call.  It returns None.
+
+    With no ``leaf``, the walk is the floored minimum search and returns
+    the least scaled_c2 of the kept leaves, or None when it keeps none.  It
+    stops at its first kept leaf <= 2s D, the Clifford floor times
+    D = :func:`_scale` (module docstring, "The Clifford floor"), and it
+    skips, unchecked, every subtree and row whose leaves all have
+    scaled_c2 at least the least kept one so far ("Branch and bound"); as
+    what it skips depends on the leaves before, each node checks its rows
+    one by one.
 
     Both bodies carry a node's ranks r_1..r_m and s+1 as that bitmask, so
     a rank r sets one bit for its leaves and children alike, and no tuple
-    is built per type.  Without ``cut``, the walk plans the rank loop of
-    each node state once and replays the plan at every visit of that state
-    (module docstring, "Node states"); the plans live in a dict local to
-    this call.  With
-    ``cut``, the caller reads a kept leaf only when its scaled_c2 is
-    below every earlier one, and the walk skips, unchecked, every subtree
-    and row whose leaves all have scaled_c2 at least the least kept one so
-    far (module docstring, "Branch and bound"); as what it skips depends on
-    the leaves before, each node checks and emits its rows one by one.
-
-    A node emits all its children's leaves before it descends into any
-    child, so the leaves of the shortest types come first.  The module
-    docstring proves that the interval cuts, the prefix sharing, the
-    pruning and the replayed plans emit exactly the leaves of the per-type
-    search, in this order ("Interval cuts", "Prefix sharing", "Pruning",
-    "Node states"), and where the step table and the rows come from
-    ("Scaled integers").  A lattice without candidate rows emits no leaf.
+    is built per type.  A node emits all its children's leaves before it
+    descends into any child, so the leaves of the shortest types come
+    first.  The module docstring proves that the interval cuts, the prefix
+    sharing, the pruning and the replayed plans emit exactly the leaves of
+    the per-type search, in this order ("Interval cuts", "Prefix sharing",
+    "Pruning", "Node states"), that the floored search returns the least
+    bound of that order up to its first leaf <= 2s D ("Why the answer is
+    unchanged"), and where the step table and the rows come from ("Scaled
+    integers").  A lattice without candidate rows keeps no leaf.
 
     Raises ValueError for s < 1, where no type exists and an empty walk
     would read as "every e certified", and for Delta >= 0 or r = 0 through
     :func:`destab_box`, which :func:`_candidate_rows` reaches first; and
     RuntimeError for a leaf that fails its step check (:func:`_check_step`),
-    which the uncut walk raises before the leaf's node emits any leaf.
+    which the walk with a leaf raises before the leaf's node emits any leaf.
     """
     if s < 1:
         raise ValueError("need s >= 1")
     rows, hs, classes = _candidate_rows(basis)
     if not rows:
-        return  # no candidate class: no type has an admissible step
+        return None  # no candidate class: no type has an admissible step
     # a step of rank rho adds T = half[rho]*(f.f) + D*(f.p) + const[rho] with
     # f = c_i - c_{i-1}, p = c_{i-1}: the stable-factor bound plus the
     # recursion term, times D; masks[r] are the tags a leaf of type
@@ -599,7 +615,7 @@ def _walk(
     count, hmax, radix = len(rows), hs[-1], len(classes)
     # E_0 = 0, so c.p = p.p = 0; its digit 0 names classes[0], the zero class
     root = (0, 0, 0, 0, 0, htot, 0, 0)
-    if not cut:
+    if leaf is not None:
         plans = {}  # the rank loop of each node state, for this walk only
 
         def plan(ranks: int, p: tuple, state: tuple, key: int) -> tuple:
@@ -660,12 +676,13 @@ def _walk(
                     replay(kind, c, child, acc + total, key + c[7])
 
         replay(1 << top, root, (0, 0, 0, 0), 0, 0)
-        return
+        return None
 
     # t is the least kept total so far less 1 (None before the first), and
     # the walk skips what bounds above t (module docstring, "Branch and
-    # bound"); dl = |Delta| and mn = min(|Delta|, 2 H^2)
-    t = None
+    # bound"); it stops at the first kept total <= floor, the Clifford floor
+    # 2s times D; dl = |Delta| and mn = min(|Delta|, 2 H^2)
+    t, floor = None, 2 * s * big
     dl = -basis.discriminant
     mn = min(dl, 2 * htot)
 
@@ -706,13 +723,13 @@ def _walk(
                 what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
                 if what:
                     raise _leaf_error(basis, kind, key + c[7], what)
-                tags = c[6] & mask
-                if not tags & drop:
+                if not c[6] & mask & drop:
                     # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
                     end = total + hn * c[5] + big * (c[0] - c[3]) + cn
-                    leaf(kind, key + c[7], end, tags)
                     if t is None or end <= t:
                         t = end - 1
+                        if end <= floor:
+                            raise _FloorReached
                 if c[0] * wide <= room:
                     children.append((kind, r, c, a, total))
         for kind, r, c, a, total in children:
@@ -726,7 +743,11 @@ def _walk(
                     continue
             node(kind, r, c, hp, a, total, key + c[7])
 
-    node(1 << top, 0, root, 0, 0, 0, 0)
+    try:
+        node(1 << top, 0, root, 0, 0, 0, 0)
+    except _FloorReached:
+        pass
+    return None if t is None else t + 1
 
 
 # enumerate_assignments refuses more workers than this; it runs serially anyway
@@ -853,10 +874,6 @@ def enumerate_assignments(
     ]
 
 
-class _FloorReached(Exception):
-    """Ends a floored minimum-only walk at its first kept leaf <= 2s."""
-
-
 @lru_cache(maxsize=4096)
 def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     """The one cache of minimum-only searches, keyed on plain values: the
@@ -868,45 +885,34 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
 
     A floored entry is the minimum bound, an int: exact whenever it is
     > 2s * D, and <= 2s * D otherwise; :func:`k3_certified_below` turns it
-    into a degree bound in integers.  Its leaf compares one integer, and
-    its walk runs with the cut of branch and bound, which skips every
-    subtree that cannot hold a new minimum: the entry is the one that the
-    uncut walk gives, bit for bit (module docstring).  An
-    exact entry is the least kept leaf by (bound, :meth:`Assignment.sort_key`),
-    as ``(scaled_c2, len(ranks), ranks, key, tags)`` with the leaf's ranks
-    tuple and walk key, which spells its classes without the last H: every
-    key of one type has the same length, so within a type the keys order
-    as the classes do.  Its leaf decodes a type's bitmask
-    (:func:`type_ranks`) only for a leaf whose bound is at most the least
-    so far, as only those can tie or win.
+    into a degree bound in integers.  It is what :func:`_walk` returns with
+    no leaf: that walk keeps its own minimum and runs with the cut of
+    branch and bound, which skips every subtree that cannot hold a new
+    minimum, so the entry is the least bound of the uncut walk's kept
+    leaves up to the first one <= 2s * D, bit for bit (module docstring).
+    An exact entry is the least kept leaf by (bound,
+    :meth:`Assignment.sort_key`), as ``(scaled_c2, len(ranks), ranks, key,
+    tags)`` with the leaf's ranks tuple and walk key, which spells its
+    classes without the last H: every key of one type has the same length,
+    so within a type the keys order as the classes do.  Its leaf decodes a
+    type's bitmask (:func:`type_ranks`) only for a leaf whose bound is at
+    most the least so far, as only those can tie or win.
     :func:`min_series_degree` reads its bound and :func:`k3_expected`
     decodes its witness."""
     basis = LatticeBasis(g, r, d)
-    best = None
     if floored:
-        limit = 2 * s * _scale(s)
+        return _walk(basis, s, drop)
+    best = None
 
-        def leaf(ranks, key, total, tags):
-            nonlocal best
-            if best is None or total < best:
-                best = total
-                if total <= limit:
-                    raise _FloorReached
+    def leaf(ranks, key, total, tags):
+        nonlocal best
+        if best is None or total <= best[0]:
+            ranks = type_ranks(ranks)
+            found = (total, len(ranks), ranks, key, tags)
+            if best is None or found < best:
+                best = found
 
-    else:
-
-        def leaf(ranks, key, total, tags):
-            nonlocal best
-            if best is None or total <= best[0]:
-                ranks = type_ranks(ranks)
-                found = (total, len(ranks), ranks, key, tags)
-                if best is None or found < best:
-                    best = found
-
-    try:
-        _walk(basis, s, drop, leaf, floored)
-    except _FloorReached:
-        pass
+    _walk(basis, s, drop, leaf)
     return best
 
 

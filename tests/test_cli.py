@@ -845,12 +845,12 @@ def test_k3_listing_above_the_cap_is_rejected_at_that_leaf(capsys, monkeypatch):
 
     cap, leaves, walk = full // 2, [], k3._walk
 
-    def counted_walk(basis, s, drop, leaf, cut=False):  # counts every leaf the walk emits
+    def counted_walk(basis, s, drop, leaf):  # counts every leaf the walk emits
         def counted(*args):
             leaves.append(args)
             return leaf(*args)
 
-        return walk(basis, s, drop, counted, cut)
+        return walk(basis, s, drop, counted)
 
     monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", cap)
     monkeypatch.setattr(k3, "_walk", counted_walk)

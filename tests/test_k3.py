@@ -502,7 +502,7 @@ def test_exact_minimum_breaks_ties_on_the_decoded_type(monkeypatch):
     def mask(*ranks):
         return sum(1 << r for r in ranks)
 
-    def fake_walk(basis, s, drop, leaf, cut=False):
+    def fake_walk(basis, s, drop, leaf):
         leaf(mask(1, 2, 4), 5, 10, 0)
         leaf(mask(3, 4), 9, 10, 2)
         leaf(mask(1, 2, 4), 1, 11, 0)
@@ -1091,9 +1091,9 @@ def test_walk_tables_are_built_once_per_series_and_lattice(monkeypatch):
     walks = []
     real = k3._walk
 
-    def spy(basis, s, drop, leaf, cut=False):
+    def spy(basis, s, drop, leaf=None):
         walks.append((basis, s))
-        return real(basis, s, drop, leaf, cut)
+        return real(basis, s, drop, leaf)
 
     monkeypatch.setattr(k3, "_walk", spy)
     for cached in (k3._min_bound_cached, k3._candidate_rows, k3._step_table):
@@ -1322,12 +1322,43 @@ def test_branch_and_bound_bounds_hold_on_every_uncut_leaf():
     assert rows > 25_000
 
 
+def uncut_floored_minimum(walk, basis, s, drop, counted=None):
+    # the floored minimum without the cut: the least bound of the uncut
+    # walk's kept leaves, read in order, up to the first one <= 2s D, or
+    # None when it keeps none; counted() runs once per leaf read
+    from bnloci.k3 import _FloorReached, _scale
+
+    floor, best = 2 * s * _scale(s), None
+
+    def leaf(ranks, key, total, tags):
+        nonlocal best
+        if counted:
+            counted()
+        if best is None or total < best:
+            best = total
+            if total <= floor:
+                raise _FloorReached
+
+    try:
+        walk(basis, s, drop, leaf)
+    except _FloorReached:
+        pass
+    return best
+
+
 def uncut_walk(monkeypatch):
-    # _walk with the cut turned off, for the callers that would pass it
+    # _walk with the floored calls, which pass no leaf, routed through the
+    # uncut walk by uncut_floored_minimum
     import bnloci.k3 as k3
 
     real = k3._walk
-    monkeypatch.setattr(k3, "_walk", lambda basis, s, drop, leaf, cut=False: real(basis, s, drop, leaf))
+
+    def walk(basis, s, drop, leaf=None):
+        if leaf is None:
+            return uncut_floored_minimum(real, basis, s, drop)
+        return real(basis, s, drop, leaf)
+
+    monkeypatch.setattr(k3, "_walk", walk)
 
 
 def test_cut_floored_entry_equals_the_uncut_one(monkeypatch):
@@ -1412,10 +1443,16 @@ def cold_assemble_uncut_leaves(monkeypatch, genera):
     emitted = 0
     real = k3._walk
 
-    def spy(basis, s, drop, leaf, cut=False):
+    def count():
+        nonlocal emitted
+        emitted += 1
+
+    def spy(basis, s, drop, leaf=None):
+        if leaf is None:
+            return uncut_floored_minimum(real, basis, s, drop, count)
+
         def counted(*args):
-            nonlocal emitted
-            emitted += 1
+            count()
             return leaf(*args)
 
         return real(basis, s, drop, counted)

@@ -1,18 +1,21 @@
 #!/usr/bin/env python3
-"""Time the `bn k3` listings of two source trees against each other.
+"""Time the `bn k3` listings and cold `assemble` of two source trees
+against each other.
 
 Usage: python tools/listing_ab.py A_ROOT B_ROOT [--pairs N]
 
 A_ROOT and B_ROOT are checkouts, each with a `src/bnloci` package.  Both
 packages are loaded into this one process under distinct names, so the
 two sides share the interpreter, its start-up and the host's state of the
-moment.  One set runs the `k3_list` jobs of the benchmark pool, read from
-`perfbench/bench.py` of the checkout that holds this script, each through
-`cli.main([... "--json"])` with stdout captured, after clearing the
-side's K3 caches and collecting garbage, as a benchmark run starts cold.
-A pair times one set of each side, A first in even pairs and B first in
-odd ones.  Prints the quartiles of each side's set times, the median
-change and how many pairs B won.
+moment.  The pools are read from `perfbench/bench.py` of the checkout that
+holds this script.  One set runs two passes, each after clearing the
+side's K3 caches and collecting garbage, as a benchmark run starts cold:
+the `k3_list` jobs, each through `cli.main([... "--json"])` with stdout
+captured, then `assemble(g)` for every g of the `assemble_cold` pool.  So
+a K3 change is timed on both workloads that it can move.  A pair times
+one set of each side, A first in even pairs and B first in odd ones.
+Prints, per pass, the quartiles of each side's times, the median change
+and how many pairs B won.
 
 It measures and prints; it decides nothing and claims nothing.  On a busy
 host single benchmark runs of unchanged code can differ by more than a
@@ -48,21 +51,28 @@ def load_module(name: str, path: Path):
 
 
 def load_side(name: str, root: Path):
-    """The ``cli`` and ``k3`` modules of ``root/src/bnloci``, as ``name``."""
+    """The ``cli``, ``k3`` and ``poset`` modules of ``root/src/bnloci``, as
+    ``name``."""
     init = root / "src" / "bnloci" / "__init__.py"
     if not init.is_file():
         raise SystemExit(f"no package at {init}")
     load_module(name, init)
-    return importlib.import_module(f"{name}.cli"), importlib.import_module(f"{name}.k3")
+    return tuple(importlib.import_module(f"{name}.{mod}") for mod in ("cli", "k3", "poset"))
 
 
-def run_set(side, jobs) -> float:
-    """The seconds that one cold pass over the jobs takes."""
-    cli, k3 = side
+def cold(k3) -> None:
+    """Clear every K3 cache and collect garbage."""
     for value in vars(k3).values():
         if hasattr(value, "cache_clear"):
             value.cache_clear()
     gc.collect()
+
+
+def run_set(side, jobs, genera) -> tuple[float, float]:
+    """The seconds that one cold pass over the listing jobs takes, and one
+    over the cold assemble genera."""
+    cli, k3, poset = side
+    cold(k3)
     sink = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(sink):
@@ -70,7 +80,12 @@ def run_set(side, jobs) -> float:
             argv = ["k3", str(g), str(r), str(d), "--series", str(s), "--filters", filters, "--json"]
             if cli.main(argv) != 0:
                 raise SystemExit(f"job {g, r, d, s, filters} failed")
-    return time.perf_counter() - start
+    listing = time.perf_counter() - start
+    cold(k3)
+    start = time.perf_counter()
+    for g in genera:
+        poset.assemble(g)
+    return listing, time.perf_counter() - start
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -86,23 +101,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 40:
         parser.error("--pairs must be at least 40")
-    jobs = load_module("_listing_ab_bench", BENCH).POOLS["k3_list"]
+    pools = load_module("_listing_ab_bench", BENCH).POOLS
+    jobs, genera = pools["k3_list"], pools["assemble_cold"]
     sides = (load_side("bnloci_a", args.a.resolve()), load_side("bnloci_b", args.b.resolve()))
     for side in sides:  # one untimed set each: compile and warm the interpreter
-        run_set(side, jobs)
+        run_set(side, jobs, genera)
     times = ([], [])
     for pair in range(args.pairs):
         for which in (0, 1) if pair % 2 == 0 else (1, 0):
-            times[which].append(run_set(sides[which], jobs))
-    wins = sum(b < a for a, b in zip(*times))
-    for label, values in zip("AB", times):
-        q1, q2, q3 = quartiles(values)
-        print(f"{label}: quartiles {q1 * 1e3:.1f} {q2 * 1e3:.1f} {q3 * 1e3:.1f} ms")
-    med_a, med_b = statistics.median(times[0]), statistics.median(times[1])
-    print(
-        f"median {med_a * 1e3:.1f} -> {med_b * 1e3:.1f} ms "
-        f"({(med_b / med_a - 1) * 100:+.1f}%), B won {wins} of {args.pairs} pairs"
-    )
+            times[which].append(run_set(sides[which], jobs, genera))
+    for index, name in enumerate(("k3_list", "assemble_cold")):
+        a, b = ([set_times[index] for set_times in side] for side in times)
+        print(f"{name}:")
+        for label, values in zip("AB", (a, b)):
+            q1, q2, q3 = quartiles(values)
+            print(f"  {label}: quartiles {q1 * 1e3:.1f} {q2 * 1e3:.1f} {q3 * 1e3:.1f} ms")
+        med_a, med_b = statistics.median(a), statistics.median(b)
+        wins = sum(y < x for x, y in zip(a, b))
+        print(
+            f"  median {med_a * 1e3:.1f} -> {med_b * 1e3:.1f} ms "
+            f"({(med_b / med_a - 1) * 100:+.1f}%), B won {wins} of {args.pairs} pairs"
+        )
     return 0
 
 
