@@ -28,6 +28,19 @@ from the OR of the sources' rows.  A cell seeded by several sources keeps
 the least string by (length, string), so the sources are sorted once in
 that order.
 
+The rule seeds depend on the genus alone, never on the facts, so
+:func:`assemble` keeps them: the loci, their index and the
+:func:`rule_sources` of a genus are built once per process, in two private
+``lru_cache``s typed on the genus and bounded by :data:`_SEEDED_GENERA`
+genera (28, a g = 3..30 sweep, whose seeds hold about 0.62 MB by
+tracemalloc).  Each computed K3 row thus passes its edge check once, when
+its genus is seeded.  Every call still checks and groups its own facts,
+before any rule family runs, and closes its own matrix over the kept
+seeds and its facts; nothing that depends on the facts is kept.
+:func:`rule_sources` is not cached and builds fresh rows on every call,
+and a matrix shares with the cache only the immutable loci tuple and its
+private index.
+
 The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
 closed !<= rows and each locus's class representative, and every query is
 a row operation on them.  Provenance is kept as derivation records, not
@@ -48,6 +61,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from collections import namedtuple
 from collections.abc import Iterable
+from functools import lru_cache
 
 from .classical import coppens_noncontainment, plane_projection_rule
 from .k3 import k3_certified_below, k3_noncontainment
@@ -496,6 +510,30 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
     return sources
 
 
+# genera whose loci and rule seeds stay cached, least recently used first
+# out: 28 holds a g = 3..30 sweep, whose seeds take about 0.62 MB (tracemalloc)
+_SEEDED_GENERA = 28
+
+
+@lru_cache(maxsize=_SEEDED_GENERA, typed=True)
+def _indexed_loci(genus: int) -> tuple[tuple[BNLocus, ...], dict[BNLocus, int]]:
+    """The loci of ``genus`` (:func:`enumerate_loci`) and each one's index,
+    cached per genus; typed, so that a genus of another type (``9.0``)
+    never shares an entry with an int and still raises TypeError.
+    Private: only :func:`assemble` and :func:`_rule_seeds` read it, and
+    neither changes it."""
+    loci = tuple(enumerate_loci(genus))
+    return loci, {x: i for i, x in enumerate(loci)}
+
+
+@lru_cache(maxsize=_SEEDED_GENERA, typed=True)
+def _rule_seeds(genus: int) -> tuple[tuple, ...]:
+    """:func:`rule_sources` over :func:`_indexed_loci`, computed and checked
+    once per genus: the seeds never read the facts, and
+    :class:`RelationMatrix` only reads its sources."""
+    return tuple(rule_sources(genus, _indexed_loci(genus)[0]))
+
+
 def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
     """Seed the matrix with every rule family (:func:`rule_sources`) and
     the facts, grouped by citation into sources of provenance
@@ -505,11 +543,17 @@ def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
     theorem's containments, the kappa comparison (which holds the gonality
     theorem's non-containments), plane projection, Coppens' gonality
     theorem, positive-dimensional secant cycles (which hold the point
-    removals), and K3 filtration non-containments."""
-    loci = tuple(enumerate_loci(genus))
-    index = {x: i for i, x in enumerate(loci)}
+    removals), and K3 filtration non-containments.
+
+    The loci, their index and the rule seeds depend on the genus alone, so
+    they are built once per genus per process and kept for the
+    :data:`_SEEDED_GENERA` (28) most recently assembled genera, about
+    0.62 MB at g = 3..30; each computed K3 row passes its edge check once,
+    when its genus is seeded.  Every call checks and groups its own facts
+    and closes its own matrix, so a warm call pays only for those two."""
+    loci, index = _indexed_loci(genus)
     facts = _group(genus, index, map(Fact.to_relation, facts))
-    return RelationMatrix(genus, loci, index, rule_sources(genus, loci) + facts)
+    return RelationMatrix(genus, loci, index, [*_rule_seeds(genus), *facts])
 
 
 def covers(matrix: RelationMatrix) -> list[Relation]:

@@ -43,6 +43,7 @@ from bnloci.k3 import (
     BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _c2_bound, _drop_mask, _TAG_NAMES,
     bound_text, listing_records, type_ranks,
 )
+from engine_caches import clear_engine_caches
 
 
 def mk(basis, ranks, chern_heads):
@@ -983,10 +984,8 @@ def test_floored_walk_emits_short_types_first(monkeypatch):
     # floored minimum, without the cut of branch and bound, emits no more
     # leaves than the per-type search checked (7,895 over these genera); a
     # plain depth-first order checks 85,944
-    import bnloci.k3 as k3
-
     emitted = cold_assemble_uncut_leaves(monkeypatch, range(13, 18))
-    k3._min_bound_cached.cache_clear()
+    clear_engine_caches()
     assert 0 < emitted <= 7895
 
 
@@ -1011,12 +1010,10 @@ def count_lower_end_bisections(monkeypatch, work):
 def test_walk_skips_empty_intervals_on_cold_assemble(monkeypatch):
     # the rank loop ends at the first empty lower end and no childless
     # prefix is entered: 16,090 bisections without either, 6,563 with both
-    import bnloci.k3 as k3
     from bnloci.poset import assemble
 
     def cold_assemble():
-        k3._min_bound_cached.cache_clear()
-        k3._candidate_rows.cache_clear()
+        clear_engine_caches()
         for g in range(13, 18):
             assemble(g)
 
@@ -1096,8 +1093,8 @@ def test_walk_tables_are_built_once_per_series_and_lattice(monkeypatch):
         return real(basis, s, drop, leaf)
 
     monkeypatch.setattr(k3, "_walk", spy)
-    for cached in (k3._min_bound_cached, k3._candidate_rows, k3._step_table):
-        cached.cache_clear()
+    clear_engine_caches()
+    k3._step_table.cache_clear()
     assemble(17)
     tables, rows = k3._step_table.cache_info(), k3._candidate_rows.cache_info()
     lattices = {basis for basis, _ in walks}
@@ -1392,7 +1389,7 @@ def cold_assemble_rows(monkeypatch, genera):
         return real(*args)
 
     monkeypatch.setattr(k3, "_check_step", spy)
-    k3._min_bound_cached.cache_clear()
+    clear_engine_caches()
     for g in genera:
         assemble(g)
     monkeypatch.setattr(k3, "_check_step", real)
@@ -1458,7 +1455,7 @@ def cold_assemble_uncut_leaves(monkeypatch, genera):
         return real(basis, s, drop, counted)
 
     monkeypatch.setattr(k3, "_walk", spy)
-    k3._min_bound_cached.cache_clear()
+    clear_engine_caches()
     for g in genera:
         assemble(g)
     monkeypatch.setattr(k3, "_walk", real)
@@ -1469,12 +1466,10 @@ def test_cut_checks_at_most_half_the_rows_of_a_cold_assemble(monkeypatch):
     # the cut must keep skipping at least half of the rows: a cold
     # assemble(30) checks 6,749 rows with it, where the walk without it
     # emits 46,077 leaves, and cold assemble(13..17) 3,519 and 7,895
-    import bnloci.k3 as k3
-
     genera = ([30], range(13, 18))
     cut = [cold_assemble_rows(monkeypatch, gs) for gs in genera]
     uncut = [cold_assemble_uncut_leaves(monkeypatch, gs) for gs in genera]
-    k3._min_bound_cached.cache_clear()
+    clear_engine_caches()
     assert cut == [6749, 3519] and uncut == [46077, 7895]
     assert all(2 * rows <= full for rows, full in zip(cut, uncut))
 

@@ -33,6 +33,7 @@ from bnloci import (
 )
 from bnloci.cli import packaged_facts
 from bnloci.poset import _BLOCK, RelationMatrix, _bits, _product, _transpose
+from engine_caches import clear_engine_caches
 
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -899,8 +900,10 @@ def test_cross_genus_relations_rejected(monkeypatch):
     def refuse(*args):
         raise AssertionError("rule_sources started")
 
-    # facts are checked before any rule family runs; rho(9, 1, 8) >= 0, so
-    # M^1_{9,8} is not a locus of the poset
+    # facts are checked before any rule family runs, also when the genus is
+    # not seeded yet; rho(9, 1, 8) >= 0, so M^1_{9,8} is not a locus of the
+    # poset
+    clear_engine_caches()
     monkeypatch.setattr(poset, "rule_sources", refuse)
     for fact, message in [
         (Fact(BNLocus(10, 1, 3), BNLocus(10, 2, 6), RelKind.LE, "x"), "not at genus 9"),
@@ -1011,5 +1014,58 @@ def test_a_k3_row_that_its_edge_call_refuses_stops_the_assembly(monkeypatch):
     import bnloci.poset as poset
 
     monkeypatch.setattr(poset, "k3_noncontainment", lambda *args: None)
+    clear_engine_caches()
     with pytest.raises(RuntimeError, match=r"^K3 row of M\^1_\{9,3\} at rank 1 passes its bound$"):
         assemble(9)
+
+
+def matrix_view(m):
+    return m.all_relations(), m.classes, covers(m)
+
+
+def test_a_warm_assemble_equals_a_cold_one():
+    # the loci and rule seeds of a genus are built once per process; a call
+    # after another at the same genus, with or without facts, gives exactly
+    # the matrix of a cold call
+    for g in range(7, 31):
+        facts = packaged_facts(g) if g <= 12 else []
+        clear_engine_caches()
+        cold_plain = matrix_view(assemble(g))
+        warm_facts = matrix_view(assemble(g, facts))
+        clear_engine_caches()
+        cold_facts = matrix_view(assemble(g, facts))
+        warm_plain = matrix_view(assemble(g))
+        assert warm_facts == cold_facts, g
+        assert warm_plain == cold_plain, g
+
+
+def test_a_warm_assemble_rejects_what_a_cold_one_does():
+    fact = Fact(BNLocus(9, 2, 6), BNLocus(9, 1, 3), RelKind.LE, "cite")
+    messages = []
+    for warm in (False, True):
+        clear_engine_caches()
+        if warm:
+            assemble(9)
+        with pytest.raises(ContradictionError) as raised:
+            assemble(9, [fact])
+        messages.append(str(raised.value))
+    assert messages == [
+        "contradiction: M^2_{9,6} <= M^1_{9,3} via [fact:cite] but M^2_{9,6} !<= M^1_{9,3} via [k3]"
+    ] * 2
+    # a float genus still raises once the int genus is seeded
+    with pytest.raises(TypeError):
+        assemble(9.0)
+
+
+def test_rule_sources_hand_out_no_cached_row():
+    # rule_sources builds fresh rows on every call, so changing them leaves
+    # the seeds that assemble keeps alone
+    for g in (9, 18):
+        before = matrix_view(assemble(g))
+        loci = tuple(enumerate_loci(g))
+        full = (1 << len(loci)) - 1
+        for _, le_rows, nle_rows in rule_sources(g, loci):
+            for rows in (le_rows, nle_rows):
+                for i in range(len(loci)):
+                    rows[i] = full
+        assert matrix_view(assemble(g)) == before, g

@@ -9,7 +9,8 @@ packages are loaded into this one process under distinct names, so the
 two sides share the interpreter, its start-up and the host's state of the
 moment.  The pools are read from `perfbench/bench.py` of the checkout that
 holds this script.  One set runs two passes, each after clearing the
-side's K3 caches and collecting garbage, as a benchmark run starts cold:
+side's K3 caches and its per-genus rule seeds and collecting garbage, as a
+benchmark run starts cold:
 the `k3_list` jobs, each through `cli.main([... "--json"])` with stdout
 captured, then `assemble(g)` for every g of the `assemble_cold` pool.  So
 a K3 change is timed on both workloads that it can move.  A pair times
@@ -60,11 +61,12 @@ def load_side(name: str, root: Path):
     return tuple(importlib.import_module(f"{name}.{mod}") for mod in ("cli", "k3", "poset"))
 
 
-def cold(k3) -> None:
-    """Clear every K3 cache and collect garbage."""
-    for value in vars(k3).values():
-        if hasattr(value, "cache_clear"):
-            value.cache_clear()
+def cold(*modules) -> None:
+    """Clear every cache of the ``modules`` and collect garbage."""
+    for module in modules:
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear"):
+                value.cache_clear()
     gc.collect()
 
 
@@ -72,7 +74,7 @@ def run_set(side, jobs, genera) -> tuple[float, float]:
     """The seconds that one cold pass over the listing jobs takes, and one
     over the cold assemble genera."""
     cli, k3, poset = side
-    cold(k3)
+    cold(k3, poset)
     sink = io.StringIO()
     start = time.perf_counter()
     with contextlib.redirect_stdout(sink):
@@ -81,7 +83,7 @@ def run_set(side, jobs, genera) -> tuple[float, float]:
             if cli.main(argv) != 0:
                 raise SystemExit(f"job {g, r, d, s, filters} failed")
     listing = time.perf_counter() - start
-    cold(k3)
+    cold(k3, poset)
     start = time.perf_counter()
     for g in genera:
         poset.assemble(g)
