@@ -11,10 +11,11 @@ filtrations ("assignments"), computes the exact rational lower bound each
 one imposes on c_2(E) = e, and turns "every assignment needs c_2 > e"
 into certified non-existence of a g^s_e on C.
 
-One depth-first search, :func:`_walk`, serves both the listing path
-(:func:`listing_records`) and the minimum-only path
-(:func:`min_series_degree`).  It runs over rank prefixes, not over
-filtration types, so that a prefix shared by many types is visited once.
+One depth-first search, :func:`_walk`, serves the listing path
+(:func:`listing_records`) and both minimum-only paths, the floored one of
+:func:`k3_certified_below` and the exact one of :func:`min_series_degree`
+and :func:`k3_expected`.  It runs over rank prefixes, not over filtration
+types, so that a prefix shared by many types is visited once.
 
 Interval cuts.  For a filtration type r_1 < ... < r_n = s+1, put
 P_i = (r_i, h_i) with h_i = H.c1(E_i), P_0 = (0, 0) and P_n = (s+1, H^2).
@@ -75,7 +76,7 @@ H^2 <= h_max, which never holds, as every candidate has H.c < H^2; so it
 also stands for "r < s".  A child that fails it would emit no leaf and have
 no child of its own, so it is never entered.
 The walk thus emits the same leaves in the same order, and every leaf it
-emits is checked (the floored search skips more; see "Branch and bound").
+emits is checked (the minimum searches skip more; see "Branch and bound").
 A lattice with no candidate row has no admissible step at all, and the
 walk returns at once.
 
@@ -85,23 +86,18 @@ r_m, H.c_m, H.c_{m-1} and the rank step; a row's step check, its step term,
 its closing term, its tags and whether it has a child read the same and the
 row.  The scaled bound acc of steps 1..m only adds to every total, the key
 only leads every child's digits, and the ranks r_1..r_m only lead every
-type.  So the uncut walk, the one with a leaf, plans the loop of each state
-once, at its first visit, with acc = 0: per rank, the kept leaves as (digit,
-end, tags) and the children as (row, total, state).  Every visit, the first
-included, replays the plan: it adds acc to every bound and the node's key
-times n + 1 to every digit, sets the bit of each planned rank in the node's
-rank bitmask once (``ranks | 1 << r``, the type of that rank's leaves and
-the ranks of its children alike), emits the leaves in the plan's order and
-then enters the children in theirs, which is the order of a node that checks
-and emits row by row.
-The plans live in a dict local to one walk.  On the five listing jobs of
-the benchmark the walk enters 16,076 nodes but only 2,084 states, and checks
-10,412 (state, row) pairs where a check per leaf made 35,688.  The floored
-walk, the one with no leaf, cannot store its loop: its interval and
-descent bounds read t, its own least kept bound less 1, which falls as it
-keeps leaves, within a node too, so the rows it reads at a state depend on
-the leaves before them.  It keeps the node that checks its rows one by
-one, and it calls nothing per kept leaf.
+type.  So the listing's walk, the one with a leaf, plans the loop of each
+state once, at its first visit, with acc = 0: per rank, the kept leaves as
+(digit, end, tags) and the children as (row, total, state).  Every visit,
+the first included, replays the plan: it adds acc to every bound and the
+node's key times n + 1 to every digit, sets the bit of each planned rank in
+the node's rank bitmask once (``ranks | 1 << r``, the type of that rank's
+leaves and the ranks of its children alike), emits the leaves in the plan's
+order and then enters the children in theirs, which is the order of a node
+that checks and emits row by row.  The plans live in a dict local to one
+walk.  On the five listing jobs of the benchmark the walk enters 16,076
+nodes but only 2,084 states, and checks 10,412 (state, row) pairs where a
+check per leaf made 35,688.
 
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
@@ -132,12 +128,12 @@ type once on those ints, which order as the classes do, and every reader
 decodes a key through the one memo of its prefixes (:func:`key_prefixes`),
 which builds each shared prefix once, in one frame.
 
-Every leaf, on both paths, is checked in integers, with no bisection or
+Every leaf, on every path, is checked in integers, with no bisection or
 rounding shared with the cuts, and a failure raises RuntimeError, which,
 unlike an assert, survives python -O.  The check is step-wise
 (:func:`_check_step`): a leaf pays for the conditions that its last step
 adds, not for its whole chain.  Those read only the leaf's node state and
-its last row, so the uncut walk checks each (state, row) once, when it
+its last row, so the listing's walk checks each (state, row) once, when it
 plans the state, and the check stands for every leaf that a replay emits
 through that row; a failing row raises while its state is planned, before
 the node emits any leaf.  The walk descends into a prefix only after
@@ -162,25 +158,27 @@ kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
 e >= 2s (Clifford's theorem; :func:`_has_lattice` rejects loci with
 d < 2r).  So once one kept leaf has bound <= 2s, no query at that
 (lattice, s) can certify and the exact minimum does not matter.  The
-floor 2s is read off s, so the floored walk (:func:`_walk` with no leaf)
-derives it, as 2s D, from the s and the D that it holds: it stops at the
-first kept leaf whose bound is <= 2s and returns the least kept bound,
-which is exact whenever it is > 2s, and <= 2s otherwise, which decides
-"minimum > e" for every e >= 2s alike.  The exact search keeps the least
-kept leaf by (bound, sort key), which gives :func:`min_series_degree` its
-bound and :func:`k3_expected` its witness for every e.  The candidate rows
-depend on the lattice alone, so they are built once per lattice and shared
-by every s.  The floored minimum m of a (lattice, s) gives one integer,
-ceil(m / D) (:func:`k3_certified_below`), and a proper target M^s_{g,e} is
-certified iff e is below it, so every query at that (lattice, s) is one
-comparison.
+floored walk (:func:`_walk` with the floor 2s D) stops at the first kept
+leaf whose bound is <= 2s and returns the least kept bound, which is exact
+whenever it is > 2s, and <= 2s otherwise, which decides "minimum > e" for
+every e >= 2s alike.  The exact walk (:func:`_walk` with no floor) keeps
+the least kept leaf by (bound, sort key), which gives
+:func:`min_series_degree` its bound and :func:`k3_expected` its witness for
+every e.  The candidate rows depend on the lattice alone, so they are built
+once per lattice and shared by every s.  The floored minimum m of a
+(lattice, s) gives one integer, ceil(m / D) (:func:`k3_certified_below`),
+and a proper target M^s_{g,e} is certified iff e is below it, so every
+query at that (lattice, s) is one comparison.
 
-Branch and bound.  The floored walk keeps its own minimum, and a kept leaf
-changes it only when its bound is below every earlier kept bound, so it
-walks with a cut (the branch and bound of Land and Doig): it skips every
-subtree whose leaves all have bound at least ``best``, the least kept bound
-so far.  The lower bounds are exact algebra on the lattice.  Write a leaf's
-factors as rank rho_j and class f_j = c_j - c_{j-1}, so sum_j f_j = H.  As
+Branch and bound.  Both minimum walks keep their own minimum, and a kept
+leaf matters to it only when its bound is at most ``best``, the least kept
+bound so far: the floored walk needs only the leaves below ``best``, and
+the exact walk also the ties, which its sort key decides.  So they walk
+with a cut (the branch and bound of Land and Doig): the floored walk skips
+every subtree whose leaves all have bound at least ``best``, and the exact
+walk every subtree whose leaves all have bound above it.  The lower bounds
+are exact algebra on the lattice.  Write a leaf's factors as rank rho_j and
+class f_j = c_j - c_{j-1}, so sum_j f_j = H.  As
 H^2 = sum_j f_j^2 + 2 sum_j f_j.c_{j-1}, the walk's step sum is
 
     T = H^2/2 + sum_j (rho_j - 1/rho_j - f_j^2 / (2 rho_j)),
@@ -209,9 +207,15 @@ and three facts bound the remaining terms from below.
   j > m none exceeds mu, the slope of step m+1 or of any earlier step, and
   sum_{j>m} (H.f_j)^2 / rho_j = sum_{j>m} mu_j H.f_j <= mu (H^2 - h_m).
 
-The walk holds t = best - 1, with best scaled, as its only record of the
-minimum, and skips only when a bound times D exceeds t.  It compares two
-bounds, in integers:
+The floored walk holds t = best - 1 and the exact walk t = best, with best
+scaled, and each skips only when a bound times D exceeds t.  The exact walk
+also keeps its least leaf by (bound, sort key), and decodes a leaf's type
+(:func:`type_ranks`) only when its bound is <= t, so only for a leaf that
+ties or beats ``best``; the floored walk calls nothing per kept leaf.  The
+bounds read t, which falls as a walk keeps leaves, within a node too, so
+the rows that it reads at a node state depend on the leaves before them:
+each node checks its rows one by one, and no plan of "Node states" can
+stand for it.  A walk compares two bounds, in integers:
 
 - Descent.  Before the walk enters a child c of rank r = r_m + a and
   H-degree h, every leaf strictly below c has bound at least
@@ -233,21 +237,25 @@ bounds, in integers:
   when N > 0, where it grows with a, and t never rises, so the lower end
   still never decreases in r, and the rank loop ends as in "Pruning".
 
-Why the answer is unchanged.  Scaled leaf bounds are integers, so a skipped
-leaf has bound > t, i.e. >= best at the time of the skip, and best never
-rises.  Such a leaf is no new minimum, so it could neither lower best nor be
-the first kept leaf <= 2s that ends the search.  The kept leaves that are
-new minima are thus the same, in the same order, with and without the cut,
-and no other leaf moves t or stops the walk: t falls only at a new minimum,
-and the walk stops only at one.  So the floored entry, t + 1 when the walk
-stops or ends, is the least bound of the uncut walk's kept leaves up to the
-first one <= 2s, the same int, bit for bit, and :func:`k3_certified_below`
-keeps its exact ceil(m / D) contract.  Every row that the walk visits is
-checked before its leaf's bound is read, so the step-wise check above holds
-for every leaf that can move t.  The listing, which needs every leaf, and
-the exact search, which needs the ties for its sort key, hand the walk a
-leaf, so they walk without the cut and replay the node states' plans ("Node
-states").
+Why the answer is unchanged.  Scaled leaf bounds are integers, so in the
+floored walk a skipped leaf has bound > t, i.e. >= best at the time of the
+skip, and best never rises.  Such a leaf is no new minimum, so it could
+neither lower best nor be the first kept leaf <= 2s that ends the search.
+The kept leaves that are new minima are thus the same, in the same order,
+with and without the cut, and no other leaf moves t or stops the walk: t
+falls only at a new minimum, and the walk stops only at one.  So the
+floored entry, t + 1 when the walk stops or ends, is the least bound of the
+uncut walk's kept leaves up to the first one <= 2s, the same int, bit for
+bit, and :func:`k3_certified_below` keeps its exact ceil(m / D) contract.
+In the exact walk, with t = best, a skipped leaf has bound > best at the
+time of the skip, so it can neither tie nor win, then or later; every leaf
+whose bound is the final minimum is reached, and each is compared with the
+least so far.  The least leaf by (bound, sort key) does not depend on the
+order of visits, so the exact entry is the uncut walk's least kept leaf,
+witness and all.  Every row that a walk visits is checked before its leaf's
+bound is read, so the step-wise check above holds for every leaf that can
+move t.  The listing, which needs every leaf, hands the walk a leaf, so it
+walks without the cut and replays the node states' plans ("Node states").
 """
 
 from __future__ import annotations
@@ -547,8 +555,8 @@ def _check_step(
 
 
 class _FloorReached(Exception):
-    """Ends a floored walk (:func:`_walk` with no leaf) at its first kept
-    leaf <= 2s; the walk catches it itself."""
+    """Ends a floored walk (:func:`_walk` with a ``floor``) at its first
+    kept leaf <= floor; the walk catches it itself."""
 
 
 def _walk(
@@ -556,7 +564,8 @@ def _walk(
     s: int,
     drop: int,
     leaf: Callable[[int, int, int, int], None] | None = None,
-) -> int | None:
+    floor: int | None = None,
+) -> int | tuple | None:
     """The one filtration DFS.  With a ``leaf``, for every filtration type
     and every admissible tuple of :func:`_candidate_rows`, call
     ``leaf(ranks, key, scaled_c2, tags)``,
@@ -572,16 +581,24 @@ def _walk(
     checked like any other but not emitted, and its children are entered.
     This walk plans the rank loop of each node state once and replays the
     plan at every visit of that state (module docstring, "Node states");
-    the plans live in a dict local to this call.  It returns None.
+    the plans live in a dict local to this call.  It ignores ``floor`` and
+    returns None.
 
-    With no ``leaf``, the walk is the floored minimum search and returns
-    the least scaled_c2 of the kept leaves, or None when it keeps none.  It
-    stops at its first kept leaf <= 2s D, the Clifford floor times
-    D = :func:`_scale` (module docstring, "The Clifford floor"), and it
-    skips, unchecked, every subtree and row whose leaves all have
-    scaled_c2 at least the least kept one so far ("Branch and bound"); as
-    what it skips depends on the leaves before, each node checks its rows
-    one by one.
+    With no ``leaf``, the walk is a minimum search with the cut of branch
+    and bound ("Branch and bound"), and ``floor`` says which minimum.  An
+    int ``floor`` makes it the floored search: it returns the least
+    scaled_c2 of the kept leaves, or None when it keeps none, and stops at
+    its first kept leaf <= floor, which :func:`_min_bound_cached` sets to
+    2s D, the Clifford floor times D = :func:`_scale` ("The Clifford
+    floor"); it skips, unchecked, every subtree and row whose leaves all
+    have scaled_c2 at least the least kept one so far.  With ``floor``
+    None it is the exact search: it returns the least kept leaf by
+    (scaled_c2, :meth:`Assignment.sort_key`) as ``(scaled_c2, len(ranks),
+    ranks, key, tags)``, with the ranks decoded to a tuple, or None when it
+    keeps none; it skips every subtree and row whose leaves all have
+    scaled_c2 above the least kept one so far, so it reaches every tie.  As
+    what either search skips depends on the leaves before, each node
+    checks its rows one by one.
 
     Both bodies carry a node's ranks r_1..r_m and s+1 as that bitmask, so
     a rank r sets one bit for its leaves and children alike, and no tuple
@@ -591,9 +608,10 @@ def _walk(
     sharing, the pruning and the replayed plans emit exactly the leaves of
     the per-type search, in this order ("Interval cuts", "Prefix sharing",
     "Pruning", "Node states"), that the floored search returns the least
-    bound of that order up to its first leaf <= 2s D ("Why the answer is
-    unchanged"), and where the step table and the rows come from ("Scaled
-    integers").  A lattice without candidate rows keeps no leaf.
+    bound of that order up to its first leaf <= 2s D and the exact search
+    the least leaf of that order ("Why the answer is unchanged"), and where
+    the step table and the rows come from ("Scaled integers").  A lattice
+    without candidate rows keeps no leaf.
 
     Raises ValueError for s < 1, where no type exists and an empty walk
     would read as "every e certified", and for Delta >= 0 or r = 0 through
@@ -678,11 +696,12 @@ def _walk(
         replay(1 << top, root, (0, 0, 0, 0), 0, 0)
         return None
 
-    # t is the least kept total so far less 1 (None before the first), and
-    # the walk skips what bounds above t (module docstring, "Branch and
-    # bound"); it stops at the first kept total <= floor, the Clifford floor
-    # 2s times D; dl = |Delta| and mn = min(|Delta|, 2 H^2)
-    t, floor = None, 2 * s * big
+    # t is the least kept total so far (None before the first), less 1 when
+    # floored, and the walk skips what bounds above t (module docstring,
+    # "Branch and bound"); a floored walk stops at its first kept total
+    # <= floor, and the exact one keeps in best its least leaf by sort key;
+    # dl = |Delta| and mn = min(|Delta|, 2 H^2)
+    t = best = None
     dl = -basis.discriminant
     mn = min(dl, 2 * htot)
 
@@ -690,7 +709,7 @@ def _walk(
         # ranks is the bitmask of r_1..r_m and s+1, p the row of c_m,
         # rm = r_m, hpp = H.c_{m-1}, dr = r_m - r_{m-1}, acc the scaled
         # bound of steps 1..m, key the digits of c_1..c_m
-        nonlocal t
+        nonlocal t, best
         hp, pp, pv = p[0], p[3], p[4]
         key *= radix  # a child's key adds its row's digit
         children = []
@@ -727,9 +746,15 @@ def _walk(
                     # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
                     end = total + hn * c[5] + big * (c[0] - c[3]) + cn
                     if t is None or end <= t:
-                        t = end - 1
-                        if end <= floor:
-                            raise _FloorReached
+                        if floor is None:
+                            t, kinds = end, type_ranks(kind)
+                            found = (end, len(kinds), kinds, key + c[7], c[6] & mask)
+                            if best is None or found < best:
+                                best = found
+                        else:
+                            t = end - 1
+                            if end <= floor:
+                                raise _FloorReached
                 if c[0] * wide <= room:
                     children.append((kind, r, c, a, total))
         for kind, r, c, a, total in children:
@@ -747,6 +772,8 @@ def _walk(
         node(1 << top, 0, root, 0, 0, 0, 0)
     except _FloorReached:
         pass
+    if floor is None:
+        return best
     return None if t is None else t + 1
 
 
@@ -883,37 +910,25 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     a miss.  Bounds are scaled integers (times D = :func:`_scale`), and an
     entry is None when no assignment is kept.
 
-    A floored entry is the minimum bound, an int: exact whenever it is
+    Both entries are one :func:`_walk` with no leaf, which keeps its own
+    minimum and runs with the cut of branch and bound; the floor it gets,
+    2s * D or None, says which entry it computes (module docstring).  A
+    floored entry is the minimum bound, an int: exact whenever it is
     > 2s * D, and <= 2s * D otherwise; :func:`k3_certified_below` turns it
-    into a degree bound in integers.  It is what :func:`_walk` returns with
-    no leaf: that walk keeps its own minimum and runs with the cut of
-    branch and bound, which skips every subtree that cannot hold a new
-    minimum, so the entry is the least bound of the uncut walk's kept
-    leaves up to the first one <= 2s * D, bit for bit (module docstring).
-    An exact entry is the least kept leaf by (bound,
+    into a degree bound in integers.  The cut skips every subtree that
+    cannot hold a new minimum, so the entry is the least bound of the uncut
+    walk's kept leaves up to the first one <= 2s * D, bit for bit.  An
+    exact entry is the least kept leaf by (bound,
     :meth:`Assignment.sort_key`), as ``(scaled_c2, len(ranks), ranks, key,
     tags)`` with the leaf's ranks tuple and walk key, which spells its
     classes without the last H: every key of one type has the same length,
-    so within a type the keys order as the classes do.  Its leaf decodes a
-    type's bitmask (:func:`type_ranks`) only for a leaf whose bound is at
-    most the least so far, as only those can tie or win.
+    so within a type the keys order as the classes do.  The cut skips every
+    subtree that cannot hold a leaf that ties or beats the least so far,
+    and the walk decodes a type's bitmask (:func:`type_ranks`) only for a
+    leaf that does, so the entry is the uncut walk's least kept leaf.
     :func:`min_series_degree` reads its bound and :func:`k3_expected`
     decodes its witness."""
-    basis = LatticeBasis(g, r, d)
-    if floored:
-        return _walk(basis, s, drop)
-    best = None
-
-    def leaf(ranks, key, total, tags):
-        nonlocal best
-        if best is None or total <= best[0]:
-            ranks = type_ranks(ranks)
-            found = (total, len(ranks), ranks, key, tags)
-            if best is None or found < best:
-                best = found
-
-    _walk(basis, s, drop, leaf)
-    return best
+    return _walk(LatticeBasis(g, r, d), s, drop, floor=2 * s * _scale(s) if floored else None)
 
 
 def min_series_degree(
@@ -923,9 +938,10 @@ def min_series_degree(
     no assignment exists.  A smooth curve in |H| admits no g^s_e for any
     integer e strictly below this value (and none at all when None).
 
-    This is the minimum-only path of the shared DFS core: it reads the bound
-    of the least kept leaf that the exact search caches per (lattice, s,
-    filters), with no Assignment and no Fraction per leaf, and returns
+    This is the exact minimum-only path of the shared DFS core: it reads the
+    bound of the least kept leaf that the exact search, the walk with the
+    cut of branch and bound and no floor, caches per (lattice, s, filters),
+    with no Assignment and no Fraction per leaf, and returns
     ``Fraction(bound, D)``.  The certificates stop at the Clifford floor
     instead (:func:`k3_certified_below`).  Raises the errors of
     :func:`_walk`: s < 1, Delta >= 0 or r = 0.
@@ -1027,9 +1043,10 @@ def k3_expected(
     The witness is the least such assignment by (bound,
     :meth:`Assignment.sort_key`): the least kept leaf of the exact search
     that :func:`min_series_degree` also reads, which is the witness iff its
-    bound is <= e; its classes are its key, decoded.  So every e costs one cached walk per (lattice, s,
-    filters), and no listing is built, so :data:`MAX_ASSIGNMENTS` does not
-    apply."""
+    bound is <= e; its classes are its key, decoded.  So every e costs one
+    cached walk per (lattice, s, filters), with the cut of branch and bound,
+    which reaches every leaf that ties the least bound and skips the rest.
+    No listing is built, so :data:`MAX_ASSIGNMENTS` does not apply."""
     if not _has_lattice(g, r, d, s, e):
         return None
     drop = _drop_mask(config if config is not None else BOTH_FILTERS)

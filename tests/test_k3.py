@@ -481,9 +481,9 @@ def test_k3_expected_walks_once_per_lattice_series_and_filters(monkeypatch):
     }
     real, walks = k3._walk, []
 
-    def spy(*args):
+    def spy(*args, **kwargs):
         walks.append(args[1:3])
-        return real(*args)
+        return real(*args, **kwargs)
 
     monkeypatch.setattr(k3, "_walk", spy)
     for cfg in configs:
@@ -495,22 +495,37 @@ def test_k3_expected_walks_once_per_lattice_series_and_filters(monkeypatch):
 
 
 def test_exact_minimum_breaks_ties_on_the_decoded_type(monkeypatch):
-    # the exact entry is the least leaf by (bound, len(ranks), ranks, key):
-    # among tied bounds the type 3<4 beats 1<2<4, though its bitmask is the
-    # larger int, and a later leaf of that type with a smaller key wins
+    # the exact entry is the least kept leaf by (bound, len(ranks), ranks,
+    # key).  On these jobs several kept leaves share the least bound, the
+    # walk meets another one first, and on Lambda^4_(15,13) the last one it
+    # meets is not the least either
     import bnloci.k3 as k3
 
-    def mask(*ranks):
-        return sum(1 << r for r in ranks)
-
-    def fake_walk(basis, s, drop, leaf):
-        leaf(mask(1, 2, 4), 5, 10, 0)
-        leaf(mask(3, 4), 9, 10, 2)
-        leaf(mask(1, 2, 4), 1, 11, 0)
-        leaf(mask(3, 4), 7, 10, 1)
-
-    monkeypatch.setattr(k3, "_walk", fake_walk)
-    assert k3._min_bound_cached.__wrapped__(9, 2, 6, 3, 0, False) == (10, 2, (3, 4), 7, 1)
+    entry = k3._min_bound_cached.__wrapped__
+    pinned = {
+        (9, 2, 6, 1, 0): (16, 2, (1, 2), 5, 0),
+        (9, 1, 3, 4, 3): (1200, 3, (3, 4, 5), 55, 0),
+        (15, 4, 13, 6, 3): (10080, 6, (1, 3, 4, 5, 6, 7), 37626140, 0),
+    }
+    ties = {}
+    for (g, r, d, s, drop), want in pinned.items():
+        leaves = []
+        k3._walk(LatticeBasis(g, r, d), s, drop, lambda *leaf: leaves.append(leaf))
+        tied = ties[g, r, d, s, drop] = [leaf for leaf in leaves if leaf[2] == want[0]]
+        assert tied[0][1] != want[3] and len(tied) >= 2, (g, r, d, s, drop)
+        assert (tied[-1][1] != want[3]) == (g == 15), (g, r, d, s, drop)
+        assert entry(g, r, d, s, drop, False) == want, (g, r, d, s, drop)
+    # no job at g <= 30 ties two types whose bitmasks order otherwise than
+    # the decoded types, so a decoder that orders the types by descending
+    # bitmask stands in: the walk must order tied leaves by what type_ranks
+    # decodes, not by bitmask and not by the order that it meets them
+    monkeypatch.setattr(k3, "type_ranks", lambda mask: (-mask,))
+    moved = 0
+    for job, tied in ties.items():
+        want = min((total, 1, (-ranks,), key, tags) for ranks, key, total, tags in tied)
+        assert entry(*job, False) == want, job
+        moved += min(tied)[1] != want[3]  # the least by bitmask, then key
+    assert moved == 2
 
 
 def test_enumerated_assignments_pass_all_checks_and_box():
@@ -1088,9 +1103,9 @@ def test_walk_tables_are_built_once_per_series_and_lattice(monkeypatch):
     walks = []
     real = k3._walk
 
-    def spy(basis, s, drop, leaf=None):
+    def spy(basis, s, drop, leaf=None, floor=None):
         walks.append((basis, s))
-        return real(basis, s, drop, leaf)
+        return real(basis, s, drop, leaf, floor)
 
     monkeypatch.setattr(k3, "_walk", spy)
     clear_engine_caches()
@@ -1343,16 +1358,45 @@ def uncut_floored_minimum(walk, basis, s, drop, counted=None):
     return best
 
 
+def uncut_exact_minimum(walk, basis, s, drop, counted=None):
+    # the exact minimum without the cut: the least kept leaf of the uncut
+    # walk by (bound, len(ranks), ranks, key), as (scaled_c2, len(ranks),
+    # ranks, key, tags), or None when it keeps none; counted() runs once
+    # per leaf read
+    best = None
+
+    def leaf(ranks, key, total, tags):
+        nonlocal best
+        if counted:
+            counted()
+        ranks = type_ranks(ranks)
+        found = (total, len(ranks), ranks, key, tags)
+        if best is None or found < best:
+            best = found
+
+    walk(basis, s, drop, leaf)
+    return best
+
+
+def uncut_minimum(walk, basis, s, drop, floor, counted=None):
+    # the minimum that the cut walk computes without a leaf, read off the
+    # uncut walk: the exact one when floor is None, else the floored one,
+    # whose oracle reads the Clifford floor off s
+    if floor is None:
+        return uncut_exact_minimum(walk, basis, s, drop, counted)
+    return uncut_floored_minimum(walk, basis, s, drop, counted)
+
+
 def uncut_walk(monkeypatch):
-    # _walk with the floored calls, which pass no leaf, routed through the
-    # uncut walk by uncut_floored_minimum
+    # _walk with the minimum calls, which pass no leaf, routed through the
+    # uncut walk by uncut_minimum
     import bnloci.k3 as k3
 
     real = k3._walk
 
-    def walk(basis, s, drop, leaf=None):
+    def walk(basis, s, drop, leaf=None, floor=None):
         if leaf is None:
-            return uncut_floored_minimum(real, basis, s, drop)
+            return uncut_minimum(real, basis, s, drop, floor)
         return real(basis, s, drop, leaf)
 
     monkeypatch.setattr(k3, "_walk", walk)
@@ -1373,6 +1417,50 @@ def test_cut_floored_entry_equals_the_uncut_one(monkeypatch):
     uncut_walk(monkeypatch)
     assert [entry(*job, drop, True) for job, drop in jobs] == cut
     assert len({m for m in cut if m is not None}) > 900
+
+
+def test_cut_exact_entry_equals_the_uncut_least_leaf(monkeypatch):
+    # the exact entry of every assemble job of g = 7..16 under every drop
+    # mask, bound and witness, is the least kept leaf of the walk without
+    # the cut by (bound, len(ranks), ranks, key)
+    import bnloci.k3 as k3
+
+    entry = k3._min_bound_cached.__wrapped__
+    jobs = [(job, drop) for job in assemble_jobs(range(7, 17)) for drop in range(4)]
+    assert len(jobs) == 2356
+    cut = [entry(*job, drop, False) for job, drop in jobs]
+    uncut_walk(monkeypatch)
+    assert [entry(*job, drop, False) for job, drop in jobs] == cut
+    assert len({m for m in cut if m is not None}) > 700
+
+
+def test_k3_expected_on_the_unknown_pairs_of_assemble_27():
+    # cold k3_expected on the unknown pairs of fact-free assemble(27) whose
+    # left lattice exists: 184 of the 286 are expected, and each answer and
+    # witness is the one that the uncut walk's least leaf gives.  The jobs
+    # reach Lambda^7_(27,25) at s = 8, the largest box that assemble meets
+    import bnloci.k3 as k3
+    from bnloci import delta
+    from bnloci.k3 import _scale
+    from bnloci.poset import assemble
+
+    clear_engine_caches()
+    pairs = [(x, y) for x, y in assemble(27).unknown_pairs() if delta(27, x.r, x.d) < 0]
+    got = [k3_expected(27, x.r, x.d, y.r, y.d) for x, y in pairs]
+    assert len(pairs) == 286 and sum(e is not None for e in got) == 184
+    drop, least = _drop_mask(BOTH_FILTERS), {}
+    for (x, y), expected in zip(pairs, got):
+        basis, job = LatticeBasis(27, x.r, x.d), (x.r, x.d, y.r)
+        if job not in least:
+            least[job] = uncut_exact_minimum(k3._walk, basis, y.r, drop)
+        m, big = least[job], _scale(y.r)
+        if m is None or m[0] > y.d * big:
+            assert expected is None, (x, y)
+            continue
+        heads = key_rows(basis, row_class)(m[3])
+        witness = Assignment(m[2], heads + (H,), Fraction(m[0], big), _TAG_NAMES[m[4]])
+        assert expected == K3Expectation(27, x.r, x.d, y.r, y.d, witness), (x, y)
+    assert (7, 25, 8) in least
 
 
 def cold_assemble_rows(monkeypatch, genera):
@@ -1444,9 +1532,9 @@ def cold_assemble_uncut_leaves(monkeypatch, genera):
         nonlocal emitted
         emitted += 1
 
-    def spy(basis, s, drop, leaf=None):
+    def spy(basis, s, drop, leaf=None, floor=None):
         if leaf is None:
-            return uncut_floored_minimum(real, basis, s, drop, count)
+            return uncut_minimum(real, basis, s, drop, floor, count)
 
         def counted(*args):
             count()
@@ -1515,13 +1603,19 @@ def test_recheck_fires_under_python_O(call):
 
 @pytest.mark.parametrize(
     "call",
-    ["enumerate_assignments(b, 3)", "min_series_degree(b, 3)", "k3_certified_below(11, 2, 7, 4)"],
+    [
+        "enumerate_assignments(b, 3)",
+        "min_series_degree(k.LatticeBasis(11, 2, 7), 4)",
+        "k3_certified_below(11, 2, 7, 4)",
+    ],
 )
 def test_step_check_fires_on_the_upper_pair_under_python_O(call):
     # drop the upper interval cut: a child P of a node P_m past the root then
     # bends up, and the pair (P_{m-1}, P_m, P) of the step check stops it.
-    # On the floored walk the root's leaves have set its cut by then, so a
-    # walk that skips subtrees still checks every row that it visits
+    # On the walks with the cut, exact and floored, the root's leaves have
+    # set the cut by then, so a walk that skips subtrees still checks every
+    # row that it visits; on Lambda^2_(9,6) at s = 3 the exact cut skips the
+    # bent-up child, so both run on Lambda^2_(11,7) at s = 4
     out = python_O_call("k.bisect_right = lambda a, x, *rest: len(a)", call)
     assert out.startswith("raised") and "violates GT" in out
     leaf = re.fullmatch(r"raised DFS leaf (\(.*?\)) over ranks (\(.*?\)) violates GT\n", out)
