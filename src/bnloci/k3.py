@@ -173,12 +173,11 @@ query at that (lattice, s) is one comparison.
 Branch and bound.  Both minimum walks keep their own minimum, and a kept
 leaf matters to it only when its bound is at most ``best``, the least kept
 bound so far: the floored walk needs only the leaves below ``best``, and
-the exact walk also the ties, which its sort key decides.  So they walk
-with a cut (the branch and bound of Land and Doig): the floored walk skips
-every subtree whose leaves all have bound at least ``best``, and the exact
-walk every subtree whose leaves all have bound above it.  The lower bounds
-are exact algebra on the lattice.  Write a leaf's factors as rank rho_j and
-class f_j = c_j - c_{j-1}, so sum_j f_j = H.  As
+the exact walk also the ties, which its sort key decides.  So both walk
+with a cut (the branch and bound of Land and Doig) that skips every
+subtree and row whose leaves all have bound above ``best``.  The lower
+bound is exact algebra on the lattice.  Write a leaf's factors as rank
+rho_j and class f_j = c_j - c_{j-1}, so sum_j f_j = H.  As
 H^2 = sum_j f_j^2 + 2 sum_j f_j.c_{j-1}, the walk's step sum is
 
     T = H^2/2 + sum_j (rho_j - 1/rho_j - f_j^2 / (2 rho_j)),
@@ -189,7 +188,7 @@ leaf below the node has bound
 
     acc/D - c_m^2/2 + H^2/2 + sum_{j>m} (rho_j - 1/rho_j - f_j^2 / (2 rho_j)),
 
-and three facts bound the remaining terms from below.
+and two facts bound the remaining terms from below.
 
 - Hodge index.  For f = aH + bL, H^2 f^2 = (H.f)^2 + b^2 Delta with
   Delta = H^2 L^2 - d^2 < 0.  Every factor has 0 < H.f_j < H^2: the step
@@ -198,64 +197,64 @@ and three facts bound the remaining terms from below.
   multiple of H and b_j != 0.  With k = |Delta| / (2 H^2) a term reads
   rho - 1/rho + k b^2/rho - (H.f)^2 / (2 rho H^2), and as b^2 >= 1,
   rho - 1/rho + k b^2/rho >= rho min(k, 1): for k >= 1 drop 1/rho
-  against k/rho, and for k < 1 use rho (1-k) >= (1-k)/rho.
-- Cauchy-Schwarz.  The remaining factors have total rank R = s+1 - r_m
-  and sum_{j>m} b_j = -b_m, b_m the L-coefficient of c_m, so, dropping
-  rho - 1/rho >= 0, their terms other than (H.f)^2 add up to at least
-  k sum_{j>m} b_j^2 / rho_j >= k b_m^2 / R.
+  against k/rho, and for k < 1 use rho (1-k) >= (1-k)/rho.  The
+  remaining factors have total rank R = s+1 - r_m, so their terms other
+  than (H.f)^2 add up to at least R min(k, 1).
 - Concavity.  The step slopes mu_j = H.f_j / rho_j do not increase, so for
   j > m none exceeds mu, the slope of step m+1 or of any earlier step, and
   sum_{j>m} (H.f_j)^2 / rho_j = sum_{j>m} mu_j H.f_j <= mu (H^2 - h_m).
 
-The floored walk holds t = best - 1 and the exact walk t = best, with best
-scaled, and each skips only when a bound times D exceeds t.  The exact walk
-also keeps its least leaf by (bound, sort key), and decodes a leaf's type
-(:func:`type_ranks`) only when its bound is <= t, so only for a leaf that
-ties or beats ``best``; the floored walk calls nothing per kept leaf.  The
-bounds read t, which falls as a walk keeps leaves, within a node too, so
-the rows that it reads at a node state depend on the leaves before them:
-each node checks its rows one by one, and no plan of "Node states" can
-stand for it.  A walk compares two bounds, in integers:
+So every leaf below the node P_m whose step m+1 has slope at most mu has
+bound at least
 
-- Descent.  Before the walk enters a child c of rank r = r_m + a and
-  H-degree h, every leaf strictly below c has bound at least
-  acc_c/D - c^2/2 + H^2/2 - mu (H^2 - h) / (2 H^2)
-  + max(R min(k, 1), k b_c^2 / R), with R = s+1 - r and mu = (h - h_m)/a,
-  the slope of the step to c.  Times 2 H^2 D a R, with
-  mn = min(|Delta|, 2 H^2), it exceeds t iff
-  a R H^2 (2 (acc_c - t) + D (H^2 - c^2)) + a D max(R^2 mn, |Delta| b_c^2)
-  > R D (h - h_m)(H^2 - h).
-- Interval.  At a node, every leaf through a row of H-degree h at rank
-  r_m + a has bound at least
-  acc/D - c_m^2/2 + H^2/2 - (h - h_m)(H^2 - h_m) / (2 a H^2) + R min(k, 1),
-  with R = s+1 - r_m and mu = (h - h_m)/a.  Times 2 a H^2, it exceeds t
-  iff a N > D (h - h_m)(H^2 - h_m), with
-  N = H^2 (2 (acc - t) + D (H^2 - c_m^2)) + R D mn.  It decreases in h, so
-  the rows kept are those with h >= h_m + ceil(a N / (D (H^2 - h_m))), and
-  the interval's lower end rises to the larger of this and the lower end
-  of "Interval cuts", in the one bisection.  The raised end matters only
-  when N > 0, where it grows with a, and t never rises, so the lower end
-  still never decreases in r, and the rank loop ends as in "Pruning".
+    acc/D - c_m^2/2 + H^2/2 - mu (H^2 - h_m) / (2 H^2) + R min(k, 1),
 
-Why the answer is unchanged.  Scaled leaf bounds are integers, so in the
-floored walk a skipped leaf has bound > t, i.e. >= best at the time of the
-skip, and best never rises.  Such a leaf is no new minimum, so it could
-neither lower best nor be the first kept leaf <= 2s that ends the search.
-The kept leaves that are new minima are thus the same, in the same order,
-with and without the cut, and no other leaf moves t or stops the walk: t
-falls only at a new minimum, and the walk stops only at one.  So the
-floored entry, t + 1 when the walk stops or ends, is the least bound of the
-uncut walk's kept leaves up to the first one <= 2s, the same int, bit for
-bit, and :func:`k3_certified_below` keeps its exact ceil(m / D) contract.
-In the exact walk, with t = best, a skipped leaf has bound > best at the
-time of the skip, so it can neither tie nor win, then or later; every leaf
-whose bound is the final minimum is reached, and each is compared with the
-least so far.  The least leaf by (bound, sort key) does not depend on the
-order of visits, so the exact entry is the uncut walk's least kept leaf,
-witness and all.  Every row that a walk visits is checked before its leaf's
-bound is read, so the step-wise check above holds for every leaf that can
-move t.  The listing, which needs every leaf, hands the walk a leaf, so it
-walks without the cut and replays the node states' plans ("Node states").
+which falls as mu rises.  Both walks hold t = best, scaled, and skip only
+when this bound times D exceeds t.  Times 2 a H^2, with mu = (h - h_m)/a
+and mn = min(|Delta|, 2 H^2), it exceeds t iff a N > D (h - h_m)(H^2 - h_m),
+with N = H^2 (2 (acc - t) + D (H^2 - c_m^2)) + R D mn.  The walks apply it
+twice per node:
+
+- Rows.  A row of H-degree h at rank r_m + a is the step m+1 of every leaf
+  through it, with mu = (h - h_m)/a.  The test decreases in h, so the rows
+  kept are those with h >= h_m + ceil(a N / (D (H^2 - h_m))), and the
+  interval's lower end rises to the larger of this and the lower end of
+  "Interval cuts", in the one bisection.  The raised end matters only when
+  N > 0, where it grows with a, and t never rises, so the lower end still
+  never decreases in r, and the rank loop ends as in "Pruning".
+- The node's own step.  With a = r_m - r_{m-1} and mu = (h_m - h_{m-1})/a,
+  the slope of step m, the bound holds for every leaf below the node, as
+  the upper end of "Interval cuts" makes no row steeper than the node's
+  own step; the test reads a N > D (h_m - h_{m-1})(H^2 - h_m), with the
+  node's own N.  When it holds, every row of the node would be skipped,
+  so the walk runs it once, on entry, and skips the whole node before its
+  rank loop.  The root has a = 0, where the test reads 0 > 0, so it is
+  never skipped.
+
+The exact walk also keeps its least leaf by (bound, sort key), and decodes
+a leaf's type (:func:`type_ranks`) only when its bound is <= t, so only
+for a leaf that ties or beats ``best``; the floored walk calls nothing per
+kept leaf.  The bound reads t, which falls as a walk keeps leaves, within a
+node too, so the rows that it reads at a node state depend on the leaves
+before them: each node checks its rows one by one, and no plan of "Node
+states" can stand for it.
+
+Why the answer is unchanged.  A walk skips a leaf only when the leaf's
+bound is above t = best at the time of the skip, and best never rises.  So
+a skipped leaf can neither beat nor tie the least kept bound so far, then
+or later.  Nor can it be the first kept leaf <= 2s that ends the floored
+walk: once best <= 2s, the floored walk has already stopped.  Every leaf
+that ties or beats the least so far is thus reached, in the order of the
+uncut walk, and no other leaf moves t or stops the walk.  So the floored
+entry, t when the walk stops or ends, is the least bound of the uncut
+walk's kept leaves up to the first one <= 2s, the same int, bit for bit,
+and :func:`k3_certified_below` keeps its exact ceil(m / D) contract.  The
+least leaf by (bound, sort key) does not depend on the order of visits, so
+the exact entry is the uncut walk's least kept leaf, witness and all.
+Every row that a walk visits is checked before its leaf's bound is read,
+so the step-wise check above holds for every leaf that can move t.  The
+listing, which needs every leaf, hands the walk a leaf, so it walks without
+the cut and replays the node states' plans ("Node states").
 """
 
 from __future__ import annotations
@@ -585,20 +584,18 @@ def _walk(
     returns None.
 
     With no ``leaf``, the walk is a minimum search with the cut of branch
-    and bound ("Branch and bound"), and ``floor`` says which minimum.  An
-    int ``floor`` makes it the floored search: it returns the least
-    scaled_c2 of the kept leaves, or None when it keeps none, and stops at
-    its first kept leaf <= floor, which :func:`_min_bound_cached` sets to
-    2s D, the Clifford floor times D = :func:`_scale` ("The Clifford
-    floor"); it skips, unchecked, every subtree and row whose leaves all
-    have scaled_c2 at least the least kept one so far.  With ``floor``
-    None it is the exact search: it returns the least kept leaf by
-    (scaled_c2, :meth:`Assignment.sort_key`) as ``(scaled_c2, len(ranks),
-    ranks, key, tags)``, with the ranks decoded to a tuple, or None when it
-    keeps none; it skips every subtree and row whose leaves all have
-    scaled_c2 above the least kept one so far, so it reaches every tie.  As
-    what either search skips depends on the leaves before, each node
-    checks its rows one by one.
+    and bound ("Branch and bound"): it skips, unchecked, every subtree and
+    row whose leaves all have scaled_c2 above the least kept one so far,
+    so it reaches every tie, and ``floor`` says which minimum.  An int
+    ``floor`` makes it the floored search: it returns the least scaled_c2
+    of the kept leaves, or None when it keeps none, and stops at its first
+    kept leaf <= floor, which :func:`_min_bound_cached` sets to 2s D, the
+    Clifford floor times D = :func:`_scale` ("The Clifford floor").  With
+    ``floor`` None it is the exact search: it returns the least kept leaf
+    by (scaled_c2, :meth:`Assignment.sort_key`) as ``(scaled_c2,
+    len(ranks), ranks, key, tags)``, with the ranks decoded to a tuple, or
+    None when it keeps none.  As what either search skips depends on the
+    leaves before, each node checks its rows one by one.
 
     Both bodies carry a node's ranks r_1..r_m and s+1 as that bitmask, so
     a rank r sets one bit for its leaves and children alike, and no tuple
@@ -696,14 +693,13 @@ def _walk(
         replay(1 << top, root, (0, 0, 0, 0), 0, 0)
         return None
 
-    # t is the least kept total so far (None before the first), less 1 when
-    # floored, and the walk skips what bounds above t (module docstring,
-    # "Branch and bound"); a floored walk stops at its first kept total
-    # <= floor, and the exact one keeps in best its least leaf by sort key;
-    # dl = |Delta| and mn = min(|Delta|, 2 H^2)
+    # t is the least kept total so far (None before the first), and the walk
+    # skips what bounds above t (module docstring, "Branch and bound"); a
+    # floored walk stops at its first kept total <= floor, and the exact one
+    # keeps in best its least leaf by sort key; R D mn with
+    # mn = min(|Delta|, 2 H^2) is the Hodge term of R remaining ranks, times 2 H^2 D
     t = best = None
-    dl = -basis.discriminant
-    mn = min(dl, 2 * htot)
+    mn = min(-basis.discriminant, 2 * htot)
 
     def node(ranks: int, rm: int, p: tuple, hpp: int, dr: int, acc: int, key: int) -> None:
         # ranks is the bitmask of r_1..r_m and s+1, p the row of c_m,
@@ -711,13 +707,17 @@ def _walk(
         # bound of steps 1..m, key the digits of c_1..c_m
         nonlocal t, best
         hp, pp, pv = p[0], p[3], p[4]
+        # the interval bound skips a row (r_m + a, h) iff
+        # a (base - 2 H^2 t) > den (h - h_m); no row is steeper than the
+        # node's own step (dr, hp - hpp), so when that step is skipped, so is
+        # every row, and the node returns at once (never the root: dr = 0)
+        base = htot * (2 * acc + big * (htot - pp)) + (top - rm) * big * mn
+        den = big * (htot - hp)
+        if t is not None and dr * (base - 2 * htot * t) > den * (hp - hpp):
+            return
         key *= radix  # a child's key adds its row's digit
         children = []
         start = 0
-        # the interval bound skips a row (r_m + a, h) iff
-        # a (base - 2 H^2 t) > den (h - h_m)
-        base = htot * (2 * acc + big * (htot - pp)) + (top - rm) * big * mn
-        den = big * (htot - hp)
         for r in range(rm + 1, top):
             a = r - rm
             # the lower end never decreases in r, so no later r has a row
@@ -746,35 +746,24 @@ def _walk(
                     # closing step to E_top with c1 = H: f.f = (H-c)^2, f.p = H.c - c.c
                     end = total + hn * c[5] + big * (c[0] - c[3]) + cn
                     if t is None or end <= t:
+                        t = end
                         if floor is None:
-                            t, kinds = end, type_ranks(kind)
+                            kinds = type_ranks(kind)
                             found = (end, len(kinds), kinds, key + c[7], c[6] & mask)
                             if best is None or found < best:
                                 best = found
-                        else:
-                            t = end - 1
-                            if end <= floor:
-                                raise _FloorReached
+                        elif end <= floor:
+                            raise _FloorReached
                 if c[0] * wide <= room:
                     children.append((kind, r, c, a, total))
         for kind, r, c, a, total in children:
-            if t is not None:
-                # the descent bound of the leaves strictly below c exceeds t,
-                # both times 2 H^2 D a R with R = s+1 - r
-                h, rest = c[0], top - r
-                if a * rest * htot * (2 * (total - t) + big * (htot - c[3])) + a * big * max(
-                    rest * rest * mn, dl * c[2] * c[2]
-                ) > rest * big * (h - hp) * (htot - h):
-                    continue
             node(kind, r, c, hp, a, total, key + c[7])
 
     try:
         node(1 << top, 0, root, 0, 0, 0, 0)
     except _FloorReached:
         pass
-    if floor is None:
-        return best
-    return None if t is None else t + 1
+    return best if floor is None else t
 
 
 # enumerate_assignments refuses more workers than this; it runs serially anyway
@@ -915,9 +904,10 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     2s * D or None, says which entry it computes (module docstring).  A
     floored entry is the minimum bound, an int: exact whenever it is
     > 2s * D, and <= 2s * D otherwise; :func:`k3_certified_below` turns it
-    into a degree bound in integers.  The cut skips every subtree that
-    cannot hold a new minimum, so the entry is the least bound of the uncut
-    walk's kept leaves up to the first one <= 2s * D, bit for bit.  An
+    into a degree bound in integers.  The cut skips every subtree whose
+    leaves all bound above the least kept one so far, which holds no new
+    minimum, so the entry is the least bound of the uncut walk's kept
+    leaves up to the first one <= 2s * D, bit for bit.  An
     exact entry is the least kept leaf by (bound,
     :meth:`Assignment.sort_key`), as ``(scaled_c2, len(ranks), ranks, key,
     tags)`` with the leaf's ranks tuple and walk key, which spells its

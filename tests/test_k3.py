@@ -1277,12 +1277,16 @@ def least_leaf_totals(basis, s, drop):
 
 
 def test_branch_and_bound_bounds_hold_on_every_uncut_leaf():
-    # the two lower bounds of the k3 docstring ("Branch and bound"), in
-    # Fractions: the descent bound of each child is at most every leaf
-    # strictly below it, and the interval bound of each row at most every
-    # leaf through it.  The closed form T that both start from equals the
-    # walk's sum on every leaf and prefix, and c2_lower_bound on every
-    # assignment listed with the filters off at g <= 10
+    # the lower bound of the k3 docstring ("Branch and bound"), in
+    # Fractions: at each row it is at most every leaf through it.  Below a
+    # child, with the slope of the child's own step, the check reads the
+    # larger of R min(k, 1) and the Cauchy-Schwarz term k b_c^2 / R (the
+    # remaining L-coefficients sum to -b_c), which is at least the bound
+    # that the walk tests on entering the child, and it too is at most
+    # every leaf strictly below the child.  The closed form T that both
+    # start from equals the walk's sum on every leaf and prefix, and
+    # c2_lower_bound on every assignment listed with the filters off at
+    # g <= 10
     from bnloci.k3 import _scale
 
     rows = 0
@@ -1320,7 +1324,7 @@ def test_branch_and_bound_bounds_hold_on_every_uncut_leaf():
                 )
                 assert bound * big <= least, (g, r, d, s, ranks, path)
             for (ranks, path), least in below.items():
-                # the descent bound of the child path[m-1] of the node path[:m-1]
+                # the bound below the child path[m-1] of the node path[:m-1]
                 m, rk = len(path), (0,) + ranks
                 h, hp = path[m - 1][0], path[m - 2][0] if m > 1 else 0
                 rest, b = s + 1 - rk[m], path[m - 1][2]
@@ -1463,10 +1467,9 @@ def test_k3_expected_on_the_unknown_pairs_of_assemble_27():
     assert (7, 25, 8) in least
 
 
-def cold_assemble_rows(monkeypatch, genera):
-    # the _check_step calls of a cold assemble(g) over the genera
+def step_checks(monkeypatch, work):
+    # the _check_step calls that work() makes
     import bnloci.k3 as k3
-    from bnloci.poset import assemble
 
     checked = 0
     real = k3._check_step
@@ -1477,11 +1480,21 @@ def cold_assemble_rows(monkeypatch, genera):
         return real(*args)
 
     monkeypatch.setattr(k3, "_check_step", spy)
-    clear_engine_caches()
-    for g in genera:
-        assemble(g)
+    work()
     monkeypatch.setattr(k3, "_check_step", real)
     return checked
+
+
+def cold_assemble_rows(monkeypatch, genera):
+    # the _check_step calls of a cold assemble(g) over the genera
+    from bnloci.poset import assemble
+
+    def work():
+        clear_engine_caches()
+        for g in genera:
+            assemble(g)
+
+    return step_checks(monkeypatch, work)
 
 
 def test_listing_checks_each_node_state_row_once(monkeypatch):
@@ -1552,14 +1565,37 @@ def cold_assemble_uncut_leaves(monkeypatch, genera):
 
 def test_cut_checks_at_most_half_the_rows_of_a_cold_assemble(monkeypatch):
     # the cut must keep skipping at least half of the rows: a cold
-    # assemble(30) checks 6,749 rows with it, where the walk without it
-    # emits 46,077 leaves, and cold assemble(13..17) 3,519 and 7,895
+    # assemble(30) checks 6,753 rows with it, where the walk without it
+    # emits 46,077 leaves, and cold assemble(13..17) 3,539 and 7,895.  The
+    # floored walk reaches the leaves that tie its least bound so far
     genera = ([30], range(13, 18))
     cut = [cold_assemble_rows(monkeypatch, gs) for gs in genera]
     uncut = [cold_assemble_uncut_leaves(monkeypatch, gs) for gs in genera]
     clear_engine_caches()
-    assert cut == [6749, 3519] and uncut == [46077, 7895]
+    assert cut == [6753, 3539] and uncut == [46077, 7895]
     assert all(2 * rows <= full for rows, full in zip(cut, uncut))
+
+
+def test_cut_checks_at_most_half_the_rows_of_the_exact_walks(monkeypatch):
+    # the same for the exact walk: over the 1,178 exact entries of the
+    # assemble jobs of g = 7..16, with no filter and with both, it checks
+    # 26,615 rows with the cut, where the walk without it, which checks each
+    # (node state, row) once, checks 83,286
+    import bnloci.k3 as k3
+
+    entry = k3._min_bound_cached.__wrapped__
+    drops = (0, _drop_mask(BOTH_FILTERS))
+    jobs = [(job, drop) for job in assemble_jobs(range(7, 17)) for drop in drops]
+    cut = step_checks(monkeypatch, lambda: [entry(*job, drop, False) for job, drop in jobs])
+    uncut = step_checks(
+        monkeypatch,
+        lambda: [
+            uncut_exact_minimum(k3._walk, LatticeBasis(g, r, d), s, drop)
+            for (g, r, d, s), drop in jobs
+        ],
+    )
+    assert len(jobs) == 1178 and cut == 26615 and uncut == 83286
+    assert 2 * cut <= uncut
 
 
 # ------------------------------------------------------------ re-check and caps
