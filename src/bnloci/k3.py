@@ -104,7 +104,13 @@ whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries
 it as an integer times D = 2 lcm(1..s+1); the minimum cache,
 k3_noncontainment, the listing records and ``bn k3``'s bound text stay in
 integers (:func:`bound_text`), and a Fraction is built only for an
-Assignment or a minimum that a caller reads, once per distinct bound.  A
+Assignment or a minimum that a caller reads, once per distinct bound.  So
+``fractions`` is imported inside the four functions that build one
+(:func:`_c2_bound`, :func:`enumerate_assignments`,
+:func:`min_series_degree`, :func:`k3_expected`), not at module level: no
+``bn verify``, ``bn poset`` or ``bn k3`` run builds a Fraction, and a fresh
+process that loads none saves the 3 ms of importing ``fractions`` with
+``decimal`` and ``numbers``.  A
 leaf's filtration type reaches its caller as one int too, a bitmask with
 bit r set for each rank r_i: every node carries the bits of r_1..r_m and
 of s+1, so a child or a leaf of rank r adds one bit, and the readers decode
@@ -262,7 +268,6 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from collections import defaultdict, namedtuple
 from collections.abc import Callable
-from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
 
@@ -425,6 +430,8 @@ def _c2_bound(
     0) and first Chern classes ``chern``, in the closed form that
     :func:`~bnloci.oracles.c2_lower_bound` reads; the walk carries the same
     sum in scaled integers and never calls it."""
+    from fractions import Fraction
+
     total = Fraction(0)
     prev = ZERO
     for i in range(1, len(rk)):
@@ -875,6 +882,8 @@ def enumerate_assignments(
         raise ValueError(f"workers must be an int, got {workers!r}")
     if not 1 <= workers <= MAX_WORKERS:
         raise ValueError(f"workers must lie in 1..{MAX_WORKERS}, got {workers}")
+    from fractions import Fraction
+
     big, classes, groups = listing_records(basis, s, config)
     radix, prefixes = len(classes), _class_prefixes(classes)
     lasts = [(c, H) for c in classes]
@@ -936,6 +945,8 @@ def min_series_degree(
     instead (:func:`k3_certified_below`).  Raises the errors of
     :func:`_walk`: s < 1, Delta >= 0 or r = 0.
     """
+    from fractions import Fraction
+
     least = _min_bound_cached(basis.g, basis.r, basis.d, s, _drop_mask(config), False)
     return None if least is None else Fraction(least[0], _scale(s))
 
@@ -1044,6 +1055,8 @@ def k3_expected(
     big = _scale(s)
     if least is None or least[0] > e * big:
         return None
+    from fractions import Fraction
+
     total, _, ranks, key, tags = least
     chern = _class_prefixes(_candidate_rows(LatticeBasis(g, r, d))[2])[key] + (H,)
     witness = Assignment(ranks, chern, Fraction(total, big), _TAG_NAMES[tags])

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import itertools
 from collections import namedtuple
-from fractions import Fraction
 
 from .classical import secant_expected_dim
 from .k3 import Assignment, _c2_bound
@@ -72,6 +71,8 @@ class GTPattern(namedtuple("GTPattern", "entries")):
 
 def gt_pattern(basis: LatticeBasis, assignment: Assignment) -> GTPattern:
     """Slope pattern x_{i,j} = mu(E_i / E_{i-j}) of an assignment."""
+    from fractions import Fraction
+
     rk = (0,) + assignment.ranks
     hdeg = [0] + [pair(basis, H, c) for c in assignment.chern]
     rows = []
@@ -93,6 +94,8 @@ def gt_check(basis: LatticeBasis, assignment: Assignment) -> bool:
 def quotient_checks(basis: LatticeBasis, assignment: Assignment) -> bool:
     """Quotient non-negativity c1(E/E_i)^2 >= 0, quotient slope-positivity
     H.c1(E/E_i) > 0, and the slope sandwich mu(E_i) >= mu(E), for 0 < i < n."""
+    from fractions import Fraction
+
     rk = (0,) + assignment.ranks
     n = len(assignment.ranks)
     mu_total = Fraction(basis.h_square, rk[-1])

@@ -492,6 +492,138 @@ def test_facts_parse_errors(tmp_path, capsys):
     assert code == EXIT_IO and out == "" and "top level must be a JSON array" in err
 
 
+def _two_pass_parse(text, genus=None):
+    """The fact parser as it was before the one-pass one, kept as its
+    oracle: each record's fields checked one by one, each locus built and
+    tested on its own, and each Fact built by Fact.__new__."""
+    from bnloci.loci import BNLocus, RelKind, is_proper_locus
+    from bnloci.poset import Fact
+
+    relations = {k.value for k in RelKind}
+
+    def json_int(value, where, what):
+        if type(value) is not int:
+            raise FactsError(f"{where}: {what} must be an integer, got {json.dumps(value)}")
+        return value
+
+    def point(g, obj, where):
+        if not isinstance(obj, dict) or set(obj) != {"r", "d"}:
+            raise FactsError(f"{where}: locus must be an object with keys r, d")
+        r, d = json_int(obj["r"], where, "r"), json_int(obj["d"], where, "d")
+        try:
+            return BNLocus(g, r, d)
+        except ValueError as exc:
+            raise FactsError(f"{where}: {exc}") from exc
+
+    try:
+        data = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise FactsError(f"not valid JSON: {exc}") from exc
+    if not isinstance(data, list):
+        raise FactsError("top level must be a JSON array of records")
+    facts = []
+    for i, rec in enumerate(data):
+        where = f"record {i}"
+        if not isinstance(rec, dict) or set(rec) != {"genus", "lhs", "rhs", "relation", "source"}:
+            raise FactsError(
+                f"{where}: expected exactly the keys genus, lhs, rhs, relation, source"
+            )
+        g = json_int(rec["genus"], where, "genus")
+        if genus is not None and g != genus:
+            raise FactsError(f"{where}: genus {g} does not match requested genus {genus}")
+        if not isinstance(rec["relation"], str) or rec["relation"] not in relations:
+            raise FactsError(f"{where}: relation must be one of {sorted(relations)}")
+        if not isinstance(rec["source"], str) or not rec["source"]:
+            raise FactsError(f"{where}: source citation must be a non-empty string")
+        lhs = point(g, rec["lhs"], where)
+        rhs = point(g, rec["rhs"], where)
+        for pt in (lhs, rhs):
+            if not is_proper_locus(*pt):
+                raise FactsError(f"{where}: {pt} is not an enumerated proper locus")
+        facts.append(Fact(lhs, rhs, RelKind(rec["relation"]), rec["source"]))
+    return facts
+
+
+_DROP = object()
+
+
+def _edited(rec, *edits):
+    """A copy of ``rec`` with each (path, value) edit applied: the value
+    set at the path of keys, or the key removed when the value is _DROP."""
+    new = json.loads(json.dumps(rec))
+    for (*outer, key), value in edits:
+        target = new
+        for step in outer:
+            target = target[step]
+        if value is _DROP:
+            del target[key]
+        else:
+            target[key] = value
+    return new
+
+
+def _record_mutations(rec, g):
+    """Single-field changes of the valid record ``rec`` of genus g, and a few
+    values that are no record at all."""
+    edits = [
+        [(path, value)]
+        for path in (("genus",), ("lhs", "r"), ("lhs", "d"), ("rhs", "r"), ("rhs", "d"))
+        for value in (True, False, 1.0, 9.5, "4", None)
+    ]
+    edits += [[((key,), _DROP)] for key in ("genus", "lhs", "rhs", "relation", "source")]
+    edits.append([(("extra",), 1)])
+    edits += [[(("relation",), value)]
+              for value in ("superset", "", "EQ", 1, None, True, ["subset"], {"kind": "subset"})]
+    edits += [[(("source",), value)] for value in ("", 7, None, ["x"])]
+    # off the genus: one above, one below, and one that BNLocus refuses
+    edits += [[(("genus",), value)] for value in (g + 1, g - 1, 2)]
+    improper = {"r": 1, "d": g - 1}  # rho(g, 1, g-1) = g - 4 >= 0
+    for side, other in (("lhs", "rhs"), ("rhs", "lhs")):
+        edits += [[((side, key), _DROP)] for key in ("r", "d")]
+        edits += [[((side, "g"), g)], [((side,), [1, 4])], [((side,), None)],
+                  [((side, "d"), g - 1)], [((side, "r"), 0)]]
+        # an improper locus beside a malformed one: both loci parse before
+        # either one's properness is tested
+        edits += [[((side,), improper), ((other, "r"), "1")],
+                  [((side,), improper), ((other,), [1, 4])]]
+    return [_edited(rec, *edit) for edit in edits] + [[rec], 7, None, "record"]
+
+
+@pytest.mark.parametrize("name", [f"{kind}genus{g}.json" for g in range(7, 13)
+                                  for kind in ("", "fixture_")])
+def test_the_one_pass_parser_agrees_with_the_two_pass_oracle(name):
+    # each packaged file, and each single-field change of its first and last
+    # record, with the genus requested and not: equal facts of equal types,
+    # or the same FactsError message
+    g = int(re.search(r"[0-9]+", name).group())
+    records = json.loads((DATA / name).read_text(encoding="utf-8"))
+    texts = [json.dumps(records), json.dumps(records[:1] * 3), "{not json", "{}"]
+    for at in sorted({0, len(records) - 1}) if records else ():
+        for mutated in _record_mutations(records[at], g):
+            texts.append(json.dumps(records[:at] + [mutated] + records[at + 1:]))
+    # points repeated within a file: a locus with r = 1 repeated with r true
+    # after its memoized twin, and the same (r, d) at a genus d, where it is
+    # not proper
+    pool = records or json.loads((DATA / f"fixture_genus{g}.json").read_text(encoding="utf-8"))
+    rec, side = next((rec, side) for rec in pool for side in ("lhs", "rhs") if rec[side]["r"] == 1)
+    for edit in (((side, "r"), True), (("genus",), rec[side]["d"])):
+        texts.append(json.dumps([rec, rec, _edited(rec, edit)]))
+
+    def outcome(parse, text, genus):
+        try:
+            facts = parse(text, genus)
+        except FactsError as exc:
+            return ("error", str(exc))
+        return [(fact, [type(x) for x in (fact, *fact, *fact.lhs, *fact.rhs)])
+                for fact in facts]
+
+    assert len(texts) > 100 or not records
+    for text in texts:
+        for genus in (g, None):
+            assert outcome(parse_fact_records, text, genus) == outcome(_two_pass_parse, text, genus), (
+                text, genus)
+
+
 def test_facts_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     # UnicodeDecodeError is a ValueError: unmapped, it would exit as a domain error
     path = tmp_path / "latin.json"
@@ -785,6 +917,18 @@ def test_verify_range_past_a_machine_int_is_a_domain_error(capsys, monkeypatch):
     code, out, err = run(capsys, "verify", "7..99999999999999999999")
     assert (code, out) == (EXIT_DOMAIN, "")
     assert "no packaged facts or fixture for genus 13" in err
+
+
+def test_packaged_reads_what_importlib_resources_reads():
+    # _packaged reads by path; the installed-package view is the reference
+    from importlib import resources
+
+    from bnloci.cli import PACKAGED_GENERA, _packaged
+
+    data = resources.files("bnloci.data")
+    for g in PACKAGED_GENERA:
+        for name in (f"genus{g}.json", f"fixture_genus{g}.json"):
+            assert _packaged(name) == data.joinpath(name).read_text(encoding="utf-8")
 
 
 def test_packaged_genera_have_their_data_files():
