@@ -164,13 +164,13 @@ kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
 e >= 2s (Clifford's theorem; :func:`_has_lattice` rejects loci with
 d < 2r).  So once one kept leaf has bound <= 2s, no query at that
 (lattice, s) can certify and the exact minimum does not matter.  The
-floored walk (:func:`_walk` with the floor 2s D) stops at the first kept
-leaf whose bound is <= 2s and returns the least kept bound, which is exact
-whenever it is > 2s, and <= 2s otherwise, which decides "minimum > e" for
-every e >= 2s alike.  The exact walk (:func:`_walk` with no floor) keeps
-the least kept leaf by (bound, sort key), which gives
-:func:`min_series_degree` its bound and :func:`k3_expected` its witness for
-every e.  The candidate rows depend on the lattice alone, so they are built
+floored walk (:func:`_walk` with the floor 2s D) returns from its loop at
+the first kept leaf whose bound is <= 2s, with that bound, and otherwise
+returns the least kept bound, which is exact whenever it is > 2s, and <= 2s
+otherwise, which decides "minimum > e" for every e >= 2s alike.  The exact
+walk (:func:`_walk` with no floor) keeps the least kept leaf by (bound,
+sort key), which gives :func:`min_series_degree` its bound and
+:func:`k3_expected` its witness for every e.  The candidate rows depend on the lattice alone, so they are built
 once per lattice and shared by every s.  The floored minimum m of a
 (lattice, s) gives one integer, ceil(m / D) (:func:`k3_certified_below`),
 and a proper target M^s_{g,e} is certified iff e is below it, so every
@@ -244,6 +244,14 @@ kept leaf.  The bound reads t, which falls as a walk keeps leaves, within a
 node too, so the rows that it reads at a node state depend on the leaves
 before them: each node checks its rows one by one, and no plan of "Node
 states" can stand for it.
+
+Both minimum walks run as one loop over an explicit stack of node states
+(ranks, r_m, the row of c_m, H.c_{m-1}, r_m - r_{m-1}, acc, key).  Each pop
+runs the entry test against t and the node's rank loop, then pushes the
+node's children in reverse, so that each child is entered in depth-first
+order, after its elder siblings' subtrees, and its entry test reads the t
+that they left.  A walk builds no closure and no reference cycle, so all it
+builds is freed by reference counting when it returns, not by the cyclic GC.
 
 Why the answer is unchanged.  A walk skips a leaf only when the leaf's
 bound is above t = best at the time of the skip, and best never rises.  So
@@ -560,11 +568,6 @@ def _check_step(
     return None
 
 
-class _FloorReached(Exception):
-    """Ends a floored walk (:func:`_walk` with a ``floor``) at its first
-    kept leaf <= floor; the walk catches it itself."""
-
-
 def _walk(
     basis: LatticeBasis,
     s: int,
@@ -595,14 +598,18 @@ def _walk(
     row whose leaves all have scaled_c2 above the least kept one so far,
     so it reaches every tie, and ``floor`` says which minimum.  An int
     ``floor`` makes it the floored search: it returns the least scaled_c2
-    of the kept leaves, or None when it keeps none, and stops at its first
-    kept leaf <= floor, which :func:`_min_bound_cached` sets to 2s D, the
+    of the kept leaves, or None when it keeps none, and returns at its
+    first kept leaf <= floor, with that leaf's scaled_c2, where
+    :func:`_min_bound_cached` sets the floor to 2s D, the
     Clifford floor times D = :func:`_scale` ("The Clifford floor").  With
     ``floor`` None it is the exact search: it returns the least kept leaf
     by (scaled_c2, :meth:`Assignment.sort_key`) as ``(scaled_c2,
     len(ranks), ranks, key, tags)``, with the ranks decoded to a tuple, or
     None when it keeps none.  As what either search skips depends on the
-    leaves before, each node checks its rows one by one.
+    leaves before, each node checks its rows one by one.  Either search is
+    one loop over an explicit stack of node states, which enters each node
+    in depth-first order, after its elder siblings' subtrees ("Branch and
+    bound").
 
     Both bodies carry a node's ranks r_1..r_m and s+1 as that bitmask, so
     a rank r sets one bit for its leaves and children alike, and no tuple
@@ -702,26 +709,28 @@ def _walk(
 
     # t is the least kept total so far (None before the first), and the walk
     # skips what bounds above t (module docstring, "Branch and bound"); a
-    # floored walk stops at its first kept total <= floor, and the exact one
-    # keeps in best its least leaf by sort key; R D mn with
+    # floored walk returns t at its first kept total <= floor, and the exact
+    # one keeps in best its least leaf by sort key; R D mn with
     # mn = min(|Delta|, 2 H^2) is the Hodge term of R remaining ranks, times 2 H^2 D
     t = best = None
     mn = min(-basis.discriminant, 2 * htot)
-
-    def node(ranks: int, rm: int, p: tuple, hpp: int, dr: int, acc: int, key: int) -> None:
-        # ranks is the bitmask of r_1..r_m and s+1, p the row of c_m,
-        # rm = r_m, hpp = H.c_{m-1}, dr = r_m - r_{m-1}, acc the scaled
-        # bound of steps 1..m, key the digits of c_1..c_m
-        nonlocal t, best
+    # a node state is (ranks, rm, p, hpp, dr, acc, key): ranks the bitmask of
+    # r_1..r_m and s+1, rm = r_m, p the row of c_m, hpp = H.c_{m-1},
+    # dr = r_m - r_{m-1}, acc the scaled bound of steps 1..m, key the digits
+    # of c_1..c_m; a node pushes its children in reverse, so each is entered
+    # in the order of the recursion, after its elder siblings' subtrees
+    stack = [(1 << top, 0, root, 0, 0, 0, 0)]
+    while stack:
+        ranks, rm, p, hpp, dr, acc, key = stack.pop()
         hp, pp, pv = p[0], p[3], p[4]
         # the interval bound skips a row (r_m + a, h) iff
         # a (base - 2 H^2 t) > den (h - h_m); no row is steeper than the
         # node's own step (dr, hp - hpp), so when that step is skipped, so is
-        # every row, and the node returns at once (never the root: dr = 0)
+        # every row, and the node is dropped at once (never the root: dr = 0)
         base = htot * (2 * acc + big * (htot - pp)) + (top - rm) * big * mn
         den = big * (htot - hp)
         if t is not None and dr * (base - 2 * htot * t) > den * (hp - hpp):
-            return
+            continue
         key *= radix  # a child's key adds its row's digit
         children = []
         start = 0
@@ -760,16 +769,10 @@ def _walk(
                             if best is None or found < best:
                                 best = found
                         elif end <= floor:
-                            raise _FloorReached
+                            return t
                 if c[0] * wide <= room:
-                    children.append((kind, r, c, a, total))
-        for kind, r, c, a, total in children:
-            node(kind, r, c, hp, a, total, key + c[7])
-
-    try:
-        node(1 << top, 0, root, 0, 0, 0, 0)
-    except _FloorReached:
-        pass
+                    children.append((kind, r, c, hp, a, total, key + c[7]))
+        stack += children[::-1]
     return best if floor is None else t
 
 
@@ -909,7 +912,8 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     entry is None when no assignment is kept.
 
     Both entries are one :func:`_walk` with no leaf, which keeps its own
-    minimum and runs with the cut of branch and bound; the floor it gets,
+    minimum and runs with the cut of branch and bound, as one loop over an
+    explicit stack that leaves nothing for the cyclic GC; the floor it gets,
     2s * D or None, says which entry it computes (module docstring).  A
     floored entry is the minimum bound, an int: exact whenever it is
     > 2s * D, and <= 2s * D otherwise; :func:`k3_certified_below` turns it

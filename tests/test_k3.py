@@ -1338,11 +1338,16 @@ def test_branch_and_bound_bounds_hold_on_every_uncut_leaf():
     assert rows > 25_000
 
 
+class _FloorReached(Exception):
+    # stops the uncut walk of uncut_floored_minimum at its first leaf <= 2s D
+    pass
+
+
 def uncut_floored_minimum(walk, basis, s, drop, counted=None):
     # the floored minimum without the cut: the least bound of the uncut
     # walk's kept leaves, read in order, up to the first one <= 2s D, or
     # None when it keeps none; counted() runs once per leaf read
-    from bnloci.k3 import _FloorReached, _scale
+    from bnloci.k3 import _scale
 
     floor, best = 2 * s * _scale(s), None
 
@@ -1596,6 +1601,32 @@ def test_cut_checks_at_most_half_the_rows_of_the_exact_walks(monkeypatch):
     )
     assert len(jobs) == 1178 and cut == 26615 and uncut == 83286
     assert 2 * cut <= uncut
+
+
+def test_minimum_walks_leave_nothing_for_the_cyclic_gc():
+    # a minimum walk holds no reference cycle, so all it builds is freed by
+    # reference counting when it returns: with the cyclic GC off, cold
+    # floored walks (assemble(13..17) and assemble(30)) and exact ones
+    # (k3_expected on the proper targets of Lambda^7_(27,25) at s = 8)
+    # leave nothing for gc.collect() to find
+    import gc
+
+    from bnloci import is_proper_locus
+    from bnloci.poset import assemble
+
+    clear_engine_caches()
+    gc.collect()
+    gc.disable()
+    try:
+        for g in (13, 14, 15, 16, 17, 30):
+            assemble(g)
+        for e in range(1, 27):
+            if is_proper_locus(27, 8, e):
+                k3_expected(27, 7, 25, 8, e)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+        clear_engine_caches()
 
 
 # ------------------------------------------------------------ re-check and caps
