@@ -11,11 +11,12 @@ filtrations ("assignments"), computes the exact rational lower bound each
 one imposes on c_2(E) = e, and turns "every assignment needs c_2 > e"
 into certified non-existence of a g^s_e on C.
 
-One depth-first search, :func:`_walk`, serves the listing path
-(:func:`listing_records`) and both minimum-only paths, the floored one of
+Two depth-first searches run over the same rank prefixes, not over
+filtration types, so that a prefix shared by many types is visited once.
+:func:`_walk` serves the listing path (:func:`listing_records`), and
+:func:`_least` both minimum-only paths, the floored one of
 :func:`k3_certified_below` and the exact one of :func:`min_series_degree`
-and :func:`k3_expected`.  It runs over rank prefixes, not over filtration
-types, so that a prefix shared by many types is visited once.
+and :func:`k3_expected`.
 
 Interval cuts.  For a filtration type r_1 < ... < r_n = s+1, put
 P_i = (r_i, h_i) with h_i = H.c1(E_i), P_0 = (0, 0) and P_n = (s+1, H^2).
@@ -86,7 +87,7 @@ r_m, H.c_m, H.c_{m-1} and the rank step; a row's step check, its step term,
 its closing term, its tags and whether it has a child read the same and the
 row.  The scaled bound acc of steps 1..m only adds to every total, the key
 only leads every child's digits, and the ranks r_1..r_m only lead every
-type.  So the listing's walk, the one with a leaf, plans the loop of each
+type.  So the listing's walk, :func:`_walk`, plans the loop of each
 state once, at its first visit, with acc = 0: per rank, the kept leaves as
 (digit, end, tags) and the children as (row, total, state).  Every visit,
 the first included, replays the plan: it adds acc to every bound and the
@@ -164,17 +165,17 @@ kept assignment to force c_2 > e, and a proper locus M^s_{g,e} has
 e >= 2s (Clifford's theorem; :func:`_has_lattice` rejects loci with
 d < 2r).  So once one kept leaf has bound <= 2s, no query at that
 (lattice, s) can certify and the exact minimum does not matter.  The
-floored walk (:func:`_walk` with the floor 2s D) returns from its loop at
+floored walk (:func:`_least` with the floor 2s D) returns from its loop at
 the first kept leaf whose bound is <= 2s, with that bound, and otherwise
 returns the least kept bound, which is exact whenever it is > 2s, and <= 2s
 otherwise, which decides "minimum > e" for every e >= 2s alike.  The exact
-walk (:func:`_walk` with no floor) keeps the least kept leaf by (bound,
+walk (:func:`_least` with no floor) keeps the least kept leaf by (bound,
 sort key), which gives :func:`min_series_degree` its bound and
-:func:`k3_expected` its witness for every e.  The candidate rows depend on the lattice alone, so they are built
-once per lattice and shared by every s.  The floored minimum m of a
-(lattice, s) gives one integer, ceil(m / D) (:func:`k3_certified_below`),
-and a proper target M^s_{g,e} is certified iff e is below it, so every
-query at that (lattice, s) is one comparison.
+:func:`k3_expected` its witness for every e.  The candidate rows depend on
+the lattice alone, so they are built once per lattice and shared by every
+s.  The floored minimum m of a (lattice, s) gives one integer, ceil(m / D)
+(:func:`k3_certified_below`), and a proper target M^s_{g,e} is certified
+iff e is below it, so every query at that (lattice, s) is one comparison.
 
 Branch and bound.  Both minimum walks keep their own minimum, and a kept
 leaf matters to it only when its bound is at most ``best``, the least kept
@@ -267,8 +268,8 @@ least leaf by (bound, sort key) does not depend on the order of visits, so
 the exact entry is the uncut walk's least kept leaf, witness and all.
 Every row that a walk visits is checked before its leaf's bound is read,
 so the step-wise check above holds for every leaf that can move t.  The
-listing, which needs every leaf, hands the walk a leaf, so it walks without
-the cut and replays the node states' plans ("Node states").
+listing, which needs every leaf, runs :func:`_walk`, which has no cut and
+replays the node states' plans ("Node states").
 """
 
 from __future__ import annotations
@@ -569,66 +570,130 @@ def _check_step(
 
 
 def _walk(
-    basis: LatticeBasis,
-    s: int,
-    drop: int,
-    leaf: Callable[[int, int, int, int], None] | None = None,
-    floor: int | None = None,
-) -> int | tuple | None:
-    """The one filtration DFS.  With a ``leaf``, for every filtration type
-    and every admissible tuple of :func:`_candidate_rows`, call
-    ``leaf(ranks, key, scaled_c2, tags)``,
+    basis: LatticeBasis, s: int, drop: int, leaf: Callable[[int, int, int, int], None]
+) -> None:
+    """The listing walk: for every filtration type and every admissible tuple
+    of :func:`_candidate_rows`, call ``leaf(ranks, key, scaled_c2, tags)``,
     where ``ranks`` is the type r_1 < ... < r_n = s+1 as an int with bit r
     set for each r_i, which :func:`type_ranks` decodes; ``key`` spells the
     chosen rows' digits in radix n + 1, n the number of rows, so ``classes``
     of :func:`_candidate_rows` decodes it (:func:`key_prefixes`), and every
-    key of a type has the same length;
-    ``scaled_c2`` is the c_2 lower bound times :func:`_scale` and ``tags`` the
-    leaf's filter bits: its last row's bits, masked by its type.  ``DM``
-    counts only for type 1 < s+1 with s > r, and ``ELLIPTIC`` only when the
-    top quotient has rank s+1 - r_m >= 2.  A leaf with a tag in ``drop`` is
-    checked like any other but not emitted, and its children are entered.
-    This walk plans the rank loop of each node state once and replays the
-    plan at every visit of that state (module docstring, "Node states");
-    the plans live in a dict local to this call.  It ignores ``floor`` and
-    returns None.
+    key of a type has the same length; ``scaled_c2`` is the c_2 lower bound
+    times :func:`_scale` and ``tags`` the leaf's filter bits: its last row's
+    bits, masked by its type.  ``DM`` counts only for type 1 < s+1 with
+    s > r, and ``ELLIPTIC`` only when the top quotient has rank
+    s+1 - r_m >= 2.  A leaf with a tag in ``drop`` is checked like any other
+    but not emitted, and its children are entered.  A lattice without
+    candidate rows has no leaf.
 
-    With no ``leaf``, the walk is a minimum search with the cut of branch
-    and bound ("Branch and bound"): it skips, unchecked, every subtree and
-    row whose leaves all have scaled_c2 above the least kept one so far,
-    so it reaches every tie, and ``floor`` says which minimum.  An int
-    ``floor`` makes it the floored search: it returns the least scaled_c2
-    of the kept leaves, or None when it keeps none, and returns at its
-    first kept leaf <= floor, with that leaf's scaled_c2, where
-    :func:`_min_bound_cached` sets the floor to 2s D, the
-    Clifford floor times D = :func:`_scale` ("The Clifford floor").  With
-    ``floor`` None it is the exact search: it returns the least kept leaf
-    by (scaled_c2, :meth:`Assignment.sort_key`) as ``(scaled_c2,
-    len(ranks), ranks, key, tags)``, with the ranks decoded to a tuple, or
-    None when it keeps none.  As what either search skips depends on the
-    leaves before, each node checks its rows one by one.  Either search is
-    one loop over an explicit stack of node states, which enters each node
-    in depth-first order, after its elder siblings' subtrees ("Branch and
-    bound").
+    A node emits all its children's leaves before it descends into any
+    child, so the leaves of the shortest types come first.  The module
+    docstring proves that these are exactly the leaves of the per-type
+    search, in this order ("Interval cuts", "Prefix sharing", "Pruning"),
+    that each node state's plan, made once in a dict local to this call and
+    replayed at every visit, emits them unchanged ("Node states"), and says
+    where the step table and the rows come from ("Scaled integers").
 
-    Both bodies carry a node's ranks r_1..r_m and s+1 as that bitmask, so
-    a rank r sets one bit for its leaves and children alike, and no tuple
-    is built per type.  A node emits all its children's leaves before it
-    descends into any child, so the leaves of the shortest types come
-    first.  The module docstring proves that the interval cuts, the prefix
-    sharing, the pruning and the replayed plans emit exactly the leaves of
-    the per-type search, in this order ("Interval cuts", "Prefix sharing",
-    "Pruning", "Node states"), that the floored search returns the least
-    bound of that order up to its first leaf <= 2s D and the exact search
-    the least leaf of that order ("Why the answer is unchanged"), and where
-    the step table and the rows come from ("Scaled integers").  A lattice
-    without candidate rows keeps no leaf.
+    Raises ValueError for s < 1, where no type exists, and for Delta >= 0
+    or r = 0 through :func:`destab_box`; and RuntimeError for a leaf that
+    fails its step check (:func:`_check_step`), before the leaf's node emits
+    any leaf.
+    """
+    if s < 1:
+        raise ValueError("need s >= 1")
+    rows, hs, classes = _candidate_rows(basis)
+    if not rows:
+        return  # no candidate class: no type has an admissible step
+    # a step of rank rho adds T = half[rho]*(f.f) + D*(f.p) + const[rho] with
+    # f = c_i - c_{i-1}, p = c_{i-1}: the stable-factor bound plus the
+    # recursion term, times D; masks[r] are the tags a leaf of type
+    # (..., r, s+1) can carry
+    big, half, const, masks = _step_table(s, s > basis.r)
+    htot, top = basis.h_square, s + 1
+    count, hmax, radix = len(rows), hs[-1], len(classes)
+    # E_0 = 0, so c.p = p.p = 0; its digit 0 names classes[0], the zero class
+    root = (0, 0, 0, 0, 0, htot, 0, 0)
+    plans = {}  # the rank loop of each node state, for this walk only
 
-    Raises ValueError for s < 1, where no type exists and an empty walk
-    would read as "every e certified", and for Delta >= 0 or r = 0 through
-    :func:`destab_box`, which :func:`_candidate_rows` reaches first; and
-    RuntimeError for a leaf that fails its step check (:func:`_check_step`),
-    which the walk with a leaf raises before the leaf's node emits any leaf.
+    def plan(ranks: int, p: tuple, state: tuple, key: int) -> tuple:
+        # the rank loop of the node state (module docstring, "Node
+        # states") with acc = 0, as (emits, descents): emits holds
+        # (1 << r, [(digit, end, tags), ...]) for the kept leaves,
+        # descents (1 << r, [(row, total, child state), ...]) for the
+        # children; ranks and key name the first visit's leaf in a
+        # step-check error, which raises before that visit emits any leaf
+        rm, _, hpp, dr = state
+        hp, pp, pv = p[0], p[3], p[4]
+        emits, descents, start = [], [], 0
+        for r in range(rm + 1, top):
+            a = r - rm
+            lo = -(-(htot * a + hp * (top - r)) // (top - rm))
+            start = bisect_left(hs, lo, start)
+            if start == count:
+                break
+            stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if dr else count
+            if start == stop:
+                continue
+            hm, cm, hn, cn, mask = half[a], const[a], half[top - r], const[top - r], masks[r]
+            wide, room = top - r - 1, hmax * (top - r) - htot
+            leaves, kids = [], []
+            for c in rows[start:stop]:
+                cp = c[1] * hp + c[2] * pv
+                total = hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
+                what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
+                if what:
+                    raise _leaf_error(basis, ranks | 1 << r, key * radix + c[7], what)
+                tags = c[6] & mask
+                if not tags & drop:
+                    leaves.append((c[7], total + hn * c[5] + big * (c[0] - c[3]) + cn, tags))
+                if c[0] * wide <= room:
+                    kids.append((c, total, (r, c[7], hp, a)))
+            if leaves:
+                emits.append((1 << r, leaves))
+            if kids:
+                descents.append((1 << r, kids))
+        return emits, descents
+
+    def replay(ranks: int, p: tuple, state: tuple, acc: int, key: int) -> None:
+        # ranks is the bitmask of r_1..r_m and s+1, p the row of c_m,
+        # state = (r_m, its digit, H.c_{m-1}, r_m - r_{m-1}), acc the
+        # scaled bound of steps 1..m, key the digits of c_1..c_m
+        steps = plans.get(state)
+        if steps is None:
+            steps = plans[state] = plan(ranks, p, state, key)
+        key *= radix  # a child's key adds its row's digit
+        emits, descents = steps
+        for bit, leaves in emits:
+            kind = ranks | bit
+            for digit, end, tags in leaves:
+                leaf(kind, key + digit, acc + end, tags)
+        for bit, kids in descents:
+            kind = ranks | bit
+            for c, total, child in kids:
+                replay(kind, c, child, acc + total, key + c[7])
+
+    replay(1 << top, root, (0, 0, 0, 0), 0, 0)
+
+
+def _least(basis: LatticeBasis, s: int, drop: int, floor: int | None) -> int | tuple | None:
+    """The minimum search over the leaves that :func:`_walk` would emit
+    under ``drop``, with the cut of branch and bound: it skips, unchecked,
+    every subtree and row whose leaves all have scaled_c2 above the least
+    kept one so far, and checks every row that it visits.  An int ``floor``
+    makes it the floored search: it returns the least scaled_c2 of the kept
+    leaves, or None when it keeps none, and returns at its first kept leaf
+    <= floor, with that leaf's scaled_c2 ("The Clifford floor").  With
+    ``floor`` None it is the exact search: it returns the least kept leaf by
+    (scaled_c2, :meth:`Assignment.sort_key`) as ``(scaled_c2, len(ranks),
+    ranks, key, tags)``, with the ranks decoded to a tuple, or None when it
+    keeps none.
+
+    The module docstring proves the cut ("Branch and bound") and that both
+    answers are those of :func:`_walk`'s leaves read in order ("Why the
+    answer is unchanged").  Raises the errors of :func:`_walk`: ValueError
+    for s < 1, where an empty search would read as "every e certified", and
+    for Delta >= 0 or r = 0, and RuntimeError for a visited row that fails
+    its step check.
     """
     if s < 1:
         raise ValueError("need s >= 1")
@@ -644,69 +709,6 @@ def _walk(
     count, hmax, radix = len(rows), hs[-1], len(classes)
     # E_0 = 0, so c.p = p.p = 0; its digit 0 names classes[0], the zero class
     root = (0, 0, 0, 0, 0, htot, 0, 0)
-    if leaf is not None:
-        plans = {}  # the rank loop of each node state, for this walk only
-
-        def plan(ranks: int, p: tuple, state: tuple, key: int) -> tuple:
-            # the rank loop of the node state (module docstring, "Node
-            # states") with acc = 0, as (emits, descents): emits holds
-            # (1 << r, [(digit, end, tags), ...]) for the kept leaves,
-            # descents (1 << r, [(row, total, child state), ...]) for the
-            # children; ranks and key name the first visit's leaf in a
-            # step-check error, which raises before that visit emits any leaf
-            rm, _, hpp, dr = state
-            hp, pp, pv = p[0], p[3], p[4]
-            emits, descents, start = [], [], 0
-            for r in range(rm + 1, top):
-                a = r - rm
-                lo = -(-(htot * a + hp * (top - r)) // (top - rm))
-                start = bisect_left(hs, lo, start)
-                if start == count:
-                    break
-                stop = bisect_right(hs, hp + (hp - hpp) * a // dr, start) if dr else count
-                if start == stop:
-                    continue
-                hm, cm, hn, cn, mask = half[a], const[a], half[top - r], const[top - r], masks[r]
-                wide, room = top - r - 1, hmax * (top - r) - htot
-                leaves, kids = [], []
-                for c in rows[start:stop]:
-                    cp = c[1] * hp + c[2] * pv
-                    total = hm * (c[3] - 2 * cp + pp) + big * (cp - pp) + cm
-                    what = _check_step(htot, top, rm, hp, dr, hpp, r, c)
-                    if what:
-                        raise _leaf_error(basis, ranks | 1 << r, key * radix + c[7], what)
-                    tags = c[6] & mask
-                    if not tags & drop:
-                        leaves.append((c[7], total + hn * c[5] + big * (c[0] - c[3]) + cn, tags))
-                    if c[0] * wide <= room:
-                        kids.append((c, total, (r, c[7], hp, a)))
-                if leaves:
-                    emits.append((1 << r, leaves))
-                if kids:
-                    descents.append((1 << r, kids))
-            return emits, descents
-
-        def replay(ranks: int, p: tuple, state: tuple, acc: int, key: int) -> None:
-            # ranks is the bitmask of r_1..r_m and s+1, p the row of c_m,
-            # state = (r_m, its digit, H.c_{m-1}, r_m - r_{m-1}), acc the
-            # scaled bound of steps 1..m, key the digits of c_1..c_m
-            steps = plans.get(state)
-            if steps is None:
-                steps = plans[state] = plan(ranks, p, state, key)
-            key *= radix  # a child's key adds its row's digit
-            emits, descents = steps
-            for bit, leaves in emits:
-                kind = ranks | bit
-                for digit, end, tags in leaves:
-                    leaf(kind, key + digit, acc + end, tags)
-            for bit, kids in descents:
-                kind = ranks | bit
-                for c, total, child in kids:
-                    replay(kind, c, child, acc + total, key + c[7])
-
-        replay(1 << top, root, (0, 0, 0, 0), 0, 0)
-        return None
-
     # t is the least kept total so far (None before the first), and the walk
     # skips what bounds above t (module docstring, "Branch and bound"); a
     # floored walk returns t at its first kept total <= floor, and the exact
@@ -911,27 +913,14 @@ def _min_bound_cached(g: int, r: int, d: int, s: int, drop: int, floored: bool):
     a miss.  Bounds are scaled integers (times D = :func:`_scale`), and an
     entry is None when no assignment is kept.
 
-    Both entries are one :func:`_walk` with no leaf, which keeps its own
-    minimum and runs with the cut of branch and bound, as one loop over an
-    explicit stack that leaves nothing for the cyclic GC; the floor it gets,
-    2s * D or None, says which entry it computes (module docstring).  A
-    floored entry is the minimum bound, an int: exact whenever it is
-    > 2s * D, and <= 2s * D otherwise; :func:`k3_certified_below` turns it
-    into a degree bound in integers.  The cut skips every subtree whose
-    leaves all bound above the least kept one so far, which holds no new
-    minimum, so the entry is the least bound of the uncut walk's kept
-    leaves up to the first one <= 2s * D, bit for bit.  An
-    exact entry is the least kept leaf by (bound,
-    :meth:`Assignment.sort_key`), as ``(scaled_c2, len(ranks), ranks, key,
-    tags)`` with the leaf's ranks tuple and walk key, which spells its
-    classes without the last H: every key of one type has the same length,
-    so within a type the keys order as the classes do.  The cut skips every
-    subtree that cannot hold a leaf that ties or beats the least so far,
-    and the walk decodes a type's bitmask (:func:`type_ranks`) only for a
-    leaf that does, so the entry is the uncut walk's least kept leaf.
-    :func:`min_series_degree` reads its bound and :func:`k3_expected`
-    decodes its witness."""
-    return _walk(LatticeBasis(g, r, d), s, drop, floor=2 * s * _scale(s) if floored else None)
+    Both entries are one :func:`_least` ("Branch and bound"), and the floor
+    it gets, 2s * D or None, says which.  A floored entry is an int, the
+    minimum bound, exact whenever it is > 2s * D and <= 2s * D otherwise,
+    which :func:`k3_certified_below` reads.  An exact entry is the least kept leaf
+    by (bound, :meth:`Assignment.sort_key`), as ``(scaled_c2, len(ranks),
+    ranks, key, tags)``, whose bound :func:`min_series_degree` reads and
+    whose witness :func:`k3_expected` decodes."""
+    return _least(LatticeBasis(g, r, d), s, drop, 2 * s * _scale(s) if floored else None)
 
 
 def min_series_degree(
@@ -941,13 +930,12 @@ def min_series_degree(
     no assignment exists.  A smooth curve in |H| admits no g^s_e for any
     integer e strictly below this value (and none at all when None).
 
-    This is the exact minimum-only path of the shared DFS core: it reads the
-    bound of the least kept leaf that the exact search, the walk with the
-    cut of branch and bound and no floor, caches per (lattice, s, filters),
-    with no Assignment and no Fraction per leaf, and returns
-    ``Fraction(bound, D)``.  The certificates stop at the Clifford floor
-    instead (:func:`k3_certified_below`).  Raises the errors of
-    :func:`_walk`: s < 1, Delta >= 0 or r = 0.
+    This is the exact minimum-only path: it reads the bound of the least
+    kept leaf that the exact search, :func:`_least` with no floor, caches
+    per (lattice, s, filters), with no Assignment and no Fraction per leaf,
+    and returns ``Fraction(bound, D)``.  The certificates stop at the
+    Clifford floor instead (:func:`k3_certified_below`).  Raises the errors
+    of :func:`_least`: s < 1, Delta >= 0 or r = 0.
     """
     from fractions import Fraction
 

@@ -479,13 +479,13 @@ def test_k3_expected_walks_once_per_lattice_series_and_filters(monkeypatch):
         cfg: [listing_expectation(g, r, d, s, e, cfg or BOTH_FILTERS) for e in targets]
         for cfg in configs
     }
-    real, walks = k3._walk, []
+    real, walks = k3._least, []
 
     def spy(*args, **kwargs):
         walks.append(args[1:3])
         return real(*args, **kwargs)
 
-    monkeypatch.setattr(k3, "_walk", spy)
+    monkeypatch.setattr(k3, "_least", spy)
     for cfg in configs:
         assert any(want[cfg]) and not all(want[cfg]), cfg
         k3._min_bound_cached.cache_clear()
@@ -1101,13 +1101,13 @@ def test_walk_tables_are_built_once_per_series_and_lattice(monkeypatch):
     from bnloci.poset import assemble
 
     walks = []
-    real = k3._walk
+    real = k3._least
 
-    def spy(basis, s, drop, leaf=None, floor=None):
+    def spy(basis, s, drop, floor):
         walks.append((basis, s))
-        return real(basis, s, drop, leaf, floor)
+        return real(basis, s, drop, floor)
 
-    monkeypatch.setattr(k3, "_walk", spy)
+    monkeypatch.setattr(k3, "_least", spy)
     clear_engine_caches()
     k3._step_table.cache_clear()
     assemble(17)
@@ -1179,7 +1179,7 @@ def test_k3_queries_are_defined_exactly_on_the_proper_loci(monkeypatch):
         raise AssertionError(f"a K3 walk started for {args}")
 
     monkeypatch.setattr(k3, "_min_bound_cached", no_walk)
-    monkeypatch.setattr(k3, "_walk", no_walk)
+    monkeypatch.setattr(k3, "_least", no_walk)
     rejected = 0
     for g in range(-2, 21):
         for r in range(-3, 13):
@@ -1397,18 +1397,13 @@ def uncut_minimum(walk, basis, s, drop, floor, counted=None):
 
 
 def uncut_walk(monkeypatch):
-    # _walk with the minimum calls, which pass no leaf, routed through the
-    # uncut walk by uncut_minimum
+    # _least routed through the uncut walk by uncut_minimum
     import bnloci.k3 as k3
 
-    real = k3._walk
+    def least(basis, s, drop, floor):
+        return uncut_minimum(k3._walk, basis, s, drop, floor)
 
-    def walk(basis, s, drop, leaf=None, floor=None):
-        if leaf is None:
-            return uncut_minimum(real, basis, s, drop, floor)
-        return real(basis, s, drop, leaf)
-
-    monkeypatch.setattr(k3, "_walk", walk)
+    monkeypatch.setattr(k3, "_least", least)
 
 
 def test_cut_floored_entry_equals_the_uncut_one(monkeypatch):
@@ -1441,6 +1436,32 @@ def test_cut_exact_entry_equals_the_uncut_least_leaf(monkeypatch):
     uncut_walk(monkeypatch)
     assert [entry(*job, drop, False) for job, drop in jobs] == cut
     assert len({m for m in cut if m is not None}) > 700
+
+
+def test_floored_search_decides_every_proper_target_degree():
+    # _least floored at e D, for every proper target degree e of rank s, not
+    # only the Clifford floor 2s: on every assemble job of g = 7..16, with no
+    # filter and with both, it is None iff the exact entry is, it is <= e D
+    # iff the exact bound is, and above e D it is the exact bound
+    from bnloci import is_proper_locus
+    from bnloci.k3 import _least, _scale
+
+    walks = stopped = 0
+    for g, r, d, s in assemble_jobs(range(7, 17)):
+        basis, big = LatticeBasis(g, r, d), _scale(s)
+        targets = [e for e in range(2 * s, g) if is_proper_locus(g, s, e)]
+        for drop in (0, _drop_mask(BOTH_FILTERS)):
+            exact = _least(basis, s, drop, None)
+            least = None if exact is None else exact[0]
+            for e in targets:
+                m, job = _least(basis, s, drop, e * big), (g, r, d, s, drop, e)
+                if least is None or least > e * big:
+                    assert m == least, job
+                else:
+                    assert m is not None and m <= e * big, job
+                    stopped += 1
+            walks += len(targets)
+    assert (walks, stopped) == (6060, 2264)
 
 
 def test_k3_expected_on_the_unknown_pairs_of_assemble_27():
@@ -1537,34 +1558,27 @@ def test_listing_checks_each_node_state_row_once(monkeypatch):
 
 
 def cold_assemble_uncut_leaves(monkeypatch, genera):
-    # the leaves that the walk without the cut emits in a cold assemble(g)
-    # over the genera; each is checked, and the per-type search checked
-    # exactly these
+    # the leaves that the walk without the cut, run by uncut_minimum in
+    # place of _least, emits in a cold assemble(g) over the genera; each is
+    # checked, and the per-type search checked exactly these
     import bnloci.k3 as k3
     from bnloci.poset import assemble
 
     emitted = 0
-    real = k3._walk
+    real = k3._least
 
     def count():
         nonlocal emitted
         emitted += 1
 
-    def spy(basis, s, drop, leaf=None, floor=None):
-        if leaf is None:
-            return uncut_minimum(real, basis, s, drop, floor, count)
+    def least(basis, s, drop, floor):
+        return uncut_minimum(k3._walk, basis, s, drop, floor, count)
 
-        def counted(*args):
-            count()
-            return leaf(*args)
-
-        return real(basis, s, drop, counted)
-
-    monkeypatch.setattr(k3, "_walk", spy)
+    monkeypatch.setattr(k3, "_least", least)
     clear_engine_caches()
     for g in genera:
         assemble(g)
-    monkeypatch.setattr(k3, "_walk", real)
+    monkeypatch.setattr(k3, "_least", real)
     return emitted
 
 

@@ -96,8 +96,9 @@ def test_an_engine_import_of_the_oracles_is_found(tmp_path, line):
 
 @pytest.mark.parametrize(
     "line",
-    ["from .k3 import _walk", "from .k3 import _candidate_rows", "from .poset import rule_sources",
-     "from . import poset", "import bnloci.k3", "from bnloci import assemble", "from .cli import main"],
+    ["from .k3 import _walk", "from .k3 import _least", "from .k3 import _candidate_rows",
+     "from .poset import rule_sources", "from . import poset", "import bnloci.k3",
+     "from bnloci import assemble", "from .cli import main"],
 )
 def test_an_oracle_import_of_the_engine_is_found(tmp_path, line):
     (tmp_path / "oracles.py").write_text(
