@@ -47,7 +47,6 @@ from .k3 import (
     Assignment,
     FilterConfig,
     K3Expectation,
-    LMInvariants,
     box_class_count,
     candidate_subsheaf_classes,
     destab_box,
@@ -55,7 +54,6 @@ from .k3 import (
     k3_certified_below,
     k3_expected,
     k3_noncontainment,
-    lm_invariants,
     min_series_degree,
 )
 from .poset import (

@@ -106,9 +106,9 @@ it as an integer times D = 2 lcm(1..s+1); the minimum cache,
 k3_noncontainment, the listing records and ``bn k3``'s bound text stay in
 integers (:func:`bound_text`), and a Fraction is built only for an
 Assignment or a minimum that a caller reads, once per distinct bound.  So
-``fractions`` is imported inside the four functions that build one
-(:func:`_c2_bound`, :func:`enumerate_assignments`,
-:func:`min_series_degree`, :func:`k3_expected`), not at module level: no
+``fractions`` is imported inside the three functions that build one
+(:func:`enumerate_assignments`, :func:`min_series_degree`,
+:func:`k3_expected`), not at module level: no
 ``bn verify``, ``bn poset`` or ``bn k3`` run builds a Fraction, and a fresh
 process that loads none saves the 3 ms of importing ``fractions`` with
 ``decimal`` and ``numbers``.  A
@@ -280,7 +280,7 @@ from collections.abc import Callable
 from functools import lru_cache
 from math import gcd, lcm
 
-from .lattice import H, ZERO, LatticeBasis, LatticeClass, delta, floor_sqrt_ratio, pair, self_int
+from .lattice import H, ZERO, LatticeBasis, LatticeClass, delta, floor_sqrt_ratio, pair
 from .loci import BNLocus, RelKind, Relation, _require_proper_locus
 
 
@@ -319,17 +319,6 @@ def _drop_mask(config: FilterConfig | None) -> int:
     """The tag bits whose leaves ``config`` drops; None drops none."""
     dm, elliptic = config or (False, False)
     return (DM if dm else 0) | (ELLIPTIC if elliptic else 0)
-
-
-class LMInvariants(namedtuple("LMInvariants", "rank c2 chi")):
-    """Numerical invariants of the Lazarsfeld-Mukai bundle of a g^s_e on a
-    smooth genus-g curve in |H|; c1 is always H."""
-
-    __slots__ = ()
-
-
-def lm_invariants(g: int, s: int, e: int) -> LMInvariants:
-    return LMInvariants(rank=s + 1, c2=e, chi=g - e + 2 * s + 1)
 
 
 def type_text(ranks: tuple[int, ...]) -> str:
@@ -430,29 +419,6 @@ def candidate_subsheaf_classes(basis: LatticeBasis) -> list[LatticeClass]:
     Raises the errors of :func:`destab_box`: Delta >= 0 or r = 0.
     """
     return list(_candidate_rows(basis)[2][1:])
-
-
-def _c2_bound(
-    basis: LatticeBasis, rk: tuple[int, ...], chern: tuple[LatticeClass, ...]
-) -> Fraction:
-    """The exact c_2 lower bound of the filtration with ranks ``rk`` (led by
-    0) and first Chern classes ``chern``, in the closed form that
-    :func:`~bnloci.oracles.c2_lower_bound` reads; the walk carries the same
-    sum in scaled integers and never calls it."""
-    from fractions import Fraction
-
-    total = Fraction(0)
-    prev = ZERO
-    for i in range(1, len(rk)):
-        cur = chern[i - 1]
-        f = cur - prev
-        rho_i = rk[i] - rk[i - 1]
-        stable = Fraction((rho_i - 1) * self_int(basis, f), 2 * rho_i) + rho_i - Fraction(
-            1, rho_i
-        )
-        total += stable + pair(basis, f, prev)
-        prev = cur
-    return total
 
 
 @lru_cache(maxsize=None)

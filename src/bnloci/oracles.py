@@ -21,9 +21,10 @@ calls, kept so that each fast path can be held against a second encoding.
 The boundary runs both ways, and ``tests/test_oracle_boundary.py`` holds
 it: no module of the package but ``__init__`` imports this one, and this
 one imports nothing from ``poset`` or ``cli`` and, from ``k3``, only
-``Assignment`` and ``_c2_bound``, the value type of an assignment and the
-closed form of the c_2 bound.  ``lattice``, ``loci`` and ``classical`` hold
-the value types and the arithmetic, and are open to it.
+``Assignment``, the value type of an assignment.  The exact c_2 bound is
+written here in its closed form, apart from the walk's scaled integers.
+``lattice``, ``loci`` and ``classical`` hold the value types and the
+arithmetic, and are open to it.
 """
 
 from __future__ import annotations
@@ -32,8 +33,8 @@ import itertools
 from collections import namedtuple
 
 from .classical import secant_expected_dim
-from .k3 import Assignment, _c2_bound
-from .lattice import H, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair, self_int
+from .k3 import Assignment
+from .lattice import H, ZERO, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair, self_int
 from .loci import BNLocus, RelKind, Relation, enumerate_loci, is_proper_locus
 
 
@@ -116,7 +117,16 @@ def c2_lower_bound(basis: LatticeBasis, assignment: Assignment) -> Fraction:
     Chern-class recursion over the filtration steps plus the moduli-space
     bound c_2(F) >= (rk-1) c1(F)^2 / (2 rk) + rk - 1/rk for each stable
     factor F (zero for line-bundle factors)."""
-    return _c2_bound(basis, (0,) + assignment.ranks, assignment.chern)
+    from fractions import Fraction
+
+    total = Fraction(0)
+    prev_rank, prev = 0, ZERO
+    for rank, cur in zip(assignment.ranks, assignment.chern):
+        f, rho = cur - prev, rank - prev_rank
+        stable = Fraction((rho - 1) * self_int(basis, f), 2 * rho) + rho - Fraction(1, rho)
+        total += stable + pair(basis, f, prev)
+        prev_rank, prev = rank, cur
+    return total
 
 
 def slab_classes(basis: LatticeBasis) -> list[LatticeClass]:

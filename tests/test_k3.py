@@ -32,7 +32,6 @@ from bnloci import (
     k3_certified_below,
     k3_expected,
     k3_noncontainment,
-    lm_invariants,
     min_series_degree,
     pair,
     quotient_checks,
@@ -40,18 +39,15 @@ from bnloci import (
     slab_classes,
 )
 from bnloci.k3 import (
-    BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _c2_bound, _drop_mask, _TAG_NAMES,
+    BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _drop_mask, _TAG_NAMES,
     bound_text, listing_records, type_ranks,
 )
 from engine_caches import clear_engine_caches
 
 
 def mk(basis, ranks, chern_heads):
-    chern = tuple(chern_heads) + (H,)
-    rk = (0,) + tuple(ranks)
-    return Assignment(
-        ranks=tuple(ranks), chern=chern, c2_bound=_c2_bound(basis, rk, chern)
-    )
+    a = Assignment(tuple(ranks), tuple(chern_heads) + (H,), None)
+    return a._replace(c2_bound=c2_lower_bound(basis, a))
 
 
 def chain_all_triples(rk, hdeg):
@@ -68,13 +64,6 @@ def gt_all_triples(basis, assignment):
     # the oracle on mu(E_j/E_i) >= mu(E_k/E_i) >= mu(E_k/E_j)
     rk = (0,) + assignment.ranks
     return chain_all_triples(rk, [0] + [pair(basis, H, c) for c in assignment.chern])
-
-
-def test_lm_invariants_examples():
-    inv = lm_invariants(11, 3, 10)
-    assert (inv.rank, inv.c2, inv.chi) == (4, 10, 8)
-    assert lm_invariants(9, 2, 6) == lm_invariants(9, 2, 6).__class__(3, 6, 8)
-    assert lm_invariants(7, 0, 0).chi == 8  # g + 1 at s = e = 0
 
 
 def test_filtration_types():
@@ -1338,72 +1327,40 @@ def test_branch_and_bound_bounds_hold_on_every_uncut_leaf():
     assert rows > 25_000
 
 
-class _FloorReached(Exception):
-    # stops the uncut walk of uncut_floored_minimum at its first leaf <= 2s D
+class _Stopped(Exception):
+    # stops the walk of uncut_least at its first kept leaf <= floor
     pass
 
 
-def uncut_floored_minimum(walk, basis, s, drop, counted=None):
-    # the floored minimum without the cut: the least bound of the uncut
-    # walk's kept leaves, read in order, up to the first one <= 2s D, or
-    # None when it keeps none; counted() runs once per leaf read
-    from bnloci.k3 import _scale
+def uncut_least(basis, s, drop, floor, counted=None):
+    # _least without the cut: its answer read off the uncut walk's kept
+    # leaves in order.  With an int floor, the least bound of the leaves up
+    # to the first one <= floor; with floor None, the least leaf by (bound,
+    # len(ranks), ranks, key) as (scaled_c2, len(ranks), ranks, key, tags);
+    # None when it keeps none.  counted() runs once per leaf read
+    import bnloci.k3 as k3
 
-    floor, best = 2 * s * _scale(s), None
-
-    def leaf(ranks, key, total, tags):
-        nonlocal best
-        if counted:
-            counted()
-        if best is None or total < best:
-            best = total
-            if total <= floor:
-                raise _FloorReached
-
-    try:
-        walk(basis, s, drop, leaf)
-    except _FloorReached:
-        pass
-    return best
-
-
-def uncut_exact_minimum(walk, basis, s, drop, counted=None):
-    # the exact minimum without the cut: the least kept leaf of the uncut
-    # walk by (bound, len(ranks), ranks, key), as (scaled_c2, len(ranks),
-    # ranks, key, tags), or None when it keeps none; counted() runs once
-    # per leaf read
     best = None
 
     def leaf(ranks, key, total, tags):
         nonlocal best
         if counted:
             counted()
-        ranks = type_ranks(ranks)
-        found = (total, len(ranks), ranks, key, tags)
-        if best is None or found < best:
-            best = found
+        if floor is None:
+            ranks = type_ranks(ranks)
+            found = (total, len(ranks), ranks, key, tags)
+            if best is None or found < best:
+                best = found
+        elif best is None or total < best:
+            best = total
+            if total <= floor:
+                raise _Stopped
 
-    walk(basis, s, drop, leaf)
+    try:
+        k3._walk(basis, s, drop, leaf)
+    except _Stopped:
+        pass
     return best
-
-
-def uncut_minimum(walk, basis, s, drop, floor, counted=None):
-    # the minimum that the cut walk computes without a leaf, read off the
-    # uncut walk: the exact one when floor is None, else the floored one,
-    # whose oracle reads the Clifford floor off s
-    if floor is None:
-        return uncut_exact_minimum(walk, basis, s, drop, counted)
-    return uncut_floored_minimum(walk, basis, s, drop, counted)
-
-
-def uncut_walk(monkeypatch):
-    # _least routed through the uncut walk by uncut_minimum
-    import bnloci.k3 as k3
-
-    def least(basis, s, drop, floor):
-        return uncut_minimum(k3._walk, basis, s, drop, floor)
-
-    monkeypatch.setattr(k3, "_least", least)
 
 
 def test_cut_floored_entry_equals_the_uncut_one(monkeypatch):
@@ -1418,7 +1375,7 @@ def test_cut_floored_entry_equals_the_uncut_one(monkeypatch):
     jobs += [(job, _drop_mask(BOTH_FILTERS)) for job in assemble_jobs(range(7, 17))]
     assert len(assemble_jobs(range(7, 31))) == 6999 and len(jobs) > 7500
     cut = [entry(*job, drop, True) for job, drop in jobs]
-    uncut_walk(monkeypatch)
+    monkeypatch.setattr(k3, "_least", uncut_least)
     assert [entry(*job, drop, True) for job, drop in jobs] == cut
     assert len({m for m in cut if m is not None}) > 900
 
@@ -1433,7 +1390,7 @@ def test_cut_exact_entry_equals_the_uncut_least_leaf(monkeypatch):
     jobs = [(job, drop) for job in assemble_jobs(range(7, 17)) for drop in range(4)]
     assert len(jobs) == 2356
     cut = [entry(*job, drop, False) for job, drop in jobs]
-    uncut_walk(monkeypatch)
+    monkeypatch.setattr(k3, "_least", uncut_least)
     assert [entry(*job, drop, False) for job, drop in jobs] == cut
     assert len({m for m in cut if m is not None}) > 700
 
@@ -1464,12 +1421,32 @@ def test_floored_search_decides_every_proper_target_degree():
     assert (walks, stopped) == (6060, 2264)
 
 
+def test_floored_stop_equals_the_uncut_one_at_every_proper_target_degree():
+    # _least floored at e D is the same int as the uncut walk read in order
+    # up to its first kept leaf <= e D, where it stops as well as where it
+    # does not: every proper target degree e of rank s on every assemble
+    # job of g = 7..16, with no filter and with both ("Why the answer is
+    # unchanged" for every floor, not only the Clifford floor 2s)
+    from bnloci import is_proper_locus
+    from bnloci.k3 import _least, _scale
+
+    walks = 0
+    for g, r, d, s in assemble_jobs(range(7, 17)):
+        basis, big = LatticeBasis(g, r, d), _scale(s)
+        for drop in (0, _drop_mask(BOTH_FILTERS)):
+            for e in range(2 * s, g):
+                if is_proper_locus(g, s, e):
+                    walks += 1
+                    want = uncut_least(basis, s, drop, e * big)
+                    assert _least(basis, s, drop, e * big) == want, (g, r, d, s, drop, e)
+    assert walks == 6060
+
+
 def test_k3_expected_on_the_unknown_pairs_of_assemble_27():
     # cold k3_expected on the unknown pairs of fact-free assemble(27) whose
     # left lattice exists: 184 of the 286 are expected, and each answer and
     # witness is the one that the uncut walk's least leaf gives.  The jobs
     # reach Lambda^7_(27,25) at s = 8, the largest box that assemble meets
-    import bnloci.k3 as k3
     from bnloci import delta
     from bnloci.k3 import _scale
     from bnloci.poset import assemble
@@ -1482,7 +1459,7 @@ def test_k3_expected_on_the_unknown_pairs_of_assemble_27():
     for (x, y), expected in zip(pairs, got):
         basis, job = LatticeBasis(27, x.r, x.d), (x.r, x.d, y.r)
         if job not in least:
-            least[job] = uncut_exact_minimum(k3._walk, basis, y.r, drop)
+            least[job] = uncut_least(basis, y.r, drop, None)
         m, big = least[job], _scale(y.r)
         if m is None or m[0] > y.d * big:
             assert expected is None, (x, y)
@@ -1558,7 +1535,7 @@ def test_listing_checks_each_node_state_row_once(monkeypatch):
 
 
 def cold_assemble_uncut_leaves(monkeypatch, genera):
-    # the leaves that the walk without the cut, run by uncut_minimum in
+    # the leaves that the walk without the cut, run by uncut_least in
     # place of _least, emits in a cold assemble(g) over the genera; each is
     # checked, and the per-type search checked exactly these
     import bnloci.k3 as k3
@@ -1572,7 +1549,7 @@ def cold_assemble_uncut_leaves(monkeypatch, genera):
         emitted += 1
 
     def least(basis, s, drop, floor):
-        return uncut_minimum(k3._walk, basis, s, drop, floor, count)
+        return uncut_least(basis, s, drop, floor, count)
 
     monkeypatch.setattr(k3, "_least", least)
     clear_engine_caches()
@@ -1609,7 +1586,7 @@ def test_cut_checks_at_most_half_the_rows_of_the_exact_walks(monkeypatch):
     uncut = step_checks(
         monkeypatch,
         lambda: [
-            uncut_exact_minimum(k3._walk, LatticeBasis(g, r, d), s, drop)
+            uncut_least(LatticeBasis(g, r, d), s, drop, None)
             for (g, r, d, s), drop in jobs
         ],
     )

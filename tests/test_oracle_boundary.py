@@ -1,6 +1,6 @@
 """The oracle boundary: ``bnloci.oracles`` holds the independent checks, no
 engine module imports it, and it reaches into ``k3`` only for the
-assignment type and the closed form of the c_2 bound, never for the walk.
+assignment type, never for the walk or the scaled c_2 arithmetic.
 Imports are read with ``ast``, so a lazy import inside a function counts as
 well."""
 
@@ -26,8 +26,8 @@ MOVED = {
 }
 
 # what the oracles may take from the engine's K3 module, and all they take:
-# the value type of an assignment and the closed form of the c_2 bound
-K3_OPEN = {"Assignment", "_c2_bound"}
+# the value type of an assignment
+K3_OPEN = {"Assignment"}
 
 # the modules open to the oracles as a whole: value types and arithmetic
 OPEN = {"bnloci.lattice", "bnloci.loci", "bnloci.classical"}
@@ -98,11 +98,12 @@ def test_an_engine_import_of_the_oracles_is_found(tmp_path, line):
     "line",
     ["from .k3 import _walk", "from .k3 import _least", "from .k3 import _candidate_rows",
      "from .poset import rule_sources", "from . import poset", "import bnloci.k3",
-     "from bnloci import assemble", "from .cli import main"],
+     "from bnloci import assemble", "from .cli import main", "from .k3 import _scale",
+     "from .k3 import _check_step"],
 )
 def test_an_oracle_import_of_the_engine_is_found(tmp_path, line):
     (tmp_path / "oracles.py").write_text(
-        f"from .k3 import Assignment, _c2_bound\nfrom .loci import BNLocus\n{line}\n",
+        f"from .k3 import Assignment\nfrom .loci import BNLocus\n{line}\n",
         encoding="utf-8",
     )
     assert len(oracle_imports_of_the_engine(tmp_path)) == 1

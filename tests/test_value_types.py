@@ -25,7 +25,6 @@ from bnloci import (
     RelKind,
     Relation,
     castelnuovo_bound,
-    lm_invariants,
 )
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -117,7 +116,6 @@ def instances():
         FilterConfig(),
         Fact(x, y, RelKind.LE, "t"),
         DiffCell(x, y, "subset", "unknown"),
-        lm_invariants(9, 1, 4),
         GTPattern(((Fraction(1),),)),
         K3Expectation(9, 2, 6, 1, 4, witness),
         castelnuovo_bound(3, 6),
