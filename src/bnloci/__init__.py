@@ -71,28 +71,3 @@ from .poset import (
 )
 
 __version__ = "0.1.0"
-
-# the names of the independent checks in bnloci.oracles, which no engine path
-# needs: the package imports that module on the first read of one of them
-_ORACLE_NAMES = frozenset(
-    {
-        "GTPattern",
-        "c2_lower_bound",
-        "clifford_collapse",
-        "enumerate_filtration_types",
-        "gt_check",
-        "gt_pattern",
-        "quotient_checks",
-        "secant_containment",
-        "slab_classes",
-        "trivial_relations",
-    }
-)
-
-
-def __getattr__(name: str):
-    if name in _ORACLE_NAMES:
-        from . import oracles
-
-        return getattr(oracles, name)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

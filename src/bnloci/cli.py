@@ -65,9 +65,9 @@ EXIT_IO = 3
 PACKAGED_GENERA = range(7, 13)
 
 # the largest genus `bn poset` assembles: the top of the tests' behaviour
-# lock, where a cold assemble takes 0.11-0.19 s (medians of 11 fresh
+# lock, where a cold assemble takes 20-25 ms (medians of 11 fresh
 # processes, the call alone timed by perf_counter) and a fresh
-# `bn poset 30 --format json` 0.34-0.53 s (medians of 15 whole processes,
+# `bn poset 30 --format json` 0.19-0.21 s (medians of 15 whole processes,
 # output to /dev/null, no bytecode cache), each range over six sets on a
 # 2-CPU x86_64 VM with CPython 3.11.7 whose speed drifts; the cost grows
 # fast above

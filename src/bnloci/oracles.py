@@ -19,7 +19,8 @@ calls, kept so that each fast path can be held against a second encoding.
   point removed, which the secant family seeds).
 
 The boundary runs both ways, and ``tests/test_oracle_boundary.py`` holds
-it: no module of the package but ``__init__`` imports this one, and this
+it: no other module of the package imports this one, not even
+``__init__``, so its checks are imported from ``bnloci.oracles``; and this
 one imports nothing from ``poset`` or ``cli`` and, from ``k3``, only
 ``Assignment``, the value type of an assignment.  The exact c_2 bound is
 written here in its closed form, apart from the walk's scaled integers.

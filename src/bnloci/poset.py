@@ -416,11 +416,12 @@ def closure(matrix: RelationMatrix) -> RelationMatrix:
     return closure_relations(matrix.genus, matrix.loci, matrix.all_relations())
 
 
-def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
-    """Every rule family's seeds over ``loci`` (:func:`enumerate_loci` of
-    ``genus``) as one source each (see :func:`_seed`), filled row by row,
-    with no rule call per pair.  The trivial, Clifford, plane-projection and
-    Coppens rules set their few bits; the other rows are masks and cuts.
+def rule_sources(genus: int) -> list[tuple]:
+    """Every rule family's seeds over the loci of ``genus``
+    (:func:`_indexed_loci`) as one source each (see :func:`_seed`), filled
+    row by row, with no rule call per pair.  The trivial, Clifford,
+    plane-projection and Coppens rules set their few bits; the other rows
+    are masks and cuts.
 
     A seeded cell is credited to the first source in the (length, string)
     order that holds it, so a family leaves out the cells that an earlier
@@ -459,7 +460,7 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
     The per-pair functions stay the tests' oracle for every row; those that
     no engine path calls live in :mod:`bnloci.oracles`.
     """
-    at = {x.key: i for i, x in enumerate(loci)}
+    loci, at = _indexed_loci(genus)
     # key order puts rank s in the index run runs[s] = [start, count], after all lower ranks
     runs: dict[int, list[int]] = {}
     degrees: dict[int, list[int]] = {}  # degrees[s]: the e of the run, ascending
@@ -476,19 +477,19 @@ def rule_sources(genus: int, loci: tuple[BNLocus, ...]) -> list[tuple]:
         kap_src[2][i] = below.setdefault(kap[i], seen)
         seen |= 1 << i
 
-    full, hyper = (1 << len(loci)) - 1, at[(1, 2)]
+    full, hyper = (1 << len(loci)) - 1, at[(genus, 1, 2)]
     for i, (g, r, d) in enumerate(loci):
-        if (r, d + 1) in at:  # add a base point: not at d + 1 = g, nor where rho >= 0
-            _seed(trivial, i, at[(r, d + 1)], RelKind.LE)
+        if (g, r, d + 1) in at:  # add a base point: not at d + 1 = g, nor where rho >= 0
+            _seed(trivial, i, at[(g, r, d + 1)], RelKind.LE)
         if r >= 2 and (d == 2 * r or (d == 2 * r + 1 and g >= 7)):
             _seed(clifford, i, hyper, RelKind.EQ)
         if r == 1:  # kappa(g, 1, d) = d: below[d] is set, and lacks i
             gonality[1][i] = full & ~below[d] & ~(1 << i)
         if r == 2:
             for rel in (plane_projection_rule(g, d), coppens_noncontainment(g, d)):
-                if rel is not None and rel.rhs.key in at:
+                if rel is not None and rel.rhs in at:
                     source = plane if rel.kind is RelKind.LE else coppens
-                    _seed(source, i, at[rel.rhs.key], rel.kind)
+                    _seed(source, i, at[rel.rhs], rel.kind)
         row = 0
         for s, (start, _) in runs.items():  # per rank s < r: the e in [first, d)
             if s >= r:
@@ -520,7 +521,7 @@ def _indexed_loci(genus: int) -> tuple[tuple[BNLocus, ...], dict[BNLocus, int]]:
     """The loci of ``genus`` (:func:`enumerate_loci`) and each one's index,
     cached per genus; typed, so that a genus of another type (``9.0``)
     never shares an entry with an int and still raises TypeError.
-    Private: only :func:`assemble` and :func:`_rule_seeds` read it, and
+    Private: only :func:`assemble` and :func:`rule_sources` read it, and
     neither changes it."""
     loci = tuple(enumerate_loci(genus))
     return loci, {x: i for i, x in enumerate(loci)}
@@ -528,10 +529,10 @@ def _indexed_loci(genus: int) -> tuple[tuple[BNLocus, ...], dict[BNLocus, int]]:
 
 @lru_cache(maxsize=_SEEDED_GENERA, typed=True)
 def _rule_seeds(genus: int) -> tuple[tuple, ...]:
-    """:func:`rule_sources` over :func:`_indexed_loci`, computed and checked
-    once per genus: the seeds never read the facts, and
-    :class:`RelationMatrix` only reads its sources."""
-    return tuple(rule_sources(genus, _indexed_loci(genus)[0]))
+    """:func:`rule_sources`, computed and checked once per genus: the seeds
+    never read the facts, and :class:`RelationMatrix` only reads its
+    sources."""
+    return tuple(rule_sources(genus))
 
 
 def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:

@@ -23,7 +23,6 @@ from bnloci import (
     RelKind,
     Relation,
     assemble,
-    c2_lower_bound,
     castelnuovo_bound,
     castelnuovo_severi,
     closure,
@@ -32,7 +31,6 @@ from bnloci import (
     enumerate_loci,
     find_classes_with_square,
     four_secant_count,
-    gt_check,
     kappa,
     kappa_bruteforce,
     min_series_degree,
@@ -41,6 +39,7 @@ from bnloci import (
     secant_expected_dim,
 )
 from bnloci.cli import main
+from bnloci.oracles import c2_lower_bound, gt_check
 
 
 def report(n, text):

@@ -19,9 +19,9 @@ from bnloci import (
     k3_expected,
     net_threshold,
     plane_projection_rule,
-    secant_containment,
     secant_expected_dim,
 )
+from bnloci.oracles import secant_containment
 
 
 def test_castelnuovo_bound_examples():

@@ -16,31 +16,33 @@ from hypothesis import example, given, settings, strategies as st
 from bnloci import (
     Assignment,
     FilterConfig,
-    GTPattern,
     H,
     L,
     LatticeBasis,
     LatticeClass,
     box_class_count,
-    c2_lower_bound,
     candidate_subsheaf_classes,
     destab_box,
     enumerate_assignments,
-    enumerate_filtration_types,
-    gt_check,
-    gt_pattern,
     k3_certified_below,
     k3_expected,
     k3_noncontainment,
     min_series_degree,
     pair,
-    quotient_checks,
     self_int,
-    slab_classes,
 )
 from bnloci.k3 import (
     BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _drop_mask, _TAG_NAMES,
     bound_text, listing_records, type_ranks,
+)
+from bnloci.oracles import (
+    GTPattern,
+    c2_lower_bound,
+    enumerate_filtration_types,
+    gt_check,
+    gt_pattern,
+    quotient_checks,
+    slab_classes,
 )
 from engine_caches import clear_engine_caches
 

@@ -13,7 +13,6 @@ from bnloci import (
     RelKind,
     Relation,
     assemble,
-    clifford_collapse,
     closure,
     closure_relations,
     compare,
@@ -26,12 +25,11 @@ from bnloci import (
     plane_projection_rule,
     rho_k,
     rule_sources,
-    secant_containment,
     secant_expected_dim,
-    trivial_relations,
     trivially_implied,
 )
 from bnloci.cli import packaged_facts
+from bnloci.oracles import clifford_collapse, secant_containment, trivial_relations
 from bnloci.poset import _BLOCK, RelationMatrix, _bits, _product, _transpose
 from engine_caches import clear_engine_caches
 
@@ -693,7 +691,7 @@ def test_rule_rows_equal_the_per_pair_rules(g):
         else:
             cells.add((r.lhs, r.rhs, r.kind))
     got = {}
-    for prov, le_rows, nle_rows in rule_sources(g, tuple(loci)):
+    for prov, le_rows, nle_rows in rule_sources(g):
         cells = got.setdefault(prov, set())
         for kind, rows in ((RelKind.LE, le_rows), (RelKind.NLE, nle_rows)):
             for i, row in rows.items():
@@ -719,7 +717,7 @@ def test_gonality_seeds_no_nle_and_trivial_only_base_points(g):
     # rows), and the trivial family exactly the base points added,
     # (r, d) -> (r, d + 1) with d + 1 <= g - 1
     loci = tuple(enumerate_loci(g))
-    sources = {source[0]: source for source in rule_sources(g, loci)}
+    sources = {source[0]: source for source in rule_sources(g)}
     assert sources["gonality"][2] == {}
     _, le_rows, nle_rows = sources["trivial"]
     got = {(loci[i], loci[j]) for i, row in le_rows.items() for j in _bits(row)}
@@ -1064,7 +1062,7 @@ def test_rule_sources_hand_out_no_cached_row():
         before = matrix_view(assemble(g))
         loci = tuple(enumerate_loci(g))
         full = (1 << len(loci)) - 1
-        for _, le_rows, nle_rows in rule_sources(g, loci):
+        for _, le_rows, nle_rows in rule_sources(g):
             for rows in (le_rows, nle_rows):
                 for i in range(len(loci)):
                     rows[i] = full

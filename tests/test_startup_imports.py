@@ -1,7 +1,8 @@
 """What a fresh process loads: no module of the package imports
 ``fractions`` or ``importlib.resources`` when it is imported, so that
-``import bnloci.cli`` and ``bn verify`` load neither; the K3 functions that
-return a Fraction import ``fractions`` themselves.  Imports are read with
+``import bnloci.cli`` and ``bn verify`` load neither, and no ``bn`` command
+loads ``fractions`` or ``bnloci.oracles``; the K3 functions that return a
+Fraction import ``fractions`` themselves.  Imports are read with
 ``ast``; an import inside a function runs only when it is called, and any
 other, under a class or an ``if`` too, runs at import."""
 
@@ -93,3 +94,29 @@ def test_cli_import_and_verify_leave_fractions_unloaded():
     )
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
     assert out.stdout == "[False, False] 0 True 18\n"
+
+
+def test_no_bn_command_loads_fractions_or_the_oracles():
+    # no engine path reads an exact c_2 bound or an oracle, so every bn
+    # command runs without either: listings, the poset and verify
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    facts = str(SRC / "data" / "genus12.json")
+    commands = [
+        ["invariants", "12", "3", "9"],
+        ["k3", "13", "2", "7", "--series", "3", "--json"],
+        ["k3", "13", "2", "7", "--series", "3", "--json", "--filters", "on"],
+        ["poset", "12", "--facts", facts, "--format", "json"],
+        ["poset", "20"],
+        ["verify", "7..12"],
+    ]
+    code = (
+        "import contextlib, io, sys\n"
+        "import bnloci.cli\n"
+        "codes = []\n"
+        f"for argv in {commands!r}:\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        codes.append(bnloci.cli.main(argv))\n"
+        "print(codes, [m for m in ('fractions', 'bnloci.oracles') if m in sys.modules])\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, check=True)
+    assert out.stdout == f"{[0] * len(commands)} []\n"

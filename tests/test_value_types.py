@@ -18,7 +18,6 @@ from bnloci import (
     DiffCell,
     Fact,
     FilterConfig,
-    GTPattern,
     K3Expectation,
     LatticeBasis,
     LatticeClass,
@@ -26,6 +25,7 @@ from bnloci import (
     Relation,
     castelnuovo_bound,
 )
+from bnloci.oracles import GTPattern
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
