@@ -13,9 +13,7 @@ from .lattice import (
     LatticeBasis,
     LatticeClass,
     delta,
-    find_classes_with_square,
     pair,
-    self_int,
 )
 from .loci import (
     BNLocus,
@@ -32,16 +30,9 @@ from .loci import (
     serre_dual,
 )
 from .classical import (
-    CastelnuovoData,
-    castelnuovo_bound,
-    castelnuovo_severi,
-    ci_gonality,
     coppens_noncontainment,
-    four_secant_count,
     gonality_bounds,
-    net_threshold,
     plane_projection_rule,
-    secant_expected_dim,
 )
 from .k3 import (
     Assignment,

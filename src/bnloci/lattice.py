@@ -104,33 +104,6 @@ def pair(basis: LatticeBasis, u: LatticeClass, v: LatticeClass) -> int:
     )
 
 
-def self_int(basis: LatticeBasis, u: LatticeClass) -> int:
-    """Self-intersection u.u."""
-    return pair(basis, u, u)
-
-
-def find_classes_with_square(
-    basis: LatticeBasis, square: int, box_a: int = 10, box_b: int = 10
-) -> list[LatticeClass]:
-    """All nonzero classes aH + bL with |a| <= box_a, |b| <= box_b and
-    self-intersection ``square``, sorted lexicographically by (a, b).
-
-    Both a class and its negative are reported; callers wanting effective
-    representatives filter by the sign of the H-degree.
-    """
-    if box_a < 1 or box_b < 1:
-        raise ValueError("box bounds must be >= 1")
-    found = []
-    for a in range(-box_a, box_a + 1):
-        for b in range(-box_b, box_b + 1):
-            if a == 0 and b == 0:
-                continue
-            c = LatticeClass(a, b)
-            if self_int(basis, c) == square:
-                found.append(c)
-    return found
-
-
 def floor_sqrt_ratio(num: int, den: int) -> int:
     """Largest integer m >= 0 with m*m*den <= num (num >= 0, den >= 1).
 

@@ -17,6 +17,15 @@ calls, kept so that each fast path can be held against a second encoding.
   that :func:`~bnloci.poset.rule_sources` seeds.  The base-point moves are
   held against the trivial rows (a point added) and the secant rows (a
   point removed, which the secant family seeds).
+- Citations: the numerical checks behind the packaged facts' citations,
+  Castelnuovo's genus bound (:func:`castelnuovo_bound`), the
+  Castelnuovo-Severi inequality (:func:`castelnuovo_severi`),
+  complete-intersection gonality (:func:`ci_gonality`), secant-cycle
+  expected dimensions (:func:`secant_expected_dim`) and Cayley's 4-secant
+  count (:func:`four_secant_count`); the conjectured net threshold
+  (:func:`net_threshold`), scored against the engine's verdicts; and the
+  self-intersection (:func:`self_int`) with the box search for classes of
+  prescribed square (:func:`find_classes_with_square`).
 
 The boundary runs both ways, and ``tests/test_oracle_boundary.py`` holds
 it: no other module of the package imports this one, not even
@@ -24,8 +33,8 @@ it: no other module of the package imports this one, not even
 one imports nothing from ``poset`` or ``cli`` and, from ``k3``, only
 ``Assignment``, the value type of an assignment.  The exact c_2 bound is
 written here in its closed form, apart from the walk's scaled integers.
-``lattice``, ``loci`` and ``classical`` hold the value types and the
-arithmetic, and are open to it.
+``lattice`` and ``loci`` hold the value types and the arithmetic, and
+are open to it, as is ``classical``.
 """
 
 from __future__ import annotations
@@ -33,9 +42,8 @@ from __future__ import annotations
 import itertools
 from collections import namedtuple
 
-from .classical import secant_expected_dim
 from .k3 import Assignment
-from .lattice import H, ZERO, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair, self_int
+from .lattice import H, ZERO, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair
 from .loci import BNLocus, RelKind, Relation, enumerate_loci, is_proper_locus
 
 
@@ -130,6 +138,33 @@ def c2_lower_bound(basis: LatticeBasis, assignment: Assignment) -> Fraction:
     return total
 
 
+def self_int(basis: LatticeBasis, u: LatticeClass) -> int:
+    """Self-intersection u.u."""
+    return pair(basis, u, u)
+
+
+def find_classes_with_square(
+    basis: LatticeBasis, square: int, box_a: int = 10, box_b: int = 10
+) -> list[LatticeClass]:
+    """All nonzero classes aH + bL with |a| <= box_a, |b| <= box_b and
+    self-intersection ``square``, sorted lexicographically by (a, b).
+
+    Both a class and its negative are reported; callers wanting effective
+    representatives filter by the sign of the H-degree.
+    """
+    if box_a < 1 or box_b < 1:
+        raise ValueError("box bounds must be >= 1")
+    found = []
+    for a in range(-box_a, box_a + 1):
+        for b in range(-box_b, box_b + 1):
+            if a == 0 and b == 0:
+                continue
+            c = LatticeClass(a, b)
+            if self_int(basis, c) == square:
+                found.append(c)
+    return found
+
+
 def slab_classes(basis: LatticeBasis) -> list[LatticeClass]:
     """Every class c with 0 < H.c < H^2 and (H-c)^2 >= 0, the conditions
     that an intermediate filtration step states, sorted by (a, b).  No
@@ -189,7 +224,7 @@ def secant_containment(g: int, r: int, d: int, s: int, e: int) -> Relation | Non
 
     At expected dimension exactly zero nothing is emitted: the virtual count
     can vanish, so existence is not guaranteed (for s = 2 and r odd the
-    conjectured :func:`~bnloci.classical.net_threshold` is the same cut).
+    conjectured :func:`net_threshold` is the same cut).
     """
     if not (r >= s + 1 >= 2):
         raise ValueError("need r >= s+1 >= 2")
@@ -200,3 +235,87 @@ def secant_containment(g: int, r: int, d: int, s: int, e: int) -> Relation | Non
     if secant_expected_dim(r, d, s, e) > 0:
         return Relation(BNLocus(g, r, d), BNLocus(g, s, e), RelKind.LE, "secant")
     return None
+
+
+class CastelnuovoData(namedtuple("CastelnuovoData", "m epsilon bound")):
+    __slots__ = ()
+
+
+def castelnuovo_bound(r: int, d: int) -> CastelnuovoData:
+    """Castelnuovo's genus bound for a basepoint-free, birationally very
+    ample g^r_d: g <= m(m-1)(r-1)/2 + m*epsilon with m = floor((d-1)/(r-1))."""
+    if r < 2 or d < r:
+        raise ValueError("need r >= 2 and d >= r")
+    m = (d - 1) // (r - 1)
+    eps = d - 1 - m * (r - 1)
+    bound = m * (m - 1) * (r - 1) // 2 + m * eps
+    return CastelnuovoData(m, eps, bound)
+
+
+def castelnuovo_severi(d1: int, g1: int, d2: int, g2: int) -> int:
+    """Genus bound for a curve with independent covers of degrees d1, d2
+    onto curves of genus g1, g2."""
+    if d1 < 2 or d2 < 2 or g1 < 0 or g2 < 0:
+        raise ValueError("need d1, d2 >= 2 and g1, g2 >= 0")
+    return (d1 - 1) * (d2 - 1) + d1 * g1 + d2 * g2
+
+
+def ci_gonality(degrees: list[int]) -> int:
+    """Lower bound (a1-1)*a2*...*a_{r-1} for the gonality of a smooth
+    complete intersection of the given multidegree (sorted ascending)."""
+    if not degrees or any(a < 2 for a in degrees):
+        raise ValueError("need degrees >= 2")
+    if sorted(degrees) != list(degrees):
+        raise ValueError("degrees must be sorted ascending")
+    out = degrees[0] - 1
+    for a in degrees[1:]:
+        out *= a
+    return out
+
+
+def secant_expected_dim(r: int, d: int, s: int, e: int) -> int:
+    """Expected dimension of the cycle of (d-e)-divisors imposing at most
+    r-s conditions on a g^r_d; equals r - s - (d-e-r+s)s."""
+    if not (r > s >= 1) or not (d > e):
+        raise ValueError("need r > s >= 1 and d > e")
+    return r - s - (d - e - r + s) * s
+
+
+def four_secant_count(g: int, d: int) -> int:
+    """Cayley's virtual count of 4-secant lines to a degree-d genus-g space
+    curve: (d-2)(d-3)^2(d-4)/12 - g(d^2-7d+13-g)/2, computed in integers.
+
+    Both divisions are exact for every g and d.  Of the three consecutive
+    integers d-4, d-3, d-2 one is a multiple of 3 and one is even, and a
+    second factor 2 comes from (d-3)^2 when d is odd, or from the two even
+    factors d-2, d-4 when d is even, so 12 divides the first numerator.
+    d^2-7d = d(d-7) is even, so d^2-7d+13 is odd: g and d^2-7d+13-g have
+    opposite parity, and their product is even."""
+    if d < 5:
+        raise ValueError("need d >= 5")
+    return (d - 2) * (d - 3) ** 2 * (d - 4) // 12 - g * (d * d - 7 * d + 13 - g) // 2
+
+
+def net_threshold(r: int, d: int) -> int:
+    """The degree d - 2r + 2 + floor((r+3)/2) from which every curve with a
+    g^r_d, r >= 3, is conjectured to carry a net g^2_e.  Informational: it
+    never seeds a relation.
+
+    It is the least e with ``secant_expected_dim(r, d, 2, e) >= 0``.  For
+    odd r that dimension is odd, so the threshold is the secant rule's own
+    cut (dimension > 0).  For even r it is one below that cut, at expected
+    dimension exactly 0, where the virtual count may vanish.
+
+    Scored against the packaged fixtures at g = 7..12 and fact-free
+    :func:`~bnloci.poset.assemble` at g = 13..30, over every proper net
+    M^2_{g,e} with e at or above the threshold, nothing refutes it: all 100
+    fixture cells are ``eq`` or ``subset``, and of the 8,920 rule cells 8,508
+    are proven and 412 are open.  Only the 568 cells of dimension 0 go
+    beyond the secant rule: 156 are proven and 412 open.  A second
+    conjectured threshold, for containments into series of larger
+    dimension, was refuted by 7 fixture cells and 1,098 rule cells, and was
+    dropped.
+    """
+    if r < 3:
+        raise ValueError("need r >= 3")
+    return d - 2 * r + 2 + (r + 3) // 2

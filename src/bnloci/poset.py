@@ -445,9 +445,9 @@ def rule_sources(genus: int) -> list[tuple]:
     before "gonality", so the gonality family seeds no !<=.
 
     A secant row of (r, d) is one bit range per rank s < r.
-    :func:`secant_expected_dim` is r - s - (d - e - r + s)*s, so for
-    r > s >= 1 it is positive iff e >= d - r + s - (r - s - 1) // s; with
-    e < d the targets of rank s are a range in ascending e, cut by two
+    :func:`~bnloci.oracles.secant_expected_dim` is r - s - (d - e - r + s)*s,
+    so for r > s >= 1 it is positive iff e >= d - r + s - (r - s - 1) // s;
+    with e < d the targets of rank s are a range in ascending e, cut by two
     bisections of their degrees.
 
     A K3 row is one bisection per rank s: x !<= (s, e) is certified iff e

@@ -23,23 +23,26 @@ from bnloci import (
     RelKind,
     Relation,
     assemble,
-    castelnuovo_bound,
-    castelnuovo_severi,
     closure,
     closure_relations,
     enumerate_assignments,
     enumerate_loci,
-    find_classes_with_square,
-    four_secant_count,
     kappa,
     kappa_bruteforce,
     min_series_degree,
     pair,
     rho,
-    secant_expected_dim,
 )
 from bnloci.cli import main
-from bnloci.oracles import c2_lower_bound, gt_check
+from bnloci.oracles import (
+    c2_lower_bound,
+    castelnuovo_bound,
+    castelnuovo_severi,
+    find_classes_with_square,
+    four_secant_count,
+    gt_check,
+    secant_expected_dim,
+)
 
 
 def report(n, text):

@@ -9,19 +9,21 @@ from bnloci import (
     BNLocus,
     RelKind,
     assemble,
+    coppens_noncontainment,
+    delta,
+    gonality_bounds,
+    k3_expected,
+    plane_projection_rule,
+)
+from bnloci.oracles import (
     castelnuovo_bound,
     castelnuovo_severi,
     ci_gonality,
-    coppens_noncontainment,
-    delta,
     four_secant_count,
-    gonality_bounds,
-    k3_expected,
     net_threshold,
-    plane_projection_rule,
+    secant_containment,
     secant_expected_dim,
 )
-from bnloci.oracles import secant_containment
 
 
 def test_castelnuovo_bound_examples():

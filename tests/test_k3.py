@@ -29,7 +29,6 @@ from bnloci import (
     k3_noncontainment,
     min_series_degree,
     pair,
-    self_int,
 )
 from bnloci.k3 import (
     BOTH_FILTERS, DM, ELLIPTIC, MAX_WORKERS, K3Expectation, _drop_mask, _TAG_NAMES,
@@ -42,6 +41,7 @@ from bnloci.oracles import (
     gt_check,
     gt_pattern,
     quotient_checks,
+    self_int,
     slab_classes,
 )
 from engine_caches import clear_engine_caches

@@ -8,11 +8,10 @@ from bnloci import (
     LatticeBasis,
     LatticeClass,
     delta,
-    find_classes_with_square,
     pair,
-    self_int,
 )
 from bnloci.lattice import ZERO, floor_sqrt_ratio
+from bnloci.oracles import find_classes_with_square, self_int
 
 
 def gram_pair(basis, u, v):

@@ -3,7 +3,9 @@ other module of the package imports it (``__init__`` included, so the
 checks are no attributes of ``bnloci``), and it reaches into ``k3`` only
 for the assignment type, never for the walk or the scaled c_2 arithmetic.
 Imports are read with ``ast``, so a lazy import inside a function counts as
-well."""
+well.  The engine modules (all but ``__init__`` and ``oracles``) define no
+public name that the engine itself never reads, but for the public API
+named in ``UNREAD``."""
 
 import ast
 from pathlib import Path
@@ -13,6 +15,7 @@ import pytest
 import bnloci
 import bnloci.classical
 import bnloci.k3
+import bnloci.lattice
 import bnloci.loci
 import bnloci.oracles
 
@@ -23,7 +26,20 @@ SRC = Path(__file__).resolve().parent.parent / "src" / "bnloci"
 MOVED = {
     "enumerate_filtration_types", "GTPattern", "gt_pattern", "gt_check", "quotient_checks",
     "c2_lower_bound", "trivial_relations", "clifford_collapse", "secant_containment",
-    "slab_classes",
+    "slab_classes", "CastelnuovoData", "castelnuovo_bound", "castelnuovo_severi",
+    "ci_gonality", "four_secant_count", "net_threshold", "secant_expected_dim",
+    "find_classes_with_square", "self_int",
+}
+
+# the public names that an engine module defines and no engine module reads,
+# each with the reason it stays in the engine
+UNREAD = {
+    "enumerate_assignments": "public K3 API: the listing as Assignments, acceptance criterion 6",
+    "candidate_subsheaf_classes": "public K3 API: the box classes that a step can use",
+    "min_series_degree": "public K3 API: the exact minimum c_2 bound of a lattice",
+    "k3_expected": "public K3 API: the K3-expected containments, never relations",
+    "closure": "one line that acceptance criterion 6 calls; the oracles may not import poset",
+    "L": "the value constant beside H, the second basis class",
 }
 
 # what the oracles may take from the engine's K3 module, and all they take:
@@ -75,6 +91,65 @@ def oracle_imports_of_the_engine(src):
     return bad
 
 
+def defined_names(stmt):
+    """The names that a top-level statement binds by def, class or assignment."""
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return {stmt.name}
+    if isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [stmt.target]
+        return {node.id for target in targets for node in ast.walk(target)
+                if isinstance(node, ast.Name)}
+    return set()
+
+
+def read_names(tree):
+    """Every name that the tree reads: a loaded name, an attribute, or the
+    last part of an imported name."""
+    found = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            found |= {alias.name.rpartition(".")[2] for alias in node.names}
+    return found
+
+
+def unread_engine_names(src):
+    """{name: module} for every public top-level name that an engine module
+    defines and no engine module reads outside the definition itself."""
+    defined, read = {}, set()
+    for path in sorted(src.glob("*.py")):
+        if path.stem in ("__init__", "oracles"):
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
+            names = defined_names(stmt)
+            defined.update((name, path.stem) for name in names if not name.startswith("_"))
+            read |= read_names(stmt) - names
+    return {name: module for name, module in defined.items() if name not in read}
+
+
+def test_every_engine_name_is_read_by_the_engine():
+    assert set(unread_engine_names(SRC)) == set(UNREAD)
+
+
+def test_an_engine_name_that_only_its_definition_reads_is_found(tmp_path):
+    # reads in __init__, in oracles, in a docstring and in the definition
+    # itself do not count
+    (tmp_path / "__init__.py").write_text("from .lattice import spare\n", encoding="utf-8")
+    (tmp_path / "oracles.py").write_text("from .lattice import spare\n", encoding="utf-8")
+    (tmp_path / "lattice.py").write_text(
+        "def used():\n    pass\n\n\ndef spare(n):\n    return spare(n - 1)\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "k3.py").write_text(
+        'from .lattice import used\n\n\ndef walk():\n    """Calls spare."""\n',
+        encoding="utf-8",
+    )
+    assert unread_engine_names(tmp_path) == {"spare": "lattice", "walk": "k3"}
+
+
 def test_no_engine_module_imports_the_oracles():
     assert engine_imports_of_oracles(SRC) == []
 
@@ -113,7 +188,7 @@ def test_an_oracle_import_of_the_engine_is_found(tmp_path, line):
 @pytest.mark.parametrize("name", sorted(MOVED))
 def test_each_moved_name_lives_in_the_oracles_alone(name):
     assert hasattr(bnloci.oracles, name) and not hasattr(bnloci, name)
-    for module in (bnloci.k3, bnloci.loci, bnloci.classical):
+    for module in (bnloci.k3, bnloci.loci, bnloci.classical, bnloci.lattice):
         assert not hasattr(module, name), f"{module.__name__} still defines {name}"
 
 

@@ -25,11 +25,15 @@ from bnloci import (
     plane_projection_rule,
     rho_k,
     rule_sources,
-    secant_expected_dim,
     trivially_implied,
 )
 from bnloci.cli import packaged_facts
-from bnloci.oracles import clifford_collapse, secant_containment, trivial_relations
+from bnloci.oracles import (
+    clifford_collapse,
+    secant_containment,
+    secant_expected_dim,
+    trivial_relations,
+)
 from bnloci.poset import _BLOCK, RelationMatrix, _bits, _product, _transpose
 from engine_caches import clear_engine_caches
 

@@ -23,9 +23,8 @@ from bnloci import (
     LatticeClass,
     RelKind,
     Relation,
-    castelnuovo_bound,
 )
-from bnloci.oracles import GTPattern
+from bnloci.oracles import GTPattern, castelnuovo_bound
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
