@@ -133,16 +133,20 @@ def _bits(row: int):
 
 def _transpose(rows: list[int]) -> list[int]:
     """The transpose of the square bit matrix ``rows``: bit i of the j-th
-    result row is bit j of ``rows[i]``.  Each row is written as n binary
-    digits, the last row first, so the digits of column j, read as one
-    binary number, carry bit j of row i at place i; the columns come out
-    highest j first."""
-    digits = [format(row, f"0{len(rows)}b") for row in reversed(rows)]
-    return [int("".join(column), 2) for column in zip(*digits)][::-1]
+    result row is bit j of ``rows[i]``.  The n rows are written as n binary
+    digits each, the last row first, and joined into one string, so
+    character j of each row's digits holds its bit n - 1 - j, and the
+    strided slice ``digits[j::n]``, read as one binary number, carries that
+    bit of row i at place i; the columns come out highest first."""
+    n = len(rows)
+    digits = "".join([format(row, f"0{n}b") for row in reversed(rows)])
+    return [int(digits[j::n], 2) for j in range(n)][::-1]
 
 
-# bits per block in the tables of _product: widths 5 to 7 ran closest to even at
-# genus 14..30, 8 was slower up to genus 18, and 6 does not slow genus 7..12
+# bits per block in the tables of _product, timed on the closures of genus 7..30
+# with zero cols copied: 5 ran the two products 0-15% faster at genus 7..18 but
+# 3-9% slower from genus 21 on, and 7 ran them 7-26% slower up to genus 22 and
+# within 1% of 6 from genus 28 on
 _BLOCK = 6
 
 
@@ -151,21 +155,28 @@ def _product(rows: list[int], cols: list[int]) -> list[int]:
     OR of ``cols[c]`` over the set bits c of ``rows[i]``.  Each run of
     :data:`_BLOCK` cols gets a table of the ORs of its every subset, and a
     row is read one block of bits at a time through the tables (the "Four
-    Russians" method: Arlazarov, Dinic, Kronrod and Faradzev, 1970)."""
+    Russians" method: Arlazarov, Dinic, Kronrod and Faradzev, 1970).  A
+    zero col adds nothing to any OR, so it doubles its table by a copy of
+    the table; and the closure's rows repeat (its zero rows, and one
+    ``down`` row per equality class), so each distinct row is read once,
+    and a zero row not at all."""
     tables = []
     for start in range(0, len(cols), _BLOCK):
         table = [0]
         for col in cols[start:start + _BLOCK]:
-            table += [t | col for t in table]
+            table += [t | col for t in table] if col else table
         tables.append(table)
-    mask, out = (1 << _BLOCK) - 1, []
+    mask, out, done = (1 << _BLOCK) - 1, [], {0: 0}
     for row in rows:
-        acc = 0
-        for table in tables:
-            if not row:
-                break
-            acc |= table[row & mask]
-            row >>= _BLOCK
+        acc = done.get(row)
+        if acc is None:
+            acc, key = 0, row
+            for table in tables:
+                if not key:
+                    break
+                acc |= table[key & mask]
+                key >>= _BLOCK
+            done[row] = acc
         out.append(acc)
     return out
 
@@ -198,8 +209,10 @@ class RelationMatrix:
     its own bits, while its provenance is that of the representatives' cell.
 
     ``down``, the transpose of the closed ``up`` (bit i of ``down[j]``:
-    locus i <= locus j), is built in one pass over binary digit strings
-    (:func:`_transpose`), not one set bit at a time.
+    locus i <= locus j), is read as n strided slices of one string of
+    binary digits (:func:`_transpose`), not one set bit at a time.  The
+    class fields come from the rows too: ``_same[i]`` is ``up[i] &
+    down[i]``, and only a class of two or more members walks its bits.
 
     Provenance is held as derivation records: ``_records[kind][i]`` (kind
     1 for <=, 2 for !<=, as in a source) lists the (label, bits) records
@@ -245,11 +258,14 @@ class RelationMatrix:
 
         self._up, self._down, self._nle_rows, self._seed_rows = up, down, nle_rows, seed_rows
         # bit j of _same[i]: loci i and j are equal
-        self._same = same = [up[i] & down[i] for i in range(n)]
+        self._same = same = [row & col for row, col in zip(up, down)]
         self._rep = rep = [_low(row) for row in same]
-        reps = [i for i in range(n) if rep[i] == i]
+        reps = [i for i, r in enumerate(rep) if r == i]
         self._rep_mask = sum(1 << i for i in reps)
-        self.classes = tuple(tuple(loci[j] for j in _bits(same[i])) for i in reps)
+        self.classes = tuple(
+            (loci[i],) if same[i] == 1 << i else tuple(loci[j] for j in _bits(same[i]))
+            for i in reps
+        )
         # the memo of every rendered <= and !<= string, seeds included
         self._texts = {}
         for a in range(n):

@@ -793,8 +793,18 @@ def test_product_matches_the_per_bit_product(data):
     # rectangular: the number of rows, the n cols and the cols' width differ
     n = data.draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200]) | st.integers(0, 80))
     m, width = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 80))
-    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=m, max_size=m))
+    values = st.integers(0, (1 << n) - 1)
+    if data.draw(st.booleans()):  # repeated rows: a small pool of values, mixed with 0
+        values = st.sampled_from([0, *data.draw(st.lists(values, min_size=1, max_size=3))])
+    rows = data.draw(st.lists(values, min_size=m, max_size=m))
     cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+    # zero columns: a whole block, the last column (closing a partial block
+    # unless _BLOCK divides n), every other column, or any set
+    zeros = data.draw(
+        st.sampled_from([set(), set(range(_BLOCK)), {n - 1}, set(range(0, n, 2))])
+        | st.sets(st.integers(0, n))
+    )
+    cols = [0 if c in zeros else col for c, col in enumerate(cols)]
     if m and data.draw(st.booleans()):
         rows[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from([0, (1 << n) - 1]))
     assert _product(rows, cols) == naive_product(rows, cols)
@@ -805,8 +815,16 @@ def test_product_edges(n):
     ones = (1 << n) - 1
     unit = [1 << i for i in range(n)]
     staircase = [(1 << i + 1) - 1 for i in range(n)]
-    for rows in ([0] * n, [ones] * n, unit, [ones, 0, ones][:n], staircase):
-        for cols in ([0] * n, [ones] * n, unit, staircase):
+    # rows that repeat: a pool of three values, one of them 0
+    repeated = [(ones, 0, ones >> 1)[i % 3] for i in range(n)]
+    # zero columns: the first block, the last column (closing the partial
+    # block at n = 5, 7 and 200) and every other column
+    gaps = [
+        [0 if c in zeros else col for c, col in enumerate(staircase)]
+        for zeros in (range(_BLOCK), {n - 1}, range(0, n, 2))
+    ]
+    for rows in ([0] * n, [ones] * n, unit, [ones, 0, ones][:n], staircase, repeated):
+        for cols in ([0] * n, [ones] * n, unit, staircase, *gaps):
             assert _product(rows, cols) == naive_product(rows, cols), (n, rows, cols)
         assert _product(rows, unit) == rows
 

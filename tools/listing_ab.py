@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
-"""Time the `bn k3` listings and cold `assemble` of two source trees
-against each other.
+"""Time the `bn k3` listings, cold `assemble` and warm `assemble` of two
+source trees against each other.
 
 Usage: python tools/listing_ab.py A_ROOT B_ROOT [--pairs N]
 
@@ -8,13 +8,16 @@ A_ROOT and B_ROOT are checkouts, each with a `src/bnloci` package.  Both
 packages are loaded into this one process under distinct names, so the
 two sides share the interpreter, its start-up and the host's state of the
 moment.  The pools are read from `perfbench/bench.py` of the checkout that
-holds this script.  One set runs two passes, each after clearing the
+holds this script.  One set runs three passes, each after clearing the
 side's K3 caches and its per-genus rule seeds and collecting garbage, as a
 benchmark run starts cold:
 the `k3_list` jobs, each through `cli.main([... "--json"])` with stdout
-captured, then `assemble(g)` for every g of the `assemble_cold` pool.  So
-a K3 change is timed on both workloads that it can move.  A pair times
-one set of each side, A first in even pairs and B first in odd ones.
+captured, then `assemble(g)` for every g of the `assemble_cold` pool, then
+the `assemble_warm` pool: one cold `assemble(g)` per genus off the clock,
+and on the clock as many warm calls as a 10-second benchmark run makes.
+So a K3 change is timed on both workloads that it can move, and a closure
+change on the warm calls that it moves.  A pair times one set of each
+side, A first in even pairs and B first in odd ones.
 Prints, per pass, the quartiles of each side's times, the median change
 and how many pairs B won.
 
@@ -70,9 +73,10 @@ def cold(*modules) -> None:
     gc.collect()
 
 
-def run_set(side, jobs, genera) -> tuple[float, float]:
-    """The seconds that one cold pass over the listing jobs takes, and one
-    over the cold assemble genera."""
+def run_set(side, jobs, genera, warm) -> tuple[float, float, float]:
+    """The seconds that one cold pass over the listing jobs takes, one over
+    the cold assemble genera, and the ``warm`` calls once their genera are
+    filled."""
     cli, k3, poset = side
     cold(k3, poset)
     sink = io.StringIO()
@@ -87,7 +91,15 @@ def run_set(side, jobs, genera) -> tuple[float, float]:
     start = time.perf_counter()
     for g in genera:
         poset.assemble(g)
-    return listing, time.perf_counter() - start
+    cold_assemble = time.perf_counter() - start
+    cold(k3, poset)
+    for g in set(warm):
+        poset.assemble(g)
+    gc.collect()
+    start = time.perf_counter()
+    for g in warm:
+        poset.assemble(g)
+    return listing, cold_assemble, time.perf_counter() - start
 
 
 def quartiles(values: list[float]) -> tuple[float, float, float]:
@@ -103,25 +115,27 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     if args.pairs < 40:
         parser.error("--pairs must be at least 40")
-    pools = load_module("_listing_ab_bench", BENCH).POOLS
-    jobs, genera = pools["k3_list"], pools["assemble_cold"]
+    bench = load_module("_listing_ab_bench", BENCH)
+    pools = bench.POOLS
+    jobs, genera, pool = pools["k3_list"], pools["assemble_cold"], pools["assemble_warm"]
+    warm = [pool[i % len(pool)] for i in range(bench.op_count("assemble_warm", pool, 10))]
     sides = (load_side("bnloci_a", args.a.resolve()), load_side("bnloci_b", args.b.resolve()))
     for side in sides:  # one untimed set each: compile and warm the interpreter
-        run_set(side, jobs, genera)
+        run_set(side, jobs, genera, warm)
     times = ([], [])
     for pair in range(args.pairs):
         for which in (0, 1) if pair % 2 == 0 else (1, 0):
-            times[which].append(run_set(sides[which], jobs, genera))
-    for index, name in enumerate(("k3_list", "assemble_cold")):
+            times[which].append(run_set(sides[which], jobs, genera, warm))
+    for index, name in enumerate(("k3_list", "assemble_cold", "assemble_warm")):
         a, b = ([set_times[index] for set_times in side] for side in times)
         print(f"{name}:")
         for label, values in zip("AB", (a, b)):
             q1, q2, q3 = quartiles(values)
-            print(f"  {label}: quartiles {q1 * 1e3:.1f} {q2 * 1e3:.1f} {q3 * 1e3:.1f} ms")
+            print(f"  {label}: quartiles {q1 * 1e3:.2f} {q2 * 1e3:.2f} {q3 * 1e3:.2f} ms")
         med_a, med_b = statistics.median(a), statistics.median(b)
         wins = sum(y < x for x, y in zip(a, b))
         print(
-            f"  median {med_a * 1e3:.1f} -> {med_b * 1e3:.1f} ms "
+            f"  median {med_a * 1e3:.2f} -> {med_b * 1e3:.2f} ms "
             f"({(med_b / med_a - 1) * 100:+.1f}%), B won {wins} of {args.pairs} pairs"
         )
     return 0
