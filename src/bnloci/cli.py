@@ -6,9 +6,10 @@ lattice is required, verification diff), 2 contradiction or usage error
 ``--series``), 3 I/O or parse error.
 
 A fresh process pays only for what its command runs: the packaged facts
-and fixtures are read by path (:func:`_packaged`), parsed in one pass
-(:func:`parse_fact_records`), and no command imports ``fractions``, as
-none builds a Fraction (see :mod:`bnloci.k3`).
+and fixtures are read by path (:func:`_packaged`) and parsed in one pass
+at the genus the caller names, each locus built by BNLocus and each
+record by Fact (:func:`parse_fact_records`), and no command imports
+``fractions``, as none builds a Fraction (see :mod:`bnloci.k3`).
 """
 
 from __future__ import annotations
@@ -93,36 +94,29 @@ def _json_int(value, where: str, what: str) -> int:
     return value
 
 
-def _parse_point(genus: int, obj, where: str, proper: dict) -> BNLocus:
+def _parse_point(genus: int, obj, where: str) -> BNLocus:
     """The locus that ``obj``, an object with exactly the keys r, d, names
-    at ``genus``; its properness is the caller's test.  ``proper`` holds the
-    proper loci seen so far in one file, keyed by (genus, r, d), which a
-    BNLocus equals: it is read once r and d are exact ints, so True never
-    stands for 1, and a hit skips BNLocus and is_proper_locus."""
+    at ``genus``, built by BNLocus; whether it is proper is the caller's
+    test."""
     if not isinstance(obj, dict) or obj.keys() != _POINT_KEYS:
         raise FactsError(f"{where}: locus must be an object with keys r, d")
     r, d = _json_int(obj["r"], where, "r"), _json_int(obj["d"], where, "d")
-    locus = proper.get((genus, r, d))
-    if locus is None:
-        try:
-            locus = BNLocus(genus, r, d)
-        except ValueError as exc:
-            raise FactsError(f"{where}: {exc}") from exc
-        if is_proper_locus(genus, r, d):
-            proper[locus] = locus
-    return locus
+    try:
+        return BNLocus(genus, r, d)
+    except ValueError as exc:
+        raise FactsError(f"{where}: {exc}") from exc
 
 
-def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
-    """Parse a JSON array of fact records, validating every record's loci
-    as enumerated proper loci of its genus (:func:`~bnloci.loci.is_proper_locus`,
-    no listing).  Raises FactsError with the index of the offending record.
+def parse_fact_records(text: str, genus: int) -> list[Fact]:
+    """Parse a JSON array of fact records of ``genus``, validating every
+    record's loci as enumerated proper loci of that genus
+    (:func:`~bnloci.loci.is_proper_locus`, no listing).  Raises FactsError
+    with the index of the offending record.
 
     One pass, which reports the first fault of a record in a fixed order:
     its keys, genus, relation and source, then both loci, and only then
-    whether each is proper.  Each distinct proper locus of the file is
-    validated once (:func:`_parse_point`), and each Fact is built by
-    ``tuple.__new__``, as these checks cover those of ``Fact.__new__``."""
+    whether each is proper.  Each Fact is built by ``Fact``, whose own
+    checks run on every record."""
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -130,7 +124,6 @@ def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
     if not isinstance(data, list):
         raise FactsError("top level must be a JSON array of records")
     facts = []
-    proper = {}
     for i, rec in enumerate(data):
         where = f"record {i}"
         if not isinstance(rec, dict) or rec.keys() != _RECORD_KEYS:
@@ -138,7 +131,7 @@ def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
                 f"{where}: expected exactly the keys genus, lhs, rhs, relation, source"
             )
         g = _json_int(rec["genus"], where, "genus")
-        if genus is not None and g != genus:
+        if g != genus:
             raise FactsError(f"{where}: genus {g} does not match requested genus {genus}")
         relation = rec["relation"]
         kind = _KINDS.get(relation) if isinstance(relation, str) else None
@@ -147,16 +140,16 @@ def parse_fact_records(text: str, genus: int | None = None) -> list[Fact]:
         source = rec["source"]
         if not isinstance(source, str) or not source:
             raise FactsError(f"{where}: source citation must be a non-empty string")
-        lhs = _parse_point(g, rec["lhs"], where, proper)
-        rhs = _parse_point(g, rec["rhs"], where, proper)
+        lhs = _parse_point(g, rec["lhs"], where)
+        rhs = _parse_point(g, rec["rhs"], where)
         for pt in (lhs, rhs):
-            if pt not in proper:
+            if not is_proper_locus(*pt):
                 raise FactsError(f"{where}: {pt} is not an enumerated proper locus")
-        facts.append(tuple.__new__(Fact, (lhs, rhs, kind, source)))
+        facts.append(Fact(lhs, rhs, kind, source))
     return facts
 
 
-def load_facts(path: str | Path, genus: int | None = None) -> list[Fact]:
+def load_facts(path: str | Path, genus: int) -> list[Fact]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:  # a ValueError, so main would file it as a domain error

@@ -96,9 +96,10 @@ the node's rank bitmask once (``ranks | 1 << r``, the type of that rank's
 leaves and the ranks of its children alike), emits the leaves in the plan's
 order and then enters the children in theirs, which is the order of a node
 that checks and emits row by row.  The plans live in a dict local to one
-walk.  On the five listing jobs of the benchmark the walk enters 16,076
-nodes but only 2,084 states, and checks 10,412 (state, row) pairs where a
-check per leaf made 35,688.
+walk.  On the five listing jobs of the benchmark the walk enters far
+fewer states than nodes and checks each (state, row) pair once, not one
+row per leaf (``test_listing_checks_each_node_state_row_once`` pins both
+counts).
 
 Scaled integers.  The c_2 bound is a sum of one term per filtration step
 whose denominators divide 2 rho_i with rho_i <= s+1, so the search carries

@@ -436,7 +436,8 @@ def test_facts_parse_errors(tmp_path, capsys):
                         "extra": 1,
                     }
                 ]
-            )
+            ),
+            9,
         )
     with pytest.raises(FactsError, match="not an enumerated proper locus"):
         parse_fact_records(
@@ -450,12 +451,13 @@ def test_facts_parse_errors(tmp_path, capsys):
                         "source": "x",
                     }
                 ]
-            )
+            ),
+            9,
         )
     # genus, r and d take JSON integers only: no float, string or bool
     good = {"genus": 9, "lhs": {"r": 1, "d": 4}, "rhs": {"r": 2, "d": 6},
             "relation": "subset", "source": "x"}
-    assert len(parse_fact_records(json.dumps([good]))) == 1
+    assert len(parse_fact_records(json.dumps([good]), 9)) == 1
     for field, value in (("genus", 9.9), ("r", 1.7), ("d", "4"), ("r", True)):
         rec = json.loads(json.dumps(good))
         if field == "genus":
@@ -464,7 +466,7 @@ def test_facts_parse_errors(tmp_path, capsys):
             rec["lhs"][field] = value
         text = json.dumps([good, rec])
         with pytest.raises(FactsError, match=f"record 1: {field} must be an integer"):
-            parse_fact_records(text)
+            parse_fact_records(text, 9)
         path.write_text(text)
         code, out, err = run(capsys, "poset", "9", "--facts", str(path))
         assert code == EXIT_IO and out == "" and "record 1" in err, (field, value)
@@ -479,20 +481,20 @@ def test_facts_parse_errors(tmp_path, capsys):
     ):
         text = json.dumps([good, dict(good, **{field: value})])
         with pytest.raises(FactsError, match=f"record 1: {message}"):
-            parse_fact_records(text)
+            parse_fact_records(text, 9)
         path.write_text(text)
         code, out, err = run(capsys, "poset", "9", "--facts", str(path))
         assert code == EXIT_IO and out == "" and f"record 1: {message}" in err, (field, value)
     # a top level that is not an array of records
     text = json.dumps(good)
     with pytest.raises(FactsError, match="top level must be a JSON array"):
-        parse_fact_records(text)
+        parse_fact_records(text, 9)
     path.write_text(text)
     code, out, err = run(capsys, "poset", "9", "--facts", str(path))
     assert code == EXIT_IO and out == "" and "top level must be a JSON array" in err
 
 
-def _two_pass_parse(text, genus=None):
+def _two_pass_parse(text, genus):
     """The fact parser as it was before the one-pass one, kept as its
     oracle: each record's fields checked one by one, each locus built and
     tested on its own, and each Fact built by Fact.__new__."""
@@ -529,7 +531,7 @@ def _two_pass_parse(text, genus=None):
                 f"{where}: expected exactly the keys genus, lhs, rhs, relation, source"
             )
         g = json_int(rec["genus"], where, "genus")
-        if genus is not None and g != genus:
+        if g != genus:
             raise FactsError(f"{where}: genus {g} does not match requested genus {genus}")
         if not isinstance(rec["relation"], str) or rec["relation"] not in relations:
             raise FactsError(f"{where}: relation must be one of {sorted(relations)}")
@@ -593,8 +595,8 @@ def _record_mutations(rec, g):
                                   for kind in ("", "fixture_")])
 def test_the_one_pass_parser_agrees_with_the_two_pass_oracle(name):
     # each packaged file, and each single-field change of its first and last
-    # record, with the genus requested and not: equal facts of equal types,
-    # or the same FactsError message
+    # record, at the file's genus: equal facts of equal types, or the same
+    # FactsError message
     g = int(re.search(r"[0-9]+", name).group())
     records = json.loads((DATA / name).read_text(encoding="utf-8"))
     texts = [json.dumps(records), json.dumps(records[:1] * 3), "{not json", "{}"]
@@ -602,8 +604,7 @@ def test_the_one_pass_parser_agrees_with_the_two_pass_oracle(name):
         for mutated in _record_mutations(records[at], g):
             texts.append(json.dumps(records[:at] + [mutated] + records[at + 1:]))
     # points repeated within a file: a locus with r = 1 repeated with r true
-    # after its memoized twin, and the same (r, d) at a genus d, where it is
-    # not proper
+    # after its valid twin, and a record of genus d after two valid ones
     pool = records or json.loads((DATA / f"fixture_genus{g}.json").read_text(encoding="utf-8"))
     rec, side = next((rec, side) for rec in pool for side in ("lhs", "rhs") if rec[side]["r"] == 1)
     for edit in (((side, "r"), True), (("genus",), rec[side]["d"])):
@@ -619,9 +620,28 @@ def test_the_one_pass_parser_agrees_with_the_two_pass_oracle(name):
 
     assert len(texts) > 100 or not records
     for text in texts:
-        for genus in (g, None):
-            assert outcome(parse_fact_records, text, genus) == outcome(_two_pass_parse, text, genus), (
-                text, genus)
+        assert outcome(parse_fact_records, text, g) == outcome(_two_pass_parse, text, g), text
+
+
+def test_the_parser_builds_each_fact_through_its_constructor(monkeypatch):
+    # Fact.__new__ runs on every record: wrapped to refuse one citation, it
+    # passes the other records and stops the parse at the one that carries it
+    from bnloci.poset import Fact
+
+    new = Fact.__new__
+
+    def refusing(cls, lhs, rhs, kind, source):
+        if source == "refused citation":
+            raise ValueError("refused citation")
+        return new(cls, lhs, rhs, kind, source)
+
+    monkeypatch.setattr(Fact, "__new__", staticmethod(refusing))
+    good = {"genus": 9, "lhs": {"r": 1, "d": 4}, "rhs": {"r": 2, "d": 6},
+            "relation": "subset", "source": "x"}
+    assert len(parse_fact_records(json.dumps([good, good]), 9)) == 2
+    with pytest.raises(ValueError, match="refused citation") as caught:
+        parse_fact_records(json.dumps([good, dict(good, source="refused citation")]), 9)
+    assert type(caught.value) is ValueError
 
 
 def test_facts_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
@@ -629,7 +649,7 @@ def test_facts_file_that_is_not_utf8_is_a_parse_error(tmp_path, capsys):
     path = tmp_path / "latin.json"
     path.write_bytes(b"\xff\xfe[]")
     with pytest.raises(FactsError, match="not valid UTF-8"):
-        load_facts(path)
+        load_facts(path, 9)
     code, out, err = run(capsys, "poset", "9", "--facts", str(path))
     assert code == EXIT_IO and out == "" and err.startswith("error: not valid UTF-8")
 
@@ -646,11 +666,11 @@ def test_facts_at_a_large_genus_parse_without_listing_the_loci(monkeypatch):
     monkeypatch.setattr(loci, "enumerate_loci", no_listing)
     rec = {"genus": 4000, "lhs": {"r": 1, "d": 2}, "rhs": {"r": 2, "d": 2668},
            "relation": "subset", "source": "x"}
-    (fact,) = parse_fact_records(json.dumps([rec]))
+    (fact,) = parse_fact_records(json.dumps([rec]), 4000)
     assert (fact.lhs.key, fact.rhs.key) == ((1, 2), (2, 2668))
     rec["rhs"]["d"] = 2669  # rho(4000, 2, 2669) = 1
     with pytest.raises(FactsError, match="record 0: M\\^2_\\{4000,2669\\} is not an enumerated proper locus"):
-        parse_fact_records(json.dumps([rec]))
+        parse_fact_records(json.dumps([rec]), 4000)
 
 
 def test_verify_single_genus(capsys):

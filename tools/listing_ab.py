@@ -24,6 +24,11 @@ and how many pairs B won.
 It measures and prints; it decides nothing and claims nothing.  On a busy
 host single benchmark runs of unchanged code can differ by more than a
 listing change, and interleaved pairs in one process see the same drift.
+The two sides also share one heap, and each listing pass follows a warm
+`assemble` pass whose allocations differ between the trees.  The `k3_list`
+pass read a tree whose only changes were closure kernels, which `bn k3`
+does not run, 1.1-1.6% slower whichever side it was loaded as, for a cause
+not found.  So a `k3_list` figure below 2% from this tool shows no change.
 """
 
 from __future__ import annotations
