@@ -83,9 +83,6 @@ class LatticeBasis(namedtuple("LatticeBasis", "g r d")):
     def discriminant(self) -> int:
         return delta(self.g, self.r, self.d)
 
-    def gram(self) -> tuple[tuple[int, int], tuple[int, int]]:
-        return ((self.h_square, self.d), (self.d, self.l_square))
-
     def __str__(self) -> str:
         return f"Lambda^{self.r}_({self.g},{self.d})"
 

@@ -336,12 +336,6 @@ class RelationMatrix:
             texts[(b, d)] = text
         return text
 
-    def class_of(self, x: BNLocus) -> BNLocus:
-        return self.loci[self._rep[self._index[x]]]
-
-    def representatives(self) -> list[BNLocus]:
-        return [c[0] for c in self.classes]
-
     def relation(self, x: BNLocus, y: BNLocus) -> tuple[str, str | None]:
         """(kind, provenance) with kind one of eq/subset/not_subset/unknown."""
         i, j = self._index[x], self._index[y]

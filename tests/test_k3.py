@@ -530,26 +530,6 @@ def test_enumerated_assignments_pass_all_checks_and_box():
                 assert head.key() in cands
 
 
-def test_partitioned_enumeration_is_deterministic():
-    import json
-
-    def blob(workers):
-        out = enumerate_assignments(LatticeBasis(100, 9, 57), 4, workers=workers)
-        return json.dumps(
-            [
-                {
-                    "t": a.type_str,
-                    "c": [c.key() for c in a.chern],
-                    "b": str(a.c2_bound),
-                }
-                for a in out
-            ],
-            sort_keys=True,
-        ).encode()
-
-    assert blob(1) == blob(2) == blob(8)
-
-
 # ------------------------------------------------ completeness and differential
 
 ORACLE_JOBS = [

@@ -16,7 +16,8 @@ from bnloci.oracles import find_classes_with_square, self_int
 
 def gram_pair(basis, u, v):
     # independent oracle: expand over monomials with the Gram matrix
-    gram = basis.gram()
+    # ((H^2, H.L), (L.H, L^2)) = ((2g-2, d), (d, 2r-2))
+    gram = ((2 * basis.g - 2, basis.d), (basis.d, 2 * basis.r - 2))
     vec_u = (u.a, u.b)
     vec_v = (v.a, v.b)
     return sum(vec_u[i] * gram[i][j] * vec_v[j] for i in range(2) for j in range(2))

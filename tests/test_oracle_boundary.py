@@ -4,8 +4,8 @@ checks are no attributes of ``bnloci``), and it reaches into ``k3`` only
 for the assignment type, never for the walk or the scaled c_2 arithmetic.
 Imports are read with ``ast``, so a lazy import inside a function counts as
 well.  The engine modules (all but ``__init__`` and ``oracles``) define no
-public name that the engine itself never reads, but for the public API
-named in ``UNREAD``."""
+public name, and their classes no public method or property, that the
+engine itself never reads, but for the public API named in ``UNREAD``."""
 
 import ast
 from pathlib import Path
@@ -32,7 +32,8 @@ MOVED = {
 }
 
 # the public names that an engine module defines and no engine module reads,
-# each with the reason it stays in the engine
+# each with the reason it stays in the engine; a method or property is named
+# as Class.name
 UNREAD = {
     "enumerate_assignments": "public K3 API: the listing as Assignments, acceptance criterion 6",
     "candidate_subsheaf_classes": "public K3 API: the box classes that a step can use",
@@ -40,6 +41,9 @@ UNREAD = {
     "k3_expected": "public K3 API: the K3-expected containments, never relations",
     "closure": "one line that acceptance criterion 6 calls; the oracles may not import poset",
     "L": "the value constant beside H, the second basis class",
+    "Assignment.type_str": "the filtration type as text, which acceptance criterion 6 reads",
+    "Assignment.sort_key": "the canonical order, which listing_records and the exact search "
+    "reproduce without calling it; the tests hold both to it",
 }
 
 # what the oracles may take from the engine's K3 module, and all they take:
@@ -118,7 +122,10 @@ def read_names(tree):
 
 def unread_engine_names(src):
     """{name: module} for every public top-level name that an engine module
-    defines and no engine module reads outside the definition itself."""
+    defines, and every public method or property of a class that it
+    defines (as ``Class.name``), that no engine module reads outside the
+    definition itself.  A class's head and each statement of its body are
+    read apart, so a method's reads of itself do not count."""
     defined, read = {}, set()
     for path in sorted(src.glob("*.py")):
         if path.stem in ("__init__", "oracles"):
@@ -126,8 +133,19 @@ def unread_engine_names(src):
         for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
             names = defined_names(stmt)
             defined.update((name, path.stem) for name in names if not name.startswith("_"))
-            read |= read_names(stmt) - names
-    return {name: module for name, module in defined.items() if name not in read}
+            if not isinstance(stmt, ast.ClassDef):
+                read |= read_names(stmt) - names
+                continue
+            for node in [*stmt.decorator_list, *stmt.bases, *stmt.keywords]:
+                read |= read_names(node) - names
+            for node in stmt.body:
+                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
+                    defined[f"{stmt.name}.{node.name}"] = path.stem
+                read |= read_names(node) - names - defined_names(node)
+    return {
+        name: module for name, module in defined.items()
+        if name.rpartition(".")[2] not in read
+    }
 
 
 def test_every_engine_name_is_read_by_the_engine():
@@ -148,6 +166,28 @@ def test_an_engine_name_that_only_its_definition_reads_is_found(tmp_path):
         encoding="utf-8",
     )
     assert unread_engine_names(tmp_path) == {"spare": "lattice", "walk": "k3"}
+
+
+def test_a_method_that_only_its_own_body_reads_is_found(tmp_path):
+    # a method or property counts as read where an engine module names it
+    # outside its own body; private and dunder methods are not scanned
+    (tmp_path / "__init__.py").write_text("from .lattice import Basis\nBasis().spare()\n",
+                                          encoding="utf-8")
+    (tmp_path / "lattice.py").write_text(
+        "class Basis:\n"
+        "    def __len__(self):\n        return 0\n\n"
+        "    def _hidden(self):\n        return self.used()\n\n"
+        "    def used(self):\n        pass\n\n"
+        "    def spare(self):\n        return self.spare()\n\n"
+        "    @property\n    def width(self):\n        return 1\n",
+        encoding="utf-8",
+    )
+    (tmp_path / "k3.py").write_text(
+        'from .lattice import Basis\n\n\ndef walk():\n    """Reads Basis.width."""\n\n\n'
+        "walk()\n",
+        encoding="utf-8",
+    )
+    assert unread_engine_names(tmp_path) == {"Basis.spare": "lattice", "Basis.width": "lattice"}
 
 
 def test_no_engine_module_imports_the_oracles():

@@ -29,6 +29,12 @@ The two sides also share one heap, and each listing pass follows a warm
 pass read a tree whose only changes were closure kernels, which `bn k3`
 does not run, 1.1-1.6% slower whichever side it was loaded as, for a cause
 not found.  So a `k3_list` figure below 2% from this tool shows no change.
+Timing every `k3_list` pair first, as one interleaved sequence before any
+`assemble` pass of the process, did not remove the spread: on the same two
+trees (40 pairs each) B read +1.5% and +3.1% with each tree as A, and
+-0.7% for one tree against itself, where this order read -2.4%, +3.2% and
+-5.8% on the same host within the hour.  Neither order kept every median
+within 0.5%, so the sets stay as they are.
 """
 
 from __future__ import annotations
