@@ -3,7 +3,16 @@
 Exit statuses: 0 success, 1 domain error (invalid locus, Delta >= 0 where a
 lattice is required, verification diff), 2 contradiction or usage error
 (argparse exits 2 with the usage on stderr, e.g. ``bn k3`` without
-``--series``), 3 I/O or parse error.
+``--series``), 3 I/O or parse error.  Every other refusal prints
+``error: ...`` on stderr.  Two exits of 1 are reports, with the report on
+stdout and nothing on stderr: ``bn verify`` with a diff, and
+``bn invariants`` off the proper loci or with a kappa mismatch.
+
+Numbers: G, R, D and ``--series`` are read by ``int()`` (argparse
+``type=int``), so a sign, surrounding spaces and non-ASCII decimal digits
+pass (``+7``, ``" 7"`` and U+0667, Arabic-Indic seven, are all 7);
+``bn verify``'s range takes ASCII digits only, and the facts files JSON
+integers only.
 
 A fresh process pays only for what its command runs: the packaged facts
 and fixtures are read by path (:func:`_packaged`) and parsed in one pass

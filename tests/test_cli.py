@@ -1001,6 +1001,12 @@ def test_k3_listing_above_the_cap_is_rejected_at_that_leaf(capsys, monkeypatch):
 
     refs = json.loads((ROOT / "perfbench" / "refs.json").read_text(encoding="utf-8"))["k3"]
     assert max(v["assignments"] for v in refs.values()) == 14263 < k3.MAX_ASSIGNMENTS
+    # the README's example at the real cap: 32,999 kept at s = 4, past it at 5
+    _, _, groups = k3.listing_records(LatticeBasis(61, 8, 41), 4)
+    assert sum(len(records) for _, records in groups) == 32999
+    code, out, err = run(capsys, "k3", "61", "8", "41", "--series", "5", "--json")
+    assert code == EXIT_DOMAIN and out == ""
+    assert "listing of Lambda^8_(61,41) at s = 5 passes 100000 assignments" in err
     basis = LatticeBasis(11, 2, 7)
     full = len(enumerate_assignments(basis, 3))
     monkeypatch.setattr(k3, "MAX_ASSIGNMENTS", full)  # a listing at the cap is kept

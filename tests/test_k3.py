@@ -1,5 +1,6 @@
 import ast
 import itertools
+import json
 import math
 import os
 import random
@@ -836,8 +837,13 @@ def oracle_leaves(basis, s):
     )
 
 
-# the five k3_list jobs of perfbench, as (g, r, d, s)
-K3_LIST_JOBS = [(13, 2, 7, 6), (16, 1, 2, 7), (16, 3, 11, 7), (15, 4, 13, 7), (17, 4, 14, 8)]
+# the five k3_list jobs of perfbench, as (g, r, d, s), read off the
+# "g,r,d,s,filters" keys of its references, so (13, 2, 7, 6) comes first
+REFS = Path(__file__).resolve().parent.parent / "perfbench" / "refs.json"
+K3_LIST_JOBS = sorted(
+    tuple(map(int, job.split(",")[:4]))
+    for job in json.loads(REFS.read_text(encoding="utf-8"))["k3"]
+)
 
 
 def per_type_listing(s, leaves, cfg):
