@@ -15,7 +15,6 @@ from bnloci import (
     BNLocus,
     ContradictionError,
     Fact,
-    FilterConfig,
     H,
     L,
     LatticeBasis,

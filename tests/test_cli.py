@@ -21,6 +21,7 @@ from bnloci.cli import (
     packaged_facts,
     parse_fact_records,
 )
+from k3_jobs import assemble_jobs
 
 ROOT = Path(__file__).resolve().parent.parent
 DATA = ROOT / "src" / "bnloci" / "data"
@@ -166,7 +167,8 @@ def test_k3_text_matches_lock(capsys):
 def _k3_oracle(g, r, d, s, filters):
     """`bn k3` output as the dict-payload renderer wrote it: one dict per
     assignment and one json.dumps over the payload (JSON), or the table
-    built entry by entry (text)."""
+    built entry by entry (text); and the set of the entries' tags.  Each
+    class is written as text once per job, not once per entry."""
     from bnloci import FilterConfig, LatticeBasis, destab_box, enumerate_assignments
 
     basis = LatticeBasis(g, r, d)
@@ -174,6 +176,8 @@ def _k3_oracle(g, r, d, s, filters):
     assignments = enumerate_assignments(basis, s, config)
     minimum = min((a.c2_bound for a in assignments), default=None)
     box = destab_box(basis)
+    classes = {c for a in assignments for c in a.chern}
+    text_of, xy_of = {c: str(c) for c in classes}, {c: str(c.xy) for c in classes}
     payload = {
         "lattice": {"g": g, "r": r, "d": d},
         "series_dim": s,
@@ -182,7 +186,7 @@ def _k3_oracle(g, r, d, s, filters):
         "assignments": [
             {
                 "type": a.type_str,
-                "chern": [str(c) for c in a.chern],
+                "chern": [text_of[c] for c in a.chern],
                 "chern_xy": [list(c.xy) for c in a.chern],
                 "c2_bound": str(a.c2_bound),
                 "filters": list(a.filtered_by),
@@ -200,42 +204,32 @@ def _k3_oracle(g, r, d, s, filters):
     else:
         text.append(f"{'type':<10} {'c1(E_i)':<28} {'(x,y) of c1(E_i)':<22} {'c2 bound':<12} flags")
         for a in assignments:
-            chern = ", ".join(str(c) for c in a.chern[:-1]) or "-"
-            xy = ", ".join(str(c.xy) for c in a.chern[:-1]) or "-"
+            chern = ", ".join([text_of[c] for c in a.chern[:-1]]) or "-"
+            xy = ", ".join([xy_of[c] for c in a.chern[:-1]]) or "-"
             bound = str(a.c2_bound)
             if a.c2_bound.denominator != 1:
                 bound += f" ({float(a.c2_bound):.2f})"
             flags = ",".join(a.filtered_by) or "-"
             text.append(f"{a.type_str:<10} {chern:<28} {xy:<22} {bound:<12} {flags}")
         text.append(f"minimum c2 bound: {minimum}")
-    return json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n", "\n".join(text) + "\n"
-
-
-def _k3_jobs(genera):
-    from bnloci import delta, enumerate_loci
-
-    for g in genera:
-        loci = enumerate_loci(g)
-        for x in loci:
-            if delta(g, x.r, x.d) < 0:
-                for s in sorted({y.r for y in loci}):
-                    yield g, x.r, x.d, s
+    json_text = json.dumps(payload, sort_keys=True, separators=(",", ":")) + "\n"
+    return json_text, "\n".join(text) + "\n", {a.filtered_by for a in assignments}
 
 
 @pytest.mark.parametrize("filters", ["on", "off"])
 def test_k3_output_equals_the_dict_payload_renderer(capsys, filters):
     # the assemble jobs of g = 7..14, the five perfbench k3_list jobs and an
     # empty listing; filters off, some entries carry both tags at once
-    jobs = list(_k3_jobs(range(7, 15)))
+    jobs = assemble_jobs(range(7, 15))
     assert len(jobs) == 344
     jobs += [tuple(map(int, job.split(",")[:4])) for job in sorted(K3_TEXT_SHA256)]
     tags = set()
     for job in jobs + [(3, 1, 3, 1)]:
-        want_json, want_text = _k3_oracle(*job, filters)
+        want_json, want_text, job_tags = _k3_oracle(*job, filters)
         argv = ["k3", *map(str, job[:3]), "--series", str(job[3]), "--filters", filters]
         assert run(capsys, *argv, "--json") == (EXIT_OK, want_json, ""), job
         assert run(capsys, *argv) == (EXIT_OK, want_text, ""), job
-        tags.update(tuple(a["filters"]) for a in json.loads(want_json)["assignments"])
+        tags |= job_tags
     assert tags == ({()} if filters == "on" else {(), ("dm",), ("elliptic",), ("dm", "elliptic")})
 
 

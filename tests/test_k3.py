@@ -46,6 +46,7 @@ from bnloci.oracles import (
     slab_classes,
 )
 from engine_caches import clear_engine_caches
+from k3_jobs import assemble_jobs
 
 
 def mk(basis, ranks, chern_heads):
@@ -110,7 +111,8 @@ def test_gt_check_matches_all_triples_oracle():
             LatticeClass(rng.randint(-3, 3), rng.randint(-6, 6))
             for _ in range(len(ranks) - 1)
         ]
-        a = mk(basis, ranks, heads)
+        # gt_check reads no c2 bound, so none is computed
+        a = Assignment(tuple(ranks), tuple(heads) + (H,), None)
         assert gt_check(basis, a) == gt_all_triples(basis, a)
         checked += 1
     assert checked == 10_000
@@ -155,13 +157,9 @@ def test_candidates_respect_box_and_signs():
 
 def assemble_lattices():
     # every lattice that assemble reaches at g = 7..30, as (g, r, d)
-    from bnloci import delta, enumerate_loci
-
-    lattices = {
-        (g, x.r, x.d) for g in range(7, 31) for x in enumerate_loci(g) if delta(g, x.r, x.d) < 0
-    }
+    lattices = sorted({job[:3] for job in assemble_jobs(range(7, 31))})
     assert len(lattices) > 600
-    return sorted(lattices)
+    return lattices
 
 
 def test_box_class_count_is_the_box_that_the_candidates_scan():
@@ -652,18 +650,6 @@ def test_adjacent_slope_recheck_equals_all_triples(chain):
     assert (first_leaf is None) == chain_all_triples(rk, hd)
 
 
-def assemble_jobs(genera):
-    from bnloci import delta, enumerate_loci
-
-    jobs = set()
-    for g in genera:
-        loci = enumerate_loci(g)
-        for x in loci:
-            if delta(g, x.r, x.d) < 0:
-                jobs.update((g, x.r, x.d, y.r) for y in loci if y != x)
-    return sorted(jobs)
-
-
 def test_minimum_path_matches_listing_path_on_assemble_jobs():
     jobs = assemble_jobs(range(7, 13))
     assert len(jobs) > 100
@@ -819,11 +805,10 @@ def walk_leaves(basis, s, drop):
     # bound, tag names), sorted
     from bnloci.k3 import _walk
 
-    out, decode = [], key_rows(basis, row_class)
-    _walk(basis, s, drop, lambda ranks, key, total, tags: out.append(
-        (type_ranks(ranks), decode(key), total, _TAG_NAMES[tags])
-    ))
-    return sorted(out)
+    leaves, decode = [], key_rows(basis, row_class)
+    _walk(basis, s, drop, lambda *leaf: leaves.append(leaf))
+    ranks_of = {mask: type_ranks(mask) for mask in {leaf[0] for leaf in leaves}}
+    return sorted((ranks_of[mask], decode(key), total, _TAG_NAMES[tags]) for mask, key, total, tags in leaves)
 
 
 def oracle_leaves(basis, s):
@@ -846,16 +831,12 @@ K3_LIST_JOBS = sorted(
 )
 
 
-def per_type_listing(s, leaves, cfg):
-    # oracle: the listing of the leaves of oracle_leaves that cfg keeps,
-    # sorted by Assignment.sort_key
+def per_type_listing(s, leaves):
+    # oracle: the leaves of oracle_leaves as one listing, sorted by
+    # Assignment.sort_key; a config's listing is the part of it that it keeps
     from bnloci.k3 import _scale
 
-    out = []
-    for ranks, heads, total, tags in leaves:
-        a = Assignment(ranks, heads + (H,), Fraction(total, _scale(s)), tags)
-        if not filtered_out(tags, cfg):
-            out.append(a)
+    out = [Assignment(ranks, heads + (H,), Fraction(total, _scale(s)), tags) for ranks, heads, total, tags in leaves]
     return sorted(out, key=Assignment.sort_key)
 
 
@@ -870,13 +851,14 @@ def test_prefix_walk_matches_per_type_walk():
     for g, r, d, s in jobs:
         basis = LatticeBasis(g, r, d)
         oracle = oracle_leaves(basis, s)
+        listing = per_type_listing(s, oracle)
         emitted += len(oracle)
         seen.update(tags for *_, tags in oracle)
         for cfg in ALL_CONFIGS:
             kept = [leaf for leaf in oracle if not filtered_out(leaf[3], cfg)]
             assert walk_leaves(basis, s, _drop_mask(cfg)) == kept, (g, r, d, s, cfg)
             listed = enumerate_assignments(basis, s, cfg)
-            assert listed == per_type_listing(s, oracle, cfg), (g, r, d, s, cfg)
+            assert listed == [a for a in listing if not filtered_out(a.filtered_by, cfg)], (g, r, d, s, cfg)
             assert len({id(a.c2_bound) for a in listed}) == len({a.c2_bound for a in listed})
     # every set of tags occurs
     assert emitted > 30000 and seen == set(_TAG_NAMES)

@@ -1,12 +1,14 @@
 """No check in the package may live only in an assert: `python -O` strips
 every assert statement, so a check that must hold raises instead.  The
 package must parse at the oldest Python that pyproject.toml declares.  And
-no module but ``__init__``, whose imports are the re-exports, imports a
-name that it never reads."""
+no module but ``__init__``, whose imports are the re-exports, nor any
+script in ``tests/`` or ``tools/``, imports a name that it never reads."""
 
 import ast
 import re
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "bnloci"
@@ -60,6 +62,14 @@ def test_package_imports_no_name_it_never_reads():
     assert files
     found = [line for path in files for line in unread_imports(path)]
     assert found == [], f"unread imports in src/bnloci: {found}"
+
+
+@pytest.mark.parametrize("folder", ["tests", "tools"])
+def test_tests_and_tools_import_no_name_they_never_read(folder):
+    files = sorted((ROOT / folder).glob("*.py"))
+    assert files
+    found = [line for path in files for line in unread_imports(path)]
+    assert found == [], f"unread imports in {folder}: {found}"
 
 
 def test_an_unread_import_is_found(tmp_path):

@@ -211,16 +211,19 @@ def eager_closure(genus, loci, relations):
         if up[a] >> c & 1:
             raise ContradictionError(loci[a], loci[c], le.get((a, c), "reflexivity"), p_seed)
 
+    ups = [list(bits(row)) for row in up]
     down = [0] * n
     for i in range(n):
-        for j in bits(up[i]):
+        for j in ups[i]:
             down[j] |= 1 << i
     nle_rows = [0] * n
     for a, c in nle:
         nle_rows[a] |= 1 << c
     for (a, c), p_seed in seeds:
-        for b in bits(up[a]):
+        for b in ups[a]:
             new = down[c] & ~nle_rows[b]
+            if not new:
+                continue
             nle_rows[b] |= new
             p_b = p_seed if b == a else f"closure({le[(a, b)]},{p_seed})"
             for d in bits(new):
@@ -461,18 +464,20 @@ def test_mutual_containment_promotes_to_equality():
 PROVENANCE = st.sampled_from(["", "a", "b", "ab", "ba", "abc"])
 
 
+def relation_lists(loci, most, same=False):
+    """n relations for n drawn from 0..most, each between two of ``loci`` (a
+    locus and itself too when ``same``), with a kind and a PROVENANCE string."""
+    pairs = st.sampled_from([(a, b) for a in loci for b in loci if same or a != b])
+    kinds = st.sampled_from([RelKind.EQ, RelKind.LE, RelKind.NLE])
+    one = st.builds(lambda ab, kind, prov: Relation(*ab, kind, prov), pairs, kinds, PROVENANCE)
+    return st.integers(0, most).flatmap(lambda n: st.lists(one, min_size=n, max_size=n))
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_closure_random_small_matrices(data):
+@given(rels=relation_lists(enumerate_loci(9)[:6], 8))
+def test_closure_random_small_matrices(rels):
     g = 9
     loci = enumerate_loci(g)[:6]
-    pairs = [(a, b) for a in loci for b in loci if a != b]
-    n = data.draw(st.integers(0, 8))
-    rels = []
-    for _ in range(n):
-        a, b = data.draw(st.sampled_from(pairs))
-        kind = data.draw(st.sampled_from([RelKind.EQ, RelKind.LE, RelKind.NLE]))
-        rels.append(Relation(a, b, kind, data.draw(PROVENANCE)))
     assert_matches_eager_closure(g, loci, rels)
     try:
         m = closure_relations(g, loci, rels)
@@ -627,17 +632,10 @@ def test_not_subset_fact_against_a_containment_names_citation_and_family(lhs, rh
 
 
 @settings(max_examples=300, deadline=None)
-@given(data=st.data())
-def test_closure_matches_naive_closure_on_genus_9(data):
+@given(rels=relation_lists(enumerate_loci(9), 24, same=True))
+def test_closure_matches_naive_closure_on_genus_9(rels):
     g = 9
     loci = enumerate_loci(g)
-    pairs = [(a, b) for a in loci for b in loci]
-    n = data.draw(st.integers(0, 24))
-    rels = []
-    for _ in range(n):
-        a, b = data.draw(st.sampled_from(pairs))
-        kind = data.draw(st.sampled_from([RelKind.EQ, RelKind.LE, RelKind.NLE]))
-        rels.append(Relation(a, b, kind, data.draw(PROVENANCE)))
     assert_matches_naive_closure(g, loci, rels)
     assert_matches_eager_closure(g, loci, rels)
 
@@ -758,13 +756,18 @@ def naive_transpose(rows):
     return [sum(1 << i for i in range(n) if rows[i] >> j & 1) for j in range(n)]
 
 
+def square_rows(n):
+    # n rows of n bits, and None or the index of a row set to all ones
+    rows = st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n)
+    return st.tuples(rows, st.none() | st.integers(0, n - 1) if n else st.none())
+
+
 @settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_transpose_matches_the_per_bit_transpose(data):
-    n = data.draw(st.sampled_from([0, 1, 2, 63, 64, 65, 200]) | st.integers(0, 80))
-    rows = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=n, max_size=n))
-    if n and data.draw(st.booleans()):
-        rows[data.draw(st.integers(0, n - 1))] = (1 << n) - 1
+@given((st.sampled_from([0, 1, 2, 63, 64, 65, 200]) | st.integers(0, 80)).flatmap(square_rows))
+def test_transpose_matches_the_per_bit_transpose(drawn):
+    rows, full = drawn
+    if full is not None:
+        rows[full] = (1 << len(rows)) - 1
     assert _transpose(rows) == naive_transpose(rows)
     assert _transpose(_transpose(rows)) == rows
 
@@ -788,27 +791,32 @@ def naive_product(rows, cols):
     return out
 
 
-@settings(max_examples=200, deadline=None)
-@given(data=st.data())
-def test_product_matches_the_per_bit_product(data):
+@st.composite
+def product_operands(draw):
     # rectangular: the number of rows, the n cols and the cols' width differ
-    n = data.draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200]) | st.integers(0, 80))
-    m, width = data.draw(st.integers(0, 40)), data.draw(st.integers(0, 80))
+    n = draw(st.sampled_from([0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200]) | st.integers(0, 80))
+    m, width = draw(st.integers(0, 40)), draw(st.integers(0, 80))
     values = st.integers(0, (1 << n) - 1)
-    if data.draw(st.booleans()):  # repeated rows: a small pool of values, mixed with 0
-        values = st.sampled_from([0, *data.draw(st.lists(values, min_size=1, max_size=3))])
-    rows = data.draw(st.lists(values, min_size=m, max_size=m))
-    cols = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
+    if draw(st.booleans()):  # repeated rows: a small pool of values, mixed with 0
+        values = st.sampled_from([0, *draw(st.lists(values, min_size=1, max_size=3))])
+    rows = draw(st.lists(values, min_size=m, max_size=m))
+    cols = draw(st.lists(st.integers(0, (1 << width) - 1), min_size=n, max_size=n))
     # zero columns: a whole block, the last column (closing a partial block
     # unless _BLOCK divides n), every other column, or any set
-    zeros = data.draw(
+    zeros = draw(
         st.sampled_from([set(), set(range(_BLOCK)), {n - 1}, set(range(0, n, 2))])
         | st.sets(st.integers(0, n))
     )
     cols = [0 if c in zeros else col for c, col in enumerate(cols)]
-    if m and data.draw(st.booleans()):
-        rows[data.draw(st.integers(0, m - 1))] = data.draw(st.sampled_from([0, (1 << n) - 1]))
-    assert _product(rows, cols) == naive_product(rows, cols)
+    if m and draw(st.booleans()):
+        rows[draw(st.integers(0, m - 1))] = draw(st.sampled_from([0, (1 << n) - 1]))
+    return rows, cols
+
+
+@settings(max_examples=200, deadline=None)
+@given(product_operands())
+def test_product_matches_the_per_bit_product(operands):
+    assert _product(*operands) == naive_product(*operands)
 
 
 @pytest.mark.parametrize("n", [0, 1, _BLOCK - 1, _BLOCK, _BLOCK + 1, 200])
@@ -872,16 +880,23 @@ def assert_rounds_match_per_cell_rounds(m):
     assert got == via
 
 
+def seed_rows(g):
+    # up to n rows of n bits, then up to n rows (i, j) set to the one bit j
+    n = len(enumerate_loci(g))
+    index = st.integers(0, n - 1)
+    rows = st.lists(st.integers(0, (1 << n) - 1), max_size=n)
+    return st.tuples(st.just(g), rows, st.lists(st.tuples(index, index), max_size=n))
+
+
 @settings(max_examples=100, deadline=None)
-@given(data=st.data())
-def test_rounds_match_the_per_cell_rounds_on_random_matrices(data):
-    g = data.draw(st.integers(7, 14))
+@given(st.integers(7, 14).flatmap(seed_rows))
+def test_rounds_match_the_per_cell_rounds_on_random_matrices(drawn):
+    g, rows, chains = drawn
     loci = tuple(enumerate_loci(g))
-    n = len(loci)
-    le_rows = dict(enumerate(data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=n))))
+    le_rows = dict(enumerate(rows))
     # rows of one bit make long chains, closed over many rounds
-    for i in data.draw(st.lists(st.integers(0, n - 1), max_size=n)):
-        le_rows[i] = 1 << data.draw(st.integers(0, n - 1))
+    for i, j in chains:
+        le_rows[i] = 1 << j
     m = RelationMatrix(g, loci, {x: i for i, x in enumerate(loci)}, [("r", le_rows, {})])
     assert_rounds_match_per_cell_rounds(m)
 
