@@ -60,10 +60,10 @@ from .poset import (
     ContradictionError,
     Fact,
     RelationMatrix,
+    _cover_pairs,
     assemble,
     closure_relations,
     compare,
-    covers,
 )
 
 EXIT_OK = 0
@@ -370,6 +370,7 @@ def _locus_json(x: BNLocus) -> list[int]:
 
 
 def matrix_to_json(matrix: RelationMatrix) -> str:
+    loci = matrix.loci
     relations = [
         {
             "lhs": _locus_json(r.lhs),
@@ -385,8 +386,8 @@ def matrix_to_json(matrix: RelationMatrix) -> str:
         "classes": [[_locus_json(m) for m in cls] for cls in matrix.classes],
         "relations": relations,
         "covers": [
-            {"lhs": _locus_json(c.lhs), "rhs": _locus_json(c.rhs)}
-            for c in covers(matrix)
+            {"lhs": _locus_json(loci[i]), "rhs": _locus_json(loci[j])}
+            for i, j in _cover_pairs(matrix)
         ],
         "unknown": [
             [_locus_json(x), _locus_json(y)] for (x, y) in matrix.unknown_pairs()
@@ -417,10 +418,9 @@ def matrix_to_dot(matrix: RelationMatrix) -> str:
         lines.append("  { rank=same; " + "; ".join(row) + "; }")
     for lower, upper in zip(rows, rows[1:]):
         lines.append(f"  {lower[0]} -> {upper[0]} [style=invis];")
-    for cov in covers(matrix):
-        lines.append(
-            f"  {_node_id(cov.lhs)} -> {_node_id(cov.rhs)} [style=solid];"
-        )
+    loci = matrix.loci
+    for i, j in _cover_pairs(matrix):
+        lines.append(f"  {_node_id(loci[i])} -> {_node_id(loci[j])} [style=solid];")
     lines.append("}")
     return "\n".join(lines) + "\n"
 

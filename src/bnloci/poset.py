@@ -3,11 +3,14 @@ over the proper loci of one genus, detect contradictions, and extract the
 non-trivial cover diagram.
 
 The closure works on bit rows.  With the loci indexed 0..n-1 in key order,
-``up[i]`` is a Python int whose bit j says locus i <= locus j.  One pass of
-Warshall's algorithm closes <=, and the equality classes are the mutual
-bits.  Once <= is closed, the non-containments close in one pass too: each
-propagation rule only moves the left end of a !<= up along <= or its right
-end down, so the closure of the seeded !<= cells is exactly
+``up[i]`` is a Python int whose bit j says locus i <= locus j.  <= is
+closed over the condensation (:func:`_condense`): Tarjan's algorithm finds
+the strongly connected components, sinks first, and each component's row
+is its members ORed with the closed rows of its successors.  The equality
+classes are the mutual bits.  Once <= is closed, the non-containments
+close in one pass too: each propagation rule only moves the left end of a
+!<= up along <= or its right end down, so the closure of the seeded !<=
+cells is exactly
 {(B, D) : A <= B, D <= C, (A, C) seeded}, and that set is already closed
 under both rules.  A contradiction at such a derived (B, D) would mean
 B <= D, so A <= B <= D <= C contradicts the seed (A, C) itself: checking
@@ -46,14 +49,19 @@ closed !<= rows and each locus's class representative, and every query is
 a row operation on them.  Provenance is kept as derivation records, not
 strings.  Each row of each kind keeps one list of (label, bits) records in
 derivation order: first each sorted source's row, labelled by its string,
-then, for <= only, one record (k, new) per Warshall round k that added
-bits to the row.  A cell's derivation is the first record of its row that
-holds its bit: a seeded cell's is its first source, and a derived <=
-cell's is the round k that added it, whose premises are (i, k) and (k, j).
-A derived !<= cell is credited on read to the lexicographically first
-seed that reaches it.  The matrix renders a cell's provenance string only
-when it is read, and keeps it.  The cover diagram is the transitive
-reduction of ``up`` restricted to the class representatives.
+then, for <= only, one record (k, new) per round k of Warshall's pass over
+the seeded rows that added bits to the row.  A cell's derivation is the
+first record of its row that holds its bit: a seeded cell's is its first
+source, and a derived <= cell's is the round k that added it, whose
+premises are (i, k) and (k, j).  Warshall's pass is the one source of
+these credits, and it runs only on the first read of a <= credit
+(:meth:`RelationMatrix._rounds`): the kinds, the classes, the unknown
+pairs, :func:`compare`, ``bn verify`` and the cover ends that DOT prints
+(:func:`_cover_pairs`) never run it.  A derived !<= cell is credited on
+read to the lexicographically first seed that reaches it.  The matrix
+renders a cell's provenance string only when it is read, and keeps it.
+The cover diagram is the transitive reduction of ``up`` restricted to the
+class representatives.
 """
 
 from __future__ import annotations
@@ -186,14 +194,62 @@ def _low(row: int) -> int:
     return (row & -row).bit_length() - 1
 
 
+def _condense(seed: list[int]) -> list[int]:
+    """The closure of the bit rows ``seed`` under <=, reflexive and
+    transitive, over their condensation (Purdom, 1970).  Tarjan's algorithm
+    (1972), run on an explicit path, not by recursion, finds the strongly
+    connected components, sinks first.  "Visited" and "on stack" are
+    masks: a node takes the lowest of ``seed[v] & ~visited`` for its next
+    tree edge, and reads low-links only over ``seed[v] & onstack``, so an
+    edge to a finished node costs no step.  A node's place on the stack is
+    ``below[v]``, the on-stack mask when it was pushed: the nodes on the
+    stack have nested masks, so their ints order them as the stack does,
+    and a component is the on-stack mask less its root's ``below``.  Each
+    component is closed as it is emitted: its row is its members' mask
+    ORed with the closed row of each successor outside it, all emitted
+    already, taking the highest successor w not yet reached and then
+    dropping the bits of ``closed[w]``."""
+    n = len(seed)
+    closed, below, low = [0] * n, [0] * n, [0] * n
+    visited = onstack = 0
+    for root in range(n):
+        path, tree = [], ~visited & 1 << root
+        while tree or path:
+            if tree:
+                v = _low(tree)
+                visited |= 1 << v
+                below[v] = low[v] = onstack
+                onstack |= 1 << v
+                path.append(v)
+            else:
+                v = path.pop()
+                for w in _bits(seed[v] & onstack):
+                    if low[w] < low[v]:
+                        low[v] = low[w]
+                if low[v] == below[v]:
+                    row, onstack = onstack ^ below[v], below[v]
+                    members, rest = [v] if row == 1 << v else list(_bits(row)), 0
+                    for w in members:
+                        rest |= seed[w]
+                    rest &= ~row
+                    while rest:
+                        w = closed[rest.bit_length() - 1]
+                        row |= w
+                        rest &= ~w
+                    for w in members:
+                        closed[w] = row
+            tree = seed[path[-1]] & ~visited if path else 0
+    return closed
+
+
 class RelationMatrix:
     """Closed matrix of pairwise claims at a fixed genus, built from its
     seed sources.
 
     A source is ``(provenance, <= rows, !<= rows)``, each rows a dict from a
     locus index to its bit row; an eq seed is <= both ways.  The sources
-    are sorted by (length, provenance) and their rows ORed; Warshall's pass
-    closes <= in place.  The !<= rows are two products (:func:`_product`):
+    are sorted by (length, provenance) and their rows ORed, and
+    :func:`_condense` closes <=.  The !<= rows are two products (:func:`_product`):
     ``reach``, the seeded !<= rows times ``down``, and then ``down`` times
     ``reach``, so the !<= row of each B is the OR of ``reach[A]`` over
     A <= B, ``reach[A]`` being the OR of ``down[C]`` over the seeds (A, C).
@@ -219,10 +275,17 @@ class RelationMatrix:
     of row i, each sorted source's row labelled by its string, then each
     Warshall round k that added bits, labelled by k.  A seeded bit is never
     in a round's bits, so a cell's derivation is the first record holding
-    its bit (:meth:`_first`).  The seeded !<= rows credit each derived !<=
-    cell to a seed.  Reads render the strings and memoize them in one dict
-    (no cell is both <= and !<=), the same as if built during the closure,
-    so instances are immutable in effect and safe to share.
+    its bit (:meth:`_first`).  The <= records are made on the first read
+    of a <= credit (:meth:`_rounds`), from the kept seeded rows
+    ``_seed_up``: a ``relation()`` of a <= cell, ``all_relations()``,
+    :func:`covers`, a !<= credit derived through <=, and a contradiction's
+    message.  Readers of kinds alone never make them: ``relation_count()``,
+    ``unknown_pairs()``, ``classes``, :func:`compare` (so ``bn verify``)
+    and DOT.  The seeded !<= rows credit each derived !<= cell to a seed.
+    Reads render the strings and memoize them in one dict (no cell is both
+    <= and !<=), the same as if built during the closure; the records are
+    built in locals and published in one assignment, so instances are
+    immutable in effect and safe to share.
     """
 
     def __init__(
@@ -235,22 +298,17 @@ class RelationMatrix:
         up = [1 << i for i in range(n)]
         # seed_rows[a] bit c: (a, c) is a seeded !<= cell
         seed_rows = [0] * n
-        # records[kind][i]: the (label, bits) records of row i, kind 1 for <=, 2 for !<=
-        self._records = records = (None, [[] for _ in range(n)], [[] for _ in range(n)])
+        # seeds[kind][i]: the sources' (label, bits) records of row i, 1 for <=, 2 for !<=
+        seeds = (None, [[] for _ in range(n)], [[] for _ in range(n)])
         for source in sources:
             for kind, rows in ((1, up), (2, seed_rows)):
                 for i, row in source[kind].items():
                     rows[i] |= row
-                    records[kind][i].append((source[0], row))
-        rounds = records[1]
-        for k in range(n):
-            bit, row_k = 1 << k, up[k]
-            for i in range(n):
-                if up[i] & bit:
-                    new = row_k & ~up[i]
-                    if new:
-                        up[i] |= new
-                        rounds[i].append((k, new))
+                    seeds[kind][i].append((source[0], row))
+        # the <= records gain Warshall's rounds on the first <= credit read
+        self._seed_up, self._le_seeds = up, seeds[1]
+        self._records = (None, None, seeds[2])
+        up = _condense(up)
 
         down = _transpose(up)
         # reach[a] bit d: d <= c for a seed (a, c); the !<= row of b ORs reach[a] over a <= b
@@ -277,25 +335,49 @@ class RelationMatrix:
     def _first(self, kind: int, a: int, b: int) -> str | int | None:
         """The label of the first record of row a of ``kind`` (1 for <=, 2
         for !<=) that holds bit b: a seeding source's string or a Warshall
-        round; None when no record holds it (an unseeded self-loop)."""
-        for label, bits in self._records[kind][a]:
+        round; None when no record holds it (an unseeded self-loop).  The
+        first read of kind 1 builds the <= records (:meth:`_rounds`)."""
+        records = self._records[kind]
+        if records is None:
+            records = self._rounds()
+        for label, bits in records[a]:
             if bits >> b & 1:
                 return label
         return None
 
+    def _rounds(self) -> list[list[tuple]]:
+        """The <= records: each row's source records, then one (k, new)
+        record for each round k of Warshall's pass over the seeded rows
+        that added the bits ``new`` to the row.  They are built in locals
+        and published in one assignment, so a shared matrix read by several
+        threads never shows a part of them; two first reads at once each
+        build the same records, and either set is kept."""
+        up, n = list(self._seed_up), len(self._seed_up)
+        rounds = [list(seeds) for seeds in self._le_seeds]
+        for k in range(n):
+            bit, row_k = 1 << k, up[k]
+            for i in range(n):
+                if up[i] & bit:
+                    new = row_k & ~up[i]
+                    if new:
+                        up[i] |= new
+                        rounds[i].append((k, new))
+        self._records = (None, rounds, self._records[2])
+        return rounds
+
     def _le_prov(self, i: int, j: int) -> str:
         """Provenance of the <= cell (i, j), from its derivation
-        (:meth:`_first`): a seed's string, or ``closure(p(i,k),p(k,j))``
-        for the Warshall round k that added bit j to row i, rendered and
-        stored.  A cell is resolved on an explicit stack, not by recursion,
-        so that a long chain (any loci set may reach
-        :func:`closure_relations`) cannot overflow: the top cell reads its
-        first record, a string is its text, and a round k pushes the first
-        of its premises (a, k), (k, b) that is not memoized yet.  Both
-        premises were set before round k, so the walk ends.  A cell is
-        pushed only when its text is missing, and the cells above it are
-        seeds or have smaller rounds, so it is still missing whenever it is
-        back on top, and none is pushed twice."""
+        (:meth:`_first`, whose first call makes the <= records): a seed's
+        string, or ``closure(p(i,k),p(k,j))`` for the Warshall round k that
+        added bit j to row i, rendered and stored.  A cell is resolved on
+        an explicit stack, not by recursion, so that a long chain (any loci
+        set may reach :func:`closure_relations`) cannot overflow: the top
+        cell reads its first record, a string is its text, and a round k
+        pushes the first of its premises (a, k), (k, b) that is not
+        memoized yet.  Both premises were set before round k, so the walk
+        ends.  A cell is pushed only when its text is missing, and the
+        cells above it are seeds or have smaller rounds, so it is still
+        missing whenever it is back on top, and none is pushed twice."""
         texts = self._texts
         stack = [(i, j)]
         while (i, j) not in texts:
@@ -339,13 +421,21 @@ class RelationMatrix:
     def relation(self, x: BNLocus, y: BNLocus) -> tuple[str, str | None]:
         """(kind, provenance) with kind one of eq/subset/not_subset/unknown."""
         i, j = self._index[x], self._index[y]
+        kind = self._kind(i, j)
+        if kind == RelKind.LE.value:
+            return (kind, self._le_prov(self._rep[i], self._rep[j]))
+        if kind == RelKind.NLE.value:
+            return (kind, self._nle_prov(self._rep[i], self._rep[j]))
+        return (kind, "class" if kind == RelKind.EQ.value else None)
+
+    def _kind(self, i: int, j: int) -> str:
+        """The kind of the cell (i, j), read off its bits with no
+        provenance: eq, subset, not_subset or unknown."""
         if self._same[i] >> j & 1:
-            return (RelKind.EQ.value, "class")
+            return RelKind.EQ.value
         if self._up[i] >> j & 1:
-            return (RelKind.LE.value, self._le_prov(self._rep[i], self._rep[j]))
-        if self._nle_rows[i] >> j & 1:
-            return (RelKind.NLE.value, self._nle_prov(self._rep[i], self._rep[j]))
-        return ("unknown", None)
+            return RelKind.LE.value
+        return RelKind.NLE.value if self._nle_rows[i] >> j & 1 else "unknown"
 
     def unknown_pairs(self) -> list[tuple[BNLocus, BNLocus]]:
         loci, mask = self.loci, self._rep_mask
@@ -570,7 +660,19 @@ def assemble(genus: int, facts: Iterable[Fact] = ()) -> RelationMatrix:
 def covers(matrix: RelationMatrix) -> list[Relation]:
     """Strict-containment cover relations between equivalence classes, with
     covers implied by trivial containments alone removed; sorted by the
-    (r, d) of source then target.
+    (r, d) of source then target (:func:`_cover_pairs`), each with its <=
+    provenance."""
+    loci = matrix.loci
+    return [
+        Relation(loci[i], loci[j], RelKind.LE, matrix._le_prov(i, j))
+        for i, j in _cover_pairs(matrix)
+    ]
+
+
+def _cover_pairs(matrix: RelationMatrix) -> list[tuple[int, int]]:
+    """The index pairs of :func:`covers`, in its order, read off the rows
+    with no provenance, so that a reader of the ends alone (DOT, and the
+    ``"covers"`` of JSON) never builds the <= records.
 
     On the rows this is the transitive reduction (Aho, Garey and Ullman,
     1972): a representative's strict row is its <= row over the other
@@ -578,16 +680,15 @@ def covers(matrix: RelationMatrix) -> list[Relation]:
     of the row reaches in turn: the row less its product with the strict
     rows (:func:`_product`).
     """
-    loci, mask = matrix.loci, matrix._rep_mask
+    mask = matrix._rep_mask
     strict = [row & mask & ~(1 << i) for i, row in enumerate(matrix._up)]
     members = dict(zip(_bits(mask), matrix.classes))
-    out = []
-    for i, above in zip(members, _product([strict[i] for i in members], strict)):
-        for j in _bits(strict[i] & ~above):
-            if any(trivially_implied(x, y) for x in members[i] for y in members[j]):
-                continue
-            out.append(Relation(loci[i], loci[j], RelKind.LE, matrix._le_prov(i, j)))
-    return out
+    return [
+        (i, j)
+        for i, above in zip(members, _product([strict[i] for i in members], strict))
+        for j in _bits(strict[i] & ~above)
+        if not any(trivially_implied(x, y) for x in members[i] for y in members[j])
+    ]
 
 
 class DiffCell(namedtuple("DiffCell", "lhs rhs got want")):
@@ -614,6 +715,5 @@ def compare(matrix: RelationMatrix, expected: RelationMatrix) -> list[DiffCell]:
             | (matrix._nle_rows[i] ^ expected._nle_rows[i])
         )
         for j in _bits(differ):
-            x, y = loci[i], loci[j]
-            diffs.append(DiffCell(x, y, matrix.relation(x, y)[0], expected.relation(x, y)[0]))
+            diffs.append(DiffCell(loci[i], loci[j], matrix._kind(i, j), expected._kind(i, j)))
     return diffs

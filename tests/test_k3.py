@@ -634,6 +634,17 @@ def test_adjacent_slope_recheck_equals_all_triples(chain):
 
     rk, hd = chain
     top, htot = rk[-1], hd[-1]
+    # the slope of P_i P_j for i < j, built once: a prefix leaf is the
+    # subchain P_0..P_k, P_top, so its triples read the same slopes
+    mu = {
+        (i, j): Fraction(hd[j] - hd[i], rk[j] - rk[i])
+        for i, j in itertools.combinations(range(len(rk)), 2)
+    }
+
+    def leaf_all_triples(points):
+        triples = itertools.combinations(points, 3)
+        return all(mu[i, j] >= mu[i, k] >= mu[j, k] for i, j, k in triples)
+
     first_step = first_leaf = None
     for k in range(1, len(rk) - 1):
         dr, hpp = (rk[k - 1] - rk[k - 2], hd[k - 2]) if k >= 2 else (0, 0)
@@ -642,7 +653,7 @@ def test_adjacent_slope_recheck_equals_all_triples(chain):
         row = (hd[k], 0, 0, 0, 0, 0)
         if first_step is None and _check_step(htot, top, rk[k - 1], hd[k - 1], dr, hpp, rk[k], row) == "GT":
             first_step = k
-        if first_leaf is None and not chain_all_triples(rk[: k + 1] + (top,), hd[: k + 1] + [htot]):
+        if first_leaf is None and not leaf_all_triples([*range(k + 1), len(rk) - 1]):
             first_leaf = k
     assert first_step == first_leaf
     # a leaf is a subchain of the whole chain, so the oracle on the whole

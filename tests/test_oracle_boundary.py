@@ -40,6 +40,8 @@ UNREAD = {
     "min_series_degree": "public K3 API: the exact minimum c_2 bound of a lattice",
     "k3_expected": "public K3 API: the K3-expected containments, never relations",
     "closure": "one line that acceptance criterion 6 calls; the oracles may not import poset",
+    "covers": "public poset API: each cover with its <= credit, which the README quick tour "
+    "prints; DOT and JSON read the cover ends alone",
     "L": "the value constant beside H, the second basis class",
     "Assignment.type_str": "the filtration type as text, which acceptance criterion 6 reads",
     "Assignment.sort_key": "the canonical order, which listing_records and the exact search "

@@ -27,14 +27,14 @@ from bnloci import (
     rule_sources,
     trivially_implied,
 )
-from bnloci.cli import packaged_facts
+from bnloci.cli import main, matrix_to_dot, packaged_facts
 from bnloci.oracles import (
     clifford_collapse,
     secant_containment,
     secant_expected_dim,
     trivial_relations,
 )
-from bnloci.poset import _BLOCK, RelationMatrix, _bits, _product, _transpose
+from bnloci.poset import _BLOCK, RelationMatrix, _bits, _condense, _product, _transpose
 from engine_caches import clear_engine_caches
 
 
@@ -852,6 +852,9 @@ def per_cell_rounds(up):
 
 
 def assert_rounds_match_per_cell_rounds(m):
+    # the first <= credit read builds the round records: read the reflexive
+    # cell (0, 0)
+    m._first(1, 0, 0)
     # each derived cell's bit sits in exactly one record of its row, so the
     # first record holding it, which _le_prov reads, has the per-cell round
     seeded = [1 << i for i in range(len(m.loci))]
@@ -863,6 +866,7 @@ def assert_rounds_match_per_cell_rounds(m):
             if isinstance(label, str):
                 seeded[i] |= row
     closed, via = per_cell_rounds(seeded)
+    # the matrix's rows are closed by _condense, and the rounds by Warshall
     assert m._up == closed
     got = {}
     for i, records in enumerate(m._records[1]):
@@ -901,9 +905,86 @@ def test_rounds_match_the_per_cell_rounds_on_random_matrices(drawn):
     assert_rounds_match_per_cell_rounds(m)
 
 
-@pytest.mark.parametrize("g", range(7, 21))
+@pytest.mark.parametrize("g", range(3, 31))
 def test_rounds_match_the_per_cell_rounds_on_assemble_seeds(g):
-    assert_rounds_match_per_cell_rounds(assemble(g, packaged_facts(g) if g <= 12 else ()))
+    assert_rounds_match_per_cell_rounds(assemble(g, packaged_facts(g) if 7 <= g <= 12 else ()))
+
+
+def condense_cases(n):
+    """Seeded <= rows over n loci, each row holding its own bit: a cycle
+    through every locus, the cycles on [0, n // 2) and [n // 2, n) joined by
+    one edge either way, and self-loops alone."""
+
+    def cycle(lo, hi):
+        return [1 << i | 1 << (i + 1 if i + 1 < hi else lo) for i in range(lo, hi)]
+
+    half = n // 2
+    two = cycle(0, half) + cycle(half, n)
+    return {
+        "cycle": cycle(0, n),
+        "two cycles, low to high": [row | (i == 0) << half for i, row in enumerate(two)],
+        "two cycles, high to low": [row | (i == n - 1) for i, row in enumerate(two)],
+        "self-loops": [1 << i for i in range(n)],
+    }
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 59])
+def test_condense_matches_the_per_cell_rounds_on_cycles_and_self_loops(n):
+    for name, rows in condense_cases(n).items():
+        assert _condense(rows) == per_cell_rounds(rows)[0], (n, name)
+
+
+def test_condense_cases_have_the_components_they_name():
+    # the cycles close to full blocks: the whole square, or two blocks of
+    # which the joined one reaches the other
+    n, half = 7, 3
+    full, low = (1 << n) - 1, (1 << half) - 1
+    high = full & ~low
+    closed = {name: _condense(rows) for name, rows in condense_cases(n).items()}
+    assert closed["cycle"] == [full] * n
+    assert closed["two cycles, low to high"] == [full] * half + [high] * (n - half)
+    assert closed["two cycles, high to low"] == [low] * half + [full] * (n - half)
+    assert closed["self-loops"] == [1 << i for i in range(n)]
+
+
+def test_kinds_only_reads_build_no_round_records(monkeypatch, capsys):
+    built, rounds = [], RelationMatrix._rounds
+
+    def spy(self):
+        built.append(self.genus)
+        return rounds(self)
+
+    monkeypatch.setattr(RelationMatrix, "_rounds", spy)
+    m = assemble(30)
+    # every known cell of m differs from the empty matrix, <= cells included
+    empty = closure_relations(30, m.loci, [])
+    diffs = compare(m, empty)
+    kinds = {"eq", "subset", "not_subset"}
+    assert {d.got for d in diffs} == kinds == {d.want for d in compare(empty, m)}
+    assert m.unknown_pairs() and m.relation_count() and m.classes
+    assert " -> " in matrix_to_dot(m)
+    assert main(["verify", "7..12"]) == 0
+    assert capsys.readouterr().out.count(": PASS") == 6
+    assert built == []
+    # the first <= credit read builds them, once
+    x, y = next((d.lhs, d.rhs) for d in diffs if d.got == "subset")
+    assert m.relation(x, y)[1] and m.all_relations()
+    assert built == [30]
+
+
+@pytest.mark.parametrize("g", [11, 30])
+def test_the_first_le_credit_read_builds_the_per_cell_rounds(g):
+    m = assemble(g, packaged_facts(g) if g <= 12 else ())
+    assert m._records[1] is None
+    # a derived <= cell between representatives: its credit names a round
+    i, j = next(
+        (i, j)
+        for i in _bits(m._rep_mask)
+        for j in _bits(m._up[i] & ~m._seed_up[i] & m._rep_mask)
+    )
+    assert m.relation(m.loci[i], m.loci[j])[1].startswith("closure(")
+    assert m._records[1] is not None
+    assert_rounds_match_per_cell_rounds(m)
 
 
 @pytest.mark.parametrize("g", range(7, 31))
