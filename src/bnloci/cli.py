@@ -375,7 +375,7 @@ def matrix_to_json(matrix: RelationMatrix) -> str:
         {
             "lhs": _locus_json(r.lhs),
             "rhs": _locus_json(r.rhs),
-            "relation": r.kind.value,
+            "relation": r.kind,
             "provenance": r.provenance,
         }
         for r in matrix.all_relations()

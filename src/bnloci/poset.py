@@ -41,24 +41,26 @@ its genus is seeded.  Every call still checks and groups its own facts,
 before any rule family runs, and closes its own matrix over the kept
 seeds and its facts; nothing that depends on the facts is kept.
 :func:`rule_sources` is not cached and builds fresh rows on every call,
-and a matrix shares with the cache only the immutable loci tuple and its
-private index.
+and a matrix shares with the cache the immutable loci tuple, its private
+index and the kept seed sources, which it only reads.
 
 The closed rows are the matrix: :class:`RelationMatrix` keeps ``up``, the
-closed !<= rows and each locus's class representative, and every query is
-a row operation on them.  Provenance is kept as derivation records, not
-strings.  Each row of each kind keeps one list of (label, bits) records in
-derivation order: first each sorted source's row, labelled by its string,
-then, for <= only, one record (k, new) per round k of Warshall's pass over
-the seeded rows that added bits to the row.  A cell's derivation is the
-first record of its row that holds its bit: a seeded cell's is its first
-source, and a derived <= cell's is the round k that added it, whose
-premises are (i, k) and (k, j).  Warshall's pass is the one source of
-these credits, and it runs only on the first read of a <= credit
-(:meth:`RelationMatrix._rounds`): the kinds, the classes, the unknown
-pairs, :func:`compare`, ``bn verify`` and the cover ends that DOT prints
-(:func:`_cover_pairs`) never run it.  A derived !<= cell is credited on
-read to the lexicographically first seed that reaches it.  The matrix
+closed !<= rows, each locus's class representative and the sorted
+sources, and every query of a kind is a row operation on the rows.
+Provenance is kept as derivation records, not strings, and each kind's
+records are made from the kept sources on the first read of a credit of
+that kind (:meth:`RelationMatrix._derive`).  Each row of a kind gets one
+list of (label, bits) records in derivation order: first each sorted
+source's row, labelled by its string, then, for <= only, one record
+(k, new) per round k of Warshall's pass over the seeded rows that added
+bits to the row.  A cell's derivation is the first record of its row that
+holds its bit: a seeded cell's is its first source, and a derived <=
+cell's is the round k that added it, whose premises are (i, k) and
+(k, j).  Warshall's pass is the one source of these credits.  The kinds,
+the classes, the unknown pairs, :func:`compare`, ``bn verify`` and the
+cover ends that DOT prints (:func:`_cover_pairs`) make no records of
+either kind.  A derived !<= cell is credited on read to the
+lexicographically first seed that reaches it.  The matrix
 renders a cell's provenance string only when it is read, and keeps it.
 The cover diagram is the transitive reduction of ``up`` restricted to the
 class representatives.
@@ -242,6 +244,11 @@ def _condense(seed: list[int]) -> list[int]:
     return closed
 
 
+# the kinds' values as plain strs, which relation() returns: on CPython 3.11 each
+# read of RelKind.X.value is a Python-level descriptor call
+_EQ, _LE, _NLE = RelKind.EQ.value, RelKind.LE.value, RelKind.NLE.value
+
+
 class RelationMatrix:
     """Closed matrix of pairwise claims at a fixed genus, built from its
     seed sources.
@@ -270,22 +277,24 @@ class RelationMatrix:
     class fields come from the rows too: ``_same[i]`` is ``up[i] &
     down[i]``, and only a class of two or more members walks its bits.
 
-    Provenance is held as derivation records: ``_records[kind][i]`` (kind
-    1 for <=, 2 for !<=, as in a source) lists the (label, bits) records
-    of row i, each sorted source's row labelled by its string, then each
-    Warshall round k that added bits, labelled by k.  A seeded bit is never
-    in a round's bits, so a cell's derivation is the first record holding
-    its bit (:meth:`_first`).  The <= records are made on the first read
-    of a <= credit (:meth:`_rounds`), from the kept seeded rows
-    ``_seed_up``: a ``relation()`` of a <= cell, ``all_relations()``,
-    :func:`covers`, a !<= credit derived through <=, and a contradiction's
-    message.  Readers of kinds alone never make them: ``relation_count()``,
-    ``unknown_pairs()``, ``classes``, :func:`compare` (so ``bn verify``)
-    and DOT.  The seeded !<= rows credit each derived !<= cell to a seed.
-    Reads render the strings and memoize them in one dict (no cell is both
-    <= and !<=), the same as if built during the closure; the records are
-    built in locals and published in one assignment, so instances are
-    immutable in effect and safe to share.
+    Construction keeps the rows and the sorted sources, and makes no
+    provenance.  Provenance is held as derivation records:
+    ``_records[kind][i]`` (kind 1 for <=, 2 for !<=, as in a source) lists
+    the (label, bits) records of row i, each sorted source's row labelled
+    by its string, then, for <=, each Warshall round k that added bits,
+    labelled by k.  A seeded bit is never in a round's bits, so a cell's
+    derivation is the first record holding its bit (:meth:`_first`).  A
+    kind's records are made from the kept sources on the first read of a
+    credit of that kind (:meth:`_derive`): the <= records by a
+    ``relation()`` of a <= cell, ``all_relations()``, :func:`covers`, a !<=
+    credit derived through <=, and a contradiction's message; the !<=
+    records by a !<= credit.  Readers of kinds alone make neither:
+    ``relation_count()``, ``unknown_pairs()``, ``classes``, :func:`compare`
+    (so ``bn verify``) and DOT.  The seeded !<= rows credit each derived
+    !<= cell to a seed.  Reads render the strings and memoize them in one
+    dict (no cell is both <= and !<=), the same as if built during the
+    closure; the records are built in locals and published in one dict
+    assignment, so instances are immutable in effect and safe to share.
     """
 
     def __init__(
@@ -293,21 +302,16 @@ class RelationMatrix:
         sources: Iterable[tuple],
     ):
         self.genus, self.loci, self._index = genus, loci, index
-        sources = sorted(sources, key=lambda source: (len(source[0]), source[0]))
+        # kept for _derive, in the (length, string) order that credits a seed
+        self._sources = sources = sorted(sources, key=lambda source: (len(source[0]), source[0]))
         n = len(loci)
         up = [1 << i for i in range(n)]
         # seed_rows[a] bit c: (a, c) is a seeded !<= cell
         seed_rows = [0] * n
-        # seeds[kind][i]: the sources' (label, bits) records of row i, 1 for <=, 2 for !<=
-        seeds = (None, [[] for _ in range(n)], [[] for _ in range(n)])
         for source in sources:
             for kind, rows in ((1, up), (2, seed_rows)):
                 for i, row in source[kind].items():
                     rows[i] |= row
-                    seeds[kind][i].append((source[0], row))
-        # the <= records gain Warshall's rounds on the first <= credit read
-        self._seed_up, self._le_seeds = up, seeds[1]
-        self._records = (None, None, seeds[2])
         up = _condense(up)
 
         down = _transpose(up)
@@ -324,8 +328,9 @@ class RelationMatrix:
             (loci[i],) if same[i] == 1 << i else tuple(loci[j] for j in _bits(same[i]))
             for i in reps
         )
-        # the memo of every rendered <= and !<= string, seeds included
-        self._texts = {}
+        # _records[kind]: the credit records of a kind, made on its first read;
+        # _texts: the memo of every rendered <= and !<= string, seeds included
+        self._records, self._texts = {}, {}
         for a in range(n):
             if seed_rows[a] & up[a]:
                 c = _low(seed_rows[a] & up[a])
@@ -336,38 +341,43 @@ class RelationMatrix:
         """The label of the first record of row a of ``kind`` (1 for <=, 2
         for !<=) that holds bit b: a seeding source's string or a Warshall
         round; None when no record holds it (an unseeded self-loop).  The
-        first read of kind 1 builds the <= records (:meth:`_rounds`)."""
-        records = self._records[kind]
-        if records is None:
-            records = self._rounds()
+        first read of a kind makes its records (:meth:`_derive`)."""
+        records = self._records.get(kind) or self._derive(kind)
         for label, bits in records[a]:
             if bits >> b & 1:
                 return label
         return None
 
-    def _rounds(self) -> list[list[tuple]]:
-        """The <= records: each row's source records, then one (k, new)
-        record for each round k of Warshall's pass over the seeded rows
-        that added the bits ``new`` to the row.  They are built in locals
-        and published in one assignment, so a shared matrix read by several
-        threads never shows a part of them; two first reads at once each
-        build the same records, and either set is kept."""
-        up, n = list(self._seed_up), len(self._seed_up)
-        rounds = [list(seeds) for seeds in self._le_seeds]
-        for k in range(n):
+    def _derive(self, kind: int) -> list[list[tuple]]:
+        """The records of ``kind`` (1 for <=, 2 for !<=), from the kept
+        sources: each row's (string, row) record of each sorted source that
+        seeds it, then, for <=, one (k, new) record for each round k of
+        Warshall's pass over the seeded rows that added the bits ``new`` to
+        the row.  They are built in locals and published in one dict
+        assignment, so a shared matrix read by several threads never shows
+        a part of them; two first reads at once each build the same
+        records, and either set is kept."""
+        n = len(self.loci)
+        # the seeded rows, reflexive, ORed as the records are made; read for <= only
+        up, records = [1 << i for i in range(n)], [[] for _ in range(n)]
+        for source in self._sources:
+            for i, row in source[kind].items():
+                up[i] |= row
+                records[i].append((source[0], row))
+        for k in range(n if kind == 1 else 0):
             bit, row_k = 1 << k, up[k]
             for i in range(n):
                 if up[i] & bit:
                     new = row_k & ~up[i]
                     if new:
                         up[i] |= new
-                        rounds[i].append((k, new))
-        self._records = (None, rounds, self._records[2])
-        return rounds
+                        records[i].append((k, new))
+        self._records[kind] = records
+        return records
 
     def _le_prov(self, i: int, j: int) -> str:
         """Provenance of the <= cell (i, j), from its derivation
-        (:meth:`_first`, whose first call makes the <= records): a seed's
+        (:meth:`_first`, whose first <= read makes the <= records): a seed's
         string, or ``closure(p(i,k),p(k,j))`` for the Warshall round k that
         added bit j to row i, rendered and stored.  A cell is resolved on
         an explicit stack, not by recursion, so that a long chain (any loci
@@ -422,20 +432,20 @@ class RelationMatrix:
         """(kind, provenance) with kind one of eq/subset/not_subset/unknown."""
         i, j = self._index[x], self._index[y]
         kind = self._kind(i, j)
-        if kind == RelKind.LE.value:
+        if kind == _LE:
             return (kind, self._le_prov(self._rep[i], self._rep[j]))
-        if kind == RelKind.NLE.value:
+        if kind == _NLE:
             return (kind, self._nle_prov(self._rep[i], self._rep[j]))
-        return (kind, "class" if kind == RelKind.EQ.value else None)
+        return (kind, "class" if kind == _EQ else None)
 
     def _kind(self, i: int, j: int) -> str:
         """The kind of the cell (i, j), read off its bits with no
         provenance: eq, subset, not_subset or unknown."""
         if self._same[i] >> j & 1:
-            return RelKind.EQ.value
+            return _EQ
         if self._up[i] >> j & 1:
-            return RelKind.LE.value
-        return RelKind.NLE.value if self._nle_rows[i] >> j & 1 else "unknown"
+            return _LE
+        return _NLE if self._nle_rows[i] >> j & 1 else "unknown"
 
     def unknown_pairs(self) -> list[tuple[BNLocus, BNLocus]]:
         loci, mask = self.loci, self._rep_mask

@@ -659,6 +659,8 @@ def test_sparse_reads_render_only_the_cells_they_read():
     m = assemble(30)
     covers(m)
     assert len(m._texts) < 1000
+    # and derives the <= records alone
+    assert set(m._records) == {1}
     # one unread seeded !<= cell between representatives adds one string
     a, c = next(
         (a, c)
@@ -851,25 +853,31 @@ def per_cell_rounds(up):
     return up, via
 
 
-def assert_rounds_match_per_cell_rounds(m):
-    # the first <= credit read builds the round records: read the reflexive
-    # cell (0, 0)
+def seeded_le_rows(m):
+    """The seeded <= rows of ``m``, reflexive, ORed from the records that
+    its sources' strings label.  The first <= credit read makes the
+    records: read the reflexive cell (0, 0)."""
     m._first(1, 0, 0)
-    # each derived cell's bit sits in exactly one record of its row, so the
-    # first record holding it, which _le_prov reads, has the per-cell round
     seeded = [1 << i for i in range(len(m.loci))]
     for i, records in enumerate(m._records[1]):
-        # every seed record (a source's string) precedes every round record
-        is_round = [not isinstance(label, str) for label, _ in records]
-        assert is_round == sorted(is_round), i
         for label, row in records:
             if isinstance(label, str):
                 seeded[i] |= row
+    return seeded
+
+
+def assert_rounds_match_per_cell_rounds(m):
+    # each derived cell's bit sits in exactly one record of its row, so the
+    # first record holding it, which _le_prov reads, has the per-cell round
+    seeded = seeded_le_rows(m)
     closed, via = per_cell_rounds(seeded)
     # the matrix's rows are closed by _condense, and the rounds by Warshall
     assert m._up == closed
     got = {}
     for i, records in enumerate(m._records[1]):
+        # every seed record (a source's string) precedes every round record
+        is_round = [not isinstance(label, str) for label, _ in records]
+        assert is_round == sorted(is_round), i
         rounds = 0
         for k, new in records:
             if isinstance(k, str):
@@ -947,14 +955,14 @@ def test_condense_cases_have_the_components_they_name():
     assert closed["self-loops"] == [1 << i for i in range(n)]
 
 
-def test_kinds_only_reads_build_no_round_records(monkeypatch, capsys):
-    built, rounds = [], RelationMatrix._rounds
+def test_kinds_only_reads_derive_no_records(monkeypatch, capsys):
+    built, derive = [], RelationMatrix._derive
 
-    def spy(self):
-        built.append(self.genus)
-        return rounds(self)
+    def spy(self, kind):
+        built.append((self.genus, kind))
+        return derive(self, kind)
 
-    monkeypatch.setattr(RelationMatrix, "_rounds", spy)
+    monkeypatch.setattr(RelationMatrix, "_derive", spy)
     m = assemble(30)
     # every known cell of m differs from the empty matrix, <= cells included
     empty = closure_relations(30, m.loci, [])
@@ -966,24 +974,49 @@ def test_kinds_only_reads_build_no_round_records(monkeypatch, capsys):
     assert main(["verify", "7..12"]) == 0
     assert capsys.readouterr().out.count(": PASS") == 6
     assert built == []
-    # the first <= credit read builds them, once
+    # the first <= credit read derives the <= records alone, and
+    # all_relations() then the !<= records, each once
     x, y = next((d.lhs, d.rhs) for d in diffs if d.got == "subset")
-    assert m.relation(x, y)[1] and m.all_relations()
-    assert built == [30]
+    assert m.relation(x, y)[1]
+    assert built == [(30, 1)]
+    assert m.all_relations()
+    assert built == [(30, 1), (30, 2)]
+
+
+def test_a_nle_credit_read_derives_the_kinds_it_reads():
+    # a seeded !<= cell between representatives reads its seed's string
+    # alone; a derived one also reads the <= steps that move it
+    m = assemble(30)
+    a, c = next((a, c) for a in _bits(m._rep_mask) for c in _bits(m._seed_rows[a] & m._rep_mask))
+    kind, prov = m.relation(m.loci[a], m.loci[c])
+    assert kind == "not_subset" and not prov.startswith("closure(")
+    assert set(m._records) == {2}
+    m = assemble(30)
+    b, d = next(
+        (b, d)
+        for b in _bits(m._rep_mask)
+        for d in _bits(m._nle_rows[b] & ~m._seed_rows[b] & m._rep_mask)
+    )
+    kind, prov = m.relation(m.loci[b], m.loci[d])
+    assert kind == "not_subset" and prov.startswith("closure(")
+    assert set(m._records) == {1, 2}
 
 
 @pytest.mark.parametrize("g", [11, 30])
 def test_the_first_le_credit_read_builds_the_per_cell_rounds(g):
-    m = assemble(g, packaged_facts(g) if g <= 12 else ())
-    assert m._records[1] is None
+    facts = packaged_facts(g) if g <= 12 else ()
+    # the seeded rows, read off the records of a second matrix over the same seeds
+    seeded = seeded_le_rows(assemble(g, facts))
+    m = assemble(g, facts)
+    assert m._records == {}
     # a derived <= cell between representatives: its credit names a round
     i, j = next(
         (i, j)
         for i in _bits(m._rep_mask)
-        for j in _bits(m._up[i] & ~m._seed_up[i] & m._rep_mask)
+        for j in _bits(m._up[i] & ~seeded[i] & m._rep_mask)
     )
     assert m.relation(m.loci[i], m.loci[j])[1].startswith("closure(")
-    assert m._records[1] is not None
+    assert set(m._records) == {1}
     assert_rounds_match_per_cell_rounds(m)
 
 
