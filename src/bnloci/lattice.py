@@ -10,6 +10,8 @@ from __future__ import annotations
 from collections import namedtuple
 from math import isqrt
 
+from .loci import _validating_make
+
 
 class LatticeClass(namedtuple("LatticeClass", "a b")):
     """An integer class a*H + b*L.  As a tuple it orders as (a, b); the
@@ -30,9 +32,6 @@ class LatticeClass(namedtuple("LatticeClass", "a b")):
         return LatticeClass(n * self.a, n * self.b)
 
     __rmul__ = __mul__
-
-    def key(self) -> tuple[int, int]:
-        return (self.a, self.b)
 
     @property
     def xy(self) -> tuple[int, int]:
@@ -66,10 +65,7 @@ class LatticeBasis(namedtuple("LatticeBasis", "g r d")):
             raise ValueError(f"invalid lattice basis ({g}, {r}, {d})")
         return tuple.__new__(cls, (g, r, d))
 
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: keep it validating
-        return cls(*iterable)
+    _make = _validating_make
 
     @property
     def h_square(self) -> int:

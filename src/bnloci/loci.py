@@ -21,6 +21,12 @@ class RelKind(str, enum.Enum):
         return self.value
 
 
+@classmethod
+def _validating_make(cls, iterable):
+    # _replace builds through _make: keep it validating
+    return cls(*iterable)
+
+
 class BNLocus(namedtuple("BNLocus", "g r d")):
     """The Brill-Noether locus M^r_{g,d}."""
 
@@ -31,10 +37,7 @@ class BNLocus(namedtuple("BNLocus", "g r d")):
             raise ValueError(f"invalid locus (g={g}, r={r}, d={d})")
         return tuple.__new__(cls, (g, r, d))
 
-    @classmethod
-    def _make(cls, iterable):
-        # _replace builds through _make: keep it validating
-        return cls(*iterable)
+    _make = _validating_make
 
     @property
     def key(self) -> tuple[int, int]:
@@ -58,9 +61,7 @@ class Relation(namedtuple("Relation", "lhs rhs kind provenance")):
             kind = RelKind(kind)
         return tuple.__new__(cls, (lhs, rhs, kind, provenance))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    _make = _validating_make
 
     def __str__(self) -> str:
         sym = {RelKind.EQ: "=", RelKind.LE: "<=", RelKind.NLE: "!<="}[self.kind]

@@ -76,7 +76,7 @@ from functools import lru_cache
 from .classical import coppens_noncontainment, plane_projection_rule
 from .k3 import k3_certified_below, k3_noncontainment
 from .lattice import delta
-from .loci import BNLocus, RelKind, Relation, enumerate_loci, kappa
+from .loci import BNLocus, RelKind, Relation, _validating_make, enumerate_loci, kappa
 
 
 class ContradictionError(RuntimeError):
@@ -107,9 +107,7 @@ class Fact(namedtuple("Fact", "lhs rhs kind source")):
             kind = RelKind(kind)
         return tuple.__new__(cls, (lhs, rhs, kind, source))
 
-    @classmethod
-    def _make(cls, iterable):
-        return cls(*iterable)
+    _make = _validating_make
 
     def to_relation(self) -> Relation:
         return Relation(self.lhs, self.rhs, self.kind, f"fact:{self.source}")

@@ -171,10 +171,10 @@ def test_criterion_3_figure_reproduction(capsys):
 def test_criterion_4_lattice_inventories():
     b11 = LatticeBasis(11, 2, 7)
     assert find_classes_with_square(b11, -2) == []
-    zeros = {c.key() for c in find_classes_with_square(b11, 0)}
+    zeros = {(c.a, c.b) for c in find_classes_with_square(b11, 0)}
     assert (1, -2) in zeros and (-1, 5) in zeros
     b12 = LatticeBasis(12, 2, 7)
-    got = {c.key() for c in find_classes_with_square(b12, -2)}
+    got = {(c.a, c.b) for c in find_classes_with_square(b12, -2)}
     base = {(1, -3), (-1, 4), (2, -5), (-2, 9)}
     assert got == base | {(-a, -b) for (a, b) in base}
     report(4, "(-2)- and (0)-class inventories match on L^2_(11,7), L^2_(12,7)")
@@ -267,7 +267,7 @@ def test_criterion_6_property_suites():
     def blob(workers):
         out = enumerate_assignments(LatticeBasis(100, 9, 57), 4, workers=workers)
         return json.dumps(
-            [[a.type_str, [c.key() for c in a.chern], str(a.c2_bound)] for a in out]
+            [[a.type_str, [(c.a, c.b) for c in a.chern], str(a.c2_bound)] for a in out]
         ).encode()
 
     assert blob(1) == blob(2) == blob(8)

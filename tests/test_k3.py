@@ -521,12 +521,12 @@ def test_exact_minimum_breaks_ties_on_the_decoded_type(monkeypatch):
 def test_enumerated_assignments_pass_all_checks_and_box():
     for g, r, d, s in [(9, 2, 6, 1), (9, 2, 7, 2), (10, 3, 9, 3), (11, 2, 7, 3)]:
         basis = LatticeBasis(g, r, d)
-        cands = set(c.key() for c in candidate_subsheaf_classes(basis))
+        cands = set((c.a, c.b) for c in candidate_subsheaf_classes(basis))
         for a in enumerate_assignments(basis, s):
             assert gt_check(basis, a)
             assert quotient_checks(basis, a)
             for head in a.chern[:-1]:
-                assert head.key() in cands
+                assert (head.a, head.b) in cands
 
 
 # ------------------------------------------------ completeness and differential

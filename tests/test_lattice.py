@@ -70,7 +70,7 @@ def test_find_classes_square_zero_11_7():
 
 def test_find_classes_minus_two_12_7():
     basis = LatticeBasis(12, 2, 7)
-    got = set(c.key() for c in find_classes_with_square(basis, -2))
+    got = set((c.a, c.b) for c in find_classes_with_square(basis, -2))
     base = {(1, -3), (-1, 4), (2, -5), (-2, 9)}
     want = base | {(-a, -b) for (a, b) in base}
     assert got == want
@@ -82,8 +82,8 @@ def test_find_classes_negation_closed_and_deterministic():
         for square in (-2, 0, 2):
             out = find_classes_with_square(basis, square, 6, 6)
             assert out == find_classes_with_square(basis, square, 6, 6)
-            assert out == sorted(out, key=lambda c: c.key())
-            assert {(-c.a, -c.b) for c in out} == {c.key() for c in out}
+            assert out == sorted(out, key=lambda c: (c.a, c.b))
+            assert {(-c.a, -c.b) for c in out} == {(c.a, c.b) for c in out}
 
 
 def test_hodge_index_sanity_small_boxes():

@@ -5,7 +5,10 @@ for the assignment type, never for the walk or the scaled c_2 arithmetic.
 Imports are read with ``ast``, so a lazy import inside a function counts as
 well.  The engine modules (all but ``__init__`` and ``oracles``) define no
 public name, and their classes no public method or property, that the
-engine itself never reads, but for the public API named in ``UNREAD``."""
+engine itself never reads, but for the public API named in ``UNREAD``; a
+method or property is read only as an attribute (``x.name``), and no two
+classes define one member name, so that each attribute read names one
+member."""
 
 import ast
 from pathlib import Path
@@ -46,6 +49,8 @@ UNREAD = {
     "Assignment.type_str": "the filtration type as text, which acceptance criterion 6 reads",
     "Assignment.sort_key": "the canonical order, which listing_records and the exact search "
     "reproduce without calling it; the tests hold both to it",
+    "RelationMatrix.relation": "public cell query: one cell as a Relation, which the "
+    "benchmark's off-clock digest and the tests read",
 }
 
 # what the oracles may take from the engine's K3 module, and all they take:
@@ -122,36 +127,70 @@ def read_names(tree):
     return found
 
 
-def unread_engine_names(src):
-    """{name: module} for every public top-level name that an engine module
-    defines, and every public method or property of a class that it
-    defines (as ``Class.name``), that no engine module reads outside the
-    definition itself.  A class's head and each statement of its body are
-    read apart, so a method's reads of itself do not count."""
-    defined, read = {}, set()
+def read_attributes(tree):
+    """Every attribute that the tree reads as ``x.name``."""
+    return {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+
+
+def engine_surface(src):
+    """(names, members, read, attributes) over the engine modules: names
+    maps every public top-level name to its module, members every public
+    method or property of a class, as ``Class.name``, to its module; read
+    holds the names that the engine reads as a name, an attribute or an
+    import, attributes those that it reads as ``x.name``.  A class's head
+    and each statement of its body are read apart, so a definition's reads
+    of itself do not count."""
+    names, members, read, attributes = {}, {}, set(), set()
     for path in sorted(src.glob("*.py")):
         if path.stem in ("__init__", "oracles"):
             continue
         for stmt in ast.parse(path.read_text(encoding="utf-8"), str(path)).body:
-            names = defined_names(stmt)
-            defined.update((name, path.stem) for name in names if not name.startswith("_"))
-            if not isinstance(stmt, ast.ClassDef):
-                read |= read_names(stmt) - names
-                continue
-            for node in [*stmt.decorator_list, *stmt.bases, *stmt.keywords]:
-                read |= read_names(node) - names
-            for node in stmt.body:
-                if isinstance(node, ast.FunctionDef) and not node.name.startswith("_"):
-                    defined[f"{stmt.name}.{node.name}"] = path.stem
-                read |= read_names(node) - names - defined_names(node)
-    return {
-        name: module for name, module in defined.items()
-        if name.rpartition(".")[2] not in read
+            defined = defined_names(stmt)
+            names.update((name, path.stem) for name in defined if not name.startswith("_"))
+            parts = [stmt]
+            if isinstance(stmt, ast.ClassDef):
+                parts = [*stmt.decorator_list, *stmt.bases, *stmt.keywords, *stmt.body]
+                members.update(
+                    (f"{stmt.name}.{node.name}", path.stem) for node in stmt.body
+                    if isinstance(node, ast.FunctionDef) and not node.name.startswith("_")
+                )
+            for node in parts:
+                own = defined | defined_names(node)
+                read |= read_names(node) - own
+                attributes |= read_attributes(node) - own
+    return names, members, read, attributes
+
+
+def shared_member_names(members):
+    """{name: [Class, ...]} for every member name that more than one class
+    defines."""
+    classes = {}
+    for member in members:
+        cls, _, name = member.partition(".")
+        classes.setdefault(name, []).append(cls)
+    return {name: owners for name, owners in classes.items() if len(owners) > 1}
+
+
+def unread_engine_names(src):
+    """{name: module} for every public top-level name that no engine module
+    reads outside the definition itself, and every public member that no
+    engine module reads as an attribute.  A member whose name another class
+    also defines is never read: an attribute read names one member only."""
+    names, members, read, attributes = engine_surface(src)
+    attributes -= shared_member_names(members).keys()
+    return {name: module for name, module in names.items() if name not in read} | {
+        member: module for member, module in members.items()
+        if member.partition(".")[2] not in attributes
     }
 
 
 def test_every_engine_name_is_read_by_the_engine():
     assert set(unread_engine_names(SRC)) == set(UNREAD)
+
+
+def test_no_two_engine_classes_share_a_public_member_name():
+    assert shared_member_names(engine_surface(SRC)[1]) == {}
+    assert not hasattr(bnloci.lattice.LatticeClass, "key")
 
 
 def test_an_engine_name_that_only_its_definition_reads_is_found(tmp_path):
@@ -171,8 +210,10 @@ def test_an_engine_name_that_only_its_definition_reads_is_found(tmp_path):
 
 
 def test_a_method_that_only_its_own_body_reads_is_found(tmp_path):
-    # a method or property counts as read where an engine module names it
-    # outside its own body; private and dunder methods are not scanned
+    # a method or property counts as read where an engine module reads it as
+    # an attribute outside its own body, not where a local name or an import
+    # alias matches it; a member name that two classes define is found in
+    # both; private and dunder methods are not scanned
     (tmp_path / "__init__.py").write_text("from .lattice import Basis\nBasis().spare()\n",
                                           encoding="utf-8")
     (tmp_path / "lattice.py").write_text(
@@ -180,16 +221,24 @@ def test_a_method_that_only_its_own_body_reads_is_found(tmp_path):
         "    def __len__(self):\n        return 0\n\n"
         "    def _hidden(self):\n        return self.used()\n\n"
         "    def used(self):\n        pass\n\n"
+        "    def key(self):\n        pass\n\n"
         "    def spare(self):\n        return self.spare()\n\n"
-        "    @property\n    def width(self):\n        return 1\n",
+        "    @property\n    def width(self):\n        return 1\n\n\n"
+        "class Pair:\n"
+        "    def key(self):\n        pass\n",
         encoding="utf-8",
     )
     (tmp_path / "k3.py").write_text(
-        'from .lattice import Basis\n\n\ndef walk():\n    """Reads Basis.width."""\n\n\n'
-        "walk()\n",
+        "from math import floor as width\n\nfrom .lattice import Basis, Pair\n\n\n"
+        'def walk():\n    """Reads Basis.width."""\n    spare = width(0.5)\n'
+        "    return spare, Pair().key()\n\n\nwalk()\n",
         encoding="utf-8",
     )
-    assert unread_engine_names(tmp_path) == {"Basis.spare": "lattice", "Basis.width": "lattice"}
+    assert unread_engine_names(tmp_path) == {
+        "Basis.spare": "lattice", "Basis.width": "lattice",
+        "Basis.key": "lattice", "Pair.key": "lattice",
+    }
+    assert shared_member_names(engine_surface(tmp_path)[1]) == {"key": ["Basis", "Pair"]}
 
 
 def test_no_engine_module_imports_the_oracles():

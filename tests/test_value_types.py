@@ -1,6 +1,6 @@
 """The value types are named tuples: each validating constructor keeps its
-ValueError (also under python -O), fields cannot be assigned, and the
-package does not import dataclasses."""
+ValueError (also under python -O, and through ``_replace`` and ``_make``),
+fields cannot be assigned, and the package does not import dataclasses."""
 
 import json
 import os
@@ -32,9 +32,11 @@ SRC = Path(__file__).resolve().parent.parent / "src"
 INVALID = [
     ("BNLocus(2, 1, 2)", "invalid locus (g=2, r=1, d=2)"),
     ("BNLocus(9, 1, 3)._replace(g=2)", "invalid locus (g=2, r=1, d=3)"),
+    ("BNLocus._make((2, 1, 3))", "invalid locus (g=2, r=1, d=3)"),
     ("LatticeBasis(9, -1, 6)", "invalid lattice basis (9, -1, 6)"),
     ("LatticeBasis(9, 2, -6)", "invalid lattice basis (9, 2, -6)"),
     ("LatticeBasis(9, 2, 6)._replace(r=-1)", "invalid lattice basis (9, -1, 6)"),
+    ("LatticeBasis._make((9, -1, 6))", "invalid lattice basis (9, -1, 6)"),
     (
         "Relation(BNLocus(9, 1, 3), BNLocus(10, 1, 3), RelKind.LE, 'x')",
         "relations must stay within one genus",
@@ -42,6 +44,10 @@ INVALID = [
     (
         "Relation(BNLocus(9, 1, 3), BNLocus(9, 1, 4), RelKind.LE, 'x')"
         "._replace(rhs=BNLocus(10, 1, 4))",
+        "relations must stay within one genus",
+    ),
+    (
+        "Relation._make((BNLocus(9, 1, 3), BNLocus(10, 1, 3), RelKind.LE, 'x'))",
         "relations must stay within one genus",
     ),
     (
@@ -54,6 +60,10 @@ INVALID = [
     ),
     (
         "Fact(BNLocus(9, 1, 3), BNLocus(9, 2, 6), RelKind.LE, 'x')._replace(source='')",
+        "facts must carry a citation string",
+    ),
+    (
+        "Fact._make((BNLocus(9, 1, 3), BNLocus(9, 2, 6), RelKind.LE, ''))",
         "facts must carry a citation string",
     ),
     (
