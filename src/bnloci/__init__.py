@@ -2,9 +2,12 @@
 
 Exact-arithmetic tooling for deciding containments, equalities and
 non-containments of the loci M^r_{g,d} inside the moduli of genus-g curves:
-numerical invariants, classical genus/gonality rules, Lazarsfeld-Mukai
-filtration bounds on rank-2 K3 lattices, and a provenance-tracking poset
-engine that reproduces the full genus 7-12 classification.
+numerical invariants and gonality bounds, Lazarsfeld-Mukai filtration
+bounds on rank-2 K3 lattices, and a provenance-tracking poset engine that
+seeds the rule families, the classical plane-projection and Coppens rules
+among them, and reproduces the full genus 7-12 classification.  The
+independent checks, the per-pair rule functions among them, are imported
+from :mod:`bnloci.oracles`, which this package does not load.
 """
 
 from .lattice import (
@@ -21,6 +24,7 @@ from .loci import (
     Relation,
     clifford_index,
     enumerate_loci,
+    gonality_bounds,
     is_proper_locus,
     kappa,
     kappa_bruteforce,
@@ -28,11 +32,6 @@ from .loci import (
     rho,
     rho_k,
     serre_dual,
-)
-from .classical import (
-    coppens_noncontainment,
-    gonality_bounds,
-    plane_projection_rule,
 )
 from .k3 import (
     Assignment,

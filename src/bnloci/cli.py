@@ -31,7 +31,6 @@ import re
 import sys
 from pathlib import Path
 
-from .classical import gonality_bounds
 from .k3 import (
     _TAG_NAMES,
     BOTH_FILTERS,
@@ -49,8 +48,8 @@ from .loci import (
     RelKind,
     clifford_index,
     enumerate_loci,
+    gonality_bounds,
     is_proper_locus,
-    kappa,
     kappa_bruteforce,
     normalize,
     rho,
@@ -229,11 +228,10 @@ def cmd_invariants(args) -> int:
         lines.append(f"{why}; kappa and gonality bounds are undefined")
         print("\n".join(lines))
         return EXIT_DOMAIN
-    k = kappa(locus.g, locus.r, locus.d)
+    k, hi = gonality_bounds(locus.g, locus.r, locus.d)
     kb = kappa_bruteforce(locus.g, locus.r, locus.d)
     lines.append(f"kappa: {k} (brute-force cross-check: {kb})")
-    lo, hi = gonality_bounds(locus.g, locus.r, locus.d)
-    lines.append(f"gonality bounds: kappa lower bound {lo}, heuristic K {hi}")
+    lines.append(f"gonality bounds: kappa lower bound {k}, heuristic K {hi}")
     lines.append("note: the heuristic K can fail when the K3 lattice carries "
                  "elliptic pencils; it is not a certificate")
     print("\n".join(lines))

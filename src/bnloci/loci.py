@@ -162,6 +162,16 @@ def kappa(g: int, r: int, d: int) -> int:
     return g + 1 - d + 2 * r + _floor_neg_two_sqrt(-rho(g, r, d))
 
 
+def gonality_bounds(g: int, r: int, d: int) -> tuple[int, int]:
+    """(certified lower bound, heuristic expected value) for the minimal k
+    with M^r_{g,d} <= M^1_{g,k}: the pair (kappa, min(d-2r+2, floor((g+3)/2))).
+
+    The heuristic can fail in both directions; lattices carrying elliptic
+    pencils give curves of much lower gonality than d-2r+2.
+    """
+    return (kappa(g, r, d), min(d - 2 * r + 2, (g + 3) // 2))
+
+
 def kappa_bruteforce(g: int, r: int, d: int) -> int:
     """Largest k >= 2 with rho_k(g,k,r,d) >= 0, by direct scan up to
     floor((g+3)/2).  Independent oracle for :func:`kappa`, with the same

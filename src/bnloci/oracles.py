@@ -13,10 +13,12 @@ calls, kept so that each fast path can be held against a second encoding.
   destabilizing-lemma box that a step can use.
 - Loci: the base-point moves and the Clifford collapse as Relations
   (:func:`trivial_relations`, :func:`clifford_collapse`), and the secant
-  containment of one pair (:func:`secant_containment`), against the rows
-  that :func:`~bnloci.poset.rule_sources` seeds.  The base-point moves are
-  held against the trivial rows (a point added) and the secant rows (a
-  point removed, which the secant family seeds).
+  containment, the plane projection from a node and Coppens'
+  non-containment of one pair (:func:`secant_containment`,
+  :func:`plane_projection_rule`, :func:`coppens_noncontainment`), against
+  the rows that :func:`~bnloci.poset.rule_sources` seeds.  The base-point
+  moves are held against the trivial rows (a point added) and the secant
+  rows (a point removed, which the secant family seeds).
 - Citations: the numerical checks behind the packaged facts' citations,
   Castelnuovo's genus bound (:func:`castelnuovo_bound`), the
   Castelnuovo-Severi inequality (:func:`castelnuovo_severi`),
@@ -34,7 +36,7 @@ one imports nothing from ``poset`` or ``cli`` and, from ``k3``, only
 ``Assignment``, the value type of an assignment.  The exact c_2 bound is
 written here in its closed form, apart from the walk's scaled integers.
 ``lattice`` and ``loci`` hold the value types and the arithmetic, and
-are open to it, as is ``classical``.
+are open to it.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ from collections import namedtuple
 
 from .k3 import Assignment
 from .lattice import H, ZERO, LatticeBasis, LatticeClass, floor_sqrt_ratio, pair
-from .loci import BNLocus, RelKind, Relation, enumerate_loci, is_proper_locus
+from .loci import BNLocus, RelKind, Relation, enumerate_loci, is_proper_locus, rho
 
 
 def enumerate_filtration_types(s: int) -> list[tuple[int, ...]]:
@@ -131,8 +133,8 @@ def c2_lower_bound(basis: LatticeBasis, assignment: Assignment) -> Fraction:
     total = Fraction(0)
     prev_rank, prev = 0, ZERO
     for rank, cur in zip(assignment.ranks, assignment.chern):
-        f, rho = cur - prev, rank - prev_rank
-        stable = Fraction((rho - 1) * self_int(basis, f), 2 * rho) + rho - Fraction(1, rho)
+        f, step = cur - prev, rank - prev_rank  # the factor F and its rank
+        stable = Fraction((step - 1) * self_int(basis, f), 2 * step) + step - Fraction(1, step)
         total += stable + pair(basis, f, prev)
         prev_rank, prev = rank, cur
     return total
@@ -235,6 +237,42 @@ def secant_containment(g: int, r: int, d: int, s: int, e: int) -> Relation | Non
     if secant_expected_dim(r, d, s, e) > 0:
         return Relation(BNLocus(g, r, d), BNLocus(g, s, e), RelKind.LE, "secant")
     return None
+
+
+def plane_projection_rule(g: int, d: int) -> Relation | None:
+    """Projection from a singular point of a plane model: if
+    g < (d-1)(d-2)/2 then M^2_{g,d} is contained in M^1_{g,d-2}.
+
+    Raises ValueError outside its domain (d < 4 or rho(g,2,d) >= 0), and
+    returns None when g is not below the plane genus (d-1)(d-2)/2.  The
+    relation's target need not be an enumerated proper locus.
+    """
+    if d < 4 or rho(g, 2, d) >= 0:
+        raise ValueError("need d >= 4 and rho(g,2,d) < 0")
+    if 2 * g < (d - 1) * (d - 2):
+        return Relation(
+            BNLocus(g, 2, d), BNLocus(g, 1, d - 2), RelKind.LE, "plane-projection"
+        )
+    return None
+
+
+def coppens_noncontainment(g: int, d: int) -> Relation | None:
+    """Coppens: the normalization of a general nodal plane curve of degree d
+    and genus g has gonality d-2 when rho(g,1,d-3) < 0, so
+    M^2_{g,d} is not contained in M^1_{g,d-3}.
+
+    Needs a nonnegative node count (d-1)(d-2)/2 - g; returns None when the
+    hypotheses fail, and never raises, unlike
+    :func:`plane_projection_rule`.  The relation's target need not be an
+    enumerated proper locus.
+    """
+    if d < 5:
+        return None
+    if (d - 1) * (d - 2) // 2 - g < 0:
+        return None
+    if rho(g, 1, d - 3) >= 0:
+        return None
+    return Relation(BNLocus(g, 2, d), BNLocus(g, 1, d - 3), RelKind.NLE, "coppens")
 
 
 class CastelnuovoData(namedtuple("CastelnuovoData", "m epsilon bound")):

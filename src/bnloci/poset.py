@@ -73,7 +73,6 @@ from collections import namedtuple
 from collections.abc import Iterable
 from functools import lru_cache
 
-from .classical import coppens_noncontainment, plane_projection_rule
 from .k3 import k3_certified_below, k3_noncontainment
 from .lattice import delta
 from .loci import BNLocus, RelKind, Relation, _validating_make, enumerate_loci, kappa
@@ -527,7 +526,8 @@ def closure(matrix: RelationMatrix) -> RelationMatrix:
 def rule_sources(genus: int) -> list[tuple]:
     """Every rule family's seeds over the loci of ``genus``
     (:func:`_indexed_loci`) as one source each (see :func:`_seed`), filled
-    row by row, with no rule call per pair.  The trivial, Clifford,
+    row by row from each family's closed form.  The one rule call per pair
+    left is the K3 edge call below.  The trivial, Clifford,
     plane-projection and Coppens rules set their few bits; the other rows
     are masks and cuts.
 
@@ -552,6 +552,14 @@ def rule_sources(genus: int) -> list[tuple]:
     ``below[d]``, the kappa row of M^1_{g,d} itself, and "kappa" sorts
     before "gonality", so the gonality family seeds no !<=.
 
+    A plane-projection row, that of a net (2, d), is one bit: projecting
+    from a node of the plane model gives a pencil of degree d - 2 when
+    g < (d-1)(d-2)/2, so the row is (1, d - 2) when that holds and
+    (1, d - 2) is a locus.  A Coppens row is one !<= bit, to (1, d - 3),
+    when the node count (d-1)(d-2)/2 - g is nonnegative and (1, d - 3) is
+    a locus; that membership is Coppens' other hypotheses, d >= 5 and
+    rho(g, 1, d - 3) < 0.
+
     A secant row of (r, d) is one bit range per rank s < r.
     :func:`~bnloci.oracles.secant_expected_dim` is r - s - (d - e - r + s)*s,
     so for r > s >= 1 it is positive iff e >= d - r + s - (r - s - 1) // s;
@@ -565,8 +573,9 @@ def rule_sources(genus: int) -> list[tuple]:
     :func:`k3_noncontainment`, and a row it does not certify raises
     RuntimeError.
 
-    The per-pair functions stay the tests' oracle for every row; those that
-    no engine path calls live in :mod:`bnloci.oracles`.
+    The per-pair functions stay the tests' oracle for every row; all but
+    :func:`k3_noncontainment` live in :mod:`bnloci.oracles`, as no engine
+    path calls them.
     """
     loci, at = _indexed_loci(genus)
     # key order puts rank s in the index run runs[s] = [start, count], after all lower ranks
@@ -594,10 +603,10 @@ def rule_sources(genus: int) -> list[tuple]:
         if r == 1:  # kappa(g, 1, d) = d: below[d] is set, and lacks i
             gonality[1][i] = full & ~below[d] & ~(1 << i)
         if r == 2:
-            for rel in (plane_projection_rule(g, d), coppens_noncontainment(g, d)):
-                if rel is not None and rel.rhs in at:
-                    source = plane if rel.kind is RelKind.LE else coppens
-                    _seed(source, i, at[rel.rhs], rel.kind)
+            if 2 * g < (d - 1) * (d - 2) and (g, 1, d - 2) in at:
+                _seed(plane, i, at[(g, 1, d - 2)], RelKind.LE)
+            if 2 * g <= (d - 1) * (d - 2) and (g, 1, d - 3) in at:
+                _seed(coppens, i, at[(g, 1, d - 3)], RelKind.NLE)
         row = 0
         for s, (start, _) in runs.items():  # per rank s < r: the e in [first, d)
             if s >= r:

@@ -9,18 +9,18 @@ from bnloci import (
     BNLocus,
     RelKind,
     assemble,
-    coppens_noncontainment,
     delta,
     gonality_bounds,
     k3_expected,
-    plane_projection_rule,
 )
 from bnloci.oracles import (
     castelnuovo_bound,
     castelnuovo_severi,
     ci_gonality,
+    coppens_noncontainment,
     four_secant_count,
     net_threshold,
+    plane_projection_rule,
     secant_containment,
     secant_expected_dim,
 )

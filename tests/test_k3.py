@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import math
+import operator
 import os
 import random
 import re
@@ -604,28 +605,46 @@ def test_the_strict_r1_class_costs_assignments_but_no_minimum():
         assert min(a.c2_bound for a in every) == min_series_degree(basis, s) == least, s
 
 
-@st.composite
-def integer_chains(draw):
-    """(rk, hd): 0 = rk[0] < rk[1] < ... < rk[n] with 1 <= n <= 9 and hd[0] = 0.
-    Half are concave chains with integer step slopes, each H-degree then
-    nudged by at most 1 (ties and near misses); half have free H-degrees."""
-    ranks = sorted(draw(st.sets(st.integers(1, 20), min_size=1, max_size=9)))
-    rk = (0, *ranks)
-    n = len(ranks)
-    if draw(st.booleans()):
-        slopes = sorted(draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n)), reverse=True)
-        hd = [0]
-        for i, m in enumerate(slopes, 1):
-            hd.append(hd[-1] + m * (rk[i] - rk[i - 1]))
-        nudges = draw(st.lists(st.sampled_from((0, 0, 0, 1, -1)), min_size=n, max_size=n))
-        hd = [0] + [h + e for h, e in zip(hd[1:], nudges)]
-    else:
-        hd = [0] + draw(st.lists(st.integers(-30, 30), min_size=n, max_size=n))
-    return rk, hd
+def concave_chain(steps):
+    """(rk, hd) of the steps (rank, (slope, nudge)): a concave chain with
+    integer step slopes, the slopes falling along the ranks, and each
+    H-degree then nudged by at most 1 (ties and near misses)."""
+    rk, hd, exact = [0], [0], 0
+    slopes = sorted((slope for _, (slope, _) in steps), reverse=True)
+    for m, (rank, (_, nudge)) in zip(slopes, sorted(steps)):
+        exact += m * (rank - rk[-1])
+        rk.append(rank)
+        hd.append(exact + nudge)
+    return tuple(rk), hd
+
+
+def free_chain(steps):
+    """(rk, hd) of the steps (rank, H-degree), in ascending rank."""
+    steps = sorted(steps)
+    return (0, *(rank for rank, _ in steps)), [0, *(h for _, h in steps)]
+
+
+# (rk, hd): 0 = rk[0] < rk[1] < ... < rk[n] with 1 <= n <= 9, ranks in 1..20
+# and hd[0] = 0.  Each step draws its rank and one more choice: half are
+# concave chains, whose step draws its slope in -4..4 with a nudge that is 0
+# three times in five, and half have free H-degrees in -30..30.  Unique by
+# itemgetter(0), Hypothesis draws the ranks without replacement, so no
+# repeated rank is drawn and thrown away.
+integer_chains = st.one_of(
+    st.lists(
+        st.tuples(st.integers(1, 20), st.sampled_from(
+            tuple(itertools.product(range(-4, 5), (0, 0, 0, 1, -1))))),
+        min_size=1, max_size=9, unique_by=operator.itemgetter(0),
+    ).map(concave_chain),
+    st.lists(
+        st.tuples(st.integers(1, 20), st.integers(-30, 30)),
+        min_size=1, max_size=9, unique_by=operator.itemgetter(0),
+    ).map(free_chain),
+)
 
 
 @settings(max_examples=500, deadline=None)
-@given(integer_chains())
+@given(integer_chains)
 def test_adjacent_slope_recheck_equals_all_triples(chain):
     # the step checks along the chain's successive prefixes: step k adds P_k
     # to the checked leaf P_0..P_{k-1}, P_top, and must first fail at the

@@ -16,7 +16,6 @@ from pathlib import Path
 import pytest
 
 import bnloci
-import bnloci.classical
 import bnloci.k3
 import bnloci.lattice
 import bnloci.loci
@@ -31,7 +30,7 @@ MOVED = {
     "c2_lower_bound", "trivial_relations", "clifford_collapse", "secant_containment",
     "slab_classes", "CastelnuovoData", "castelnuovo_bound", "castelnuovo_severi",
     "ci_gonality", "four_secant_count", "net_threshold", "secant_expected_dim",
-    "find_classes_with_square", "self_int",
+    "find_classes_with_square", "self_int", "plane_projection_rule", "coppens_noncontainment",
 }
 
 # the public names that an engine module defines and no engine module reads,
@@ -58,7 +57,7 @@ UNREAD = {
 K3_OPEN = {"Assignment"}
 
 # the modules open to the oracles as a whole: value types and arithmetic
-OPEN = {"bnloci.lattice", "bnloci.loci", "bnloci.classical"}
+OPEN = {"bnloci.lattice", "bnloci.loci"}
 
 
 def imports(path):
@@ -279,7 +278,7 @@ def test_an_oracle_import_of_the_engine_is_found(tmp_path, line):
 @pytest.mark.parametrize("name", sorted(MOVED))
 def test_each_moved_name_lives_in_the_oracles_alone(name):
     assert hasattr(bnloci.oracles, name) and not hasattr(bnloci, name)
-    for module in (bnloci.k3, bnloci.loci, bnloci.classical, bnloci.lattice):
+    for module in (bnloci.k3, bnloci.loci, bnloci.lattice):
         assert not hasattr(module, name), f"{module.__name__} still defines {name}"
 
 

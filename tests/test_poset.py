@@ -16,13 +16,11 @@ from bnloci import (
     closure,
     closure_relations,
     compare,
-    coppens_noncontainment,
     covers,
     delta,
     enumerate_loci,
     k3_noncontainment,
     kappa,
-    plane_projection_rule,
     rho_k,
     rule_sources,
     trivially_implied,
@@ -30,6 +28,8 @@ from bnloci import (
 from bnloci.cli import main, matrix_to_dot, packaged_facts
 from bnloci.oracles import (
     clifford_collapse,
+    coppens_noncontainment,
+    plane_projection_rule,
     secant_containment,
     secant_expected_dim,
     trivial_relations,
@@ -714,6 +714,44 @@ def test_rule_rows_equal_the_per_pair_rules(g):
             for s in sorted({y.r for y in loci}):
                 hit = [k3_noncontainment(g, x.r, x.d, s, y.d) is not None for y in loci if y.r == s]
                 assert hit == sorted(hit, reverse=True), (x, s)
+
+
+def test_plane_projection_and_coppens_rows_equal_their_rules_to_genus_90(monkeypatch):
+    # the rows of every net at g = 3..90 against the per-pair rules, past the
+    # genera that the test above reaches; rule_sources runs on the pencils
+    # and nets alone, a prefix of the loci in key order, so every index
+    # stays, and with its K3 rows off: the rows of the other families are
+    # not under test here and would cost seconds
+    import bnloci.poset as poset
+
+    def pencils_and_nets(genus):
+        loci = tuple(x for x in enumerate_loci(genus) if x.r <= 2)
+        return loci, {x: i for i, x in enumerate(loci)}
+
+    monkeypatch.setattr(poset, "_indexed_loci", pencils_and_nets)
+    monkeypatch.setattr(poset, "delta", lambda g, r, d: 0)
+    edges = 0
+    for g in range(3, 91):
+        loci, at = pencils_and_nets(g)
+        want = {"plane-projection": set(), "coppens": set()}
+        for x in loci:
+            if x.r == 2:
+                for rel in (plane_projection_rule(g, x.d), coppens_noncontainment(g, x.d)):
+                    if rel is not None and rel.rhs in at:
+                        want[rel.provenance].add((rel.lhs, rel.rhs, rel.kind))
+                # g at the plane genus: the edge where the two rules' inequalities part
+                edges += 2 * g == (x.d - 1) * (x.d - 2)
+        got = {}
+        for prov, le_rows, nle_rows in rule_sources(g):
+            if prov in want:
+                got[prov] = {
+                    (loci[i], loci[j], kind)
+                    for kind, rows in ((RelKind.LE, le_rows), (RelKind.NLE, nle_rows))
+                    for i, row in rows.items()
+                    for j in _bits(row)
+                }
+        assert got == want, g
+    assert edges == 10
 
 
 @pytest.mark.parametrize("g", range(7, 31))
